@@ -1008,6 +1008,7 @@ impl<M: Send> PimSystem<M> {
         if self.accounting {
             let retries_before = self.fault_log.retries;
             let mut sent = 0u64;
+            let mut max_module_bytes = 0u64;
             let mut calls = 0u64;
             let mut base_time = vec![0.0f64; p];
             let mut eff_cycles = vec![0u64; p];
@@ -1017,6 +1018,9 @@ impl<M: Send> PimSystem<M> {
                 base_time[i] = ctxs[i].time_s(self.cfg.pim_freq_hz, self.cfg.pim_local_bw);
                 let n_att = fate.attempts.len() as u64;
                 sent += bytes * n_att;
+                // Every re-send crosses the same module's channel, exactly
+                // as a retried scatter does in `run_round_faulty`.
+                max_module_bytes = max_module_bytes.max(bytes * n_att);
                 calls += n_att;
                 self.fault_log.retransmitted_bytes += bytes * n_att.saturating_sub(1);
                 self.fault_log.retries += n_att.saturating_sub(1);
@@ -1091,7 +1095,7 @@ impl<M: Send> PimSystem<M> {
                 + timeout_waves as f64 * timeout_s;
             let breakdown = RoundBreakdown {
                 pim_s,
-                comm_s: self.cfg.transfer_time_s(sent, bytes),
+                comm_s: self.cfg.transfer_time_s(sent, max_module_bytes),
                 overhead_s: overhead,
             };
             let load = LoadStats { max_cycles, mean_cycles: sum_cycles as f64 / p as f64 };
@@ -1531,6 +1535,36 @@ mod fault_tests {
             sys.take_newly_dead().len() as u64,
             sys.fault_log().deaths,
             "every death is reported exactly once"
+        );
+    }
+
+    #[test]
+    fn retried_broadcast_charges_the_same_channel_bound_as_a_retried_scatter() {
+        // Same plan, same round id, same 4 000 B per module ⇒ same fates, so
+        // a broadcast and a scatter must price the channel identically:
+        // every re-send crosses the retried module's own channel again.
+        let faulted = || {
+            let mut sys = PimSystem::new(MachineConfig::with_modules(8), |_| 0u64);
+            sys.set_fault_plan(Some(FaultPlan::new(FaultConfig {
+                p_exec_fault: 0.5,
+                ..FaultConfig::disabled(11)
+            })));
+            sys
+        };
+        let payload = vec![0u32; 1000];
+        let mut scatter = faulted();
+        let _ = scatter.execute_round(vec![payload.clone(); 8], |_, _, _, _| Vec::<u32>::new());
+        let mut bcast = faulted();
+        bcast.broadcast(payload, |_, _, _, _| {});
+
+        assert!(bcast.fault_log().retries > 0, "a 50% fault mass over 8 modules must retry");
+        assert_eq!(bcast.fault_log(), scatter.fault_log());
+        assert_eq!(bcast.stats().cpu_to_pim_bytes, scatter.stats().cpu_to_pim_bytes);
+        assert_eq!(bcast.stats().comm_s.to_bits(), scatter.stats().comm_s.to_bits());
+        let cfg = MachineConfig::with_modules(8);
+        assert!(
+            bcast.stats().comm_s >= 2.0 * 4000.0 / cfg.channel_bw_per_module,
+            "the bound is bytes × attempts on the most-retried module"
         );
     }
 
