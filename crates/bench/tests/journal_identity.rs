@@ -50,9 +50,16 @@ fn run_pipeline(fault_rate: f64) -> String {
     journal.to_jsonl()
 }
 
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
 #[test]
 fn journal_is_byte_identical_across_thread_counts() {
-    for rate in [0.0, 0.05] {
+    // The golden digests pin the journal against the *previous build*, not
+    // just against another thread count of this one; they may only change
+    // together with a CHANGES.md entry naming the artifact that moved.
+    for (rate, golden) in [(0.0, 0x356d_f489_9fec_f9f4u64), (0.05, 0x42ee_0850_dcf0_a20b)] {
         let runs: Vec<String> = [1usize, 2, 8]
             .iter()
             .map(|&n| rayon::ThreadPool::new(n).install(|| run_pipeline(rate)))
@@ -64,5 +71,7 @@ fn journal_is_byte_identical_across_thread_counts() {
                 "journal diverged between 1 and {n} threads at fault rate {rate}"
             );
         }
+        let digest = fnv1a(&runs[0]);
+        assert_eq!(digest, golden, "journal digest moved at fault rate {rate}: {digest:#018x}");
     }
 }
