@@ -232,13 +232,16 @@ fn enc_node<const D: usize>(e: &mut Enc, n: &BNode<D>) {
     }
 }
 
+/// Smallest encoded node: prefix (12) + count (8) + kind tag (1), a stub.
+const MIN_NODE_BYTES: usize = 21;
+
 fn dec_node<const D: usize>(d: &mut Dec) -> Result<BNode<D>, ShortRead> {
     let prefix = dec_prefix(d)?;
     let count = d.u64()?;
     let kind = match d.u8()? {
         0 => BKind::Internal { left: dec_child(d)?, right: dec_child(d)? },
         1 => {
-            let n = d.u32()? as usize;
+            let n = d.count(8 + 4 * D)?;
             let mut points = crate::soa::PointSet::with_capacity(n);
             for _ in 0..n {
                 let k = ZKey(d.u64()?);
@@ -282,17 +285,17 @@ fn dec_fragment<const D: usize>(d: &mut Dec) -> Result<Fragment<D>, ShortRead> {
     let dir_bits = d.u32()?;
     let dense_min = d.u32()?;
     let bits = d.u32()?;
-    let n_slots = d.u32()? as usize;
+    let n_slots = d.count(4)?;
     let mut slots = Vec::with_capacity(n_slots);
     for _ in 0..n_slots {
         slots.push(d.u32()?);
     }
-    let n_free = d.u32()? as usize;
+    let n_free = d.count(4)?;
     let mut free = Vec::with_capacity(n_free);
     for _ in 0..n_free {
         free.push(d.u32()?);
     }
-    let n_nodes = d.u32()? as usize;
+    let n_nodes = d.count(MIN_NODE_BYTES)?;
     let mut nodes = Vec::with_capacity(n_nodes);
     for _ in 0..n_nodes {
         nodes.push(dec_node(d)?);
@@ -372,7 +375,7 @@ fn dec_meta_info<const D: usize>(d: &mut Dec) -> Result<MetaInfo<D>, ShortRead> 
         0 => None,
         _ => Some(d.u64()?),
     };
-    let n_children = d.u32()? as usize;
+    let n_children = d.count(8)?;
     let mut children = Vec::with_capacity(n_children);
     for _ in 0..n_children {
         children.push(d.u64()?);
@@ -380,7 +383,7 @@ fn dec_meta_info<const D: usize>(d: &mut Dec) -> Result<MetaInfo<D>, ShortRead> 
     let prefix = dec_prefix(d)?;
     let synced_sc = d.u64()?;
     let pending_delta = d.i64()?;
-    let n_cached = d.u32()? as usize;
+    let n_cached = d.count(4)?;
     let mut cached_on = Vec::with_capacity(n_cached);
     for _ in 0..n_cached {
         cached_on.push(d.u32()?);
@@ -590,7 +593,8 @@ fn dec_modules_section<const D: usize>(
 ) -> Result<Vec<ModuleState<D>>, DurabilityError> {
     let s = |e: ShortRead| short("modules", e);
     let mut d = Dec::new(payload);
-    let n = d.u32().map_err(s)? as usize;
+    // Each module carries two fragment maps, each at least its count.
+    let n = d.count(8).map_err(s)?;
     let mut states = Vec::with_capacity(n);
     for _ in 0..n {
         let masters = dec_frag_map(&mut d).map_err(s)?;
@@ -652,7 +656,7 @@ fn dec_sim_section(payload: &[u8]) -> Result<SimCounters, DurabilityError> {
         n_modules: d.u64().map_err(s)? as usize,
         imbalance_history: Vec::new(),
     };
-    let n_hist = d.u32().map_err(s)? as usize;
+    let n_hist = d.count(8).map_err(s)?;
     let mut hist = Vec::with_capacity(n_hist);
     for _ in 0..n_hist {
         hist.push(d.f64().map_err(s)?);
@@ -672,7 +676,7 @@ fn dec_sim_section(payload: &[u8]) -> Result<SimCounters, DurabilityError> {
         salvaged_bytes: d.u64().map_err(s)?,
         host_crashes: d.u64().map_err(s)?,
     };
-    let n_dead = d.u32().map_err(s)? as usize;
+    let n_dead = d.count(1).map_err(s)?;
     let mut dead = Vec::with_capacity(n_dead);
     for _ in 0..n_dead {
         dead.push(d.bool().map_err(s)?);
@@ -718,7 +722,7 @@ fn dec_cpu_section(payload: &[u8]) -> Result<MeterSnapshot, DurabilityError> {
     let hits = d.u64().map_err(s)?;
     let misses = d.u64().map_err(s)?;
     let writebacks = d.u64().map_err(s)?;
-    let n_ways = d.u32().map_err(s)? as usize;
+    let n_ways = d.count(18).map_err(s)?;
     let mut ways = Vec::with_capacity(n_ways);
     for _ in 0..n_ways {
         ways.push(CacheWaySnapshot {
@@ -1095,5 +1099,39 @@ mod tests {
                 supported: CKPT_VERSION
             })
         ));
+    }
+
+    /// Rewrites the four bytes at `offset` of section `id`'s payload to
+    /// `u32::MAX` and re-checksums the section, as a crafted (or a drifted
+    /// writer's) image would be: the crc key is a constant of this file, so
+    /// the checksum only catches damage.
+    fn with_hostile_count(img: &[u8], id: u8, offset: usize) -> Vec<u8> {
+        let mut out = img[..20].to_vec();
+        let mut d = Dec::new(&img[20..]);
+        while d.remaining() > 0 {
+            let sec = d.u8().unwrap();
+            let len = d.u64().unwrap() as usize;
+            let mut payload = d.bytes(len).unwrap().to_vec();
+            d.u64().unwrap();
+            if sec == id {
+                payload[offset..offset + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            }
+            write_section(&mut out, sec, payload);
+        }
+        out
+    }
+
+    #[test]
+    fn hostile_element_counts_are_typed_errors_not_allocations() {
+        let img = small_tree().checkpoint_bytes();
+        assert_eq!(with_hostile_count(&img, 0, 0), img, "the rewriter itself is faithful");
+        // `n_hist` follows the ten 8-byte stats fields of the sim section;
+        // the module count opens the modules section.
+        for (id, offset) in [(SEC_SIM, 80), (SEC_MODULES, 0)] {
+            assert!(matches!(
+                PimZdTree::<3>::restore_bytes(&with_hostile_count(&img, id, offset)),
+                Err(DurabilityError::Corrupt { artifact: "checkpoint", .. })
+            ));
+        }
     }
 }

@@ -435,12 +435,11 @@ impl<const D: usize> PimZdTree<D> {
             // dispatched from clones with the originals kept for replay.
             // Every other row — all of them, at fault rate 0 with a dead
             // module elsewhere — moves into the round, zero-copy.
-            let round = self.sys.next_round_id();
             for m in 0..p {
                 if work[m].is_empty() {
                     continue;
                 }
-                if self.sys.predict_round_failure(round, m as u32) {
+                if self.sys.predict_round_failure(m as u32) {
                     send[m].extend(work[m].iter().cloned());
                 } else {
                     send[m] = std::mem::take(&mut work[m]);

@@ -42,7 +42,6 @@ pub mod boxq;
 pub mod build;
 pub mod checkpoint;
 pub mod config;
-pub mod dump;
 pub mod frag;
 pub mod host;
 pub mod insert;

@@ -26,7 +26,9 @@
 //! mixer — no global RNG state, so concurrent rounds at different thread
 //! counts draw identical faults.
 
+use crate::placement::mix64;
 use serde::Serialize;
+use std::borrow::Cow;
 
 /// Probability knobs of the injection plane. All probabilities are per
 /// module per round attempt (except `p_death`, drawn once per module per
@@ -142,24 +144,30 @@ impl AttemptOutcome {
 }
 
 /// The per-round fate of one module: its attempt sequence plus the
-/// conclusions the host draws from it.
+/// conclusion the host draws from it.
 #[derive(Clone, Debug)]
 pub struct ModuleFate {
-    /// Outcome of each delivery attempt, in order. The last entry is a
-    /// success iff [`success`](Self::success); at most
-    /// `max_retries + 1` entries.
-    pub attempts: Vec<AttemptOutcome>,
-    /// The round committed on this module.
-    pub success: bool,
+    /// Outcome of each delivery attempt, in order; at most
+    /// `max_retries + 1` entries, and only the last can be a success.
+    /// Borrowed for the two fates every fault-free round is made of
+    /// ([`Self::OK`], [`Self::IDLE`]), so drawing them allocates nothing.
+    pub attempts: Cow<'static, [AttemptOutcome]>,
     /// The host declared this module dead this round (fail-stop draw or
     /// retry exhaustion — indistinguishable from outside).
     pub died: bool,
 }
 
 impl ModuleFate {
+    /// Fate of a participating module nothing happens to.
+    pub const OK: ModuleFate =
+        ModuleFate { attempts: Cow::Borrowed(&[AttemptOutcome::Ok]), died: false };
+
     /// Fate of a module that takes no part in a round.
-    pub fn idle() -> Self {
-        ModuleFate { attempts: Vec::new(), success: false, died: false }
+    pub const IDLE: ModuleFate = ModuleFate { attempts: Cow::Borrowed(&[]), died: false };
+
+    /// The round committed on this module.
+    pub fn success(&self) -> bool {
+        self.attempts.last().is_some_and(|o| o.is_success())
     }
 }
 
@@ -168,15 +176,6 @@ impl ModuleFate {
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     cfg: FaultConfig,
-}
-
-/// splitmix64 finalizer: a well-mixed 64-bit permutation.
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 /// Converts a probability to an integer threshold over 53 random bits, so
@@ -256,26 +255,24 @@ impl FaultPlan {
     /// death draw (the host notices at its next contact).
     pub fn module_fate(&self, round: u64, module: u32, participating: bool) -> ModuleFate {
         if self.dies(round, module) {
-            return ModuleFate {
-                attempts: if participating { vec![AttemptOutcome::Death] } else { Vec::new() },
-                success: false,
-                died: true,
-            };
+            let attempts: &[AttemptOutcome] =
+                if participating { &[AttemptOutcome::Death] } else { &[] };
+            return ModuleFate { attempts: Cow::Borrowed(attempts), died: true };
         }
         if !participating {
-            return ModuleFate::idle();
+            return ModuleFate::IDLE;
         }
         let mut attempts = Vec::new();
         for attempt in 0..=self.cfg.max_retries {
             let o = self.outcome(round, module, attempt);
             attempts.push(o);
             if o.is_success() {
-                return ModuleFate { attempts, success: true, died: false };
+                return ModuleFate { attempts: Cow::Owned(attempts), died: false };
             }
         }
         // Retry budget exhausted: the host cannot tell a run of transient
         // faults from a death and declares the module dead.
-        ModuleFate { attempts, success: false, died: true }
+        ModuleFate { attempts: Cow::Owned(attempts), died: true }
     }
 }
 
@@ -431,8 +428,8 @@ mod tests {
         for round in 0..200 {
             for module in 0..8 {
                 let fate = plan.module_fate(round, module, true);
-                assert_eq!(fate.attempts, vec![AttemptOutcome::Ok]);
-                assert!(fate.success);
+                assert_eq!(*fate.attempts, [AttemptOutcome::Ok]);
+                assert!(fate.success());
                 assert!(!fate.died);
             }
         }
@@ -474,8 +471,7 @@ mod tests {
         for round in 0..500 {
             let fate = plan.module_fate(round, 5, true);
             assert!(fate.attempts.len() <= 3);
-            if fate.success {
-                assert!(fate.attempts.last().unwrap().is_success());
+            if fate.success() {
                 assert!(!fate.died);
                 assert!(fate.attempts[..fate.attempts.len() - 1].iter().all(|o| !o.is_success()));
             } else {

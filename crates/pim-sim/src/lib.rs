@@ -43,7 +43,7 @@ pub use energy::{EnergyEstimate, EnergyModel};
 pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultLog, FaultPlan};
 pub use metrics::{log2_bucket, quantile_sorted, Histogram, Metrics, MetricsRegistry, Samples};
 pub use placement::{hash_place, rendezvous_owner};
-pub use stats::{LoadStats, RoundBreakdown, SimStats};
+pub use stats::{RoundBreakdown, SimStats};
 pub use system::{PimSystem, SimCounters};
 pub use trace::{Journal, JournalSink, NullSink, RoundKind, RoundRecord, TraceSink};
 pub use wire::{checksum_bytes, Dec, Enc, ShortRead, Wire};

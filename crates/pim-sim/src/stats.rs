@@ -1,5 +1,7 @@
 //! Simulation counters: time, traffic, rounds, and load balance.
 
+use crate::fault::FaultEvent;
+use crate::trace::RoundKind;
 use serde::Serialize;
 
 /// Per-round time decomposition, matching the paper's Fig. 6 categories.
@@ -20,24 +22,66 @@ impl RoundBreakdown {
     }
 }
 
-/// Load-balance summary of one round.
-#[derive(Clone, Copy, Debug, Default, Serialize)]
-pub struct LoadStats {
-    /// Maximum per-module cycles in the round.
+/// Everything the accountant knows about one round — the single value
+/// that [`SimStats`], the round journal and the metrics registry are all
+/// fed from, so the three agree by construction.
+pub(crate) struct RoundAccount {
+    /// Which kind of round this was.
+    pub kind: RoundKind,
+    /// The round's price.
+    pub breakdown: RoundBreakdown,
+    /// Bytes moved CPU → PIM, re-sends included.
+    pub sent: u64,
+    /// Bytes moved PIM → CPU, discarded fetches included.
+    pub recv: u64,
+    /// Tasks scattered (1 for a broadcast value).
+    pub tasks: u64,
+    /// Replies gathered.
+    pub replies: u64,
+    /// Modules whose handler committed.
+    pub active_modules: u32,
+    /// Machine width `P` (idle modules count towards the mean).
+    pub n_modules: usize,
+    /// Maximum of `module_cycles`.
     pub max_cycles: u64,
-    /// Mean per-module cycles over *all* modules (idle ones count as 0).
-    pub mean_cycles: f64,
+    /// Sum of `module_cycles`.
+    pub sum_cycles: u64,
+    /// Cycles charged per module, retry and straggler multipliers included
+    /// (empty when no module ran: a salvage).
+    pub module_cycles: Vec<u64>,
+    /// Tasks scattered per module (empty when the round has no per-module
+    /// buffers: a broadcast, a salvage).
+    pub module_tasks: Vec<u64>,
+    /// Fault and recovery events, in module order.
+    pub events: Vec<FaultEvent>,
+    /// Delivery attempts beyond each module's first.
+    pub retries: u64,
 }
 
-impl LoadStats {
-    /// Max/mean imbalance ratio (1.0 = perfectly balanced; undefined rounds
-    /// with no PIM work report 1.0).
-    pub fn imbalance(&self) -> f64 {
-        if self.mean_cycles <= 0.0 {
-            1.0
-        } else {
-            self.max_cycles as f64 / self.mean_cycles
+impl RoundAccount {
+    /// A round of `kind` on `n_modules` modules in which nothing happened.
+    pub(crate) fn empty(kind: RoundKind, n_modules: usize) -> Self {
+        RoundAccount {
+            kind,
+            breakdown: RoundBreakdown::default(),
+            sent: 0,
+            recv: 0,
+            tasks: 0,
+            replies: 0,
+            active_modules: 0,
+            n_modules,
+            max_cycles: 0,
+            sum_cycles: 0,
+            module_cycles: Vec::new(),
+            module_tasks: Vec::new(),
+            events: Vec::new(),
+            retries: 0,
         }
+    }
+
+    /// Mean per-module cycles over *all* modules (idle ones count as 0).
+    pub(crate) fn mean_cycles(&self) -> f64 {
+        self.sum_cycles as f64 / self.n_modules as f64
     }
 }
 
@@ -97,51 +141,22 @@ impl SimStats {
         self.sum_max_cycles as f64 / (self.total_pim_cycles as f64 / self.n_modules as f64)
     }
 
-    /// Records one round.
-    pub fn record(&mut self, b: RoundBreakdown, load: LoadStats, sent: u64, recv: u64) {
+    /// Folds one round into the lifetime counters.
+    pub(crate) fn record(&mut self, a: &RoundAccount) {
         self.rounds += 1;
-        self.cpu_to_pim_bytes += sent;
-        self.pim_to_cpu_bytes += recv;
-        self.pim_s += b.pim_s;
-        self.comm_s += b.comm_s;
-        self.overhead_s += b.overhead_s;
-        let im = if load.max_cycles > 0 {
-            let im = load.imbalance();
-            self.worst_imbalance = self.worst_imbalance.max(im);
-            im
-        } else {
-            0.0
-        };
+        self.cpu_to_pim_bytes += a.sent;
+        self.pim_to_cpu_bytes += a.recv;
+        self.pim_s += a.breakdown.pim_s;
+        self.comm_s += a.breakdown.comm_s;
+        self.overhead_s += a.breakdown.overhead_s;
+        self.total_pim_cycles += a.sum_cycles;
+        self.sum_max_cycles += a.max_cycles;
+        self.n_modules = a.n_modules;
+        // Max/mean imbalance; rounds without PIM work record 0.0 and never
+        // move the worst case.
+        let im = if a.max_cycles > 0 { a.max_cycles as f64 / a.mean_cycles() } else { 0.0 };
+        self.worst_imbalance = self.worst_imbalance.max(im);
         self.imbalance_history.push(im);
-        self.sum_max_cycles += load.max_cycles;
-    }
-
-    /// Aggregates the stats of ranks that executed **concurrently** (the
-    /// shard router's scatter phase): traffic, cycles, and rounds add —
-    /// they are real work done somewhere — but wall-clock-like time fields
-    /// (`pim_s`, `comm_s`, `overhead_s`) take the **max** over ranks,
-    /// because concurrent ranks overlap and the straggler sets the phase
-    /// time. `worst_imbalance` takes the max; `n_modules` adds (the fleet
-    /// is the union of every rank's modules); `sum_max_cycles` adds (each
-    /// rank's straggler path is still serial within that rank);
-    /// `imbalance_history` is dropped — per-round windows are meaningless
-    /// across interleaved rank timelines. Returns the default stats for an
-    /// empty slice.
-    pub fn aggregate_concurrent(ranks: &[SimStats]) -> SimStats {
-        let mut agg = SimStats::default();
-        for s in ranks {
-            agg.rounds += s.rounds;
-            agg.cpu_to_pim_bytes += s.cpu_to_pim_bytes;
-            agg.pim_to_cpu_bytes += s.pim_to_cpu_bytes;
-            agg.pim_s = agg.pim_s.max(s.pim_s);
-            agg.comm_s = agg.comm_s.max(s.comm_s);
-            agg.overhead_s = agg.overhead_s.max(s.overhead_s);
-            agg.worst_imbalance = agg.worst_imbalance.max(s.worst_imbalance);
-            agg.total_pim_cycles += s.total_pim_cycles;
-            agg.sum_max_cycles += s.sum_max_cycles;
-            agg.n_modules += s.n_modules;
-        }
-        agg
     }
 
     /// Difference `self - earlier` for phase-relative measurements.
@@ -176,43 +191,36 @@ impl SimStats {
 mod tests {
     use super::*;
 
-    #[test]
-    fn imbalance_of_idle_round_is_one() {
-        let l = LoadStats { max_cycles: 0, mean_cycles: 0.0 };
-        assert_eq!(l.imbalance(), 1.0);
+    /// A four-module round with the given price, traffic and load (the
+    /// mean is `sum_cycles / 4`).
+    fn round(pim_s: f64, sent: u64, recv: u64, max_cycles: u64, sum_cycles: u64) -> RoundAccount {
+        RoundAccount {
+            breakdown: RoundBreakdown { pim_s, comm_s: 2.0, overhead_s: 0.5 },
+            sent,
+            recv,
+            max_cycles,
+            sum_cycles,
+            ..RoundAccount::empty(RoundKind::Execute, 4)
+        }
     }
 
     #[test]
     fn record_accumulates() {
         let mut s = SimStats::default();
-        s.record(
-            RoundBreakdown { pim_s: 1.0, comm_s: 2.0, overhead_s: 0.5 },
-            LoadStats { max_cycles: 10, mean_cycles: 5.0 },
-            100,
-            200,
-        );
+        s.record(&round(1.0, 100, 200, 10, 20));
         assert_eq!(s.rounds, 1);
         assert_eq!(s.channel_bytes(), 300);
         assert!((s.round_time_s() - 3.5).abs() < 1e-12);
         assert!((s.worst_imbalance - 2.0).abs() < 1e-12);
+        assert_eq!((s.total_pim_cycles, s.sum_max_cycles, s.n_modules), (20, 10, 4));
     }
 
     #[test]
     fn since_subtracts() {
         let mut a = SimStats::default();
-        a.record(
-            RoundBreakdown { pim_s: 1.0, comm_s: 0.0, overhead_s: 0.0 },
-            LoadStats::default(),
-            10,
-            20,
-        );
+        a.record(&round(1.0, 10, 20, 0, 0));
         let snapshot = a.clone();
-        a.record(
-            RoundBreakdown { pim_s: 2.0, comm_s: 0.0, overhead_s: 0.0 },
-            LoadStats::default(),
-            1,
-            2,
-        );
+        a.record(&round(2.0, 1, 2, 0, 0));
         let d = a.since(&snapshot);
         assert_eq!(d.rounds, 1);
         assert_eq!(d.cpu_to_pim_bytes, 1);
@@ -223,15 +231,10 @@ mod tests {
     fn since_reports_window_imbalance_not_lifetime() {
         let mut s = SimStats::default();
         // Round 1: heavily imbalanced (max 40, mean 10 → 4.0).
-        s.record(RoundBreakdown::default(), LoadStats { max_cycles: 40, mean_cycles: 10.0 }, 0, 0);
+        s.record(&round(0.0, 0, 0, 40, 40));
         let snapshot = s.clone();
         // Round 2: perfectly balanced (max 100, mean 100 → 1.0).
-        s.record(
-            RoundBreakdown::default(),
-            LoadStats { max_cycles: 100, mean_cycles: 100.0 },
-            0,
-            0,
-        );
+        s.record(&round(0.0, 0, 0, 100, 400));
         assert!((s.worst_imbalance - 4.0).abs() < 1e-12, "lifetime keeps the max");
         let w = s.since(&snapshot);
         assert!(
@@ -246,59 +249,16 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_concurrent_sums_work_and_maxes_time() {
-        let mut a = SimStats::default();
-        a.record(
-            RoundBreakdown { pim_s: 1.0, comm_s: 0.5, overhead_s: 0.1 },
-            LoadStats { max_cycles: 10, mean_cycles: 5.0 },
-            100,
-            50,
-        );
-        a.total_pim_cycles = 40;
-        a.n_modules = 8;
-        let mut b = SimStats::default();
-        b.record(
-            RoundBreakdown { pim_s: 3.0, comm_s: 0.2, overhead_s: 0.4 },
-            LoadStats { max_cycles: 20, mean_cycles: 20.0 },
-            7,
-            3,
-        );
-        b.total_pim_cycles = 160;
-        b.n_modules = 8;
-        let g = SimStats::aggregate_concurrent(&[a, b]);
-        assert_eq!(g.rounds, 2);
-        assert_eq!(g.channel_bytes(), 160);
-        assert!((g.pim_s - 3.0).abs() < 1e-12, "straggler rank sets phase time");
-        assert!((g.comm_s - 0.5).abs() < 1e-12);
-        assert_eq!(g.total_pim_cycles, 200);
-        assert_eq!(g.sum_max_cycles, 30);
-        assert_eq!(g.n_modules, 16);
-        assert!((g.worst_imbalance - 2.0).abs() < 1e-12);
-        assert_eq!(SimStats::aggregate_concurrent(&[]).rounds, 0);
-    }
-
-    #[test]
     fn nested_since_windows_stay_consistent() {
         let mut s = SimStats::default();
-        for (max, mean) in [(30u64, 10.0f64), (20, 10.0), (10, 10.0)] {
-            s.record(
-                RoundBreakdown::default(),
-                LoadStats { max_cycles: max, mean_cycles: mean },
-                0,
-                0,
-            );
+        for max in [30u64, 20, 10] {
+            s.record(&round(0.0, 0, 0, max, 40));
         }
-        let snap1 = SimStats::default();
-        let whole = s.since(&snap1);
+        let whole = s.since(&SimStats::default());
         assert!((whole.worst_imbalance - 3.0).abs() < 1e-12);
         // A window over the last two rounds sees 2.0, not 3.0.
         let mut snap2 = SimStats::default();
-        snap2.record(
-            RoundBreakdown::default(),
-            LoadStats { max_cycles: 30, mean_cycles: 10.0 },
-            0,
-            0,
-        );
+        snap2.record(&round(0.0, 0, 0, 30, 40));
         let tail = s.since(&snap2);
         assert!((tail.worst_imbalance - 2.0).abs() < 1e-12);
     }

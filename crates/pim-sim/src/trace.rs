@@ -32,8 +32,6 @@ pub const TOP_STRAGGLERS: usize = 4;
 pub enum RoundKind {
     /// `execute_round`: scatter to non-idle modules, gather replies.
     Execute,
-    /// `execute_round_all`: every module runs, even without input.
-    ExecuteAll,
     /// `broadcast`: one value replicated to all modules.
     Broadcast,
     /// `salvage`: one DMA read of a dead module's memory during recovery.
@@ -43,9 +41,10 @@ pub enum RoundKind {
 /// One BSP round, as seen by the accountant.
 ///
 /// Summing the breakdown/byte/cycle fields of every record of a run
-/// reproduces the final [`SimStats`](crate::SimStats) exactly (this is a
-/// tested invariant), so a journal is a lossless refinement of the lifetime
-/// counters.
+/// reproduces the final [`SimStats`](crate::SimStats) exactly — by
+/// construction: the executor builds each record from the very value it
+/// feeds `SimStats` with — so a journal is a lossless refinement of the
+/// lifetime counters.
 #[derive(Clone, Debug)]
 pub struct RoundRecord {
     /// Monotonic round id (survives `reset_stats`).

@@ -264,6 +264,19 @@ impl<'a> Dec<'a> {
     pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], ShortRead> {
         self.take(n)
     }
+
+    /// Reads a `u32` count of elements that each occupy at least
+    /// `min_element_bytes`, and refuses one the rest of the buffer cannot
+    /// hold — so a decoder may size an allocation by the result without a
+    /// crafted or damaged count turning four bytes into a 32 GiB request.
+    pub fn count(&mut self, min_element_bytes: usize) -> Result<usize, ShortRead> {
+        let n = self.u32()? as usize;
+        let wanted = n.saturating_mul(min_element_bytes);
+        if wanted > self.remaining() {
+            return Err(ShortRead { offset: self.pos, wanted, available: self.remaining() });
+        }
+        Ok(n)
+    }
 }
 
 impl Wire for () {
@@ -414,6 +427,21 @@ mod tests {
         assert_eq!(err, ShortRead { offset: 1, wanted: 8, available: 2 });
         // A failed read consumes nothing.
         assert_eq!(d.u8().unwrap(), 2);
+    }
+
+    #[test]
+    fn count_is_bounded_by_what_the_buffer_can_hold() {
+        let mut e = Enc::new();
+        e.u32(2);
+        e.u64(10);
+        e.u64(11);
+        e.u32(u32::MAX);
+        let bytes = e.into_bytes();
+        let mut d = Dec::new(&bytes);
+        assert_eq!(d.count(8).unwrap(), 2, "two u64s follow and fit");
+        d.bytes(16).unwrap();
+        let err = d.count(8).unwrap_err();
+        assert_eq!(err, ShortRead { offset: 24, wanted: u32::MAX as usize * 8, available: 0 });
     }
 
     #[test]
