@@ -206,12 +206,6 @@ impl<const D: usize> PimZdTree<D> {
         &self.last_stats
     }
 
-    /// Mutable access to the simulated machine's configuration (benches flip
-    /// the transfer-API knob for the Table 3 ablation).
-    pub fn machine_mut(&mut self) -> &mut pim_sim::MachineConfig {
-        self.sys.config_mut()
-    }
-
     /// Total space consumption in bytes: host L0 (+ its replication on all
     /// modules when it outgrew the cache) plus every module's masters and
     /// caches (Theorem 5.1 / Table 2).

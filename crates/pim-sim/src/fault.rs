@@ -383,16 +383,18 @@ impl FaultLog {
         self.exec_faults + self.reply_drops + self.reply_corruptions + self.stragglers + self.deaths
     }
 
-    /// Tallies one attempt outcome.
-    pub(crate) fn count(&mut self, o: AttemptOutcome) {
-        match o {
-            AttemptOutcome::Ok => {}
-            AttemptOutcome::Straggler => self.stragglers += 1,
-            AttemptOutcome::ExecFault => self.exec_faults += 1,
-            AttemptOutcome::ReplyDrop => self.reply_drops += 1,
-            AttemptOutcome::ReplyCorrupt => self.reply_corruptions += 1,
-            AttemptOutcome::Death => {}
-        }
+    /// Tallies one attempt outcome and names the fault it was, if any
+    /// (deaths are tallied and journaled once per module, not per attempt).
+    pub(crate) fn count(&mut self, o: AttemptOutcome) -> Option<FaultKind> {
+        let (n, kind) = match o {
+            AttemptOutcome::Ok | AttemptOutcome::Death => return None,
+            AttemptOutcome::Straggler => (&mut self.stragglers, FaultKind::Straggler),
+            AttemptOutcome::ExecFault => (&mut self.exec_faults, FaultKind::ExecFault),
+            AttemptOutcome::ReplyDrop => (&mut self.reply_drops, FaultKind::ReplyDrop),
+            AttemptOutcome::ReplyCorrupt => (&mut self.reply_corruptions, FaultKind::ReplyCorrupt),
+        };
+        *n += 1;
+        Some(kind)
     }
 }
 
@@ -497,11 +499,11 @@ mod tests {
     #[test]
     fn log_counts_by_kind() {
         let mut log = FaultLog::default();
-        log.count(AttemptOutcome::ExecFault);
-        log.count(AttemptOutcome::ReplyDrop);
-        log.count(AttemptOutcome::ReplyCorrupt);
-        log.count(AttemptOutcome::Straggler);
-        log.count(AttemptOutcome::Ok);
+        assert_eq!(log.count(AttemptOutcome::ExecFault), Some(FaultKind::ExecFault));
+        assert_eq!(log.count(AttemptOutcome::ReplyDrop), Some(FaultKind::ReplyDrop));
+        assert_eq!(log.count(AttemptOutcome::ReplyCorrupt), Some(FaultKind::ReplyCorrupt));
+        assert_eq!(log.count(AttemptOutcome::Straggler), Some(FaultKind::Straggler));
+        assert_eq!(log.count(AttemptOutcome::Ok), None);
         assert_eq!(log.exec_faults, 1);
         assert_eq!(log.reply_drops, 1);
         assert_eq!(log.reply_corruptions, 1);

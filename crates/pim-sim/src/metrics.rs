@@ -430,16 +430,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Reads an f64 counter or gauge back.
-    pub fn value_f(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        match self.families.get(name)?.series.get(&self.full_key(labels))? {
-            MetricValue::CounterF(c) => Some(*c),
-            MetricValue::Gauge(g) => Some(*g),
-            MetricValue::Counter(c) => Some(*c as f64),
-            MetricValue::Hist(_) => None,
-        }
-    }
-
     /// Sum of a counter family over all its series (e.g. a per-phase total
     /// back to a lifetime total — the registry ↔ `SimStats` invariant).
     pub fn counter_sum(&self, name: &str) -> u64 {

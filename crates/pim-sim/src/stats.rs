@@ -25,6 +25,7 @@ impl RoundBreakdown {
 /// Everything the accountant knows about one round — the single value
 /// that [`SimStats`], the round journal and the metrics registry are all
 /// fed from, so the three agree by construction.
+#[derive(Default)]
 pub(crate) struct RoundAccount {
     /// Which kind of round this was.
     pub kind: RoundKind,
@@ -61,22 +62,7 @@ pub(crate) struct RoundAccount {
 impl RoundAccount {
     /// A round of `kind` on `n_modules` modules in which nothing happened.
     pub(crate) fn empty(kind: RoundKind, n_modules: usize) -> Self {
-        RoundAccount {
-            kind,
-            breakdown: RoundBreakdown::default(),
-            sent: 0,
-            recv: 0,
-            tasks: 0,
-            replies: 0,
-            active_modules: 0,
-            n_modules,
-            max_cycles: 0,
-            sum_cycles: 0,
-            module_cycles: Vec::new(),
-            module_tasks: Vec::new(),
-            events: Vec::new(),
-            retries: 0,
-        }
+        RoundAccount { kind, n_modules, ..Default::default() }
     }
 
     /// Mean per-module cycles over *all* modules (idle ones count as 0).

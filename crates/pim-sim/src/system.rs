@@ -224,11 +224,6 @@ impl<M: Send> PimSystem<M> {
         self.fault_log = FaultLog::default();
     }
 
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.plan.as_ref()
-    }
-
     /// Lifetime fault/recovery counters.
     pub fn fault_log(&self) -> &FaultLog {
         &self.fault_log
@@ -471,9 +466,7 @@ impl<M: Send> PimSystem<M> {
             (0..self.modules.len()).map(|i| self.fate(i, participating(i))).collect();
         for (i, f) in fates.iter().enumerate() {
             if f.died {
-                self.dead[i] = true;
-                self.newly_dead.push(i as u32);
-                self.fault_log.deaths += 1;
+                self.kill_module(i);
             }
         }
         fates
@@ -566,7 +559,6 @@ impl<M: Send> PimSystem<M> {
         let round = self.trace_round;
         let plan = self.plan.as_ref();
         let factor = plan.map_or(1.0, |pl| pl.config().straggler_factor.max(1.0));
-        let key = plan.map_or(0, |pl| pl.config().seed);
         // What one attempt costs relative to one clean run of the handler;
         // `× 1.0`, `× 0.0` and `+ 0.0` are exact, so this is pure bookkeeping.
         let weight = |o: AttemptOutcome| match o {
@@ -590,29 +582,19 @@ impl<M: Send> PimSystem<M> {
             let (mut mult, mut fetches) = (0.0f64, 0u64);
             for (a, &o) in fate.attempts.iter().enumerate() {
                 mult += weight(o);
-                self.fault_log.count(o);
-                if o.fetched_reply() {
-                    fetches += 1;
-                    // Response validation: recompute the transfer checksum;
-                    // a corrupted reply always fails it.
-                    let good = checksum64(key, round, i as u32, recv[i]);
-                    let got = match (plan, o) {
-                        (Some(pl), AttemptOutcome::ReplyCorrupt) => {
-                            good ^ pl.corruption_mask(round, i as u32, a as u32)
-                        }
-                        _ => good,
-                    };
-                    let valid = validate_checksum(key, round, i as u32, recv[i], got);
-                    debug_assert_eq!(valid, o != AttemptOutcome::ReplyCorrupt);
+                fetches += o.fetched_reply() as u64;
+                if let (Some(pl), AttemptOutcome::ReplyCorrupt) = (plan, o) {
+                    // Response validation: a corrupted reply is the good
+                    // transfer checksum under a nonzero mask, and always
+                    // fails the recomputation.
+                    let key = pl.config().seed;
+                    let got = checksum64(key, round, i as u32, recv[i])
+                        ^ pl.corruption_mask(round, i as u32, a as u32);
+                    debug_assert!(!validate_checksum(key, round, i as u32, recv[i], got));
                 }
-                let kind = match o {
-                    AttemptOutcome::Ok | AttemptOutcome::Death => continue,
-                    AttemptOutcome::Straggler => FaultKind::Straggler,
-                    AttemptOutcome::ExecFault => FaultKind::ExecFault,
-                    AttemptOutcome::ReplyDrop => FaultKind::ReplyDrop,
-                    AttemptOutcome::ReplyCorrupt => FaultKind::ReplyCorrupt,
-                };
-                events.push(FaultEvent { module: i as u32, attempt: a as u32, kind });
+                if let Some(kind) = self.fault_log.count(o) {
+                    events.push(FaultEvent { module: i as u32, attempt: a as u32, kind });
+                }
             }
             if fate.died {
                 events.push(FaultEvent {
@@ -629,11 +611,12 @@ impl<M: Send> PimSystem<M> {
             module_cycles.push(charged);
 
             // Bytes: every attempt re-sends, every fetch re-reads; one
-            // transfer call each, for modules that are sent / return any
-            // bytes at all.
+            // transfer call each. A scatter skips modules it has no bytes
+            // for; a broadcast addresses every live module regardless.
             let n_att = fate.attempts.len() as u64;
             let (m_sent, m_recv) = (sent[i] * n_att, recv[i] * fetches);
-            calls += if sent[i] > 0 { n_att } else { 0 } + if recv[i] > 0 { fetches } else { 0 };
+            let addressed = sent[i] > 0 || shape.kind == RoundKind::Broadcast;
+            calls += if addressed { n_att } else { 0 } + if recv[i] > 0 { fetches } else { 0 };
             total_sent += m_sent;
             total_recv += m_recv;
             max_module_bytes = max_module_bytes.max(m_sent + m_recv);
@@ -843,6 +826,15 @@ mod tests {
     }
 
     #[test]
+    fn zero_byte_broadcast_still_charges_a_call_per_module() {
+        let mut sys = machine(8);
+        sys.broadcast((), |_, _, _, _| {});
+        let cfg = sys.config();
+        let want = cfg.mux_switch_s + 8.0 * cfg.call_overhead_s() / cfg.host_threads as f64;
+        assert_eq!(sys.stats().overhead_s.to_bits(), want.to_bits());
+    }
+
+    #[test]
     fn sdk_api_has_higher_overhead() {
         let run = |api| {
             let mut cfg = MachineConfig::with_modules(64);
@@ -1019,6 +1011,39 @@ mod fault_tests {
                 *s ^= v;
             });
         }
+    }
+
+    #[test]
+    fn zero_rate_plan_is_charge_identical_to_no_plan() {
+        let mut plain = PimSystem::new(MachineConfig::with_modules(8), |_| 0u64);
+        let mut planned = PimSystem::new(MachineConfig::with_modules(8), |_| 0u64);
+        planned.set_fault_plan(Some(FaultPlan::new(FaultConfig::uniform(0.0, 99))));
+        run_workload(&mut plain, 20);
+        run_workload(&mut planned, 20);
+        let (a, b) = (plain.stats(), planned.stats());
+        assert_eq!(a.cpu_to_pim_bytes, b.cpu_to_pim_bytes);
+        assert_eq!(a.pim_to_cpu_bytes, b.pim_to_cpu_bytes);
+        assert_eq!(a.total_pim_cycles, b.total_pim_cycles);
+        assert_eq!(a.pim_s.to_bits(), b.pim_s.to_bits(), "same float ops in the same order");
+        assert_eq!(a.comm_s.to_bits(), b.comm_s.to_bits());
+        assert_eq!(a.overhead_s.to_bits(), b.overhead_s.to_bits());
+        assert_eq!(planned.fault_log().total_faults(), 0);
+    }
+
+    #[test]
+    fn active_plan_is_deterministic() {
+        let mk = || {
+            let mut sys = PimSystem::new(MachineConfig::with_modules(8), |_| 0u64);
+            sys.set_fault_plan(Some(FaultPlan::new(FaultConfig::uniform(0.05, 7))));
+            run_workload(&mut sys, 30);
+            sys
+        };
+        let (a, b) = (mk(), mk());
+        assert_eq!(a.fault_log(), b.fault_log());
+        assert_eq!(a.stats().pim_s.to_bits(), b.stats().pim_s.to_bits());
+        assert_eq!(a.stats().overhead_s.to_bits(), b.stats().overhead_s.to_bits());
+        assert_eq!(a.stats().cpu_to_pim_bytes, b.stats().cpu_to_pim_bytes);
+        assert!(a.fault_log().total_faults() > 0, "5% over 240 module-rounds must fire");
     }
 
     #[test]

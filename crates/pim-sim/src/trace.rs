@@ -28,9 +28,10 @@ pub const HIST_BUCKETS: usize = 16;
 pub const TOP_STRAGGLERS: usize = 4;
 
 /// Which executor entry point produced a round.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub enum RoundKind {
     /// `execute_round`: scatter to non-idle modules, gather replies.
+    #[default]
     Execute,
     /// `broadcast`: one value replicated to all modules.
     Broadcast,
