@@ -16,6 +16,11 @@
 //! that `perf_diff` prints but never gates; the gated quantities are the
 //! usual deterministic throughput/traffic/rounds.
 //!
+//! Both clocks: next to each table row, **stderr** gets the point's real
+//! (host wall-clock) requests per second beside the virtual achieved rate.
+//! Stdout and the JSON report carry virtual time only (plus the report's
+//! one ungated `wall_s`), so they stay byte-stable across hosts.
+//!
 //! ```sh
 //! cargo run --release -p pim-bench --bin fig_serving -- \
 //!     --points 50000 --requests 2000 --mix read_heavy --json serving.json
@@ -44,6 +49,7 @@ use pim_sim::{JournalSink, MachineConfig};
 use pim_workloads::{open_loop_trace, uniform, ArrivalTrace, RequestMix};
 use pim_zd_tree::{PimZdConfig, PimZdTree};
 use std::path::Path;
+use std::time::Instant;
 
 /// Offered-load fractions of the calibrated capacity swept by the figure.
 /// The flood calibration measures drain rate under maximal batching, which
@@ -183,10 +189,19 @@ fn main() {
             server.set_tracing(true);
             journal
         });
+        let started = Instant::now();
         let rep = server.run_trace(&trace);
+        let wall_s = started.elapsed().as_secs_f64();
         let label = format!("load-{ratio}x");
         let (entry, row) = record(&label, &rep, &trace);
         println!("{row}");
+        eprintln!(
+            "{label:>10}  real {:>9.0} req/s ({} completed in {:.1} ms)  |  virtual {:>9.0} req/s",
+            rep.completed() as f64 / wall_s,
+            rep.completed(),
+            wall_s * 1e3,
+            rep.achieved_rate(),
+        );
         sink.push_entry(entry);
         if let Some(journal) = journal {
             let st = server.take_trace().expect("tracing was enabled for this point");

@@ -36,7 +36,7 @@ use crate::config::{Layer, PimZdConfig, Toggles};
 use crate::frag::{BKind, BNode, ChildRef, ChunkDir, Fragment, MetaId, RemoteRef};
 use crate::host::{PimZdTree, RoundBuffers};
 use crate::meta::{Directory, MetaInfo};
-use crate::module::ModuleState;
+use crate::module::{FragMap, ModuleState};
 use crate::stats::OpStats;
 use crate::wal::{self, Wal, WalOp, WalReadMode, WalRecord};
 use pim_geom::Point;
@@ -313,7 +313,7 @@ fn dec_fragment<const D: usize>(d: &mut Dec) -> Result<Fragment<D>, ShortRead> {
     })
 }
 
-fn enc_frag_map<const D: usize>(e: &mut Enc, map: &FxHashMap<MetaId, Fragment<D>>) {
+fn enc_frag_map<const D: usize>(e: &mut Enc, map: &FragMap<D>) {
     // Sorted by meta id: checkpoint bytes must not depend on hash order.
     let mut ids: Vec<MetaId> = map.keys().copied().collect();
     ids.sort_unstable();
@@ -323,12 +323,12 @@ fn enc_frag_map<const D: usize>(e: &mut Enc, map: &FxHashMap<MetaId, Fragment<D>
     }
 }
 
-fn dec_frag_map<const D: usize>(d: &mut Dec) -> Result<FxHashMap<MetaId, Fragment<D>>, ShortRead> {
+fn dec_frag_map<const D: usize>(d: &mut Dec) -> Result<FragMap<D>, ShortRead> {
     let n = d.u32()? as usize;
     let mut map = FxHashMap::default();
     for _ in 0..n {
         let f: Fragment<D> = dec_fragment(d)?;
-        map.insert(f.meta, f);
+        map.insert(f.meta, std::sync::Arc::new(f));
     }
     Ok(map)
 }

@@ -288,14 +288,22 @@ impl<const D: usize> Fragment<D> {
 
     /// Total resident/wire bytes (what a pull transfers).
     pub fn bytes(&self) -> u64 {
-        // Free slots are not serialized.
-        let free: std::collections::HashSet<u32> = self.free.iter().copied().collect();
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !free.contains(&(*i as u32)))
-            .map(|(_, n)| n.bytes())
-            .sum()
+        let arena: u64 = self.nodes.iter().map(BNode::bytes).sum();
+        if self.free.is_empty() {
+            return arena;
+        }
+        // Free slots are not serialized (their stale nodes stay in the arena
+        // until reused); a bitmap counts each free slot once.
+        let mut seen = vec![0u64; self.nodes.len().div_ceil(64)];
+        let mut freed = 0;
+        for &i in &self.free {
+            let (word, bit) = (i as usize / 64, 1u64 << (i % 64));
+            if seen[word] & bit == 0 {
+                seen[word] |= bit;
+                freed += self.nodes[i as usize].bytes();
+            }
+        }
+        arena - freed
     }
 
     /// Structure-only bytes (what installing a cache copy transfers).

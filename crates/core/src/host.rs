@@ -235,7 +235,7 @@ impl<const D: usize> PimZdTree<D> {
         f: impl FnOnce(&mut Self) -> (R, u64),
     ) -> R {
         self.meter.start_measurement();
-        let sim_before = self.sys.stats().clone();
+        let sim_before = self.sys.stats().mark();
         let (result, elements) = f(self);
         let host: CpuStats = self.meter.stats();
         let sim = self.sys.stats().since(&sim_before);
@@ -494,12 +494,15 @@ impl<const D: usize> PimZdTree<D> {
         let mut rescued: Vec<Fragment<D>> = Vec::new();
         for &d in dead {
             let frags = self.sys.salvage(d as usize, |m| {
-                let mut frags: Vec<Fragment<D>> =
-                    std::mem::take(&mut m.masters).into_values().collect();
+                // Copies only the fragments a snapshot still shares.
+                let mut frags: Vec<Fragment<D>> = std::mem::take(&mut m.masters)
+                    .into_values()
+                    .map(std::sync::Arc::unwrap_or_clone)
+                    .collect();
                 // The DMA read covers the whole resident image; caches are
                 // not worth re-homing — they can be rebuilt from masters.
                 let bytes: u64 = frags.iter().map(Fragment::bytes).sum::<u64>()
-                    + m.caches.values().map(Fragment::structure_bytes).sum::<u64>();
+                    + m.caches.values().map(|f| f.structure_bytes()).sum::<u64>();
                 m.caches.clear();
                 frags.sort_unstable_by_key(|f| f.meta);
                 (frags, bytes)

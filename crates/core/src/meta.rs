@@ -51,7 +51,7 @@ impl<const D: usize> MetaInfo<D> {
 }
 
 /// The directory of all meta-nodes.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct Directory<const D: usize> {
     /// Entries by id.
     pub metas: FxHashMap<MetaId, MetaInfo<D>>,

@@ -6,6 +6,14 @@
 //! the module-side halves of every batched operation; the host halves live
 //! in `search`/`insert`/`knn`/`boxq`.
 //!
+//! Both stores hold their fragments behind `Arc`s, so cloning a
+//! [`ModuleState`] (what [`PimZdTree::snapshot`](crate::PimZdTree::snapshot)
+//! does for every module) shares every fragment with the original. Read
+//! handlers only ever borrow a fragment; the handlers that change one go
+//! through `Arc::make_mut`, which copies it first if — and only if — a
+//! snapshot still holds it. A write batch after a snapshot therefore
+//! path-copies exactly the fragments it touches.
+//!
 //! A handler may chase a traversal through any fragment *present on this
 //! module* — its own masters and its caches — without communication; only
 //! an edge whose target is absent locally surfaces as a `Forward`, costing
@@ -21,32 +29,37 @@ use pim_sim::{PimCtx, Wire};
 use pim_zorder::prefix::Prefix;
 use pim_zorder::ZKey;
 use rustc_hash::FxHashMap;
+use std::sync::Arc;
+
+/// A module's keyed fragment store; see the module docs for why the
+/// fragments are shared.
+pub type FragMap<const D: usize> = FxHashMap<MetaId, Arc<Fragment<D>>>;
 
 /// Per-module storage.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct ModuleState<const D: usize> {
     /// Master fragments owned by this module.
-    pub masters: FxHashMap<MetaId, Fragment<D>>,
+    pub masters: FragMap<D>,
     /// Structure-only cached copies of L1 fragments (ancestors/descendants
     /// of this module's masters).
-    pub caches: FxHashMap<MetaId, Fragment<D>>,
+    pub caches: FragMap<D>,
 }
 
 impl<const D: usize> ModuleState<D> {
     /// Local-memory bytes resident on this module (for Theorem 5.1 / Table 2
     /// space accounting).
     pub fn resident_bytes(&self) -> u64 {
-        let m: u64 = self.masters.values().map(Fragment::bytes).sum();
-        let c: u64 = self.caches.values().map(Fragment::structure_bytes).sum();
+        let m: u64 = self.masters.values().map(|f| f.bytes()).sum();
+        let c: u64 = self.caches.values().map(|f| f.structure_bytes()).sum();
         m + c
     }
 
     /// Locates a fragment present on this module (master first, then cache).
     fn lookup(&self, meta: MetaId) -> Option<(&Fragment<D>, bool)> {
         if let Some(f) = self.masters.get(&meta) {
-            Some((f, true))
+            Some((&**f, true))
         } else {
-            self.caches.get(&meta).map(|f| (f, false))
+            self.caches.get(&meta).map(|f| (&**f, false))
         }
     }
 }
@@ -562,7 +575,9 @@ pub fn handle_insert<const D: usize>(
 ) -> Vec<InsertReply> {
     let mut replies = Vec::with_capacity(tasks.len());
     for t in tasks {
-        let frag = state.masters.get_mut(&t.meta).expect("insert targets a master fragment");
+        let frag = Arc::make_mut(
+            state.masters.get_mut(&t.meta).expect("insert targets a master fragment"),
+        );
         let added = t.items.len() as u64;
         let new_nodes = frag.merge(&t.items, ctx) as u64;
         replies.push(InsertReply {
@@ -584,7 +599,9 @@ pub fn handle_delete<const D: usize>(
 ) -> Vec<DeleteReply<D>> {
     let mut replies = Vec::with_capacity(tasks.len());
     for t in tasks {
-        let frag = state.masters.get_mut(&t.meta).expect("delete targets a master fragment");
+        let frag = Arc::make_mut(
+            state.masters.get_mut(&t.meta).expect("delete targets a master fragment"),
+        );
         let mut removed = 0usize;
         let outcome = match frag.remove(&t.items, &mut removed, ctx) {
             RootAfterRemove::Kept => DeleteOutcome::Kept,
@@ -748,12 +765,12 @@ pub fn handle_mgmt<const D: usize>(
         let reply = match t {
             MgmtTask::InstallMaster(f) => {
                 ctx.mem(f.bytes());
-                state.masters.insert(f.meta, f);
+                state.masters.insert(f.meta, Arc::new(f));
                 MgmtReply::Ack
             }
             MgmtTask::InstallCache(f) => {
                 ctx.mem(f.structure_bytes());
-                state.caches.insert(f.meta, f);
+                state.caches.insert(f.meta, Arc::new(f));
                 MgmtReply::Ack
             }
             MgmtTask::DropCache(m) => {
@@ -767,7 +784,7 @@ pub fn handle_mgmt<const D: usize>(
             MgmtTask::Pull(m) => {
                 let f = state.masters.get(&m).expect("pull targets a master");
                 ctx.mem(f.bytes());
-                MgmtReply::Pulled(f.clone())
+                MgmtReply::Pulled(Fragment::clone(f))
             }
             MgmtTask::PullStructure(m) => {
                 let f = state.masters.get(&m).expect("pull targets a master");
@@ -778,11 +795,10 @@ pub fn handle_mgmt<const D: usize>(
                 let r = repeat.max(1) as u64;
                 ctx.op(20 * r);
                 ctx.mem(BNODE_BYTES * r);
-                if let Some(f) = state.masters.get_mut(&parent) {
-                    f.sync_remote_child(child, sc, prefix);
-                }
-                if let Some(f) = state.caches.get_mut(&parent) {
-                    f.sync_remote_child(child, sc, prefix);
+                for store in [&mut state.masters, &mut state.caches] {
+                    if let Some(f) = store.get_mut(&parent) {
+                        Arc::make_mut(f).sync_remote_child(child, sc, prefix);
+                    }
                 }
                 MgmtReply::Ack
             }
@@ -792,13 +808,13 @@ pub fn handle_mgmt<const D: usize>(
                 let mut collapsed = None;
                 if let Some(f) = state.masters.get_mut(&parent) {
                     if let crate::frag::ReplaceOutcome::RootCollapsed(r) =
-                        f.replace_remote_child(child, replacement)
+                        Arc::make_mut(f).replace_remote_child(child, replacement)
                     {
                         collapsed = Some(r);
                     }
                 }
                 if let Some(f) = state.caches.get_mut(&parent) {
-                    f.replace_remote_child(child, replacement);
+                    Arc::make_mut(f).replace_remote_child(child, replacement);
                 }
                 if collapsed.is_some() {
                     state.masters.remove(&parent);
@@ -806,7 +822,9 @@ pub fn handle_mgmt<const D: usize>(
                 MgmtReply::ReplaceStatus { parent, collapsed }
             }
             MgmtTask::SplitRoot { meta, new_ids, keep_root } => {
-                let mut f = state.masters.remove(&meta).expect("split targets a master");
+                let mut f = Arc::unwrap_or_clone(
+                    state.masters.remove(&meta).expect("split targets a master"),
+                );
                 ctx.mem(f.bytes());
                 let (root, frags) = f.split_root(new_ids.into_iter());
                 let children: Vec<SplitChildInfo<D>> = frags
@@ -825,7 +843,7 @@ pub fn handle_mgmt<const D: usize>(
                 let mut moved = Vec::new();
                 for fr in frags {
                     if fr.master_module as usize == module_id {
-                        state.masters.insert(fr.meta, fr);
+                        state.masters.insert(fr.meta, Arc::new(fr));
                     } else {
                         moved.push(fr);
                     }
@@ -833,7 +851,7 @@ pub fn handle_mgmt<const D: usize>(
                 if keep_root {
                     let root_frag =
                         Fragment::singleton(meta, module_id as u32, root.clone(), f.leaf_cap);
-                    state.masters.insert(meta, root_frag);
+                    state.masters.insert(meta, Arc::new(root_frag));
                 }
                 MgmtReply::Split { root, children, moved }
             }
@@ -879,7 +897,7 @@ mod tests {
     #[test]
     fn search_handler_finds_local_leaf() {
         let mut st = ModuleState::<3>::default();
-        st.masters.insert(9, frag_of(9, 0, &[[1, 2, 3], [4, 5, 6], [1000, 1000, 1000]]));
+        st.masters.insert(9, Arc::new(frag_of(9, 0, &[[1, 2, 3], [4, 5, 6], [1000, 1000, 1000]])));
         let key = ZKey::<3>::encode(&Point::new([4, 5, 6]));
         let mut ctx = PimCtx::new();
         let r = handle_search(
@@ -904,7 +922,7 @@ mod tests {
         let mut st = ModuleState::<3>::default();
         st.masters.insert(
             9,
-            frag_of(9, 0, &[[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3], [1 << 20, 0, 0]]),
+            Arc::new(frag_of(9, 0, &[[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3], [1 << 20, 0, 0]])),
         );
         let key = ZKey::<3>::encode(&Point::new([0, 0, 0]));
         let mut ctx = PimCtx::new();
@@ -921,7 +939,7 @@ mod tests {
     #[test]
     fn insert_handler_merges() {
         let mut st = ModuleState::<3>::default();
-        st.masters.insert(3, frag_of(3, 0, &[[0, 0, 0]]));
+        st.masters.insert(3, Arc::new(frag_of(3, 0, &[[0, 0, 0]])));
         let mut ctx = PimCtx::new();
         let r = handle_insert(
             &mut st,
@@ -935,7 +953,7 @@ mod tests {
     #[test]
     fn delete_handler_reports_empty() {
         let mut st = ModuleState::<3>::default();
-        st.masters.insert(3, frag_of(3, 0, &[[0, 0, 0]]));
+        st.masters.insert(3, Arc::new(frag_of(3, 0, &[[0, 0, 0]])));
         let mut ctx = PimCtx::new();
         let r = handle_delete(
             &mut st,
@@ -978,8 +996,8 @@ mod tests {
             dir_bits: 0,
             dense_min: 0,
         };
-        st.masters.insert(1, f1);
-        st.masters.insert(2, f2);
+        st.masters.insert(1, Arc::new(f1));
+        st.masters.insert(2, Arc::new(f2));
         let mut ctx = PimCtx::new();
         let r = handle_knn(
             &mut st,
@@ -1002,7 +1020,7 @@ mod tests {
     #[test]
     fn mgmt_pull_returns_fragment() {
         let mut st = ModuleState::<3>::default();
-        st.masters.insert(5, frag_of(5, 0, &[[1, 1, 1], [2, 2, 2]]));
+        st.masters.insert(5, Arc::new(frag_of(5, 0, &[[1, 1, 1], [2, 2, 2]])));
         let mut ctx = PimCtx::new();
         let r = handle_mgmt(0, &mut st, &mut ctx, vec![MgmtTask::Pull(5)]);
         match &r[0] {
@@ -1016,8 +1034,8 @@ mod tests {
         let mut st = ModuleState::<3>::default();
         let f = frag_of(1, 0, &[[1, 1, 1], [2, 2, 2], [3, 3, 3]]);
         let cache = f.structure_clone();
-        st.masters.insert(1, f);
-        st.caches.insert(1, cache);
+        st.masters.insert(1, Arc::new(f));
+        st.caches.insert(1, Arc::new(cache));
         assert!(st.resident_bytes() > 0);
         let just_master = st.masters[&1].bytes();
         assert!(st.resident_bytes() > just_master);

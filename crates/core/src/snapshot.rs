@@ -2,60 +2,88 @@
 //!
 //! The index's `epoch` counter (see [`PimZdTree::epoch`]) advances only at
 //! mutation-batch boundaries, so the state *between* two write batches is a
-//! well-defined consistent view. A [`TreeSnapshot`] materializes that view
-//! from a checkpoint image (`PZDCKPT1`, the same format durability uses —
-//! ARCHITECTURE.md §7) and serves the four read operations against it while
-//! the live tree moves on.
+//! well-defined consistent view. A [`TreeSnapshot`] is that view: a **fork**
+//! of the tree that shares its structure with the live tree and serves the
+//! four read operations while the live tree moves on.
 //!
 //! This is what lets the serving layer (`pim-serve`) pipeline reads against
 //! an in-flight write batch: before a write batch is applied, the server
-//! captures the pre-batch image; read batches that are dispatched while the
-//! write's BSP rounds are (virtually) in flight run against the snapshot and
-//! observe **exactly** the pre-batch epoch — never a half-applied batch,
-//! never the new epoch early. ARCHITECTURE.md §8 describes the full
-//! read/write pipeline.
+//! forks the tree; read batches that are dispatched while the write's BSP
+//! rounds are (virtually) in flight run against the fork and observe
+//! **exactly** the pre-batch epoch — never a half-applied batch, never the
+//! new epoch early. ARCHITECTURE.md §8 describes the full read/write
+//! pipeline.
+//!
+//! # What a fork shares, copies and leaves behind
+//!
+//! * **Shared, copied on first write** — every module's master and cache
+//!   fragments (`Arc<Fragment>`, granularity one fragment: a write batch
+//!   after a fork path-copies the fragments it touches and nothing else)
+//!   and the warm LLC model of the host meter (chunks of 64 sets, frozen
+//!   behind `Arc`s by the fork: either side copies the chunks it touches).
+//! * **Copied** — the host-resident L0 fragment, the meta-node directory,
+//!   and the simulator's counters, so the fork's rounds continue the
+//!   numbering from the capture point.
+//! * **Left behind** — the trace sink, metrics handle, fault plan, phase
+//!   stack and WAL are attachments of the live tree; the fork has none, so
+//!   its rounds are never journaled or published and using it never
+//!   perturbs the live tree's observability artifacts.
+//!
+//! A fork is observably the tree that
+//! `restore_bytes(&checkpoint_bytes())` would build — same results, same
+//! `OpStats` bit for bit, same round ids, same checkpoint afterwards
+//! (`tests/snapshot_fork.rs`) — at a cost proportional to the number of
+//! fragments and directory entries rather than to the resident points.
+//! Checkpoint images (`PZDCKPT1`, ARCHITECTURE.md §7) are a durability
+//! mechanism only; [`TreeSnapshot::from_image`] remains for a caller that
+//! holds one.
 //!
 //! # Determinism
 //!
-//! A snapshot is a pure function of the checkpoint bytes, and checkpoint
-//! bytes are byte-stable (`tests/durability.rs`), so snapshot query results
-//! are as deterministic as live-tree results. The snapshot owns a private
-//! simulated machine restored from the image; its rounds are *not* journaled
-//! or published to any metrics registry (the handle comes back detached,
-//! like any restore), so attaching a snapshot never perturbs the live tree's
-//! observability artifacts.
-//!
-//! # Cost
-//!
-//! Capturing an image is O(resident state) and materializing a snapshot
-//! re-builds the full host state from it. The serving layer therefore
-//! captures the image eagerly (the pre-write state is gone once the batch
-//! applies) but materializes the snapshot lazily, only when a read actually
-//! arrives mid-flight, and caches it per epoch.
+//! Sharing is invisible to both sides, so snapshot query results are as
+//! deterministic as live-tree results.
 
-use crate::host::PimZdTree;
-use crate::DurabilityError;
+use crate::host::{PimZdTree, RoundBuffers};
+use crate::{DurabilityError, OpStats};
 use pim_geom::{Aabb, Metric, Point};
 
 /// A read-only view of the tree pinned at one epoch.
 ///
 /// Obtained from [`PimZdTree::snapshot`] (or [`TreeSnapshot::from_image`]
 /// when the caller already holds checkpoint bytes). Query methods take
-/// `&mut self` because the restored machine still meters simulated work,
-/// but the *logical* contents never change: every query answers against the
-/// state frozen at [`Self::epoch`].
+/// `&mut self` because the snapshot's own machine still meters simulated
+/// work, but the *logical* contents never change: every query answers
+/// against the state frozen at [`Self::epoch`].
 pub struct TreeSnapshot<const D: usize> {
     tree: PimZdTree<D>,
 }
 
 impl<const D: usize> PimZdTree<D> {
-    /// Captures a snapshot of the current (post-last-batch) state. The
-    /// result is pinned at [`Self::epoch`] and unaffected by any later
-    /// mutation of `self`. Shorthand for
-    /// `TreeSnapshot::from_image(&self.checkpoint_bytes())`.
+    /// Forks a snapshot of the current (post-last-batch) state. The result
+    /// is pinned at [`Self::epoch`] and unaffected by any later mutation of
+    /// `self`; it is the tree `restore_bytes(&self.checkpoint_bytes())`
+    /// would build, without serializing anything (see the module docs for
+    /// what is shared and what is left behind).
     pub fn snapshot(&self) -> TreeSnapshot<D> {
-        TreeSnapshot::from_image(&self.checkpoint_bytes())
-            .expect("a checkpoint image produced by this tree always restores")
+        TreeSnapshot {
+            tree: PimZdTree {
+                cfg: self.cfg,
+                sys: self.sys.fork(),
+                l0: self.l0.clone(),
+                dir: self.dir.clone(),
+                meter: self.meter.clone(),
+                cpu_model: self.cpu_model,
+                n_points: self.n_points,
+                // Per-op scratch; the next measured batch overwrites it.
+                last_stats: OpStats::default(),
+                staging_next: self.staging_next,
+                l0_replicated: self.l0_replicated,
+                bufs: RoundBuffers::default(),
+                epoch: self.epoch,
+                wal: None,
+                cpu_cfg: self.cpu_cfg,
+            },
+        }
     }
 }
 
@@ -65,6 +93,13 @@ impl<const D: usize> TreeSnapshot<D> {
     /// same image would fail.
     pub fn from_image(bytes: &[u8]) -> Result<Self, DurabilityError> {
         Ok(Self { tree: PimZdTree::restore_bytes(bytes)? })
+    }
+
+    /// Serializes the frozen view as a checkpoint image (see
+    /// [`PimZdTree::checkpoint_bytes`]) — how to persist a consistent epoch
+    /// while the live tree keeps applying batches.
+    pub fn checkpoint_bytes(&self) -> Vec<u8> {
+        self.tree.checkpoint_bytes()
     }
 
     /// The epoch this snapshot is pinned at: the number of mutation batches
@@ -111,15 +146,15 @@ impl<const D: usize> TreeSnapshot<D> {
 
     /// Statistics of the most recent batched read (simulated time, rounds,
     /// traffic — the serving layer schedules completions from this).
-    pub fn last_op_stats(&self) -> &crate::OpStats {
+    pub fn last_op_stats(&self) -> &OpStats {
         self.tree.last_op_stats()
     }
 
     /// The id the snapshot machine's next accounted BSP round will carry.
-    /// Checkpoint images preserve the round counter, so a snapshot's ids
-    /// continue from the capture point and may collide with later ids of
-    /// the live tree — consumers must key snapshot ranges separately (the
-    /// serving tracer's `snapshot` flag).
+    /// A fork (like a checkpoint image) keeps the round counter, so a
+    /// snapshot's ids continue from the capture point and may collide with
+    /// later ids of the live tree — consumers must key snapshot ranges
+    /// separately (the serving tracer's `snapshot` flag).
     pub fn next_round_id(&self) -> u64 {
         self.tree.next_round_id()
     }
@@ -178,5 +213,54 @@ mod tests {
         let mut snap = TreeSnapshot::from_image(&image).unwrap();
         assert_eq!(snap.batch_knn(&probes[..20], 5, Metric::L2), live_knn);
         assert_eq!(snap.batch_contains(&probes), live_contains);
+    }
+
+    /// Counts the live tree's module-store entries, an entry being one
+    /// `(module, store, meta)`: all of them, those no longer sharing their
+    /// fragment with the snapshot, and those whose fragment differs from the
+    /// snapshot's (or is new) — the ones a write actually touched.
+    fn sharing(live: &PimZdTree<3>, snap: &TreeSnapshot<3>) -> (usize, usize, usize) {
+        let (mut total, mut unshared, mut touched) = (0, 0, 0);
+        for m in 0..live.n_modules() {
+            let (l, s) = (live.sys.peek(m), snap.tree.sys.peek(m));
+            for (ours, theirs) in [(&l.masters, &s.masters), (&l.caches, &s.caches)] {
+                for (meta, f) in ours {
+                    let old = theirs.get(meta);
+                    total += 1;
+                    unshared += old.is_none_or(|g| !std::sync::Arc::ptr_eq(f, g)) as usize;
+                    touched += old.is_none_or(|g| format!("{g:?}") != format!("{f:?}")) as usize;
+                }
+            }
+        }
+        (total, unshared, touched)
+    }
+
+    #[test]
+    fn a_write_batch_unshares_only_the_fragments_it_touches() {
+        for cfg in [
+            crate::PimZdConfig::throughput_optimized(20_000, 16),
+            crate::PimZdConfig::skew_resistant(16),
+        ] {
+            let data = pts(20_000, 5);
+            let mut t = PimZdTree::build(&data, cfg, MachineConfig::with_modules(16));
+            let snap = t.snapshot();
+            let (total, unshared, _) = sharing(&t, &snap);
+            assert_eq!(unshared, 0, "a fork shares every fragment");
+
+            // k clustered inserts and k scattered deletes: each point lands
+            // in one leaf fragment, and batches this small cross no
+            // maintenance threshold.
+            let k = 8usize;
+            let fresh: Vec<Point<3>> =
+                (0..k as u32).map(|i| Point::new([700 + i, 700, 700])).collect();
+            t.batch_insert(&fresh);
+            assert_eq!(t.batch_delete(&data[..k]), k);
+
+            let (now, unshared, touched) = sharing(&t, &snap);
+            assert_eq!(now, total, "no fragment was created or dissolved");
+            assert_eq!(unshared, touched, "a fragment is copied exactly when it is written");
+            assert!((1..=2 * k).contains(&unshared), "{unshared} of {total} entries copied");
+            assert!(unshared < total);
+        }
     }
 }

@@ -8,6 +8,26 @@
 //! The implementation favours determinism and simplicity over micro-accuracy:
 //! true LRU via a monotonic use-counter, no prefetcher, write-allocate with
 //! writeback counted as one extra line of traffic on dirty eviction.
+//!
+//! # Storage and cloning
+//!
+//! The ways live in set-major order, cut into chunks of [`CHUNK_SETS`]
+//! consecutive sets. A chunk is either *owned* by its cache — what an access
+//! finds, at the price of one branch — or *shared*: [`Clone`] freezes every
+//! owned chunk behind an `Arc` (moving it, not copying it) and hands the
+//! clone the pointers, O(sets / `CHUNK_SETS`) of them, 352 for the 22 MB
+//! Xeon LLC instead of its 360 448 ways. An access that meets a shared chunk
+//! takes the ways back if the other side is gone and copies them otherwise,
+//! once. Either side therefore pays for the sets it actually uses after the
+//! clone, and observes exactly what a deep copy would (`tests/clone_props.rs`
+//! pins that). This is what makes forking an index that owns a warm LLC
+//! model cheap (`PimZdTree::snapshot`).
+//!
+//! Freezing happens under `&self`, so each chunk sits in a `Mutex`; an
+//! access holds `&mut self` and reaches its chunk through
+//! `Mutex::get_mut`, which takes no lock.
+
+use std::sync::{Arc, Mutex};
 
 /// Geometry of the simulated cache.
 #[derive(Clone, Copy, Debug)]
@@ -56,23 +76,90 @@ pub struct AccessOutcome {
     pub writeback_lines: u64,
 }
 
-/// The cache simulator. All state is owned; cloning gives an independent
-/// cache with identical contents (used by what-if accounting in benches).
-#[derive(Clone)]
+/// Sets per copy-on-write chunk. Line addresses map to sets modulo the set
+/// count, so the consecutive lines of one structure land in one or two
+/// chunks; 64 sets of the 16-way Xeon LLC are 24 KB, a copy of about a
+/// microsecond.
+pub const CHUNK_SETS: usize = 64;
+
+/// One chunk of ways: owned outright, or frozen and shared with clones.
+struct Chunk {
+    /// The ways, while this cache alone holds them.
+    owned: Vec<Way>,
+    /// The ways, once a clone froze them; `owned` is empty then.
+    shared: Option<Arc<Vec<Way>>>,
+}
+
+impl Chunk {
+    fn ways(&self) -> &[Way] {
+        self.shared.as_deref().unwrap_or(&self.owned)
+    }
+
+    /// The ways for writing: a shared chunk is first taken back (when every
+    /// other holder is gone) or copied.
+    #[inline]
+    fn ways_mut(&mut self) -> &mut [Way] {
+        if let Some(shared) = self.shared.take() {
+            self.owned = Arc::unwrap_or_clone(shared);
+        }
+        &mut self.owned
+    }
+
+    /// Freezes the ways (moving them if they were owned) for a clone to hold.
+    fn share(&mut self) -> Arc<Vec<Way>> {
+        self.shared.get_or_insert_with(|| Arc::new(std::mem::take(&mut self.owned))).clone()
+    }
+}
+
+/// Why a chunk lock is never poisoned.
+const UNPOISONED: &str = "nothing panics while holding a chunk lock";
+
+/// The cache simulator. Cloning gives an independent cache with identical
+/// contents, sharing storage until either side touches it (see the module
+/// docs).
 pub struct CacheSim {
     cfg: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    /// `cfg.num_sets()`, divided out once.
+    num_sets: u64,
+    /// Set-major ways, `CHUNK_SETS` sets per chunk (the last may be short).
+    chunks: Vec<Mutex<Chunk>>,
     clock: u64,
     hits: u64,
     misses: u64,
     writebacks: u64,
 }
 
+impl Clone for CacheSim {
+    fn clone(&self) -> Self {
+        let chunks = self
+            .chunks
+            .iter()
+            .map(|c| {
+                let shared = c.lock().expect(UNPOISONED).share();
+                Mutex::new(Chunk { owned: Vec::new(), shared: Some(shared) })
+            })
+            .collect();
+        Self { chunks, ..*self }
+    }
+}
+
 impl CacheSim {
     /// Creates an empty (cold) cache.
     pub fn new(cfg: CacheConfig) -> Self {
-        let sets = vec![vec![Way::default(); cfg.ways]; cfg.num_sets() as usize];
-        Self { cfg, sets, clock: 0, hits: 0, misses: 0, writebacks: 0 }
+        let n_ways = cfg.num_sets() as usize * cfg.ways;
+        Self::from_ways(cfg, std::iter::repeat_n(Way::default(), n_ways))
+    }
+
+    /// A cache holding `ways` (set-major, one entry per way of the
+    /// geometry), collected chunk by chunk.
+    fn from_ways(cfg: CacheConfig, mut ways: impl ExactSizeIterator<Item = Way>) -> Self {
+        let per_chunk = CHUNK_SETS * cfg.ways;
+        let mut chunks = Vec::with_capacity(ways.len().div_ceil(per_chunk));
+        while ways.len() > 0 {
+            let owned = ways.by_ref().take(per_chunk).collect();
+            chunks.push(Mutex::new(Chunk { owned, shared: None }));
+        }
+        Self { cfg, num_sets: cfg.num_sets(), chunks, clock: 0, hits: 0, misses: 0, writebacks: 0 }
     }
 
     /// The configured geometry.
@@ -91,8 +178,10 @@ impl CacheSim {
         let last = (addr + bytes - 1) / self.cfg.line_bytes;
         for line in first..=last {
             self.clock += 1;
-            let set_idx = (line % self.cfg.num_sets()) as usize;
-            let set = &mut self.sets[set_idx];
+            let set_idx = (line % self.num_sets) as usize;
+            let chunk = self.chunks[set_idx / CHUNK_SETS].get_mut().expect(UNPOISONED).ways_mut();
+            let at = set_idx % CHUNK_SETS * self.cfg.ways;
+            let set = &mut chunk[at..at + self.cfg.ways];
             if let Some(w) = set.iter_mut().find(|w| w.valid && w.tag == line) {
                 w.last_use = self.clock;
                 w.dirty |= write;
@@ -138,15 +227,7 @@ impl CacheSim {
 
     /// Clears contents and counters (cold cache again).
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            for w in set.iter_mut() {
-                *w = Way::default();
-            }
-        }
-        self.clock = 0;
-        self.hits = 0;
-        self.misses = 0;
-        self.writebacks = 0;
+        *self = Self::new(self.cfg);
     }
 
     /// Clears only the counters, keeping cache contents warm — used between
@@ -163,18 +244,18 @@ impl CacheSim {
     /// of warm would shift every post-restore hit/miss count and break the
     /// byte-identity of replayed host metrics.
     pub fn snapshot(&self) -> CacheSnapshot {
+        let mut ways = Vec::with_capacity(self.num_sets as usize * self.cfg.ways);
+        for chunk in &self.chunks {
+            let chunk = chunk.lock().expect(UNPOISONED);
+            ways.extend(chunk.ways().iter().map(|w| CacheWaySnapshot {
+                tag: w.tag,
+                last_use: w.last_use,
+                valid: w.valid,
+                dirty: w.dirty,
+            }));
+        }
         CacheSnapshot {
-            ways: self
-                .sets
-                .iter()
-                .flat_map(|set| set.iter())
-                .map(|w| CacheWaySnapshot {
-                    tag: w.tag,
-                    last_use: w.last_use,
-                    valid: w.valid,
-                    dirty: w.dirty,
-                })
-                .collect(),
+            ways,
             clock: self.clock,
             hits: self.hits,
             misses: self.misses,
@@ -190,11 +271,13 @@ impl CacheSim {
         if snap.ways.len() != expect {
             return None;
         }
-        let mut sim = Self::new(cfg);
-        for (i, w) in snap.ways.iter().enumerate() {
-            sim.sets[i / cfg.ways][i % cfg.ways] =
-                Way { tag: w.tag, last_use: w.last_use, valid: w.valid, dirty: w.dirty };
-        }
+        let ways = snap.ways.iter().map(|w| Way {
+            tag: w.tag,
+            last_use: w.last_use,
+            valid: w.valid,
+            dirty: w.dirty,
+        });
+        let mut sim = Self::from_ways(cfg, ways);
         sim.clock = snap.clock;
         sim.hits = snap.hits;
         sim.misses = snap.misses;

@@ -111,7 +111,9 @@ impl CpuModel {
 }
 
 /// An instrumented execution context threaded through baseline traversals:
-/// owns the LLC simulator and the counters.
+/// owns the LLC simulator and the counters. A clone shares the warm LLC's
+/// storage until either side touches it (see [`CacheSim`]).
+#[derive(Clone)]
 pub struct CpuMeter {
     cache: CacheSim,
     stats: CpuStats,

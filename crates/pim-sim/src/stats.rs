@@ -145,11 +145,20 @@ impl SimStats {
         self.imbalance_history.push(im);
     }
 
+    /// The scalar counters at this instant, without the per-round history:
+    /// all [`Self::since`] needs of an earlier point, and O(1) to take
+    /// however many rounds the machine has run (a `clone` copies one `f64`
+    /// per lifetime round).
+    pub fn mark(&self) -> SimStats {
+        SimStats { imbalance_history: Vec::new(), ..*self }
+    }
+
     /// Difference `self - earlier` for phase-relative measurements.
     ///
-    /// `earlier` must be a snapshot of this same stats object taken at some
-    /// earlier round (the only way the subtraction is meaningful). The
-    /// result's `worst_imbalance` covers only the rounds of the window —
+    /// `earlier` must be a [`Self::mark`] (or a clone) of this same stats
+    /// object taken at some earlier round (the only way the subtraction is
+    /// meaningful); the window is cut from `self`'s history by round index.
+    /// The result's `worst_imbalance` covers only the rounds of the window —
     /// previously it leaked the lifetime value, so a balanced phase measured
     /// after one imbalanced round reported the stale maximum forever.
     pub fn since(&self, earlier: &SimStats) -> SimStats {
@@ -218,7 +227,7 @@ mod tests {
         let mut s = SimStats::default();
         // Round 1: heavily imbalanced (max 40, mean 10 → 4.0).
         s.record(&round(0.0, 0, 0, 40, 40));
-        let snapshot = s.clone();
+        let snapshot = s.mark();
         // Round 2: perfectly balanced (max 100, mean 100 → 1.0).
         s.record(&round(0.0, 0, 0, 100, 400));
         assert!((s.worst_imbalance - 4.0).abs() < 1e-12, "lifetime keeps the max");

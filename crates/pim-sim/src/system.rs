@@ -260,6 +260,24 @@ impl<M: Send> PimSystem<M> {
         self.newly_dead.clear();
     }
 
+    /// An independent machine in this one's state: the same configuration,
+    /// a clone of every module's state, the same counters and accounting
+    /// switch — what restoring a checkpoint of this machine would build,
+    /// without the serialization. It costs whatever `M::clone` costs, so a
+    /// module state that shares its bulk behind `Arc`s forks in O(entries).
+    /// The trace sink, metrics handle, fault plan and phase stack are
+    /// attachments of *this* machine and are not carried over (the fork has
+    /// none), exactly as after [`Self::import_counters`] into a new machine.
+    pub fn fork(&self) -> Self
+    where
+        M: Clone,
+    {
+        let mut sys = Self::new(self.cfg, |i| self.modules[i].clone());
+        sys.import_counters(self.export_counters());
+        sys.accounting = self.accounting;
+        sys
+    }
+
     /// Records one recovered host crash (see [`FaultKind::HostCrash`]):
     /// called by the durability layer when WAL replay finds batches past
     /// the checkpoint epoch. Deliberately *not* journaled or metered — the

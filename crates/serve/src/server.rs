@@ -29,8 +29,8 @@
 //! 4. **Dispatch**: at most one write batch and one read batch are in
 //!    flight. Writes dispatch in seal order. Reads dispatch concurrently
 //!    with an in-flight write **only** when [`ServeConfig::snapshot_reads`]
-//!    is on — the read then runs against the [`TreeSnapshot`] captured from
-//!    the pre-write state and observes exactly the pre-batch epoch; with
+//!    is on — the read then runs against the [`TreeSnapshot`] forked from
+//!    the pre-write tree and observes exactly the pre-batch epoch; with
 //!    snapshots off, reads wait for the write lane to drain (no read ever
 //!    observes a half-applied batch either way).
 //!
@@ -180,7 +180,8 @@ struct FlightLink {
     cpu_us: u64,
     pim_us: u64,
     comm_us: u64,
-    /// Whether this dispatch materialized the snapshot from its image.
+    /// Whether this dispatch was the first read served by its epoch's
+    /// snapshot.
     materialized: bool,
 }
 
@@ -198,11 +199,11 @@ struct RunState<const D: usize> {
     write_flight: Option<Flight<D>>,
     read_flight: Option<Flight<D>>,
     estimators: BTreeMap<ClassKey, ThroughputEstimator>,
-    /// Pre-write checkpoint image `(epoch, bytes)`, captured at each write
-    /// dispatch while snapshot reads are enabled.
-    snapshot_image: Option<(u64, Vec<u8>)>,
-    /// Lazily materialized snapshot of `snapshot_image`.
-    snapshot_cache: Option<TreeSnapshot<D>>,
+    /// The pre-write tree, forked at each write dispatch while snapshot
+    /// reads are enabled and dropped when that write completes (nothing can
+    /// read it after that, and while it lives the live tree copies what it
+    /// writes), with whether a read has used it yet.
+    snapshot: Option<(TreeSnapshot<D>, bool)>,
     batch_seq: u64,
     replies: Vec<Reply>,
     journal: Vec<String>,
@@ -225,8 +226,7 @@ impl<const D: usize> RunState<D> {
             write_flight: None,
             read_flight: None,
             estimators: BTreeMap::new(),
-            snapshot_image: None,
-            snapshot_cache: None,
+            snapshot: None,
             batch_seq: 0,
             replies: Vec::new(),
             journal: Vec::new(),
@@ -414,6 +414,7 @@ impl<const D: usize> PimServer<D> {
         let mut done: Vec<Flight<D>> = Vec::new();
         if st.write_flight.as_ref().is_some_and(|f| f.complete_us == t) {
             done.push(st.write_flight.take().unwrap());
+            st.snapshot = None;
         }
         if st.read_flight.as_ref().is_some_and(|f| f.complete_us == t) {
             done.push(st.read_flight.take().unwrap());
@@ -643,18 +644,12 @@ impl<const D: usize> PimServer<D> {
         }
     }
 
-    /// Applies a write batch at dispatch time (capturing the pre-write
-    /// snapshot image first) and schedules its completion.
+    /// Applies a write batch at dispatch time (forking the pre-write
+    /// snapshot first) and schedules its completion.
     fn execute_write(&mut self, st: &mut RunState<D>, batch: Sealed<D>, t: u64) -> Flight<D> {
-        // Captured before the snapshot image: any rounds the capture emits
-        // belong to this dispatch's causal window.
         let round_lo = if self.tracer.is_some() { self.tree.next_round_id() } else { 0 };
         if self.cfg.snapshot_reads {
-            let pre_epoch = self.tree.epoch();
-            if st.snapshot_image.as_ref().map(|(e, _)| *e) != Some(pre_epoch) {
-                st.snapshot_image = Some((pre_epoch, self.tree.checkpoint_bytes()));
-                st.snapshot_cache = None;
-            }
+            st.snapshot = Some((self.tree.snapshot(), false));
         }
         let pts: Vec<Point<D>> = batch.reqs.iter().map(|q| point_of(&q.op)).collect();
         let fingerprints: Vec<u64> = match batch.class {
@@ -703,30 +698,22 @@ impl<const D: usize> PimServer<D> {
         t: u64,
         use_snapshot: bool,
     ) -> Flight<D> {
-        let mut materialized = false;
-        if use_snapshot {
-            let (img_epoch, img) =
-                st.snapshot_image.as_ref().expect("write in flight implies a captured image");
-            if st.snapshot_cache.as_ref().map(|s| s.epoch()) != Some(*img_epoch) {
-                st.snapshot_cache = Some(
-                    TreeSnapshot::from_image(img).expect("self-produced image always restores"),
-                );
-                materialized = true;
-            }
-            st.snapshot_batches += 1;
-            self.metrics.with(|m| m.add("serve_snapshot_reads_total", &[], 1));
-        }
         let tracing = self.tracer.is_some();
+        let mut materialized = false;
         let (epoch, fingerprints, stats, round_lo, round_hi) = {
-            let snap = st.snapshot_cache.as_mut();
             let mut target = if use_snapshot {
-                ReadRef::Snap(snap.expect("snapshot materialized above"))
+                st.snapshot_batches += 1;
+                self.metrics.with(|m| m.add("serve_snapshot_reads_total", &[], 1));
+                let (snap, used) =
+                    st.snapshot.as_mut().expect("the write in flight forked its pre-write tree");
+                materialized = !std::mem::replace(used, true);
+                ReadRef::Snap(snap)
             } else {
                 ReadRef::Live(&mut self.tree)
             };
             // A snapshot's machine continues the round counter from the
-            // checkpoint capture point; its ids are private to it (the
-            // link's `snapshot` flag disambiguates).
+            // fork point; its ids are private to it (the link's `snapshot`
+            // flag disambiguates).
             let lo = if tracing { target.next_round_id() } else { 0 };
             let fps = run_read(&mut target, &batch);
             let hi = if tracing { target.next_round_id() } else { 0 };

@@ -27,7 +27,7 @@
 //! after execution. A `Reply` therefore resolves to its batch journal
 //! entry, which resolves to its BSP rounds and their Fig-6 phase
 //! breakdowns. Snapshot read batches run on the snapshot's *private*
-//! machine, whose counter continues from the checkpoint capture point —
+//! machine, whose counter continues from the point the snapshot was forked —
 //! their ranges may overlap later live ids, so every link carries the
 //! `snapshot` flag as the disambiguating key (only live ranges index into
 //! the live round journal).
@@ -168,11 +168,11 @@ pub struct BatchTrace {
     pub epoch: u64,
     /// Whether the batch ran against an epoch snapshot. Snapshot round ids
     /// live in the snapshot machine's private counter (continued from the
-    /// checkpoint capture point) and must not be resolved against the live
-    /// round journal.
+    /// fork point) and must not be resolved against the live round journal.
     pub snapshot: bool,
-    /// Whether this dispatch materialized the snapshot from its image
-    /// (false for cache hits and live batches).
+    /// Whether this dispatch was the first read served by its epoch's
+    /// snapshot (false for later reads of the same snapshot and for live
+    /// batches).
     pub materialized: bool,
     /// Seal reason label (`budget` / `size`).
     pub seal: &'static str,
