@@ -8,9 +8,9 @@
 
 use crate::frag::{HostSink, MetaId, RemoteRef};
 use crate::host::PimZdTree;
+use crate::inline::InlineVec;
 use crate::module::{handle_box, BoxReply, BoxTask};
 use pim_geom::{Aabb, Point};
-use rustc_hash::FxHashMap;
 
 /// Per-query traversal state.
 struct BState<const D: usize> {
@@ -18,7 +18,7 @@ struct BState<const D: usize> {
     count: u64,
     points: Vec<Point<D>>,
     frontier: Vec<(MetaId, u32, u32)>, // (meta, module, node)
-    visited: Vec<MetaId>,
+    visited: InlineVec<MetaId, 4>,
 }
 
 const MAX_ROUNDS: usize = 1000;
@@ -48,6 +48,10 @@ impl<const D: usize> PimZdTree<D> {
 
     fn box_inner(&mut self, queries: &[Aabb<D>], fetch: bool) -> (Vec<u64>, Vec<Vec<Point<D>>>) {
         let n = queries.len();
+        // No L0 (empty tree): nothing to traverse.
+        let Some(l0) = self.l0.as_ref() else {
+            return (vec![0; n], vec![Vec::new(); n]);
+        };
         let mut states: Vec<BState<D>> = queries
             .iter()
             .map(|b| BState {
@@ -55,26 +59,25 @@ impl<const D: usize> PimZdTree<D> {
                 count: 0,
                 points: Vec::new(),
                 frontier: Vec::new(),
-                visited: Vec::new(),
+                visited: InlineVec::new(),
             })
             .collect();
+        // Pooled scratch, shared by every query of every round.
+        let mut remote: Vec<RemoteRef<D>> = self.bufs.take_vec();
+        let mut rest: Vec<(MetaId, u32, u32)> = self.bufs.take_vec();
+        let mut demand = self.bufs.take_demand();
+        let frontier_entry = |r: &RemoteRef<D>| (r.meta, r.module, u32::MAX);
 
         // L0 phase on the host.
-        if let Some(l0) = self.l0.as_ref() {
-            let mut sink = Self::l0_sink(&mut self.meter);
-            for st in states.iter_mut() {
-                let mut remote: Vec<RemoteRef<D>> = Vec::new();
-                if fetch {
-                    let mut pts = Vec::new();
-                    l0.local_box_fetch(l0.root, &st.query, &mut pts, &mut remote, &mut sink);
-                    st.points = pts;
-                } else {
-                    st.count = l0.local_box_count(l0.root, &st.query, &mut remote, &mut sink);
-                }
-                st.frontier = remote.into_iter().map(|r| (r.meta, r.module, u32::MAX)).collect();
+        let mut sink = Self::l0_sink(&mut self.meter);
+        for st in states.iter_mut() {
+            remote.clear();
+            if fetch {
+                l0.local_box_fetch(l0.root, &st.query, &mut st.points, &mut remote, &mut sink);
+            } else {
+                st.count = l0.local_box_count(l0.root, &st.query, &mut remote, &mut sink);
             }
-        } else {
-            return (vec![0; n], vec![Vec::new(); n]);
+            st.frontier.extend(remote.iter().map(frontier_entry));
         }
 
         let mut rounds = 0;
@@ -84,14 +87,15 @@ impl<const D: usize> PimZdTree<D> {
 
             // Dedup + visited filter.
             for st in states.iter_mut() {
-                st.frontier.sort_unstable();
-                st.frontier.dedup_by_key(|(m, _, n2)| (*m, *n2));
-                let visited = std::mem::take(&mut st.visited);
-                st.frontier.retain(|(m, _, _)| !visited.contains(m));
-                st.visited = visited;
+                let BState { frontier, visited, .. } = st;
+                if frontier.len() > 1 {
+                    frontier.sort_unstable();
+                    frontier.dedup_by_key(|(m, _, n2)| (*m, *n2));
+                }
+                frontier.retain(|(m, _, _)| !visited.contains(m));
             }
 
-            let mut demand: FxHashMap<MetaId, u64> = FxHashMap::default();
+            demand.clear();
             for st in &states {
                 for (m, _, _) in &st.frontier {
                     *demand.entry(*m).or_insert(0) += 1;
@@ -106,9 +110,11 @@ impl<const D: usize> PimZdTree<D> {
             if !to_pull.is_empty() {
                 let pulled = self.pull_fragments(&to_pull);
                 for st in states.iter_mut() {
+                    if st.frontier.is_empty() {
+                        continue;
+                    }
                     let frontier = std::mem::take(&mut st.frontier);
-                    let mut rest = Vec::new();
-                    for (meta, module, node) in frontier {
+                    for &(meta, module, node) in &frontier {
                         let Some((frag, addr)) = pulled.get(&meta) else {
                             rest.push((meta, module, node));
                             continue;
@@ -119,7 +125,7 @@ impl<const D: usize> PimZdTree<D> {
                         st.visited.push(meta);
                         let start = if node == u32::MAX { frag.root } else { node };
                         let mut sink = HostSink { meter: &mut self.meter, base_addr: *addr };
-                        let mut remote = Vec::new();
+                        remote.clear();
                         if fetch {
                             frag.local_box_fetch(
                                 start,
@@ -132,9 +138,10 @@ impl<const D: usize> PimZdTree<D> {
                             st.count +=
                                 frag.local_box_count(start, &st.query, &mut remote, &mut sink);
                         }
-                        rest.extend(remote.into_iter().map(|r| (r.meta, r.module, u32::MAX)));
+                        rest.extend(remote.iter().map(frontier_entry));
                     }
-                    st.frontier = rest;
+                    st.frontier = std::mem::replace(&mut rest, frontier);
+                    rest.clear();
                 }
                 continue;
             }
@@ -142,8 +149,7 @@ impl<const D: usize> PimZdTree<D> {
             // Push phase.
             let mut tasks: Vec<Vec<BoxTask<D>>> = self.task_matrix();
             for (qid, st) in states.iter_mut().enumerate() {
-                let frontier = std::mem::take(&mut st.frontier);
-                for (meta, module, node) in frontier {
+                for &(meta, module, node) in &st.frontier {
                     if st.visited.contains(&meta) {
                         continue;
                     }
@@ -158,26 +164,35 @@ impl<const D: usize> PimZdTree<D> {
                         fetch,
                     });
                 }
+                st.frontier.clear();
             }
             if tasks.iter().all(Vec::is_empty) {
+                self.bufs.put_matrix(tasks);
                 break;
             }
             let replies: Vec<Vec<BoxReply<D>>> =
                 self.robust_round(tasks, |_, m, ctx, t| handle_box(m, ctx, t));
             for reply in replies.into_iter().flatten() {
                 let st = &mut states[reply.qid as usize];
-                for m in reply.covered {
-                    if !st.visited.contains(&m) {
-                        st.visited.push(m);
+                for m in reply.covered.iter() {
+                    if !st.visited.contains(m) {
+                        st.visited.push(*m);
                     }
                 }
                 st.count += reply.count;
                 self.meter.work(reply.points.len() as u64 * 4);
-                st.points.extend(reply.points);
-                st.frontier
-                    .extend(reply.frontier.into_iter().map(|r| (r.meta, r.module, u32::MAX)));
+                if st.points.is_empty() {
+                    // The reply's one allocation becomes the result's.
+                    st.points = reply.points;
+                } else {
+                    st.points.extend_from_slice(&reply.points);
+                }
+                st.frontier.extend(reply.frontier.iter().map(frontier_entry));
             }
         }
+        self.bufs.put_vec(remote);
+        self.bufs.put_vec(rest);
+        self.bufs.put_demand(demand);
 
         let counts =
             states.iter().map(|st| if fetch { st.points.len() as u64 } else { st.count }).collect();

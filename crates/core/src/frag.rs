@@ -1486,8 +1486,9 @@ pub fn push_candidate<const D: usize>(
     if pos >= k || cands.get(pos).is_some_and(|c| *c == cand) {
         return;
     }
+    // Evict the k-th before inserting, so a full list never outgrows k.
+    cands.truncate(k - 1);
     cands.insert(pos, cand);
-    cands.truncate(k);
 }
 
 /// Current kNN pruning bound (∞ until k candidates exist).

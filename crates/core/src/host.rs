@@ -30,6 +30,9 @@ use rustc_hash::FxHashMap;
 pub(crate) struct RoundBuffers {
     pools: FxHashMap<std::any::TypeId, Box<dyn std::any::Any + Send>>,
     flats: FxHashMap<std::any::TypeId, Box<dyn std::any::Any + Send>>,
+    /// The per-meta demand table of the push-pull rounds, kept for its
+    /// buckets.
+    demand: FxHashMap<MetaId, u64>,
 }
 
 impl RoundBuffers {
@@ -74,6 +77,17 @@ impl RoundBuffers {
     pub(crate) fn put_vec<T: Send + 'static>(&mut self, mut v: Vec<T>) {
         v.clear();
         self.flat_stack::<T>().push(v);
+    }
+
+    /// The (empty) demand table; hand it back with [`Self::put_demand`].
+    pub(crate) fn take_demand(&mut self) -> FxHashMap<MetaId, u64> {
+        std::mem::take(&mut self.demand)
+    }
+
+    /// Returns the demand table, cleared but with its buckets.
+    pub(crate) fn put_demand(&mut self, mut demand: FxHashMap<MetaId, u64>) {
+        demand.clear();
+        self.demand = demand;
     }
 }
 

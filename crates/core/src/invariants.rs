@@ -12,11 +12,15 @@
 //! 4. **Directory consistency** — every directory meta is referenced exactly
 //!    once; every reference resolves to an installed master on the recorded
 //!    module; cache copies mirror their masters' topology.
+//! 5. **Box soundness** — the box of every node's prefix (and so of every
+//!    `RemoteRef`'s, which item 2 pins to its target root's) contains every
+//!    point beneath it: the one property the kNN, ball and box kernels prune
+//!    on, checked against the boxes `Prefix::to_box` hands them.
 
 use crate::config::Layer;
 use crate::frag::{BKind, ChildRef, Fragment, Keyed, MetaId};
 use crate::host::PimZdTree;
-use pim_geom::Point;
+use pim_geom::{Aabb, Point};
 use pim_zorder::prefix::Prefix;
 use rustc_hash::FxHashMap;
 
@@ -53,7 +57,8 @@ impl<const D: usize> PimZdTree<D> {
         // Walk the logical tree.
         let mut points: Vec<Keyed<D>> = Vec::new();
         let mut seen_metas: Vec<MetaId> = Vec::new();
-        let true_total = self.walk_node(l0, l0.root, None, &masters, &mut points, &mut seen_metas);
+        let (true_total, _) =
+            self.walk_node(l0, l0.root, None, &masters, &mut points, &mut seen_metas);
         assert_eq!(true_total as usize, expected.len(), "logical tree point count");
 
         // Every master referenced exactly once.
@@ -89,7 +94,7 @@ impl<const D: usize> PimZdTree<D> {
     }
 
     /// Recursively verifies the subtree rooted at `idx` of `frag`; returns
-    /// the true point count.
+    /// the true point count and the hull of the points (no subtree is empty).
     fn walk_node(
         &self,
         frag: &Fragment<D>,
@@ -98,7 +103,7 @@ impl<const D: usize> PimZdTree<D> {
         masters: &FxHashMap<MetaId, (&Fragment<D>, u32)>,
         points: &mut Vec<Keyed<D>>,
         seen: &mut Vec<MetaId>,
-    ) -> u64 {
+    ) -> (u64, Aabb<D>) {
         let node = frag.node(idx);
         if let Some((ppre, side)) = region {
             assert!(
@@ -121,7 +126,7 @@ impl<const D: usize> PimZdTree<D> {
                 node.prefix.len
             );
         }
-        match &node.kind {
+        let (total, hull) = match &node.kind {
             BKind::LeafStub => panic!("stub leaf in a master fragment"),
             BKind::Leaf { points: pts } => {
                 assert!(!pts.is_empty(), "empty leaf must be spliced");
@@ -135,12 +140,15 @@ impl<const D: usize> PimZdTree<D> {
                 }
                 assert_eq!(node.count as usize, pts.len(), "leaf count mismatch");
                 pts.append_to(points);
-                pts.len() as u64
+                let mut hull = Aabb::point(pts.point(0));
+                pts.iter().for_each(|(_, p)| hull.expand(&p));
+                (pts.len() as u64, hull)
             }
             BKind::Internal { left, right } => {
                 let mut total = 0u64;
+                let mut hull: Option<Aabb<D>> = None;
                 for (side, child) in [(0u8, left), (1u8, right)] {
-                    let t = match child {
+                    let (t, child_hull) = match child {
                         ChildRef::Local(c) => self.walk_node(
                             frag,
                             *c,
@@ -164,7 +172,7 @@ impl<const D: usize> PimZdTree<D> {
                                 "boundary prefix stale for meta {}",
                                 r.meta
                             );
-                            let t = self.walk_node(
+                            let (t, child_hull) = self.walk_node(
                                 child_frag,
                                 child_frag.root,
                                 Some((node.prefix, side)),
@@ -180,11 +188,12 @@ impl<const D: usize> PimZdTree<D> {
                                 r.sc,
                                 t
                             );
-                            t
+                            (t, child_hull)
                         }
                     };
                     assert!(t > 0, "empty child subtree must be spliced");
                     total += t;
+                    hull = Some(hull.map_or(child_hull, |h| h.union(&child_hull)));
                 }
                 // The node's own count: exact when fully local, otherwise a
                 // snapshot-combined value — hold it to the Lemma 3.1 band.
@@ -194,9 +203,19 @@ impl<const D: usize> PimZdTree<D> {
                     node.count,
                     total
                 );
-                total
+                (total, hull.expect("an internal node has two children"))
             }
-        }
+        };
+        assert!(
+            node.prefix.to_box().contains_box(&hull),
+            "prefix box misses points beneath it: meta={} prefix=({:#x},{}) box={:?} hull={:?}",
+            frag.meta,
+            node.prefix.key.0,
+            node.prefix.len,
+            node.prefix.to_box(),
+            hull
+        );
+        (total, hull)
     }
 
     /// Layer sanity: every directory meta's recorded layer is within one

@@ -14,11 +14,11 @@
 
 use crate::frag::{knn_bound, push_candidate, HostSink, MetaId, RemoteRef};
 use crate::host::PimZdTree;
+use crate::inline::InlineVec;
 use crate::module::{handle_knn, KnnReply, KnnTask};
 use crate::soa::{fine_select, CoordBlock};
-use pim_geom::{Aabb, Metric, Point};
+use pim_geom::{isqrt_ceil, Aabb, Metric, Point};
 use pim_zorder::prefix::Prefix;
-use rustc_hash::FxHashMap;
 
 /// Exploration target: a node in L0 (host) or in a fragment.
 #[derive(Clone, Copy, Debug)]
@@ -37,12 +37,15 @@ struct QState<const D: usize> {
     /// only. The coarse distance is dropped on entry: the fine filter
     /// re-evaluates the target metric anyway.
     block: CoordBlock<D>,
+    /// Ball candidates the current round's replies carry for this query,
+    /// summed first so `block` is sized for all of them at once.
+    incoming: usize,
     frontier: Vec<(Target<D>, u64)>,
     /// Fixed collection radius in ball mode; `None` = best-k mode.
     ball: Option<u64>,
     /// Metas whose master payloads were already covered for this query
     /// (prevents double-collection when refs arrive via multiple paths).
-    visited: Vec<MetaId>,
+    visited: InlineVec<MetaId, VISITED_INLINE>,
 }
 
 impl<const D: usize> QState<D> {
@@ -55,6 +58,14 @@ impl<const D: usize> QState<D> {
 }
 
 const MAX_ROUNDS: usize = 1000;
+
+/// Covered metas a query remembers in place: a kNN ball rarely spans more
+/// fragments than this.
+const VISITED_INLINE: usize = 4;
+
+/// Cap on the up-front reservation of a query's best-k list (`k` is caller
+/// input; anything larger grows on demand).
+const MAX_CANDS_RESERVE: usize = 1024;
 
 impl<const D: usize> PimZdTree<D> {
     /// Batched exact k-nearest-neighbor query under `metric`. Results are
@@ -110,20 +121,22 @@ impl<const D: usize> PimZdTree<D> {
                 };
                 QState {
                     q: queries[qid],
-                    cands: Vec::new(),
+                    cands: Vec::with_capacity(k.min(MAX_CANDS_RESERVE)),
                     block: CoordBlock::new(),
+                    incoming: 0,
                     frontier: vec![(start, 0)],
                     ball: None,
-                    visited: Vec::new(),
+                    visited: InlineVec::new(),
                 }
             })
             .collect();
         self.explore(&mut states, k, coarse);
 
         // Step 3: sphere radius per query and the lowest trace node
-        // containing it.
-        let mut ball_states: Vec<QState<D>> = Vec::with_capacity(n);
-        for (qid, st) in states.iter().enumerate() {
+        // containing it. Each state is then re-armed in place for the ball
+        // phase, keeping the storage step 2 grew.
+        let mut fine: Vec<u64> = self.bufs.take_vec();
+        for (qid, st) in states.iter_mut().enumerate() {
             let x = if st.cands.len() >= k { st.cands[k - 1].0 } else { u64::MAX };
             // Radius under the coarse metric guaranteed to contain the true
             // k nearest under the target metric.
@@ -134,14 +147,9 @@ impl<const D: usize> PimZdTree<D> {
                 // candidates host-side (k cheap CPU multiplies). The k-th
                 // fine distance r₂ upper-bounds the true k-th ℓ2 distance,
                 // so the true kNN all lie within ℓ1 ≤ √D·r₂ ≤ √D·x.
-                let mut fine: Vec<u64> = st
-                    .cands
-                    .iter()
-                    .map(|(_, p)| {
-                        self.meter.work(6 * D as u64);
-                        metric.cmp_dist(&queries[qid], p)
-                    })
-                    .collect();
+                self.meter.work(6 * D as u64 * st.cands.len() as u64);
+                fine.clear();
+                fine.extend(st.cands.iter().map(|(_, p)| metric.cmp_dist(&st.q, p)));
                 fine.sort_unstable();
                 let r2_sq = fine[k - 1];
                 let r2 = isqrt_ceil(r2_sq);
@@ -150,20 +158,16 @@ impl<const D: usize> PimZdTree<D> {
                 x
             };
             self.meter.work(30);
-            let start =
-                self.lowest_trace_node_containing(&s.hops[qid], &queries[qid], radius, coarse);
-            ball_states.push(QState {
-                q: queries[qid],
-                cands: Vec::new(),
-                block: CoordBlock::new(),
-                frontier: vec![(start, 0)],
-                ball: Some(radius),
-                visited: Vec::new(),
-            });
+            let start = self.lowest_trace_node_containing(&s.hops[qid], &st.q, radius, coarse);
+            st.frontier.clear();
+            st.frontier.push((start, 0));
+            st.visited.clear();
+            st.ball = Some(radius);
         }
+        self.bufs.put_vec(fine);
 
         // Step 4: collect everything inside the spheres.
-        self.explore(&mut ball_states, usize::MAX, coarse);
+        self.explore(&mut states, usize::MAX, coarse);
 
         // Step 5: fine filtering on the CPU (§6) — the SoA distance kernel
         // streams the collected lanes through a bounded max-heap, which is
@@ -172,7 +176,7 @@ impl<const D: usize> PimZdTree<D> {
         // charge replaces the per-candidate charges: same total.
         let _span = pim_obs::span("fine_filter");
         let mut out = Vec::with_capacity(n);
-        for st in ball_states {
+        for st in states {
             self.meter.work(6 * D as u64 * st.block.len() as u64);
             out.push(fine_select(&st.block, &st.q, metric, k));
         }
@@ -203,7 +207,7 @@ impl<const D: usize> PimZdTree<D> {
         }
         // Axis half-width of the ball's bounding box.
         let hw = match metric {
-            Metric::L2 => (radius as f64).sqrt().ceil() as u64,
+            Metric::L2 => isqrt_ceil(radius),
             _ => radius,
         };
         let m = pim_geom::max_coord_for_dim(D) as i64;
@@ -250,7 +254,17 @@ impl<const D: usize> PimZdTree<D> {
     /// The shared push-pull exploration engine (steps 2 and 4). Processes
     /// every query's frontier to exhaustion, using the host for L0 and
     /// pulled fragments and PIM rounds for the rest.
+    ///
+    /// Steady state allocates nothing per query per round: `rest` and
+    /// `remote` are pooled scratch, a query's frontier trades buffers with
+    /// `rest` instead of being rebuilt, and queries with nothing pending are
+    /// skipped outright.
     fn explore(&mut self, states: &mut [QState<D>], k: usize, metric: Metric) {
+        let mut rest: Vec<(Target<D>, u64)> = self.bufs.take_vec();
+        let mut remote: Vec<(RemoteRef<D>, u64)> = self.bufs.take_vec();
+        let mut demand = self.bufs.take_demand();
+        let frag_target =
+            |r: &RemoteRef<D>| Target::Frag { meta: r.meta, module: r.module, node: u32::MAX };
         let mut rounds = 0;
         loop {
             rounds += 1;
@@ -258,9 +272,11 @@ impl<const D: usize> PimZdTree<D> {
 
             // Host phase: L0 targets.
             for st in states.iter_mut() {
-                let mut rest: Vec<(Target<D>, u64)> = Vec::new();
+                if st.frontier.is_empty() {
+                    continue;
+                }
                 let frontier = std::mem::take(&mut st.frontier);
-                for (t, lb) in frontier {
+                for &(t, lb) in &frontier {
                     if lb > st.bound(k) {
                         continue;
                     }
@@ -269,7 +285,7 @@ impl<const D: usize> PimZdTree<D> {
                             // No L0 (empty tree): nothing to visit there.
                             let Some(l0) = self.l0.as_ref() else { continue };
                             let mut sink = Self::l0_sink(&mut self.meter);
-                            let mut remote = Vec::new();
+                            remote.clear();
                             match st.ball {
                                 Some(r) => l0.local_ball(
                                     node,
@@ -290,36 +306,32 @@ impl<const D: usize> PimZdTree<D> {
                                     &mut sink,
                                 ),
                             }
-                            for (r, d) in remote {
-                                rest.push((
-                                    Target::Frag { meta: r.meta, module: r.module, node: u32::MAX },
-                                    d,
-                                ));
-                            }
+                            rest.extend(remote.iter().map(|(r, d)| (frag_target(r), *d)));
                         }
                         other => rest.push((other, lb)),
                     }
                 }
-                st.frontier = rest;
+                st.frontier = std::mem::replace(&mut rest, frontier);
+                rest.clear();
             }
 
             // Dedup frontiers (multiple stubs/refs may name the same
             // target; keep the smallest lower bound) and drop targets whose
             // masters were already covered.
             for st in states.iter_mut() {
-                st.frontier.sort_unstable_by_key(|(t, d)| (frontier_key(t), *d));
-                st.frontier.dedup_by_key(|(t, _)| frontier_key(t));
-                let visited = std::mem::take(&mut st.visited);
-                st.frontier.retain(|(t, _)| match t {
+                let QState { frontier, visited, .. } = st;
+                if frontier.len() > 1 {
+                    frontier.sort_unstable_by_key(|(t, d)| (frontier_key(t), *d));
+                    frontier.dedup_by_key(|(t, _)| frontier_key(t));
+                }
+                frontier.retain(|(t, _)| match t {
                     Target::Frag { meta, .. } => !visited.contains(meta),
                     Target::L0(_) => true,
                 });
-                st.visited = visited;
             }
 
             // Gather fragment demand.
-            let mut demand: FxHashMap<MetaId, u64> = FxHashMap::default();
-            let mut any = false;
+            demand.clear();
             for st in states.iter() {
                 for (t, lb) in &st.frontier {
                     if *lb > st.bound(k) {
@@ -327,26 +339,23 @@ impl<const D: usize> PimZdTree<D> {
                     }
                     if let Target::Frag { meta, .. } = t {
                         *demand.entry(*meta).or_insert(0) += 1;
-                        any = true;
                     }
                 }
             }
-            if !any {
-                return;
+            if demand.is_empty() {
+                break;
             }
 
             // Pull phase.
             let to_pull = self.pull_candidates(&demand);
-            let pulled = if to_pull.is_empty() {
-                FxHashMap::default()
-            } else {
-                self.pull_fragments(&to_pull)
-            };
+            let pulled = self.pull_fragments(&to_pull);
             if !pulled.is_empty() {
                 for st in states.iter_mut() {
+                    if st.frontier.is_empty() {
+                        continue;
+                    }
                     let frontier = std::mem::take(&mut st.frontier);
-                    let mut rest = Vec::new();
-                    for (t, lb) in frontier {
+                    for &(t, lb) in &frontier {
                         let Target::Frag { meta, node, .. } = t else {
                             rest.push((t, lb));
                             continue;
@@ -361,7 +370,7 @@ impl<const D: usize> PimZdTree<D> {
                         st.visited.push(meta);
                         let start = if node == u32::MAX { frag.root } else { node };
                         let mut sink = HostSink { meter: &mut self.meter, base_addr: *addr };
-                        let mut remote = Vec::new();
+                        remote.clear();
                         match st.ball {
                             Some(r) => frag.local_ball(
                                 start,
@@ -382,14 +391,10 @@ impl<const D: usize> PimZdTree<D> {
                                 &mut sink,
                             ),
                         }
-                        for (r, d) in remote {
-                            rest.push((
-                                Target::Frag { meta: r.meta, module: r.module, node: u32::MAX },
-                                d,
-                            ));
-                        }
+                        rest.extend(remote.iter().map(|(r, d)| (frag_target(r), *d)));
                     }
-                    st.frontier = rest;
+                    st.frontier = std::mem::replace(&mut rest, frontier);
+                    rest.clear();
                 }
                 // Newly exposed targets may themselves be pulled/host-local:
                 // loop back to the host phase.
@@ -400,8 +405,7 @@ impl<const D: usize> PimZdTree<D> {
             let mut tasks: Vec<Vec<KnnTask<D>>> = self.task_matrix();
             for (qid, st) in states.iter_mut().enumerate() {
                 let bound = st.bound(k);
-                let frontier = std::mem::take(&mut st.frontier);
-                for (t, lb) in frontier {
+                for &(t, lb) in &st.frontier {
                     if lb > bound {
                         continue;
                     }
@@ -423,50 +427,46 @@ impl<const D: usize> PimZdTree<D> {
                         ball: st.ball.is_some(),
                     });
                 }
+                st.frontier.clear();
             }
             let replies: Vec<Vec<KnnReply<D>>> =
                 self.robust_round(tasks, |_, m, ctx, t| handle_knn(m, ctx, t));
+            for reply in replies.iter().flatten() {
+                let st = &mut states[reply.qid as usize];
+                if st.ball.is_some() {
+                    st.incoming += reply.cands.len();
+                }
+            }
             for reply in replies.into_iter().flatten() {
                 let st = &mut states[reply.qid as usize];
-                for m in reply.covered {
-                    if !st.visited.contains(&m) {
-                        st.visited.push(m);
+                for m in reply.covered.iter() {
+                    if !st.visited.contains(m) {
+                        st.visited.push(*m);
                     }
                 }
-                for c in reply.cands {
-                    match st.ball {
-                        Some(r) => {
-                            if c.0 <= r {
-                                self.meter.work(8);
-                                st.block.push(&c.1);
-                            }
+                match st.ball {
+                    Some(r) => {
+                        st.block.reserve(std::mem::take(&mut st.incoming));
+                        for c in reply.cands.iter().filter(|c| c.0 <= r) {
+                            self.meter.work(8);
+                            st.block.push(&c.1);
                         }
-                        None => {
+                    }
+                    None => {
+                        for c in reply.cands {
                             self.meter.work(30);
                             let mut sink = Self::l0_sink(&mut self.meter);
                             push_candidate(&mut st.cands, k, c, &mut sink);
                         }
                     }
                 }
-                for (r, d) in reply.frontier {
-                    st.frontier
-                        .push((Target::Frag { meta: r.meta, module: r.module, node: u32::MAX }, d));
-                }
+                st.frontier.extend(reply.frontier.iter().map(|(r, d)| (frag_target(r), *d)));
             }
         }
+        self.bufs.put_vec(rest);
+        self.bufs.put_vec(remote);
+        self.bufs.put_demand(demand);
     }
-}
-
-/// Smallest `r` with `r² ≥ v` (exact integer ceiling square root).
-fn isqrt_ceil(v: u64) -> u64 {
-    let mut r = (v as f64).sqrt().ceil() as u64;
-    while (r as u128) * (r as u128) < v as u128 {
-        r += 1;
-    }
-    while r > 0 && ((r - 1) as u128) * ((r - 1) as u128) >= v as u128 {
-        r -= 1;
-    }
-    r
 }
 
 /// Dedup key for frontier targets.

@@ -44,6 +44,7 @@ pub mod checkpoint;
 pub mod config;
 pub mod frag;
 pub mod host;
+pub mod inline;
 pub mod insert;
 pub mod invariants;
 pub mod knn;

@@ -24,6 +24,7 @@ use crate::frag::{
     AnchorLoc, BNode, Fragment, Keyed, MetaId, RemoteRef, RootAfterRemove, SearchEnd, BNODE_BYTES,
     REMOTE_REF_BYTES,
 };
+use crate::inline::InlineVec;
 use pim_geom::{Aabb, Metric, Point};
 use pim_sim::{PimCtx, Wire};
 use pim_zorder::prefix::Prefix;
@@ -228,6 +229,10 @@ impl<const D: usize> Wire for DeleteReply<D> {
     }
 }
 
+/// Entries a kNN/box reply's `frontier` and `covered` lists hold in place
+/// (see [`InlineVec`]).
+pub const REPLY_INLINE: usize = 2;
+
 /// kNN subtree exploration task.
 #[derive(Clone, Copy, Debug)]
 pub struct KnnTask<const D: usize> {
@@ -265,11 +270,11 @@ pub struct KnnReply<const D: usize> {
     /// Up to k best local candidates (comparable distance, point).
     pub cands: Vec<(u64, Point<D>)>,
     /// Remote subtrees still worth exploring, with box lower bounds.
-    pub frontier: Vec<(RemoteRef<D>, u64)>,
+    pub frontier: InlineVec<(RemoteRef<D>, u64), REPLY_INLINE>,
     /// Master fragments whose payloads were fully covered locally (the host
     /// must not re-dispatch refs to them — they may have been reached by
     /// chasing a co-located ref).
-    pub covered: Vec<MetaId>,
+    pub covered: InlineVec<MetaId, REPLY_INLINE>,
 }
 
 impl<const D: usize> Wire for KnnReply<D> {
@@ -311,9 +316,9 @@ pub struct BoxReply<const D: usize> {
     /// The points themselves (BoxFetch only).
     pub points: Vec<Point<D>>,
     /// Remote subtrees intersecting the box.
-    pub frontier: Vec<RemoteRef<D>>,
+    pub frontier: InlineVec<RemoteRef<D>, REPLY_INLINE>,
     /// Master fragments fully handled locally (host must not re-dispatch).
-    pub covered: Vec<MetaId>,
+    pub covered: InlineVec<MetaId, REPLY_INLINE>,
 }
 
 impl<const D: usize> Wire for BoxReply<D> {
@@ -631,24 +636,36 @@ pub fn handle_delete<const D: usize>(
 
 /// kNN exploration: branch-and-bound through every locally-present
 /// fragment, surfacing only truly-remote frontier.
+///
+/// The five scratch lists belong to the call, not the task: each grows to
+/// its high-water mark once per round instead of from empty per task, and a
+/// reply is cut from them with one exact-size allocation for `cands` and
+/// none for the (short) `frontier`/`covered`.
 pub fn handle_knn<const D: usize>(
     state: &mut ModuleState<D>,
     ctx: &mut PimCtx,
     tasks: Vec<KnnTask<D>>,
 ) -> Vec<KnnReply<D>> {
     let mut replies = Vec::with_capacity(tasks.len());
+    let mut cands: Vec<(u64, Point<D>)> = Vec::new();
+    let mut frontier: Vec<(RemoteRef<D>, u64)> = Vec::new();
+    let mut work: Vec<(MetaId, u32, u64)> = Vec::new();
+    let mut visited: Vec<MetaId> = Vec::new();
+    let mut local_frontier: Vec<(RemoteRef<D>, u64)> = Vec::new();
     for t in tasks {
-        let mut cands: Vec<(u64, Point<D>)> = Vec::new();
-        let mut frontier: Vec<(RemoteRef<D>, u64)> = Vec::new();
-        let mut work: Vec<(MetaId, u32, u64)> = vec![(t.meta, t.node, 0)];
-        let mut visited: Vec<MetaId> = Vec::new();
-        while let Some((meta, node, lb)) = work.pop() {
-            let bound = if t.ball {
+        cands.clear();
+        frontier.clear();
+        visited.clear();
+        let bound = |cands: &[(u64, Point<D>)]| {
+            if t.ball {
                 t.bound
             } else {
-                crate::frag::knn_bound(&cands, t.k as usize).min(t.bound)
-            };
-            if lb > bound || visited.contains(&meta) {
+                crate::frag::knn_bound(cands, t.k as usize).min(t.bound)
+            }
+        };
+        work.push((t.meta, t.node, 0));
+        while let Some((meta, node, lb)) = work.pop() {
+            if lb > bound(&cands) || visited.contains(&meta) {
                 continue;
             }
             visited.push(meta);
@@ -656,7 +673,7 @@ pub fn handle_knn<const D: usize>(
                 continue;
             };
             let start = if node == u32::MAX { frag.root } else { node };
-            let mut local_frontier = Vec::new();
+            local_frontier.clear();
             if t.ball {
                 frag.local_ball(
                     start,
@@ -678,7 +695,7 @@ pub fn handle_knn<const D: usize>(
                     ctx,
                 );
             }
-            for (r, d) in local_frontier {
+            for &(r, d) in &local_frontier {
                 // Chase locally-present fragments, except a cached
                 // fragment's stub refs (r.meta == meta), whose payloads live
                 // only at the master.
@@ -690,34 +707,40 @@ pub fn handle_knn<const D: usize>(
             }
         }
         // Trim frontier entries the final bound already excludes.
-        let bound = if t.ball {
-            t.bound
-        } else {
-            crate::frag::knn_bound(&cands, t.k as usize).min(t.bound)
-        };
+        let bound = bound(&cands);
         frontier.retain(|(_, d)| *d <= bound);
         frontier.sort_unstable_by_key(|(r, d)| (*d, r.meta));
         frontier.dedup_by_key(|(r, _)| r.meta);
-        let covered: Vec<MetaId> =
-            visited.into_iter().filter(|m| state.masters.contains_key(m)).collect();
-        replies.push(KnnReply { qid: t.qid, cands, frontier, covered });
+        visited.retain(|m| state.masters.contains_key(m));
+        replies.push(KnnReply {
+            qid: t.qid,
+            cands: cands.clone(),
+            frontier: InlineVec::from_slice(&frontier),
+            covered: InlineVec::from_slice(&visited),
+        });
     }
     replies
 }
 
-/// Box-query exploration.
+/// Box-query exploration; scratch is owned and replies are cut as in
+/// [`handle_knn`].
 pub fn handle_box<const D: usize>(
     state: &mut ModuleState<D>,
     ctx: &mut PimCtx,
     tasks: Vec<BoxTask<D>>,
 ) -> Vec<BoxReply<D>> {
     let mut replies = Vec::with_capacity(tasks.len());
+    let mut points: Vec<Point<D>> = Vec::new();
+    let mut frontier: Vec<RemoteRef<D>> = Vec::new();
+    let mut work: Vec<(MetaId, u32)> = Vec::new();
+    let mut visited: Vec<MetaId> = Vec::new();
+    let mut local_frontier: Vec<RemoteRef<D>> = Vec::new();
     for t in tasks {
         let mut count = 0u64;
-        let mut points = Vec::new();
-        let mut frontier: Vec<RemoteRef<D>> = Vec::new();
-        let mut work: Vec<(MetaId, u32)> = vec![(t.meta, t.node)];
-        let mut visited: Vec<MetaId> = Vec::new();
+        points.clear();
+        frontier.clear();
+        visited.clear();
+        work.push((t.meta, t.node));
         while let Some((meta, node)) = work.pop() {
             if visited.contains(&meta) {
                 continue;
@@ -727,7 +750,7 @@ pub fn handle_box<const D: usize>(
                 continue;
             };
             let start = if node == u32::MAX { frag.root } else { node };
-            let mut local_frontier = Vec::new();
+            local_frontier.clear();
             if t.fetch {
                 frag.local_box_fetch(start, &t.query, &mut points, &mut local_frontier, ctx);
             } else {
@@ -736,7 +759,7 @@ pub fn handle_box<const D: usize>(
             // Chase locally-present fragments, except a cached fragment's
             // stub refs (r.meta == meta), whose payloads live only at the
             // master.
-            for r in local_frontier {
+            for &r in &local_frontier {
                 if r.meta != meta && !visited.contains(&r.meta) && state.lookup(r.meta).is_some() {
                     work.push((r.meta, u32::MAX));
                 } else {
@@ -746,9 +769,14 @@ pub fn handle_box<const D: usize>(
         }
         frontier.sort_unstable_by_key(|r| r.meta);
         frontier.dedup_by_key(|r| r.meta);
-        let covered: Vec<MetaId> =
-            visited.into_iter().filter(|m| state.masters.contains_key(m)).collect();
-        replies.push(BoxReply { qid: t.qid, count, points, frontier, covered });
+        visited.retain(|m| state.masters.contains_key(m));
+        replies.push(BoxReply {
+            qid: t.qid,
+            count,
+            points: points.clone(),
+            frontier: InlineVec::from_slice(&frontier),
+            covered: InlineVec::from_slice(&visited),
+        });
     }
     replies
 }

@@ -10,10 +10,10 @@
 
 use crate::frag::{BKind, Fragment, HostSink, MetaId, RemoteRef};
 use crate::host::PimZdTree;
+use crate::inline::InlineVec;
 use crate::module::{handle_search, AnchorInfo, SearchReply, SearchTask, SearchVerdict};
 use pim_geom::Point;
 use pim_zorder::ZKey;
-use rustc_hash::FxHashMap;
 
 /// Where one query's search ended.
 #[derive(Clone, Copy, Debug)]
@@ -65,8 +65,9 @@ pub struct BatchSearch<const D: usize> {
     /// Per-query deepest path node with counter ≥ the requested threshold.
     pub anchors: Vec<Option<AnchorInfo<D>>>,
     /// Per-query chain of meta hops taken below L0 (the search trace at
-    /// meta granularity; Alg. 2/3 use it).
-    pub hops: Vec<Vec<RemoteRef<D>>>,
+    /// meta granularity, which kNN step 3 walks). A chain is as deep as the
+    /// layers below L0, so it lives in place.
+    pub hops: Vec<InlineVec<RemoteRef<D>, 2>>,
 }
 
 /// Safety valve: a correct meta-tree descent can never need this many
@@ -119,7 +120,7 @@ impl<const D: usize> PimZdTree<D> {
         let n = keys.len();
         let mut ends: Vec<QueryEnd> = vec![QueryEnd::Empty; n];
         let mut anchors: Vec<Option<AnchorInfo<D>>> = vec![None; n];
-        let mut hops: Vec<Vec<RemoteRef<D>>> = vec![Vec::new(); n];
+        let mut hops = vec![InlineVec::new(); n];
 
         if self.l0.is_none() {
             return BatchSearch { keys, ends, anchors, hops };
@@ -129,7 +130,10 @@ impl<const D: usize> PimZdTree<D> {
         self.meter.work(n as u64 * 12);
 
         // ---- L0 traversal on the host ----
-        let mut pending: Vec<(u32, RemoteRef<D>)> = Vec::new();
+        let mut pending: Vec<(u32, RemoteRef<D>)> = self.bufs.take_vec();
+        // The other half of the double buffer `pending` is refilled into.
+        let mut next: Vec<(u32, RemoteRef<D>)> = self.bufs.take_vec();
+        let mut demand = self.bufs.take_demand();
         {
             let _span = pim_obs::span("l0_traverse");
             // Structurally panic-free duplicate of the guard above: an
@@ -175,7 +179,7 @@ impl<const D: usize> PimZdTree<D> {
 
             // Pull phase (Alg. 1 step 2).
             loop {
-                let mut demand: FxHashMap<MetaId, u64> = FxHashMap::default();
+                demand.clear();
                 for (_, r) in &pending {
                     *demand.entry(r.meta).or_insert(0) += 1;
                 }
@@ -184,8 +188,7 @@ impl<const D: usize> PimZdTree<D> {
                     break;
                 }
                 let pulled = self.pull_fragments(&to_pull);
-                let mut next = Vec::with_capacity(pending.len());
-                for (qid, mut r) in pending {
+                for (qid, mut r) in pending.drain(..) {
                     // Chase through pulled fragments host-side until the
                     // query leaves the pulled set.
                     loop {
@@ -223,7 +226,7 @@ impl<const D: usize> PimZdTree<D> {
                         }
                     }
                 }
-                pending = next;
+                std::mem::swap(&mut pending, &mut next);
                 if pending.is_empty() {
                     break;
                 }
@@ -248,7 +251,7 @@ impl<const D: usize> PimZdTree<D> {
             let replies: Vec<Vec<SearchReply<D>>> = self.robust_round(tasks, handle_search);
 
             let _span = pim_obs::span("decode_replies");
-            pending = Vec::new();
+            pending.clear();
             for reply in replies.into_iter().flatten() {
                 let qid = reply.qid as usize;
                 self.touch_query_state(qid, true);
@@ -269,6 +272,9 @@ impl<const D: usize> PimZdTree<D> {
                 }
             }
         }
+        self.bufs.put_vec(pending);
+        self.bufs.put_vec(next);
+        self.bufs.put_demand(demand);
 
         BatchSearch { keys, ends, anchors, hops }
     }

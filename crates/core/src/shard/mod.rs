@@ -28,15 +28,16 @@ pub mod placement;
 pub use placement::{CellId, PlacementTable};
 
 use crate::config::PimZdConfig;
+use crate::frag::{push_candidate, NullSink};
 use crate::host::PimZdTree;
 use crate::stats::OpStats;
-use pim_geom::{coord_bits_for_dim, max_coord_for_dim, Aabb, Metric, Point};
+use pim_geom::{coord_bits_for_dim, isqrt_ceil, max_coord_for_dim, Aabb, Metric, Point};
 use pim_memsim::{CpuConfig, CpuMeter, CpuModel};
 use pim_sim::{FaultPlan, MachineConfig, Metrics};
 use pim_zorder::ZKey;
 use rayon::prelude::*;
 use rustc_hash::FxHashMap;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Host cycles charged per routed item (key encode + trie walk).
 const ROUTE_CYCLES: u64 = 24;
@@ -517,8 +518,10 @@ impl<const D: usize> ShardedZdTree<D> {
         let mut parts: Vec<Vec<Aabb<D>>> = vec![Vec::new(); n];
         let mut pos: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut touches = 0u64;
+        let mut hit = Vec::with_capacity(n);
         for (qi, q) in queries.iter().enumerate() {
-            for r in self.placement.ranks_intersecting(q) {
+            self.placement.ranks_intersecting(q, &mut hit);
+            for &r in &hit {
                 parts[r as usize].push(*q);
                 pos[r as usize].push(qi);
                 touches += 1;
@@ -565,10 +568,14 @@ impl<const D: usize> ShardedZdTree<D> {
         let phase = scatter(&mut self.ranks, parts, |rank, part| rank.batch_box_fetch(part));
         Self::fold_concurrent(&mut acc, &phase);
         let mut out: Vec<Vec<Point<D>>> = vec![Vec::new(); queries.len()];
-        for (r, slot) in phase.iter().enumerate() {
-            if let Some((fetched, _)) = slot {
-                for (j, &qi) in pos[r].iter().enumerate() {
-                    out[qi].extend_from_slice(&fetched[j]);
+        for (slot, pos) in phase.into_iter().zip(&pos) {
+            let Some((fetched, _)) = slot else { continue };
+            for (part, &qi) in fetched.into_iter().zip(pos) {
+                if out[qi].is_empty() {
+                    // The first contributing rank's vector is the result's.
+                    out[qi] = part;
+                } else {
+                    out[qi].extend_from_slice(&part);
                 }
             }
         }
@@ -616,11 +623,10 @@ impl<const D: usize> ShardedZdTree<D> {
         let home = scatter(&mut self.ranks, parts, |rank, part| rank.batch_knn(part, k, metric));
         Self::fold_concurrent(&mut acc, &home);
         let mut out: Vec<Vec<(u64, Point<D>)>> = vec![Vec::new(); queries.len()];
-        for (r, slot) in home.iter().enumerate() {
-            if let Some((res, _)) = slot {
-                for (j, &qi) in pos[r].iter().enumerate() {
-                    out[qi] = res[j].clone();
-                }
+        for (slot, pos) in home.into_iter().zip(&pos) {
+            let Some((res, _)) = slot else { continue };
+            for (v, &qi) in res.into_iter().zip(pos) {
+                out[qi] = v;
             }
         }
         acc.rank_touches += queries.len() as u64;
@@ -632,16 +638,16 @@ impl<const D: usize> ShardedZdTree<D> {
         let mut wpos: Vec<Vec<usize>> = vec![Vec::new(); n];
         if n > 1 {
             self.meter.work(queries.len() as u64 * ROUTE_CYCLES);
+            let mut hit = Vec::with_capacity(n);
             for (qi, q) in queries.iter().enumerate() {
                 let home_rank = self.placement.owner_of_point(q);
                 let bound = if out[qi].len() == k { out[qi][k - 1].0 } else { u64::MAX };
                 let ball = ball_box::<D>(q, bound, metric);
-                for r in self.placement.ranks_intersecting(&ball) {
-                    if r != home_rank {
-                        wparts[r as usize].push(ball);
-                        wpos[r as usize].push(qi);
-                        acc.rank_touches += 1;
-                    }
+                self.placement.ranks_intersecting(&ball, &mut hit);
+                for &r in hit.iter().filter(|&&r| r != home_rank) {
+                    wparts[r as usize].push(ball);
+                    wpos[r as usize].push(qi);
+                    acc.rank_touches += 1;
                 }
             }
         }
@@ -649,28 +655,23 @@ impl<const D: usize> ShardedZdTree<D> {
             let widen = scatter(&mut self.ranks, wparts, |rank, part| rank.batch_box_fetch(part));
             Self::fold_concurrent(&mut acc, &widen);
             let mut fetched_total = 0u64;
-            for (r, slot) in widen.iter().enumerate() {
-                if let Some((fetched, _)) = slot {
-                    for (j, &qi) in wpos[r].iter().enumerate() {
-                        let q = &queries[qi];
-                        fetched_total += fetched[j].len() as u64;
-                        out[qi].extend(fetched[j].iter().map(|p| (metric.cmp_dist(q, p), *p)));
+            // Fine filter + merge are host work, like single-rank step 5:
+            // each fetched point is held against the query's sorted,
+            // distinct home list, which `push_candidate` keeps sorted,
+            // distinct (duplicate stored copies collapse, as `batch_knn`
+            // promises) and at most k long — the single-rank answer bit for
+            // bit, with no list ever growing past k.
+            for (slot, wpos) in widen.iter().zip(&wpos) {
+                let Some((fetched, _)) = slot else { continue };
+                for (part, &qi) in fetched.iter().zip(wpos) {
+                    let q = &queries[qi];
+                    fetched_total += part.len() as u64;
+                    for p in part {
+                        push_candidate(&mut out[qi], k, (metric.cmp_dist(q, p), *p), &mut NullSink);
                     }
                 }
             }
-            // Fine filter + merge are host work, like single-rank step 5 —
-            // and like step 5 it is sort/dedup/truncate: `batch_knn`
-            // returns *distinct* points (duplicate stored copies collapse),
-            // so the merged cross-rank list must dedup to match the
-            // single-rank reference bit for bit.
             self.meter.work(fetched_total * (Metric::L2.pim_cycles(D) / 8 + MERGE_CYCLES));
-            let widened: BTreeSet<usize> = wpos.iter().flatten().copied().collect();
-            for qi in widened {
-                let v = &mut out[qi];
-                v.sort_unstable_by_key(|a| (a.0, a.1.coords));
-                v.dedup();
-                v.truncate(k);
-            }
         }
         self.finish_op(acc, "knn", queries.len() as u64, queries.len() as u64 * k as u64);
         out
@@ -805,9 +806,6 @@ impl<const D: usize> ShardedZdTree<D> {
         if pts.is_empty() {
             return;
         }
-        if std::env::var_os("SHARD_DEBUG_MIGRATE").is_some() {
-            eprintln!("migrate cell l{} {:x} {from}->{to}: {pts:?}", cell.level, cell.bits);
-        }
         let removed = self.ranks[from].batch_delete(pts);
         Self::fold_sequential(acc, from, &self.ranks[from].last_op_stats().clone());
         debug_assert_eq!(removed, pts.len(), "cell fetch and delete must agree");
@@ -845,21 +843,6 @@ fn ball_box<const D: usize>(q: &Point<D>, bound: u64, metric: Metric) -> Aabb<D>
         hi[i] = (c + half).min(m) as u32;
     }
     Aabb::new(Point::new(lo), Point::new(hi))
-}
-
-/// ⌈√v⌉ exactly (widened through `u128` so the check never overflows).
-fn isqrt_ceil(v: u64) -> u64 {
-    if v == 0 {
-        return 0;
-    }
-    let mut r = (v as f64).sqrt() as u64;
-    while (r as u128) * (r as u128) < v as u128 {
-        r += 1;
-    }
-    while r > 0 && ((r - 1) as u128) * ((r - 1) as u128) >= v as u128 {
-        r -= 1;
-    }
-    r
 }
 
 #[cfg(test)]
@@ -988,16 +971,5 @@ mod tests {
         assert!(b.contains(&Point::new([95, 100, 100])));
         assert!(b.contains(&Point::new([105, 104, 97])));
         assert_eq!(ball_box::<3>(&q, u64::MAX, Metric::L2), Aabb::universe());
-    }
-
-    #[test]
-    fn isqrt_ceil_is_exact() {
-        for v in [0u64, 1, 2, 3, 4, 5, 24, 25, 26, 1 << 40, (1 << 40) + 1] {
-            let r = isqrt_ceil(v);
-            assert!((r as u128) * (r as u128) >= v as u128);
-            if r > 0 {
-                assert!(((r - 1) as u128) * ((r - 1) as u128) < v as u128);
-            }
-        }
     }
 }

@@ -174,13 +174,50 @@ impl<const D: usize> PlacementTable<D> {
         out
     }
 
-    /// The distinct ranks whose leaves intersect `query`, ascending.
-    pub fn ranks_intersecting(&self, query: &Aabb<D>) -> Vec<u32> {
-        let mut ranks: Vec<u32> =
-            self.leaves_intersecting(query).into_iter().map(|(_, o)| o).collect();
+    /// Replaces `ranks` with the distinct ranks whose leaves intersect
+    /// `query`, ascending. The trie walk writes owners straight into the
+    /// caller's set and stops once every member is in it; cell boxes are
+    /// halved on the way down, never decoded.
+    pub fn ranks_intersecting(&self, query: &Aabb<D>, ranks: &mut Vec<u32>) {
+        ranks.clear();
+        self.collect_ranks(0, [0; D], 0, query, ranks);
         ranks.sort_unstable();
-        ranks.dedup();
-        ranks
+    }
+
+    /// `lo` is the low corner of the level-`level` cell at node `idx`.
+    fn collect_ranks(
+        &self,
+        idx: usize,
+        lo: [u32; D],
+        level: u32,
+        query: &Aabb<D>,
+        ranks: &mut Vec<u32>,
+    ) {
+        let side = 1u32 << (ZKey::<D>::COORD_BITS - level);
+        let hit =
+            (0..D).all(|j| lo[j] <= query.hi.coords[j] && query.lo.coords[j] <= lo[j] + (side - 1));
+        if !hit || ranks.len() == self.members.len() {
+            return;
+        }
+        match self.nodes[idx] {
+            Node::Leaf { owner } => {
+                if !ranks.contains(&owner) {
+                    ranks.push(owner);
+                }
+            }
+            Node::Split { children } => {
+                // Child `i` (Morton order) takes the upper half of axis `j`
+                // when bit `D - 1 - j` of `i` is set: dimension 0 owns the
+                // most significant bit of each `D`-bit group.
+                for i in 0..(1usize << D) {
+                    let mut child_lo = lo;
+                    for (j, c) in child_lo.iter_mut().enumerate() {
+                        *c += (side / 2) * ((i >> (D - 1 - j)) & 1) as u32;
+                    }
+                    self.collect_ranks(children as usize + i, child_lo, level + 1, query, ranks);
+                }
+            }
+        }
     }
 
     /// Every leaf cell owned by `rank`, in Morton order.
@@ -343,8 +380,39 @@ mod tests {
     }
 
     #[test]
+    fn rank_walk_agrees_with_the_leaf_listing() {
+        // An uneven trie: one cell split two levels further, one leaf moved.
+        let mut t = PlacementTable::<3>::new(23, 5, 2);
+        let cell = t.cell_of_key(ZKey::<3>::encode(&Point::new([9u32, 1 << 20, 77])).0);
+        let (kid, _) = t.split(cell)[5];
+        t.split(kid);
+        let moved = t.cell_of_key(0);
+        t.set_owner(moved, 4);
+        let m = (1u32 << 21) - 1;
+        let mut ranks = Vec::new();
+        for i in 0..400u32 {
+            let h = |x: u32| x.wrapping_mul(2654435761) >> 11;
+            let lo = [h(i), h(i + 1000), h(i + 2000)];
+            // Sides from one grid unit to most of the grid.
+            let side = 1u32 << (i % 21);
+            let hi = lo.map(|c| c.saturating_add(side).min(m));
+            let q = Aabb::new(Point::new(lo), Point::new(hi));
+            let mut want: Vec<u32> =
+                t.leaves_intersecting(&q).into_iter().map(|(_, o)| o).collect();
+            want.sort_unstable();
+            want.dedup();
+            t.ranks_intersecting(&q, &mut ranks);
+            assert_eq!(ranks, want, "box {q:?}");
+        }
+        t.ranks_intersecting(&Aabb::universe(), &mut ranks);
+        assert_eq!(ranks, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
     fn single_rank_owns_everything() {
         let t = PlacementTable::<3>::new(1, 1, 2);
-        assert_eq!(t.ranks_intersecting(&Aabb::universe()), vec![0]);
+        let mut ranks = vec![9];
+        t.ranks_intersecting(&Aabb::universe(), &mut ranks);
+        assert_eq!(ranks, vec![0]);
     }
 }

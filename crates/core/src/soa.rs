@@ -281,6 +281,13 @@ impl<const D: usize> CoordBlock<D> {
         }
     }
 
+    /// Makes room for `n` more candidates in every lane.
+    pub fn reserve(&mut self, n: usize) {
+        for lane in &mut self.lanes {
+            lane.reserve(n);
+        }
+    }
+
     /// Candidate `i`, re-materialized from the lanes.
     #[inline]
     pub fn point(&self, i: usize) -> Point<D> {

@@ -23,7 +23,7 @@ pub mod quantize;
 
 pub use aabb::Aabb;
 pub use diagnostics::{bounded_ratio, estimate_expansion_constant};
-pub use metric::Metric;
+pub use metric::{isqrt_ceil, Metric};
 pub use point::Point;
 pub use quantize::Quantizer;
 

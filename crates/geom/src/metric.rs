@@ -71,9 +71,70 @@ impl Metric {
     }
 }
 
+/// `⌈√v⌉` exactly: the smallest `r` with `r² ≥ v`. The `f64` square root
+/// seeds the answer and two integer loops correct it — above 2^53 the
+/// conversion to `f64` rounds `v` itself, so `(v as f64).sqrt().ceil()` alone
+/// can come out one too small.
+#[inline]
+pub fn isqrt_ceil(v: u64) -> u64 {
+    let sq = |r: u64| u128::from(r) * u128::from(r);
+    let mut r = (v as f64).sqrt() as u64;
+    while sq(r) < u128::from(v) {
+        r += 1;
+    }
+    while r > 0 && sq(r - 1) >= u128::from(v) {
+        r -= 1;
+    }
+    r
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn isqrt_ceil_is_exact_where_f64_is_not() {
+        let exact = |v: u64| {
+            let r = isqrt_ceil(v);
+            assert!(
+                u128::from(r) * u128::from(r) >= u128::from(v),
+                "isqrt_ceil({v}) = {r} too small"
+            );
+            assert!(
+                r == 0 || u128::from(r - 1) * u128::from(r - 1) < u128::from(v),
+                "isqrt_ceil({v}) = {r} too large"
+            );
+            r
+        };
+        assert_eq!(exact(0), 0);
+        assert_eq!(exact(1), 1);
+        assert_eq!(exact(2), 2);
+        assert_eq!(exact(u64::MAX), 1 << 32);
+        // Perfect squares and their neighbours, small and up to (2^32 - 1)².
+        for r in [
+            2u64,
+            3,
+            5,
+            1 << 10,
+            (1 << 21) - 1,
+            1 << 26,
+            (1 << 26) + 1,
+            94_906_266,
+            3_037_000_500,
+            (1 << 32) - 1,
+        ] {
+            assert_eq!(exact(r * r), r);
+            assert_eq!(exact(r * r - 1), r);
+            assert_eq!(exact(r * r + 1), r + 1);
+        }
+        // Above 2^53 the float-only form is off by one: `r² + 1` rounds to
+        // the perfect square `r²` as an `f64`, whose root is not rounded up.
+        let float_only = |v: u64| (v as f64).sqrt().ceil() as u64;
+        for r in [(1u64 << 27) + 1, (1 << 30) + 1, (1 << 32) - 1] {
+            assert_eq!(exact(r * r + 1), r + 1);
+            assert_eq!(float_only(r * r + 1), r, "the inexact form this replaces");
+        }
+    }
 
     #[test]
     fn cmp_dist_dispatches() {

@@ -5,7 +5,7 @@
 //! obviously-correct specification the fast path is tested against.
 
 use crate::ZKey;
-use pim_geom::Point;
+use pim_geom::{Aabb, Point};
 
 /// Encodes a point by interleaving bits one at a time, most significant
 /// first, dimension 0 first.
@@ -34,6 +34,15 @@ pub fn decode<const D: usize>(key: ZKey<D>) -> Point<D> {
         coords[j] |= bit << t;
     }
     Point::new(coords)
+}
+
+/// The box of a key prefix by decoding both endpoints of its key range:
+/// filling the free low key bits with 0s/1s fills the free low bits of every
+/// coordinate with 0s/1s, so the decoded endpoints are the box corners. The
+/// oracle for the single-decode [`crate::prefix::prefix_box`].
+pub fn prefix_box<const D: usize>(key: ZKey<D>, len: u32) -> Aabb<D> {
+    let (lo, hi) = key.prefix_range(len);
+    Aabb::new(ZKey::<D>(lo).decode(), ZKey::<D>(hi).decode())
 }
 
 /// Number of word operations the naive encoder performs — used by the cost

@@ -11,15 +11,22 @@ use pim_geom::{Aabb, Point};
 
 /// The exact bounding box of all points whose key starts with the first
 /// `len` bits of `key`.
+///
+/// One decode: the low corner is the truncated key's point. Key bit `i`
+/// (0 = most significant) is bit `COORD_BITS - 1 - i / D` of coordinate
+/// `i % D`, so the free key bits `len..BITS` are exactly the low
+/// `(BITS - len + j) / D` bits of coordinate `j` — the count of
+/// `i ≡ j (mod D)` in that range — and the high corner sets them all.
+/// [`crate::naive::prefix_box`] decodes both range endpoints instead and is
+/// the oracle this form is tested against.
 #[inline]
 pub fn prefix_box<const D: usize>(key: ZKey<D>, len: u32) -> Aabb<D> {
-    let (lo, hi) = key.prefix_range(len);
-    // Filling the free low key bits with 0s/1s fills the free low bits of
-    // every coordinate with 0s/1s, so decoding the range endpoints yields the
-    // component-wise box corners.
-    let lo_p: Point<D> = ZKey::<D>(lo).decode();
-    let hi_p: Point<D> = ZKey::<D>(hi).decode();
-    Aabb::new(lo_p, hi_p)
+    let lo: Point<D> = key.truncate(len).decode();
+    let mut hi = lo;
+    for (j, c) in hi.coords.iter_mut().enumerate() {
+        *c |= (1u32 << ((ZKey::<D>::BITS - len + j as u32) / D as u32)) - 1;
+    }
+    Aabb::new(lo, hi)
 }
 
 /// A prefix (a node's identity in the radix tree): canonical key bits plus

@@ -4,8 +4,18 @@
 //! must invert encoding everywhere.
 
 use pim_geom::Point;
-use pim_zorder::ZKey;
+use pim_zorder::prefix::prefix_box;
+use pim_zorder::{naive, ZKey};
 use proptest::prelude::*;
+
+/// Single-decode `prefix_box` against the two-decode oracle, for the
+/// `BITS`-bit key cut out of `raw`, at every prefix length.
+fn check_prefix_boxes<const D: usize>(raw: u64) {
+    let key = ZKey::<D>(raw & ((1u64 << ZKey::<D>::BITS) - 1));
+    for len in 0..=ZKey::<D>::BITS {
+        assert_eq!(prefix_box(key, len), naive::prefix_box(key, len), "D={D} {key:?} len={len}");
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -74,5 +84,16 @@ proptest! {
         let fast = ZKey::<3>::encode(&p).cmp(&ZKey::<3>::encode(&q));
         let naive = ZKey::<3>::encode_naive(&p).cmp(&ZKey::<3>::encode_naive(&q));
         prop_assert_eq!(fast, naive);
+    }
+
+    /// The query kernels' node boxes: one decode plus the free-bit masks
+    /// must equal decoding both ends of the key range, on every dimension
+    /// class and at every prefix length (0 = universe, `BITS` = one point).
+    #[test]
+    fn prefix_box_matches_two_decode_oracle(raw in 0..=u64::MAX) {
+        check_prefix_boxes::<2>(raw);
+        check_prefix_boxes::<3>(raw);
+        check_prefix_boxes::<4>(raw);
+        check_prefix_boxes::<6>(raw);
     }
 }
