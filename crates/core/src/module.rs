@@ -634,6 +634,55 @@ pub fn handle_delete<const D: usize>(
     replies
 }
 
+/// The masters one handler call has already covered for the query of the
+/// task at hand.
+///
+/// A query can have two tasks on one module in one round whose traversals
+/// meet: a cached copy of fragment `a` surfaces both `a`'s master (for its
+/// payload) and `a`'s remote child `b`, and when the masters of `a` and `b`
+/// share a module the task for `a` chases into `b` while the task for `b`
+/// starts there — `b`'s points would be reported twice. The host lists a
+/// module's tasks query by query, so the tasks of one query form a run and
+/// remembering what the run covered is enough. Only the robust layer's
+/// re-homing after a module death can merge rows out of query order; such a
+/// call chases nothing, so each master is entered only by the task that
+/// names it, which the host sends once.
+struct SameQuery {
+    sorted: bool,
+    qid: u32,
+    done: Vec<MetaId>,
+}
+
+impl SameQuery {
+    fn new(qids: impl Iterator<Item = u32> + Clone) -> Self {
+        let sorted = qids.clone().zip(qids.skip(1)).all(|(a, b)| a <= b);
+        SameQuery { sorted, qid: u32::MAX, done: Vec::new() }
+    }
+
+    /// Begins the task of query `qid`.
+    fn start(&mut self, qid: u32) {
+        if qid != self.qid {
+            self.qid = qid;
+            self.done.clear();
+        }
+    }
+
+    /// Whether an earlier task of this query already covered master `meta`.
+    fn covered(&self, meta: MetaId) -> bool {
+        self.done.contains(&meta)
+    }
+
+    /// Whether tasks of this call may follow refs into co-located fragments.
+    fn may_chase(&self) -> bool {
+        self.sorted
+    }
+
+    /// Records the masters the finished task covered.
+    fn cover(&mut self, masters: &[MetaId]) {
+        self.done.extend_from_slice(masters);
+    }
+}
+
 /// kNN exploration: branch-and-bound through every locally-present
 /// fragment, surfacing only truly-remote frontier.
 ///
@@ -652,10 +701,12 @@ pub fn handle_knn<const D: usize>(
     let mut work: Vec<(MetaId, u32, u64)> = Vec::new();
     let mut visited: Vec<MetaId> = Vec::new();
     let mut local_frontier: Vec<(RemoteRef<D>, u64)> = Vec::new();
+    let mut run = SameQuery::new(tasks.iter().map(|t| t.qid));
     for t in tasks {
         cands.clear();
         frontier.clear();
         visited.clear();
+        run.start(t.qid);
         let bound = |cands: &[(u64, Point<D>)]| {
             if t.ball {
                 t.bound
@@ -665,7 +716,7 @@ pub fn handle_knn<const D: usize>(
         };
         work.push((t.meta, t.node, 0));
         while let Some((meta, node, lb)) = work.pop() {
-            if lb > bound(&cands) || visited.contains(&meta) {
+            if lb > bound(&cands) || visited.contains(&meta) || run.covered(meta) {
                 continue;
             }
             visited.push(meta);
@@ -699,7 +750,11 @@ pub fn handle_knn<const D: usize>(
                 // Chase locally-present fragments, except a cached
                 // fragment's stub refs (r.meta == meta), whose payloads live
                 // only at the master.
-                if r.meta != meta && !visited.contains(&r.meta) && state.lookup(r.meta).is_some() {
+                if run.may_chase()
+                    && r.meta != meta
+                    && !visited.contains(&r.meta)
+                    && state.lookup(r.meta).is_some()
+                {
                     work.push((r.meta, u32::MAX, d));
                 } else {
                     frontier.push((r, d));
@@ -712,6 +767,7 @@ pub fn handle_knn<const D: usize>(
         frontier.sort_unstable_by_key(|(r, d)| (*d, r.meta));
         frontier.dedup_by_key(|(r, _)| r.meta);
         visited.retain(|m| state.masters.contains_key(m));
+        run.cover(&visited);
         replies.push(KnnReply {
             qid: t.qid,
             cands: cands.clone(),
@@ -735,14 +791,16 @@ pub fn handle_box<const D: usize>(
     let mut work: Vec<(MetaId, u32)> = Vec::new();
     let mut visited: Vec<MetaId> = Vec::new();
     let mut local_frontier: Vec<RemoteRef<D>> = Vec::new();
+    let mut run = SameQuery::new(tasks.iter().map(|t| t.qid));
     for t in tasks {
         let mut count = 0u64;
         points.clear();
         frontier.clear();
         visited.clear();
+        run.start(t.qid);
         work.push((t.meta, t.node));
         while let Some((meta, node)) = work.pop() {
-            if visited.contains(&meta) {
+            if visited.contains(&meta) || run.covered(meta) {
                 continue;
             }
             visited.push(meta);
@@ -760,7 +818,11 @@ pub fn handle_box<const D: usize>(
             // stub refs (r.meta == meta), whose payloads live only at the
             // master.
             for &r in &local_frontier {
-                if r.meta != meta && !visited.contains(&r.meta) && state.lookup(r.meta).is_some() {
+                if run.may_chase()
+                    && r.meta != meta
+                    && !visited.contains(&r.meta)
+                    && state.lookup(r.meta).is_some()
+                {
                     work.push((r.meta, u32::MAX));
                 } else {
                     frontier.push(r);
@@ -770,6 +832,7 @@ pub fn handle_box<const D: usize>(
         frontier.sort_unstable_by_key(|r| r.meta);
         frontier.dedup_by_key(|r| r.meta);
         visited.retain(|m| state.masters.contains_key(m));
+        run.cover(&visited);
         replies.push(BoxReply {
             qid: t.qid,
             count,
@@ -992,10 +1055,9 @@ mod tests {
         assert!(!st.masters.contains_key(&3));
     }
 
-    #[test]
-    fn knn_handler_explores_colocated_fragments() {
-        // Fragment 1 references fragment 2; both on this module → single
-        // round resolves everything.
+    /// Fragment 1 references fragment 2, two points each, both masters on
+    /// this module.
+    fn colocated_pair() -> ModuleState<3> {
         let mut st = ModuleState::<3>::default();
         let f2 =
             frag_of(2, 0, &[[1_000_000, 1_000_000, 1_000_000], [1_000_010, 1_000_010, 1_000_010]]);
@@ -1026,6 +1088,13 @@ mod tests {
         };
         st.masters.insert(1, Arc::new(f1));
         st.masters.insert(2, Arc::new(f2));
+        st
+    }
+
+    #[test]
+    fn knn_handler_explores_colocated_fragments() {
+        // A single round resolves everything.
+        let mut st = colocated_pair();
         let mut ctx = PimCtx::new();
         let r = handle_knn(
             &mut st,
@@ -1043,6 +1112,31 @@ mod tests {
         );
         assert_eq!(r[0].cands[0].1, Point::new([1_000_000, 1_000_000, 1_000_000]));
         assert!(r[0].frontier.is_empty());
+    }
+
+    /// A cached copy of fragment 1 elsewhere surfaces both 1 and its child
+    /// 2, so the host can send one query a task for each in the same round.
+    #[test]
+    fn a_query_with_tasks_for_parent_and_child_gets_each_point_once() {
+        let task = |qid, meta| BoxTask {
+            qid,
+            meta,
+            node: u32::MAX,
+            query: Aabb::universe(),
+            fetch: false,
+        };
+        let counts = |tasks: Vec<BoxTask<3>>| -> Vec<u64> {
+            let replies = handle_box(&mut colocated_pair(), &mut PimCtx::new(), tasks);
+            replies.iter().map(|r| r.count).collect()
+        };
+        // Whichever task runs first reports fragment 2.
+        assert_eq!(counts(vec![task(0, 1), task(0, 2)]), [4, 0]);
+        assert_eq!(counts(vec![task(0, 2), task(0, 1)]), [2, 2]);
+        // Other queries' tasks shield nothing.
+        assert_eq!(counts(vec![task(0, 1), task(1, 2), task(2, 1)]), [4, 2, 4]);
+        // Rows merged out of query order chase nothing: each master is
+        // reported by the task that names it.
+        assert_eq!(counts(vec![task(1, 1), task(0, 2), task(1, 2)]), [2, 2, 2]);
     }
 
     #[test]
