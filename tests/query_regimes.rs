@@ -1,0 +1,257 @@
+//! kNN and box queries under every pull regime.
+//!
+//! The push-pull traversal decides per round whether a fragment is *pulled*
+//! to the host or its tasks are *pushed* to the modules (PAPER.md §3.3). The
+//! presets leave that to `k_pull_l1` / `k_pull_l2` / `imbalance_factor`, and
+//! on small inputs they rarely pull, so the pull half of the traversal would
+//! otherwise run only by accident. Every cell here is one of
+//!
+//! * {push-only, pull-always, preset} × {`throughput_optimized`,
+//!   `skew_resistant`} × {no faults, a 5 % fault plan and a scripted kill},
+//!   at 1 and 4 threads,
+//!
+//! and runs the same schedule on a tree with an insert and a delete batch
+//! behind it: kNN under ℓ1/ℓ2/ℓ∞ with `k` ∈ {0, 1, 7, > n}, BoxCount and
+//! BoxFetch over generated, universe and zero-volume boxes, and one hot
+//! batch of each family that makes `skew_resistant` pull. (An empty tree
+//! seeds no traversal, whatever the regime: `tests/empty_tree.rs` has it.)
+//!
+//! * **Conformance** — every answer equals a brute-force scan, hence the
+//!   regimes, presets, fault plans and thread counts all agree.
+//! * **Golden** — an FNV-1a digest per cell over the `OpStats` and raw
+//!   result of every op (BoxFetch in the order returned) and the journal
+//!   JSONL. A digest may only move together with a CHANGES.md entry saying
+//!   which artifact moved and why; a refactor of the traversal moves none.
+
+use pim_zd_tree_repro::sim::trace::JournalSink;
+use pim_zd_tree_repro::{
+    workloads, Aabb, FaultConfig, FaultPlan, MachineConfig, Metric, PimZdConfig, PimZdTree, Point,
+};
+use std::fmt::Write;
+
+const N: usize = 3_000;
+const MODULES: usize = 16;
+const SEED: u64 = 1616;
+/// Copies of one query in a hot batch: its fragments' demand is what makes
+/// the skew-resistant preset pull.
+const HOT: usize = 300;
+
+#[derive(Clone, Copy, Debug)]
+enum Regime {
+    PushOnly,
+    PullAlways,
+    Preset,
+}
+
+fn config(skew: bool, regime: Regime) -> PimZdConfig {
+    let mut cfg = if skew {
+        PimZdConfig::skew_resistant(MODULES)
+    } else {
+        PimZdConfig::throughput_optimized(N as u64, MODULES)
+    };
+    match regime {
+        // No load is ever imbalanced enough.
+        Regime::PushOnly => cfg.imbalance_factor = f64::INFINITY,
+        // Every load is, and every demanded meta is hot enough.
+        Regime::PullAlways => {
+            cfg.imbalance_factor = 0.0;
+            cfg.k_pull_l1 = 0;
+            cfg.k_pull_l2 = 0;
+        }
+        Regime::Preset => {}
+    }
+    cfg
+}
+
+type Neighbors = Vec<(u64, Point<3>)>;
+
+fn brute_knn(data: &[Point<3>], q: &Point<3>, k: usize, metric: Metric) -> Neighbors {
+    let mut all: Neighbors = data.iter().map(|p| (metric.cmp_dist(q, p), *p)).collect();
+    all.sort_unstable_by_key(|(d, p)| (*d, p.coords));
+    all.dedup();
+    all.truncate(k);
+    all
+}
+
+fn sorted(mut v: Vec<Point<3>>) -> Vec<Point<3>> {
+    v.sort_unstable_by_key(|p| p.coords);
+    v
+}
+
+/// The fixed inputs and their brute-force answers, shared by every cell.
+struct Schedule {
+    built: Vec<Point<3>>,
+    inserted: Vec<Point<3>>,
+    deleted: usize,
+    /// `(queries, k, metric, answers)`.
+    knn: Vec<(Vec<Point<3>>, usize, Metric, Vec<Neighbors>)>,
+    /// `(boxes, sorted contents)`.
+    boxes: Vec<(Vec<Aabb<3>>, Vec<Vec<Point<3>>>)>,
+}
+
+impl Schedule {
+    fn new() -> Self {
+        let built = workloads::osm_like::<3>(N, SEED);
+        let inserted = workloads::uniform::<3>(300, SEED + 1);
+        let deleted = 200;
+        let stored: Vec<Point<3>> = built[deleted..].iter().chain(&inserted).copied().collect();
+
+        let queries = workloads::knn_queries(&stored, 24, SEED + 2);
+        let mut knn = Vec::new();
+        for metric in [Metric::L1, Metric::L2, Metric::Linf] {
+            // Each `k > n` answer is the whole dataset: one query will do.
+            for (k, nq) in [(0, 24), (1, 24), (7, 24), (N + 500, 1)] {
+                knn.push((queries[..nq].to_vec(), k, metric));
+            }
+        }
+        knn.push((vec![queries[0]; HOT], 7, Metric::L2));
+        let knn = knn
+            .into_iter()
+            .map(|(qs, k, metric)| {
+                let want = qs.iter().map(|q| brute_knn(&stored, q, k, metric)).collect();
+                (qs, k, metric, want)
+            })
+            .collect();
+
+        let side = workloads::box_side_for_expected::<3>(N, 4.0);
+        let mut generated = workloads::box_queries(&stored, 30, side, SEED + 3);
+        let absent = Point::new([3, 1, 4]);
+        assert!(!stored.contains(&absent));
+        generated.extend([
+            Aabb::universe(),
+            Aabb::new(stored[5], stored[5]),
+            Aabb::new(absent, absent),
+        ]);
+        let boxes = [vec![generated[0]; HOT], generated]
+            .into_iter()
+            .map(|bs| {
+                let inside =
+                    |b: &Aabb<3>| stored.iter().filter(|p| b.contains(p)).copied().collect();
+                let want = bs.iter().map(|b| sorted(inside(b))).collect();
+                (bs, want)
+            })
+            .collect();
+        Schedule { built, inserted, deleted, knn, boxes }
+    }
+}
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Runs the schedule on a fresh tree, holding every answer to `s`. Returns
+/// the cell's digest and the channel bytes its queries moved (which tell the
+/// regimes apart).
+fn run_cell(s: &Schedule, skew: bool, regime: Regime, faulty: bool) -> (u64, u64) {
+    let tag = format!("skew={skew} {regime:?} faulty={faulty}");
+    let machine = MachineConfig::with_modules(MODULES);
+    let mut t = PimZdTree::build(&s.built, config(skew, regime), machine);
+    t.batch_insert(&s.inserted);
+    assert_eq!(t.batch_delete(&s.built[..s.deleted]), s.deleted, "{tag}");
+
+    let (sink, journal) = JournalSink::new();
+    t.set_trace_sink(Box::new(sink));
+    if faulty {
+        t.set_fault_plan(Some(FaultPlan::new(FaultConfig::uniform(0.05, SEED))));
+    }
+    let (mut out, mut channel_bytes) = (String::new(), 0);
+    let mut record = |t: &PimZdTree<3>, result: &dyn std::fmt::Debug| {
+        // `{:?}` of an f64 round-trips, so equal text means equal bits.
+        writeln!(out, "{:?} {result:?}", t.last_op_stats()).unwrap();
+        channel_bytes += t.last_op_stats().channel_bytes;
+    };
+
+    for (queries, k, metric, want) in &s.knn {
+        let got = t.batch_knn(queries, *k, *metric);
+        assert_eq!(&got, want, "{tag}: {metric:?} k={k}");
+        record(&t, &got);
+    }
+    if faulty {
+        // On top of whatever the plan kills: the box queries run across a
+        // recovery for certain.
+        t.kill_module(5);
+    }
+    for (boxes, want) in &s.boxes {
+        let counts = t.batch_box_count(boxes);
+        let lens: Vec<u64> = want.iter().map(|w| w.len() as u64).collect();
+        assert_eq!(counts, lens, "{tag}: box counts");
+        record(&t, &counts);
+
+        let fetched = t.batch_box_fetch(boxes);
+        record(&t, &fetched);
+        for (i, (got, want)) in fetched.into_iter().zip(want).enumerate() {
+            assert_eq!(&sorted(got), want, "{tag}: contents of box #{i}");
+        }
+    }
+    if faulty {
+        assert!(t.fault_log().retries > 0, "{tag}: the plan must be biting");
+        assert!(t.n_live_modules() < MODULES, "{tag}: the kill must have been detected");
+    }
+    out.push_str(&journal.to_jsonl());
+    (fnv1a(&out), channel_bytes)
+}
+
+/// Recorded at the commit before kNN and box queries were moved onto one
+/// traversal engine; see the module docs for when a digest may change.
+const GOLDEN: [(&str, u64); 12] = [
+    ("throughput/PushOnly/clean", 0x514da6a1b6d5b53a),
+    ("throughput/PushOnly/faulty", 0xcc2fa4683ddf914b),
+    ("throughput/PullAlways/clean", 0xe23b9c55d099f82d),
+    ("throughput/PullAlways/faulty", 0xb09ccd623a131415),
+    ("throughput/Preset/clean", 0x514da6a1b6d5b53a),
+    ("throughput/Preset/faulty", 0xcc2fa4683ddf914b),
+    ("skew/PushOnly/clean", 0xf1dacc8397d947c4),
+    ("skew/PushOnly/faulty", 0x791e73068ea52e9a),
+    ("skew/PullAlways/clean", 0x31d4c8d9c965480e),
+    ("skew/PullAlways/faulty", 0xc5f28a0048161081),
+    ("skew/Preset/clean", 0x560dc318e826d23c),
+    ("skew/Preset/faulty", 0xfad7b4addc241f24),
+];
+
+#[test]
+fn every_regime_answers_exactly_and_moves_no_byte() {
+    let s = Schedule::new();
+    let mut computed = Vec::new();
+    for (skew, preset) in [(false, "throughput"), (true, "skew")] {
+        let mut bytes = Vec::new();
+        for regime in [Regime::PushOnly, Regime::PullAlways, Regime::Preset] {
+            for (faulty, plan) in [(false, "clean"), (true, "faulty")] {
+                let name = format!("{preset}/{regime:?}/{plan}");
+                let [one, four] = [1, 4].map(|threads| {
+                    rayon::ThreadPool::new(threads).install(|| run_cell(&s, skew, regime, faulty))
+                });
+                assert_eq!(one, four, "{name}: 1 vs 4 threads");
+                if !faulty {
+                    bytes.push(one.1);
+                }
+                computed.push((name, one.0));
+            }
+        }
+        // The regimes are different executions of the same answers —
+        // except that `throughput_optimized` disables pulls by construction.
+        let [push, pull, preset] = bytes[..] else { unreachable!() };
+        assert_ne!(push, pull, "skew={skew}: pull-always never pulled");
+        assert_ne!(pull, preset, "skew={skew}: the preset must also push");
+        assert_eq!(push != preset, skew, "skew={skew}: the hot batches make the preset pull");
+    }
+    let table: String =
+        computed.iter().map(|(name, d)| format!("    (\"{name}\", {d:#018x}),\n")).collect();
+    for ((name, got), (want_name, want)) in computed.iter().zip(GOLDEN) {
+        assert_eq!(name, want_name);
+        assert_eq!(*got, want, "{name} moved; computed digests:\n{table}");
+    }
+}
+
+/// §6's two-stage execution off: the modules evaluate ℓ2 themselves.
+#[test]
+fn knn_without_the_coarse_stage_is_still_exact() {
+    let s = Schedule::new();
+    let mut cfg = config(false, Regime::Preset);
+    cfg.toggles.coarse_fine_knn = false;
+    let mut t = PimZdTree::build(&s.built, cfg, MachineConfig::with_modules(MODULES));
+    t.batch_insert(&s.inserted);
+    t.batch_delete(&s.built[..s.deleted]);
+    let (queries, k, metric, want) = &s.knn[6];
+    assert_eq!((*k, *metric), (7, Metric::L2));
+    assert_eq!(&t.batch_knn(queries, *k, *metric), want);
+}
