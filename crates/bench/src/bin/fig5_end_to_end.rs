@@ -64,7 +64,6 @@ fn run_dataset(ds: Dataset, args: &BenchArgs, perf: &mut PerfSink) {
         let m_zd = run_cell_cpu(&mut zd, op, &q);
         for m in [&m_pim, &m_pkd, &m_zd] {
             report::row(m);
-            report::json_line(m);
             perf.push(ds.name(), m);
         }
         speedup_pkd.push(m_pim.throughput / m_pkd.throughput);

@@ -27,19 +27,6 @@ use pim_zd_tree::{OpStats, PimZdConfig, ShardConfig, ShardedZdTree};
 const K: usize = 10;
 const BATCHES: usize = 4;
 
-fn add(dst: &mut OpStats, s: &OpStats) {
-    dst.breakdown.cpu_s += s.breakdown.cpu_s;
-    dst.breakdown.pim_s += s.breakdown.pim_s;
-    dst.breakdown.comm_s += s.breakdown.comm_s;
-    dst.rounds += s.rounds;
-    dst.channel_bytes += s.channel_bytes;
-    dst.cpu_dram_bytes += s.cpu_dram_bytes;
-    dst.batch_ops += s.batch_ops;
-    dst.elements += s.elements;
-    dst.cpu_cycles += s.cpu_cycles;
-    dst.pim_cycles += s.pim_cycles;
-}
-
 struct Cell {
     stats: OpStats,
     imbalance: f64,
@@ -80,26 +67,7 @@ fn run_cell(
         };
         let _ = tree.batch_knn(&queries, K, Metric::L2);
         let st = tree.last_shard_stats();
-        if i == 0 && std::env::var_os("FIG_SHARD_DEBUG").is_some() {
-            eprintln!(
-                "[debug ranks={ranks} {workload}] agg cpu={:.4} pim={:.4} comm={:.4} rounds={}",
-                st.agg.breakdown.cpu_s,
-                st.agg.breakdown.pim_s,
-                st.agg.breakdown.comm_s,
-                st.agg.rounds
-            );
-            for (r, s) in st.per_rank.iter().enumerate() {
-                eprintln!(
-                    "  rank{r}: cpu={:.4} pim={:.4} comm={:.4} rounds={} pim_cycles={}",
-                    s.breakdown.cpu_s,
-                    s.breakdown.pim_s,
-                    s.breakdown.comm_s,
-                    s.rounds,
-                    s.pim_cycles
-                );
-            }
-        }
-        add(&mut agg, &st.agg);
+        agg.add(&st.agg);
         touches += st.rank_touches;
         rebalances += st.rebalance_actions;
     }

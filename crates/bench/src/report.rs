@@ -38,13 +38,6 @@ pub fn geomean(ratios: &[f64]) -> f64 {
     (log_sum / ratios.len() as f64).exp()
 }
 
-/// Emits a machine-readable JSON line for downstream plotting.
-pub fn json_line(m: &Measurement) {
-    if std::env::var("BENCH_JSON").is_ok() {
-        println!("{}", serde_json::to_string(m).expect("measurement serializes"));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

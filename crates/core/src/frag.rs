@@ -13,7 +13,7 @@
 //! a module and as host cycles + cache touches when a pulled fragment is
 //! searched on the CPU (push-pull, §3.3).
 
-use crate::soa::{CandSink, PointSet};
+use crate::soa::PointSet;
 use pim_geom::{Aabb, Metric, Point};
 use pim_sim::{PimCtx, Wire};
 use pim_zorder::prefix::Prefix;
@@ -819,6 +819,17 @@ impl<const D: usize> Fragment<D> {
     // kNN and box traversal
     // ------------------------------------------------------------------
 
+    /// What a cached copy surfaces for a stubbed leaf: the payload lives at
+    /// this fragment's master.
+    fn stub_ref(&self, stub: &BNode<D>) -> RemoteRef<D> {
+        RemoteRef {
+            meta: self.meta,
+            module: self.master_module,
+            prefix: stub.prefix,
+            sc: stub.count,
+        }
+    }
+
     /// Branch-and-bound within the fragment from `start`. Improves the
     /// candidate list `cands` (kept as the k best `(dist, point)` pairs,
     /// sorted) and appends remote children that might still matter to
@@ -841,15 +852,7 @@ impl<const D: usize> Fragment<D> {
             BKind::LeafStub => {
                 // Candidate data lives at the master: surface it as frontier.
                 let d = node.prefix.to_box().min_dist(q, metric);
-                frontier.push((
-                    RemoteRef {
-                        meta: self.meta,
-                        module: self.master_module,
-                        prefix: node.prefix,
-                        sc: node.count,
-                    },
-                    d,
-                ));
+                frontier.push((self.stub_ref(node), d));
             }
             BKind::Leaf { points } => {
                 sink.mem(Self::off(start), points.len() as u64 * 12);
@@ -888,9 +891,7 @@ impl<const D: usize> Fragment<D> {
 
     /// Collects *all* points within comparable distance `radius` of `q`
     /// below `start` (Alg. 3 step 4's sphere collection); remote children
-    /// whose boxes intersect the ball go to `frontier`. Accepted candidates
-    /// go to any [`CandSink`]: module handlers keep AoS reply vectors (wire
-    /// format unchanged), the host fine filter accumulates lane blocks.
+    /// whose boxes intersect the ball go to `frontier`.
     #[allow(clippy::too_many_arguments)]
     pub fn local_ball(
         &self,
@@ -898,7 +899,7 @@ impl<const D: usize> Fragment<D> {
         q: &Point<D>,
         radius: u64,
         metric: Metric,
-        out: &mut impl CandSink<D>,
+        out: &mut Vec<(u64, Point<D>)>,
         frontier: &mut Vec<(RemoteRef<D>, u64)>,
         sink: &mut impl CostSink,
     ) {
@@ -909,15 +910,7 @@ impl<const D: usize> Fragment<D> {
             BKind::LeafStub => {
                 let d = node.prefix.to_box().min_dist(q, metric);
                 if d <= radius {
-                    frontier.push((
-                        RemoteRef {
-                            meta: self.meta,
-                            module: self.master_module,
-                            prefix: node.prefix,
-                            sc: node.count,
-                        },
-                        d,
-                    ));
+                    frontier.push((self.stub_ref(node), d));
                 }
             }
             BKind::Leaf { points } => {
@@ -928,7 +921,7 @@ impl<const D: usize> Fragment<D> {
                     for (i, &dist) in dists.iter().enumerate() {
                         if dist <= radius {
                             accepted += 1;
-                            out.accept(dist, points.point(base + i));
+                            out.push((dist, points.point(base + i)));
                         }
                     }
                 });
@@ -955,12 +948,13 @@ impl<const D: usize> Fragment<D> {
 
     /// Counts points inside `query` below `start`. Fully-local subtrees
     /// that are fully covered contribute their exact counts without
-    /// descent; remote children that intersect go to `frontier`.
+    /// descent; remote children that intersect go to `frontier` (with the
+    /// lower bound 0, so box and kNN frontiers have one shape).
     pub fn local_box_count(
         &self,
         start: u32,
         query: &Aabb<D>,
-        frontier: &mut Vec<RemoteRef<D>>,
+        frontier: &mut Vec<(RemoteRef<D>, u64)>,
         sink: &mut impl CostSink,
     ) -> u64 {
         sink.op(8 * D as u64 + 6);
@@ -973,12 +967,7 @@ impl<const D: usize> Fragment<D> {
         let fully = query.contains_box(&nb);
         match &node.kind {
             BKind::LeafStub => {
-                frontier.push(RemoteRef {
-                    meta: self.meta,
-                    module: self.master_module,
-                    prefix: node.prefix,
-                    sc: node.count,
-                });
+                frontier.push((self.stub_ref(node), 0));
                 0
             }
             BKind::Leaf { points } => {
@@ -1006,7 +995,7 @@ impl<const D: usize> Fragment<D> {
                         ChildRef::Remote(r) => {
                             sink.op(8 * D as u64);
                             if query.intersects(&r.prefix.to_box()) {
-                                frontier.push(*r);
+                                frontier.push((*r, 0));
                             }
                         }
                     }
@@ -1042,7 +1031,7 @@ impl<const D: usize> Fragment<D> {
         start: u32,
         query: &Aabb<D>,
         out: &mut Vec<Point<D>>,
-        frontier: &mut Vec<RemoteRef<D>>,
+        frontier: &mut Vec<(RemoteRef<D>, u64)>,
         sink: &mut impl CostSink,
     ) {
         sink.op(8 * D as u64 + 6);
@@ -1053,12 +1042,7 @@ impl<const D: usize> Fragment<D> {
             return;
         }
         match &node.kind {
-            BKind::LeafStub => frontier.push(RemoteRef {
-                meta: self.meta,
-                module: self.master_module,
-                prefix: node.prefix,
-                sc: node.count,
-            }),
+            BKind::LeafStub => frontier.push((self.stub_ref(node), 0)),
             BKind::Leaf { points } => {
                 sink.mem(Self::off(start), points.len() as u64 * 12);
                 let fully = query.contains_box(&nb);
@@ -1088,7 +1072,7 @@ impl<const D: usize> Fragment<D> {
                         ChildRef::Remote(r) => {
                             sink.op(8 * D as u64);
                             if query.intersects(&r.prefix.to_box()) {
-                                frontier.push(*r);
+                                frontier.push((*r, 0));
                             }
                         }
                     }

@@ -2,8 +2,9 @@
 //!
 //! [`PimZdTree`] owns the L0 fragment (host-resident, §3.1), the meta-node
 //! directory, the simulated PIM machine, and the host cost meter. The
-//! operation orchestrators (`search`, `insert`, `knn`, `boxq`) live in their
-//! own modules; this file provides what they share: measurement scaffolding,
+//! operation orchestrators (`search`, `insert`, `knn`, `boxq`, and the
+//! traversal engine the last two run on, `traverse`) live in their own
+//! modules; this file provides what they share: measurement scaffolding,
 //! management rounds, the pull half of push-pull search, and the robust
 //! round layer (fault detection → bounded replay → recovery; see
 //! ARCHITECTURE.md §"Fault & recovery").
@@ -382,14 +383,13 @@ impl<const D: usize> PimZdTree<D> {
     /// Replies are reassembled at each task's *original* `(module,
     /// position)` slot, so callers that match replies positionally (e.g.
     /// the split flows) are oblivious to replays and reroutes.
-    pub(crate) fn robust_round<T, R>(
+    pub(crate) fn robust_round<T>(
         &mut self,
         mut tasks: Vec<Vec<T>>,
-        handler: impl Fn(usize, &mut ModuleState<D>, &mut PimCtx, Vec<T>) -> Vec<R> + Sync + Copy,
-    ) -> Vec<Vec<R>>
+        handler: impl Fn(usize, &mut ModuleState<D>, &mut PimCtx, Vec<T>) -> Vec<T::Reply> + Sync + Copy,
+    ) -> Vec<Vec<T::Reply>>
     where
-        T: Reroutable<D, Reply = R> + Wire + Send + Clone + 'static,
-        R: Wire + Send + 'static,
+        T: Reroutable<D> + Wire + Send + Clone + 'static,
     {
         if !self.sys.fault_plane_active() {
             let out = self.sys.execute_round_in(&mut tasks, handler);
@@ -400,7 +400,7 @@ impl<const D: usize> PimZdTree<D> {
         tasks.resize_with(p, Vec::new);
         // Pooled scratch: reply slots, per-row task provenance, and the
         // wave's send matrix (all cleared-not-dropped on return).
-        let mut out: Vec<Vec<Option<R>>> = self.bufs.take_matrix(p);
+        let mut out: Vec<Vec<Option<T::Reply>>> = self.bufs.take_matrix(p);
         let mut slots: Vec<Vec<(usize, usize)>> = self.bufs.take_matrix(p);
         let mut send: Vec<Vec<T>> = self.bufs.take_matrix(p);
         for (m, row) in tasks.iter().enumerate() {
@@ -486,7 +486,7 @@ impl<const D: usize> PimZdTree<D> {
         if !pending.is_empty() {
             self.recover_modules(&pending);
         }
-        let result: Vec<Vec<R>> = out
+        let result: Vec<Vec<T::Reply>> = out
             .iter_mut()
             .map(|row| row.drain(..).map(|o| o.expect("every task resolved")).collect())
             .collect();
@@ -715,44 +715,29 @@ pub(crate) enum Route<R> {
 /// fields are advisory hints that may go stale across a recovery.
 pub(crate) trait Reroutable<const D: usize>: Sized {
     /// Reply type the round's handler produces for this task.
-    type Reply;
+    type Reply: Wire + Send + 'static;
     /// Picks a new destination after recovery repaired the directory.
     fn reroute(&mut self, tree: &mut PimZdTree<D>) -> Route<Self::Reply>;
 }
 
-impl<const D: usize> Reroutable<D> for crate::module::SearchTask<D> {
-    type Reply = crate::module::SearchReply<D>;
-    fn reroute(&mut self, tree: &mut PimZdTree<D>) -> Route<Self::Reply> {
-        Route::To(tree.master_module(self.meta))
-    }
+/// Tasks that run at the master of the fragment they name follow it.
+macro_rules! reroute_to_master {
+    ($($task:ident => $reply:ty),* $(,)?) => {$(
+        impl<const D: usize> Reroutable<D> for crate::module::$task<D> {
+            type Reply = $reply;
+            fn reroute(&mut self, tree: &mut PimZdTree<D>) -> Route<Self::Reply> {
+                Route::To(tree.master_module(self.meta))
+            }
+        }
+    )*};
 }
 
-impl<const D: usize> Reroutable<D> for crate::module::InsertTask<D> {
-    type Reply = crate::module::InsertReply;
-    fn reroute(&mut self, tree: &mut PimZdTree<D>) -> Route<Self::Reply> {
-        Route::To(tree.master_module(self.meta))
-    }
-}
-
-impl<const D: usize> Reroutable<D> for crate::module::DeleteTask<D> {
-    type Reply = crate::module::DeleteReply<D>;
-    fn reroute(&mut self, tree: &mut PimZdTree<D>) -> Route<Self::Reply> {
-        Route::To(tree.master_module(self.meta))
-    }
-}
-
-impl<const D: usize> Reroutable<D> for crate::module::KnnTask<D> {
-    type Reply = crate::module::KnnReply<D>;
-    fn reroute(&mut self, tree: &mut PimZdTree<D>) -> Route<Self::Reply> {
-        Route::To(tree.master_module(self.meta))
-    }
-}
-
-impl<const D: usize> Reroutable<D> for crate::module::BoxTask<D> {
-    type Reply = crate::module::BoxReply<D>;
-    fn reroute(&mut self, tree: &mut PimZdTree<D>) -> Route<Self::Reply> {
-        Route::To(tree.master_module(self.meta))
-    }
+reroute_to_master! {
+    SearchTask => crate::module::SearchReply<D>,
+    InsertTask => crate::module::InsertReply,
+    DeleteTask => crate::module::DeleteReply<D>,
+    KnnTask => crate::module::KnnReply<D>,
+    BoxTask => crate::module::BoxReply<D>,
 }
 
 impl<const D: usize> Reroutable<D> for MgmtTask<D> {

@@ -31,18 +31,24 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
         InlineVec(Repr::Heap(Vec::new()))
     }
 
-    /// A list holding a copy of `items`: in place when they fit, otherwise
-    /// one exact-size allocation.
-    pub fn from_slice(items: &[T]) -> Self {
-        match items {
-            [] => Self::new(),
-            [first, ..] if items.len() <= N => {
-                let mut buf = [*first; N];
-                buf[..items.len()].copy_from_slice(items);
-                InlineVec(Repr::Inline { len: items.len(), buf })
-            }
-            _ => InlineVec(Repr::Heap(items.to_vec())),
+    /// A list holding `items`: in place when they fit, otherwise one
+    /// exact-size allocation.
+    pub fn collect(mut items: impl ExactSizeIterator<Item = T>) -> Self {
+        let len = items.len();
+        if len > N {
+            return InlineVec(Repr::Heap(items.collect()));
         }
+        let Some(first) = items.next() else { return Self::new() };
+        let mut buf = [first; N];
+        for (slot, item) in buf[1..].iter_mut().zip(items) {
+            *slot = item;
+        }
+        InlineVec(Repr::Inline { len, buf })
+    }
+
+    /// [`Self::collect`] of a copy of `items`.
+    pub fn from_slice(items: &[T]) -> Self {
+        Self::collect(items.iter().copied())
     }
 
     /// Appends one entry, spilling to the heap when the `N + 1`-th arrives.

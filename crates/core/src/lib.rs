@@ -57,6 +57,8 @@ pub mod soa;
 pub mod stats;
 pub mod wal;
 
+mod traverse;
+
 pub use checkpoint::DurabilityError;
 pub use config::{Layer, PimZdConfig, Toggles};
 pub use frag::{BKind, BNode, ChildRef, Fragment, MetaId, RemoteRef};

@@ -4,7 +4,9 @@
 //! it is responsible for) and `caches` (structure-only copies of other
 //! modules' L1 fragments, §3.1 "partially-shared"). The handlers here are
 //! the module-side halves of every batched operation; the host halves live
-//! in `search`/`insert`/`knn`/`boxq`.
+//! in `search`/`insert`/`traverse`. kNN and box tasks share one handler,
+//! `chase`: what tells them apart is the `Probe` each task type
+//! implements (in `knn`/`boxq`).
 //!
 //! Both stores hold their fragments behind `Arc`s, so cloning a
 //! [`ModuleState`] (what [`PimZdTree::snapshot`](crate::PimZdTree::snapshot)
@@ -25,6 +27,7 @@ use crate::frag::{
     REMOTE_REF_BYTES,
 };
 use crate::inline::InlineVec;
+use crate::traverse::{Edge, Probe};
 use pim_geom::{Aabb, Metric, Point};
 use pim_sim::{PimCtx, Wire};
 use pim_zorder::prefix::Prefix;
@@ -92,16 +95,26 @@ impl<const D: usize> Wire for SearchTask<D> {
 /// Where a search's kNN anchor sits.
 #[derive(Clone, Copy, Debug)]
 pub struct AnchorInfo<const D: usize> {
-    /// Fragment holding the anchor subtree's root.
+    /// Fragment holding the anchor subtree's root (0 = the host's L0).
     pub meta: MetaId,
-    /// That fragment's master module.
-    pub module: u32,
     /// Node within the fragment (`u32::MAX` = the fragment root).
     pub node: u32,
     /// Anchor prefix (its subtree box).
     pub prefix: Prefix<D>,
     /// Counter snapshot.
     pub sc: u64,
+}
+
+impl<const D: usize> AnchorInfo<D> {
+    /// The anchor `frag` found at `loc` on a query's path.
+    pub fn at(frag: &Fragment<D>, prefix: Prefix<D>, loc: AnchorLoc<D>) -> Self {
+        match loc {
+            AnchorLoc::Local(node) => {
+                AnchorInfo { meta: frag.meta, node, prefix, sc: frag.node(node).count }
+            }
+            AnchorLoc::Remote(r) => AnchorInfo { meta: r.meta, node: u32::MAX, prefix, sc: r.sc },
+        }
+    }
 }
 
 /// Module-side search outcome for one query.
@@ -501,22 +514,7 @@ pub fn handle_search<const D: usize>(
                 if let Some((prefix, loc)) =
                     frag.lowest_on_path_with_count(t.key, t.want_anchor, ctx)
                 {
-                    anchor = Some(match loc {
-                        AnchorLoc::Local(n) => AnchorInfo {
-                            meta,
-                            module: frag.master_module,
-                            node: n,
-                            prefix,
-                            sc: frag.node(n).count,
-                        },
-                        AnchorLoc::Remote(r) => AnchorInfo {
-                            meta: r.meta,
-                            module: r.module,
-                            node: u32::MAX,
-                            prefix,
-                            sc: r.sc,
-                        },
-                    });
+                    anchor = Some(AnchorInfo::at(frag, prefix, loc));
                 }
             }
             match frag.search(t.key, ctx) {
@@ -634,89 +632,51 @@ pub fn handle_delete<const D: usize>(
     replies
 }
 
-/// The masters one handler call has already covered for the query of the
-/// task at hand.
+/// The module-side half of a traversal: explores the task's fragment with
+/// the probe's step and chases the refs it surfaces through every fragment
+/// present on this module, so only truly remote subtrees cost another round.
 ///
-/// A query can have two tasks on one module in one round whose traversals
-/// meet: a cached copy of fragment `a` surfaces both `a`'s master (for its
-/// payload) and `a`'s remote child `b`, and when the masters of `a` and `b`
-/// share a module the task for `a` chases into `b` while the task for `b`
-/// starts there — `b`'s points would be reported twice. The host lists a
-/// module's tasks query by query, so the tasks of one query form a run and
-/// remembering what the run covered is enough. Only the robust layer's
-/// re-homing after a module death can merge rows out of query order; such a
-/// call chases nothing, so each master is entered only by the task that
-/// names it, which the host sends once.
-struct SameQuery {
-    sorted: bool,
-    qid: u32,
-    done: Vec<MetaId>,
-}
-
-impl SameQuery {
-    fn new(qids: impl Iterator<Item = u32> + Clone) -> Self {
-        let sorted = qids.clone().zip(qids.skip(1)).all(|(a, b)| a <= b);
-        SameQuery { sorted, qid: u32::MAX, done: Vec::new() }
-    }
-
-    /// Begins the task of query `qid`.
-    fn start(&mut self, qid: u32) {
-        if qid != self.qid {
-            self.qid = qid;
-            self.done.clear();
-        }
-    }
-
-    /// Whether an earlier task of this query already covered master `meta`.
-    fn covered(&self, meta: MetaId) -> bool {
-        self.done.contains(&meta)
-    }
-
-    /// Whether tasks of this call may follow refs into co-located fragments.
-    fn may_chase(&self) -> bool {
-        self.sorted
-    }
-
-    /// Records the masters the finished task covered.
-    fn cover(&mut self, masters: &[MetaId]) {
-        self.done.extend_from_slice(masters);
-    }
-}
-
-/// kNN exploration: branch-and-bound through every locally-present
-/// fragment, surfacing only truly-remote frontier.
+/// A query can have two tasks here in one round whose traversals meet: a
+/// cached copy of fragment `a` surfaces both `a`'s master (for its payload)
+/// and `a`'s remote child `b`, and when both masters live on this module the
+/// task for `a` chases into `b` while the task for `b` starts there. So that
+/// `b`'s points are reported once, the call remembers which masters the
+/// tasks of the current query covered — the host lists a module's tasks
+/// query by query. Only the robust layer's re-homing after a module death
+/// can merge rows out of query order; such a call chases nothing, so each
+/// master is entered only by the task that names it, which the host sends
+/// once.
 ///
-/// The five scratch lists belong to the call, not the task: each grows to
-/// its high-water mark once per round instead of from empty per task, and a
-/// reply is cut from them with one exact-size allocation for `cands` and
-/// none for the (short) `frontier`/`covered`.
-pub fn handle_knn<const D: usize>(
+/// The scratch lists belong to the call, not the task: each grows to its
+/// high-water mark once per round instead of from empty per task, and a
+/// reply is cut from them with one exact-size allocation for its payload
+/// and none for the (short) `frontier`/`covered`.
+pub(crate) fn chase<const D: usize, K: Probe<D>>(
     state: &mut ModuleState<D>,
     ctx: &mut PimCtx,
-    tasks: Vec<KnnTask<D>>,
-) -> Vec<KnnReply<D>> {
+    tasks: Vec<K>,
+) -> Vec<K::Reply> {
     let mut replies = Vec::with_capacity(tasks.len());
-    let mut cands: Vec<(u64, Point<D>)> = Vec::new();
-    let mut frontier: Vec<(RemoteRef<D>, u64)> = Vec::new();
+    let mut found = K::Found::default();
+    let mut frontier: Vec<Edge<D>> = Vec::new();
     let mut work: Vec<(MetaId, u32, u64)> = Vec::new();
     let mut visited: Vec<MetaId> = Vec::new();
-    let mut local_frontier: Vec<(RemoteRef<D>, u64)> = Vec::new();
-    let mut run = SameQuery::new(tasks.iter().map(|t| t.qid));
+    let mut local_frontier: Vec<Edge<D>> = Vec::new();
+    let may_chase = tasks.windows(2).all(|w| w[0].qid() <= w[1].qid());
+    // The current query and the masters its earlier tasks covered.
+    let mut qid = u32::MAX;
+    let mut covered: Vec<MetaId> = Vec::new();
     for t in tasks {
-        cands.clear();
         frontier.clear();
         visited.clear();
-        run.start(t.qid);
-        let bound = |cands: &[(u64, Point<D>)]| {
-            if t.ball {
-                t.bound
-            } else {
-                crate::frag::knn_bound(cands, t.k as usize).min(t.bound)
-            }
-        };
-        work.push((t.meta, t.node, 0));
+        if t.qid() != qid {
+            qid = t.qid();
+            covered.clear();
+        }
+        let (meta, node) = t.target();
+        work.push((meta, node, 0));
         while let Some((meta, node, lb)) = work.pop() {
-            if lb > bound(&cands) || visited.contains(&meta) || run.covered(meta) {
+            if lb > t.bound(&found) || visited.contains(&meta) || covered.contains(&meta) {
                 continue;
             }
             visited.push(meta);
@@ -725,32 +685,12 @@ pub fn handle_knn<const D: usize>(
             };
             let start = if node == u32::MAX { frag.root } else { node };
             local_frontier.clear();
-            if t.ball {
-                frag.local_ball(
-                    start,
-                    &t.q,
-                    t.bound,
-                    t.metric,
-                    &mut cands,
-                    &mut local_frontier,
-                    ctx,
-                );
-            } else {
-                frag.local_knn(
-                    start,
-                    &t.q,
-                    t.k as usize,
-                    t.metric,
-                    &mut cands,
-                    &mut local_frontier,
-                    ctx,
-                );
-            }
+            t.step(frag, start, &mut found, &mut local_frontier, ctx);
             for &(r, d) in &local_frontier {
                 // Chase locally-present fragments, except a cached
                 // fragment's stub refs (r.meta == meta), whose payloads live
                 // only at the master.
-                if run.may_chase()
+                if may_chase
                     && r.meta != meta
                     && !visited.contains(&r.meta)
                     && state.lookup(r.meta).is_some()
@@ -762,84 +702,13 @@ pub fn handle_knn<const D: usize>(
             }
         }
         // Trim frontier entries the final bound already excludes.
-        let bound = bound(&cands);
+        let bound = t.bound(&found);
         frontier.retain(|(_, d)| *d <= bound);
         frontier.sort_unstable_by_key(|(r, d)| (*d, r.meta));
         frontier.dedup_by_key(|(r, _)| r.meta);
         visited.retain(|m| state.masters.contains_key(m));
-        run.cover(&visited);
-        replies.push(KnnReply {
-            qid: t.qid,
-            cands: cands.clone(),
-            frontier: InlineVec::from_slice(&frontier),
-            covered: InlineVec::from_slice(&visited),
-        });
-    }
-    replies
-}
-
-/// Box-query exploration; scratch is owned and replies are cut as in
-/// [`handle_knn`].
-pub fn handle_box<const D: usize>(
-    state: &mut ModuleState<D>,
-    ctx: &mut PimCtx,
-    tasks: Vec<BoxTask<D>>,
-) -> Vec<BoxReply<D>> {
-    let mut replies = Vec::with_capacity(tasks.len());
-    let mut points: Vec<Point<D>> = Vec::new();
-    let mut frontier: Vec<RemoteRef<D>> = Vec::new();
-    let mut work: Vec<(MetaId, u32)> = Vec::new();
-    let mut visited: Vec<MetaId> = Vec::new();
-    let mut local_frontier: Vec<RemoteRef<D>> = Vec::new();
-    let mut run = SameQuery::new(tasks.iter().map(|t| t.qid));
-    for t in tasks {
-        let mut count = 0u64;
-        points.clear();
-        frontier.clear();
-        visited.clear();
-        run.start(t.qid);
-        work.push((t.meta, t.node));
-        while let Some((meta, node)) = work.pop() {
-            if visited.contains(&meta) || run.covered(meta) {
-                continue;
-            }
-            visited.push(meta);
-            let Some((frag, _)) = state.lookup(meta) else {
-                continue;
-            };
-            let start = if node == u32::MAX { frag.root } else { node };
-            local_frontier.clear();
-            if t.fetch {
-                frag.local_box_fetch(start, &t.query, &mut points, &mut local_frontier, ctx);
-            } else {
-                count += frag.local_box_count(start, &t.query, &mut local_frontier, ctx);
-            }
-            // Chase locally-present fragments, except a cached fragment's
-            // stub refs (r.meta == meta), whose payloads live only at the
-            // master.
-            for &r in &local_frontier {
-                if run.may_chase()
-                    && r.meta != meta
-                    && !visited.contains(&r.meta)
-                    && state.lookup(r.meta).is_some()
-                {
-                    work.push((r.meta, u32::MAX));
-                } else {
-                    frontier.push(r);
-                }
-            }
-        }
-        frontier.sort_unstable_by_key(|r| r.meta);
-        frontier.dedup_by_key(|r| r.meta);
-        visited.retain(|m| state.masters.contains_key(m));
-        run.cover(&visited);
-        replies.push(BoxReply {
-            qid: t.qid,
-            count,
-            points: points.clone(),
-            frontier: InlineVec::from_slice(&frontier),
-            covered: InlineVec::from_slice(&visited),
-        });
+        covered.extend_from_slice(&visited);
+        replies.push(t.reply(&mut found, &frontier, &visited));
     }
     replies
 }
@@ -1096,7 +965,7 @@ mod tests {
         // A single round resolves everything.
         let mut st = colocated_pair();
         let mut ctx = PimCtx::new();
-        let r = handle_knn(
+        let r = chase(
             &mut st,
             &mut ctx,
             vec![KnnTask {
@@ -1126,7 +995,7 @@ mod tests {
             fetch: false,
         };
         let counts = |tasks: Vec<BoxTask<3>>| -> Vec<u64> {
-            let replies = handle_box(&mut colocated_pair(), &mut PimCtx::new(), tasks);
+            let replies = chase(&mut colocated_pair(), &mut PimCtx::new(), tasks);
             replies.iter().map(|r| r.count).collect()
         };
         // Whichever task runs first reports fragment 2.

@@ -151,7 +151,7 @@ impl<const D: usize> PimZdTree<D> {
                     if let Some((prefix, loc)) =
                         l0.lowest_on_path_with_count(key, want_anchor, &mut sink)
                     {
-                        anchors[qid] = Some(anchor_from_l0(l0, prefix, loc));
+                        anchors[qid] = Some(AnchorInfo::at(l0, prefix, loc));
                     }
                 }
                 match l0.search(key, &mut sink) {
@@ -203,7 +203,7 @@ impl<const D: usize> PimZdTree<D> {
                                 want_anchor,
                                 &mut sink,
                             ) {
-                                anchors[qid as usize] = Some(anchor_from_frag(frag, prefix, loc));
+                                anchors[qid as usize] = Some(AnchorInfo::at(frag, prefix, loc));
                             }
                         }
                         match frag.search(keys[qid as usize], &mut sink) {
@@ -297,40 +297,6 @@ fn leaf_contains<const D: usize>(frag: &Fragment<D>, idx: u32, key: ZKey<D>) -> 
     match &frag.node(idx).kind {
         BKind::Leaf { points } => points.contains_key(key),
         _ => false,
-    }
-}
-
-fn anchor_from_l0<const D: usize>(
-    l0: &Fragment<D>,
-    prefix: pim_zorder::prefix::Prefix<D>,
-    loc: crate::frag::AnchorLoc<D>,
-) -> AnchorInfo<D> {
-    match loc {
-        crate::frag::AnchorLoc::Local(n) => {
-            AnchorInfo { meta: 0, module: u32::MAX, node: n, prefix, sc: l0.node(n).count }
-        }
-        crate::frag::AnchorLoc::Remote(r) => {
-            AnchorInfo { meta: r.meta, module: r.module, node: u32::MAX, prefix, sc: r.sc }
-        }
-    }
-}
-
-fn anchor_from_frag<const D: usize>(
-    frag: &Fragment<D>,
-    prefix: pim_zorder::prefix::Prefix<D>,
-    loc: crate::frag::AnchorLoc<D>,
-) -> AnchorInfo<D> {
-    match loc {
-        crate::frag::AnchorLoc::Local(n) => AnchorInfo {
-            meta: frag.meta,
-            module: frag.master_module,
-            node: n,
-            prefix,
-            sc: frag.node(n).count,
-        },
-        crate::frag::AnchorLoc::Remote(r) => {
-            AnchorInfo { meta: r.meta, module: r.module, node: u32::MAX, prefix, sc: r.sc }
-        }
     }
 }
 

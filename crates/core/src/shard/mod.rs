@@ -30,8 +30,9 @@ pub use placement::{CellId, PlacementTable};
 use crate::config::PimZdConfig;
 use crate::frag::{push_candidate, NullSink};
 use crate::host::PimZdTree;
-use crate::stats::OpStats;
-use pim_geom::{coord_bits_for_dim, isqrt_ceil, max_coord_for_dim, Aabb, Metric, Point};
+use crate::knn::ball_box;
+use crate::stats::{OpBreakdown, OpStats};
+use pim_geom::{coord_bits_for_dim, Aabb, Metric, Point};
 use pim_memsim::{CpuConfig, CpuMeter, CpuModel};
 use pim_sim::{FaultPlan, MachineConfig, Metrics};
 use pim_zorder::ZKey;
@@ -136,22 +137,6 @@ impl ShardOpStats {
             self.rank_touches as f64 / self.agg.batch_ops as f64
         }
     }
-}
-
-/// Sums `src` into `dst` field-wise (breakdown components add;
-/// `worst_imbalance` keeps the max).
-fn accumulate(dst: &mut OpStats, src: &OpStats) {
-    dst.breakdown.cpu_s += src.breakdown.cpu_s;
-    dst.breakdown.pim_s += src.breakdown.pim_s;
-    dst.breakdown.comm_s += src.breakdown.comm_s;
-    dst.rounds += src.rounds;
-    dst.channel_bytes += src.channel_bytes;
-    dst.cpu_dram_bytes += src.cpu_dram_bytes;
-    dst.batch_ops += src.batch_ops;
-    dst.elements += src.elements;
-    dst.worst_imbalance = dst.worst_imbalance.max(src.worst_imbalance);
-    dst.cpu_cycles += src.cpu_cycles;
-    dst.pim_cycles += src.pim_cycles;
 }
 
 /// Runs `f` on every rank with a non-empty part, concurrently on the
@@ -365,37 +350,26 @@ impl<const D: usize> ShardedZdTree<D> {
     /// the aggregate's time components take the **max** over participating
     /// ranks (the straggler sets the phase time), work counters sum.
     fn fold_concurrent<R>(acc: &mut ShardOpStats, phase: &[Option<(R, OpStats)>]) {
-        let (mut cpu, mut pim, mut comm) = (0.0f64, 0.0f64, 0.0f64);
+        let mut total = OpStats::default();
+        let mut straggler = OpBreakdown::default();
         for (r, slot) in phase.iter().enumerate() {
             if let Some((_, s)) = slot {
-                accumulate(&mut acc.per_rank[r], s);
-                cpu = cpu.max(s.breakdown.cpu_s);
-                pim = pim.max(s.breakdown.pim_s);
-                comm = comm.max(s.breakdown.comm_s);
-                acc.agg.rounds += s.rounds;
-                acc.agg.channel_bytes += s.channel_bytes;
-                acc.agg.cpu_dram_bytes += s.cpu_dram_bytes;
-                acc.agg.cpu_cycles += s.cpu_cycles;
-                acc.agg.pim_cycles += s.pim_cycles;
+                acc.per_rank[r].add(s);
+                total.add(s);
+                straggler.cpu_s = straggler.cpu_s.max(s.breakdown.cpu_s);
+                straggler.pim_s = straggler.pim_s.max(s.breakdown.pim_s);
+                straggler.comm_s = straggler.comm_s.max(s.breakdown.comm_s);
             }
         }
-        acc.agg.breakdown.cpu_s += cpu;
-        acc.agg.breakdown.pim_s += pim;
-        acc.agg.breakdown.comm_s += comm;
+        total.breakdown = straggler;
+        acc.agg.add(&total);
     }
 
     /// Folds one **sequential** rank operation (migrations run one rank at
     /// a time) into `acc`: everything adds, including time.
     fn fold_sequential(acc: &mut ShardOpStats, rank: usize, s: &OpStats) {
-        accumulate(&mut acc.per_rank[rank], s);
-        acc.agg.breakdown.cpu_s += s.breakdown.cpu_s;
-        acc.agg.breakdown.pim_s += s.breakdown.pim_s;
-        acc.agg.breakdown.comm_s += s.breakdown.comm_s;
-        acc.agg.rounds += s.rounds;
-        acc.agg.channel_bytes += s.channel_bytes;
-        acc.agg.cpu_dram_bytes += s.cpu_dram_bytes;
-        acc.agg.cpu_cycles += s.cpu_cycles;
-        acc.agg.pim_cycles += s.pim_cycles;
+        acc.per_rank[rank].add(s);
+        acc.agg.add(s);
     }
 
     fn finish_op(
@@ -673,7 +647,8 @@ impl<const D: usize> ShardedZdTree<D> {
             }
             self.meter.work(fetched_total * (Metric::L2.pim_cycles(D) / 8 + MERGE_CYCLES));
         }
-        self.finish_op(acc, "knn", queries.len() as u64, queries.len() as u64 * k as u64);
+        let elements = (queries.len() as u64).saturating_mul(k as u64);
+        self.finish_op(acc, "knn", queries.len() as u64, elements);
         out
     }
 
@@ -691,6 +666,8 @@ impl<const D: usize> ShardedZdTree<D> {
         let mut acc = ShardOpStats::fresh(self.ranks.len());
         self.meter.start_measurement();
         let actions = self.check_rebalance(&mut acc);
+        // Migrations are no queries: only their cost is the operation's.
+        (acc.agg.batch_ops, acc.agg.elements) = (0, 0);
         acc.agg.worst_imbalance = acc.busy_cycle_imbalance();
         self.last_stats = acc;
         actions
@@ -820,29 +797,6 @@ impl<const D: usize> ShardedZdTree<D> {
             *base = rank.sim_stats().total_pim_cycles;
         }
     }
-}
-
-/// The axis-aligned box guaranteed to contain every point within comparable
-/// distance `bound` of `q` (`bound` is squared for ℓ2), clamped to the
-/// grid. `u64::MAX` means "unbounded" and yields the universe.
-fn ball_box<const D: usize>(q: &Point<D>, bound: u64, metric: Metric) -> Aabb<D> {
-    if bound == u64::MAX {
-        return Aabb::universe();
-    }
-    let half = match metric {
-        Metric::L2 => isqrt_ceil(bound),
-        Metric::L1 | Metric::Linf => bound,
-    };
-    let m = max_coord_for_dim(D) as u64;
-    let half = half.min(m);
-    let mut lo = [0u32; D];
-    let mut hi = [0u32; D];
-    for i in 0..D {
-        let c = q.coords[i] as u64;
-        lo[i] = c.saturating_sub(half) as u32;
-        hi[i] = (c + half).min(m) as u32;
-    }
-    Aabb::new(Point::new(lo), Point::new(hi))
 }
 
 #[cfg(test)]

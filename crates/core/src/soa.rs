@@ -240,10 +240,9 @@ impl<const D: usize> FromIterator<Keyed<D>> for PointSet<D> {
     }
 }
 
-/// A keyless candidate run: `D` coordinate lanes only. The kNN ball phase
-/// accumulates every in-radius candidate here (host-local hits and module
-/// replies alike) so the fine filter can re-evaluate distances with the
-/// lane kernel instead of striding over AoS pairs.
+/// A keyless candidate run: `D` coordinate lanes only. The kNN fine filter
+/// lays every in-radius candidate of a query out here so it can re-evaluate
+/// distances with the lane kernel instead of striding over AoS pairs.
 #[derive(Clone, Debug)]
 pub struct CoordBlock<const D: usize> {
     lanes: [Vec<u32>; D],
@@ -281,11 +280,13 @@ impl<const D: usize> CoordBlock<D> {
         }
     }
 
-    /// Makes room for `n` more candidates in every lane.
-    pub fn reserve(&mut self, n: usize) {
+    /// Replaces the contents with `points`, keeping the lanes' storage.
+    pub fn refill<'a>(&mut self, points: impl ExactSizeIterator<Item = &'a Point<D>>) {
         for lane in &mut self.lanes {
-            lane.reserve(n);
+            lane.clear();
+            lane.reserve(points.len());
         }
+        points.for_each(|p| self.push(p));
     }
 
     /// Candidate `i`, re-materialized from the lanes.
@@ -298,28 +299,6 @@ impl<const D: usize> CoordBlock<D> {
     #[inline]
     pub fn for_dist_chunks(&self, q: &Point<D>, metric: Metric, emit: impl FnMut(usize, &[u64])) {
         dist_chunks(&self.lanes, self.len(), q, metric, emit);
-    }
-}
-
-/// Where a traversal deposits accepted candidates. One leaf scan serves
-/// both the module side (AoS reply vectors, which keep their wire format)
-/// and the host side (lane blocks feeding the fine filter).
-pub trait CandSink<const D: usize> {
-    /// Accepts one candidate at comparable distance `dist`.
-    fn accept(&mut self, dist: u64, p: Point<D>);
-}
-
-impl<const D: usize> CandSink<D> for Vec<(u64, Point<D>)> {
-    #[inline]
-    fn accept(&mut self, dist: u64, p: Point<D>) {
-        self.push((dist, p));
-    }
-}
-
-impl<const D: usize> CandSink<D> for CoordBlock<D> {
-    #[inline]
-    fn accept(&mut self, _dist: u64, p: Point<D>) {
-        self.push(&p);
     }
 }
 

@@ -74,6 +74,22 @@ impl OpStats {
         }
     }
 
+    /// Sums `src` into `self` field by field (`worst_imbalance` keeps the
+    /// max): the totals of several operations, or of the ranks of one.
+    pub fn add(&mut self, src: &OpStats) {
+        self.breakdown.cpu_s += src.breakdown.cpu_s;
+        self.breakdown.pim_s += src.breakdown.pim_s;
+        self.breakdown.comm_s += src.breakdown.comm_s;
+        self.rounds += src.rounds;
+        self.channel_bytes += src.channel_bytes;
+        self.cpu_dram_bytes += src.cpu_dram_bytes;
+        self.batch_ops += src.batch_ops;
+        self.elements += src.elements;
+        self.worst_imbalance = self.worst_imbalance.max(src.worst_imbalance);
+        self.cpu_cycles += src.cpu_cycles;
+        self.pim_cycles += src.pim_cycles;
+    }
+
     /// First-order energy estimate of this operation (see
     /// [`pim_sim::EnergyModel`] — an extension beyond the paper's tables).
     pub fn energy(&self, model: &pim_sim::EnergyModel) -> pim_sim::EnergyEstimate {

@@ -1,0 +1,247 @@
+//! The push-pull batched traversal (§3.3) behind kNN and box queries.
+//!
+//! Every query that follows *all* subtrees meeting a region — the best-k and
+//! ball phases of kNN, BoxCount, BoxFetch — runs the same skeleton: seed on
+//! L0, dedup the frontier, count per-meta demand, **pull** hot fragments to
+//! the host or **push** tasks to their modules, fold the replies, repeat.
+//! That skeleton lives here once, as a host loop ([`PimZdTree::traverse`])
+//! and, in [`crate::module::chase`], its module-side half.
+//!
+//! What differs between the kinds is a [`Probe`]: the task type the modules
+//! receive (`KnnTask`, `BoxTask` — the wire structs, mode flag included).
+//! A probe supplies
+//!
+//! * its **fragment-local step**, generic over [`CostSink`], so one body
+//!   charges the host meter (L0, pulled fragments) or a `PimCtx` (pushed),
+//! * its **pruning bound** (`u64::MAX` for boxes),
+//! * what it **accumulates** ([`Probe::Found`]) — per query on the host, per
+//!   reply on a module,
+//! * how a module **cuts a reply** from that and how the host **absorbs** one.
+//!
+//! SEARCH is not a probe: it follows a single successor per query, pulls in
+//! an inner loop and tracks anchors, none of which this loop should branch
+//! on.
+
+use crate::frag::{CostSink, Fragment, HostSink, MetaId, RemoteRef};
+use crate::host::{PimZdTree, Reroutable};
+use crate::inline::InlineVec;
+use crate::module::{chase, REPLY_INLINE};
+use pim_memsim::CpuMeter;
+use pim_sim::Wire;
+
+/// Meta id of the host-resident L0 fragment; module fragments count from 1.
+pub(crate) const L0_META: MetaId = 0;
+
+/// A remote subtree a fragment-local step could not enter, with the lower
+/// bound of its box under the probe's metric (0 for boxes).
+pub(crate) type Edge<const D: usize> = (RemoteRef<D>, u64);
+
+/// A frontier entry: `(fragment, start node, lower bound)`; `u32::MAX`
+/// starts at the fragment's root.
+pub(crate) type Hop = (MetaId, u32, u64);
+
+/// Safety valve: a correct traversal descends the meta-tree, so hitting
+/// this means a routing bug.
+const MAX_ROUNDS: usize = 1000;
+
+/// Covered metas a query remembers in place: a kNN ball or a small box
+/// rarely spans more fragments than this.
+const VISITED_INLINE: usize = 4;
+
+/// One kind of traversal, described by its task; see the module docs.
+pub(crate) trait Probe<const D: usize>:
+    Reroutable<D> + Wire + Copy + Send + 'static
+{
+    /// What the traversal gathers.
+    type Found: Default;
+
+    /// Query index within the batch.
+    fn qid(&self) -> u32;
+    /// Query index a reply answers.
+    fn reply_qid(reply: &Self::Reply) -> u32;
+    /// The fragment and node the task enters ([`L0_META`] = the host's L0).
+    fn target(&self) -> (MetaId, u32);
+    /// This probe as the task for one frontier entry, carrying the host's
+    /// current bound.
+    fn aimed(self, meta: MetaId, node: u32, bound: u64) -> Self;
+    /// Subtrees whose lower bound exceeds this are not worth entering.
+    fn bound(&self, found: &Self::Found) -> u64;
+    /// Explores `frag` below `start`, gathering into `found` and listing the
+    /// remote subtrees still worth a visit.
+    fn step(
+        &self,
+        frag: &Fragment<D>,
+        start: u32,
+        found: &mut Self::Found,
+        frontier: &mut Vec<Edge<D>>,
+        sink: &mut impl CostSink,
+    );
+    /// Module side: cuts the reply from what the task gathered, leaving
+    /// `found` empty (storage kept) for the next task.
+    fn reply(
+        &self,
+        found: &mut Self::Found,
+        frontier: &[Edge<D>],
+        covered: &[MetaId],
+    ) -> Self::Reply;
+    /// Host side: folds a reply's payload into `found` and its surfaced
+    /// subtrees into `frontier`; returns the masters it covered.
+    fn absorb(
+        &self,
+        found: &mut Self::Found,
+        reply: Self::Reply,
+        meter: &mut CpuMeter,
+        frontier: &mut Vec<Hop>,
+    ) -> InlineVec<MetaId, REPLY_INLINE>;
+}
+
+/// One query's traversal state.
+pub(crate) struct Walk<const D: usize, K: Probe<D>> {
+    /// The query; its target is where the traversal starts.
+    pub probe: K,
+    /// Everything gathered so far.
+    pub found: K::Found,
+    frontier: Vec<Hop>,
+    /// Masters whose payloads were already covered (refs to them may still
+    /// arrive via other paths).
+    visited: InlineVec<MetaId, VISITED_INLINE>,
+}
+
+impl<const D: usize, K: Probe<D>> Walk<D, K> {
+    pub fn new(probe: K) -> Self {
+        Walk { probe, found: K::Found::default(), frontier: Vec::new(), visited: InlineVec::new() }
+    }
+
+    /// Re-arms a finished walk for another traversal, keeping its storage
+    /// and whatever the caller leaves in `found`.
+    pub fn restart(&mut self, probe: K) {
+        self.probe = probe;
+        // Entries beyond the final bound may be left over.
+        self.frontier.clear();
+        self.visited.clear();
+    }
+
+    fn bound(&self) -> u64 {
+        self.probe.bound(&self.found)
+    }
+
+    /// Runs the probe's step on a host-resident fragment; what it could not
+    /// enter joins the frontier (`remote` is scratch).
+    fn step_on_host(
+        &mut self,
+        frag: &Fragment<D>,
+        node: u32,
+        mut sink: HostSink<'_>,
+        remote: &mut Vec<Edge<D>>,
+    ) {
+        let start = if node == u32::MAX { frag.root } else { node };
+        remote.clear();
+        self.probe.step(frag, start, &mut self.found, remote, &mut sink);
+        self.frontier.extend(remote.iter().map(|(r, d)| (r.meta, u32::MAX, *d)));
+    }
+}
+
+impl<const D: usize> PimZdTree<D> {
+    /// Runs every walk's traversal to exhaustion: L0 and pulled fragments on
+    /// the host, everything else in PIM rounds.
+    ///
+    /// Steady state allocates nothing per query per round: `rest` and
+    /// `remote` are pooled scratch, and a walk's frontier trades buffers
+    /// with `rest` instead of being rebuilt.
+    pub(crate) fn traverse<K: Probe<D>>(&mut self, walks: &mut [Walk<D, K>]) {
+        let mut remote: Vec<Edge<D>> = self.bufs.take_vec();
+        let mut rest: Vec<Hop> = self.bufs.take_vec();
+        let mut demand = self.bufs.take_demand();
+
+        // Seed: a walk starts inside L0 (host) or at a fragment.
+        for w in walks.iter_mut() {
+            match (w.probe.target(), self.l0.as_ref()) {
+                ((L0_META, node), Some(l0)) => {
+                    w.step_on_host(l0, node, Self::l0_sink(&mut self.meter), &mut remote);
+                }
+                // No L0 (empty tree): nothing to visit.
+                ((L0_META, _), None) => {}
+                ((meta, node), _) => w.frontier.push((meta, node, 0)),
+            }
+        }
+
+        for round in 0.. {
+            assert!(round < MAX_ROUNDS, "traversal failed to converge: routing bug");
+
+            // Several refs may name one target (keep the smallest lower
+            // bound); targets whose masters were already covered drop out.
+            for w in walks.iter_mut() {
+                let Walk { frontier, visited, .. } = w;
+                if frontier.len() > 1 {
+                    frontier.sort_unstable();
+                    frontier.dedup_by_key(|(meta, node, _)| (*meta, *node));
+                }
+                frontier.retain(|(meta, ..)| !visited.contains(meta));
+            }
+
+            demand.clear();
+            for w in walks.iter() {
+                let bound = w.bound();
+                for (meta, _, _) in w.frontier.iter().filter(|(.., lb)| *lb <= bound) {
+                    *demand.entry(*meta).or_insert(0) += 1;
+                }
+            }
+            if demand.is_empty() {
+                break;
+            }
+
+            // Pull phase.
+            let to_pull = self.pull_candidates(&demand);
+            if !to_pull.is_empty() {
+                let pulled = self.pull_fragments(&to_pull);
+                for w in walks.iter_mut().filter(|w| !w.frontier.is_empty()) {
+                    // The walk's entries move to `rest`; what survives goes
+                    // back, into the (empty) buffer it got in exchange.
+                    std::mem::swap(&mut w.frontier, &mut rest);
+                    for &(meta, node, lb) in &rest {
+                        let Some((frag, addr)) = pulled.get(&meta) else {
+                            w.frontier.push((meta, node, lb));
+                            continue;
+                        };
+                        // The bound tightens as the walk's own entries land.
+                        if lb > w.bound() || w.visited.contains(&meta) {
+                            continue;
+                        }
+                        w.visited.push(meta);
+                        let sink = HostSink { meter: &mut self.meter, base_addr: *addr };
+                        w.step_on_host(frag, node, sink, &mut remote);
+                    }
+                    rest.clear();
+                }
+                // Newly exposed targets may themselves be pulled.
+                continue;
+            }
+
+            // Push phase.
+            let mut tasks: Vec<Vec<K>> = self.task_matrix();
+            for w in walks.iter_mut() {
+                let bound = w.bound();
+                for &(meta, node, lb) in &w.frontier {
+                    if lb <= bound && !w.visited.contains(&meta) {
+                        let module = self.master_module(meta) as usize;
+                        tasks[module].push(w.probe.aimed(meta, node, bound));
+                    }
+                }
+                w.frontier.clear();
+            }
+            let replies = self.robust_round(tasks, |_, m, ctx, t| chase(m, ctx, t));
+            for reply in replies.into_iter().flatten() {
+                let w = &mut walks[K::reply_qid(&reply) as usize];
+                let covered = w.probe.absorb(&mut w.found, reply, &mut self.meter, &mut w.frontier);
+                for m in covered.iter() {
+                    if !w.visited.contains(m) {
+                        w.visited.push(*m);
+                    }
+                }
+            }
+        }
+        self.bufs.put_vec(remote);
+        self.bufs.put_vec(rest);
+        self.bufs.put_demand(demand);
+    }
+}

@@ -38,7 +38,7 @@ impl<const D: usize> PkdTree<D> {
         metric: Metric,
         meter: &mut CpuMeter,
     ) -> Vec<(u64, Point<D>)> {
-        let mut heap: BinaryHeap<Cand<D>> = BinaryHeap::with_capacity(k + 1);
+        let mut heap: BinaryHeap<Cand<D>> = BinaryHeap::with_capacity(k.min(self.len()) + 1);
         if let Some(r) = self.root() {
             if k > 0 {
                 self.knn_rec(r, q, k, metric, &mut heap, meter);

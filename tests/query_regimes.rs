@@ -255,3 +255,32 @@ fn knn_without_the_coarse_stage_is_still_exact() {
     assert_eq!((*k, *metric), (7, Metric::L2));
     assert_eq!(&t.batch_knn(queries, *k, *metric), want);
 }
+
+/// `k` is caller input: the largest one asks for everything, on every index
+/// behind the batch API.
+#[test]
+fn knn_with_the_largest_k_returns_every_stored_point() {
+    use pim_zd_tree_repro::memsim::{CpuConfig, CpuMeter};
+    use pim_zd_tree_repro::{pkdtree::PkdTree, zdtree::ZdTree, ShardConfig, ShardedZdTree};
+
+    let data = workloads::osm_like::<3>(500, SEED);
+    let q = [data[7], Point::new([9, 9, 9])];
+    let want: Vec<_> = q.iter().map(|q| brute_knn(&data, q, usize::MAX, Metric::L2)).collect();
+    assert_eq!(want[0].len(), data.len());
+
+    let cfg = config(true, Regime::Preset);
+    let machine = MachineConfig::with_modules(MODULES);
+    let mut single = PimZdTree::build(&data, cfg, machine);
+    assert_eq!(single.batch_knn(&q, usize::MAX, Metric::L2), want);
+    // The sharded `elements` stat is `queries × k`: half the range overflows
+    // it as surely as all of it.
+    let mut sharded = ShardedZdTree::build(&data, ShardConfig::new(2), cfg, machine);
+    for k in [usize::MAX / 2, usize::MAX] {
+        assert_eq!(sharded.batch_knn(&q, k, Metric::L2), want, "k={k}");
+    }
+    let mut meter = CpuMeter::new(CpuConfig::xeon());
+    let zd = ZdTree::build(&data, cfg.leaf_cap);
+    assert_eq!(zd.batch_knn(&q, usize::MAX, Metric::L2, &mut meter), want);
+    let pkd = PkdTree::build(&data, cfg.leaf_cap);
+    assert_eq!(pkd.batch_knn(&q, usize::MAX, Metric::L2, &mut meter), want);
+}
