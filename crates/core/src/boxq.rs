@@ -9,11 +9,11 @@
 //! fragment-local, and are descended otherwise so each master reports
 //! exactly.
 
-use crate::frag::{CostSink, Fragment, MetaId};
-use crate::host::PimZdTree;
+use crate::frag::{CostSink, Edge, Fragment, MetaId};
+use crate::host::{PimZdTree, L0_META};
 use crate::inline::InlineVec;
 use crate::module::{BoxReply, BoxTask, REPLY_INLINE};
-use crate::traverse::{Edge, Hop, Probe, Walk, L0_META};
+use crate::traverse::{Hop, Probe, Walk};
 use pim_geom::{Aabb, Point};
 use pim_memsim::CpuMeter;
 

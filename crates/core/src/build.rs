@@ -216,7 +216,7 @@ impl<const D: usize> PimZdTree<D> {
         let root = build_tmp(&mut tmp, &items, cfg.leaf_cap);
 
         let mut l0 = Fragment {
-            meta: 0,
+            meta: crate::host::L0_META,
             master_module: u32::MAX,
             nodes: Vec::new(),
             free: Vec::new(),

@@ -41,6 +41,10 @@ pub const BNODE_BYTES: u64 = 40;
 /// Bytes of a remote reference.
 pub const REMOTE_REF_BYTES: u64 = 24;
 
+/// A remote subtree a traversal kernel could not enter, with the lower bound
+/// of its box under the query's metric (0 for box queries).
+pub type Edge<const D: usize> = (RemoteRef<D>, u64);
+
 /// Where costs are charged: PIM core, host CPU, or nowhere (bulk build).
 pub trait CostSink {
     /// `n` single-cycle word operations.
@@ -842,7 +846,7 @@ impl<const D: usize> Fragment<D> {
         k: usize,
         metric: Metric,
         cands: &mut Vec<(u64, Point<D>)>,
-        frontier: &mut Vec<(RemoteRef<D>, u64)>,
+        frontier: &mut Vec<Edge<D>>,
         sink: &mut impl CostSink,
     ) {
         sink.op(10);
@@ -900,7 +904,7 @@ impl<const D: usize> Fragment<D> {
         radius: u64,
         metric: Metric,
         out: &mut Vec<(u64, Point<D>)>,
-        frontier: &mut Vec<(RemoteRef<D>, u64)>,
+        frontier: &mut Vec<Edge<D>>,
         sink: &mut impl CostSink,
     ) {
         sink.op(10);
@@ -954,7 +958,7 @@ impl<const D: usize> Fragment<D> {
         &self,
         start: u32,
         query: &Aabb<D>,
-        frontier: &mut Vec<(RemoteRef<D>, u64)>,
+        frontier: &mut Vec<Edge<D>>,
         sink: &mut impl CostSink,
     ) -> u64 {
         sink.op(8 * D as u64 + 6);
@@ -1031,7 +1035,7 @@ impl<const D: usize> Fragment<D> {
         start: u32,
         query: &Aabb<D>,
         out: &mut Vec<Point<D>>,
-        frontier: &mut Vec<(RemoteRef<D>, u64)>,
+        frontier: &mut Vec<Edge<D>>,
         sink: &mut impl CostSink,
     ) {
         sink.op(8 * D as u64 + 6);

@@ -92,6 +92,8 @@ impl RoundBuffers {
     }
 }
 
+/// Meta id of the host-resident L0 fragment; module fragments count from 1.
+pub(crate) const L0_META: MetaId = 0;
 /// Host virtual-address region of the L0 fragment.
 pub(crate) const L0_REGION: u64 = 1 << 44;
 /// Base of the staging region where pulled fragments land.

@@ -74,7 +74,7 @@ impl<const D: usize> PimZdTree<D> {
                 // First ever points: bootstrap L0 from the batch.
                 let mut sink = Self::l0_sink(&mut self.meter);
                 self.l0 = Some(Fragment::build_from(
-                    0,
+                    crate::host::L0_META,
                     u32::MAX,
                     &l0_items,
                     self.cfg.leaf_cap,

@@ -16,12 +16,12 @@
 //! the shared engine in `traverse.rs`; this file says what the probe
 //! does inside a fragment and with a reply, and drives the five steps.
 
-use crate::frag::{knn_bound, push_candidate, CostSink, Fragment, MetaId, RemoteRef};
-use crate::host::PimZdTree;
+use crate::frag::{knn_bound, push_candidate, CostSink, Edge, Fragment, MetaId, RemoteRef};
+use crate::host::{PimZdTree, L0_META};
 use crate::inline::InlineVec;
 use crate::module::{KnnReply, KnnTask, REPLY_INLINE};
 use crate::soa::{fine_select, CoordBlock};
-use crate::traverse::{Edge, Hop, Probe, Walk, L0_META};
+use crate::traverse::{Hop, Probe, Walk};
 use pim_geom::{isqrt_ceil, max_coord_for_dim, Aabb, Metric, Point};
 use pim_memsim::CpuMeter;
 use pim_zorder::prefix::Prefix;

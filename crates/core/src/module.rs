@@ -23,11 +23,11 @@
 //! caching buys.
 
 use crate::frag::{
-    AnchorLoc, BNode, Fragment, Keyed, MetaId, RemoteRef, RootAfterRemove, SearchEnd, BNODE_BYTES,
-    REMOTE_REF_BYTES,
+    AnchorLoc, BNode, Edge, Fragment, Keyed, MetaId, RemoteRef, RootAfterRemove, SearchEnd,
+    BNODE_BYTES, REMOTE_REF_BYTES,
 };
 use crate::inline::InlineVec;
-use crate::traverse::{Edge, Probe};
+use crate::traverse::Probe;
 use pim_geom::{Aabb, Metric, Point};
 use pim_sim::{PimCtx, Wire};
 use pim_zorder::prefix::Prefix;

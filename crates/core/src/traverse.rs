@@ -22,19 +22,12 @@
 //! an inner loop and tracks anchors, none of which this loop should branch
 //! on.
 
-use crate::frag::{CostSink, Fragment, HostSink, MetaId, RemoteRef};
-use crate::host::{PimZdTree, Reroutable};
+use crate::frag::{CostSink, Edge, Fragment, HostSink, MetaId};
+use crate::host::{PimZdTree, Reroutable, L0_META};
 use crate::inline::InlineVec;
 use crate::module::{chase, REPLY_INLINE};
 use pim_memsim::CpuMeter;
 use pim_sim::Wire;
-
-/// Meta id of the host-resident L0 fragment; module fragments count from 1.
-pub(crate) const L0_META: MetaId = 0;
-
-/// A remote subtree a fragment-local step could not enter, with the lower
-/// bound of its box under the probe's metric (0 for boxes).
-pub(crate) type Edge<const D: usize> = (RemoteRef<D>, u64);
 
 /// A frontier entry: `(fragment, start node, lower bound)`; `u32::MAX`
 /// starts at the fragment's root.
