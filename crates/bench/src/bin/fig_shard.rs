@@ -13,7 +13,9 @@
 //! throughput in *simulated* time on uniform queries, and bounded per-rank
 //! busy-cycle imbalance on the Varden mix (50% of queries target the skew
 //! filament), where the router's skew-driven rebalancer splits and migrates
-//! the hot cells between batches. `--trace PATH` writes one journal per
+//! the hot cells between batches and the kNN widen phase pulls each cluster
+//! of filament queries with one fetch (`coalesce` = widen requests per
+//! scattered box; 1.00 = every query fetched alone). `--trace PATH` writes one journal per
 //! rank (`PATH.r{ranks}.{workload}.rank{r}.jsonl`) for the largest sweep
 //! cell; feed them all to `trace_summary` for a rank-tagged merge.
 
@@ -31,6 +33,8 @@ struct Cell {
     stats: OpStats,
     imbalance: f64,
     fanout: f64,
+    /// Widen requests per scattered widen box (1.0 when nothing widened).
+    coalesce: f64,
     rebalances: u64,
 }
 
@@ -59,6 +63,7 @@ fn run_cell(
     let base: Vec<u64> = (0..ranks).map(|r| tree.rank(r).sim_stats().total_pim_cycles).collect();
     let mut agg = OpStats::default();
     let (mut touches, mut rebalances) = (0u64, 0u64);
+    let (mut requests, mut fetches) = (0u64, 0u64);
     for i in 0..BATCHES {
         let seed = args.seed ^ (0x5D00 + i as u64);
         let queries = match workload {
@@ -69,6 +74,8 @@ fn run_cell(
         let st = tree.last_shard_stats();
         agg.add(&st.agg);
         touches += st.rank_touches;
+        requests += st.widen_requests;
+        fetches += st.widen_fetches;
         rebalances += st.rebalance_actions;
     }
     // Imbalance over the whole measured window (rebalancer effects
@@ -82,6 +89,7 @@ fn run_cell(
         *deltas.iter().max().unwrap() as f64 / (total as f64 / ranks as f64)
     };
     let fanout = touches as f64 / agg.batch_ops.max(1) as f64;
+    let coalesce = if fetches == 0 { 1.0 } else { requests as f64 / fetches as f64 };
     tree.merge_rank_metrics();
     if let Some(path) = args.trace.as_deref() {
         for (r, j) in journals.iter().enumerate() {
@@ -91,7 +99,7 @@ fn run_cell(
             }
         }
     }
-    Cell { stats: agg, imbalance, fanout, rebalances }
+    Cell { stats: agg, imbalance, fanout, coalesce, rebalances }
 }
 
 fn main() {
@@ -107,10 +115,19 @@ fn main() {
     let varden = wl::varden::<3>((args.points / 10).max(64), args.seed ^ 0xF19);
 
     println!(
-        "{:>5} | {:>12} {:>7} {:>7} | {:>12} {:>7} {:>7} {:>6}",
-        "ranks", "unif Mq/s", "imbal", "fanout", "vard Mq/s", "imbal", "fanout", "rebal"
+        "{:>5} | {:>12} {:>7} {:>7} {:>8} | {:>12} {:>7} {:>7} {:>8} {:>6}",
+        "ranks",
+        "unif Mq/s",
+        "imbal",
+        "fanout",
+        "coalesce",
+        "vard Mq/s",
+        "imbal",
+        "fanout",
+        "coalesce",
+        "rebal"
     );
-    println!("{}", "-".repeat(80));
+    println!("{}", "-".repeat(98));
 
     let mut base_thr = 0.0;
     let mut top = (0.0, 1.0, 1.0); // 8-rank (uniform thr, uniform imb, varden imb)
@@ -132,14 +149,16 @@ fn main() {
             top = (u.stats.throughput(), u.imbalance, v.imbalance);
         }
         println!(
-            "{:>5} | {:>12.2} {:>6.2}x {:>7.2} | {:>12.2} {:>6.2}x {:>7.2} {:>6}",
+            "{:>5} | {:>12.2} {:>6.2}x {:>7.2} {:>8.2} | {:>12.2} {:>6.2}x {:>7.2} {:>8.2} {:>6}",
             ranks,
             u.stats.throughput() / 1e6,
             u.imbalance,
             u.fanout,
+            u.coalesce,
             v.stats.throughput() / 1e6,
             v.imbalance,
             v.fanout,
+            v.coalesce,
             v.rebalances,
         );
     }

@@ -14,8 +14,16 @@
 //! interleaving inside one machine.
 //!
 //! kNN is **bound-and-prune**: each query runs on its home rank first; the
-//! k-th candidate distance bounds a ball box, and the query is re-scattered
-//! only to ranks whose cells that box crosses. Box queries scatter to
+//! k-th candidate distance bounds a ball box, and only the ranks whose
+//! cells that box crosses are asked for more. Those widen requests are
+//! **coalesced** per foreign rank — the push-pull rule one level up: where
+//! a cluster of queries wants the same region, the region is pulled to the
+//! host once, not once per query. Requests sorted by Morton key are cut
+//! into runs whose union box stays within a fixed multiple of the smallest
+//! member's ball box ([`coalesce_widen`]); one box per run is fetched and
+//! its points are handed to every member, each filtering by its own ball.
+//! The volume rule keeps both sides' work bounded on any input, and a lone
+//! query is a run of one. Box queries scatter to
 //! exactly the ranks whose leaves intersect. Skew-driven **rebalancing**
 //! generalizes the fault plane's dead-module re-homing to "hot rank → cold
 //! rank": when the per-rank busy-cycle imbalance of the window since the
@@ -44,6 +52,9 @@ use std::collections::BTreeMap;
 const ROUTE_CYCLES: u64 = 24;
 /// Host cycles charged per element merged/sorted at the gather stage.
 const MERGE_CYCLES: u64 = 8;
+/// A coalesced widen run's union box may hold at most this many times the
+/// volume of its smallest member's ball box (see [`coalesce_widen`]).
+const COALESCE_VOLUME_FACTOR: u128 = 2;
 
 /// Configuration of the shard router.
 #[derive(Clone, Copy, Debug)]
@@ -106,6 +117,12 @@ pub struct ShardOpStats {
     pub agg: OpStats,
     /// Σ over queries of the number of ranks the query was sent to.
     pub rank_touches: u64,
+    /// kNN widening: (query, foreign rank) pairs whose ball crossed onto
+    /// that rank.
+    pub widen_requests: u64,
+    /// kNN widening: boxes actually scattered for those requests (one per
+    /// coalesced run; equal to `widen_requests` when nothing coalesced).
+    pub widen_fetches: u64,
     /// Rebalance actions (cell splits + leaf moves) this operation
     /// triggered.
     pub rebalance_actions: u64,
@@ -166,6 +183,58 @@ where
             }
         })
         .collect()
+}
+
+/// A point batch routed to its home ranks.
+struct Routed<const D: usize> {
+    /// The batch's points per home rank.
+    parts: Vec<Vec<Point<D>>>,
+    /// Each part's original batch positions.
+    pos: Vec<Vec<usize>>,
+    /// `(Morton key, home rank)` per item, in batch order.
+    homes: Vec<(u64, u32)>,
+}
+
+/// One kNN widen request: query `qi`'s ball box crosses onto a foreign rank.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct WidenReq<const D: usize> {
+    /// The query's Morton key.
+    key: u64,
+    /// The query's batch position.
+    qi: usize,
+    /// The box around the query's home k-th distance.
+    ball: Aabb<D>,
+}
+
+/// Coalesces one foreign rank's widen requests into fetch runs: sorts
+/// `reqs` by `(key, qi)` — Morton order keeps spatial neighbours adjacent —
+/// and cuts the sorted list greedily into runs, returning each run's
+/// `(union box, length)` in order. A request joins the open run only while
+/// the run's union box stays within [`COALESCE_VOLUME_FACTOR`] × the volume
+/// of the run's *smallest* ball box. That bounds the work on both sides: no
+/// member is handed more than that factor times its own box's worth of
+/// points to filter, and a run of two or more fetches at most the factor ×
+/// the smallest member's volume — no more (at factor 2) than its members'
+/// boxes sum to. Far-apart or differently sized balls fail the test and
+/// stay runs of one, the plain per-query fetch.
+fn coalesce_widen<const D: usize>(reqs: &mut [WidenReq<D>]) -> Vec<(Aabb<D>, usize)> {
+    reqs.sort_unstable_by_key(|r| (r.key, r.qi));
+    let mut runs: Vec<(Aabb<D>, usize)> = Vec::new();
+    let mut min_vol = 0u128;
+    for r in reqs.iter() {
+        let vol = r.ball.volume();
+        if let Some((bx, len)) = runs.last_mut() {
+            let grown = bx.union(&r.ball);
+            let smallest = min_vol.min(vol);
+            if grown.volume() <= COALESCE_VOLUME_FACTOR.saturating_mul(smallest) {
+                (*bx, *len, min_vol) = (grown, *len + 1, smallest);
+                continue;
+            }
+        }
+        runs.push((r.ball, 1));
+        min_vol = vol;
+    }
+    runs
 }
 
 /// The sharded index: N [`PimZdTree`] ranks behind one batch API (see the
@@ -399,6 +468,8 @@ impl<const D: usize> ShardedZdTree<D> {
                 m.add("shard_batch_ops_total", ol, batch_ops);
                 m.add("shard_elements_returned_total", ol, elements);
                 m.add("shard_rank_touches_total", ol, acc.rank_touches);
+                m.add("shard_widen_requests_total", &[], acc.widen_requests);
+                m.add("shard_widen_fetches_total", &[], acc.widen_fetches);
                 m.set_gauge("shard_leaves", &[], leaves);
                 m.set_gauge("shard_leaf_moves", &[], moves as f64);
                 m.set_gauge("shard_cell_splits", &[], splits as f64);
@@ -408,24 +479,27 @@ impl<const D: usize> ShardedZdTree<D> {
         self.last_stats = acc;
     }
 
-    /// Routes points to their home ranks, recording heat probes. Returns
-    /// the per-rank parts and each part's original batch positions.
-    #[allow(clippy::type_complexity)]
-    fn route_points(&mut self, pts: &[Point<D>]) -> (Vec<Vec<Point<D>>>, Vec<Vec<usize>>) {
+    /// Routes points to their home ranks, recording heat probes: the one
+    /// Morton encode and placement-trie walk each routed item gets.
+    fn route_points(&mut self, pts: &[Point<D>]) -> Routed<D> {
         let n = self.ranks.len();
-        let mut parts: Vec<Vec<Point<D>>> = vec![Vec::new(); n];
-        let mut pos: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut routed = Routed {
+            parts: vec![Vec::new(); n],
+            pos: vec![Vec::new(); n],
+            homes: Vec::with_capacity(pts.len()),
+        };
         let hl = self.cfg.heat_level_for_dim(D);
         let shift = ZKey::<D>::BITS - hl * D as u32;
         for (i, p) in pts.iter().enumerate() {
             let key = ZKey::<D>::encode(p).0;
-            let r = self.placement.owner_of_key(key) as usize;
-            parts[r].push(*p);
-            pos[r].push(i);
+            let r = self.placement.owner_of_key(key);
+            routed.parts[r as usize].push(*p);
+            routed.pos[r as usize].push(i);
+            routed.homes.push((key, r));
             *self.heat.entry(key >> shift).or_insert(0) += 1;
         }
         self.meter.work(pts.len() as u64 * ROUTE_CYCLES);
-        (parts, pos)
+        routed
     }
 
     // -----------------------------------------------------------------
@@ -439,7 +513,7 @@ impl<const D: usize> ShardedZdTree<D> {
             return;
         }
         let mut acc = self.begin_op();
-        let (parts, _) = self.route_points(points);
+        let parts = self.route_points(points).parts;
         let phase = scatter(&mut self.ranks, parts, |rank, part| rank.batch_insert(part));
         Self::fold_concurrent(&mut acc, &phase);
         acc.rank_touches += points.len() as u64;
@@ -453,7 +527,7 @@ impl<const D: usize> ShardedZdTree<D> {
             return 0;
         }
         let mut acc = self.begin_op();
-        let (parts, _) = self.route_points(points);
+        let parts = self.route_points(points).parts;
         let phase = scatter(&mut self.ranks, parts, |rank, part| rank.batch_delete(part));
         Self::fold_concurrent(&mut acc, &phase);
         let removed: usize = phase.iter().filter_map(|s| s.as_ref().map(|(r, _)| *r)).sum();
@@ -468,7 +542,7 @@ impl<const D: usize> ShardedZdTree<D> {
             return Vec::new();
         }
         let mut acc = self.begin_op();
-        let (parts, pos) = self.route_points(pts);
+        let Routed { parts, pos, .. } = self.route_points(pts);
         let phase = scatter(&mut self.ranks, parts, |rank, part| rank.batch_contains(part));
         Self::fold_concurrent(&mut acc, &phase);
         let mut out = vec![false; pts.len()];
@@ -569,17 +643,33 @@ impl<const D: usize> ShardedZdTree<D> {
     ///    owning its key);
     /// 2. the k-th home candidate bounds a ball box (the universe when the
     ///    home rank returned fewer than k);
-    /// 3. queries whose ball crosses a cell boundary are re-scattered to
-    ///    exactly the other ranks whose leaves the ball intersects — as
-    ///    **bounded box fetches**, not kNN searches: a foreign rank can
+    /// 3. a query whose ball crosses a cell boundary files one **widen
+    ///    request** with each other rank whose leaves the ball intersects —
+    ///    for a **bounded box fetch**, not a kNN search: a foreign rank can
     ///    only contribute points within the home bound, and a widened query
     ///    point lies outside the foreign rank's cells, where its kNN anchor
-    ///    would degrade toward the root and cost far more than the fetch.
-    ///    The host evaluates the exact metric over the fetched candidates
-    ///    (the same fine-filter role it plays inside single-rank kNN) and
-    ///    merges by `(distance, coords)` — byte-identical to the
-    ///    single-rank result, since each stored point lives on exactly one
-    ///    rank and every global top-k point is within the home bound.
+    ///    would degrade toward the root and cost far more than the fetch;
+    /// 4. each rank's requests are coalesced ([`coalesce_widen`]): sorted
+    ///    by `(query key, query index)` and cut into runs whose union box
+    ///    holds at most [`COALESCE_VOLUME_FACTOR`] × the volume of the
+    ///    run's smallest ball box, and **one box per run** is scattered. A
+    ///    cluster of queries inside one ball's reach thus pulls the region
+    ///    once; far-apart queries stay runs of one. The rule bounds host
+    ///    work on any input: a member sifts through at most that factor ×
+    ///    its own box's worth of points, and a run never fetches more than
+    ///    its members' boxes sum to;
+    /// 5. the host hands a run's points to every member, keeps those inside
+    ///    the member's own ball box (exactly what its own fetch would have
+    ///    returned), evaluates the exact metric over them (the same
+    ///    fine-filter role it plays inside single-rank kNN) and merges by
+    ///    `(distance, coords)` — byte-identical to the single-rank result,
+    ///    since each stored point lives on exactly one rank and every
+    ///    global top-k point is within the home bound. Every (member,
+    ///    fetched point) pair and the grouping pass are charged to the
+    ///    host meter.
+    ///
+    /// [`ShardOpStats::widen_requests`] and
+    /// [`ShardOpStats::widen_fetches`] count steps 3 and 4.
     ///
     /// Results follow the single-rank contract: ≤ k `(comparable distance,
     /// point)` pairs, distinct points, sorted by `(distance, coords)`.
@@ -593,7 +683,7 @@ impl<const D: usize> ShardedZdTree<D> {
             return vec![Vec::new(); queries.len()];
         }
         let mut acc = self.begin_op();
-        let (parts, pos) = self.route_points(queries);
+        let Routed { parts, pos, homes } = self.route_points(queries);
         let home = scatter(&mut self.ranks, parts, |rank, part| rank.batch_knn(part, k, metric));
         Self::fold_concurrent(&mut acc, &home);
         let mut out: Vec<Vec<(u64, Point<D>)>> = vec![Vec::new(); queries.len()];
@@ -605,47 +695,58 @@ impl<const D: usize> ShardedZdTree<D> {
         }
         acc.rank_touches += queries.len() as u64;
 
-        // Bound-and-prune widening: bounded ball-box fetches on the foreign
-        // ranks, exact-metric fine filter on the host.
+        // Bound-and-prune widening: which foreign ranks does each query's
+        // ball reach?
         let n = self.ranks.len();
-        let mut wparts: Vec<Vec<Aabb<D>>> = vec![Vec::new(); n];
-        let mut wpos: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut reqs: Vec<Vec<WidenReq<D>>> = vec![Vec::new(); n];
         if n > 1 {
             self.meter.work(queries.len() as u64 * ROUTE_CYCLES);
             let mut hit = Vec::with_capacity(n);
-            for (qi, q) in queries.iter().enumerate() {
-                let home_rank = self.placement.owner_of_point(q);
+            for (qi, (q, &(key, home_rank))) in queries.iter().zip(&homes).enumerate() {
                 let bound = if out[qi].len() == k { out[qi][k - 1].0 } else { u64::MAX };
                 let ball = ball_box::<D>(q, bound, metric);
                 self.placement.ranks_intersecting(&ball, &mut hit);
                 for &r in hit.iter().filter(|&&r| r != home_rank) {
-                    wparts[r as usize].push(ball);
-                    wpos[r as usize].push(qi);
-                    acc.rank_touches += 1;
+                    reqs[r as usize].push(WidenReq { key, qi, ball });
                 }
             }
         }
-        if wparts.iter().any(|p| !p.is_empty()) {
-            let widen = scatter(&mut self.ranks, wparts, |rank, part| rank.batch_box_fetch(part));
+        acc.widen_requests = reqs.iter().map(|r| r.len() as u64).sum();
+        acc.rank_touches += acc.widen_requests;
+        if acc.widen_requests > 0 {
+            // Pull once per cluster: each rank's requests coalesce into
+            // runs, and one box per run is scattered.
+            self.meter.work(acc.widen_requests * (MERGE_CYCLES + ROUTE_CYCLES));
+            let runs: Vec<Vec<(Aabb<D>, usize)>> =
+                reqs.iter_mut().map(|r| coalesce_widen(r)).collect();
+            acc.widen_fetches = runs.iter().map(|r| r.len() as u64).sum();
+            let boxes = runs.iter().map(|r| r.iter().map(|&(bx, _)| bx).collect()).collect();
+            let widen = scatter(&mut self.ranks, boxes, |rank, part| rank.batch_box_fetch(part));
             Self::fold_concurrent(&mut acc, &widen);
-            let mut fetched_total = 0u64;
-            // Fine filter + merge are host work, like single-rank step 5:
-            // each fetched point is held against the query's sorted,
-            // distinct home list, which `push_candidate` keeps sorted,
-            // distinct (duplicate stored copies collapse, as `batch_knn`
-            // promises) and at most k long — the single-rank answer bit for
-            // bit, with no list ever growing past k.
-            for (slot, wpos) in widen.iter().zip(&wpos) {
+            // Fine filter + merge are host work, like single-rank step 5. A
+            // run's points go to every member: the member's own ball box
+            // picks out exactly what its own fetch would have returned, and
+            // each survivor is held against the query's sorted, distinct
+            // home list, which `push_candidate` keeps sorted, distinct
+            // (duplicate stored copies collapse, as `batch_knn` promises)
+            // and at most k long — the single-rank answer bit for bit, with
+            // no list ever growing past k.
+            let mut considered = 0u64;
+            for ((slot, runs), reqs) in widen.iter().zip(&runs).zip(&reqs) {
                 let Some((fetched, _)) = slot else { continue };
-                for (part, &qi) in fetched.iter().zip(wpos) {
-                    let q = &queries[qi];
-                    fetched_total += part.len() as u64;
-                    for p in part {
-                        push_candidate(&mut out[qi], k, (metric.cmp_dist(q, p), *p), &mut NullSink);
+                let mut members = reqs.iter();
+                for (part, &(_, len)) in fetched.iter().zip(runs) {
+                    considered += (part.len() * len) as u64;
+                    for m in members.by_ref().take(len) {
+                        let q = &queries[m.qi];
+                        for p in part.iter().filter(|p| m.ball.contains(p)) {
+                            let cand = (metric.cmp_dist(q, p), *p);
+                            push_candidate(&mut out[m.qi], k, cand, &mut NullSink);
+                        }
                     }
                 }
             }
-            self.meter.work(fetched_total * (Metric::L2.pim_cycles(D) / 8 + MERGE_CYCLES));
+            self.meter.work(considered * (Metric::L2.pim_cycles(D) / 8 + MERGE_CYCLES));
         }
         let elements = (queries.len() as u64).saturating_mul(k as u64);
         self.finish_op(acc, "knn", queries.len() as u64, elements);
@@ -720,9 +821,10 @@ impl<const D: usize> ShardedZdTree<D> {
                 *per_rank_leaves[owner].entry(cell).or_insert(0) += h;
             }
             // Migrate from the *heat*-hottest rank. Cycle imbalance is the
-            // trigger, but cycles include widen-phase fetches served for
-            // other ranks' queries; routing heat is what placement can
-            // actually move.
+            // trigger, but cycles weigh a query by what its home search
+            // costs (a filament query costs many uniform ones) and include
+            // the coalesced widen fetches served for other ranks' queries;
+            // routing heat is what placement can actually move.
             let (hot, _) = rank_heat
                 .iter()
                 .enumerate()
@@ -916,6 +1018,56 @@ mod tests {
             single.batch_knn(&queries, 5, Metric::L2)
         );
         assert_eq!(sh.batch_contains(&data[..100]), single.batch_contains(&data[..100]));
+    }
+
+    /// A widen request for the grouping property: a centre on a coarse
+    /// lattice (equal keys are common) and a ball radius from 0 to far past
+    /// the lattice pitch.
+    fn widen_input() -> impl proptest::prelude::Strategy<Value = (u64, Aabb<3>)> {
+        use proptest::prelude::*;
+        (0u32..6, 0u32..6, 0u32..6, 0u32..5).prop_map(|(x, y, z, e)| {
+            let q = Point::new([1000 + 40 * x, 1000 + 40 * y, 1000 + 40 * z]);
+            (ZKey::<3>::encode(&q).0, ball_box::<3>(&q, (1u64 << (3 * e)) - 1, Metric::Linf))
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The grouping contract of [`coalesce_widen`], on clustered,
+        /// scattered and mixed-size requests.
+        #[test]
+        fn coalesced_runs_partition_cover_and_bound(
+            input in proptest::collection::vec(widen_input(), 0..40),
+            shuffle in 0u64..u64::MAX,
+        ) {
+            use proptest::prelude::*;
+            let mut reqs: Vec<WidenReq<3>> = input
+                .iter()
+                .enumerate()
+                .map(|(qi, &(key, ball))| WidenReq { key, qi, ball })
+                .collect();
+            let runs = coalesce_widen(&mut reqs);
+            // Sorted by (key, qi), and the runs partition that order.
+            prop_assert!(reqs.windows(2).all(|w| (w[0].key, w[0].qi) < (w[1].key, w[1].qi)));
+            prop_assert!(runs.iter().all(|&(_, len)| len > 0));
+            prop_assert_eq!(runs.iter().map(|&(_, len)| len).sum::<usize>(), reqs.len());
+            let mut rest = &reqs[..];
+            for &(bx, len) in &runs {
+                let (members, tail) = rest.split_at(len);
+                rest = tail;
+                let smallest = members.iter().map(|m| m.ball.volume()).min().unwrap();
+                prop_assert!(members.iter().all(|m| bx.contains_box(&m.ball)));
+                prop_assert!(bx.volume() <= COALESCE_VOLUME_FACTOR * smallest);
+            }
+            // Any arrival order of the same requests gives the same runs.
+            let mut permuted = reqs.clone();
+            for i in 1..permuted.len() {
+                permuted.swap(i, (shuffle.rotate_left(i as u32) % (i as u64 + 1)) as usize);
+            }
+            prop_assert_eq!(coalesce_widen(&mut permuted), runs);
+            prop_assert_eq!(permuted, reqs);
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! 8-thread pools. Ranks execute concurrently on the pool, but every
 //! reduction is index-ordered and every rank journals into its own buffer,
 //! so the per-rank trace journals, the merged metrics snapshot, per-op
-//! `ShardOpStats`, and all query results must be **byte-identical** across
-//! the three schedules (ISSUE acceptance criterion; ARCHITECTURE.md §10
+//! `ShardOpStats` (the coalesced-widening counters `widen_requests` and
+//! `widen_fetches` included), and all query results must be
+//! **byte-identical** across the three schedules (ISSUE acceptance criterion; ARCHITECTURE.md §10
 //! "determinism quarantine").
 
 use pim_zd_tree_repro::sim::Metrics;
@@ -27,8 +28,11 @@ struct RunArtifacts {
     /// Merged metrics snapshot (text exposition; sorted and typed).
     metrics: String,
     /// `Debug` rendering of each op's `ShardOpStats` (covers per-rank and
-    /// aggregate simulated seconds, bytes, rounds, imbalance bit-for-bit).
+    /// aggregate simulated seconds, bytes, rounds, imbalance and the widen
+    /// counters bit-for-bit).
     op_stats: Vec<String>,
+    /// Σ over the run's ops of `(widen_requests, widen_fetches)`.
+    widen: (u64, u64),
     /// Query results flattened to a fingerprint stream.
     results: Vec<u64>,
     /// (leaf moves, cell splits, migrated points) after the forced rebalance.
@@ -48,9 +52,12 @@ fn run_workload() -> RunArtifacts {
 
     let mut op_stats = Vec::new();
     let mut results = Vec::new();
-    let snap = |t: &ShardedZdTree<3>, results: &mut Vec<u64>, fp: u64| {
+    let mut widen = (0u64, 0u64);
+    let mut snap = |t: &ShardedZdTree<3>, results: &mut Vec<u64>, fp: u64| {
         results.push(fp);
-        format!("{:?}", t.last_shard_stats())
+        let st = t.last_shard_stats();
+        widen = (widen.0 + st.widen_requests, widen.1 + st.widen_fetches);
+        format!("{st:?}")
     };
 
     let extra = wl::point_queries(&data, 600, 9, SEED ^ 0xA);
@@ -87,6 +94,7 @@ fn run_workload() -> RunArtifacts {
         journals: journals.iter().map(|j| j.to_jsonl()).collect(),
         metrics: metrics.snapshot_text().expect("metrics enabled"),
         op_stats,
+        widen,
         results,
         rebalance: (moves, splits, migrated),
     }
@@ -105,6 +113,18 @@ fn four_rank_run_is_byte_identical_at_1_2_8_threads() {
         baseline.rebalance.0,
         baseline.rebalance.1
     );
+    // The hot-cell storm coalesces, and the registry carries what the
+    // per-op stats counted.
+    let (requests, fetches) = baseline.widen;
+    assert!(0 < fetches && fetches < requests, "widening: {fetches} boxes for {requests} requests");
+    for (series, total) in
+        [("shard_widen_requests_total", requests), ("shard_widen_fetches_total", fetches)]
+    {
+        assert!(
+            baseline.metrics.lines().any(|l| l == format!("{series} {total}")),
+            "{series} {total} missing from the merged snapshot"
+        );
+    }
     for threads in [2usize, 8] {
         let pool = rayon::ThreadPool::new(threads);
         assert_eq!(pool.current_num_threads(), threads);
@@ -114,6 +134,7 @@ fn four_rank_run_is_byte_identical_at_1_2_8_threads() {
         }
         assert_eq!(run.metrics, baseline.metrics, "metrics diverged at {threads} threads");
         assert_eq!(run.op_stats, baseline.op_stats, "op stats diverged at {threads} threads");
+        assert_eq!(run.widen, baseline.widen, "widen counters diverged at {threads} threads");
         assert_eq!(run.results, baseline.results, "results diverged at {threads} threads");
         assert_eq!(run.rebalance, baseline.rebalance, "rebalance diverged at {threads} threads");
     }

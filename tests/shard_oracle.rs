@@ -10,7 +10,10 @@
 //! mass on one rank, so the kNN widen phase and the rebalancer both run
 //! hot). Also here: rebalance-under-churn and a fault plan pinned to one
 //! rank — results must stay byte-identical to the clean single-rank
-//! reference through both.
+//! reference through both — and the inputs that decide how the kNN widen
+//! phase coalesces its fetches (identical, clustered, universe-ball and
+//! far-apart queries), each held to the single-rank answer and to the
+//! `widen_requests` / `widen_fetches` counters.
 
 use pim_zd_tree_repro::workloads as wl;
 use pim_zd_tree_repro::{
@@ -25,7 +28,7 @@ fn zcfg(n: usize) -> PimZdConfig {
     PimZdConfig::throughput_optimized(n.max(64) as u64, 8)
 }
 
-fn build_pair(ranks: usize, data: &[Point<3>]) -> (ShardedZdTree<3>, PimZdTree<3>) {
+fn build_pair<const D: usize>(ranks: usize, data: &[Point<D>]) -> (ShardedZdTree<D>, PimZdTree<D>) {
     let machine = MachineConfig::with_modules(8);
     let cfg = zcfg(data.len());
     let sh = ShardedZdTree::build(data, ShardConfig::new(ranks), cfg, machine);
@@ -176,6 +179,99 @@ fn varden_skewed_inputs_stay_equivalent() {
     assert_eq!(sorted(sh.batch_box_fetch(&boxes)), sorted(single.batch_box_fetch(&boxes)));
     let st = sh.last_shard_stats();
     assert!(st.fanout() >= 1.0 && st.busy_cycle_imbalance() >= 1.0);
+}
+
+/// Runs one kNN batch on both trees, holds the sharded answer to the
+/// single-rank one, and returns the batch's `(widen_requests,
+/// widen_fetches)`.
+fn widen_counts<const D: usize>(
+    case: &str,
+    (sh, single): &mut (ShardedZdTree<D>, PimZdTree<D>),
+    queries: &[Point<D>],
+    k: usize,
+    metric: Metric,
+) -> (u64, u64) {
+    assert_eq!(sh.batch_knn(queries, k, metric), single.batch_knn(queries, k, metric), "{case}");
+    let st = sh.last_shard_stats();
+    assert_eq!(st.rank_touches, queries.len() as u64 + st.widen_requests, "{case}: fan-out");
+    (st.widen_requests, st.widen_fetches)
+}
+
+/// The grid midpoint: a corner of every placement cell at every level, so
+/// a ball around it always crosses cell boundaries.
+fn mid<const D: usize>() -> Point<D> {
+    Point::new([pim_zd_tree_repro::geom::max_coord_for_dim(D) / 2 + 1; D])
+}
+
+/// The inputs that decide how the kNN widen phase coalesces: clustered
+/// batches pull each foreign rank with fewer boxes than requests, far-apart
+/// queries keep one box each, and every answer equals the single rank's.
+#[test]
+fn widen_coalescing_cases_match_single_rank() {
+    let uniform = wl::uniform::<3>(3_000, 5);
+
+    // Identical queries: one box per foreign rank the shared ball reaches.
+    let mut pair = build_pair(4, &uniform);
+    let same = vec![mid::<3>(); 64];
+    for metric in METRICS {
+        let (req, fetch) = widen_counts("identical", &mut pair, &same, 10, metric);
+        assert!(req >= 64 && fetch == req / 64, "identical {metric:?}: {fetch} of {req}");
+    }
+
+    // Far-apart queries: nothing to share, the per-query fetch unchanged.
+    let quarter = mid::<3>().coords[0] / 2;
+    let far: Vec<Point<3>> = (0..8u32)
+        .map(|i| Point::new([0, 1, 2].map(|axis| quarter * (1 + 2 * (i >> axis & 1)))))
+        .collect();
+    let (req, fetch) = widen_counts("far apart", &mut pair, &far, 10, Metric::L2);
+    assert!(req > 0 && fetch == req, "far apart: {fetch} of {req}");
+
+    // An all-Varden batch over 8 ranks, before and after a forced rebalance.
+    let varden = wl::varden::<3>(4_000, 7);
+    let walk = wl::point_queries(&varden, 256, 2, 11);
+    let machine = MachineConfig::with_modules(8);
+    let mut scfg = ShardConfig::new(8);
+    scfg.rebalance_threshold = 1.01;
+    let mut pair = (
+        ShardedZdTree::build(&uniform, scfg, zcfg(uniform.len()), machine),
+        PimZdTree::build(&uniform, zcfg(uniform.len()), machine),
+    );
+    for round in 0..3 {
+        let (req, fetch) = widen_counts("varden", &mut pair, &walk, 10, Metric::L2);
+        assert!(fetch < req, "varden round {round}: {fetch} of {req}");
+    }
+    let (moves, splits, _) = pair.0.rebalance_counters();
+    assert!(moves + splits > 0, "the all-Varden batch must force a rebalance");
+
+    // k past every home rank's point count: every ball is the universe, so
+    // each rank is asked by every query homed elsewhere and answers once.
+    let few = wl::uniform::<3>(40, 9);
+    let mut pair = build_pair(4, &few);
+    let queries = wl::uniform::<3>(32, 10);
+    let (req, fetch) = widen_counts("universe", &mut pair, &queries, 64, Metric::L2);
+    assert_eq!((req, fetch), (32 * 3, 4), "universe balls: one fetch per rank");
+
+    // Duplicate-heavy stored points astride the cell corner at the grid
+    // midpoint: ties resolve by (distance, coords) and copies collapse.
+    let c = mid::<3>().coords[0];
+    let lattice: Vec<Point<3>> = (0..6u32.pow(3))
+        .map(|i| Point::new([c - 3 + i % 6, c - 3 + i / 6 % 6, c - 3 + i / 36]))
+        .collect();
+    let stored: Vec<Point<3>> = lattice.iter().chain(&lattice).chain(&lattice).copied().collect();
+    let mut pair = build_pair(5, &stored);
+    for metric in METRICS {
+        let (req, fetch) = widen_counts("duplicates", &mut pair, &lattice, 7, metric);
+        assert!(fetch < req, "duplicates {metric:?}: {fetch} of {req}");
+    }
+
+    // D = 2, diamond and square balls, a cluster around the grid midpoint.
+    let plane = wl::uniform::<2>(2_000, 13);
+    let mut pair = build_pair(4, &plane);
+    let cluster = wl::point_queries(&[mid::<2>()], 96, 1 << 12, 15);
+    for metric in [Metric::L1, Metric::Linf] {
+        let (req, fetch) = widen_counts("2d", &mut pair, &cluster, 10, metric);
+        assert!(fetch < req, "2d {metric:?}: {fetch} of {req}");
+    }
 }
 
 /// A fault plan pinned to one rank of four: retries/salvage are confined to
