@@ -23,8 +23,8 @@
 //! member's ball box ([`coalesce_widen`]); one box per run is fetched and
 //! its points are handed to every member, each filtering by its own ball.
 //! The volume rule keeps both sides' work bounded on any input, and a lone
-//! query is a run of one. Box queries scatter to
-//! exactly the ranks whose leaves intersect. Skew-driven **rebalancing**
+//! query is a run of one. Box queries scatter to exactly the ranks whose
+//! leaves intersect. Skew-driven **rebalancing**
 //! generalizes the fault plane's dead-module re-homing to "hot rank → cold
 //! rank": when the per-rank busy-cycle imbalance of the window since the
 //! last check exceeds a threshold, the router splits or migrates the
