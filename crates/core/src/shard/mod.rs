@@ -20,7 +20,7 @@
 //! a cluster of queries wants the same region, the region is pulled to the
 //! host once, not once per query. Requests sorted by Morton key are cut
 //! into runs whose union box stays within a fixed multiple of the smallest
-//! member's ball box ([`coalesce_widen`]); one box per run is fetched and
+//! member's ball box (`coalesce_widen`); one box per run is fetched and
 //! its points are handed to every member, each filtering by its own ball.
 //! The volume rule keeps both sides' work bounded on any input, and a lone
 //! query is a run of one. Box queries scatter to exactly the ranks whose
@@ -649,9 +649,9 @@ impl<const D: usize> ShardedZdTree<D> {
     ///    only contribute points within the home bound, and a widened query
     ///    point lies outside the foreign rank's cells, where its kNN anchor
     ///    would degrade toward the root and cost far more than the fetch;
-    /// 4. each rank's requests are coalesced ([`coalesce_widen`]): sorted
+    /// 4. each rank's requests are coalesced (`coalesce_widen`): sorted
     ///    by `(query key, query index)` and cut into runs whose union box
-    ///    holds at most [`COALESCE_VOLUME_FACTOR`] × the volume of the
+    ///    holds at most `COALESCE_VOLUME_FACTOR` (2) × the volume of the
     ///    run's smallest ball box, and **one box per run** is scattered. A
     ///    cluster of queries inside one ball's reach thus pulls the region
     ///    once; far-apart queries stay runs of one. The rule bounds host
