@@ -1263,11 +1263,13 @@ impl<const D: usize> Fragment<D> {
     }
 
     /// Replaces the remote child pointing at `meta` with `replacement`
-    /// (splice after a child fragment emptied or collapsed). When
-    /// `replacement` is `None` the child's parent node is spliced out of
-    /// this fragment; if the spliced parent was the root and its sibling is
-    /// itself remote, the whole fragment collapses to that remote ref — the
-    /// caller (host) must dissolve the fragment and repoint *its* parent.
+    /// (splice after a child fragment emptied or collapsed) and carries the
+    /// change of its counter up the path to the root, as
+    /// [`Self::sync_remote_child`] does. When `replacement` is `None` the
+    /// child's parent node is spliced out of this fragment; if the spliced
+    /// parent was the root and its sibling is itself remote, the whole
+    /// fragment collapses to that remote ref — the caller (host) must
+    /// dissolve the fragment and repoint *its* parent.
     pub fn replace_remote_child(
         &mut self,
         meta: MetaId,
@@ -1276,15 +1278,12 @@ impl<const D: usize> Fragment<D> {
         let root = self.root;
         let out = match self.replace_rec(root, meta, replacement) {
             ReplaceResult::NotFound => ReplaceOutcome::NotFound,
-            ReplaceResult::Done => ReplaceOutcome::Done,
-            ReplaceResult::ReplaceMe(c) => match c {
-                Some(ChildRef::Local(i)) => {
-                    self.root = i;
-                    ReplaceOutcome::Done
-                }
-                Some(ChildRef::Remote(r)) => ReplaceOutcome::RootCollapsed(r),
-                None => unreachable!("splice always keeps the sibling"),
-            },
+            ReplaceResult::Done(_) => ReplaceOutcome::Done,
+            ReplaceResult::ReplaceMe(ChildRef::Local(i), _) => {
+                self.root = i;
+                ReplaceOutcome::Done
+            }
+            ReplaceResult::ReplaceMe(ChildRef::Remote(r), _) => ReplaceOutcome::RootCollapsed(r),
         };
         if matches!(out, ReplaceOutcome::Done) {
             self.rebuild_chunk_dir();
@@ -1302,39 +1301,38 @@ impl<const D: usize> Fragment<D> {
             BKind::Internal { left, right } => (*left, *right),
             _ => return ReplaceResult::NotFound,
         };
+        // Relinks `idx`'s child on `side` and applies the counter change
+        // that came with it.
+        let relink = |f: &mut Self, side: u8, child: ChildRef<D>, delta: i64| {
+            let n = &mut f.nodes[idx as usize];
+            let (l, r) = if side == 0 { (child, right) } else { (left, child) };
+            n.kind = BKind::Internal { left: l, right: r };
+            n.count = (n.count as i64 + delta).max(0) as u64;
+            ReplaceResult::Done(delta)
+        };
         for (side, slot) in [(0u8, left), (1u8, right)] {
             match slot {
                 ChildRef::Remote(r) if r.meta == meta => {
-                    match replacement {
-                        Some(new_r) => {
-                            let n = &mut self.nodes[idx as usize];
-                            let (l, r2) = if side == 0 {
-                                (ChildRef::Remote(new_r), right)
-                            } else {
-                                (left, ChildRef::Remote(new_r))
-                            };
-                            n.kind = BKind::Internal { left: l, right: r2 };
-                            return ReplaceResult::Done;
-                        }
+                    return match replacement {
+                        Some(new_r) => relink(
+                            self,
+                            side,
+                            ChildRef::Remote(new_r),
+                            new_r.sc as i64 - r.sc as i64,
+                        ),
                         None => {
                             // Child vanished: splice this node, keeping the
                             // sibling.
                             let sibling = if side == 0 { right } else { left };
                             self.release(idx);
-                            return ReplaceResult::ReplaceMe(Some(sibling));
+                            ReplaceResult::ReplaceMe(sibling, -(r.sc as i64))
                         }
-                    }
+                    };
                 }
                 ChildRef::Local(c) => match self.replace_rec(c, meta, replacement) {
                     ReplaceResult::NotFound => {}
-                    ReplaceResult::Done => return ReplaceResult::Done,
-                    ReplaceResult::ReplaceMe(Some(sib)) => {
-                        let n = &mut self.nodes[idx as usize];
-                        let (l, r2) = if side == 0 { (sib, right) } else { (left, sib) };
-                        n.kind = BKind::Internal { left: l, right: r2 };
-                        return ReplaceResult::Done;
-                    }
-                    ReplaceResult::ReplaceMe(None) => unreachable!(),
+                    ReplaceResult::Done(delta) => return relink(self, side, slot, delta),
+                    ReplaceResult::ReplaceMe(sib, delta) => return relink(self, side, sib, delta),
                 },
                 _ => {}
             }
@@ -1404,10 +1402,13 @@ impl<const D: usize> Fragment<D> {
     }
 }
 
+/// What [`Fragment::replace_rec`] did below a node; the `i64` is the change
+/// of the subtree's counter, which every ancestor applies to its own.
 enum ReplaceResult<const D: usize> {
     NotFound,
-    Done,
-    ReplaceMe(Option<ChildRef<D>>),
+    Done(i64),
+    /// The node was spliced out: link this (its surviving child) instead.
+    ReplaceMe(ChildRef<D>, i64),
 }
 
 /// Outcome of [`Fragment::replace_remote_child`].
@@ -1778,6 +1779,67 @@ mod tests {
         f.sync_remote_child(42, 25, None);
         assert_eq!(f.root_node().count, 26);
         assert_eq!(f.remote_children()[0].sc, 25);
+    }
+
+    #[test]
+    fn replace_remote_child_updates_ancestor_counts() {
+        // root ─┬─ inner ─┬─ leaf B
+        //       │         └─ remote 42 (sc 10)
+        //       └─ leaf A
+        let leaf = |c: [u32; 3]| {
+            let items = keyed(&[c]);
+            BNode {
+                prefix: set_prefix(&items),
+                count: 1,
+                kind: BKind::Leaf { points: items.into() },
+            }
+        };
+        let (a, b) = (leaf([2_000_000, 0, 0]), leaf([0, 0, 0]));
+        let rk = ZKey::<3>::encode(&Point::new([1_000_000, 0, 0]));
+        let remote = RemoteRef { meta: 42, module: 1, prefix: Prefix::new(rk, 20), sc: 10 };
+        let inner_pre = Prefix::new(b.prefix.key, b.prefix.key.common_prefix_len(rk));
+        let root_pre = Prefix::new(b.prefix.key, b.prefix.key.common_prefix_len(a.prefix.key));
+        let mut f = Fragment {
+            meta: 5,
+            master_module: 0,
+            nodes: vec![
+                BNode {
+                    prefix: root_pre,
+                    count: 12,
+                    kind: BKind::Internal { left: ChildRef::Local(1), right: ChildRef::Local(2) },
+                },
+                BNode {
+                    prefix: inner_pre,
+                    count: 11,
+                    kind: BKind::Internal {
+                        left: ChildRef::Local(3),
+                        right: ChildRef::Remote(remote),
+                    },
+                },
+                a,
+                b,
+            ],
+            free: vec![],
+            root: 0,
+            leaf_cap: 4,
+            chunk_dir: Default::default(),
+            dir_bits: 0,
+            dense_min: 0,
+        };
+        // The child collapsed to a smaller grandchild: every ancestor drops
+        // by the difference.
+        let collapsed = RemoteRef { meta: 43, sc: 3, ..remote };
+        assert!(matches!(f.replace_remote_child(42, Some(collapsed)), ReplaceOutcome::Done));
+        assert_eq!((f.root_node().count, f.node(1).count), (5, 4));
+        assert_eq!(f.remote_children()[0].meta, 43);
+        // It emptied: `inner` is spliced out and the root forgets its points.
+        assert!(matches!(f.replace_remote_child(43, None), ReplaceOutcome::Done));
+        assert_eq!(f.root_node().count, 2);
+        assert!(f.remote_children().is_empty());
+        assert!(matches!(
+            f.root_node().kind,
+            BKind::Internal { left: ChildRef::Local(3), right: ChildRef::Local(2) }
+        ));
     }
 
     #[test]

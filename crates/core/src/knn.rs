@@ -1,16 +1,34 @@
 //! Batched k-nearest-neighbor queries (Alg. 3) with the §6 two-stage
 //! coarse/fine metric execution.
 //!
-//! Per query: (1) SEARCH records the trace and the *anchor* — the lowest
+//! (1) SEARCH records each query's trace and its *anchor* — the lowest
 //! path node whose lazy counter guarantees ≥ k true points (we require
 //! SC ≥ 2k, which by Lemma 3.1 implies T ≥ k). (2) A best-k traversal of the
 //! anchor's subtree yields k candidates under the *coarse* metric (ℓ1 on the
 //! PIM side — additions only; UPMEM multiplies cost 32 cycles). (3) The
-//! k-th candidate distance defines a sphere; the lowest trace node
-//! containing it is found host-side. (4) A ball traversal from that node
-//! gathers every point inside the (√D-inflated, for ℓ2) sphere. (5) The
-//! host evaluates the exact target metric over the collected set — the
-//! fine-grained stage — and emits the final k.
+//! k-th candidate distance defines a sphere per query, and the queries are
+//! cut into **runs** that share one sphere (below). (4) One ball traversal
+//! per run, from the lowest node of its centre's trace that contains the
+//! run's sphere, gathers every point inside it (√D-inflated, for ℓ2).
+//! (5) The host evaluates the exact target metric over the collected set,
+//! once per member — the fine-grained stage — and emits each final k.
+//!
+//! **Runs** are the push-pull rule (§3.3) applied to the ball phase: where
+//! a cluster of queries wants the same region, the region is pulled to the
+//! host once, not once per query. The queries are ordered by `(Morton key,
+//! qid)` — Morton order keeps spatial neighbours adjacent — and that order
+//! is cut greedily (`cut_runs`): a query joins the open run only while the
+//! run's *covering ball* — centred on the run's first query, radius
+//! `R = max over members (r_i + dist(centre, q_i))` by the triangle
+//! inequality — keeps `R^D ≤ COALESCE_VOLUME_FACTOR · r_min^D` (factor 2). A
+//! member's own ball lies inside the covering ball, so the fine filter sees
+//! a superset of the member's true k nearest (and only stored points): the
+//! answers are those of one traversal per query, bit for bit. The volume
+//! rule bounds both sides on any input: a member sifts through at most that
+//! factor × its own ball's worth of points, and a run of two or more
+//! fetches at most the factor × its smallest member's volume — no more (at
+//! factor 2) than its members' balls sum to. A query with no such
+//! neighbour is a run of one, whose task is the per-query one.
 //!
 //! Steps 2 and 4 are the two modes of one `Probe`, [`KnnTask`], run by
 //! the shared engine in `traverse.rs`; this file says what the probe
@@ -29,6 +47,91 @@ use pim_zorder::prefix::Prefix;
 /// Cap on the up-front reservation of a query's best-k list (`k` is caller
 /// input; anything larger grows on demand).
 const MAX_CANDS_RESERVE: usize = 1024;
+
+/// A coalesced run may span at most this many times the volume of its
+/// smallest member: the covering ball of a ball-phase run here, the union
+/// box of a widen-fetch run in the shard router.
+pub(crate) const COALESCE_VOLUME_FACTOR: u128 = 2;
+/// Host cycles charged per item ordered and cut into runs (a merge step
+/// plus a routing step, as the router prices them).
+pub(crate) const COALESCE_CYCLES: u64 = 32;
+
+/// Cuts `items`, in the order given, greedily into runs: an item joins the
+/// open run when `join` returns the run's grown accumulator, and otherwise
+/// starts the next run with `start`. Returns each run's `(accumulator,
+/// length)`. The one loop behind both coalescing steps; what a run may span
+/// is the accumulator's business.
+pub(crate) fn cut_runs<T, S>(
+    items: impl IntoIterator<Item = T>,
+    start: impl Fn(&T) -> S,
+    join: impl Fn(&S, &T) -> Option<S>,
+) -> Vec<(S, usize)> {
+    let mut runs: Vec<(S, usize)> = Vec::new();
+    for item in items {
+        if let Some((state, len)) = runs.last_mut() {
+            if let Some(grown) = join(state, &item) {
+                (*state, *len) = (grown, *len + 1);
+                continue;
+            }
+        }
+        runs.push((start(&item), 1));
+    }
+    runs
+}
+
+/// The covering ball of a ball-phase run. Radii come in two forms: the
+/// metric's *comparable* one, which tasks carry (squared for ℓ2), and the
+/// linear one the triangle inequality and the volume rule need (`⌈√·⌉` of
+/// it for ℓ2, so every rounding widens the ball).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct BallRun<const D: usize> {
+    /// The run's first query.
+    pub centre: Point<D>,
+    /// Comparable radius around `centre` covering every member's ball
+    /// (`u64::MAX` = the universe).
+    pub bound: u64,
+    /// `bound` in linear form.
+    pub radius: u64,
+    /// The smallest member radius, linear.
+    pub r_min: u64,
+}
+
+fn linear_radius(metric: Metric, bound: u64) -> u64 {
+    match metric {
+        Metric::L2 => isqrt_ceil(bound),
+        Metric::L1 | Metric::Linf => bound,
+    }
+}
+
+impl<const D: usize> BallRun<D> {
+    /// A run of one: the query's own ball, untouched.
+    pub fn start(metric: Metric, q: &Point<D>, bound: u64) -> Self {
+        let radius = linear_radius(metric, bound);
+        BallRun { centre: *q, bound, radius, r_min: radius }
+    }
+
+    /// The run with the ball of comparable radius `bound` around `q` in it,
+    /// if the covering ball stays within [`COALESCE_VOLUME_FACTOR`] × the
+    /// smallest member's volume. Universe balls join each other and
+    /// nothing else.
+    pub fn join(&self, metric: Metric, q: &Point<D>, bound: u64) -> Option<Self> {
+        if self.bound == u64::MAX || bound == u64::MAX {
+            return (self.bound == bound).then_some(*self);
+        }
+        let r = linear_radius(metric, bound);
+        let reach = r + linear_radius(metric, metric.cmp_dist(&self.centre, q));
+        let (radius, r_min) = (self.radius.max(reach), self.r_min.min(r));
+        let volume = |r: u64| u128::from(r).checked_pow(D as u32);
+        if volume(radius)? > COALESCE_VOLUME_FACTOR.saturating_mul(volume(r_min)?) {
+            return None;
+        }
+        let bound = match metric {
+            Metric::L2 => radius.saturating_mul(radius),
+            Metric::L1 | Metric::Linf => radius,
+        };
+        Some(BallRun { centre: self.centre, bound, radius, r_min })
+    }
+}
 
 /// Best-k (`ball == false`): `found` is the sorted list of the `k` nearest
 /// distinct points seen so far and the bound is its k-th distance. Ball
@@ -125,6 +228,16 @@ impl<const D: usize> PimZdTree<D> {
     /// Batched exact k-nearest-neighbor query under `metric`. Results are
     /// sorted by (comparable distance, coordinates); ℓ2 distances are
     /// squared.
+    ///
+    /// The ball phase runs once per *run* of queries, not once per query:
+    /// queries in Morton order whose spheres fit one covering ball of at
+    /// most twice (`COALESCE_VOLUME_FACTOR`) the smallest sphere's volume share
+    /// one traversal, and each takes its k nearest from the shared set (see
+    /// the module docs for the rule and why no answer changes). The host
+    /// meter is charged `COALESCE_CYCLES` (32) per query for the grouping pass
+    /// and the fine filter per (member, collected point) pair; a registry,
+    /// when attached, gets `host_knn_ball_queries_total` and
+    /// `host_knn_ball_runs_total`.
     pub fn batch_knn(
         &mut self,
         queries: &[Point<D>],
@@ -188,15 +301,14 @@ impl<const D: usize> PimZdTree<D> {
             .collect();
         self.traverse(&mut walks);
 
-        // Step 3: sphere radius per query and the lowest trace node
-        // containing it. Each walk is then re-armed in place for the ball
-        // phase, keeping the storage step 2 grew.
+        // Step 3: sphere radius per query.
         let mut fine: Vec<u64> = self.bufs.take_vec();
-        for (qid, w) in walks.iter_mut().enumerate() {
+        let mut radii: Vec<u64> = self.bufs.take_vec();
+        for w in walks.iter_mut() {
             let x = if w.found.len() >= k { w.found[k - 1].0 } else { u64::MAX };
             // Radius under the coarse metric guaranteed to contain the true
             // k nearest under the target metric.
-            let radius = if x == u64::MAX {
+            radii.push(if x == u64::MAX {
                 u64::MAX
             } else if two_stage {
                 // Tighten first: evaluate the *fine* metric on the k coarse
@@ -212,33 +324,72 @@ impl<const D: usize> PimZdTree<D> {
                 Metric::anchor_inflate(r2, D)
             } else {
                 x
-            };
-            self.meter.work(30);
-            let (meta, node) =
-                self.lowest_trace_node_containing(&s.hops[qid], &w.probe.q, radius, coarse);
+            });
             w.found.clear();
-            w.restart(KnnTask { meta, node, bound: radius, ball: true, ..w.probe });
         }
         self.bufs.put_vec(fine);
 
-        // Step 4: collect everything inside the spheres.
-        self.traverse(&mut walks);
+        // The queries in `(Morton key, qid)` order, cut into runs that share
+        // one covering ball (module docs).
+        let mut order: Vec<u32> = self.bufs.take_vec();
+        order.extend(0..n as u32);
+        order.sort_unstable_by_key(|&qid| (s.keys[qid as usize], qid));
+        self.meter.work(n as u64 * COALESCE_CYCLES);
+        let member = |&qid: &u32| (&queries[qid as usize], radii[qid as usize]);
+        let runs = cut_runs(
+            order.iter().map(member),
+            |&(q, r)| BallRun::start(coarse, q, r),
+            |run, &(q, r)| run.join(coarse, q, r),
+        );
+        self.bufs.put_vec(radii);
 
-        // Step 5: fine filtering on the CPU (§6) — the collected points go
-        // lane-major into one reused block, and the SoA distance kernel
-        // streams it through a bounded max-heap (k results in (distance,
-        // coords) order, duplicates dropped). One aggregated charge per
-        // query stands for the per-candidate charges: same total.
+        // Each run takes over one of the finished walks, storage and all,
+        // and enters at the lowest node of its centre's trace that contains
+        // the covering ball.
+        let mut first = 0;
+        for (j, (run, len)) in runs.iter().enumerate() {
+            self.meter.work(30);
+            let hops = &s.hops[order[first] as usize];
+            let (meta, node) =
+                self.lowest_trace_node_containing(hops, &run.centre, run.bound, coarse);
+            let w = &mut walks[j];
+            w.restart(KnnTask {
+                qid: j as u32,
+                meta,
+                node,
+                q: run.centre,
+                bound: run.bound,
+                ball: true,
+                ..w.probe
+            });
+            first += len;
+        }
+
+        // Step 4: collect everything inside the covering balls.
+        self.traverse(&mut walks[..runs.len()]);
+        self.sys.metrics().with(|m| {
+            m.add("host_knn_ball_queries_total", &[], n as u64);
+            m.add("host_knn_ball_runs_total", &[], runs.len() as u64);
+        });
+
+        // Step 5: fine filtering on the CPU (§6) — a run's points go
+        // lane-major into one reused block, once, and the SoA distance
+        // kernel streams it through a bounded max-heap per member (k results
+        // in (distance, coords) order, duplicates dropped). One aggregated
+        // charge per run stands for the per-(member, point) charges.
         let _span = pim_obs::span("fine_filter");
         let mut block = CoordBlock::new();
-        walks
-            .into_iter()
-            .map(|w| {
-                self.meter.work(6 * D as u64 * w.found.len() as u64);
-                block.refill(w.found.iter().map(|(_, p)| p));
-                fine_select(&block, &w.probe.q, metric, k)
-            })
-            .collect()
+        let mut out = vec![Vec::new(); n];
+        let mut members = order.iter();
+        for (w, (_, len)) in walks.iter().zip(&runs) {
+            self.meter.work(6 * D as u64 * (w.found.len() * len) as u64);
+            block.refill(w.found.iter().map(|(_, p)| p));
+            for &qid in members.by_ref().take(*len) {
+                out[qid as usize] = fine_select(&block, &queries[qid as usize], metric, k);
+            }
+        }
+        self.bufs.put_vec(order);
+        out
     }
 
     /// Finds the deepest node on the query's (meta-granularity) trace whose

@@ -249,13 +249,14 @@ pub const REPLY_INLINE: usize = 2;
 /// kNN subtree exploration task.
 #[derive(Clone, Copy, Debug)]
 pub struct KnnTask<const D: usize> {
-    /// Query index.
+    /// Query index; a ball task's is the index of the run of queries it
+    /// collects for.
     pub qid: u32,
     /// Fragment to explore.
     pub meta: MetaId,
     /// Start node (`u32::MAX` = fragment root).
     pub node: u32,
-    /// Query point.
+    /// Query point (a ball task's: the centre of its run's covering ball).
     pub q: Point<D>,
     /// Number of neighbors.
     pub k: u32,

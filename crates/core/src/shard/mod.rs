@@ -26,9 +26,12 @@
 //! query is a run of one. Box queries scatter to exactly the ranks whose
 //! leaves intersect. Skew-driven **rebalancing**
 //! generalizes the fault plane's dead-module re-homing to "hot rank → cold
-//! rank": when the per-rank busy-cycle imbalance of the window since the
-//! last check exceeds a threshold, the router splits or migrates the
-//! hottest leaf cells, recording every placement change in the table
+//! rank". Ranks run concurrently, so a phase costs what its slowest rank
+//! costs, and a rank's PIM time is the sum over rounds of its *busiest
+//! module*: when that straggler path, over the window since the last check,
+//! is more imbalanced across ranks than a threshold, the router splits the
+//! hottest leaf cells and migrates them while a move still lowers the
+//! hotter of the two ranks, recording every placement change in the table
 //! *before* moving data, so routing stays authoritative mid-migration.
 
 pub mod placement;
@@ -38,7 +41,7 @@ pub use placement::{CellId, PlacementTable};
 use crate::config::PimZdConfig;
 use crate::frag::{push_candidate, NullSink};
 use crate::host::PimZdTree;
-use crate::knn::ball_box;
+use crate::knn::{ball_box, cut_runs, COALESCE_CYCLES, COALESCE_VOLUME_FACTOR};
 use crate::stats::{OpBreakdown, OpStats};
 use pim_geom::{coord_bits_for_dim, Aabb, Metric, Point};
 use pim_memsim::{CpuConfig, CpuMeter, CpuModel};
@@ -52,9 +55,6 @@ use std::collections::BTreeMap;
 const ROUTE_CYCLES: u64 = 24;
 /// Host cycles charged per element merged/sorted at the gather stage.
 const MERGE_CYCLES: u64 = 8;
-/// A coalesced widen run's union box may hold at most this many times the
-/// volume of its smallest member's ball box (see [`coalesce_widen`]).
-const COALESCE_VOLUME_FACTOR: u128 = 2;
 
 /// Configuration of the shard router.
 #[derive(Clone, Copy, Debug)]
@@ -66,9 +66,10 @@ pub struct ShardConfig {
     pub initial_levels: u32,
     /// Seed of the rendezvous placement hash.
     pub placement_seed: u64,
-    /// Rebalance after an operation when the busy-cycle imbalance of the
-    /// window since the last check exceeds this ratio (max/mean over ranks;
-    /// 1.0 = perfectly balanced).
+    /// Rebalance after an operation when the straggler-path imbalance of
+    /// the window since the last check exceeds this ratio (max/mean over
+    /// ranks of Σ per-round busiest-module cycles; 1.0 = perfectly
+    /// balanced).
     pub rebalance_threshold: f64,
     /// Whether the router rebalances automatically at batch boundaries.
     pub auto_rebalance: bool,
@@ -219,22 +220,18 @@ struct WidenReq<const D: usize> {
 /// stay runs of one, the plain per-query fetch.
 fn coalesce_widen<const D: usize>(reqs: &mut [WidenReq<D>]) -> Vec<(Aabb<D>, usize)> {
     reqs.sort_unstable_by_key(|r| (r.key, r.qi));
-    let mut runs: Vec<(Aabb<D>, usize)> = Vec::new();
-    let mut min_vol = 0u128;
-    for r in reqs.iter() {
-        let vol = r.ball.volume();
-        if let Some((bx, len)) = runs.last_mut() {
+    // A run's accumulator: its union box and its smallest member's volume.
+    let runs = cut_runs(
+        reqs.iter(),
+        |r| (r.ball, r.ball.volume()),
+        |(bx, min_vol), r| {
             let grown = bx.union(&r.ball);
-            let smallest = min_vol.min(vol);
-            if grown.volume() <= COALESCE_VOLUME_FACTOR.saturating_mul(smallest) {
-                (*bx, *len, min_vol) = (grown, *len + 1, smallest);
-                continue;
-            }
-        }
-        runs.push((r.ball, 1));
-        min_vol = vol;
-    }
-    runs
+            let smallest = r.ball.volume().min(*min_vol);
+            (grown.volume() <= COALESCE_VOLUME_FACTOR.saturating_mul(smallest))
+                .then_some((grown, smallest))
+        },
+    );
+    runs.into_iter().map(|((bx, _), len)| (bx, len)).collect()
 }
 
 /// The sharded index: N [`PimZdTree`] ranks behind one batch API (see the
@@ -246,7 +243,8 @@ pub struct ShardedZdTree<const D: usize> {
     /// Routed-key heat per level-`heat_levels` Morton prefix, cleared at
     /// every rebalance so each window measures fresh skew.
     heat: FxHashMap<u64, u64>,
-    /// Per-rank `total_pim_cycles` at the start of the current rebalance
+    /// Per-rank `sum_max_cycles` (the straggler path: Σ over rounds of the
+    /// busiest module's cycles) at the start of the current rebalance
     /// window.
     cycles_base: Vec<u64>,
     meter: CpuMeter,
@@ -289,7 +287,7 @@ impl<const D: usize> ShardedZdTree<D> {
         }
         let ranks: Vec<PimZdTree<D>> =
             parts.iter().map(|part| PimZdTree::build_with_cpu(part, zcfg, machine, cpu)).collect();
-        let cycles_base = ranks.iter().map(|r| r.sim_stats().total_pim_cycles).collect();
+        let cycles_base = ranks.iter().map(|r| r.sim_stats().sum_max_cycles).collect();
         ShardedZdTree {
             cfg,
             placement,
@@ -716,7 +714,7 @@ impl<const D: usize> ShardedZdTree<D> {
         if acc.widen_requests > 0 {
             // Pull once per cluster: each rank's requests coalesce into
             // runs, and one box per run is scattered.
-            self.meter.work(acc.widen_requests * (MERGE_CYCLES + ROUTE_CYCLES));
+            self.meter.work(acc.widen_requests * COALESCE_CYCLES);
             let runs: Vec<Vec<(Aabb<D>, usize)>> =
                 reqs.iter_mut().map(|r| coalesce_widen(r)).collect();
             acc.widen_fetches = runs.iter().map(|r| r.len() as u64).sum();
@@ -757,9 +755,10 @@ impl<const D: usize> ShardedZdTree<D> {
     // Skew-driven rebalancing
     // -----------------------------------------------------------------
 
-    /// Checks the busy-cycle imbalance of the window since the last check
-    /// and, when it exceeds the threshold, splits or migrates the hottest
-    /// leaves of the hottest rank (≤ `max_actions` actions). Runs
+    /// Checks the straggler-path imbalance of the window since the last
+    /// check and, when it exceeds the threshold, splits or migrates the
+    /// hottest leaves of the hottest rank (≤ `max_actions` actions, and
+    /// only moves that lower the hotter of the two ranks). Runs
     /// automatically at batch boundaries when `auto_rebalance` is set; this
     /// entry point lets callers with `auto_rebalance` off trigger it
     /// manually between batches. Returns the number of actions taken.
@@ -779,11 +778,13 @@ impl<const D: usize> ShardedZdTree<D> {
         if n < 2 {
             return 0;
         }
+        // What a rank's window cost in time: its straggler path. A sum over
+        // modules would hide a rank whose whole load sits on one of them.
         let deltas: Vec<u64> = self
             .ranks
             .iter()
             .zip(&self.cycles_base)
-            .map(|(r, base)| r.sim_stats().total_pim_cycles - base)
+            .map(|(r, base)| r.sim_stats().sum_max_cycles - base)
             .collect();
         let total: u64 = deltas.iter().sum();
         if total == 0 {
@@ -853,9 +854,12 @@ impl<const D: usize> ShardedZdTree<D> {
                     }
                 }
             } else {
-                // Move the leaf to the heat-coldest rank.
+                // Move the leaf to the heat-coldest rank — while that is a
+                // descent: the receiver must end up cooler than the donor
+                // was, or the leaf (hotter than the gap between them) would
+                // only trade places with itself until the budget ran out.
                 let (cold, _) = rank_heat.iter().enumerate().min_by_key(|&(i, &h)| (h, i)).unwrap();
-                if cold == hot {
+                if rank_heat[cold] + lh >= rank_heat[hot] {
                     break;
                 }
                 self.placement.set_owner(leaf, cold as u32);
@@ -896,7 +900,7 @@ impl<const D: usize> ShardedZdTree<D> {
     fn reset_window(&mut self) {
         self.heat.clear();
         for (base, rank) in self.cycles_base.iter_mut().zip(&self.ranks) {
-            *base = rank.sim_stats().total_pim_cycles;
+            *base = rank.sim_stats().sum_max_cycles;
         }
     }
 }
@@ -905,6 +909,7 @@ impl<const D: usize> ShardedZdTree<D> {
 mod tests {
     use super::*;
     use crate::config::PimZdConfig;
+    use crate::knn::BallRun;
 
     fn pts(n: u32, seed: u32) -> Vec<Point<3>> {
         (0..n)
@@ -1020,32 +1025,47 @@ mod tests {
         assert_eq!(sh.batch_contains(&data[..100]), single.batch_contains(&data[..100]));
     }
 
-    /// A widen request for the grouping property: a centre on a coarse
-    /// lattice (equal keys are common) and a ball radius from 0 to far past
-    /// the lattice pitch.
-    fn widen_input() -> impl proptest::prelude::Strategy<Value = (u64, Aabb<3>)> {
+    /// A query for the grouping properties: a centre on a coarse lattice
+    /// (equal keys are common) and a radius exponent, from 0 to far past the
+    /// lattice pitch.
+    fn run_input() -> impl proptest::prelude::Strategy<Value = (Point<3>, u32)> {
         use proptest::prelude::*;
-        (0u32..6, 0u32..6, 0u32..6, 0u32..5).prop_map(|(x, y, z, e)| {
-            let q = Point::new([1000 + 40 * x, 1000 + 40 * y, 1000 + 40 * z]);
-            (ZKey::<3>::encode(&q).0, ball_box::<3>(&q, (1u64 << (3 * e)) - 1, Metric::Linf))
-        })
+        (0u32..6, 0u32..6, 0u32..6, 0u32..5)
+            .prop_map(|(x, y, z, e)| (Point::new([1000 + 40 * x, 1000 + 40 * y, 1000 + 40 * z]), e))
+    }
+
+    /// `v` in another arrival order.
+    fn permuted<T: Clone>(v: &[T], shuffle: u64) -> Vec<T> {
+        let mut out = v.to_vec();
+        for i in 1..out.len() {
+            out.swap(i, (shuffle.rotate_left(i as u32) % (i as u64 + 1)) as usize);
+        }
+        out
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        /// The grouping contract of [`coalesce_widen`], on clustered,
-        /// scattered and mixed-size requests.
+        /// The grouping contract of [`cut_runs`] under both accumulators —
+        /// the union box of [`coalesce_widen`] and the covering ball of the
+        /// kNN ball phase — on clustered, scattered and mixed-size input.
+        /// The factor is spelled out: the rule is "at most twice".
         #[test]
         fn coalesced_runs_partition_cover_and_bound(
-            input in proptest::collection::vec(widen_input(), 0..40),
+            input in proptest::collection::vec(run_input(), 0..40),
+            metric in 0usize..3,
             shuffle in 0u64..u64::MAX,
         ) {
             use proptest::prelude::*;
+            let metric = [Metric::L1, Metric::L2, Metric::Linf][metric];
             let mut reqs: Vec<WidenReq<3>> = input
                 .iter()
                 .enumerate()
-                .map(|(qi, &(key, ball))| WidenReq { key, qi, ball })
+                .map(|(qi, (q, e))| WidenReq {
+                    key: ZKey::<3>::encode(q).0,
+                    qi,
+                    ball: ball_box::<3>(q, (1u64 << (3 * e)) - 1, Metric::Linf),
+                })
                 .collect();
             let runs = coalesce_widen(&mut reqs);
             // Sorted by (key, qi), and the runs partition that order.
@@ -1058,15 +1078,57 @@ mod tests {
                 rest = tail;
                 let smallest = members.iter().map(|m| m.ball.volume()).min().unwrap();
                 prop_assert!(members.iter().all(|m| bx.contains_box(&m.ball)));
-                prop_assert!(bx.volume() <= COALESCE_VOLUME_FACTOR * smallest);
+                prop_assert!(bx.volume() <= 2 * smallest);
             }
             // Any arrival order of the same requests gives the same runs.
-            let mut permuted = reqs.clone();
-            for i in 1..permuted.len() {
-                permuted.swap(i, (shuffle.rotate_left(i as u32) % (i as u64 + 1)) as usize);
+            let mut again = permuted(&reqs, shuffle);
+            prop_assert_eq!(coalesce_widen(&mut again), runs);
+            prop_assert_eq!(again, reqs);
+
+            // The ball instance: `(key, qid, query, comparable radius)`, the
+            // radius a universe one now and then.
+            let ball_runs = |items: &mut Vec<(u64, usize, Point<3>, u64)>| {
+                items.sort_unstable_by_key(|&(key, qid, ..)| (key, qid));
+                cut_runs(
+                    items.iter(),
+                    |&&(.., q, r)| BallRun::start(metric, &q, r),
+                    |run, &&(.., q, r)| run.join(metric, &q, r),
+                )
+            };
+            let mut items: Vec<(u64, usize, Point<3>, u64)> = input
+                .iter()
+                .enumerate()
+                .map(|(qid, (q, e))| {
+                    let r = if qid % 7 == 6 { u64::MAX } else { (1u64 << (3 * e)) - 1 };
+                    (ZKey::<3>::encode(q).0, qid, *q, r)
+                })
+                .collect();
+            let runs = ball_runs(&mut items);
+            prop_assert_eq!(runs.iter().map(|&(_, len)| len).sum::<usize>(), items.len());
+            let linear = |r: u64| if metric == Metric::L2 { pim_geom::isqrt_ceil(r) } else { r };
+            let mut rest = &items[..];
+            for (run, len) in &runs {
+                let (members, tail) = rest.split_at(*len);
+                rest = tail;
+                prop_assert_eq!(run.centre, members[0].2);
+                if run.bound == u64::MAX {
+                    prop_assert!(members.iter().all(|m| m.3 == u64::MAX));
+                    continue;
+                }
+                // Every member's ball inside the run's, by the triangle
+                // inequality, and the run's at most twice the smallest.
+                let r_min = members.iter().map(|m| linear(m.3)).min().unwrap();
+                let big = linear(run.bound);
+                for &(.., q, r) in members {
+                    prop_assert!(r != u64::MAX);
+                    prop_assert!(linear(r) + linear(metric.cmp_dist(&run.centre, &q)) <= big);
+                }
+                prop_assert!((big as u128).pow(3) <= 2 * (r_min as u128).pow(3));
+                // A run of one is the query's own ball, untouched.
+                prop_assert!(*len > 1 || run.bound == members[0].3);
             }
-            prop_assert_eq!(coalesce_widen(&mut permuted), runs);
-            prop_assert_eq!(permuted, reqs);
+            let mut again = permuted(&items, shuffle);
+            prop_assert_eq!(ball_runs(&mut again), runs);
         }
     }
 

@@ -1,8 +1,10 @@
 //! Cross-crate integration: the PIM index must agree with the shared-memory
 //! zd-tree oracle on every operation, across configurations, datasets, and
-//! update schedules.
+//! update schedules — and with a brute-force scan on the inputs that decide
+//! how the kNN ball phase cuts its queries into runs.
 
 use pim_memsim::{CpuConfig, CpuMeter};
+use pim_zd_tree_repro::sim::Metrics;
 use pim_zd_tree_repro::{workloads, Aabb, MachineConfig, Metric, PimZdConfig, PimZdTree, Point};
 use pim_zdtree_base::ZdTree;
 
@@ -166,4 +168,123 @@ fn pkdtree_also_agrees_on_queries() {
     let got = index.batch_knn(&queries, 6, Metric::L2);
     let want: Vec<_> = queries.iter().map(|q| pkd.knn(q, 6, Metric::L2, &mut m)).collect();
     assert_eq!(got, want);
+}
+
+/// Brute-force kNN: distinct points, ties by (distance, coords).
+fn brute_knn<const D: usize>(
+    data: &[Point<D>],
+    q: &Point<D>,
+    k: usize,
+    metric: Metric,
+) -> Vec<(u64, Point<D>)> {
+    let mut all: Vec<(u64, Point<D>)> = data.iter().map(|p| (metric.cmp_dist(q, p), *p)).collect();
+    all.sort_unstable_by_key(|(d, p)| (*d, p.coords));
+    all.dedup();
+    all.truncate(k);
+    all
+}
+
+/// Runs one kNN batch, holds every answer to the brute-force scan of `data`,
+/// and returns the batch's ball-phase `(queries, runs)` as the registry
+/// counted them.
+fn ball_runs<const D: usize>(
+    case: &str,
+    index: &mut PimZdTree<D>,
+    data: &[Point<D>],
+    queries: &[Point<D>],
+    k: usize,
+    metric: Metric,
+) -> (u64, u64) {
+    let metrics = Metrics::enabled_new();
+    index.set_metrics(metrics.clone());
+    let got = index.batch_knn(queries, k, metric);
+    index.set_metrics(Metrics::disabled());
+    for (qid, (q, row)) in queries.iter().zip(&got).enumerate() {
+        assert_eq!(row, &brute_knn(data, q, k, metric), "{case}: {metric:?} k={k} q#{qid}");
+    }
+    let count = |name| metrics.with(|m| m.counter(name, &[])).flatten().unwrap_or(0);
+    (count("host_knn_ball_queries_total"), count("host_knn_ball_runs_total"))
+}
+
+/// The grid midpoint.
+fn mid<const D: usize>() -> Point<D> {
+    Point::new([pim_zd_tree_repro::geom::max_coord_for_dim(D) / 2 + 1; D])
+}
+
+/// The inputs that decide how the ball phase coalesces: queries that share
+/// a neighbourhood share one traversal, queries that do not keep their own,
+/// and every answer is the brute-force one either way.
+#[test]
+fn ball_phase_runs_match_brute_force() {
+    const METRICS: [Metric; 3] = [Metric::L1, Metric::L2, Metric::Linf];
+    let machine = MachineConfig::with_modules(16);
+    let data = workloads::uniform::<3>(6_000, 12);
+    let no_coarse_stage = {
+        // The modules evaluate ℓ2 themselves: radii are squared distances.
+        let mut cfg = PimZdConfig::throughput_optimized(6_000, 16);
+        cfg.toggles.coarse_fine_knn = false;
+        cfg
+    };
+    for (preset, cfg) in [
+        ("throughput", PimZdConfig::throughput_optimized(6_000, 16)),
+        ("skew", PimZdConfig::skew_resistant(16)),
+        ("squared radii", no_coarse_stage),
+    ] {
+        let mut index = PimZdTree::build(&data, cfg, machine);
+
+        // Identical queries: one ball, one run.
+        let same = vec![data[17]; 64];
+        for metric in METRICS {
+            let runs = ball_runs(preset, &mut index, &data, &same, 10, metric);
+            assert_eq!(runs, (64, 1), "{preset}: identical queries under {metric:?}");
+        }
+
+        // One query per octant: nothing to share, one run each.
+        let quarter = mid::<3>().coords[0] / 2;
+        let far: Vec<Point<3>> = (0..8u32)
+            .map(|i| Point::new([0, 1, 2].map(|axis| quarter * (1 + 2 * (i >> axis & 1)))))
+            .collect();
+        let runs = ball_runs(preset, &mut index, &data, &far, 10, Metric::L2);
+        assert_eq!(runs, (8, 8), "{preset}: far-apart queries");
+
+        // An all-Varden batch: a filament of queries far closer to each
+        // other than to their neighbours.
+        let walk = workloads::point_queries(&workloads::varden::<3>(4_000, 7), 256, 2, 11);
+        for metric in METRICS {
+            let (queries, runs) = ball_runs(preset, &mut index, &data, &walk, 10, metric);
+            assert!(queries == 256 && runs < 64, "{preset}: Varden under {metric:?}: {runs} runs");
+        }
+    }
+
+    // k past the tree size: every ball is the universe, and universe balls
+    // join each other — one fetch of everything, not one per query.
+    let few = workloads::uniform::<3>(40, 9);
+    let cfg = PimZdConfig::throughput_optimized(64, 16);
+    let mut index = PimZdTree::build(&few, cfg, machine);
+    let queries = workloads::uniform::<3>(32, 10);
+    assert_eq!(ball_runs("universe", &mut index, &few, &queries, 64, Metric::L2), (32, 1));
+
+    // A 6×6×6 lattice stored three times over: ties resolve by (distance,
+    // coords) and copies collapse, whoever shares a run with whom.
+    let c = mid::<3>().coords[0];
+    let lattice: Vec<Point<3>> = (0..6u32.pow(3))
+        .map(|i| Point::new([c - 3 + i % 6, c - 3 + i / 6 % 6, c - 3 + i / 36]))
+        .collect();
+    let stored: Vec<Point<3>> = lattice.iter().chain(&lattice).chain(&lattice).copied().collect();
+    let cfg = PimZdConfig::skew_resistant(16);
+    let mut index = PimZdTree::build(&stored, cfg, machine);
+    for metric in METRICS {
+        let (queries, runs) = ball_runs("duplicates", &mut index, &stored, &lattice, 7, metric);
+        assert!(runs < queries, "duplicates under {metric:?}: {runs} runs of {queries}");
+    }
+
+    // D = 2: diamond, disc and square balls around one cluster.
+    let plane = workloads::uniform::<2>(2_000, 13);
+    let cfg = PimZdConfig::throughput_optimized(2_000, 16);
+    let mut index = PimZdTree::build(&plane, cfg, machine);
+    let cluster = workloads::point_queries(&[mid::<2>()], 96, 1 << 12, 15);
+    for metric in METRICS {
+        let (queries, runs) = ball_runs("2d", &mut index, &plane, &cluster, 10, metric);
+        assert!(runs < queries, "2d under {metric:?}: {runs} runs of {queries}");
+    }
 }

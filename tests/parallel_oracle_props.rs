@@ -7,10 +7,16 @@
 //! duplicate points are common, and `k` ranges past the tree size — the two
 //! edge cases where a wrong tie rule or off-by-one would hide.
 //!
+//! The PIM index's batch kNN sits beside them: its ball phase hands one
+//! collected point set to every query of a run, and the tiny cube makes
+//! runs of every shape — identical queries, neighbours whose balls nearly
+//! coincide, universe balls once `k` passes the tree size.
+//!
 //! The CI matrix runs this file under `RAYON_NUM_THREADS` 1 and 4, so the
 //! oracle equality is itself checked under two schedules.
 
 use pim_geom::{Aabb, Metric, Point};
+use pim_zd_tree_repro::{MachineConfig, PimZdConfig, PimZdTree};
 use pim_zdtree_base::ZdTree;
 use proptest::prelude::*;
 
@@ -61,6 +67,35 @@ proptest! {
             for (q, res) in queries.iter().zip(&got) {
                 let want = knn_oracle(&data, q, k, metric);
                 prop_assert_eq!(res.len(), want.len().min(k));
+                prop_assert_eq!(res, &want, "kNN diverged under {:?}", metric);
+            }
+        }
+    }
+
+    /// PIM batch kNN ≡ brute force over the *distinct* stored points (its
+    /// documented contract), whichever queries share a ball-phase run: both
+    /// presets, with the coarse ℓ1 stage and with squared-ℓ2 radii.
+    #[test]
+    fn pim_batch_knn_matches_brute_force(
+        data in tiny_points(60),
+        queries in tiny_points(24),
+        k in 0usize..64,
+        skew in proptest::bool::ANY,
+        coarse_fine in proptest::bool::ANY,
+    ) {
+        let mut cfg = if skew {
+            PimZdConfig::skew_resistant(8)
+        } else {
+            PimZdConfig::throughput_optimized(data.len() as u64, 8)
+        };
+        cfg.toggles.coarse_fine_knn = coarse_fine;
+        let mut tree = PimZdTree::build(&data, cfg, MachineConfig::with_modules(8));
+        for metric in METRICS {
+            let got = tree.batch_knn(&queries, k, metric);
+            for (q, res) in queries.iter().zip(&got) {
+                let mut want = knn_oracle(&data, q, usize::MAX, metric);
+                want.dedup();
+                want.truncate(k);
                 prop_assert_eq!(res, &want, "kNN diverged under {:?}", metric);
             }
         }

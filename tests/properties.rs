@@ -2,7 +2,7 @@
 
 use pim_geom::{max_coord_for_dim, Aabb, Metric, Point};
 use pim_memsim::{CpuConfig, CpuMeter};
-use pim_zd_tree_repro::{MachineConfig, PimZdConfig, PimZdTree};
+use pim_zd_tree_repro::{workloads, MachineConfig, PimZdConfig, PimZdTree};
 use pim_zdtree_base::ZdTree;
 use pim_zorder::prefix::Prefix;
 use pim_zorder::ZKey;
@@ -18,6 +18,29 @@ fn point3() -> impl Strategy<Value = Point<3>> {
 
 fn points3(max: usize) -> impl Strategy<Value = Vec<Point<3>>> {
     proptest::collection::vec(point3(), 1..max)
+}
+
+/// The fixed schedule that first caught a splice leaving counters stale: a
+/// half-filament batch goes in and comes out again, so the fragments the
+/// filament grew empty and are spliced out of their parents — whose
+/// counters must forget them. A counter that does not hands kNN an anchor
+/// promising 2k points over two, best-k comes back short, the ball becomes
+/// the universe and the query fetches the whole tree.
+fn counters_survive_spliced_out_fragments() {
+    let n = 100_000;
+    let pts = workloads::uniform::<3>(n, 2026);
+    let filament = workloads::varden::<3>(n, 2027);
+    let cfg = PimZdConfig::throughput_optimized(n as u64, 64);
+    let mut t = PimZdTree::build(&pts, cfg, MachineConfig::with_modules(64));
+    let churn = workloads::mixed_queries(&pts, &filament, 5_000, 0.5, 21 ^ 0x600);
+    t.batch_insert(&churn);
+    assert_eq!(t.batch_delete(&churn), churn.len());
+    t.check_invariants(&pts);
+
+    let queries = workloads::point_queries(&filament, 2_000, 0, 21);
+    t.batch_knn(&queries, 10, Metric::L2);
+    let per_query = t.last_op_stats().channel_bytes / queries.len() as u64;
+    assert!(per_query < 4096, "a filament 10-NN moved {per_query} B over the channel");
 }
 
 proptest! {
@@ -141,6 +164,9 @@ proptest! {
         extra in points3(300),
         del_stride in 2usize..8,
     ) {
+        static FIXED_SCHEDULE: std::sync::Once = std::sync::Once::new();
+        FIXED_SCHEDULE.call_once(counters_survive_spliced_out_fragments);
+
         let cfg = PimZdConfig::skew_resistant(8);
         let mut t = PimZdTree::build(&base, cfg, MachineConfig::with_modules(8));
         t.batch_insert(&extra);

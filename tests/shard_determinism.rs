@@ -5,10 +5,12 @@
 //! BoxFetch + a forced skew-driven rebalance) inside explicit 1-, 2-, and
 //! 8-thread pools. Ranks execute concurrently on the pool, but every
 //! reduction is index-ordered and every rank journals into its own buffer,
-//! so the per-rank trace journals, the merged metrics snapshot, per-op
-//! `ShardOpStats` (the coalesced-widening counters `widen_requests` and
-//! `widen_fetches` included), and all query results must be
-//! **byte-identical** across the three schedules (ISSUE acceptance criterion; ARCHITECTURE.md §10
+//! so the per-rank trace journals, the merged metrics snapshot (with the
+//! ranks' ball-phase counters `host_knn_ball_queries_total` and
+//! `host_knn_ball_runs_total` in it), per-op `ShardOpStats` (the
+//! coalesced-widening counters `widen_requests` and `widen_fetches`
+//! included), and all query results must be **byte-identical** across the
+//! three schedules (ISSUE acceptance criterion; ARCHITECTURE.md §10
 //! "determinism quarantine").
 
 use pim_zd_tree_repro::sim::Metrics;
@@ -125,6 +127,16 @@ fn four_rank_run_is_byte_identical_at_1_2_8_threads() {
             "{series} {total} missing from the merged snapshot"
         );
     }
+    // Inside the ranks the same storm coalesces too: the ball phase ran the
+    // three batches' queries in fewer runs than queries.
+    let ball = |series: &str| -> u64 {
+        let lines = baseline.metrics.lines().filter(|l| l.starts_with(series));
+        lines.map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap()).sum()
+    };
+    let (ball_queries, ball_runs) =
+        (ball("host_knn_ball_queries_total"), ball("host_knn_ball_runs_total"));
+    assert_eq!(ball_queries, 3 * 400, "every kNN query has one home ball phase");
+    assert!(0 < ball_runs && ball_runs < ball_queries, "{ball_runs} runs for {ball_queries}");
     for threads in [2usize, 8] {
         let pool = rayon::ThreadPool::new(threads);
         assert_eq!(pool.current_num_threads(), threads);

@@ -13,7 +13,9 @@
 //! reference through both — and the inputs that decide how the kNN widen
 //! phase coalesces its fetches (identical, clustered, universe-ball and
 //! far-apart queries), each held to the single-rank answer and to the
-//! `widen_requests` / `widen_fetches` counters.
+//! `widen_requests` / `widen_fetches` counters; and what the rebalancer
+//! triggers on (a rank's straggler path) and stops at (a move that would
+//! not lower the hotter rank).
 
 use pim_zd_tree_repro::workloads as wl;
 use pim_zd_tree_repro::{
@@ -296,4 +298,57 @@ fn fault_plan_on_one_rank_preserves_results() {
         "fault plan on rank 1 must actually inject faults"
     );
     assert_eq!(sh.rank(0).fault_log().total_faults(), 0, "faults must not leak across ranks");
+}
+
+/// A point mass of heat — one query repeated — cannot be balanced by moving
+/// it: wherever it sits is the hot rank. The move loop is a descent, so a
+/// trigger moves it at most once (here: off the rank that also carries all
+/// the background heat) and no later trigger moves it back.
+#[test]
+fn point_mass_heat_moves_at_most_once_and_never_back() {
+    let data = wl::uniform::<3>(3_000, 31);
+    let mut scfg = ShardConfig::new(2);
+    scfg.rebalance_threshold = 1.01;
+    let machine = MachineConfig::with_modules(8);
+    let mut sh = ShardedZdTree::build(&data, scfg, zcfg(data.len()), machine);
+    let mut single = PimZdTree::build(&data, zcfg(data.len()), machine);
+    let mass = data[5];
+    let home = sh.placement().owner_of_point(&mass);
+    let mut batch = vec![mass; 256];
+    batch.extend(data.iter().filter(|p| sh.placement().owner_of_point(p) == home).take(64));
+
+    let mut owners = vec![home];
+    let (mut actions, mut moves_before) = (0, 0);
+    for round in 0..6 {
+        assert_eq!(sh.batch_knn(&batch, 10, Metric::L2), single.batch_knn(&batch, 10, Metric::L2));
+        let (moves, ..) = sh.rebalance_counters();
+        assert!(moves - moves_before <= 1, "round {round}: {} moves", moves - moves_before);
+        moves_before = moves;
+        actions += sh.last_shard_stats().rebalance_actions;
+        owners.push(sh.placement().owner_of_point(&mass));
+    }
+    assert!(actions > 0, "the point mass must trigger the rebalancer");
+    owners.dedup();
+    assert_eq!(owners, [home, 1 - home], "the point mass moves once, off the busier rank");
+}
+
+/// What sets a rank's time is its busiest module, round by round. A hot
+/// cell puts one rank's work on one module: summed over modules the ranks
+/// read as balanced, and the rebalancer still sees the straggler. Queries
+/// that follow the data leave it alone.
+#[test]
+fn rebalancer_sees_a_rank_whose_cycles_sit_on_one_module() {
+    let data = wl::uniform::<3>(20_000, 41);
+    let mut scfg = ShardConfig::new(4);
+    scfg.auto_rebalance = false;
+    let machine = MachineConfig::with_modules(16);
+    let cfg = PimZdConfig::throughput_optimized(data.len() as u64, 16);
+    for (case, hot_frac, triggers) in [("hot cell", 0.4, true), ("spread", 0.0, false)] {
+        let mut sh = ShardedZdTree::build(&data, scfg, cfg, machine);
+        let queries = wl::hot_cell_queries(&data, 2_000, hot_frac, 8, 43);
+        sh.batch_knn(&queries, 10, Metric::L2);
+        let by_sum = sh.last_shard_stats().busy_cycle_imbalance();
+        assert!(by_sum < scfg.rebalance_threshold, "{case}: cycle sums read {by_sum}");
+        assert_eq!(sh.rebalance_now() > 0, triggers, "{case}");
+    }
 }
