@@ -90,12 +90,11 @@ pub(crate) struct BallRun<const D: usize> {
     /// Comparable radius around `centre` covering every member's ball
     /// (`u64::MAX` = the universe).
     pub bound: u64,
-    /// `bound` in linear form.
-    pub radius: u64,
     /// The smallest member radius, linear.
     pub r_min: u64,
 }
 
+/// The comparable radius `bound` as a length along an axis (`⌈√·⌉` for ℓ2).
 fn linear_radius(metric: Metric, bound: u64) -> u64 {
     match metric {
         Metric::L2 => isqrt_ceil(bound),
@@ -106,8 +105,7 @@ fn linear_radius(metric: Metric, bound: u64) -> u64 {
 impl<const D: usize> BallRun<D> {
     /// A run of one: the query's own ball, untouched.
     pub fn start(metric: Metric, q: &Point<D>, bound: u64) -> Self {
-        let radius = linear_radius(metric, bound);
-        BallRun { centre: *q, bound, radius, r_min: radius }
+        BallRun { centre: *q, bound, r_min: linear_radius(metric, bound) }
     }
 
     /// The run with the ball of comparable radius `bound` around `q` in it,
@@ -120,7 +118,8 @@ impl<const D: usize> BallRun<D> {
         }
         let r = linear_radius(metric, bound);
         let reach = r + linear_radius(metric, metric.cmp_dist(&self.centre, q));
-        let (radius, r_min) = (self.radius.max(reach), self.r_min.min(r));
+        let radius = linear_radius(metric, self.bound).max(reach);
+        let r_min = self.r_min.min(r);
         let volume = |r: u64| u128::from(r).checked_pow(D as u32);
         if volume(radius)? > COALESCE_VOLUME_FACTOR.saturating_mul(volume(r_min)?) {
             return None;
@@ -129,7 +128,7 @@ impl<const D: usize> BallRun<D> {
             Metric::L2 => radius.saturating_mul(radius),
             Metric::L1 | Metric::Linf => radius,
         };
-        Some(BallRun { centre: self.centre, bound, radius, r_min })
+        Some(BallRun { centre: self.centre, bound, r_min })
     }
 }
 
@@ -457,12 +456,8 @@ pub(crate) fn ball_box<const D: usize>(q: &Point<D>, bound: u64, metric: Metric)
     if bound == u64::MAX {
         return Aabb::universe();
     }
-    let half = match metric {
-        Metric::L2 => isqrt_ceil(bound),
-        Metric::L1 | Metric::Linf => bound,
-    };
     let m = max_coord_for_dim(D) as u64;
-    let half = half.min(m);
+    let half = linear_radius(metric, bound).min(m);
     let mut lo = [0u32; D];
     let mut hi = [0u32; D];
     for i in 0..D {
