@@ -8,9 +8,8 @@
 //! cargo run --release -p pim-bench --bin dim_sensitivity
 //! ```
 
-use pim_bench::harness::measurement_from_stats;
+use pim_bench::harness::{measurement_from_stats, run_cell, OpKind, Queries};
 use pim_bench::{BenchArgs, PerfSink};
-use pim_geom::Metric;
 use pim_sim::MachineConfig;
 use pim_workloads as wl;
 use pim_zd_tree::{PimZdConfig, PimZdTree};
@@ -34,18 +33,17 @@ fn run<const D: usize>(args: &BenchArgs, perf: &mut PerfSink) -> Vec<(String, f6
     out.push(("Insert".into(), t.last_op_stats().throughput()));
 
     let side = wl::box_side_for_expected::<D>(args.points, 10.0);
-    let boxes = wl::box_queries(&warm, args.batch / 10, side, args.seed ^ 2);
-    let _ = t.batch_box_count(&boxes);
-    perf.push(&dim, &measurement_from_stats("PIM-zd-tree", "BC-10", t.last_op_stats()));
-    out.push(("BC-10".into(), t.last_op_stats().throughput()));
-    let _ = t.batch_box_fetch(&boxes);
-    perf.push(&dim, &measurement_from_stats("PIM-zd-tree", "BF-10", t.last_op_stats()));
-    out.push(("BF-10".into(), t.last_op_stats().throughput()));
-
-    let q = wl::knn_queries(&warm, args.batch / 10, args.seed ^ 3);
-    let _ = t.batch_knn(&q, 10, Metric::L2);
-    perf.push(&dim, &measurement_from_stats("PIM-zd-tree", "10-NN", t.last_op_stats()));
-    out.push(("10-NN".into(), t.last_op_stats().throughput()));
+    let boxes = Queries::Boxes(wl::box_queries(&warm, args.batch / 10, side, args.seed ^ 2));
+    let knn = Queries::Knn(wl::knn_queries(&warm, args.batch / 10, args.seed ^ 3), 10);
+    for (op, q) in [
+        (OpKind::BoxCount(10.0), &boxes),
+        (OpKind::BoxFetch(10.0), &boxes),
+        (OpKind::Knn(10), &knn),
+    ] {
+        let m = run_cell(&mut t, "PIM-zd-tree", op, q);
+        perf.push(&dim, &m);
+        out.push((m.op, m.throughput));
+    }
     out
 }
 

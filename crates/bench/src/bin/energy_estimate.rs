@@ -11,7 +11,7 @@
 //! cargo run --release -p pim-bench --bin energy_estimate
 //! ```
 
-use pim_bench::harness::{make_queries, run_cell_cpu, run_cell_pim, CpuRunner, OpKind, PimRunner};
+use pim_bench::harness::{make_queries, run_cell, CpuRunner, OpKind, PimRunner};
 use pim_bench::{BenchArgs, Dataset, PerfSink};
 use pim_sim::{EnergyModel, MachineConfig};
 use pim_zd_tree::PimZdConfig;
@@ -26,8 +26,7 @@ fn main() {
     );
     let (warm, test) = Dataset::Uniform.warmup_and_test(args.points, args.seed);
     let cfg = PimZdConfig::throughput_optimized(args.points as u64, args.modules);
-    let mut pim =
-        PimRunner::new(&warm, cfg, MachineConfig::with_modules(args.modules), "PIM-zd-tree");
+    let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(args.modules));
     pim.attach_perf(&perf);
     let mut pkd = CpuRunner::pkd(&warm);
     let mut zd = CpuRunner::zd(&warm);
@@ -40,7 +39,7 @@ fn main() {
     for op in [OpKind::Insert, OpKind::BoxCount(10.0), OpKind::Knn(10)] {
         let q = make_queries(op, &test, args.points, args.batch, args.seed ^ 0xE6);
 
-        let m = run_cell_pim(&mut pim, op, &q);
+        let m = run_cell(&mut pim.index, "PIM-zd-tree", op, &q);
         perf.push("uniform", &m);
         let s = pim.index.last_op_stats().clone();
         let e = s.energy(&model);
@@ -56,8 +55,7 @@ fn main() {
             100.0 * e.channel_j / t
         );
 
-        for (name, runner) in [("Pkd-tree", &mut pkd), ("zd-tree", &mut zd)] {
-            let m = run_cell_cpu(runner, op, &q);
+        for m in [run_cell(&mut pkd, "Pkd-tree", op, &q), run_cell(&mut zd, "zd-tree", op, &q)] {
             perf.push("uniform", &m);
             // Baselines: cycles and DRAM bytes only (no PIM, no channel).
             let cycles = (m.cpu_s * 2.2e9 * 22.4) as u64; // eff-thread cycles
@@ -67,7 +65,7 @@ fn main() {
             println!(
                 "{:<10} {:<14} {:>12.2} {:>9.1}% {:>9.1}% {:>9.1}% {:>9.1}%",
                 op.label(),
-                name,
+                m.index,
                 e.total_j() * 1e9 / m.elements.max(1) as f64,
                 100.0 * e.cpu_j / t,
                 0.0,

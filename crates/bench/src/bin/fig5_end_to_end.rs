@@ -9,7 +9,7 @@
 //! cargo run --release -p pim-bench --bin fig5_end_to_end -- all
 //! ```
 
-use pim_bench::harness::{make_queries, run_cell_cpu, run_cell_pim, CpuRunner, OpKind, PimRunner};
+use pim_bench::harness::{make_queries, run_cell, CpuRunner, OpKind, PimRunner};
 use pim_bench::{report, BenchArgs, Dataset, PerfSink};
 use pim_sim::MachineConfig;
 use pim_zd_tree::PimZdConfig;
@@ -44,8 +44,7 @@ fn run_dataset(ds: Dataset, args: &BenchArgs, perf: &mut PerfSink) {
     let (warm, test) = ds.warmup_and_test(args.points, args.seed);
 
     let cfg = PimZdConfig::throughput_optimized(args.points as u64, args.modules);
-    let mut pim =
-        PimRunner::new(&warm, cfg, MachineConfig::with_modules(args.modules), "PIM-zd-tree");
+    let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(args.modules));
     pim.attach_fault_plan_if_requested(args);
     pim.attach_perf(perf);
     let mut pkd = CpuRunner::pkd(&warm);
@@ -59,9 +58,9 @@ fn run_dataset(ds: Dataset, args: &BenchArgs, perf: &mut PerfSink) {
 
     for op in OpKind::fig5_battery() {
         let q = make_queries(op, &test, args.points, args.batch, args.seed ^ 0xF15);
-        let m_pim = run_cell_pim(&mut pim, op, &q);
-        let m_pkd = run_cell_cpu(&mut pkd, op, &q);
-        let m_zd = run_cell_cpu(&mut zd, op, &q);
+        let m_pim = run_cell(&mut pim.index, "PIM-zd-tree", op, &q);
+        let m_pkd = run_cell(&mut pkd, "Pkd-tree", op, &q);
+        let m_zd = run_cell(&mut zd, "zd-tree", op, &q);
         for m in [&m_pim, &m_pkd, &m_zd] {
             report::row(m);
             perf.push(ds.name(), m);

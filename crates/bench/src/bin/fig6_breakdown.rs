@@ -7,7 +7,7 @@
 //! cargo run --release -p pim-bench --bin fig6_breakdown -- --trace fig6.jsonl
 //! ```
 
-use pim_bench::harness::{make_queries, run_cell_pim, OpKind, PimRunner};
+use pim_bench::harness::{make_queries, run_cell, OpKind, PimRunner};
 use pim_bench::{BenchArgs, Dataset, PerfSink};
 use pim_sim::MachineConfig;
 use pim_zd_tree::PimZdConfig;
@@ -21,8 +21,7 @@ fn main() {
     );
     let (warm, test) = Dataset::Uniform.warmup_and_test(args.points, args.seed);
     let cfg = PimZdConfig::throughput_optimized(args.points as u64, args.modules);
-    let mut pim =
-        PimRunner::new(&warm, cfg, MachineConfig::with_modules(args.modules), "PIM-zd-tree");
+    let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(args.modules));
     pim.attach_trace_if_requested(&args);
     pim.attach_fault_plan_if_requested(&args);
     pim.attach_perf(&perf);
@@ -38,7 +37,7 @@ fn main() {
     println!("{}", "-".repeat(52));
     for op in ops {
         let q = make_queries(op, &test, args.points, args.batch, args.seed ^ 0xF16);
-        let m = run_cell_pim(&mut pim, op, &q);
+        let m = run_cell(&mut pim.index, "PIM-zd-tree", op, &q);
         perf.push("uniform", &m);
         let t = m.total_s;
         println!(

@@ -15,7 +15,7 @@
 //! The paper notes "similar trends were observed for box and kNN queries" —
 //! the optional positional argument sweeps those instead.
 
-use pim_bench::harness::{make_queries, run_cell_pim, OpKind, PimRunner};
+use pim_bench::harness::{make_queries, run_cell, OpKind, PimRunner};
 use pim_bench::{BenchArgs, Dataset, PerfSink};
 use pim_sim::MachineConfig;
 use pim_zd_tree::PimZdConfig;
@@ -45,11 +45,10 @@ fn main() {
     for &batch in &batches {
         // Fresh index per size so tree growth doesn't confound the sweep.
         let cfg = PimZdConfig::throughput_optimized(args.points as u64, args.modules);
-        let mut pim =
-            PimRunner::new(&warm, cfg, MachineConfig::with_modules(args.modules), "PIM-zd-tree");
+        let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(args.modules));
         pim.attach_perf(&perf);
         let q = make_queries(op, &test, args.points, batch, args.seed ^ 0xF17);
-        let m = run_cell_pim(&mut pim, op, &q);
+        let m = run_cell(&mut pim.index, "PIM-zd-tree", op, &q);
         perf.push(&format!("batch={batch}"), &m);
         println!("{:>10} {:>16.2} {:>14.1}", batch, m.throughput / 1e6, m.traffic);
     }

@@ -6,9 +6,8 @@
 //! cargo run --release -p pim-bench --bin fig9_skew
 //! ```
 
-use pim_bench::harness::measurement_from_stats;
+use pim_bench::harness::{run_cell, OpKind, Queries};
 use pim_bench::{BenchArgs, Dataset, PerfSink};
-use pim_geom::Metric;
 use pim_sim::MachineConfig;
 use pim_workloads as wl;
 use pim_zd_tree::{PimZdConfig, PimZdTree};
@@ -48,22 +47,22 @@ fn main() {
     println!("{}", "-".repeat(68));
 
     for (i, &f) in fractions.iter().enumerate() {
-        let queries =
-            wl::mixed_queries(&warm, &varden, args.batch, f, args.seed ^ (0x900 + i as u64));
-        let _ = thr.batch_knn(&queries, 1, Metric::L2);
-        let a = thr.last_op_stats().clone();
-        let _ = skw.batch_knn(&queries, 1, Metric::L2);
-        let b = skw.last_op_stats().clone();
+        let q = Queries::Knn(
+            wl::mixed_queries(&warm, &varden, args.batch, f, args.seed ^ (0x900 + i as u64)),
+            1,
+        );
+        let a = run_cell(&mut thr, "thr-opt", OpKind::Knn(1), &q);
+        let b = run_cell(&mut skw, "skew-res", OpKind::Knn(1), &q);
         let label = format!("varden={f}");
-        perf.push(&label, &measurement_from_stats("thr-opt", "1-NN", &a));
-        perf.push(&label, &measurement_from_stats("skew-res", "1-NN", &b));
+        perf.push(&label, &a);
+        perf.push(&label, &b);
         println!(
             "{:>9.2}% | {:>14.2} {:>8.1}x | {:>14.2} {:>8.1}x",
             f * 100.0,
-            a.throughput() / 1e6,
-            a.worst_imbalance,
-            b.throughput() / 1e6,
-            b.worst_imbalance
+            a.throughput / 1e6,
+            a.imbalance,
+            b.throughput / 1e6,
+            b.imbalance
         );
     }
     println!("\n(paper: skew-resistant fluctuates ≤ 4.1%; throughput-optimized degrades");

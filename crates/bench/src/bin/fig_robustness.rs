@@ -15,7 +15,7 @@
 //! results are *byte-identical* to the baseline — recovery is exact, so a
 //! nonzero rate costs time and traffic but never correctness.
 
-use pim_bench::harness::{make_queries, run_cell_pim, OpKind, PimRunner};
+use pim_bench::harness::{make_queries, run_cell, OpKind, PimRunner};
 use pim_bench::{BenchArgs, Dataset, PerfSink};
 use pim_geom::Point;
 use pim_sim::{FaultConfig, FaultLog, FaultPlan, MachineConfig};
@@ -31,7 +31,7 @@ struct Cell {
     log: FaultLog,
 }
 
-fn run_cell(
+fn sweep_cell(
     args: &BenchArgs,
     warm: &[Point<3>],
     test: &[Point<3>],
@@ -42,8 +42,7 @@ fn run_cell(
         .as_ref()
         .map_or((0.0, 1.0), |p| (p.config().p_exec_fault, p.config().straggler_factor));
     let cfg = PimZdConfig::throughput_optimized(args.points as u64, args.modules);
-    let mut pim =
-        PimRunner::new(warm, cfg, MachineConfig::with_modules(args.modules), "PIM-zd-tree");
+    let mut pim = PimRunner::new(warm, cfg, MachineConfig::with_modules(args.modules));
     pim.index.set_fault_plan(plan);
     pim.attach_perf(perf);
 
@@ -53,7 +52,7 @@ fn run_cell(
     let cell_label = format!("rate={rate},strag={factor}");
     for op in ops {
         let q = make_queries(op, test, args.points, args.batch, args.seed ^ 0xF16);
-        let m = run_cell_pim(&mut pim, op, &q);
+        let m = run_cell(&mut pim.index, "PIM-zd-tree", op, &q);
         perf.push(&cell_label, &m);
         total_s += m.total_s;
     }
@@ -87,7 +86,7 @@ fn main() {
     let factors = [2.0, 8.0];
 
     let mut perf = PerfSink::new("fig_robustness", &args);
-    let base = run_cell(&args, &warm, &test, None, &mut perf);
+    let base = sweep_cell(&args, &warm, &test, None, &mut perf);
     println!(
         "{:>6} {:>7} {:>10} {:>9}  {:>7} {:>7} {:>7} {:>6} {:>7} {:>11}  results",
         "rate",
@@ -120,7 +119,7 @@ fn main() {
         for &factor in &factors {
             let mut cfg = FaultConfig::uniform(rate, fault_seed);
             cfg.straggler_factor = factor;
-            let cell = run_cell(&args, &warm, &test, Some(FaultPlan::new(cfg)), &mut perf);
+            let cell = sweep_cell(&args, &warm, &test, Some(FaultPlan::new(cfg)), &mut perf);
             let overhead = 100.0 * (cell.total_s - base.total_s) / base.total_s;
             let ok = cell.fingerprint == base.fingerprint;
             println!(

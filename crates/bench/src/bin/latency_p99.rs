@@ -9,7 +9,7 @@
 //! cargo run --release -p pim-bench --bin latency_p99
 //! ```
 
-use pim_bench::harness::{make_queries, run_cell_cpu, run_cell_pim, CpuRunner, OpKind, PimRunner};
+use pim_bench::harness::{make_queries, run_cell, CpuRunner, OpKind, PimRunner};
 use pim_bench::{BenchArgs, Dataset, PerfSink};
 use pim_sim::{MachineConfig, Samples};
 use pim_zd_tree::PimZdConfig;
@@ -26,8 +26,7 @@ fn main() {
     let (warm, test) = Dataset::Osm.warmup_and_test(args.points, args.seed);
     let cfg = PimZdConfig::skew_resistant(args.modules);
     let mut perf = PerfSink::new("latency_p99", &args);
-    let mut pim =
-        PimRunner::new(&warm, cfg, MachineConfig::with_modules(args.modules), "PIM-zd-tree");
+    let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(args.modules));
     pim.attach_perf(&perf);
     let mut pkd = CpuRunner::pkd(&warm);
     let mut zd = CpuRunner::zd(&warm);
@@ -36,9 +35,9 @@ fn main() {
     for b in 0..n_batches {
         let q = make_queries(OpKind::Knn(1), &test, args.points, per_batch, args.seed + b as u64);
         let ms = [
-            run_cell_pim(&mut pim, OpKind::Knn(1), &q),
-            run_cell_cpu(&mut pkd, OpKind::Knn(1), &q),
-            run_cell_cpu(&mut zd, OpKind::Knn(1), &q),
+            run_cell(&mut pim.index, "PIM-zd-tree", OpKind::Knn(1), &q),
+            run_cell(&mut pkd, "Pkd-tree", OpKind::Knn(1), &q),
+            run_cell(&mut zd, "zd-tree", OpKind::Knn(1), &q),
         ];
         for (l, m) in lat.iter_mut().zip(&ms) {
             l.push(m.total_s);

@@ -5,9 +5,9 @@
 //! cargo run --release -p pim-bench --bin table2_configs
 //! ```
 
-use pim_bench::harness::measurement_from_stats;
+use pim_bench::harness::{measurement_from_stats, run_cell, OpKind, Queries};
 use pim_bench::{BenchArgs, Dataset, PerfSink};
-use pim_geom::{Metric, Point};
+use pim_geom::Point;
 use pim_sim::MachineConfig;
 use pim_workloads as wl;
 use pim_zd_tree::{PimZdConfig, PimZdTree};
@@ -58,9 +58,8 @@ fn main() {
             t.last_op_stats().rounds
         ));
 
-        let knn_q: Vec<Point<3>> = wl::knn_queries(&warm, args.batch / 10, args.seed ^ 4);
-        let _ = t.batch_knn(&knn_q, 10, Metric::L2);
-        perf.push("uniform", &measurement_from_stats(preset_name, "10-NN", t.last_op_stats()));
+        let knn_q = Queries::Knn(wl::knn_queries(&warm, args.batch / 10, args.seed ^ 4), 10);
+        perf.push("uniform", &run_cell(&mut t, preset_name, OpKind::Knn(10), &knn_q));
         rows[5].push(format!(
             "{:.1} B ({} rnds)",
             t.last_op_stats().channel_bytes as f64 / (args.batch / 10) as f64,

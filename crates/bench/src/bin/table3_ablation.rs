@@ -12,7 +12,7 @@
 //! cargo run --release -p pim-bench --bin table3_ablation
 //! ```
 
-use pim_bench::harness::{make_queries, run_cell_pim, OpKind, PimRunner};
+use pim_bench::harness::{make_queries, run_cell, OpKind, PimRunner};
 use pim_bench::{report, BenchArgs, Dataset, PerfSink};
 use pim_sim::config::TransferApi;
 use pim_sim::MachineConfig;
@@ -62,12 +62,12 @@ fn main() {
             Ablation::DirectApi => machine.api = TransferApi::Sdk,
             Ablation::PracticalChunking => cfg.toggles.practical_chunking = false,
         }
-        let mut pim = PimRunner::new(&warm, cfg, machine, "PIM-zd-tree");
+        let mut pim = PimRunner::new(&warm, cfg, machine);
         pim.attach_perf(perf);
         let mut out = Vec::new();
         // INSERT.
         let q = make_queries(OpKind::Insert, &test, args.points, args.batch, args.seed ^ 0x73);
-        let m = run_cell_pim(&mut pim, OpKind::Insert, &q);
+        let m = run_cell(&mut pim.index, "PIM-zd-tree", OpKind::Insert, &q);
         perf.push(ab.name(), &m);
         out.push(("Insert".into(), m.throughput));
         // BoxCount / BoxFetch / kNN: geometric mean over the three sizes.
@@ -86,7 +86,7 @@ fn main() {
                 .iter()
                 .map(|&op| {
                     let q = make_queries(op, &test, args.points, args.batch, args.seed ^ 0x73);
-                    let m = run_cell_pim(&mut pim, op, &q);
+                    let m = run_cell(&mut pim.index, "PIM-zd-tree", op, &q);
                     perf.push(ab.name(), &m);
                     m.throughput
                 })

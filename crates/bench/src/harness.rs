@@ -1,12 +1,14 @@
-//! Measurement runners: one per index (PIM-zd-tree, zd-tree, Pkd-tree),
-//! sharing query generation so every comparison is apples-to-apples.
+//! The measurement harness: shared query generation and one [`run_cell`]
+//! over the batch surface (`pim_zd_tree::BatchIndex`), so every index —
+//! PIM-zd-tree, a sharded tree, the zd-tree and Pkd-tree baselines — is
+//! measured by the same code and every comparison is apples-to-apples.
 
 use pim_geom::{Aabb, Metric, Point};
 use pim_memsim::{CpuConfig, CpuMeter, CpuModel};
 use pim_pkdtree::PkdTree;
-use pim_sim::MachineConfig;
+use pim_sim::{MachineConfig, SimStats};
 use pim_workloads as wl;
-use pim_zd_tree::{PimZdConfig, PimZdTree};
+use pim_zd_tree::{BatchIndex, BatchRead, OpStats, PimZdConfig, PimZdTree};
 use pim_zdtree_base::ZdTree;
 use serde::Serialize;
 
@@ -103,13 +105,13 @@ pub struct Measurement {
 }
 
 /// Pre-generated queries for one operation, shared across indexes.
-pub enum Queries {
+pub enum Queries<const D: usize = 3> {
     /// Insert batch.
-    Points(Vec<Point<3>>),
+    Points(Vec<Point<D>>),
     /// Box queries.
-    Boxes(Vec<Aabb<3>>),
+    Boxes(Vec<Aabb<D>>),
     /// kNN queries with k.
-    Knn(Vec<Point<3>>, usize),
+    Knn(Vec<Point<D>>, usize),
 }
 
 /// Generates the query set for `op` against `data` (queries follow the data
@@ -135,40 +137,78 @@ pub fn make_queries(
     }
 }
 
+/// Runs one (index, operation) cell on anything with the batch surface and
+/// reads the measurement off its stats. An insert set is split in two: the
+/// first half is an unmeasured steady-state pre-batch, the second half is
+/// measured (the tree grows, exactly as in the paper's protocol).
+pub fn run_cell<const D: usize>(
+    index: &mut impl BatchIndex<D>,
+    name: &str,
+    op: OpKind,
+    q: &Queries<D>,
+) -> Measurement {
+    match (op, q) {
+        (OpKind::Insert, Queries::Points(pts)) => {
+            let (pre, measured) = pts.split_at(pts.len() / 2);
+            index.batch_insert(pre);
+            index.batch_insert(measured);
+        }
+        (OpKind::BoxCount(_), Queries::Boxes(boxes)) => drop(index.batch_box_count(boxes)),
+        (OpKind::BoxFetch(_), Queries::Boxes(boxes)) => drop(index.batch_box_fetch(boxes)),
+        (OpKind::Knn(_), Queries::Knn(pts, k)) => drop(index.batch_knn(pts, *k, Metric::L2)),
+        _ => panic!("query set does not belong to {}", op.label()),
+    }
+    measurement_from_stats(name, &op.label(), index.last_op_stats())
+}
+
+/// Builds a measurement row from the stats of an index's last operation —
+/// the one place a [`Measurement`] is made. [`run_cell`] is its usual
+/// caller; binaries that measure something other than a Fig. 5 cell (a
+/// whole-batch insert, a delete, several batches summed) call it directly.
+pub fn measurement_from_stats(index: &str, op: &str, s: &OpStats) -> Measurement {
+    Measurement {
+        index: index.to_string(),
+        op: op.to_string(),
+        throughput: s.throughput(),
+        traffic: s.traffic_per_element(),
+        cpu_s: s.breakdown.cpu_s,
+        pim_s: s.breakdown.pim_s,
+        comm_s: s.breakdown.comm_s,
+        total_s: s.breakdown.total_s(),
+        rounds: s.rounds,
+        imbalance: s.worst_imbalance,
+        elements: s.elements,
+    }
+}
+
 // ---------------------------------------------------------------------
 // PIM-zd-tree runner
 // ---------------------------------------------------------------------
 
-/// Owns a built PIM index and measures operations on it.
+/// Owns a built PIM index and what a figure binary attaches to it.
 pub struct PimRunner {
     /// The index under test.
     pub index: PimZdTree<3>,
-    name: String,
     journal: Option<(pim_sim::Journal, String)>,
 }
 
 impl PimRunner {
     /// Builds the index over the warmup set (LLC scaled to the dataset).
-    pub fn new(warmup: &[Point<3>], cfg: PimZdConfig, machine: MachineConfig, name: &str) -> Self {
+    pub fn new(warmup: &[Point<3>], cfg: PimZdConfig, machine: MachineConfig) -> Self {
         Self {
             index: PimZdTree::build_with_cpu(warmup, cfg, machine, scaled_cpu(warmup.len())),
-            name: name.to_string(),
             journal: None,
         }
     }
 
-    /// Attaches a round-trace journal; every subsequent accounted BSP round
-    /// is recorded and written as JSONL to `path` by [`Self::flush_trace`].
-    pub fn attach_trace(&mut self, path: &str) {
-        let (sink, journal) = pim_sim::JournalSink::new();
-        self.index.set_trace_sink(Box::new(sink));
-        self.journal = Some((journal, path.to_string()));
-    }
-
-    /// Attaches a trace only when the benchmark was invoked with `--trace`.
+    /// Attaches a round-trace journal when the benchmark was invoked with
+    /// `--trace`: every subsequent accounted BSP round is recorded, and
+    /// written as JSONL to that path by [`Self::flush_trace`].
     pub fn attach_trace_if_requested(&mut self, args: &crate::BenchArgs) {
         if let Some(path) = &args.trace {
-            self.attach_trace(path);
+            let (sink, journal) = pim_sim::JournalSink::new();
+            self.index.set_trace_sink(Box::new(sink));
+            self.journal = Some((journal, path.clone()));
         }
     }
 
@@ -204,199 +244,118 @@ impl PimRunner {
             }
         }
     }
-
-    /// Runs an insert measurement: the first half of `pts` is an unmeasured
-    /// steady-state pre-batch, the second half is measured (the tree grows,
-    /// exactly as in the paper's protocol).
-    pub fn run_insert(&mut self, pts: &[Point<3>]) -> Measurement {
-        let half = pts.len() / 2;
-        self.index.batch_insert(&pts[..half]);
-        self.index.batch_insert(&pts[half..]);
-        self.to_measurement("Insert")
-    }
-
-    /// BoxCount measurement.
-    pub fn run_box_count(&mut self, boxes: &[Aabb<3>]) -> Measurement {
-        let _ = self.index.batch_box_count(boxes);
-        self.to_measurement("BoxCount")
-    }
-
-    /// BoxFetch measurement.
-    pub fn run_box_fetch(&mut self, boxes: &[Aabb<3>]) -> Measurement {
-        let _ = self.index.batch_box_fetch(boxes);
-        self.to_measurement("BoxFetch")
-    }
-
-    /// kNN measurement.
-    pub fn run_knn(&mut self, queries: &[Point<3>], k: usize) -> Measurement {
-        let _ = self.index.batch_knn(queries, k, Metric::L2);
-        self.to_measurement("kNN")
-    }
-
-    /// Dispatches on the query kind.
-    pub fn run_op(&mut self, q: &Queries) -> Measurement {
-        match q {
-            Queries::Points(pts) => self.run_insert(pts),
-            Queries::Boxes(b) => self.run_box_count(b),
-            Queries::Knn(pts, k) => self.run_knn(pts, *k),
-        }
-    }
-
-    fn to_measurement(&self, op: &str) -> Measurement {
-        measurement_from_stats(&self.name, op, self.index.last_op_stats())
-    }
-}
-
-/// Builds a measurement row straight from an index's last-op stats, for
-/// binaries that drive [`PimZdTree`] without a [`PimRunner`].
-pub fn measurement_from_stats(index: &str, op: &str, s: &pim_zd_tree::OpStats) -> Measurement {
-    Measurement {
-        index: index.to_string(),
-        op: op.to_string(),
-        throughput: s.throughput(),
-        traffic: s.traffic_per_element(),
-        cpu_s: s.breakdown.cpu_s,
-        pim_s: s.breakdown.pim_s,
-        comm_s: s.breakdown.comm_s,
-        total_s: s.breakdown.total_s(),
-        rounds: s.rounds,
-        imbalance: s.worst_imbalance,
-        elements: s.elements,
-    }
 }
 
 // ---------------------------------------------------------------------
 // Shared-memory baselines
 // ---------------------------------------------------------------------
 
-/// The two CPU baselines behind one interface.
-pub enum CpuIndex {
-    /// zd-tree \[12\].
-    Zd(ZdTree<3>),
-    /// Pkd-tree \[63\].
-    Pkd(PkdTree<3>),
-}
-
-/// Runner for a shared-memory baseline: instrumented through `CpuMeter`,
-/// timed by `CpuModel`.
-pub struct CpuRunner {
-    /// The index under test.
-    pub index: CpuIndex,
+/// A shared-memory baseline behind the batch surface: the tree, the
+/// `CpuMeter` its traversals are instrumented through and the `CpuModel`
+/// that times them. Every batch is one measured phase whose counters become
+/// the [`OpStats`] a PIM index would report, over a machine that ran no
+/// round: all time is host time, all traffic CPU-DRAM, imbalance 1.0.
+pub struct CpuRunner<T> {
+    index: T,
     meter: CpuMeter,
     model: CpuModel,
-    name: String,
+    last: OpStats,
 }
 
-impl CpuRunner {
-    /// Builds the zd-tree baseline (LLC scaled to the dataset).
+impl<T> CpuRunner<T> {
+    /// Wraps a baseline built (untimed) over `n` warmup points, with the
+    /// LLC scaled to them.
+    fn over(index: T, n: usize) -> Self {
+        let cpu = scaled_cpu(n);
+        Self {
+            index,
+            meter: CpuMeter::new(cpu),
+            model: CpuModel::new(cpu),
+            last: OpStats::default(),
+        }
+    }
+
+    /// Runs `op` over a batch of `n` as one measured phase returning one
+    /// element per operation.
+    fn measured<R>(&mut self, n: usize, op: impl FnOnce(&mut T, &mut CpuMeter) -> R) -> R {
+        self.meter.start_measurement();
+        let out = op(&mut self.index, &mut self.meter);
+        let (host, sim) = (self.meter.stats(), SimStats::default());
+        self.last = OpStats::from_deltas(&self.model, host, sim, n as u64, n as u64);
+        out
+    }
+
+    /// [`Self::measured`] for an op that returns a row of elements per query.
+    fn measured_rows<E>(
+        &mut self,
+        n: usize,
+        op: impl FnOnce(&mut T, &mut CpuMeter) -> Vec<Vec<E>>,
+    ) -> Vec<Vec<E>> {
+        let rows = self.measured(n, op);
+        self.last.elements = rows.iter().map(|row| row.len() as u64).sum();
+        rows
+    }
+}
+
+impl CpuRunner<ZdTree<3>> {
+    /// Builds the zd-tree baseline \[12\].
     pub fn zd(warmup: &[Point<3>]) -> Self {
-        let cpu = scaled_cpu(warmup.len());
-        let mut meter = CpuMeter::new(cpu);
-        meter.enabled = false; // warmup untimed
-        let t = ZdTree::build(warmup, ZdTree::<3>::DEFAULT_LEAF_CAP);
-        Self { index: CpuIndex::Zd(t), meter, model: CpuModel::new(cpu), name: "zd-tree".into() }
+        Self::over(ZdTree::build(warmup, ZdTree::<3>::DEFAULT_LEAF_CAP), warmup.len())
     }
+}
 
-    /// Builds the Pkd-tree baseline (LLC scaled to the dataset).
+impl CpuRunner<PkdTree<3>> {
+    /// Builds the Pkd-tree baseline \[63\].
     pub fn pkd(warmup: &[Point<3>]) -> Self {
-        let cpu = scaled_cpu(warmup.len());
-        let mut meter = CpuMeter::new(cpu);
-        meter.enabled = false;
-        let t = PkdTree::build(warmup, PkdTree::<3>::DEFAULT_LEAF_CAP);
-        Self { index: CpuIndex::Pkd(t), meter, model: CpuModel::new(cpu), name: "Pkd-tree".into() }
+        Self::over(PkdTree::build(warmup, PkdTree::<3>::DEFAULT_LEAF_CAP), warmup.len())
     }
+}
 
-    /// Runs one operation batch.
-    pub fn run_op(&mut self, q: &Queries) -> Measurement {
-        // Pre-batch for inserts (unmeasured steady-state warmup), mirroring
-        // the PIM runner's protocol.
-        if let Queries::Points(pts) = q {
-            let half = pts.len() / 2;
-            self.meter.enabled = false;
-            match &mut self.index {
-                CpuIndex::Zd(t) => t.batch_insert(&pts[..half], &mut self.meter),
-                CpuIndex::Pkd(t) => t.batch_insert(&pts[..half], &mut self.meter),
+/// The batch surface for a baseline runner. The two trees share method
+/// names and signatures but no trait, hence a macro over the tree type.
+macro_rules! cpu_baseline {
+    ($tree:ident) => {
+        impl BatchRead<3> for CpuRunner<$tree<3>> {
+            fn batch_contains(&mut self, pts: &[Point<3>]) -> Vec<bool> {
+                // A membership probe is the count of a one-point box.
+                let boxes: Vec<Aabb<3>> = pts.iter().map(|p| Aabb::point(*p)).collect();
+                self.batch_box_count(&boxes).into_iter().map(|c| c > 0).collect()
             }
-            self.meter.enabled = true;
+            fn batch_knn(
+                &mut self,
+                queries: &[Point<3>],
+                k: usize,
+                metric: Metric,
+            ) -> Vec<Vec<(u64, Point<3>)>> {
+                self.measured_rows(queries.len(), |t, m| t.batch_knn(queries, k, metric, m))
+            }
+            fn batch_box_count(&mut self, queries: &[Aabb<3>]) -> Vec<u64> {
+                self.measured(queries.len(), |t, m| t.batch_box_count(queries, m))
+            }
+            fn batch_box_fetch(&mut self, queries: &[Aabb<3>]) -> Vec<Vec<Point<3>>> {
+                self.measured_rows(queries.len(), |t, m| t.batch_box_fetch(queries, m))
+            }
+            fn last_op_stats(&self) -> &OpStats {
+                &self.last
+            }
+            fn len(&self) -> usize {
+                self.index.len()
+            }
         }
-        self.meter.start_measurement();
-        let (op, elements): (&str, u64) = match q {
-            Queries::Points(pts) => {
-                let half = pts.len() / 2;
-                match &mut self.index {
-                    CpuIndex::Zd(t) => t.batch_insert(&pts[half..], &mut self.meter),
-                    CpuIndex::Pkd(t) => t.batch_insert(&pts[half..], &mut self.meter),
-                }
-                ("Insert", (pts.len() - half) as u64)
-            }
-            Queries::Boxes(boxes) => {
-                let n = match &self.index {
-                    CpuIndex::Zd(t) => t.batch_box_count(boxes, &mut self.meter).len(),
-                    CpuIndex::Pkd(t) => t.batch_box_count(boxes, &mut self.meter).len(),
-                };
-                ("BoxCount", n as u64)
-            }
-            Queries::Knn(pts, k) => {
-                let out = match &self.index {
-                    CpuIndex::Zd(t) => t.batch_knn(pts, *k, Metric::L2, &mut self.meter),
-                    CpuIndex::Pkd(t) => t.batch_knn(pts, *k, Metric::L2, &mut self.meter),
-                };
-                let n: usize = out.iter().map(Vec::len).sum();
-                ("kNN", n as u64)
-            }
-        };
-        self.finish(op, elements)
-    }
 
-    /// BoxFetch needs its own entry (elements = returned points).
-    pub fn run_box_fetch(&mut self, boxes: &[Aabb<3>]) -> Measurement {
-        self.meter.start_measurement();
-        let out = match &self.index {
-            CpuIndex::Zd(t) => t.batch_box_fetch(boxes, &mut self.meter),
-            CpuIndex::Pkd(t) => t.batch_box_fetch(boxes, &mut self.meter),
-        };
-        let n: usize = out.iter().map(Vec::len).sum();
-        self.finish("BoxFetch", n as u64)
-    }
-
-    fn finish(&self, op: &str, elements: u64) -> Measurement {
-        let stats = self.meter.stats();
-        let total = self.model.time_seconds(&stats);
-        Measurement {
-            index: self.name.clone(),
-            op: op.to_string(),
-            throughput: if total > 0.0 { elements as f64 / total } else { 0.0 },
-            traffic: if elements > 0 { stats.dram_bytes as f64 / elements as f64 } else { 0.0 },
-            cpu_s: total,
-            pim_s: 0.0,
-            comm_s: 0.0,
-            total_s: total,
-            rounds: 0,
-            imbalance: 1.0,
-            elements,
+        impl BatchIndex<3> for CpuRunner<$tree<3>> {
+            fn batch_insert(&mut self, points: &[Point<3>]) {
+                self.measured(points.len(), |t, m| t.batch_insert(points, m))
+            }
+            fn batch_delete(&mut self, points: &[Point<3>]) -> usize {
+                self.measured(points.len(), |t, m| t.batch_delete(points, m))
+            }
         }
-    }
+    };
 }
 
-/// Runs the full (index × op) cell with the right fetch/count dispatch.
-pub fn run_cell_pim(runner: &mut PimRunner, op: OpKind, q: &Queries) -> Measurement {
-    let mut m = match (op, q) {
-        (OpKind::BoxFetch(_), Queries::Boxes(b)) => runner.run_box_fetch(b),
-        _ => runner.run_op(q),
-    };
-    m.op = op.label();
-    m
-}
-
-/// Same for a CPU baseline.
-pub fn run_cell_cpu(runner: &mut CpuRunner, op: OpKind, q: &Queries) -> Measurement {
-    let mut m = match (op, q) {
-        (OpKind::BoxFetch(_), Queries::Boxes(b)) => runner.run_box_fetch(b),
-        _ => runner.run_op(q),
-    };
-    m.op = op.label();
-    m
-}
+cpu_baseline!(ZdTree);
+cpu_baseline!(PkdTree);
 
 #[cfg(test)]
 mod tests {
@@ -412,13 +371,13 @@ mod tests {
     fn runners_produce_consistent_measurements() {
         let (warm, test) = Dataset::Uniform.warmup_and_test(20_000, 1);
         let cfg = PimZdConfig::throughput_optimized(20_000, 32);
-        let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(32), "PIM-zd-tree");
+        let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(32));
         let mut zd = CpuRunner::zd(&warm);
 
         let op = OpKind::Knn(10);
         let q = make_queries(op, &test, 20_000, 2_000, 9);
-        let a = run_cell_pim(&mut pim, op, &q);
-        let b = run_cell_cpu(&mut zd, op, &q);
+        let a = run_cell(&mut pim.index, "PIM-zd-tree", op, &q);
+        let b = run_cell(&mut zd, "zd-tree", op, &q);
         assert_eq!(a.elements, b.elements, "same queries, same output size");
         assert!(a.throughput > 0.0 && b.throughput > 0.0);
         assert!(a.traffic > 0.0 && b.traffic > 0.0);
@@ -430,7 +389,7 @@ mod tests {
 
         let (warm, test) = Dataset::Uniform.warmup_and_test(20_000, 7);
         let cfg = PimZdConfig::throughput_optimized(20_000, 32);
-        let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(32), "PIM-zd-tree");
+        let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(32));
         let (sink, journal) = pim_sim::JournalSink::new();
         pim.index.set_trace_sink(Box::new(sink));
         assert!(journal.is_empty(), "build/warmup rounds are unaccounted, hence untraced");
@@ -444,7 +403,7 @@ mod tests {
         ] {
             let q = make_queries(op, &test, 20_000, 2_000, 11);
             let before = journal.len();
-            let m = run_cell_pim(&mut pim, op, &q);
+            let m = run_cell(&mut pim.index, "PIM-zd-tree", op, &q);
             let recs = journal.snapshot().split_off(before);
             assert!(!recs.is_empty(), "{phase}: no rounds traced");
             let rows: Vec<_> = recs.iter().map(crate::trace_report::TraceRow::from).collect();
@@ -471,10 +430,10 @@ mod tests {
     fn insert_measurement_uses_steady_state_prebatch() {
         let (warm, test) = Dataset::Uniform.warmup_and_test(10_000, 2);
         let cfg = PimZdConfig::throughput_optimized(10_000, 16);
-        let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(16), "PIM-zd-tree");
+        let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(16));
         let before = pim.index.len();
         let q = make_queries(OpKind::Insert, &test, 10_000, 1_000, 3);
-        let m = run_cell_pim(&mut pim, OpKind::Insert, &q);
+        let m = run_cell(&mut pim.index, "PIM-zd-tree", OpKind::Insert, &q);
         assert_eq!(m.elements, 1_000, "only the second half is measured");
         assert_eq!(pim.index.len(), before + 2_000, "both halves are inserted");
     }

@@ -109,20 +109,8 @@ impl<const D: usize> Carver<'_, D> {
         let root_local = self.carve_chunk(idx, &mut frag, chunk_root_count, layer, id, module);
         frag.root = root_local;
         frag.rebuild_chunk_dir();
-        let info = MetaInfo {
-            id,
-            module,
-            layer,
-            parent,
-            children: Vec::new(),
-            prefix: n.prefix,
-            synced_sc: n.count,
-            pending_delta: 0,
-            cached_on: Vec::new(),
-            live_nodes: frag.live_nodes() as u64,
-            dirty: false,
-        };
         let r = RemoteRef { meta: id, module, prefix: n.prefix, sc: n.count };
+        let info = MetaInfo::new(&r, layer, parent, frag.live_nodes() as u64);
         self.dir.insert(info);
         self.frags.push(frag);
         r

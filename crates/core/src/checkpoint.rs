@@ -34,14 +34,13 @@
 
 use crate::config::{Layer, PimZdConfig, Toggles};
 use crate::frag::{BKind, BNode, ChildRef, ChunkDir, Fragment, MetaId, RemoteRef};
-use crate::host::{PimZdTree, RoundBuffers};
+use crate::host::{HostState, PimZdTree};
 use crate::meta::{Directory, MetaInfo};
 use crate::module::{FragMap, ModuleState};
-use crate::stats::OpStats;
 use crate::wal::{self, Wal, WalOp, WalReadMode, WalRecord};
 use pim_geom::Point;
 use pim_memsim::{
-    CacheConfig, CacheSnapshot, CacheWaySnapshot, CpuConfig, CpuMeter, CpuModel, MeterSnapshot,
+    CacheConfig, CacheSnapshot, CacheWaySnapshot, CpuConfig, CpuMeter, MeterSnapshot,
 };
 use pim_sim::config::TransferApi;
 use pim_sim::{
@@ -511,24 +510,17 @@ fn enc_host_section<const D: usize>(t: &PimZdTree<D>) -> Vec<u8> {
     e.into_bytes()
 }
 
-struct HostSection {
-    epoch: u64,
-    n_points: usize,
-    staging_next: u64,
-    l0_replicated: bool,
-    accounting: bool,
-}
-
-fn dec_host_section(payload: &[u8]) -> Result<HostSection, DurabilityError> {
+/// The host scalars and the machine's `accounting` flag.
+fn dec_host_section(payload: &[u8]) -> Result<(HostState, bool), DurabilityError> {
     let s = |e: ShortRead| short("host", e);
     let mut d = Dec::new(payload);
-    Ok(HostSection {
+    let host = HostState {
         epoch: d.u64().map_err(s)?,
         n_points: d.u64().map_err(s)? as usize,
         staging_next: d.u64().map_err(s)?,
         l0_replicated: d.bool().map_err(s)?,
-        accounting: d.bool().map_err(s)?,
-    })
+    };
+    Ok((host, d.bool().map_err(s)?))
 }
 
 fn enc_l0_section<const D: usize>(t: &PimZdTree<D>) -> Vec<u8> {
@@ -873,7 +865,7 @@ impl<const D: usize> PimZdTree<D> {
             }
         }
         let (cfg, machine, cpu_cfg) = dec_config_section(sec(SEC_CONFIG))?;
-        let host = dec_host_section(sec(SEC_HOST))?;
+        let (host, accounting) = dec_host_section(sec(SEC_HOST))?;
         let l0 = dec_l0_section::<D>(sec(SEC_L0))?;
         let dir = dec_dir_section::<D>(sec(SEC_DIR))?;
         let states = dec_modules_section::<D>(sec(SEC_MODULES))?;
@@ -901,25 +893,9 @@ impl<const D: usize> PimZdTree<D> {
         let mut sys =
             PimSystem::new(machine, |i| states[i].take().expect("one serialized state per module"));
         sys.import_counters(counters);
-        sys.accounting = host.accounting;
+        sys.accounting = accounting;
 
-        Ok(Self {
-            cfg,
-            sys,
-            l0,
-            dir,
-            meter,
-            cpu_model: CpuModel::new(cpu_cfg),
-            n_points: host.n_points,
-            // Per-op scratch; the next measured batch overwrites it.
-            last_stats: OpStats::default(),
-            staging_next: host.staging_next,
-            l0_replicated: host.l0_replicated,
-            bufs: RoundBuffers::default(),
-            epoch: host.epoch,
-            wal: None,
-            cpu_cfg,
-        })
+        Ok(Self::assemble(cfg, cpu_cfg, sys, l0, dir, meter, host))
     }
 
     /// Reads and restores a checkpoint file (see [`Self::restore_bytes`]).

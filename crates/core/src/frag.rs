@@ -1093,7 +1093,8 @@ impl<const D: usize> Fragment<D> {
     /// independent fragment. `new_ids` supplies (meta id, module) for local
     /// children in child order (left first); remote children keep their
     /// existing refs. Returns the detached root (its children rewritten as
-    /// remote refs) and the extracted child fragments.
+    /// remote refs) and the extracted child fragments. A leaf root is the
+    /// whole content: it is returned alone, with nothing extracted.
     pub fn split_root(
         &mut self,
         mut new_ids: impl Iterator<Item = (MetaId, u32)>,
@@ -1102,12 +1103,7 @@ impl<const D: usize> Fragment<D> {
         let root = self.nodes[root_idx as usize].clone();
         let (left, right) = match &root.kind {
             BKind::Internal { left, right } => (*left, *right),
-            _ => {
-                // A one-leaf fragment: the root is the whole content.
-                let (id, module) = new_ids.next().expect("id for leaf fragment");
-                let frag = Fragment::singleton(id, module, root.clone(), self.leaf_cap);
-                return (root, vec![frag]);
-            }
+            _ => return (root, Vec::new()),
         };
         let mut frags = Vec::new();
         let mut refs = Vec::new();
@@ -1724,6 +1720,16 @@ mod tests {
         // Points preserved across the split.
         let n: usize = frags.iter().map(|fr| fr.local_points().len()).sum();
         assert_eq!(n, 32);
+    }
+
+    #[test]
+    fn split_root_of_a_leaf_extracts_nothing() {
+        // Equal keys past `leaf_cap` stay one leaf: nothing below the root.
+        let mut f = leaf_fragment(&[[3, 3, 3]; 9], 4);
+        let (root, frags) = f.split_root([(100u64, 5u32), (101, 6)].into_iter());
+        assert!(frags.is_empty());
+        assert!(matches!(root.kind, BKind::Leaf { .. }));
+        assert_eq!(root.count, 9);
     }
 
     #[test]

@@ -106,6 +106,15 @@ pub(crate) const QUERY_STATE_REGION: u64 = 1 << 46;
 /// Bytes of host-side state per query (trace hop + grouping slot).
 pub(crate) const QUERY_STATE_BYTES: u64 = 24;
 
+/// The scalars a tree carries besides its fragments, directory, meter and
+/// machine (see the fields of the same names on [`PimZdTree`]).
+pub(crate) struct HostState {
+    pub epoch: u64,
+    pub n_points: usize,
+    pub staging_next: u64,
+    pub l0_replicated: bool,
+}
+
 /// The PIM-zd-tree index.
 pub struct PimZdTree<const D: usize> {
     /// Structure configuration.
@@ -155,19 +164,44 @@ impl<const D: usize> PimZdTree<D> {
     /// this to scale the LLC with the dataset, keeping the paper's
     /// cache-to-data ratio at reduced scales).
     pub fn new_with_cpu(cfg: PimZdConfig, machine: MachineConfig, cpu_cfg: CpuConfig) -> Self {
+        Self::assemble(
+            cfg,
+            cpu_cfg,
+            PimSystem::new(machine, |_| ModuleState::default()),
+            None,
+            Directory::new(),
+            CpuMeter::new(cpu_cfg),
+            HostState { epoch: 0, n_points: 0, staging_next: STAGING_REGION, l0_replicated: false },
+        )
+    }
+
+    /// The tree over the given resident state — how an empty tree, a fork
+    /// and a restored image are all put together. Per-op scratch starts
+    /// fresh and the WAL comes back detached; what is attached to `sys`
+    /// (sinks, plan) is the caller's business.
+    pub(crate) fn assemble(
+        cfg: PimZdConfig,
+        cpu_cfg: CpuConfig,
+        sys: PimSystem<ModuleState<D>>,
+        l0: Option<Fragment<D>>,
+        dir: Directory<D>,
+        meter: CpuMeter,
+        host: HostState,
+    ) -> Self {
         Self {
             cfg,
-            sys: PimSystem::new(machine, |_| ModuleState::default()),
-            l0: None,
-            dir: Directory::new(),
-            meter: CpuMeter::new(cpu_cfg),
+            sys,
+            l0,
+            dir,
+            meter,
             cpu_model: CpuModel::new(cpu_cfg),
-            n_points: 0,
+            n_points: host.n_points,
+            // The next measured batch overwrites it.
             last_stats: OpStats::default(),
-            staging_next: STAGING_REGION,
-            l0_replicated: false,
+            staging_next: host.staging_next,
+            l0_replicated: host.l0_replicated,
             bufs: RoundBuffers::default(),
-            epoch: 0,
+            epoch: host.epoch,
             wal: None,
             cpu_cfg,
         }
@@ -778,7 +812,11 @@ impl<const D: usize> Reroutable<D> for MgmtTask<D> {
             // against the master is safe.
             MgmtTask::ReplaceChild { parent, .. } => match tree.dir.metas.get(parent) {
                 Some(e) => Route::To(e.module),
-                None => Route::Void(MgmtReply::ReplaceStatus { parent: *parent, collapsed: None }),
+                None => Route::Void(MgmtReply::ReplaceStatus {
+                    parent: *parent,
+                    collapsed: None,
+                    narrowed: None,
+                }),
             },
             MgmtTask::SplitRoot { meta, new_ids, .. } => {
                 // Re-place split children headed for modules that died

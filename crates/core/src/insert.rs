@@ -87,51 +87,10 @@ impl<const D: usize> PimZdTree<D> {
         // Apply to fragments: one round (Alg. 2 step 3a/3b).
         if !frag_items.is_empty() {
             let sort_span = pim_obs::span("sort_tasks");
-            // Group by a counting sort on the meta id (dense directory
-            // index): one histogram pass, one stable scatter. Runs come
-            // out meta-ascending with items in input order; each run is
-            // then z-ordered independently — runs average a few dozen
-            // items, where the small-slice path of `sort_keyed` beats any
-            // global pass over the batch.
-            let bound = self.dir.id_bound() as usize;
-            let mut cursor: Vec<u32> = self.bufs.take_vec();
-            cursor.resize(bound + 1, 0);
-            for (meta, _) in frag_items.iter() {
-                cursor[*meta as usize] += 1;
-            }
-            let mut acc = 0u32;
-            for c in cursor.iter_mut() {
-                let n = *c;
-                *c = acc;
-                acc += n;
-            }
-            let mut grouped: Vec<Keyed<D>> = self.bufs.take_vec();
-            // Placeholder value; the scatter writes every slot exactly once.
-            grouped.resize(frag_items.len(), frag_items[0].1);
-            for &(meta, item) in frag_items.iter() {
-                let c = &mut cursor[meta as usize];
-                grouped[*c as usize] = item;
-                *c += 1;
-            }
-            // After the scatter `cursor[m]` is the end of m's run; starts
-            // are recovered by walking metas in order (runs are contiguous
-            // and untouched entries carry the previous run's end forward).
             let mut tasks: Vec<Vec<InsertTask<D>>> = self.task_matrix();
-            let mut prev = 0usize;
-            for (m, end) in cursor.iter().enumerate().take(bound + 1) {
-                let end = *end as usize;
-                if end > prev {
-                    let run = &mut grouped[prev..end];
-                    crate::frag::sort_keyed(run);
-                    self.meter.work(run.len() as u64 * 25);
-                    let meta = m as MetaId;
-                    let module = self.dir.get(meta).module as usize;
-                    tasks[module].push(InsertTask { meta, items: run.to_vec() });
-                    prev = end;
-                }
-            }
-            self.bufs.put_vec(cursor);
-            self.bufs.put_vec(grouped);
+            self.for_each_meta_run(&frag_items, |meta, module, run| {
+                tasks[module].push(InsertTask { meta, items: run.to_vec() })
+            });
             drop(sort_span);
             let replies = self.robust_round(tasks, |_, m, ctx, t| handle_insert(m, ctx, t));
             let _span = pim_obs::span("apply_replies");
@@ -148,6 +107,58 @@ impl<const D: usize> PimZdTree<D> {
 
         self.n_points += points.len();
         self.maintain();
+    }
+
+    /// Groups `(target meta, item)` pairs into one z-ordered run per target
+    /// and hands each `(meta, master module, run)` to `emit`, metas
+    /// ascending. A counting sort on the meta id (dense directory index):
+    /// one histogram pass, one stable scatter; each run is then z-ordered
+    /// on its own — runs average a few dozen items, where the small-slice
+    /// path of `sort_keyed` beats any global pass over the batch. Charges
+    /// the sorts; allocates nothing per meta.
+    fn for_each_meta_run(
+        &mut self,
+        frag_items: &[(MetaId, Keyed<D>)],
+        mut emit: impl FnMut(MetaId, usize, &[Keyed<D>]),
+    ) {
+        let Some(&(_, first)) = frag_items.first() else { return };
+        let bound = self.dir.id_bound() as usize;
+        let mut cursor: Vec<u32> = self.bufs.take_vec();
+        cursor.resize(bound + 1, 0);
+        for (meta, _) in frag_items {
+            cursor[*meta as usize] += 1;
+        }
+        let mut acc = 0u32;
+        for c in cursor.iter_mut() {
+            let n = *c;
+            *c = acc;
+            acc += n;
+        }
+        let mut grouped: Vec<Keyed<D>> = self.bufs.take_vec();
+        // Placeholder value; the scatter writes every slot exactly once.
+        grouped.resize(frag_items.len(), first);
+        for &(meta, item) in frag_items {
+            let c = &mut cursor[meta as usize];
+            grouped[*c as usize] = item;
+            *c += 1;
+        }
+        // After the scatter `cursor[m]` is the end of m's run; starts are
+        // recovered by walking metas in order (runs are contiguous and
+        // untouched entries carry the previous run's end forward).
+        let mut prev = 0usize;
+        for (m, end) in cursor.iter().enumerate() {
+            let end = *end as usize;
+            if end > prev {
+                let run = &mut grouped[prev..end];
+                crate::frag::sort_keyed(run);
+                self.meter.work(run.len() as u64 * 25);
+                let meta = m as MetaId;
+                emit(meta, self.dir.get(meta).module as usize, run);
+                prev = end;
+            }
+        }
+        self.bufs.put_vec(cursor);
+        self.bufs.put_vec(grouped);
     }
 
     /// Deletes a batch of points; each element removes at most one stored
@@ -174,14 +185,12 @@ impl<const D: usize> PimZdTree<D> {
         self.meter.work(points.len() as u64 * 20);
 
         let mut l0_items: Vec<Keyed<D>> = Vec::new();
-        let mut per_meta: FxHashMap<MetaId, Vec<Keyed<D>>> = FxHashMap::default();
+        let mut frag_items: Vec<(MetaId, Keyed<D>)> = self.bufs.take_vec();
         for (qid, end) in s.ends.iter().enumerate() {
             let item = (s.keys[qid], points[qid]);
             match end {
                 QueryEnd::L0Leaf { found: true } => l0_items.push(item),
-                QueryEnd::FragLeaf { meta, found: true } => {
-                    per_meta.entry(*meta).or_default().push(item)
-                }
+                QueryEnd::FragLeaf { meta, found: true } => frag_items.push((*meta, item)),
                 // Not present: nothing to delete.
                 _ => {}
             }
@@ -190,32 +199,42 @@ impl<const D: usize> PimZdTree<D> {
 
         let mut removed = 0usize;
 
-        if !l0_items.is_empty() {
+        // L0 first, host-side. A removal that leaves L0 a bare ref to its
+        // last fragment makes that fragment the new L0 — and whatever this
+        // batch holds for it is then L0's to remove as well, before any
+        // task is built for a meta the directory no longer has.
+        while !l0_items.is_empty() {
             let _span = pim_obs::span("l0_merge");
             crate::frag::sort_keyed(&mut l0_items);
             self.meter.work(l0_items.len() as u64 * 25);
             let l0 = self.l0.as_mut().unwrap();
             let mut sink = Self::l0_sink(&mut self.meter);
-            match l0.remove(&l0_items, &mut removed, &mut sink) {
-                crate::frag::RootAfterRemove::Kept => {}
+            l0_items = match l0.remove(&l0_items, &mut removed, &mut sink) {
+                crate::frag::RootAfterRemove::Kept => Vec::new(),
                 crate::frag::RootAfterRemove::Empty => {
                     self.l0 = None;
+                    Vec::new()
                 }
                 crate::frag::RootAfterRemove::CollapsedToRemote(r) => {
                     self.absorb_fragment_into_l0(r);
+                    let mut theirs = Vec::new();
+                    frag_items.retain(|&(meta, item)| {
+                        if meta == r.meta {
+                            theirs.push(item);
+                        }
+                        meta != r.meta
+                    });
+                    theirs
                 }
-            }
+            };
         }
 
-        if !per_meta.is_empty() {
+        if !frag_items.is_empty() {
             let sort_span = pim_obs::span("sort_tasks");
             let mut tasks: Vec<Vec<DeleteTask<D>>> = self.task_matrix();
-            for (meta, mut items) in per_meta {
-                crate::frag::sort_keyed(&mut items);
-                self.meter.work(items.len() as u64 * 25);
-                let module = self.dir.get(meta).module as usize;
-                tasks[module].push(DeleteTask { meta, items });
-            }
+            self.for_each_meta_run(&frag_items, |meta, module, run| {
+                tasks[module].push(DeleteTask { meta, items: run.to_vec() })
+            });
             drop(sort_span);
             let replies = self.robust_round(tasks, |_, m, ctx, t| handle_delete(m, ctx, t));
             let reply_span = pim_obs::span("apply_replies");
@@ -226,11 +245,13 @@ impl<const D: usize> PimZdTree<D> {
                 self.apply_delete_reply(&r, &mut splices, &mut urgent_syncs);
             }
             drop(reply_span);
-            self.process_splices(splices);
+            self.process_splices(splices, &mut urgent_syncs);
             // Prefix changes must reach parents before the next routing
             // decision (part of Alg. 2's pointer-fixing rounds).
             self.sync_metas(&urgent_syncs, true);
         }
+
+        self.bufs.put_vec(frag_items);
 
         self.n_points -= removed;
         self.maintain();
@@ -274,10 +295,12 @@ impl<const D: usize> PimZdTree<D> {
     /// Several fragments may dissolve in the same batch, forming chains
     /// (`X` collapsed to a ref to `Y`, but `Y` itself emptied). Every
     /// replacement is therefore resolved through the dying set before being
-    /// installed, so no parent is ever pointed at a dissolved fragment.
+    /// installed, so no parent is ever pointed at a dissolved fragment. A
+    /// parent whose root prefix a splice narrowed joins `urgent_syncs`.
     fn process_splices(
         &mut self,
         mut splices: Vec<(Option<MetaId>, MetaId, Option<RemoteRef<D>>)>,
+        urgent_syncs: &mut Vec<MetaId>,
     ) {
         let _span = pim_obs::span("process_splices");
         // child → its (unresolved) replacement; grows as cascades surface.
@@ -328,19 +351,23 @@ impl<const D: usize> PimZdTree<D> {
                 if let Some(rr) = replacement {
                     // The surviving grandchild hangs off the dissolved
                     // child's parent.
-                    if self.dir.metas.contains_key(&rr.meta) {
-                        self.dir.get_mut(rr.meta).parent = live_parent;
-                        if let Some(p) = live_parent {
-                            if !self.dir.get(p).children.contains(&rr.meta) {
-                                self.dir.get_mut(p).children.push(rr.meta);
-                            }
-                        }
-                    }
+                    self.dir.adopt(live_parent, rr.meta);
                 }
-                self.dir.remove(child);
+                let gone = self.dir.remove(child);
+                // The fragment is gone; so are the copies of its structure.
+                for &m in gone.iter().flat_map(|g| &g.cached_on) {
+                    tasks[m as usize].push(MgmtTask::DropCache(child));
+                }
                 match live_parent {
                     None => l0_patches.push((child, replacement)),
                     Some(p) => {
+                        // The parent's subtree changes by what its ref to
+                        // the child said, against what the replacement
+                        // says (the change the splice applies module-side).
+                        if let Some(gone) = gone {
+                            self.dir.get_mut(p).pending_delta +=
+                                replacement.map_or(0, |rr| rr.sc as i64) - gone.synced_sc as i64;
+                        }
                         let module = self.dir.get(p).module as usize;
                         tasks[module].push(MgmtTask::ReplaceChild {
                             parent: p,
@@ -361,10 +388,18 @@ impl<const D: usize> PimZdTree<D> {
             if !tasks.iter().all(Vec::is_empty) {
                 let replies = self.mgmt_round(tasks);
                 for r in replies.into_iter().flatten() {
-                    if let MgmtReply::ReplaceStatus { parent, collapsed: Some(rr) } = r {
-                        if self.dir.metas.contains_key(&parent) {
-                            let gp = self.dir.get(parent).parent;
-                            next.push((gp, parent, Some(rr)));
+                    let MgmtReply::ReplaceStatus { parent, collapsed, narrowed } = r else {
+                        continue;
+                    };
+                    let Some(e) = self.dir.metas.get_mut(&parent) else { continue };
+                    if let Some(rr) = collapsed {
+                        next.push((e.parent, parent, Some(rr)));
+                    } else if let Some(prefix) = narrowed {
+                        // The splice took the parent's root node: the ref
+                        // to the parent must hear its new prefix.
+                        e.prefix = prefix;
+                        if !urgent_syncs.contains(&parent) {
+                            urgent_syncs.push(parent);
                         }
                     }
                 }
@@ -411,13 +446,15 @@ impl<const D: usize> PimZdTree<D> {
         self.mgmt_round(tasks);
         // Children of the absorbed fragment now hang off L0.
         for c in f.remote_children() {
-            if self.dir.metas.contains_key(&c.meta) {
-                self.dir.get_mut(c.meta).parent = None;
-            }
+            self.dir.adopt(None, c.meta);
         }
         self.dir.remove(r.meta);
         f.meta = 0;
         f.master_module = u32::MAX;
+        // L0 carries no chunk directory: the host patches L0 in place
+        // (demotion, promotion), which would leave the fragment's stale.
+        f.dir_bits = 0;
+        f.rebuild_chunk_dir();
         self.l0 = Some(f);
     }
 
@@ -441,7 +478,7 @@ impl<const D: usize> PimZdTree<D> {
     /// Extracts L0-resident subtrees that fell below θ_L0 into new
     /// fragments (demotion; also how freshly-inserted structure leaves L0).
     fn demote_small_l0_children(&mut self) {
-        let Some(l0) = self.l0.as_mut() else { return };
+        let Some(l0) = self.l0.as_ref() else { return };
         // Find topmost local children below threshold.
         let mut demote: Vec<(u32, u8, u32)> = Vec::new();
         let mut stack = vec![l0.root];
@@ -463,11 +500,11 @@ impl<const D: usize> PimZdTree<D> {
         if demote.is_empty() {
             return;
         }
-        let mut installs: Vec<(u32, Fragment<D>)> = Vec::new();
-        let p = self.sys.n_modules();
+        let mut l0 = self.l0.take().expect("checked above");
+        let mut tasks: Vec<Vec<MgmtTask<D>>> = self.task_matrix();
         for (parent_idx, side, child_idx) in demote {
             let id = self.dir.next_id();
-            let module = crate::host::place_live(self.cfg.placement_seed, id, self.sys.dead_mask());
+            let module = self.place_module(id);
             let mut frag = l0.extract_subtree(child_idx, id, module);
             // L0 carries no chunk directory; demoted fragments get one.
             frag.dir_bits = self.cfg.chunk_dir_bits();
@@ -487,35 +524,14 @@ impl<const D: usize> PimZdTree<D> {
             };
             l0.nodes[parent_idx as usize].kind = new_kind;
             self.meter.work(40);
-            let grandchildren: Vec<MetaId> =
-                frag.remote_children().iter().map(|rr| rr.meta).collect();
-            self.dir.insert(MetaInfo {
-                id,
-                module,
-                layer: self.cfg.layer_of(root.count),
-                parent: None,
-                children: Vec::new(),
-                prefix: root.prefix,
-                synced_sc: root.count,
-                pending_delta: 0,
-                cached_on: Vec::new(),
-                live_nodes: frag.live_nodes() as u64,
-                dirty: false,
-            });
-            for g in grandchildren {
-                if self.dir.metas.contains_key(&g) {
-                    self.dir.get_mut(g).parent = Some(id);
-                    if !self.dir.get(id).children.contains(&g) {
-                        self.dir.get_mut(id).children.push(g);
-                    }
-                }
+            let layer = self.cfg.layer_of(r.sc);
+            self.dir.insert(MetaInfo::new(&r, layer, None, frag.live_nodes() as u64));
+            for g in frag.remote_children() {
+                self.dir.adopt(Some(id), g.meta);
             }
-            installs.push((module, frag));
-        }
-        let mut tasks: Vec<Vec<MgmtTask<D>>> = (0..p).map(|_| Vec::new()).collect();
-        for (module, frag) in installs {
             tasks[module as usize].push(MgmtTask::InstallMaster(frag));
         }
+        self.l0 = Some(l0);
         self.mgmt_round(tasks);
     }
 
@@ -657,42 +673,64 @@ impl<const D: usize> PimZdTree<D> {
             if cands.is_empty() {
                 return;
             }
+            self.split_roots(&cands, false);
+        }
+    }
 
-            let mut tasks: Vec<Vec<MgmtTask<D>>> = self.task_matrix();
-            for &m in &cands {
-                let ids: Vec<(MetaId, u32)> = (0..2)
-                    .map(|_| {
-                        let id = self.dir.next_id();
-                        (
-                            id,
-                            crate::host::place_live(
-                                self.cfg.placement_seed,
-                                id,
-                                self.sys.dead_mask(),
-                            ),
-                        )
-                    })
-                    .collect();
-                let module = self.dir.get(m).module as usize;
-                tasks[module].push(MgmtTask::SplitRoot { meta: m, new_ids: ids, keep_root: false });
-            }
-            // Replies come back flattened in (module, task) order — recover
-            // which meta each one answers from the same traversal.
-            let dispatch_order: Vec<MetaId> = tasks
-                .iter()
-                .flatten()
-                .map(|t| match t {
-                    MgmtTask::SplitRoot { meta, .. } => *meta,
-                    _ => unreachable!(),
+    /// Splits the root off every fragment in `cands` (one round), registers
+    /// the extracted children and ships those placed on other modules (a
+    /// second round). With `keep_root` the fragment stays, holding just its
+    /// root, as the children's parent (re-chunking); without, the root is
+    /// spliced into L0 in place of the ref to the fragment, which dissolves
+    /// (promotion). A root that is a leaf — equal keys past `leaf_cap`, so
+    /// nothing below it to extract — comes back with no children and is
+    /// promoted as it is.
+    fn split_roots(&mut self, cands: &[MetaId], keep_root: bool) {
+        let mut tasks: Vec<Vec<MgmtTask<D>>> = self.task_matrix();
+        for &meta in cands {
+            let new_ids = (0..2)
+                .map(|_| {
+                    let id = self.dir.next_id();
+                    (id, self.place_module(id))
                 })
                 .collect();
-            let replies = self.mgmt_round(tasks);
-            let mut installs: Vec<Vec<MgmtTask<D>>> = self.task_matrix();
-            let mut promoted_bytes = 0u64;
-            let mut reply_iter: Vec<MgmtReply<D>> = replies.into_iter().flatten().collect();
-            for (i, r) in reply_iter.drain(..).enumerate() {
-                let MgmtReply::Split { root, children, moved } = r else { continue };
-                let meta = dispatch_order[i];
+            let e = self.dir.get(meta);
+            tasks[e.module as usize].push(MgmtTask::SplitRoot { meta, new_ids, keep_root });
+            if !keep_root {
+                // The fragment dissolves; so do the copies of its structure
+                // (in this round, so that they cost no round of their own).
+                for &m in &e.cached_on {
+                    tasks[m as usize].push(MgmtTask::DropCache(meta));
+                }
+            }
+        }
+        // Replies come back flattened in (module, task) order — recover
+        // which meta each split answers from the same traversal.
+        let dispatch_order: Vec<MetaId> = tasks
+            .iter()
+            .flatten()
+            .filter_map(|t| match t {
+                MgmtTask::SplitRoot { meta, .. } => Some(*meta),
+                _ => None,
+            })
+            .collect();
+        let replies = self.mgmt_round(tasks);
+        let mut installs: Vec<Vec<MgmtTask<D>>> = self.task_matrix();
+        let mut promoted_bytes = 0u64;
+        let splits = replies.into_iter().flatten().filter_map(|r| match r {
+            MgmtReply::Split { root, children, moved } => Some((root, children, moved)),
+            _ => None,
+        });
+        for (meta, (root, children, moved)) in dispatch_order.into_iter().zip(splits) {
+            if keep_root {
+                // The old meta's former children are re-parented onto the
+                // split children via their grandchild lists.
+                self.dir.get_mut(meta).children.clear();
+                self.register_split_children(meta, &children, Some(meta));
+                let e = self.dir.get_mut(meta);
+                e.live_nodes = 1;
+                e.dirty = true;
+            } else {
                 promoted_bytes += root.bytes();
                 self.register_split_children(meta, &children, None);
                 // Pre-existing remote children of the promoted root now hang
@@ -700,14 +738,9 @@ impl<const D: usize> PimZdTree<D> {
                 if let crate::frag::BKind::Internal { left, right } = &root.kind {
                     for c in [left, right] {
                         if let crate::frag::ChildRef::Remote(rr) = c {
-                            if self.dir.metas.contains_key(&rr.meta) {
-                                self.dir.get_mut(rr.meta).parent = None;
-                            }
+                            self.dir.adopt(None, rr.meta);
                         }
                     }
-                }
-                for f in moved {
-                    installs[f.master_module as usize].push(MgmtTask::InstallMaster(f));
                 }
                 // Splice the promoted node into L0.
                 let l0 = self.l0.as_mut().expect("promotion implies L0 exists");
@@ -716,13 +749,15 @@ impl<const D: usize> PimZdTree<D> {
                 debug_assert!(ok, "promoted meta must be referenced from L0");
                 self.dir.remove(meta);
             }
-            if !installs.iter().all(Vec::is_empty) {
-                self.mgmt_round(installs);
+            for f in moved {
+                installs[f.master_module as usize].push(MgmtTask::InstallMaster(f));
             }
-            if self.l0_replicated && promoted_bytes > 0 {
-                self.sys
-                    .broadcast(crate::host::ReplBytes(promoted_bytes), |_, _, ctx, b| ctx.mem(b.0));
-            }
+        }
+        if !installs.iter().all(Vec::is_empty) {
+            self.mgmt_round(installs);
+        }
+        if self.l0_replicated && promoted_bytes > 0 {
+            self.sys.broadcast(crate::host::ReplBytes(promoted_bytes), |_, _, ctx, b| ctx.mem(b.0));
         }
     }
 
@@ -734,26 +769,10 @@ impl<const D: usize> PimZdTree<D> {
         parent: Option<MetaId>,
     ) {
         for info in children {
-            self.dir.insert(MetaInfo {
-                id: info.r.meta,
-                module: info.r.module,
-                layer: self.cfg.layer_of(info.r.sc),
-                parent,
-                children: Vec::new(),
-                prefix: info.r.prefix,
-                synced_sc: info.r.sc,
-                pending_delta: 0,
-                cached_on: Vec::new(),
-                live_nodes: info.live_nodes,
-                dirty: false,
-            });
-            for &g in &info.grandchildren {
-                if self.dir.metas.contains_key(&g) && g != old_meta {
-                    self.dir.get_mut(g).parent = Some(info.r.meta);
-                    if !self.dir.get(info.r.meta).children.contains(&g) {
-                        self.dir.get_mut(info.r.meta).children.push(g);
-                    }
-                }
+            let layer = self.cfg.layer_of(info.r.sc);
+            self.dir.insert(MetaInfo::new(&info.r, layer, parent, info.live_nodes));
+            for &g in info.grandchildren.iter().filter(|&&g| g != old_meta) {
+                self.dir.adopt(Some(info.r.meta), g);
             }
         }
     }
@@ -807,52 +826,7 @@ impl<const D: usize> PimZdTree<D> {
             if cands.is_empty() {
                 return;
             }
-
-            let mut tasks: Vec<Vec<MgmtTask<D>>> = self.task_matrix();
-            for &m in &cands {
-                let ids: Vec<(MetaId, u32)> = (0..2)
-                    .map(|_| {
-                        let id = self.dir.next_id();
-                        (
-                            id,
-                            crate::host::place_live(
-                                self.cfg.placement_seed,
-                                id,
-                                self.sys.dead_mask(),
-                            ),
-                        )
-                    })
-                    .collect();
-                let module = self.dir.get(m).module as usize;
-                tasks[module].push(MgmtTask::SplitRoot { meta: m, new_ids: ids, keep_root: true });
-            }
-            let dispatch_order: Vec<MetaId> = tasks
-                .iter()
-                .flatten()
-                .map(|t| match t {
-                    MgmtTask::SplitRoot { meta, .. } => *meta,
-                    _ => unreachable!(),
-                })
-                .collect();
-            let replies = self.mgmt_round(tasks);
-            let mut installs: Vec<Vec<MgmtTask<D>>> = self.task_matrix();
-            let flat: Vec<MgmtReply<D>> = replies.into_iter().flatten().collect();
-            for (i, r) in flat.into_iter().enumerate() {
-                let MgmtReply::Split { children, moved, .. } = r else { continue };
-                let meta = dispatch_order[i];
-                // The old meta's former children are re-parented onto the
-                // split children via their grandchild lists.
-                self.dir.get_mut(meta).children.clear();
-                self.register_split_children(meta, &children, Some(meta));
-                self.dir.get_mut(meta).live_nodes = 1;
-                self.dir.get_mut(meta).dirty = true;
-                for f in moved {
-                    installs[f.master_module as usize].push(MgmtTask::InstallMaster(f));
-                }
-            }
-            if !installs.iter().all(Vec::is_empty) {
-                self.mgmt_round(installs);
-            }
+            self.split_roots(&cands, true);
         }
     }
 
@@ -884,7 +858,7 @@ impl<const D: usize> PimZdTree<D> {
 mod tests {
     use crate::config::PimZdConfig;
     use crate::host::PimZdTree;
-    use pim_geom::{Metric, Point};
+    use pim_geom::{Aabb, Metric, Point};
     use pim_sim::MachineConfig;
     use pim_workloads::{osm_like, uniform};
 
@@ -1009,6 +983,44 @@ mod tests {
         assert_eq!(t.batch_delete(&[p, p]), 2);
         assert_eq!(t.len(), 3);
         t.check_invariants(&[p; 3]);
+    }
+
+    /// θ_L0 or more copies of one point land in a fragment under L0 whose
+    /// root is an unsplittable leaf: it is promoted as it is, once.
+    #[test]
+    fn a_fat_leaf_of_duplicates_is_promoted_once() {
+        let base = uniform::<3>(2_000, 5);
+        let hot = base[17];
+        for (cfg, copies) in [
+            (PimZdConfig::skew_resistant(8), 31),
+            (PimZdConfig::throughput_optimized(2_000, 8), 400),
+        ] {
+            assert!(copies + 1 >= cfg.theta_l0 as usize && copies > cfg.leaf_cap);
+            let mut t = PimZdTree::build(&base, cfg, MachineConfig::with_modules(8));
+            t.batch_insert(&vec![hot; copies]);
+            let mut data = base.clone();
+            data.extend(std::iter::repeat_n(hot, copies));
+            t.check_invariants(&data);
+            assert_eq!(t.batch_knn(&[hot], 10, Metric::L2)[0], brute(&data, &hot, 10));
+            assert_eq!(t.batch_box_count(&[Aabb::point(hot)]), vec![copies as u64 + 1]);
+            assert_eq!(t.batch_delete(&vec![hot; copies]), copies);
+            t.check_invariants(&base);
+        }
+    }
+
+    /// One batch empties L0's own points — leaving it a bare ref to its
+    /// last fragment, which becomes L0 — and also deletes from that very
+    /// fragment.
+    #[test]
+    fn a_delete_can_empty_l0_and_its_last_fragment_together() {
+        let mut pts = vec![Point::new([0u32, 0, 0])];
+        pts.extend([Point::new([7, 7, 7]); 100]);
+        for cfg in [PimZdConfig::throughput_optimized(104, 8), PimZdConfig::skew_resistant(8)] {
+            let mut t = PimZdTree::build(&pts, cfg, MachineConfig::with_modules(8));
+            assert_eq!(t.batch_delete(&pts), 101);
+            assert!(t.is_empty());
+            t.check_invariants(&[]);
+        }
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub mod checkpoint;
 pub mod config;
 pub mod frag;
 pub mod host;
+pub mod index;
 pub mod inline;
 pub mod insert;
 pub mod invariants;
@@ -63,6 +64,7 @@ pub use checkpoint::DurabilityError;
 pub use config::{Layer, PimZdConfig, Toggles};
 pub use frag::{BKind, BNode, ChildRef, Fragment, MetaId, RemoteRef};
 pub use host::PimZdTree;
+pub use index::{BatchIndex, BatchRead};
 pub use shard::{CellId, PlacementTable, ShardConfig, ShardOpStats, ShardedZdTree};
 pub use snapshot::TreeSnapshot;
 pub use soa::{CoordBlock, KBest, PointSet};

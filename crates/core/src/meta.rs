@@ -10,7 +10,7 @@
 //! queries.
 
 use crate::config::Layer;
-use crate::frag::MetaId;
+use crate::frag::{MetaId, RemoteRef};
 use pim_zorder::prefix::Prefix;
 use rustc_hash::FxHashMap;
 
@@ -44,6 +44,24 @@ pub struct MetaInfo<const D: usize> {
 }
 
 impl<const D: usize> MetaInfo<D> {
+    /// The entry of the fragment `r` refers to as it comes into being:
+    /// counter in sync, no children listed, nothing cached, nothing dirty.
+    pub fn new(r: &RemoteRef<D>, layer: Layer, parent: Option<MetaId>, live_nodes: u64) -> Self {
+        MetaInfo {
+            id: r.meta,
+            module: r.module,
+            layer,
+            parent,
+            children: Vec::new(),
+            prefix: r.prefix,
+            synced_sc: r.sc,
+            pending_delta: 0,
+            cached_on: Vec::new(),
+            live_nodes,
+            dirty: false,
+        }
+    }
+
     /// Current best host-side estimate of the fragment's true count.
     pub fn estimated_count(&self) -> u64 {
         (self.synced_sc as i64 + self.pending_delta).max(0) as u64
@@ -96,6 +114,21 @@ impl<const D: usize> Directory<D> {
             }
         }
         self.metas.insert(info.id, info);
+    }
+
+    /// Hangs `child` — if it is still registered — under `parent` (`None` =
+    /// L0): sets its parent and lists it once among the parent's children.
+    /// The previous parent's list is left alone: wherever this is called
+    /// that parent is being dissolved or has just had its list cleared.
+    pub fn adopt(&mut self, parent: Option<MetaId>, child: MetaId) {
+        let Some(c) = self.metas.get_mut(&child) else { return };
+        c.parent = parent;
+        if let Some(p) = parent {
+            let siblings = &mut self.get_mut(p).children;
+            if !siblings.contains(&child) {
+                siblings.push(child);
+            }
+        }
     }
 
     /// Entry accessor.

@@ -433,6 +433,10 @@ pub enum MgmtReply<const D: usize> {
         /// Set when the parent fragment collapsed to a remote ref and must
         /// be dissolved by the host.
         collapsed: Option<RemoteRef<D>>,
+        /// Set when the splice took the root node and left its local
+        /// sibling as the root: the fragment's new, narrower root prefix,
+        /// which the host must push to whoever holds the ref to it.
+        narrowed: Option<Prefix<D>>,
     },
     /// Result of a root split.
     Split {
@@ -468,8 +472,8 @@ impl<const D: usize> Wire for MgmtReply<D> {
     fn wire_bytes(&self) -> u64 {
         match self {
             MgmtReply::Ack => 1,
-            MgmtReply::ReplaceStatus { collapsed, .. } => {
-                9 + collapsed.map_or(0, |_| REMOTE_REF_BYTES)
+            MgmtReply::ReplaceStatus { collapsed, narrowed, .. } => {
+                9 + collapsed.map_or(0, |_| REMOTE_REF_BYTES) + narrowed.map_or(0, |_| 12)
             }
             MgmtReply::Pulled(f) => f.bytes(),
             MgmtReply::Split { root, children, moved } => {
@@ -766,12 +770,13 @@ pub fn handle_mgmt<const D: usize>(
             MgmtTask::ReplaceChild { parent, child, replacement } => {
                 ctx.op(30);
                 ctx.mem(BNODE_BYTES);
-                let mut collapsed = None;
+                let (mut collapsed, mut narrowed) = (None, None);
                 if let Some(f) = state.masters.get_mut(&parent) {
-                    if let crate::frag::ReplaceOutcome::RootCollapsed(r) =
-                        Arc::make_mut(f).replace_remote_child(child, replacement)
-                    {
-                        collapsed = Some(r);
+                    let f = Arc::make_mut(f);
+                    let before = f.root_node().prefix;
+                    match f.replace_remote_child(child, replacement) {
+                        crate::frag::ReplaceOutcome::RootCollapsed(r) => collapsed = Some(r),
+                        _ => narrowed = Some(f.root_node().prefix).filter(|p| *p != before),
                     }
                 }
                 if let Some(f) = state.caches.get_mut(&parent) {
@@ -780,7 +785,7 @@ pub fn handle_mgmt<const D: usize>(
                 if collapsed.is_some() {
                     state.masters.remove(&parent);
                 }
-                MgmtReply::ReplaceStatus { parent, collapsed }
+                MgmtReply::ReplaceStatus { parent, collapsed, narrowed }
             }
             MgmtTask::SplitRoot { meta, new_ids, keep_root } => {
                 let mut f = Arc::unwrap_or_clone(

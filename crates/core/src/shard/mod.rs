@@ -56,16 +56,29 @@ const ROUTE_CYCLES: u64 = 24;
 /// Host cycles charged per element merged/sorted at the gather stage.
 const MERGE_CYCLES: u64 = 8;
 
+/// Initial uniform refinement depth of the placement trie
+/// (`2^(D·INITIAL_LEVELS)` leaves: 512 in 3D — enough cells per rank that
+/// rendezvous placement balances uniform data).
+const INITIAL_LEVELS: u32 = 3;
+/// Seed of the rendezvous placement hash.
+const PLACEMENT_SEED: u64 = 2026;
+/// Depth of the heat probes: routed keys are counted per level-
+/// `HEAT_LEVELS` prefix, bounding rebalancer resolution (clamped to the
+/// grid depth, see [`heat_level`]).
+const HEAT_LEVELS: u32 = 10;
+/// Upper bound on split/migrate actions per rebalance trigger.
+const MAX_ACTIONS: u64 = 12;
+
+/// The heat-probe depth on a `d`-dimensional grid.
+fn heat_level(d: usize) -> u32 {
+    HEAT_LEVELS.clamp(1, coord_bits_for_dim(d) - 1)
+}
+
 /// Configuration of the shard router.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardConfig {
     /// Number of ranks (independent simulated machines). Must be ≥ 1.
     pub n_ranks: usize,
-    /// Initial uniform refinement depth of the placement trie
-    /// (`2^(D·initial_levels)` leaves).
-    pub initial_levels: u32,
-    /// Seed of the rendezvous placement hash.
-    pub placement_seed: u64,
     /// Rebalance after an operation when the straggler-path imbalance of
     /// the window since the last check exceeds this ratio (max/mean over
     /// ranks of Σ per-round busiest-module cycles; 1.0 = perfectly
@@ -73,33 +86,12 @@ pub struct ShardConfig {
     pub rebalance_threshold: f64,
     /// Whether the router rebalances automatically at batch boundaries.
     pub auto_rebalance: bool,
-    /// Depth of the heat probes: routed keys are counted per level-
-    /// `heat_levels` prefix, bounding rebalancer resolution (clamped to the
-    /// grid depth).
-    pub heat_levels: u32,
-    /// Upper bound on split/migrate actions per rebalance trigger.
-    pub max_actions: usize,
 }
 
 impl ShardConfig {
-    /// Defaults for `n_ranks` ranks: 3 initial levels (512 leaves in 3D —
-    /// enough cells per rank that rendezvous placement balances uniform
-    /// data), rendezvous seed 2026, auto-rebalance at 1.6× imbalance,
-    /// level-10 heat probes, ≤ 12 actions per trigger.
+    /// Defaults for `n_ranks` ranks: auto-rebalance at 1.6× imbalance.
     pub fn new(n_ranks: usize) -> Self {
-        ShardConfig {
-            n_ranks,
-            initial_levels: 3,
-            placement_seed: 2026,
-            rebalance_threshold: 1.6,
-            auto_rebalance: true,
-            heat_levels: 10,
-            max_actions: 12,
-        }
-    }
-
-    fn heat_level_for_dim(&self, d: usize) -> u32 {
-        self.heat_levels.clamp(1, coord_bits_for_dim(d) - 1)
+        ShardConfig { n_ranks, rebalance_threshold: 1.6, auto_rebalance: true }
     }
 }
 
@@ -240,7 +232,7 @@ pub struct ShardedZdTree<const D: usize> {
     cfg: ShardConfig,
     placement: PlacementTable<D>,
     ranks: Vec<PimZdTree<D>>,
-    /// Routed-key heat per level-`heat_levels` Morton prefix, cleared at
+    /// Routed-key heat per level-`HEAT_LEVELS` Morton prefix, cleared at
     /// every rebalance so each window measures fresh skew.
     heat: FxHashMap<u64, u64>,
     /// Per-rank `sum_max_cycles` (the straggler path: Σ over rounds of the
@@ -280,7 +272,7 @@ impl<const D: usize> ShardedZdTree<D> {
         cpu: CpuConfig,
     ) -> Self {
         assert!(cfg.n_ranks > 0, "a sharded tree needs at least one rank");
-        let placement = PlacementTable::new(cfg.placement_seed, cfg.n_ranks, cfg.initial_levels);
+        let placement = PlacementTable::new(PLACEMENT_SEED, cfg.n_ranks, INITIAL_LEVELS);
         let mut parts: Vec<Vec<Point<D>>> = vec![Vec::new(); cfg.n_ranks];
         for p in points {
             parts[placement.owner_of_point(p) as usize].push(*p);
@@ -486,7 +478,7 @@ impl<const D: usize> ShardedZdTree<D> {
             pos: vec![Vec::new(); n],
             homes: Vec::with_capacity(pts.len()),
         };
-        let hl = self.cfg.heat_level_for_dim(D);
+        let hl = heat_level(D);
         let shift = ZKey::<D>::BITS - hl * D as u32;
         for (i, p) in pts.iter().enumerate() {
             let key = ZKey::<D>::encode(p).0;
@@ -757,7 +749,7 @@ impl<const D: usize> ShardedZdTree<D> {
 
     /// Checks the straggler-path imbalance of the window since the last
     /// check and, when it exceeds the threshold, splits or migrates the
-    /// hottest leaves of the hottest rank (≤ `max_actions` actions, and
+    /// hottest leaves of the hottest rank (≤ `MAX_ACTIONS` actions, and
     /// only moves that lower the hotter of the two ranks). Runs
     /// automatically at batch boundaries when `auto_rebalance` is set; this
     /// entry point lets callers with `auto_rebalance` off trigger it
@@ -803,10 +795,10 @@ impl<const D: usize> ShardedZdTree<D> {
         if self.metrics.enabled() {
             self.metrics.with(|m| m.add("shard_rebalance_triggers_total", &[], 1));
         }
-        let hl = self.cfg.heat_level_for_dim(D);
+        let hl = heat_level(D);
         let fair = total_heat / n as u64;
         let mut actions = 0u64;
-        while actions < self.cfg.max_actions as u64 {
+        while actions < MAX_ACTIONS {
             // Re-derive per-leaf heat from the probe map under the current
             // placement (splits refine it between iterations). BTreeMaps
             // keep every argmax independent of hash iteration order.

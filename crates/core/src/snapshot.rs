@@ -43,17 +43,20 @@
 //! Sharing is invisible to both sides, so snapshot query results are as
 //! deterministic as live-tree results.
 
-use crate::host::{PimZdTree, RoundBuffers};
+use crate::host::{HostState, PimZdTree};
+use crate::index::BatchRead;
 use crate::{DurabilityError, OpStats};
 use pim_geom::{Aabb, Metric, Point};
 
 /// A read-only view of the tree pinned at one epoch.
 ///
 /// Obtained from [`PimZdTree::snapshot`] (or [`TreeSnapshot::from_image`]
-/// when the caller already holds checkpoint bytes). Query methods take
-/// `&mut self` because the snapshot's own machine still meters simulated
-/// work, but the *logical* contents never change: every query answers
-/// against the state frozen at [`Self::epoch`].
+/// when the caller already holds checkpoint bytes). The four read
+/// operations are its [`BatchRead`] impl and nothing else: there is no way
+/// to write through a snapshot. They take `&mut self` because the
+/// snapshot's own machine still meters simulated work, but the *logical*
+/// contents never change: every query answers against the state frozen at
+/// [`Self::epoch`].
 pub struct TreeSnapshot<const D: usize> {
     tree: PimZdTree<D>,
 }
@@ -66,23 +69,20 @@ impl<const D: usize> PimZdTree<D> {
     /// what is shared and what is left behind).
     pub fn snapshot(&self) -> TreeSnapshot<D> {
         TreeSnapshot {
-            tree: PimZdTree {
-                cfg: self.cfg,
-                sys: self.sys.fork(),
-                l0: self.l0.clone(),
-                dir: self.dir.clone(),
-                meter: self.meter.clone(),
-                cpu_model: self.cpu_model,
-                n_points: self.n_points,
-                // Per-op scratch; the next measured batch overwrites it.
-                last_stats: OpStats::default(),
-                staging_next: self.staging_next,
-                l0_replicated: self.l0_replicated,
-                bufs: RoundBuffers::default(),
-                epoch: self.epoch,
-                wal: None,
-                cpu_cfg: self.cpu_cfg,
-            },
+            tree: PimZdTree::assemble(
+                self.cfg,
+                self.cpu_cfg,
+                self.sys.fork(),
+                self.l0.clone(),
+                self.dir.clone(),
+                self.meter.clone(),
+                HostState {
+                    epoch: self.epoch,
+                    n_points: self.n_points,
+                    staging_next: self.staging_next,
+                    l0_replicated: self.l0_replicated,
+                },
+            ),
         }
     }
 }
@@ -108,7 +108,8 @@ impl<const D: usize> TreeSnapshot<D> {
         self.tree.epoch()
     }
 
-    /// Number of points in the frozen view.
+    /// Number of points in the frozen view (inherent as well as in
+    /// [`BatchRead`]: `benchmark/` sizes a fork with it, without the trait).
     pub fn len(&self) -> usize {
         self.tree.len()
     }
@@ -118,14 +119,24 @@ impl<const D: usize> TreeSnapshot<D> {
         self.tree.is_empty()
     }
 
-    /// Point-membership probes against the frozen view.
-    pub fn batch_contains(&mut self, pts: &[Point<D>]) -> Vec<bool> {
+    /// The id the snapshot machine's next accounted BSP round will carry.
+    /// A fork (like a checkpoint image) keeps the round counter, so a
+    /// snapshot's ids continue from the capture point and may collide with
+    /// later ids of the live tree — consumers must key snapshot ranges
+    /// separately (the serving tracer's `snapshot` flag).
+    pub fn next_round_id(&self) -> u64 {
+        self.tree.next_round_id()
+    }
+}
+
+/// The read operations against the frozen view (same contracts as the live
+/// tree's; the stats are what the serving layer schedules completions from).
+impl<const D: usize> BatchRead<D> for TreeSnapshot<D> {
+    fn batch_contains(&mut self, pts: &[Point<D>]) -> Vec<bool> {
         self.tree.batch_contains(pts)
     }
 
-    /// Exact kNN against the frozen view (same contract as
-    /// [`PimZdTree::batch_knn`]).
-    pub fn batch_knn(
+    fn batch_knn(
         &mut self,
         queries: &[Point<D>],
         k: usize,
@@ -134,29 +145,20 @@ impl<const D: usize> TreeSnapshot<D> {
         self.tree.batch_knn(queries, k, metric)
     }
 
-    /// Orthogonal range counts against the frozen view.
-    pub fn batch_box_count(&mut self, queries: &[Aabb<D>]) -> Vec<u64> {
+    fn batch_box_count(&mut self, queries: &[Aabb<D>]) -> Vec<u64> {
         self.tree.batch_box_count(queries)
     }
 
-    /// Orthogonal range fetches against the frozen view.
-    pub fn batch_box_fetch(&mut self, queries: &[Aabb<D>]) -> Vec<Vec<Point<D>>> {
+    fn batch_box_fetch(&mut self, queries: &[Aabb<D>]) -> Vec<Vec<Point<D>>> {
         self.tree.batch_box_fetch(queries)
     }
 
-    /// Statistics of the most recent batched read (simulated time, rounds,
-    /// traffic — the serving layer schedules completions from this).
-    pub fn last_op_stats(&self) -> &OpStats {
+    fn last_op_stats(&self) -> &OpStats {
         self.tree.last_op_stats()
     }
 
-    /// The id the snapshot machine's next accounted BSP round will carry.
-    /// A fork (like a checkpoint image) keeps the round counter, so a
-    /// snapshot's ids continue from the capture point and may collide with
-    /// later ids of the live tree — consumers must key snapshot ranges
-    /// separately (the serving tracer's `snapshot` flag).
-    pub fn next_round_id(&self) -> u64 {
-        self.tree.next_round_id()
+    fn len(&self) -> usize {
+        self.tree.len()
     }
 }
 

@@ -48,7 +48,7 @@ use std::collections::{BTreeMap, VecDeque};
 use pim_geom::{Aabb, Metric, Point};
 use pim_sim::Metrics;
 use pim_workloads::{Arrival, ArrivalTrace, ReqOp, RequestMix, RequestSampler};
-use pim_zd_tree::{OpStats, PimZdTree, TreeSnapshot};
+use pim_zd_tree::{BatchRead, PimZdTree, TreeSnapshot};
 
 use crate::policy::{BatchPolicy, ThroughputEstimator};
 use crate::report::{fnv_fold, Reply, SealReason, ServeReport, Totals, FNV_OFFSET};
@@ -628,100 +628,72 @@ impl<const D: usize> PimServer<D> {
     fn dispatch_ready(&mut self, st: &mut RunState<D>, t: u64) {
         if st.write_flight.is_none() {
             if let Some(batch) = st.sealed_writes.pop_front() {
-                st.queued -= batch.reqs.len();
-                let flight = self.execute_write(st, batch, t);
-                st.write_flight = Some(flight);
+                st.write_flight = Some(self.execute(st, batch, t, false));
             }
         }
         if st.read_flight.is_none() && !st.sealed_reads.is_empty() {
             let use_snapshot = st.write_flight.is_some();
             if !use_snapshot || self.cfg.snapshot_reads {
                 let batch = st.sealed_reads.pop_front().unwrap();
-                st.queued -= batch.reqs.len();
-                let flight = self.execute_read(st, batch, t, use_snapshot);
-                st.read_flight = Some(flight);
+                st.read_flight = Some(self.execute(st, batch, t, use_snapshot));
             }
         }
     }
 
-    /// Applies a write batch at dispatch time (forking the pre-write
-    /// snapshot first) and schedules its completion.
-    fn execute_write(&mut self, st: &mut RunState<D>, batch: Sealed<D>, t: u64) -> Flight<D> {
-        let round_lo = if self.tracer.is_some() { self.tree.next_round_id() } else { 0 };
-        if self.cfg.snapshot_reads {
-            st.snapshot = Some((self.tree.snapshot(), false));
-        }
-        let pts: Vec<Point<D>> = batch.reqs.iter().map(|q| point_of(&q.op)).collect();
-        let fingerprints: Vec<u64> = match batch.class {
-            ClassKey::Insert => {
-                self.tree.batch_insert(&pts);
-                vec![1; pts.len()]
-            }
-            ClassKey::Delete => {
-                let removed = self.tree.batch_delete(&pts) as u64;
-                vec![removed; pts.len()]
-            }
-            other => unreachable!("write lane got read class {other:?}"),
-        };
-        let (service_us, stats) = service_of(self.tree.last_op_stats());
-        st.totals.add(&stats);
-        let link = self.tracer.is_some().then(|| {
-            let (cpu_us, pim_us, comm_us) = split_service_us(service_us, &stats.breakdown);
-            FlightLink {
-                round_lo,
-                round_hi: self.tree.next_round_id(),
-                cpu_us,
-                pim_us,
-                comm_us,
-                materialized: false,
-            }
-        });
-        Flight {
-            dispatch_us: t,
-            complete_us: t + service_us,
-            service_us,
-            epoch: self.tree.epoch(),
-            snapshot: false,
-            fingerprints,
-            batch,
-            link,
-        }
-    }
-
-    /// Runs a read batch at dispatch time — against the live tree, or
-    /// against the pinned pre-write snapshot when a write is in flight —
-    /// and schedules its completion.
-    fn execute_read(
+    /// Executes a batch at dispatch time and schedules its completion. A
+    /// write batch forks the pre-write snapshot, then applies to the live
+    /// tree; a read batch runs against the live tree, or — `use_snapshot`,
+    /// a write is in flight — against that pinned snapshot. Whichever
+    /// target is chosen is also asked, right there, for the two things the
+    /// batch surface does not carry: its epoch and the round ids the batch
+    /// spanned on its machine.
+    fn execute(
         &mut self,
         st: &mut RunState<D>,
         batch: Sealed<D>,
         t: u64,
         use_snapshot: bool,
     ) -> Flight<D> {
-        let tracing = self.tracer.is_some();
+        st.queued -= batch.reqs.len();
         let mut materialized = false;
-        let (epoch, fingerprints, stats, round_lo, round_hi) = {
-            let mut target = if use_snapshot {
-                st.snapshot_batches += 1;
-                self.metrics.with(|m| m.add("serve_snapshot_reads_total", &[], 1));
-                let (snap, used) =
-                    st.snapshot.as_mut().expect("the write in flight forked its pre-write tree");
-                materialized = !std::mem::replace(used, true);
-                ReadRef::Snap(snap)
-            } else {
-                ReadRef::Live(&mut self.tree)
+        let (round_lo, fingerprints, round_hi, epoch, stats) = if batch.class.is_write() {
+            let tree = &mut self.tree;
+            let lo = tree.next_round_id();
+            if self.cfg.snapshot_reads {
+                st.snapshot = Some((tree.snapshot(), false));
+            }
+            let pts: Vec<Point<D>> = batch.reqs.iter().map(|q| point_of(&q.op)).collect();
+            let fps = match batch.class {
+                ClassKey::Insert => {
+                    tree.batch_insert(&pts);
+                    vec![1; pts.len()]
+                }
+                _ => vec![tree.batch_delete(&pts) as u64; pts.len()],
             };
+            (lo, fps, tree.next_round_id(), tree.epoch(), tree.last_op_stats())
+        } else if use_snapshot {
+            st.snapshot_batches += 1;
+            self.metrics.with(|m| m.add("serve_snapshot_reads_total", &[], 1));
+            let (snap, used) =
+                st.snapshot.as_mut().expect("the write in flight forked its pre-write tree");
+            materialized = !std::mem::replace(used, true);
             // A snapshot's machine continues the round counter from the
             // fork point; its ids are private to it (the link's `snapshot`
             // flag disambiguates).
-            let lo = if tracing { target.next_round_id() } else { 0 };
-            let fps = run_read(&mut target, &batch);
-            let hi = if tracing { target.next_round_id() } else { 0 };
-            (target.epoch(), fps, target.stats().clone(), lo, hi)
+            let lo = snap.next_round_id();
+            let fps = run_read(snap, &batch);
+            (lo, fps, snap.next_round_id(), snap.epoch(), snap.last_op_stats())
+        } else {
+            let tree = &mut self.tree;
+            let lo = tree.next_round_id();
+            let fps = run_read(tree, &batch);
+            (lo, fps, tree.next_round_id(), tree.epoch(), tree.last_op_stats())
         };
-        let (service_us, stats) = service_of(&stats);
-        st.totals.add(&stats);
-        let link = tracing.then(|| {
+        // Whole virtual µs, ≥ 1 so a completion never collides with its own
+        // dispatch instant.
+        let service_us = ((stats.breakdown.total_s() * 1e6).round() as u64).max(1);
+        st.totals.add(stats);
+        let link = self.tracer.is_some().then(|| {
             let (cpu_us, pim_us, comm_us) = split_service_us(service_us, &stats.breakdown);
             FlightLink { round_lo, round_hi, cpu_us, pim_us, comm_us, materialized }
         });
@@ -738,75 +710,18 @@ impl<const D: usize> PimServer<D> {
     }
 }
 
-/// Read-lane target: the live tree or a pinned snapshot.
-enum ReadRef<'a, const D: usize> {
-    Live(&'a mut PimZdTree<D>),
-    Snap(&'a mut TreeSnapshot<D>),
-}
-
-impl<const D: usize> ReadRef<'_, D> {
-    fn epoch(&self) -> u64 {
-        match self {
-            ReadRef::Live(t) => t.epoch(),
-            ReadRef::Snap(s) => s.epoch(),
-        }
-    }
-
-    fn stats(&self) -> &OpStats {
-        match self {
-            ReadRef::Live(t) => t.last_op_stats(),
-            ReadRef::Snap(s) => s.last_op_stats(),
-        }
-    }
-
-    fn next_round_id(&self) -> u64 {
-        match self {
-            ReadRef::Live(t) => t.next_round_id(),
-            ReadRef::Snap(s) => s.next_round_id(),
-        }
-    }
-
-    fn contains(&mut self, pts: &[Point<D>]) -> Vec<bool> {
-        match self {
-            ReadRef::Live(t) => t.batch_contains(pts),
-            ReadRef::Snap(s) => s.batch_contains(pts),
-        }
-    }
-
-    fn knn(&mut self, pts: &[Point<D>], k: usize) -> Vec<Vec<(u64, Point<D>)>> {
-        match self {
-            ReadRef::Live(t) => t.batch_knn(pts, k, Metric::L2),
-            ReadRef::Snap(s) => s.batch_knn(pts, k, Metric::L2),
-        }
-    }
-
-    fn box_count(&mut self, boxes: &[Aabb<D>]) -> Vec<u64> {
-        match self {
-            ReadRef::Live(t) => t.batch_box_count(boxes),
-            ReadRef::Snap(s) => s.batch_box_count(boxes),
-        }
-    }
-
-    fn box_fetch(&mut self, boxes: &[Aabb<D>]) -> Vec<Vec<Point<D>>> {
-        match self {
-            ReadRef::Live(t) => t.batch_box_fetch(boxes),
-            ReadRef::Snap(s) => s.batch_box_fetch(boxes),
-        }
-    }
-}
-
 /// Executes one read batch against `target`, returning per-request result
 /// fingerprints (see the module docs for the folding per class).
-fn run_read<const D: usize>(target: &mut ReadRef<'_, D>, batch: &Sealed<D>) -> Vec<u64> {
+fn run_read<const D: usize>(target: &mut impl BatchRead<D>, batch: &Sealed<D>) -> Vec<u64> {
     match batch.class {
         ClassKey::Contains => {
             let pts: Vec<Point<D>> = batch.reqs.iter().map(|q| point_of(&q.op)).collect();
-            target.contains(&pts).into_iter().map(|b| b as u64).collect()
+            target.batch_contains(&pts).into_iter().map(|b| b as u64).collect()
         }
         ClassKey::Knn(k) => {
             let pts: Vec<Point<D>> = batch.reqs.iter().map(|q| point_of(&q.op)).collect();
             target
-                .knn(&pts, k)
+                .batch_knn(&pts, k, Metric::L2)
                 .into_iter()
                 .map(|nbrs| {
                     nbrs.iter().fold(FNV_OFFSET, |fp, (id, p)| {
@@ -817,12 +732,12 @@ fn run_read<const D: usize>(target: &mut ReadRef<'_, D>, batch: &Sealed<D>) -> V
         }
         ClassKey::BoxCount => {
             let boxes: Vec<Aabb<D>> = batch.reqs.iter().map(|q| box_of(&q.op)).collect();
-            target.box_count(&boxes)
+            target.batch_box_count(&boxes)
         }
         ClassKey::BoxFetch => {
             let boxes: Vec<Aabb<D>> = batch.reqs.iter().map(|q| box_of(&q.op)).collect();
             target
-                .box_fetch(&boxes)
+                .batch_box_fetch(&boxes)
                 .into_iter()
                 .map(|hits| {
                     hits.iter().fold(fnv_fold(FNV_OFFSET, hits.len() as u64), |fp, p| {
@@ -849,13 +764,6 @@ fn box_of<const D: usize>(op: &ReqOp<D>) -> Aabb<D> {
         ReqOp::BoxCount(b) | ReqOp::BoxFetch(b) => *b,
         other => unreachable!("no box payload on {other:?}"),
     }
-}
-
-/// Converts a batch's simulated service time to whole virtual µs (≥ 1, so
-/// completions never collide with their own dispatch instant).
-fn service_of(stats: &OpStats) -> (u64, OpStats) {
-    let us = (stats.breakdown.total_s() * 1e6).round() as u64;
-    (us.max(1), stats.clone())
 }
 
 /// Schedules the owning client's next request after a reply at `t`.

@@ -3,9 +3,7 @@
 //! stays flat, which direction an ablation moves) so refactors of the cost
 //! model or the index can't silently break the reproduction.
 
-use pim_bench::harness::{
-    make_queries, run_cell_cpu, run_cell_pim, scaled_cpu, CpuRunner, OpKind, PimRunner,
-};
+use pim_bench::harness::{make_queries, run_cell, scaled_cpu, CpuRunner, OpKind, PimRunner};
 use pim_bench::Dataset;
 use pim_geom::Metric;
 use pim_sim::MachineConfig;
@@ -24,14 +22,14 @@ fn setup() -> (Vec<pim_geom::Point<3>>, Vec<pim_geom::Point<3>>) {
 fn fig5_shape_pim_wins_box_count() {
     let (warm, test) = setup();
     let cfg = PimZdConfig::throughput_optimized(N as u64, MODULES);
-    let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(MODULES), "pim");
+    let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(MODULES));
     let mut pkd = CpuRunner::pkd(&warm);
     let op = OpKind::BoxCount(10.0);
     // Larger batch so the per-round mux overhead is amortized (the regime
     // the paper measures; Fig. 7's low-batch penalty is tested separately).
     let q = make_queries(op, &test, N, BATCH * 4, 1);
-    let a = run_cell_pim(&mut pim, op, &q);
-    let b = run_cell_cpu(&mut pkd, op, &q);
+    let a = run_cell(&mut pim.index, "PIM-zd-tree", op, &q);
+    let b = run_cell(&mut pkd, "Pkd-tree", op, &q);
     assert!(
         a.throughput > 1.2 * b.throughput,
         "BoxCount must favour PIM: {:.2e} !> 1.2×{:.2e}",
@@ -45,14 +43,14 @@ fn fig5_shape_pim_wins_box_count() {
 fn fig5_shape_large_knn_is_pims_weak_spot() {
     let (warm, test) = setup();
     let cfg = PimZdConfig::throughput_optimized(N as u64, MODULES);
-    let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(MODULES), "pim");
+    let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(MODULES));
     let mut pkd = CpuRunner::pkd(&warm);
     let small = make_queries(OpKind::Knn(1), &test, N, BATCH, 2);
     let large = make_queries(OpKind::Knn(100), &test, N, BATCH, 2);
-    let r1 = run_cell_pim(&mut pim, OpKind::Knn(1), &small).throughput
-        / run_cell_cpu(&mut pkd, OpKind::Knn(1), &small).throughput;
-    let r100 = run_cell_pim(&mut pim, OpKind::Knn(100), &large).throughput
-        / run_cell_cpu(&mut pkd, OpKind::Knn(100), &large).throughput;
+    let r1 = run_cell(&mut pim.index, "PIM-zd-tree", OpKind::Knn(1), &small).throughput
+        / run_cell(&mut pkd, "Pkd-tree", OpKind::Knn(1), &small).throughput;
+    let r100 = run_cell(&mut pim.index, "PIM-zd-tree", OpKind::Knn(100), &large).throughput
+        / run_cell(&mut pkd, "Pkd-tree", OpKind::Knn(100), &large).throughput;
     assert!(r1 > 1.0, "PIM must win 1-NN (got {r1:.2}x)");
     assert!(
         r100 < r1,
@@ -65,11 +63,14 @@ fn fig8_shape_pim_flat_baseline_degrades() {
     let run = |n: usize| {
         let (warm, test) = Dataset::Uniform.warmup_and_test(n, 5);
         let cfg = PimZdConfig::throughput_optimized(n as u64, MODULES);
-        let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(MODULES), "pim");
+        let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(MODULES));
         let mut zd = CpuRunner::zd(&warm);
         let op = OpKind::Knn(1);
         let q = make_queries(op, &test, n, BATCH, 6);
-        (run_cell_pim(&mut pim, op, &q).throughput, run_cell_cpu(&mut zd, op, &q).throughput)
+        (
+            run_cell(&mut pim.index, "PIM-zd-tree", op, &q).throughput,
+            run_cell(&mut zd, "zd-tree", op, &q).throughput,
+        )
     };
     let (pim_s, zd_s) = run(60_000);
     let (pim_l, zd_l) = run(360_000);
@@ -120,12 +121,12 @@ fn table3_shape_coarse_fine_helps_knn() {
     let mut off_cfg = on_cfg;
     off_cfg.toggles.coarse_fine_knn = false;
     let _ = &mut on_cfg;
-    let mut on = PimRunner::new(&warm, on_cfg, machine, "on");
-    let mut off = PimRunner::new(&warm, off_cfg, machine, "off");
+    let mut on = PimRunner::new(&warm, on_cfg, machine);
+    let mut off = PimRunner::new(&warm, off_cfg, machine);
     let op = OpKind::Knn(10);
     let q = make_queries(op, &test, N, BATCH, 10);
-    let t_on = run_cell_pim(&mut on, op, &q).throughput;
-    let t_off = run_cell_pim(&mut off, op, &q).throughput;
+    let t_on = run_cell(&mut on.index, "PIM-zd-tree", op, &q).throughput;
+    let t_off = run_cell(&mut off.index, "PIM-zd-tree", op, &q).throughput;
     assert!(t_on > t_off, "ℓ1-anchored filtering must beat ℓ2-on-PIM: {t_on:.2e} !> {t_off:.2e}");
 }
 

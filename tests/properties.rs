@@ -2,7 +2,9 @@
 
 use pim_geom::{max_coord_for_dim, Aabb, Metric, Point};
 use pim_memsim::{CpuConfig, CpuMeter};
-use pim_zd_tree_repro::{workloads, MachineConfig, PimZdConfig, PimZdTree};
+use pim_zd_tree_repro::{
+    workloads, BatchIndex, MachineConfig, PimZdConfig, PimZdTree, ShardConfig, ShardedZdTree,
+};
 use pim_zdtree_base::ZdTree;
 use pim_zorder::prefix::Prefix;
 use pim_zorder::ZKey;
@@ -184,5 +186,179 @@ proptest! {
             live.push(*p);
         }
         t.check_invariants(&live);
+    }
+}
+
+/// A multiset of stored points, the model every composition is held to.
+struct Model<const D: usize>(Vec<Point<D>>);
+
+impl<const D: usize> Model<D> {
+    /// Removes one stored instance per request, like `batch_delete`.
+    fn delete(&mut self, reqs: &[Point<D>]) -> usize {
+        let before = self.0.len();
+        for r in reqs {
+            if let Some(i) = self.0.iter().position(|p| p == r) {
+                self.0.swap_remove(i);
+            }
+        }
+        before - self.0.len()
+    }
+
+    /// `len`, membership, box counts and 5-NN of `t` equal a scan.
+    fn check(&self, t: &mut impl BatchIndex<D>, probes: &[Point<D>], what: &str) {
+        assert_eq!(t.len(), self.0.len(), "{what}: len");
+        let found: Vec<bool> = probes.iter().map(|q| self.0.contains(q)).collect();
+        assert_eq!(t.batch_contains(probes), found, "{what}: contains");
+        let mut boxes = vec![Aabb::universe()];
+        boxes.extend(probes.iter().map(|q| Aabb::point(*q)));
+        boxes.extend(probes.windows(2).map(|w| Aabb::new(w[0], w[1])));
+        let counts: Vec<u64> =
+            boxes.iter().map(|b| self.0.iter().filter(|p| b.contains(p)).count() as u64).collect();
+        assert_eq!(t.batch_box_count(&boxes), counts, "{what}: box count");
+        let knn: Vec<Vec<(u64, Point<D>)>> = probes
+            .iter()
+            .map(|q| {
+                let mut all: Vec<(u64, Point<D>)> =
+                    self.0.iter().map(|p| (Metric::L2.cmp_dist(q, p), *p)).collect();
+                all.sort_unstable_by_key(|(d, p)| (*d, p.coords));
+                all.dedup();
+                all.truncate(5);
+                all
+            })
+            .collect();
+        assert_eq!(t.batch_knn(probes, 5, Metric::L2), knn, "{what}: 5-NN");
+    }
+}
+
+/// Runs one duplicate-heavy schedule on a single tree and a 4-rank sharded
+/// tree, through the batch surface, checking both against the model after
+/// every step (and the single tree's invariants). `steps` are `(kind, hot
+/// point, copies as % of θ_L0, other points)`; kinds 0–1 insert, 2 deletes,
+/// 3 deletes everything stored.
+fn run_duplicate_schedule<const D: usize>(
+    skew: bool,
+    seed: u64,
+    n0: usize,
+    hot0_pct: u64,
+    steps: &[(u32, usize, u64, usize)],
+) {
+    const P: usize = 8;
+    let cfg = if skew {
+        PimZdConfig::skew_resistant(P)
+    } else {
+        PimZdConfig::throughput_optimized(n0 as u64, P)
+    };
+    let copies = |pct: u64| (cfg.theta_l0 * pct / 100) as usize;
+    let max = max_coord_for_dim(D);
+    let corners: [Point<D>; 4] = [
+        Point::new([0; D]),
+        Point::new([max; D]),
+        Point::new(std::array::from_fn(|i| if i % 2 == 0 { 0 } else { max })),
+        Point::new(std::array::from_fn(|i| if i % 2 == 0 { max } else { 0 })),
+    ];
+    let uniform = workloads::uniform::<D>(n0 + 2 + 24 * steps.len(), seed);
+    let hot = [uniform[n0], uniform[n0 + 1], corners[1]];
+    let mut fresh = uniform[n0 + 2..].chunks(24);
+    let mut probes = hot.to_vec();
+    probes.extend_from_slice(&corners);
+    probes.extend(uniform.iter().step_by(1 + uniform.len() / 6));
+
+    let mut model = Model(uniform[..n0].to_vec());
+    model.0.extend(std::iter::repeat_n(hot[0], copies(hot0_pct)));
+    let machine = MachineConfig::with_modules(P);
+    let mut single = PimZdTree::build(&model.0, cfg, machine);
+    let mut sharded = ShardedZdTree::build(&model.0, ShardConfig::new(4), cfg, machine);
+    single.check_invariants(&model.0);
+    model.check(&mut single, &probes, "single, built");
+    model.check(&mut sharded, &probes, "sharded, built");
+
+    for (i, &(kind, h, pct, others)) in steps.iter().enumerate() {
+        let mut batch = vec![hot[h]; copies(pct).max(1)];
+        batch.extend_from_slice(&corners[..others % 5]);
+        if kind < 2 {
+            batch.extend_from_slice(&fresh.next().unwrap()[..others]);
+            BatchIndex::batch_insert(&mut single, &batch);
+            BatchIndex::batch_insert(&mut sharded, &batch);
+            model.0.extend_from_slice(&batch);
+        } else {
+            if kind == 3 {
+                batch = model.0.clone();
+            } else {
+                batch.extend(model.0.iter().step_by(3).take(others));
+            }
+            let removed = model.delete(&batch);
+            assert_eq!(BatchIndex::batch_delete(&mut single, &batch), removed, "step {i}");
+            assert_eq!(BatchIndex::batch_delete(&mut sharded, &batch), removed, "step {i}");
+        }
+        single.check_invariants(&model.0);
+        model.check(&mut single, &probes, &format!("single, step {i} (kind {kind})"));
+        model.check(&mut sharded, &probes, &format!("sharded, step {i} (kind {kind})"));
+    }
+}
+
+/// The generated schedules that each first caught a defect in the splice
+/// and promotion paths, kept as fixed cases so they outlive any change to
+/// the generator below.
+#[test]
+fn pinned_duplicate_schedules_match_the_model() {
+    // A splice takes a fragment's root node; whoever holds the ref to the
+    // fragment must hear its narrower prefix.
+    run_duplicate_schedule::<2>(
+        false,
+        589_389,
+        1,
+        194,
+        &[(1, 2, 55, 0), (2, 1, 147, 19), (1, 1, 218, 0)],
+    );
+    // … and the parent's lazy counter must follow what the splice removed.
+    run_duplicate_schedule::<3>(
+        true,
+        397_484,
+        2,
+        76,
+        &[(0, 0, 144, 17), (2, 0, 283, 1), (2, 0, 195, 10), (3, 1, 11, 15)],
+    );
+    // L0 absorbs a fragment that has a chunk directory and is then patched
+    // in place: a stale directory sends the next search to a freed node.
+    run_duplicate_schedule::<3>(
+        true,
+        911_676,
+        1,
+        68,
+        &[(2, 0, 22, 13), (0, 2, 241, 4), (1, 0, 220, 8), (1, 0, 179, 15)],
+    );
+    // A promoted fragment's structure caches must go with it.
+    run_duplicate_schedule::<2>(
+        true,
+        85_400,
+        165,
+        58,
+        &[(1, 1, 7, 14), (0, 1, 188, 6), (1, 2, 219, 13), (2, 0, 31, 1), (0, 0, 85, 14)],
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Duplicate-heavy schedules — a few hot points (one at a grid corner)
+    /// with up to 3 × θ_L0 copies each, mixed with uniform points and the
+    /// grid corners, inserted and deleted in batches, over trees from empty
+    /// to a few hundred points, in 2-D and 3-D — keep a single tree and a
+    /// 4-rank sharded tree equal to a `Vec<Point>` multiset.
+    #[test]
+    fn duplicate_heavy_schedules_match_the_model(
+        d3 in proptest::bool::ANY,
+        skew in proptest::bool::ANY,
+        seed in 0u64..1 << 20,
+        n0 in (proptest::bool::ANY, 0usize..3, 100usize..400),
+        hot0_pct in 0u64..=300,
+        steps in proptest::collection::vec((0u32..4, 0usize..3, 1u64..=300, 0usize..24), 2..6),
+    ) {
+        let n0 = if n0.0 { n0.1 } else { n0.2 };
+        if d3 {
+            run_duplicate_schedule::<3>(skew, seed, n0, hot0_pct, &steps);
+        } else {
+            run_duplicate_schedule::<2>(skew, seed, n0, hot0_pct, &steps);
+        }
     }
 }

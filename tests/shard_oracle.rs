@@ -352,3 +352,21 @@ fn rebalancer_sees_a_rank_whose_cycles_sit_on_one_module() {
         assert_eq!(sh.rebalance_now() > 0, triggers, "{case}");
     }
 }
+
+/// A migration's delete can empty a rank's L0 together with its last
+/// fragment (101 points, 100 of them one point, plus three grid corners over
+/// 8 ranks): the first kNN batch triggers the rebalance that does it.
+#[test]
+fn a_migration_may_empty_a_rank_down_to_its_last_fragment() {
+    let max = (1u32 << 21) - 1;
+    let mut pts = vec![Point::new([0, 0, 0])];
+    pts.extend([Point::new([7, 7, 7]); 100]);
+    pts.extend([[max, max, max], [0, max, 0], [max, 0, max]].map(Point::new));
+    let (mut sh, mut single) = build_pair(8, &pts);
+    for metric in METRICS {
+        assert_eq!(sh.batch_knn(&pts[..6], 1, metric), single.batch_knn(&pts[..6], 1, metric));
+    }
+    assert!(sh.rebalance_counters().2 > 0, "the rebalancer migrated points");
+    assert_eq!(sh.batch_delete(&pts), pts.len());
+    assert_eq!(sh.len(), 0);
+}

@@ -13,7 +13,7 @@
 //! (That a write batch un-shares only the fragments it touches needs the
 //! module stores and is pinned next to them, in `core/src/snapshot.rs`.)
 
-use pim_zd_tree_repro::index::{OpStats, TreeSnapshot};
+use pim_zd_tree_repro::index::{BatchRead, OpStats, TreeSnapshot};
 use pim_zd_tree_repro::sim::trace::JournalSink;
 use pim_zd_tree_repro::sim::Metrics;
 use pim_zd_tree_repro::{
