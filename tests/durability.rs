@@ -268,3 +268,66 @@ fn checkpoint_restore_checkpoint_is_byte_identical_with_soa_leaves() {
         b.batch_knn(&probes[..50], 5, Metric::L2)
     );
 }
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ *b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The fragment layout, pinned. A checkpoint image holds every arena in
+/// node order with its free list and chunk directory, every meta id and
+/// every lazy counter, so one digest of it after the bulk build and one
+/// after a schedule that goes through each maintenance path say that a
+/// change to how fragments are built or edited moved nothing. The schedule:
+/// growth (demotion, promotion), a fat leaf of duplicates promoted as it is,
+/// a delete that splices fragments out in cascades, L0 collapsing into its
+/// last fragment twice (its own points removed; its other child spliced
+/// away), regrowth. The fifth input lowers the fragment-size budget so that
+/// the carve-time cap and `rechunk` run, which neither preset reaches at
+/// this scale; its deletes dissolve chains of fragments in one batch.
+#[test]
+fn fragment_layout_digests_are_pinned() {
+    type Gen = fn(usize, u64) -> Vec<Point<3>>;
+    let skew = PimZdConfig::skew_resistant(MODULES);
+    let thr = PimZdConfig::throughput_optimized(N as u64, MODULES);
+    let tight = PimZdConfig { max_fragment_nodes: 12, ..PimZdConfig::skew_resistant(64) };
+    let cases: [(&str, Gen, PimZdConfig, usize); 5] = [
+        ("uniform/throughput", workloads::uniform::<3>, thr, MODULES),
+        ("uniform/skew", workloads::uniform::<3>, skew, MODULES),
+        ("osm/throughput", workloads::osm_like::<3>, thr, MODULES),
+        ("osm/skew", workloads::osm_like::<3>, skew, MODULES),
+        ("osm/skew, 12-node fragments", workloads::osm_like::<3>, tight, 64),
+    ];
+    // Recorded at commit 0d5d309, one `[built, churned]` pair per case.
+    let want = [
+        [0xef95536b0d347948, 0xc7ef7656c7cbbf8d],
+        [0xad1f5685267f50a8, 0x293263c1222e6b5d],
+        [0xcea8f69be64d6da3, 0x4e2c29d81b495ee1],
+        [0x5f5b7a27a3c487d2, 0x37c1ea196a255c8f],
+        [0x4157ffc9ab8c627e, 0xd0e1e80f79a38fb0u64],
+    ];
+    let near: Vec<Point<3>> = (0..10).map(|i| Point::new([5 + i, 5, 5])).collect();
+    let far: Vec<Point<3>> = (0..20).map(|i| Point::new([2_000_000 + i, 7, 7])).collect();
+    let mut got = Vec::new();
+    for (name, gen, cfg, modules) in cases {
+        let base = gen(N, SEED);
+        let grown = gen(3_000, SEED + 1);
+        let hot = vec![base[17]; (3 * cfg.theta_l0 as usize).min(600)];
+        let mut t = PimZdTree::build(&base, cfg, MachineConfig::with_modules(modules));
+        let built = fnv1a(&t.checkpoint_bytes());
+
+        t.batch_insert(&grown);
+        t.batch_insert(&hot);
+        t.batch_insert(&near);
+        assert_eq!(t.batch_delete(&base), N, "{name}");
+        assert_eq!(t.batch_delete(&grown), grown.len(), "{name}");
+        // L0 is the fat leaf and a ref to the fragment of `near`.
+        assert_eq!(t.batch_delete(&hot), hot.len(), "{name}");
+        t.batch_insert(&far);
+        assert_eq!(t.batch_delete(&far), far.len(), "{name}");
+        assert_eq!(t.len(), near.len(), "{name}");
+        t.batch_insert(&gen(500, SEED + 2));
+        let churned = fnv1a(&t.checkpoint_bytes());
+        got.push([built, churned]);
+    }
+    assert_eq!(got, want, "layout moved; the digests now are {got:#018x?}");
+}
