@@ -1,23 +1,23 @@
-//! Criterion microbenchmarks for the host batch pipeline's hot phases —
-//! the three places this repo replaced allocation- or comparison-heavy
-//! code with radix/pooled equivalents:
+//! Criterion microbenchmarks for the host batch pipeline's hot phases,
+//! each timing the code the index runs today:
 //!
-//! * `sort`: parallel LSD radix sort vs the `sort_unstable_by_key` it
-//!   replaced, on duplicate-heavy Morton-keyed batches.
-//! * `grouping`: counting sort on the dense meta id + per-run small sorts
-//!   vs the per-batch `FxHashMap<meta, Vec<_>>` it replaced.
+//! * `sort`: the parallel LSD radix sort on duplicate-heavy Morton-keyed
+//!   batches.
 //! * `round_dispatch`: a full query batch through `robust_round` at fault
 //!   rate 0 (zero-copy fast path) and 0.05 (copy-on-fault).
 //! * `encode`: the per-batch `ZEncoder` (runtime-dispatched BMI2
-//!   `pdep`/`pext` where available) vs the per-point `ZKey::encode` path it
-//!   replaced in `encode_batch`.
+//!   `pdep`/`pext` where available) behind `encode_batch`.
 //! * `fine_filter`: the SoA lane kernel + bounded max-heap
-//!   (`soa::fine_select`) vs the AoS map → sort → dedup → truncate it
-//!   replaced in kNN step 5.
+//!   (`soa::fine_select`) of kNN step 5.
+//!
+//! The implementations these replaced are gone from the tree and are not
+//! re-created here to race against; the repo benchmark's per-layer
+//! `zorder.*` metrics time encode and sort in isolation on every run, and
+//! the batch grouping (`for_each_meta_run`, private to the index) is timed
+//! through `core.insert.host_ms`.
 //!
 //! CI runs this in quick mode (`HOST_PIPELINE_QUICK=1`: smaller batches,
-//! fewer samples) as a smoke check; numbers for the PR's speedup claims
-//! live in EXPERIMENTS.md.
+//! fewer samples) as a smoke check.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pim_bench::harness::scaled_cpu;
@@ -29,7 +29,6 @@ use pim_zd_tree::soa::{fine_select, CoordBlock};
 use pim_zd_tree::{PimZdConfig, PimZdTree};
 use pim_zorder::sort::par_radix_sort_keyed;
 use pim_zorder::{ZEncoder, ZKey};
-use rustc_hash::FxHashMap;
 
 /// Quick mode trades resolution for CI wall-clock.
 fn quick() -> bool {
@@ -80,83 +79,6 @@ fn bench_sort(c: &mut Criterion) {
             criterion::BatchSize::LargeInput,
         )
     });
-    g.bench_function(BenchmarkId::new("comparison", n), |b| {
-        b.iter_batched(
-            || input.clone(),
-            |mut v| {
-                v.sort_unstable_by_key(|(k, p)| (*k, p.coords));
-                v
-            },
-            criterion::BatchSize::LargeInput,
-        )
-    });
-    g.finish();
-}
-
-fn bench_grouping(c: &mut Criterion) {
-    // (meta, key) pairs as routed by insert_inner: many metas, skewed sizes.
-    let n = batch_n();
-    let input: Vec<(u32, u64)> =
-        keyed_batch(n).into_iter().map(|(k, _)| (((k.0 >> 40) % 512) as u32, k.0)).collect();
-    let mut g = c.benchmark_group("host_pipeline_grouping");
-    g.sample_size(samples());
-    g.throughput(Throughput::Elements(n as u64));
-    g.bench_function(BenchmarkId::new("counting_sort", n), |b| {
-        b.iter_batched(
-            || input.clone(),
-            |v| {
-                // Mirrors insert_inner: histogram over dense meta ids,
-                // stable scatter, then z-order each contiguous run.
-                let bound = 512usize;
-                let mut cursor = vec![0u32; bound + 1];
-                for (m, _) in v.iter() {
-                    cursor[*m as usize] += 1;
-                }
-                let mut acc32 = 0u32;
-                for c in cursor.iter_mut() {
-                    let n = *c;
-                    *c = acc32;
-                    acc32 += n;
-                }
-                let mut grouped = vec![0u64; v.len()];
-                for &(m, k) in v.iter() {
-                    let c = &mut cursor[m as usize];
-                    grouped[*c as usize] = k;
-                    *c += 1;
-                }
-                let mut acc = 0usize;
-                let mut prev = 0usize;
-                for c in cursor.iter().take(bound + 1) {
-                    let end = *c as usize;
-                    if end > prev {
-                        grouped[prev..end].sort_unstable();
-                        acc ^= black_box(end - prev);
-                        prev = end;
-                    }
-                }
-                acc
-            },
-            criterion::BatchSize::LargeInput,
-        )
-    });
-    g.bench_function(BenchmarkId::new("hashmap", n), |b| {
-        b.iter_batched(
-            || input.clone(),
-            |v| {
-                let mut per_meta: FxHashMap<u32, Vec<u64>> = FxHashMap::default();
-                for (m, k) in v {
-                    per_meta.entry(m).or_default().push(k);
-                }
-                let mut acc = 0usize;
-                for (_, mut items) in per_meta {
-                    items.sort_unstable();
-                    acc ^= black_box(items.len());
-                }
-                acc
-            },
-            criterion::BatchSize::LargeInput,
-        )
-    });
     g.finish();
 }
 
@@ -190,20 +112,13 @@ fn bench_encode(c: &mut Criterion) {
     let mut g = c.benchmark_group("host_pipeline_encode");
     g.sample_size(samples());
     g.throughput(Throughput::Elements(n as u64));
-    // New path: one codec resolution per batch, then the dispatched slice
-    // kernel (BMI2 `pdep` on capable hardware, portable otherwise).
+    // One codec resolution per batch, then the dispatched slice kernel
+    // (BMI2 `pdep` on capable hardware, portable otherwise).
     g.bench_function(BenchmarkId::new("codec_batch", n), |b| {
         b.iter(|| {
             let enc = ZEncoder::<3>::new();
             let mut keys = Vec::new();
             enc.encode_batch(black_box(&pts), &mut keys);
-            black_box(keys)
-        })
-    });
-    // Old path: per-point magic-mask encode.
-    g.bench_function(BenchmarkId::new("per_point", n), |b| {
-        b.iter(|| {
-            let keys: Vec<ZKey<3>> = black_box(&pts).iter().map(ZKey::encode).collect();
             black_box(keys)
         })
     });
@@ -223,32 +138,13 @@ fn bench_fine_filter(c: &mut Criterion) {
     let mut g = c.benchmark_group("host_pipeline_fine_filter");
     g.sample_size(samples());
     g.throughput(Throughput::Elements(n as u64));
-    // New path: lane-major distance kernel streaming into a bounded
-    // max-heap — no full materialization, no full sort.
+    // Lane-major distance kernel streaming into a bounded max-heap — no
+    // full materialization, no full sort.
     g.bench_function(BenchmarkId::new("soa_kbest", n), |b| {
         b.iter(|| black_box(fine_select(black_box(&block), &q, Metric::L2, k)))
-    });
-    // Old path: evaluate every distance into an AoS vector, full sort,
-    // dedup, truncate.
-    g.bench_function(BenchmarkId::new("sort_dedup_truncate", n), |b| {
-        b.iter(|| {
-            let mut fine: Vec<(u64, Point<3>)> =
-                black_box(&cands).iter().map(|p| (Metric::L2.cmp_dist(&q, p), *p)).collect();
-            fine.sort_unstable_by_key(|(d, p)| (*d, p.coords));
-            fine.dedup();
-            fine.truncate(k);
-            black_box(fine)
-        })
     });
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_sort,
-    bench_grouping,
-    bench_round_dispatch,
-    bench_encode,
-    bench_fine_filter
-);
+criterion_group!(benches, bench_sort, bench_round_dispatch, bench_encode, bench_fine_filter);
 criterion_main!(benches);

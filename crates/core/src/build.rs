@@ -5,180 +5,69 @@
 //! (§3.2), places each chunk's master on a hash-randomized module, and
 //! installs the L1 ancestor/descendant caches (§3.1).
 
-use crate::config::Layer;
-use crate::frag::{BKind, BNode, ChildRef, Fragment, Keyed, MetaId, RemoteRef};
-use crate::host::PimZdTree;
-use crate::meta::MetaInfo;
+use crate::config::{Layer, PimZdConfig};
+use crate::frag::{Fragment, Keyed, MetaId, NullSink, RemoteRef};
+use crate::host::{PimZdTree, L0_META};
+use crate::meta::{Directory, MetaInfo};
 use crate::module::MgmtTask;
 use pim_geom::Point;
 use pim_sim::hash_place;
-use pim_zorder::prefix::Prefix;
 use pim_zorder::ZKey;
 use rayon::prelude::*;
 
-/// Temporary host-side node used during construction.
-enum TmpKind<const D: usize> {
-    Leaf(Vec<Keyed<D>>),
-    Internal(usize, usize),
-}
-
-struct TmpNode<const D: usize> {
-    prefix: Prefix<D>,
-    count: u64,
-    kind: TmpKind<D>,
-}
-
-/// Builds the canonical compressed tree into a temp arena; returns root.
-fn build_tmp<const D: usize>(
-    arena: &mut Vec<TmpNode<D>>,
-    items: &[Keyed<D>],
-    leaf_cap: usize,
-) -> usize {
-    debug_assert!(!items.is_empty());
-    let first = items.first().unwrap().0;
-    let last = items.last().unwrap().0;
-    let lcp = first.common_prefix_len(last);
-    if items.len() <= leaf_cap || first == last {
-        arena.push(TmpNode {
-            prefix: Prefix::new(first, lcp),
-            count: items.len() as u64,
-            kind: TmpKind::Leaf(items.to_vec()),
-        });
-        return arena.len() - 1;
-    }
-    let split = items.partition_point(|(k, _)| k.bit(lcp) == 0);
-    let l = build_tmp(arena, &items[..split], leaf_cap);
-    let r = build_tmp(arena, &items[split..], leaf_cap);
-    arena.push(TmpNode {
-        prefix: Prefix::new(first, lcp),
-        count: items.len() as u64,
-        kind: TmpKind::Internal(l, r),
-    });
-    arena.len() - 1
-}
-
+/// Cuts the canonical tree into meta-node chunks (§3.2) as it is built,
+/// registering each.
 struct Carver<'a, const D: usize> {
-    cfg: crate::config::PimZdConfig,
+    cfg: PimZdConfig,
     p: usize,
-    tmp: &'a [TmpNode<D>],
-    dir: &'a mut crate::meta::Directory<D>,
+    dir: &'a mut Directory<D>,
     frags: Vec<Fragment<D>>,
 }
 
 impl<const D: usize> Carver<'_, D> {
-    /// Copies node `idx` into L0, recursing; small children become chunks.
-    fn carve_l0(&mut self, idx: usize, l0: &mut Fragment<D>) -> u32 {
-        let n = &self.tmp[idx];
-        let kind = match &n.kind {
-            TmpKind::Leaf(pts) => BKind::Leaf { points: crate::soa::PointSet::from_slice(pts) },
-            TmpKind::Internal(l, r) => {
-                let lr = self.l0_child(*l, l0);
-                let rr = self.l0_child(*r, l0);
-                BKind::Internal { left: lr, right: rr }
-            }
-        };
-        push_node(l0, BNode { prefix: n.prefix, count: n.count, kind })
-    }
-
-    fn l0_child(&mut self, idx: usize, l0: &mut Fragment<D>) -> ChildRef<D> {
-        if self.tmp[idx].count >= self.cfg.theta_l0 {
-            ChildRef::Local(self.carve_l0(idx, l0))
-        } else {
-            ChildRef::Remote(self.new_chunk(idx, None))
-        }
-    }
-
-    /// Starts a new meta-node chunk rooted at `idx`.
-    fn new_chunk(&mut self, idx: usize, parent: Option<MetaId>) -> RemoteRef<D> {
+    /// Builds the subtree over `items` as a new chunk, and what the §3.2
+    /// chunk rule turns away below its root as chunks of their own.
+    fn new_chunk(&mut self, items: &[Keyed<D>], parent: Option<MetaId>) -> RemoteRef<D> {
         let id = self.dir.next_id();
         let module = hash_place(self.cfg.placement_seed, id, self.p) as u32;
-        let n = &self.tmp[idx];
-        let layer = self.cfg.layer_of(n.count);
-        let chunk_root_count = n.count;
-        let mut frag = Fragment {
-            meta: id,
-            master_module: module,
-            nodes: Vec::new(),
-            free: Vec::new(),
-            root: 0,
-            leaf_cap: self.cfg.leaf_cap,
-            chunk_dir: Default::default(),
-            dir_bits: self.cfg.chunk_dir_bits(),
-            dense_min: self.cfg.chunk_dense_min(),
-        };
-        let root_local = self.carve_chunk(idx, &mut frag, chunk_root_count, layer, id, module);
-        frag.root = root_local;
-        frag.rebuild_chunk_dir();
-        let r = RemoteRef { meta: id, module, prefix: n.prefix, sc: n.count };
-        let info = MetaInfo::new(&r, layer, parent, frag.live_nodes() as u64);
-        self.dir.insert(info);
+        let root_count = items.len() as u64;
+        let layer = self.cfg.layer_of(root_count);
+        let leaf_cap = self.cfg.leaf_cap;
+        let mut frag = Fragment::build_cut(
+            id,
+            module,
+            items,
+            leaf_cap,
+            &mut NullSink,
+            &mut |child, placed| {
+                let ccount = child.len() as u64;
+                // Stay in the chunk iff T(child) > T(chunk root)/B, the
+                // child is in the same layer, and the fragment has room.
+                let stays = ccount * self.cfg.chunk_b > root_count
+                    && self.cfg.layer_of(ccount) == layer
+                    && placed < self.cfg.max_fragment_nodes;
+                (!stays).then(|| self.new_chunk(child, Some(id)))
+            },
+        );
+        frag.set_dir_policy(self.cfg.chunk_dir_bits(), self.cfg.chunk_dense_min());
+        let r = frag.self_ref();
+        self.dir.insert(MetaInfo::new(&r, layer, parent, frag.live_nodes() as u64));
         self.frags.push(frag);
         r
     }
-
-    /// Copies node `idx` into `frag`, applying the §3.2 chunk rule to its
-    /// children.
-    fn carve_chunk(
-        &mut self,
-        idx: usize,
-        frag: &mut Fragment<D>,
-        chunk_root_count: u64,
-        layer: Layer,
-        self_meta: MetaId,
-        _module: u32,
-    ) -> u32 {
-        let n = &self.tmp[idx];
-        let kind = match &n.kind {
-            TmpKind::Leaf(pts) => BKind::Leaf { points: crate::soa::PointSet::from_slice(pts) },
-            TmpKind::Internal(l, r) => {
-                let mut slot = [ChildRef::Local(0); 2];
-                for (i, &c) in [*l, *r].iter().enumerate() {
-                    let ccount = self.tmp[c].count;
-                    // Stay in the chunk iff T(child) > T(chunk root)/B, the
-                    // child is in the same layer, and the fragment has room.
-                    let stays = ccount * self.cfg.chunk_b > chunk_root_count
-                        && self.cfg.layer_of(ccount) == layer
-                        && frag.nodes.len() < self.cfg.max_fragment_nodes;
-                    slot[i] = if stays {
-                        ChildRef::Local(self.carve_chunk(
-                            c,
-                            frag,
-                            chunk_root_count,
-                            layer,
-                            self_meta,
-                            _module,
-                        ))
-                    } else {
-                        ChildRef::Remote(self.new_chunk(c, Some(self_meta)))
-                    };
-                }
-                BKind::Internal { left: slot[0], right: slot[1] }
-            }
-        };
-        push_node(frag, BNode { prefix: n.prefix, count: n.count, kind })
-    }
-}
-
-fn push_node<const D: usize>(frag: &mut Fragment<D>, node: BNode<D>) -> u32 {
-    frag.nodes.push(node);
-    (frag.nodes.len() - 1) as u32
 }
 
 impl<const D: usize> PimZdTree<D> {
     /// Builds the index over `points` (the warmup phase: untimed, but the
     /// resulting layout is exactly what the measured phases operate on).
-    pub fn build(
-        points: &[Point<D>],
-        cfg: crate::config::PimZdConfig,
-        machine: pim_sim::MachineConfig,
-    ) -> Self {
+    pub fn build(points: &[Point<D>], cfg: PimZdConfig, machine: pim_sim::MachineConfig) -> Self {
         Self::build_with_cpu(points, cfg, machine, pim_memsim::CpuConfig::xeon())
     }
 
     /// [`Self::build`] with an explicit host CPU model.
     pub fn build_with_cpu(
         points: &[Point<D>],
-        cfg: crate::config::PimZdConfig,
+        cfg: PimZdConfig,
         machine: pim_sim::MachineConfig,
         cpu: pim_memsim::CpuConfig,
     ) -> Self {
@@ -200,27 +89,23 @@ impl<const D: usize> PimZdTree<D> {
             points.par_iter().map(|p| (ZKey::<D>::encode(p), *p)).collect();
         crate::frag::sort_keyed(&mut items);
 
-        let mut tmp: Vec<TmpNode<D>> = Vec::with_capacity(2 * items.len() / cfg.leaf_cap + 4);
-        let root = build_tmp(&mut tmp, &items, cfg.leaf_cap);
-
-        let mut l0 = Fragment {
-            meta: crate::host::L0_META,
-            master_module: u32::MAX,
-            nodes: Vec::new(),
-            free: Vec::new(),
-            root: 0,
-            leaf_cap: cfg.leaf_cap,
-            // L0 is host-resident and LLC-warm; it needs no jump table.
-            chunk_dir: Default::default(),
-            dir_bits: 0,
-            dense_min: 0,
-        };
+        // One canonical build, cut up as it goes: L0 keeps the root (the
+        // host must be able to route) and every subtree of at least θ_L0
+        // points; the rest goes into chunks. L0 is host-resident and
+        // LLC-warm, so it gets no jump table.
         let p = t.sys.n_modules();
-        let mut carver = Carver { cfg, p, tmp: &tmp, dir: &mut t.dir, frags: Vec::new() };
-        // The root always lives in L0 (the host must be able to route).
-        let l0_root = carver.carve_l0(root, &mut l0);
-        l0.root = l0_root;
-        let frags = std::mem::take(&mut carver.frags);
+        let mut carver = Carver { cfg, p, dir: &mut t.dir, frags: Vec::new() };
+        let l0 = Fragment::build_cut(
+            L0_META,
+            u32::MAX,
+            &items,
+            cfg.leaf_cap,
+            &mut NullSink,
+            &mut |child, _| {
+                ((child.len() as u64) < cfg.theta_l0).then(|| carver.new_chunk(child, None))
+            },
+        );
+        let frags = carver.frags;
 
         // Distribute masters.
         let mut tasks = t.task_matrix::<MgmtTask<D>>();
@@ -316,7 +201,6 @@ impl<const D: usize> PimZdTree<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PimZdConfig;
     use pim_sim::MachineConfig;
     use pim_workloads::uniform;
 
@@ -372,7 +256,7 @@ mod tests {
         let cfg = PimZdConfig::skew_resistant(16);
         let t = PimZdTree::build(&pts, cfg, MachineConfig::with_modules(16));
         let l0 = t.l0.as_ref().unwrap();
-        for (i, n) in l0.nodes.iter().enumerate() {
+        for (i, n) in l0.nodes().iter().enumerate() {
             if i as u32 == l0.root {
                 continue; // root is always host-resident
             }

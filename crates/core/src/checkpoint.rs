@@ -261,55 +261,64 @@ fn enc_fragment<const D: usize>(e: &mut Enc, f: &Fragment<D>) {
     e.u64(f.leaf_cap as u64);
     e.u32(f.dir_bits);
     e.u32(f.dense_min);
-    e.u32(f.chunk_dir.bits);
-    e.u32(f.chunk_dir.slots.len() as u32);
-    for &s in &f.chunk_dir.slots {
+    e.u32(f.chunk_dir().bits);
+    e.u32(f.chunk_dir().slots.len() as u32);
+    for &s in &f.chunk_dir().slots {
         e.u32(s);
     }
-    e.u32(f.free.len() as u32);
-    for &s in &f.free {
+    e.u32(f.free().len() as u32);
+    for &s in f.free() {
         e.u32(s);
     }
-    e.u32(f.nodes.len() as u32);
-    for n in &f.nodes {
+    e.u32(f.nodes().len() as u32);
+    for n in f.nodes() {
         enc_node(e, n);
     }
 }
 
-fn dec_fragment<const D: usize>(d: &mut Dec) -> Result<Fragment<D>, ShortRead> {
-    let meta = d.u64()?;
-    let master_module = d.u32()?;
-    let root = d.u32()?;
-    let leaf_cap = d.u64()? as usize;
-    let dir_bits = d.u32()?;
-    let dense_min = d.u32()?;
-    let bits = d.u32()?;
-    let n_slots = d.count(4)?;
+/// Decodes one fragment of `section`. The bytes may be whole and still not
+/// an arena (`Fragment::from_parts` says why not): both ways of failing are
+/// corruption of that section.
+fn dec_fragment<const D: usize>(
+    d: &mut Dec,
+    section: &'static str,
+) -> Result<Fragment<D>, DurabilityError> {
+    let s = |e: ShortRead| short(section, e);
+    let meta = d.u64().map_err(s)?;
+    let master_module = d.u32().map_err(s)?;
+    let root = d.u32().map_err(s)?;
+    let leaf_cap = d.u64().map_err(s)? as usize;
+    let dir_bits = d.u32().map_err(s)?;
+    let dense_min = d.u32().map_err(s)?;
+    let bits = d.u32().map_err(s)?;
+    let n_slots = d.count(4).map_err(s)?;
     let mut slots = Vec::with_capacity(n_slots);
     for _ in 0..n_slots {
-        slots.push(d.u32()?);
+        slots.push(d.u32().map_err(s)?);
     }
-    let n_free = d.count(4)?;
+    let n_free = d.count(4).map_err(s)?;
     let mut free = Vec::with_capacity(n_free);
     for _ in 0..n_free {
-        free.push(d.u32()?);
+        free.push(d.u32().map_err(s)?);
     }
-    let n_nodes = d.count(MIN_NODE_BYTES)?;
+    let n_nodes = d.count(MIN_NODE_BYTES).map_err(s)?;
     let mut nodes = Vec::with_capacity(n_nodes);
     for _ in 0..n_nodes {
-        nodes.push(dec_node(d)?);
+        nodes.push(dec_node(d).map_err(s)?);
     }
-    Ok(Fragment {
+    let chunk_dir = ChunkDir { bits, slots };
+    Fragment::from_parts(
         meta,
         master_module,
-        nodes,
-        free,
         root,
         leaf_cap,
-        chunk_dir: ChunkDir { bits, slots },
         dir_bits,
         dense_min,
-    })
+        chunk_dir,
+        free,
+        nodes,
+    )
+    .map_err(|why| corrupt(format!("{section} section: fragment {meta}: {why}")))
 }
 
 fn enc_frag_map<const D: usize>(e: &mut Enc, map: &FragMap<D>) {
@@ -322,11 +331,14 @@ fn enc_frag_map<const D: usize>(e: &mut Enc, map: &FragMap<D>) {
     }
 }
 
-fn dec_frag_map<const D: usize>(d: &mut Dec) -> Result<FragMap<D>, ShortRead> {
-    let n = d.u32()? as usize;
+fn dec_frag_map<const D: usize>(
+    d: &mut Dec,
+    section: &'static str,
+) -> Result<FragMap<D>, DurabilityError> {
+    let n = d.u32().map_err(|e| short(section, e))? as usize;
     let mut map = FxHashMap::default();
     for _ in 0..n {
-        let f: Fragment<D> = dec_fragment(d)?;
+        let f: Fragment<D> = dec_fragment(d, section)?;
         map.insert(f.meta, std::sync::Arc::new(f));
     }
     Ok(map)
@@ -540,7 +552,7 @@ fn dec_l0_section<const D: usize>(payload: &[u8]) -> Result<Option<Fragment<D>>,
     let mut d = Dec::new(payload);
     match d.u8().map_err(s)? {
         0 => Ok(None),
-        _ => Ok(Some(dec_fragment(&mut d).map_err(s)?)),
+        _ => Ok(Some(dec_fragment(&mut d, "l0")?)),
     }
 }
 
@@ -589,8 +601,8 @@ fn dec_modules_section<const D: usize>(
     let n = d.count(8).map_err(s)?;
     let mut states = Vec::with_capacity(n);
     for _ in 0..n {
-        let masters = dec_frag_map(&mut d).map_err(s)?;
-        let caches = dec_frag_map(&mut d).map_err(s)?;
+        let masters = dec_frag_map(&mut d, "modules")?;
+        let caches = dec_frag_map(&mut d, "modules")?;
         states.push(ModuleState { masters, caches });
     }
     Ok(states)
@@ -996,9 +1008,13 @@ mod tests {
     }
 
     fn small_tree() -> PimZdTree<3> {
-        let machine = MachineConfig::with_modules(8);
-        let cfg = PimZdConfig::skew_resistant(8);
-        let mut t = PimZdTree::build(&pts(600, 1), cfg, machine);
+        churned_tree(600, 8)
+    }
+
+    fn churned_tree(n: u32, modules: usize) -> PimZdTree<3> {
+        let machine = MachineConfig::with_modules(modules);
+        let cfg = PimZdConfig::skew_resistant(modules);
+        let mut t = PimZdTree::build(&pts(n, 1), cfg, machine);
         t.batch_insert(&pts(100, 2));
         t.batch_delete(&pts(50, 1));
         t
@@ -1097,17 +1113,74 @@ mod tests {
         out
     }
 
+    /// Where, from the start of `f`'s encoding, its first free-list entry,
+    /// the first local child index of a live node and its first
+    /// chunk-directory slot are written (each `None` if it has none).
+    fn arena_index_offsets(f: &Fragment<3>) -> [Option<usize>; 3] {
+        // meta, module, root, leaf_cap, dir_bits, dense_min, bits, n_slots.
+        let slots_at = 8 + 4 + 4 + 8 + 4 + 4 + 4 + 4;
+        let free_at = slots_at + 4 * f.chunk_dir().slots.len() + 4;
+        let mut node_at = free_at + 4 * f.free().len() + 4;
+        let mut child = None;
+        for (i, n) in f.nodes().iter().enumerate() {
+            let live = !f.free().contains(&(i as u32));
+            if let (true, BKind::Internal { left: ChildRef::Local(_), .. }) = (live, &n.kind) {
+                // Prefix, count, node tag, child tag; then the index.
+                child = child.or(Some(node_at + 12 + 8 + 1 + 1));
+            }
+            let mut e = Enc::new();
+            enc_node(&mut e, n);
+            node_at += e.as_slice().len();
+        }
+        [
+            (!f.free().is_empty()).then_some(free_at),
+            child,
+            (!f.chunk_dir().slots.is_empty()).then_some(slots_at),
+        ]
+    }
+
     #[test]
     fn hostile_element_counts_are_typed_errors_not_allocations() {
-        let img = small_tree().checkpoint_bytes();
+        // Big enough fragments that some have a chunk directory.
+        let t = churned_tree(3_000, 64);
+        let img = t.checkpoint_bytes();
         assert_eq!(with_hostile_count(&img, 0, 0), img, "the rewriter itself is faithful");
         // `n_hist` follows the ten 8-byte stats fields of the sim section;
-        // the module count opens the modules section.
-        for (id, offset) in [(SEC_SIM, 80), (SEC_MODULES, 0)] {
-            assert!(matches!(
-                PimZdTree::<3>::restore_bytes(&with_hostile_count(&img, id, offset)),
-                Err(DurabilityError::Corrupt { artifact: "checkpoint", .. })
-            ));
+        // the module count opens the modules section; L0's root index
+        // follows the section's tag byte, the meta id and the module.
+        let mut hostile = vec![(SEC_SIM, 80), (SEC_MODULES, 0), (SEC_L0, 13)];
+        // Indices into a fragment's arena, each the first of its kind in
+        // the image: a free-list entry, a local child, a directory slot.
+        let mut firsts = [None; 3];
+        let mut note = |id: u8, at: usize, f: &Fragment<3>| {
+            for (first, off) in firsts.iter_mut().zip(arena_index_offsets(f)) {
+                *first = first.or(off.map(|o| (id, at + o)));
+            }
+        };
+        note(SEC_L0, 1, t.l0.as_ref().unwrap());
+        let mut at = 4;
+        for i in 0..t.sys.n_modules() {
+            for map in [&t.sys.peek(i).masters, &t.sys.peek(i).caches] {
+                at += 4;
+                let mut ids: Vec<MetaId> = map.keys().copied().collect();
+                ids.sort_unstable();
+                for id in ids {
+                    note(SEC_MODULES, at, &map[&id]);
+                    let mut e = Enc::new();
+                    enc_fragment(&mut e, &map[&id]);
+                    at += e.as_slice().len();
+                }
+            }
+        }
+        hostile.extend(firsts.map(|first| first.expect("the tree has one of each")));
+        for (id, offset) in hostile {
+            assert!(
+                matches!(
+                    PimZdTree::<3>::restore_bytes(&with_hostile_count(&img, id, offset)),
+                    Err(DurabilityError::Corrupt { artifact: "checkpoint", .. })
+                ),
+                "section {id}, offset {offset}"
+            );
         }
     }
 }

@@ -12,6 +12,30 @@
 //! a [`CostSink`] so the same code is charged as PIM-core cycles when run on
 //! a module and as host cycles + cache touches when a pulled fragment is
 //! searched on the CPU (push-pull, §3.3).
+//!
+//! A fragment owns its tree. The node arena, its free list and the chunk
+//! directory are private to this file, and only this file matches on
+//! [`BKind`]/[`ChildRef`] (the checkpoint codec and the invariant checker
+//! read them through `Fragment::nodes`); everything else works through
+//! the operations below, each of which leaves counters, free list and
+//! chunk directory consistent:
+//!
+//! * **make** — [`Fragment::build_from`] (canonical tree over sorted
+//!   items) and `Fragment::build_cut` (the same, cut into fragments by a
+//!   rule as it is built: bulk build), [`Fragment::singleton`], [`Fragment::structure_clone`] (a
+//!   cache copy), [`Fragment::from_parts`] (the codec's checked way in);
+//! * **route** — [`Fragment::search`], [`Fragment::lowest_on_path`],
+//!   `Fragment::leaf_contains`;
+//! * **update points** — [`Fragment::merge`], [`Fragment::remove`];
+//! * **traverse** — [`Fragment::local_knn`], [`Fragment::local_ball`],
+//!   [`Fragment::local_box_count`], [`Fragment::local_box_fetch`];
+//! * **cut** — [`Fragment::detach_children`] (subtrees out into fragments
+//!   of their own, refs left behind: demotion) and [`Fragment::split_root`]
+//!   on top of it (promotion, re-chunking);
+//! * **edit a ref** — [`Fragment::edit_ref`]: counter sync, replacement,
+//!   splice and graft of the one slot that points at a given meta-node;
+//! * **read** — [`Fragment::local_points`], [`Fragment::remote_children`],
+//!   [`Fragment::self_ref`], the byte counts.
 
 use crate::soa::PointSet;
 use pim_geom::{Aabb, Metric, Point};
@@ -189,6 +213,18 @@ impl<const D: usize> BNode<D> {
             _ => BNODE_BYTES,
         }
     }
+
+    /// The remote refs in this node's own two child slots.
+    pub fn remote_refs(&self) -> impl Iterator<Item = RemoteRef<D>> {
+        let slots = match &self.kind {
+            BKind::Internal { left, right } => [Some(*left), Some(*right)],
+            _ => [None, None],
+        };
+        slots.into_iter().flatten().filter_map(|c| match c {
+            ChildRef::Remote(r) => Some(r),
+            ChildRef::Local(_) => None,
+        })
+    }
 }
 
 /// Result of routing one key through a fragment.
@@ -219,10 +255,12 @@ pub struct Fragment<const D: usize> {
     /// Module holding the master copy (also stored in cached copies so a
     /// search ending at a stub knows where to continue).
     pub master_module: u32,
-    /// Node arena (free slots listed in `free`).
-    pub nodes: Vec<BNode<D>>,
+    /// Node arena (free slots listed in `free`). Private with `free` and
+    /// `chunk_dir`: only the operations of this file write them, so the
+    /// invariants [`Self::from_parts`] checks hold for every fragment.
+    nodes: Vec<BNode<D>>,
     /// Free arena slots.
-    pub free: Vec<u32>,
+    free: Vec<u32>,
     /// Root node index.
     pub root: u32,
     /// Leaf capacity.
@@ -230,8 +268,9 @@ pub struct Fragment<const D: usize> {
     /// Dense-mode radix jump table over the first `bits` key bits below the
     /// root ("practical chunking", §6): pattern → deepest safely-jumpable
     /// node. Empty when the fragment is in sparse mode.
-    pub chunk_dir: ChunkDir,
-    /// Configured table width in bits (0 disables the feature).
+    chunk_dir: ChunkDir,
+    /// Configured table width in bits (0 disables the feature); set through
+    /// [`Self::set_dir_policy`].
     pub dir_bits: u32,
     /// Minimum live nodes before dense mode engages (the paper's B/4 rule).
     pub dense_min: u32,
@@ -258,12 +297,14 @@ impl ChunkDir {
 }
 
 impl<const D: usize> Fragment<D> {
-    /// Creates a fragment holding exactly one node.
-    pub fn singleton(meta: MetaId, master_module: u32, node: BNode<D>, leaf_cap: usize) -> Self {
+    /// An arena with no node in it yet and no chunk directory: every
+    /// fragment starts here, and whoever calls this places the root before
+    /// the fragment leaves the file.
+    fn empty(meta: MetaId, master_module: u32, leaf_cap: usize) -> Self {
         Self {
             meta,
             master_module,
-            nodes: vec![node],
+            nodes: Vec::new(),
             free: Vec::new(),
             root: 0,
             leaf_cap,
@@ -273,10 +314,103 @@ impl<const D: usize> Fragment<D> {
         }
     }
 
+    /// Creates a fragment holding exactly one node (a leaf, or an internal
+    /// node whose children are both remote).
+    pub fn singleton(meta: MetaId, master_module: u32, node: BNode<D>, leaf_cap: usize) -> Self {
+        let mut f = Self::empty(meta, master_module, leaf_cap);
+        f.nodes.push(node);
+        f
+    }
+
+    /// Assembles a fragment from stored parts — the checkpoint codec's way
+    /// in, and the only one that takes an arena from outside this file. It
+    /// refuses parts a walk would index out of bounds on: the root and every
+    /// local child of a live node must be live arena slots, the free list
+    /// must name distinct slots, and the chunk directory must have `2^bits`
+    /// slots (none in sparse mode), each a live node, with `bits` fitting
+    /// under the root's prefix.
+    #[allow(clippy::too_many_arguments)]
+    pub fn from_parts(
+        meta: MetaId,
+        master_module: u32,
+        root: u32,
+        leaf_cap: usize,
+        dir_bits: u32,
+        dense_min: u32,
+        chunk_dir: ChunkDir,
+        free: Vec<u32>,
+        nodes: Vec<BNode<D>>,
+    ) -> Result<Self, &'static str> {
+        let mut is_free = vec![false; nodes.len()];
+        for &i in &free {
+            let slot = is_free.get_mut(i as usize).ok_or("free-list entry outside the arena")?;
+            if std::mem::replace(slot, true) {
+                return Err("free-list entry listed twice");
+            }
+        }
+        let live = |i: u32| is_free.get(i as usize) == Some(&false);
+        if !live(root) {
+            return Err("root is not a live arena slot");
+        }
+        for (n, _) in nodes.iter().zip(&is_free).filter(|(_, free)| !**free) {
+            if let BKind::Internal { left, right } = &n.kind {
+                for c in [left, right] {
+                    if matches!(c, ChildRef::Local(i) if !live(*i)) {
+                        return Err("local child is not a live arena slot");
+                    }
+                }
+            }
+        }
+        let bits = chunk_dir.bits;
+        let n_slots = if bits == 0 { Some(0) } else { 1usize.checked_shl(bits) };
+        if n_slots != Some(chunk_dir.slots.len())
+            || u64::from(nodes[root as usize].prefix.len) + u64::from(bits)
+                > u64::from(ZKey::<D>::BITS)
+        {
+            return Err("chunk directory does not match its bit width");
+        }
+        if !chunk_dir.slots.iter().all(|&s| live(s)) {
+            return Err("chunk-directory slot is not a live arena slot");
+        }
+        let mut f = Self::empty(meta, master_module, leaf_cap);
+        (f.nodes, f.free, f.root, f.chunk_dir) = (nodes, free, root, chunk_dir);
+        (f.dir_bits, f.dense_min) = (dir_bits, dense_min);
+        Ok(f)
+    }
+
     /// Node accessor.
     #[inline]
     pub fn node(&self, idx: u32) -> &BNode<D> {
         &self.nodes[idx as usize]
+    }
+
+    /// The arena, stale nodes in free slots included — with [`Self::free`]
+    /// and [`Self::chunk_dir`] what the checkpoint codec writes and the
+    /// invariant checker reads; nothing outside this file writes them.
+    pub(crate) fn nodes(&self) -> &[BNode<D>] {
+        &self.nodes
+    }
+
+    /// The free arena slots, in release order.
+    pub(crate) fn free(&self) -> &[u32] {
+        &self.free
+    }
+
+    /// The dense-mode jump table (empty in sparse mode).
+    pub fn chunk_dir(&self) -> &ChunkDir {
+        &self.chunk_dir
+    }
+
+    /// The ref a parent holds to this fragment as it stands: its root's
+    /// prefix and counter.
+    pub fn self_ref(&self) -> RemoteRef<D> {
+        let root = self.root_node();
+        RemoteRef {
+            meta: self.meta,
+            module: self.master_module,
+            prefix: root.prefix,
+            sc: root.count,
+        }
     }
 
     /// Root node accessor.
@@ -335,11 +469,20 @@ impl<const D: usize> Fragment<D> {
         idx as u64 * 64
     }
 
+    /// Sets the chunk-directory policy — `dir_bits` table bits once the
+    /// fragment holds `dense_min` nodes, 0 bits for none — and rebuilds the
+    /// directory under it. Whoever places a fragment decides: chunks on
+    /// modules get the configured table, the host's L0 gets none.
+    pub fn set_dir_policy(&mut self, dir_bits: u32, dense_min: u32) {
+        (self.dir_bits, self.dense_min) = (dir_bits, dense_min);
+        self.rebuild_chunk_dir();
+    }
+
     /// Rebuilds the dense-mode chunk directory after a structural change.
     /// Dense mode engages when the feature is configured (`dir_bits > 0`)
     /// and the fragment holds at least `dense_min` nodes (the §6 B/4 rule);
     /// otherwise the fragment stays sparse (plain pointer walk).
-    pub fn rebuild_chunk_dir(&mut self) {
+    fn rebuild_chunk_dir(&mut self) {
         let bits = self.dir_bits;
         if bits == 0
             || (self.live_nodes() as u32) < self.dense_min
@@ -398,17 +541,11 @@ impl<const D: usize> Fragment<D> {
                 },
             })
             .collect();
-        Fragment {
-            meta: self.meta,
-            master_module: self.master_module,
-            nodes,
-            free: self.free.clone(),
-            root: self.root,
-            leaf_cap: self.leaf_cap,
-            chunk_dir: self.chunk_dir.clone(),
-            dir_bits: self.dir_bits,
-            dense_min: self.dense_min,
-        }
+        let mut f = Self::empty(self.meta, self.master_module, self.leaf_cap);
+        (f.nodes, f.free, f.root) = (nodes, self.free.clone(), self.root);
+        (f.chunk_dir, f.dir_bits, f.dense_min) =
+            (self.chunk_dir.clone(), self.dir_bits, self.dense_min);
+        f
     }
 
     /// Routes `key` from the root to its local end. The caller guarantees
@@ -463,44 +600,48 @@ impl<const D: usize> Fragment<D> {
         }
     }
 
-    /// Finds, along the root→`key` path, the lowest node (local or remote
-    /// ref) whose counter is at least `min_count` — the kNN anchor search of
-    /// Alg. 3 step 2. Returns the node's prefix and where its subtree lives.
-    pub fn lowest_on_path_with_count(
+    /// Finds, along the root→`key` path, the deepest node — local, or the
+    /// remote ref the path leaves through — whose prefix and counter
+    /// `accept` takes, charging `step` cycles per local node looked at.
+    /// Returns its prefix and where its subtree lives. The kNN anchor of
+    /// Alg. 3 step 2 is the deepest node with a counter of at least 2k; the
+    /// ball phase enters at the deepest node whose box holds the ball.
+    pub fn lowest_on_path(
         &self,
         key: ZKey<D>,
-        min_count: u64,
+        step: u64,
+        accept: impl Fn(&Prefix<D>, u64) -> bool,
         sink: &mut impl CostSink,
     ) -> Option<(Prefix<D>, AnchorLoc<D>)> {
-        let mut best: Option<(Prefix<D>, AnchorLoc<D>)> = None;
+        let mut best = None;
         let mut cur = self.root;
         loop {
-            sink.op(6);
+            sink.op(step);
             let node = self.node(cur);
             if !node.prefix.covers(key) {
                 break;
             }
-            if node.count >= min_count {
+            if accept(&node.prefix, node.count) {
                 best = Some((node.prefix, AnchorLoc::Local(cur)));
             }
-            match &node.kind {
-                BKind::Internal { left, right } => {
-                    let side = node.prefix.side_of(key);
-                    let child = if side == 0 { left } else { right };
-                    match child {
-                        ChildRef::Local(c) => cur = *c,
-                        ChildRef::Remote(r) => {
-                            if r.prefix.covers(key) && r.sc >= min_count {
-                                best = Some((r.prefix, AnchorLoc::Remote(*r)));
-                            }
-                            break;
-                        }
+            let BKind::Internal { left, right } = &node.kind else { break };
+            match if node.prefix.side_of(key) == 0 { left } else { right } {
+                ChildRef::Local(c) => cur = *c,
+                ChildRef::Remote(r) => {
+                    if r.prefix.covers(key) && accept(&r.prefix, r.sc) {
+                        best = Some((r.prefix, AnchorLoc::Remote(*r)));
                     }
+                    break;
                 }
-                _ => break,
             }
         }
         best
+    }
+
+    /// Whether the leaf at `idx` (where a [`Self::search`] for `key` ended)
+    /// holds `key`.
+    pub(crate) fn leaf_contains(&self, idx: u32, key: ZKey<D>) -> bool {
+        matches!(&self.node(idx).kind, BKind::Leaf { points } if points.contains_key(key))
     }
 
     // ------------------------------------------------------------------
@@ -639,6 +780,17 @@ impl<const D: usize> Fragment<D> {
 
     /// Builds a canonical local subtree over sorted items.
     fn build_local(&mut self, items: &[Keyed<D>], sink: &mut impl CostSink) -> u32 {
+        self.build_subtree(items, sink, &mut |_, _| None)
+    }
+
+    /// [`Self::build_local`] with a say for `cut` at every child (see
+    /// [`Self::build_cut`]).
+    fn build_subtree(
+        &mut self,
+        items: &[Keyed<D>],
+        sink: &mut impl CostSink,
+        cut: &mut impl FnMut(&[Keyed<D>], usize) -> Option<RemoteRef<D>>,
+    ) -> u32 {
         debug_assert!(!items.is_empty());
         sink.op(8 + items.len() as u64);
         if is_leaf_set(items, self.leaf_cap) {
@@ -652,12 +804,15 @@ impl<const D: usize> Fragment<D> {
         }
         let pre = set_prefix(items);
         let split = items.partition_point(|(k, _)| k.bit(pre.len) == 0);
-        let l = self.build_local(&items[..split], sink);
-        let r = self.build_local(&items[split..], sink);
+        let [left, right] =
+            [&items[..split], &items[split..]].map(|half| match cut(half, self.nodes.len()) {
+                Some(r) => ChildRef::Remote(r),
+                None => ChildRef::Local(self.build_subtree(half, sink, cut)),
+            });
         let idx = self.alloc(BNode {
             prefix: pre,
             count: items.len() as u64,
-            kind: BKind::Internal { left: ChildRef::Local(l), right: ChildRef::Local(r) },
+            kind: BKind::Internal { left, right },
         });
         sink.mem(Self::off(idx), BNODE_BYTES);
         idx
@@ -763,26 +918,23 @@ impl<const D: usize> Fragment<D> {
                     }
                     (Some(l), Some(r)) => {
                         let count = self.child_count(&l) + self.child_count(&r);
-                        // Collapse small fully-local subtrees back into a leaf.
-                        if count <= self.leaf_cap as u64 {
-                            if let (Some(mut a), Some(b)) =
-                                (self.try_collect_local(&l), self.try_collect_local(&r))
-                            {
-                                a.extend(b);
-                                sort_keyed(&mut a);
-                                self.release_child(&l);
-                                self.release_child(&r);
-                                let pre = set_prefix(&a);
-                                let n = &mut self.nodes[idx as usize];
-                                n.prefix = pre;
-                                n.count = a.len() as u64;
-                                n.kind = BKind::Leaf { points: a.into() };
-                                return Some(ChildRef::Local(idx));
-                            }
-                        }
                         let n = &mut self.nodes[idx as usize];
                         n.count = count;
                         n.kind = BKind::Internal { left: l, right: r };
+                        // Collapse small fully-local subtrees back into a leaf.
+                        let mut a = Vec::new();
+                        if count <= self.leaf_cap as u64
+                            && self.fold_leaves(idx, true, &mut |points| points.append_to(&mut a))
+                        {
+                            sort_keyed(&mut a);
+                            self.release_child(&l);
+                            self.release_child(&r);
+                            let pre = set_prefix(&a);
+                            let n = &mut self.nodes[idx as usize];
+                            n.prefix = pre;
+                            n.count = a.len() as u64;
+                            n.kind = BKind::Leaf { points: a.into() };
+                        }
                         Some(ChildRef::Local(idx))
                     }
                 }
@@ -790,22 +942,27 @@ impl<const D: usize> Fragment<D> {
         }
     }
 
-    /// Collects a child's points if the subtree is entirely local (no
-    /// remote refs, no stubs); otherwise `None`.
-    fn try_collect_local(&self, c: &ChildRef<D>) -> Option<Vec<Keyed<D>>> {
-        match c {
-            ChildRef::Remote(_) => None,
-            ChildRef::Local(i) => match &self.node(*i).kind {
-                BKind::LeafStub => None,
-                BKind::Leaf { points } => Some(points.to_vec()),
-                BKind::Internal { left, right } => {
-                    let (left, right) = (*left, *right);
-                    let mut a = self.try_collect_local(&left)?;
-                    let b = self.try_collect_local(&right)?;
-                    a.extend(b);
-                    Some(a)
+    /// Hands the payload leaves below `idx` to `leaf`, left to right, and
+    /// returns whether the subtree is entirely local — no remote child, no
+    /// stub. A `strict` fold stops at the first part that is not (its
+    /// caller wants all of the subtree or nothing); a lenient one skips it.
+    fn fold_leaves(&self, idx: u32, strict: bool, leaf: &mut impl FnMut(&PointSet<D>)) -> bool {
+        match &self.node(idx).kind {
+            BKind::Leaf { points } => {
+                leaf(points);
+                true
+            }
+            BKind::LeafStub => false,
+            BKind::Internal { left, right } => {
+                let mut local = true;
+                for c in [left, right] {
+                    local &= matches!(c, ChildRef::Local(c) if self.fold_leaves(*c, strict, leaf));
+                    if strict && !local {
+                        break;
+                    }
                 }
-            },
+                local
+            }
         }
     }
 
@@ -986,8 +1143,9 @@ impl<const D: usize> Fragment<D> {
                 if fully {
                     // Exact only if the subtree is entirely local; otherwise
                     // descend so remote parts report exactly.
-                    if let Some(c) = self.exact_local_count(start) {
-                        return c;
+                    let mut exact = 0;
+                    if self.fold_leaves(start, true, &mut |points| exact += points.len() as u64) {
+                        return exact;
                     }
                 }
                 let mut total = 0;
@@ -1005,25 +1163,6 @@ impl<const D: usize> Fragment<D> {
                     }
                 }
                 total
-            }
-        }
-    }
-
-    /// Exact point count below `start` if the subtree is fully local.
-    fn exact_local_count(&self, start: u32) -> Option<u64> {
-        match &self.node(start).kind {
-            BKind::Leaf { points } => Some(points.len() as u64),
-            BKind::LeafStub => None,
-            BKind::Internal { left, right } => {
-                let l = match left {
-                    ChildRef::Local(c) => self.exact_local_count(*c)?,
-                    ChildRef::Remote(_) => return None,
-                };
-                let r = match right {
-                    ChildRef::Local(c) => self.exact_local_count(*c)?,
-                    ChildRef::Remote(_) => return None,
-                };
-                Some(l + r)
             }
         }
     }
@@ -1086,111 +1225,122 @@ impl<const D: usize> Fragment<D> {
     }
 
     // ------------------------------------------------------------------
-    // Splitting (promotion / re-chunking)
+    // Building and cutting (bulk build, demotion, promotion, re-chunking)
     // ------------------------------------------------------------------
 
-    /// Detaches the root node, turning each of its local children into an
-    /// independent fragment. `new_ids` supplies (meta id, module) for local
-    /// children in child order (left first); remote children keep their
-    /// existing refs. Returns the detached root (its children rewritten as
-    /// remote refs) and the extracted child fragments. A leaf root is the
-    /// whole content: it is returned alone, with nothing extracted.
+    /// Builds a fresh fragment holding the canonical tree over sorted
+    /// `items`, nodes in post-order, with no chunk directory.
+    pub fn build_from(
+        meta: MetaId,
+        master_module: u32,
+        items: &[Keyed<D>],
+        leaf_cap: usize,
+        sink: &mut impl CostSink,
+    ) -> Fragment<D> {
+        Self::build_cut(meta, master_module, items, leaf_cap, sink, &mut |_, _| None)
+    }
+
+    /// [`Self::build_from`] for a tree that is cut into fragments as it is
+    /// built (bulk build). Below the root, `cut(a child's items, nodes
+    /// placed so far)` decides: `None` builds the child's subtree here;
+    /// `Some(ref)` leaves that ref in its slot — the caller has built the
+    /// subtree elsewhere, typically by calling this again on those items.
+    pub(crate) fn build_cut(
+        meta: MetaId,
+        master_module: u32,
+        items: &[Keyed<D>],
+        leaf_cap: usize,
+        sink: &mut impl CostSink,
+        cut: &mut impl FnMut(&[Keyed<D>], usize) -> Option<RemoteRef<D>>,
+    ) -> Fragment<D> {
+        debug_assert!(!items.is_empty());
+        let mut f = Self::empty(meta, master_module, leaf_cap);
+        f.root = f.build_subtree(items, sink, cut);
+        f
+    }
+
+    /// Cuts the subtree at `idx` out into a fresh fragment `(meta, module)`
+    /// under this fragment's directory policy. Nodes land in post-order (so
+    /// the new arena is dense) and their slots here are released, the stale
+    /// nodes staying behind as in any freed slot.
+    fn extract_subtree(&mut self, idx: u32, meta: MetaId, module: u32) -> Fragment<D> {
+        let mut out = Self::empty(meta, module, self.leaf_cap);
+        out.root = self.move_into(idx, &mut out);
+        out.set_dir_policy(self.dir_bits, self.dense_min);
+        out
+    }
+
+    fn move_into(&mut self, idx: u32, out: &mut Fragment<D>) -> u32 {
+        let mut node = self.nodes[idx as usize].clone();
+        self.release(idx);
+        if let BKind::Internal { left, right } = &mut node.kind {
+            for slot in [left, right] {
+                if let ChildRef::Local(c) = *slot {
+                    *slot = ChildRef::Local(self.move_into(c, out));
+                }
+            }
+        }
+        out.alloc(node)
+    }
+
+    /// Turns local subtrees into fragments of their own, leaving refs
+    /// behind (demotion out of L0; the root split of promotion and
+    /// re-chunking). Walks down from the root through local children: a
+    /// child `cut` takes is extracted whole under the next `(meta, module)`
+    /// of `ids` and its slot rewritten to the ref; any other child is
+    /// walked into. Counters stay as they are — a ref's snapshot is the
+    /// count of the subtree it replaces; the chunk directory is rebuilt if
+    /// anything was cut. Returns the new fragments in the order they were
+    /// cut.
+    pub fn detach_children(
+        &mut self,
+        cut: impl Fn(&BNode<D>) -> bool,
+        mut ids: impl FnMut() -> (MetaId, u32),
+    ) -> Vec<Fragment<D>> {
+        let mut frags = Vec::new();
+        let mut stack = vec![self.root];
+        while let Some(idx) = stack.pop() {
+            let BKind::Internal { left, right } = &self.nodes[idx as usize].kind else { continue };
+            let mut slots = [*left, *right];
+            for slot in &mut slots {
+                let ChildRef::Local(c) = *slot else { continue };
+                if cut(self.node(c)) {
+                    let (meta, module) = ids();
+                    let frag = self.extract_subtree(c, meta, module);
+                    *slot = ChildRef::Remote(frag.self_ref());
+                    frags.push(frag);
+                } else {
+                    stack.push(c);
+                }
+            }
+            self.nodes[idx as usize].kind = BKind::Internal { left: slots[0], right: slots[1] };
+        }
+        if !frags.is_empty() {
+            self.rebuild_chunk_dir();
+        }
+        frags
+    }
+
+    /// Splits the root off: each of its local children becomes a fragment
+    /// under the next `(meta, module)` of `new_ids` (left first); remote
+    /// children keep their refs. Returns the root, its children all refs
+    /// now, and the new fragments. A leaf root is the whole content: it is
+    /// returned alone, with nothing extracted. What is left of `self` is
+    /// the root only.
     pub fn split_root(
         &mut self,
         mut new_ids: impl Iterator<Item = (MetaId, u32)>,
     ) -> (BNode<D>, Vec<Fragment<D>>) {
-        let root_idx = self.root;
-        let root = self.nodes[root_idx as usize].clone();
-        let (left, right) = match &root.kind {
-            BKind::Internal { left, right } => (*left, *right),
-            _ => return (root, Vec::new()),
-        };
-        let mut frags = Vec::new();
-        let mut refs = Vec::new();
-        for child in [left, right] {
-            match child {
-                ChildRef::Remote(r) => refs.push(ChildRef::Remote(r)),
-                ChildRef::Local(c) => {
-                    let (id, module) = new_ids.next().expect("id for child fragment");
-                    let frag = self.extract_subtree(c, id, module);
-                    refs.push(ChildRef::Remote(RemoteRef {
-                        meta: id,
-                        module,
-                        prefix: frag.root_node().prefix,
-                        sc: frag.root_node().count,
-                    }));
-                    frags.push(frag);
-                }
-            }
-        }
-        let detached = BNode {
-            prefix: root.prefix,
-            count: root.count,
-            kind: BKind::Internal { left: refs[0], right: refs[1] },
-        };
-        (detached, frags)
-    }
-
-    /// Extracts the subtree at `idx` into a fresh fragment, releasing the
-    /// source slots.
-    pub(crate) fn extract_subtree(&mut self, idx: u32, meta: MetaId, module: u32) -> Fragment<D> {
-        let mut out = Fragment {
-            meta,
-            master_module: module,
-            nodes: Vec::new(),
-            free: Vec::new(),
-            root: 0,
-            leaf_cap: self.leaf_cap,
-            chunk_dir: ChunkDir::default(),
-            dir_bits: self.dir_bits,
-            dense_min: self.dense_min,
-        };
-        let root = self.copy_into(idx, &mut out);
-        out.root = root;
-        out.rebuild_chunk_dir();
-        out
-    }
-
-    fn copy_into(&mut self, idx: u32, out: &mut Fragment<D>) -> u32 {
-        let node = self.nodes[idx as usize].clone();
-        self.release(idx);
-        let kind = match node.kind {
-            BKind::Internal { left, right } => {
-                let l = match left {
-                    ChildRef::Local(c) => ChildRef::Local(self.copy_into(c, out)),
-                    r => r,
-                };
-                let r = match right {
-                    ChildRef::Local(c) => ChildRef::Local(self.copy_into(c, out)),
-                    r => r,
-                };
-                BKind::Internal { left: l, right: r }
-            }
-            other => other,
-        };
-        out.alloc(BNode { prefix: node.prefix, count: node.count, kind })
+        let frags =
+            self.detach_children(|_| true, || new_ids.next().expect("id for child fragment"));
+        (self.root_node().clone(), frags)
     }
 
     /// All (key, point) pairs stored in *this* fragment (not descendants).
     pub fn local_points(&self) -> Vec<Keyed<D>> {
         let mut out = Vec::new();
-        self.collect_local(self.root, &mut out);
+        self.fold_leaves(self.root, false, &mut |points| points.append_to(&mut out));
         out
-    }
-
-    fn collect_local(&self, idx: u32, out: &mut Vec<Keyed<D>>) {
-        match &self.node(idx).kind {
-            BKind::Leaf { points } => points.append_to(out),
-            BKind::LeafStub => {}
-            BKind::Internal { left, right } => {
-                if let ChildRef::Local(c) = left {
-                    self.collect_local(*c, out);
-                }
-                if let ChildRef::Local(c) = right {
-                    self.collect_local(*c, out);
-                }
-            }
-        }
     }
 
     /// All remote references leaving this fragment.
@@ -1211,210 +1361,120 @@ impl<const D: usize> Fragment<D> {
         }
     }
 
-    /// Updates the stored snapshot of a remote child (lazy counter sync) and
-    /// refreshes ancestor counts along the path from the root.
-    pub fn sync_remote_child(&mut self, meta: MetaId, new_sc: u64, new_prefix: Option<Prefix<D>>) {
-        self.sync_rec(self.root, meta, new_sc, new_prefix);
-    }
+    // ------------------------------------------------------------------
+    // Editing a ref (counter sync, splice, promotion)
+    // ------------------------------------------------------------------
 
-    fn sync_rec(
-        &mut self,
-        idx: u32,
-        meta: MetaId,
-        new_sc: u64,
-        new_prefix: Option<Prefix<D>>,
-    ) -> Option<i64> {
-        let kind = match &self.nodes[idx as usize].kind {
-            BKind::Internal { left, right } => (*left, *right),
-            _ => return None,
-        };
-        let (left, right) = kind;
-        let mut delta: Option<i64> = None;
-        let mut new_left = left;
-        let mut new_right = right;
-        for (slot, new_slot) in [(left, &mut new_left), (right, &mut new_right)] {
-            match slot {
-                ChildRef::Remote(mut r) if r.meta == meta => {
-                    delta = Some(new_sc as i64 - r.sc as i64);
-                    r.sc = new_sc;
-                    if let Some(p) = new_prefix {
-                        r.prefix = p;
-                    }
-                    *new_slot = ChildRef::Remote(r);
-                }
-                ChildRef::Local(c) if delta.is_none() => {
-                    if let Some(d) = self.sync_rec(c, meta, new_sc, new_prefix) {
-                        delta = Some(d);
-                    }
-                }
-                _ => {}
-            }
+    /// Applies `edit` to the child slot holding the ref to `meta`, carries
+    /// the change of the slot's counter up the path to the root, and — when
+    /// the edit changed which nodes exist — rebuilds the chunk directory.
+    /// Every maintenance step that touches a ref goes through here, on
+    /// masters, cached copies and the host's L0 alike.
+    pub fn edit_ref(&mut self, meta: MetaId, edit: RefEdit<D>) -> EditOutcome<D> {
+        let structural = !matches!(edit, RefEdit::Sync { .. } | RefEdit::Replace(Some(_)));
+        match self.edit_below(self.root, meta, &mut Some(edit)) {
+            Edited::NotFound => return EditOutcome::NotFound,
+            Edited::Done(_) => {}
+            Edited::Spliced(ChildRef::Local(survivor), _) => self.root = survivor,
+            Edited::Spliced(ChildRef::Remote(r), _) => return EditOutcome::RootCollapsed(r),
         }
-        if let Some(d) = delta {
-            let n = &mut self.nodes[idx as usize];
-            n.kind = BKind::Internal { left: new_left, right: new_right };
-            n.count = (n.count as i64 + d).max(0) as u64;
-        }
-        delta
-    }
-
-    /// Replaces the remote child pointing at `meta` with `replacement`
-    /// (splice after a child fragment emptied or collapsed) and carries the
-    /// change of its counter up the path to the root, as
-    /// [`Self::sync_remote_child`] does. When `replacement` is `None` the
-    /// child's parent node is spliced out of this fragment; if the spliced
-    /// parent was the root and its sibling is itself remote, the whole
-    /// fragment collapses to that remote ref — the caller (host) must
-    /// dissolve the fragment and repoint *its* parent.
-    pub fn replace_remote_child(
-        &mut self,
-        meta: MetaId,
-        replacement: Option<RemoteRef<D>>,
-    ) -> ReplaceOutcome<D> {
-        let root = self.root;
-        let out = match self.replace_rec(root, meta, replacement) {
-            ReplaceResult::NotFound => ReplaceOutcome::NotFound,
-            ReplaceResult::Done(_) => ReplaceOutcome::Done,
-            ReplaceResult::ReplaceMe(ChildRef::Local(i), _) => {
-                self.root = i;
-                ReplaceOutcome::Done
-            }
-            ReplaceResult::ReplaceMe(ChildRef::Remote(r), _) => ReplaceOutcome::RootCollapsed(r),
-        };
-        if matches!(out, ReplaceOutcome::Done) {
+        if structural {
             self.rebuild_chunk_dir();
         }
-        out
+        EditOutcome::Done
     }
 
-    fn replace_rec(
-        &mut self,
-        idx: u32,
-        meta: MetaId,
-        replacement: Option<RemoteRef<D>>,
-    ) -> ReplaceResult<D> {
-        let (left, right) = match &self.nodes[idx as usize].kind {
-            BKind::Internal { left, right } => (*left, *right),
-            _ => return ReplaceResult::NotFound,
+    fn edit_below(&mut self, idx: u32, meta: MetaId, edit: &mut Option<RefEdit<D>>) -> Edited<D> {
+        let BKind::Internal { left, right } = &self.nodes[idx as usize].kind else {
+            return Edited::NotFound;
         };
-        // Relinks `idx`'s child on `side` and applies the counter change
-        // that came with it.
-        let relink = |f: &mut Self, side: u8, child: ChildRef<D>, delta: i64| {
-            let n = &mut f.nodes[idx as usize];
-            let (l, r) = if side == 0 { (child, right) } else { (left, child) };
-            n.kind = BKind::Internal { left: l, right: r };
-            n.count = (n.count as i64 + delta).max(0) as u64;
-            ReplaceResult::Done(delta)
-        };
-        for (side, slot) in [(0u8, left), (1u8, right)] {
-            match slot {
+        let mut slots = [*left, *right];
+        for side in 0..2 {
+            // What the slot holds after the edit, and by how much the
+            // counter of what hangs there changed.
+            let (child, delta) = match slots[side] {
                 ChildRef::Remote(r) if r.meta == meta => {
-                    return match replacement {
-                        Some(new_r) => relink(
-                            self,
-                            side,
-                            ChildRef::Remote(new_r),
-                            new_r.sc as i64 - r.sc as i64,
-                        ),
-                        None => {
+                    match edit.take().expect("the walk returns from the one slot it edits") {
+                        RefEdit::Sync { sc, prefix } => {
+                            let prefix = prefix.unwrap_or(r.prefix);
+                            (
+                                ChildRef::Remote(RemoteRef { sc, prefix, ..r }),
+                                sc as i64 - r.sc as i64,
+                            )
+                        }
+                        RefEdit::Replace(Some(new)) => {
+                            (ChildRef::Remote(new), new.sc as i64 - r.sc as i64)
+                        }
+                        RefEdit::Replace(None) => {
                             // Child vanished: splice this node, keeping the
                             // sibling.
-                            let sibling = if side == 0 { right } else { left };
                             self.release(idx);
-                            ReplaceResult::ReplaceMe(sibling, -(r.sc as i64))
+                            return Edited::Spliced(slots[1 - side], -(r.sc as i64));
                         }
-                    };
-                }
-                ChildRef::Local(c) => match self.replace_rec(c, meta, replacement) {
-                    ReplaceResult::NotFound => {}
-                    ReplaceResult::Done(delta) => return relink(self, side, slot, delta),
-                    ReplaceResult::ReplaceMe(sib, delta) => return relink(self, side, sib, delta),
-                },
-                _ => {}
-            }
-        }
-        ReplaceResult::NotFound
-    }
-}
-
-impl<const D: usize> Fragment<D> {
-    /// Replaces the remote reference to `meta` with a freshly-allocated
-    /// local node (promotion into this fragment). Returns whether found.
-    pub fn replace_remote_with_node(&mut self, meta: MetaId, node: BNode<D>) -> bool {
-        let new_idx = self.alloc(node);
-        let mut stack = vec![self.root];
-        while let Some(idx) = stack.pop() {
-            let (left, right) = match &self.nodes[idx as usize].kind {
-                BKind::Internal { left, right } => (*left, *right),
-                _ => continue,
-            };
-            for (side, slot) in [(0u8, left), (1u8, right)] {
-                match slot {
-                    ChildRef::Remote(r) if r.meta == meta => {
-                        let n = &mut self.nodes[idx as usize];
-                        let (l, r2) = if side == 0 {
-                            (ChildRef::Local(new_idx), right)
-                        } else {
-                            (left, ChildRef::Local(new_idx))
-                        };
-                        n.kind = BKind::Internal { left: l, right: r2 };
-                        self.rebuild_chunk_dir();
-                        return true;
+                        RefEdit::Graft(node) => (ChildRef::Local(self.alloc(node)), 0),
                     }
-                    ChildRef::Local(c) => stack.push(c),
-                    _ => {}
                 }
-            }
+                ChildRef::Remote(_) => continue,
+                ChildRef::Local(c) => match self.edit_below(c, meta, edit) {
+                    Edited::NotFound => continue,
+                    Edited::Done(delta) => (slots[side], delta),
+                    Edited::Spliced(survivor, delta) => (survivor, delta),
+                },
+            };
+            slots[side] = child;
+            let n = &mut self.nodes[idx as usize];
+            n.kind = BKind::Internal { left: slots[0], right: slots[1] };
+            n.count = (n.count as i64 + delta).max(0) as u64;
+            return Edited::Done(delta);
         }
-        // Not found: undo the allocation.
-        self.release(new_idx);
-        false
-    }
-
-    /// Builds a fresh fragment holding the canonical tree over sorted
-    /// `items`.
-    pub fn build_from(
-        meta: MetaId,
-        master_module: u32,
-        items: &[Keyed<D>],
-        leaf_cap: usize,
-        sink: &mut impl CostSink,
-    ) -> Fragment<D> {
-        debug_assert!(!items.is_empty());
-        let mut f = Fragment {
-            meta,
-            master_module,
-            nodes: Vec::new(),
-            free: Vec::new(),
-            root: 0,
-            leaf_cap,
-            chunk_dir: ChunkDir::default(),
-            dir_bits: 0,
-            dense_min: 0,
-        };
-        let root = f.build_local(items, sink);
-        f.root = root;
-        f
+        Edited::NotFound
     }
 }
 
-/// What [`Fragment::replace_rec`] did below a node; the `i64` is the change
+/// An edit of the one child slot that holds the ref to a given meta-node
+/// (see [`Fragment::edit_ref`]).
+#[derive(Clone, Debug)]
+pub enum RefEdit<const D: usize> {
+    /// Lazy-counter sync (§3.4): the ref's snapshot becomes `sc` — and its
+    /// prefix `prefix`, when the child's root restructured.
+    Sync {
+        /// New counter snapshot.
+        sc: u64,
+        /// New prefix, if it changed.
+        prefix: Option<Prefix<D>>,
+    },
+    /// The child fragment dissolved. `Some`: it collapsed to its one
+    /// remaining child, whose ref takes the slot. `None`: it emptied, and
+    /// the node holding the slot is spliced out — the slot's sibling takes
+    /// the node's place (the fragment's root, if the node was the root).
+    Replace(Option<RemoteRef<D>>),
+    /// Promotion: the child's root node — a leaf, or its children all
+    /// remote — becomes a local node in the slot. Ancestors keep their
+    /// counters: the host syncs a counter before it promotes, so the node's
+    /// count is what the ref's snapshot already said.
+    Graft(BNode<D>),
+}
+
+/// What [`Fragment::edit_below`] did below a node; the `i64` is the change
 /// of the subtree's counter, which every ancestor applies to its own.
-enum ReplaceResult<const D: usize> {
+enum Edited<const D: usize> {
     NotFound,
     Done(i64),
     /// The node was spliced out: link this (its surviving child) instead.
-    ReplaceMe(ChildRef<D>, i64),
+    Spliced(ChildRef<D>, i64),
 }
 
-/// Outcome of [`Fragment::replace_remote_child`].
+/// Outcome of [`Fragment::edit_ref`].
 #[derive(Clone, Copy, Debug)]
-pub enum ReplaceOutcome<const D: usize> {
+pub enum EditOutcome<const D: usize> {
     /// No reference to the named meta exists here.
     NotFound,
-    /// Replaced/spliced internally; fragment root unchanged or relinked.
+    /// Edited in place; the root is where it was or, after a splice that
+    /// took it, the spliced root's local child.
     Done,
-    /// The fragment collapsed to this remote ref (host must dissolve it).
+    /// A splice took the root and left only this remote ref: the fragment
+    /// collapsed to it, and the caller (host) must dissolve the fragment
+    /// and repoint *its* parent.
     RootCollapsed(RemoteRef<D>),
 }
 
@@ -1502,6 +1562,11 @@ mod tests {
         v
     }
 
+    /// A fragment over hand-placed nodes, the root in slot 0.
+    fn hand_placed(meta: MetaId, nodes: Vec<BNode<3>>) -> Fragment<3> {
+        Fragment::from_parts(meta, 0, 0, 4, 0, 0, ChunkDir::default(), vec![], nodes).unwrap()
+    }
+
     fn leaf_fragment(pts: &[[u32; 3]], cap: usize) -> Fragment<3> {
         let items = keyed(pts);
         Fragment::singleton(
@@ -1560,10 +1625,9 @@ mod tests {
             Prefix::new(k, 30)
         };
         let root_pre = Prefix::new(leaf_pre.key, leaf_pre.key.common_prefix_len(remote_pre.key));
-        let mut f = Fragment {
-            meta: 7,
-            master_module: 0,
-            nodes: vec![
+        let mut f = hand_placed(
+            7,
+            vec![
                 BNode {
                     prefix: root_pre,
                     count: 12,
@@ -1579,13 +1643,7 @@ mod tests {
                 },
                 BNode { prefix: leaf_pre, count: 2, kind: BKind::Leaf { points: items.into() } },
             ],
-            free: vec![],
-            root: 0,
-            leaf_cap: 4,
-            chunk_dir: Default::default(),
-            dir_bits: 0,
-            dense_min: 0,
-        };
+        );
         // This point goes to the 1-side of the root but diverges from the
         // remote prefix (its bit pattern differs within the first 30 bits).
         let stray = Point::new([2_000_000, 1, 1]);
@@ -1634,10 +1692,9 @@ mod tests {
         let rk = ZKey::<3>::encode(&Point::new([2_000_000, 0, 0]));
         let remote_pre = Prefix::new(rk, 20);
         let root_pre = Prefix::new(leaf_pre.key, leaf_pre.key.common_prefix_len(rk));
-        let mut f = Fragment {
-            meta: 5,
-            master_module: 0,
-            nodes: vec![
+        let mut f = hand_placed(
+            5,
+            vec![
                 BNode {
                     prefix: root_pre,
                     count: 11,
@@ -1653,13 +1710,7 @@ mod tests {
                 },
                 BNode { prefix: leaf_pre, count: 1, kind: BKind::Leaf { points: items.into() } },
             ],
-            free: vec![],
-            root: 0,
-            leaf_cap: 4,
-            chunk_dir: Default::default(),
-            dir_bits: 0,
-            dense_min: 0,
-        };
+        );
         let mut removed = 0;
         match f.remove(&keyed(&[[0, 0, 0]]), &mut removed, &mut NullSink) {
             RootAfterRemove::CollapsedToRemote(r) => assert_eq!(r.meta, 42),
@@ -1756,10 +1807,9 @@ mod tests {
         let rk = ZKey::<3>::encode(&Point::new([2_000_000, 0, 0]));
         let remote_pre = Prefix::new(rk, 20);
         let root_pre = Prefix::new(leaf_pre.key, leaf_pre.key.common_prefix_len(rk));
-        let mut f = Fragment {
-            meta: 5,
-            master_module: 0,
-            nodes: vec![
+        let mut f = hand_placed(
+            5,
+            vec![
                 BNode {
                     prefix: root_pre,
                     count: 11,
@@ -1775,14 +1825,8 @@ mod tests {
                 },
                 BNode { prefix: leaf_pre, count: 1, kind: BKind::Leaf { points: items.into() } },
             ],
-            free: vec![],
-            root: 0,
-            leaf_cap: 4,
-            chunk_dir: Default::default(),
-            dir_bits: 0,
-            dense_min: 0,
-        };
-        f.sync_remote_child(42, 25, None);
+        );
+        f.edit_ref(42, RefEdit::Sync { sc: 25, prefix: None });
         assert_eq!(f.root_node().count, 26);
         assert_eq!(f.remote_children()[0].sc, 25);
     }
@@ -1805,10 +1849,9 @@ mod tests {
         let remote = RemoteRef { meta: 42, module: 1, prefix: Prefix::new(rk, 20), sc: 10 };
         let inner_pre = Prefix::new(b.prefix.key, b.prefix.key.common_prefix_len(rk));
         let root_pre = Prefix::new(b.prefix.key, b.prefix.key.common_prefix_len(a.prefix.key));
-        let mut f = Fragment {
-            meta: 5,
-            master_module: 0,
-            nodes: vec![
+        let mut f = hand_placed(
+            5,
+            vec![
                 BNode {
                     prefix: root_pre,
                     count: 12,
@@ -1825,21 +1868,16 @@ mod tests {
                 a,
                 b,
             ],
-            free: vec![],
-            root: 0,
-            leaf_cap: 4,
-            chunk_dir: Default::default(),
-            dir_bits: 0,
-            dense_min: 0,
-        };
+        );
         // The child collapsed to a smaller grandchild: every ancestor drops
         // by the difference.
         let collapsed = RemoteRef { meta: 43, sc: 3, ..remote };
-        assert!(matches!(f.replace_remote_child(42, Some(collapsed)), ReplaceOutcome::Done));
+        let done = |o| matches!(o, EditOutcome::Done);
+        assert!(done(f.edit_ref(42, RefEdit::Replace(Some(collapsed)))));
         assert_eq!((f.root_node().count, f.node(1).count), (5, 4));
         assert_eq!(f.remote_children()[0].meta, 43);
         // It emptied: `inner` is spliced out and the root forgets its points.
-        assert!(matches!(f.replace_remote_child(43, None), ReplaceOutcome::Done));
+        assert!(done(f.edit_ref(43, RefEdit::Replace(None))));
         assert_eq!(f.root_node().count, 2);
         assert!(f.remote_children().is_empty());
         assert!(matches!(

@@ -8,7 +8,7 @@
 //! size budget.
 
 use crate::config::Layer;
-use crate::frag::{Fragment, Keyed, MetaId, RemoteRef};
+use crate::frag::{EditOutcome, Fragment, Keyed, MetaId, RefEdit, RemoteRef};
 use crate::host::PimZdTree;
 use crate::meta::MetaInfo;
 use crate::module::{
@@ -303,33 +303,29 @@ impl<const D: usize> PimZdTree<D> {
         urgent_syncs: &mut Vec<MetaId>,
     ) {
         let _span = pim_obs::span("process_splices");
-        // child → its (unresolved) replacement; grows as cascades surface.
-        let mut resolution: FxHashMap<MetaId, Option<RemoteRef<D>>> = FxHashMap::default();
+        // Dissolved child → its recorded parent and (unresolved)
+        // replacement; grows as cascades surface.
+        let mut dying: FxHashMap<MetaId, (Option<MetaId>, Option<RemoteRef<D>>)> =
+            FxHashMap::default();
         let mut spliced = 0u64;
         let mut guard = 0;
         while !splices.is_empty() {
             spliced += splices.len() as u64;
             guard += 1;
             assert!(guard < 100, "splice cascade failed to converge");
-            for (_, child, replacement) in &splices {
-                resolution.insert(*child, *replacement);
+            for (parent, child, replacement) in &splices {
+                dying.insert(*child, (*parent, *replacement));
             }
-            let resolve =
-                |mut r: Option<RemoteRef<D>>,
-                 resolution: &FxHashMap<MetaId, Option<RemoteRef<D>>>| {
-                    let mut hops = 0;
-                    while let Some(rr) = r {
-                        match resolution.get(&rr.meta) {
-                            Some(next) => {
-                                r = *next;
-                                hops += 1;
-                                assert!(hops < 1000, "replacement chain loops");
-                            }
-                            None => break,
-                        }
-                    }
-                    r
-                };
+            let resolve = |mut r: Option<RemoteRef<D>>,
+                           dying: &FxHashMap<MetaId, (Option<MetaId>, Option<RemoteRef<D>>)>| {
+                let mut hops = 0;
+                while let Some((_, next)) = r.and_then(|rr| dying.get(&rr.meta)) {
+                    r = *next;
+                    hops += 1;
+                    assert!(hops < 1000, "replacement chain loops");
+                }
+                r
+            };
 
             let mut next = Vec::new();
             let mut tasks: Vec<Vec<MgmtTask<D>>> = self.task_matrix();
@@ -340,7 +336,7 @@ impl<const D: usize> PimZdTree<D> {
             // refs to dissolved children.
             let mut l0_patches: Vec<(MetaId, Option<RemoteRef<D>>)> = Vec::new();
             for (parent, child, replacement) in splices {
-                let replacement = resolve(replacement, &resolution);
+                let replacement = resolve(replacement, &dying);
                 // A recorded parent that has left the directory was either
                 // dissolved (nothing references `child` any more) or
                 // absorbed into L0 (L0 now holds its ref to `child`); both
@@ -349,9 +345,14 @@ impl<const D: usize> PimZdTree<D> {
                 let live_parent = parent.filter(|p| self.dir.metas.contains_key(p));
                 // Fix the directory first.
                 if let Some(rr) = replacement {
-                    // The surviving grandchild hangs off the dissolved
-                    // child's parent.
-                    self.dir.adopt(live_parent, rr.meta);
+                    // The survivor at the end of the chain hangs off the
+                    // nearest ancestor of the dissolved child that is not
+                    // dissolving with it, whichever splice is taken first.
+                    let mut above = parent;
+                    while let Some((up, _)) = above.and_then(|p| dying.get(&p)) {
+                        above = *up;
+                    }
+                    self.dir.adopt(above.filter(|p| self.dir.metas.contains_key(p)), rr.meta);
                 }
                 let gone = self.dir.remove(child);
                 // The fragment is gone; so are the copies of its structure.
@@ -407,19 +408,16 @@ impl<const D: usize> PimZdTree<D> {
             // Parents that collapsed module-side in this round already lost
             // their masters; record their replacements now so an L0 absorb
             // below never tries to pull one of them.
-            for (_, child, replacement) in &next {
-                resolution.insert(*child, *replacement);
+            for (parent, child, replacement) in &next {
+                dying.insert(*child, (*parent, *replacement));
             }
             for (child, replacement) in l0_patches {
-                let outcome = match self.l0.as_mut() {
-                    Some(l0) => {
-                        self.meter.work(60);
-                        l0.replace_remote_child(child, replacement)
-                    }
-                    None => continue,
-                };
-                if let crate::frag::ReplaceOutcome::RootCollapsed(r) = outcome {
-                    match resolve(Some(r), &resolution) {
+                let Some(l0) = self.l0.as_mut() else { continue };
+                self.meter.work(60);
+                if let EditOutcome::RootCollapsed(r) =
+                    l0.edit_ref(child, RefEdit::Replace(replacement))
+                {
+                    match resolve(Some(r), &dying) {
                         None => self.l0 = None,
                         Some(rr) => self.absorb_fragment_into_l0(rr),
                     }
@@ -451,10 +449,8 @@ impl<const D: usize> PimZdTree<D> {
         self.dir.remove(r.meta);
         f.meta = 0;
         f.master_module = u32::MAX;
-        // L0 carries no chunk directory: the host patches L0 in place
-        // (demotion, promotion), which would leave the fragment's stale.
-        f.dir_bits = 0;
-        f.rebuild_chunk_dir();
+        // L0 carries no chunk directory (it is LLC-warm, see `build`).
+        f.set_dir_policy(0, f.dense_min);
         self.l0 = Some(f);
     }
 
@@ -478,60 +474,33 @@ impl<const D: usize> PimZdTree<D> {
     /// Extracts L0-resident subtrees that fell below θ_L0 into new
     /// fragments (demotion; also how freshly-inserted structure leaves L0).
     fn demote_small_l0_children(&mut self) {
-        let Some(l0) = self.l0.as_ref() else { return };
-        // Find topmost local children below threshold.
-        let mut demote: Vec<(u32, u8, u32)> = Vec::new();
-        let mut stack = vec![l0.root];
-        while let Some(idx) = stack.pop() {
-            let (left, right) = match &l0.node(idx).kind {
-                crate::frag::BKind::Internal { left, right } => (*left, *right),
-                _ => continue,
-            };
-            for (side, slot) in [(0u8, left), (1u8, right)] {
-                if let crate::frag::ChildRef::Local(c) = slot {
-                    if l0.node(c).count < self.cfg.theta_l0 {
-                        demote.push((idx, side, c));
-                    } else {
-                        stack.push(c);
-                    }
-                }
-            }
-        }
-        if demote.is_empty() {
+        let Some(mut l0) = self.l0.take() else { return };
+        let theta_l0 = self.cfg.theta_l0;
+        // The topmost local children below the threshold.
+        let frags = l0.detach_children(
+            |child| child.count < theta_l0,
+            || {
+                let id = self.dir.next_id();
+                (id, self.place_module(id))
+            },
+        );
+        self.l0 = Some(l0);
+        if frags.is_empty() {
             return;
         }
-        let mut l0 = self.l0.take().expect("checked above");
         let mut tasks: Vec<Vec<MgmtTask<D>>> = self.task_matrix();
-        for (parent_idx, side, child_idx) in demote {
-            let id = self.dir.next_id();
-            let module = self.place_module(id);
-            let mut frag = l0.extract_subtree(child_idx, id, module);
+        for mut frag in frags {
             // L0 carries no chunk directory; demoted fragments get one.
-            frag.dir_bits = self.cfg.chunk_dir_bits();
-            frag.dense_min = self.cfg.chunk_dense_min();
-            frag.rebuild_chunk_dir();
-            let root = frag.root_node();
-            let r = RemoteRef { meta: id, module, prefix: root.prefix, sc: root.count };
-            // Patch the parent's slot.
-            let (l, rgt) = match &l0.node(parent_idx).kind {
-                crate::frag::BKind::Internal { left, right } => (*left, *right),
-                _ => unreachable!(),
-            };
-            let new_kind = if side == 0 {
-                crate::frag::BKind::Internal { left: crate::frag::ChildRef::Remote(r), right: rgt }
-            } else {
-                crate::frag::BKind::Internal { left: l, right: crate::frag::ChildRef::Remote(r) }
-            };
-            l0.nodes[parent_idx as usize].kind = new_kind;
+            frag.set_dir_policy(self.cfg.chunk_dir_bits(), self.cfg.chunk_dense_min());
+            let r = frag.self_ref();
             self.meter.work(40);
             let layer = self.cfg.layer_of(r.sc);
             self.dir.insert(MetaInfo::new(&r, layer, None, frag.live_nodes() as u64));
             for g in frag.remote_children() {
-                self.dir.adopt(Some(id), g.meta);
+                self.dir.adopt(Some(r.meta), g.meta);
             }
-            tasks[module as usize].push(MgmtTask::InstallMaster(frag));
+            tasks[r.module as usize].push(MgmtTask::InstallMaster(frag));
         }
-        self.l0 = Some(l0);
         self.mgmt_round(tasks);
     }
 
@@ -608,7 +577,7 @@ impl<const D: usize> PimZdTree<D> {
                 None => {
                     if let Some(l0) = self.l0.as_mut() {
                         self.meter.work(40 * repeat as u64);
-                        l0.sync_remote_child(m, new_sc, prefix);
+                        l0.edit_ref(m, RefEdit::Sync { sc: new_sc, prefix });
                         l0_count_updates += repeat as u64;
                     }
                 }
@@ -735,18 +704,17 @@ impl<const D: usize> PimZdTree<D> {
                 self.register_split_children(meta, &children, None);
                 // Pre-existing remote children of the promoted root now hang
                 // off L0 too.
-                if let crate::frag::BKind::Internal { left, right } = &root.kind {
-                    for c in [left, right] {
-                        if let crate::frag::ChildRef::Remote(rr) = c {
-                            self.dir.adopt(None, rr.meta);
-                        }
-                    }
+                for rr in root.remote_refs() {
+                    self.dir.adopt(None, rr.meta);
                 }
                 // Splice the promoted node into L0.
                 let l0 = self.l0.as_mut().expect("promotion implies L0 exists");
                 self.meter.work(80);
-                let ok = l0.replace_remote_with_node(meta, root);
-                debug_assert!(ok, "promoted meta must be referenced from L0");
+                let grafted = l0.edit_ref(meta, RefEdit::Graft(root));
+                debug_assert!(
+                    matches!(grafted, EditOutcome::Done),
+                    "promoted meta must be referenced from L0"
+                );
                 self.dir.remove(meta);
             }
             for f in moved {
@@ -1021,6 +989,24 @@ mod tests {
             assert!(t.is_empty());
             t.check_invariants(&[]);
         }
+    }
+
+    /// Fragments of a dozen nodes dissolve in chains: one delete batch
+    /// collapses X onto its child Y and Y onto its child Z. Whichever of the
+    /// two splices is taken first, Z ends up registered under X's parent.
+    #[test]
+    fn a_chain_of_collapses_in_one_batch_keeps_the_directory_whole() {
+        let cfg = PimZdConfig { max_fragment_nodes: 12, ..PimZdConfig::skew_resistant(64) };
+        let base = osm_like::<3>(4_000, 4_047);
+        let grown = osm_like::<3>(3_000, 4_048);
+        let mut t = PimZdTree::build(&base, cfg, MachineConfig::with_modules(64));
+        t.batch_insert(&grown);
+        assert_eq!(t.batch_delete(&base[..3_600]), 3_600);
+        let mut left = grown;
+        left.extend_from_slice(&base[3_600..]);
+        t.check_invariants(&left);
+        assert_eq!(t.batch_delete(&left[..left.len() - 10]), left.len() - 10);
+        t.check_invariants(&left[left.len() - 10..]);
     }
 
     #[test]

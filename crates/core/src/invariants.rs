@@ -10,8 +10,9 @@
 //! 3. **Lemma 3.1** — every replicated counter snapshot `SC` satisfies
 //!    `T/2 ≤ SC ≤ 2T` against the true subtree size `T`.
 //! 4. **Directory consistency** — every directory meta is referenced exactly
-//!    once; every reference resolves to an installed master on the recorded
-//!    module; cache copies mirror their masters' topology.
+//!    once, from the fragment the directory names as its parent; every
+//!    reference resolves to an installed master on the recorded module;
+//!    cache copies mirror their masters' topology.
 //! 5. **Box soundness** — the box of every node's prefix (and so of every
 //!    `RemoteRef`'s, which item 2 pins to its target root's) contains every
 //!    point beneath it: the one property the kNN, ball and box kernels prune
@@ -166,6 +167,12 @@ impl<const D: usize> PimZdTree<D> {
                                 )
                             });
                             assert_eq!(*module, r.module, "ref names wrong module");
+                            assert_eq!(
+                                self.dir.get(r.meta).parent,
+                                Some(frag.meta).filter(|m| *m != crate::host::L0_META),
+                                "directory parent of meta {} is not the holder of its ref",
+                                r.meta
+                            );
                             let croot = child_frag.root_node();
                             assert_eq!(
                                 croot.prefix, r.prefix,
@@ -235,9 +242,9 @@ impl<const D: usize> PimZdTree<D> {
 /// Sorted (prefix-key, len) list of a fragment's live nodes — a topology
 /// fingerprint for cache comparison.
 fn fragment_prefixes<const D: usize>(f: &Fragment<D>) -> Vec<(u64, u32)> {
-    let free: std::collections::HashSet<u32> = f.free.iter().copied().collect();
+    let free: std::collections::HashSet<u32> = f.free().iter().copied().collect();
     let mut v: Vec<(u64, u32)> = f
-        .nodes
+        .nodes()
         .iter()
         .enumerate()
         .filter(|(i, _)| !free.contains(&(*i as u32)))

@@ -34,7 +34,9 @@
 //! the shared engine in `traverse.rs`; this file says what the probe
 //! does inside a fragment and with a reply, and drives the five steps.
 
-use crate::frag::{knn_bound, push_candidate, CostSink, Edge, Fragment, MetaId, RemoteRef};
+use crate::frag::{
+    knn_bound, push_candidate, AnchorLoc, CostSink, Edge, Fragment, MetaId, RemoteRef,
+};
 use crate::host::{PimZdTree, L0_META};
 use crate::inline::InlineVec;
 use crate::module::{KnnReply, KnnTask, REPLY_INLINE};
@@ -414,29 +416,14 @@ impl<const D: usize> PimZdTree<D> {
         let ball = ball_box(q, radius, metric);
         let contains = |p: &Prefix<D>| p.to_box().contains_box(&ball);
 
-        // Descend the L0 path.
+        // The L0 part of the path; the ref it leaves L0 through is the
+        // first hop of the chain below.
         let key = pim_zorder::ZKey::<D>::encode(q);
-        let mut cur = l0.root;
-        loop {
-            self.meter.work(12);
-            let node = l0.node(cur);
-            if !node.prefix.covers(key) {
-                break;
-            }
-            if contains(&node.prefix) {
-                best = (L0_META, cur);
-            }
-            match &node.kind {
-                crate::frag::BKind::Internal { left, right } => {
-                    let side = node.prefix.side_of(key);
-                    let child = if side == 0 { left } else { right };
-                    match child {
-                        crate::frag::ChildRef::Local(c) => cur = *c,
-                        crate::frag::ChildRef::Remote(_) => break,
-                    }
-                }
-                _ => break,
-            }
+        let mut sink = Self::l0_sink(&mut self.meter);
+        if let Some((_, AnchorLoc::Local(node))) =
+            l0.lowest_on_path(key, 12, |p, _| contains(p), &mut sink)
+        {
+            best = (L0_META, node);
         }
         // Then the hop chain (fragment roots).
         for r in hops {

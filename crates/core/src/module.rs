@@ -23,8 +23,8 @@
 //! caching buys.
 
 use crate::frag::{
-    AnchorLoc, BNode, Edge, Fragment, Keyed, MetaId, RemoteRef, RootAfterRemove, SearchEnd,
-    BNODE_BYTES, REMOTE_REF_BYTES,
+    AnchorLoc, BNode, CostSink, Edge, EditOutcome, Fragment, Keyed, MetaId, RefEdit, RemoteRef,
+    RootAfterRemove, SearchEnd, BNODE_BYTES, REMOTE_REF_BYTES,
 };
 use crate::inline::InlineVec;
 use crate::traverse::Probe;
@@ -495,6 +495,28 @@ impl<const D: usize> Wire for Fragment<D> {
 // Handlers
 // ---------------------------------------------------------------------
 
+/// One fragment's share of a SEARCH (Alg. 1), the same on the host (L0, a
+/// pulled fragment) and on a module: the kNN anchor on the key's path when
+/// `want_anchor > 0` (it replaces `anchor`, being deeper than whatever an
+/// earlier fragment found), then the routing. Returns where the routing
+/// ends and, where that is a leaf, whether the leaf holds the key.
+pub(crate) fn search_step<const D: usize>(
+    frag: &Fragment<D>,
+    key: ZKey<D>,
+    want_anchor: u64,
+    anchor: &mut Option<AnchorInfo<D>>,
+    sink: &mut impl CostSink,
+) -> (SearchEnd<D>, bool) {
+    if want_anchor > 0 {
+        let enough = |_: &Prefix<D>, count| count >= want_anchor;
+        if let Some((prefix, loc)) = frag.lowest_on_path(key, 6, enough, sink) {
+            *anchor = Some(AnchorInfo::at(frag, prefix, loc));
+        }
+    }
+    let end = frag.search(key, sink);
+    (end, matches!(end, SearchEnd::Leaf(leaf) if frag.leaf_contains(leaf, key)))
+}
+
 /// The module id is threaded in so handlers can chase refs that point back
 /// at this module's own masters without a round trip.
 pub fn handle_search<const D: usize>(
@@ -515,52 +537,22 @@ pub fn handle_search<const D: usize>(
                     to: RemoteRef { meta, module: module_id as u32, prefix: Prefix::root(), sc: 0 },
                 };
             };
-            if t.want_anchor > 0 {
-                if let Some((prefix, loc)) =
-                    frag.lowest_on_path_with_count(t.key, t.want_anchor, ctx)
-                {
-                    anchor = Some(AnchorInfo::at(frag, prefix, loc));
-                }
-            }
-            match frag.search(t.key, ctx) {
-                SearchEnd::Leaf(idx) => {
+            match search_step(frag, t.key, t.want_anchor, &mut anchor, ctx) {
+                (SearchEnd::Leaf(leaf), found) => {
                     debug_assert!(is_master, "payload leaves exist only at masters");
-                    let found = match &frag.node(idx).kind {
-                        crate::frag::BKind::Leaf { points } => {
-                            ctx.op(points.len() as u64);
-                            points.contains_key(t.key)
-                        }
-                        _ => false,
-                    };
-                    break SearchVerdict::Done { meta, leaf: idx, found };
+                    // The scan of the leaf for the key.
+                    ctx.op(frag.node(leaf).count);
+                    break SearchVerdict::Done { meta, leaf, found };
                 }
-                SearchEnd::Stub(_) => {
-                    // Continue at the master of this cached fragment.
-                    break SearchVerdict::Forward {
-                        to: RemoteRef {
-                            meta,
-                            module: frag.master_module,
-                            prefix: frag.root_node().prefix,
-                            sc: frag.root_node().count,
-                        },
-                    };
+                (SearchEnd::Diverge { .. }, _) if is_master => {
+                    break SearchVerdict::Diverge { meta }
                 }
-                SearchEnd::Diverge { .. } => {
-                    if is_master {
-                        break SearchVerdict::Diverge { meta };
-                    } else {
-                        // Structural insert must happen at the master.
-                        break SearchVerdict::Forward {
-                            to: RemoteRef {
-                                meta,
-                                module: frag.master_module,
-                                prefix: frag.root_node().prefix,
-                                sc: frag.root_node().count,
-                            },
-                        };
-                    }
+                // A cached copy holds neither payloads nor the right to
+                // restructure: continue at the fragment's master.
+                (SearchEnd::Stub(_) | SearchEnd::Diverge { .. }, _) => {
+                    break SearchVerdict::Forward { to: frag.self_ref() }
                 }
-                SearchEnd::Remote(r) => {
+                (SearchEnd::Remote(r), _) => {
                     if state.lookup(r.meta).is_some() {
                         meta = r.meta; // free local hop (cache or co-located master)
                         ctx.op(4);
@@ -762,7 +754,7 @@ pub fn handle_mgmt<const D: usize>(
                 ctx.mem(BNODE_BYTES * r);
                 for store in [&mut state.masters, &mut state.caches] {
                     if let Some(f) = store.get_mut(&parent) {
-                        Arc::make_mut(f).sync_remote_child(child, sc, prefix);
+                        Arc::make_mut(f).edit_ref(child, RefEdit::Sync { sc, prefix });
                     }
                 }
                 MgmtReply::Ack
@@ -774,13 +766,13 @@ pub fn handle_mgmt<const D: usize>(
                 if let Some(f) = state.masters.get_mut(&parent) {
                     let f = Arc::make_mut(f);
                     let before = f.root_node().prefix;
-                    match f.replace_remote_child(child, replacement) {
-                        crate::frag::ReplaceOutcome::RootCollapsed(r) => collapsed = Some(r),
+                    match f.edit_ref(child, RefEdit::Replace(replacement)) {
+                        EditOutcome::RootCollapsed(r) => collapsed = Some(r),
                         _ => narrowed = Some(f.root_node().prefix).filter(|p| *p != before),
                     }
                 }
                 if let Some(f) = state.caches.get_mut(&parent) {
-                    Arc::make_mut(f).replace_remote_child(child, replacement);
+                    Arc::make_mut(f).edit_ref(child, RefEdit::Replace(replacement));
                 }
                 if collapsed.is_some() {
                     state.masters.remove(&parent);
@@ -796,12 +788,7 @@ pub fn handle_mgmt<const D: usize>(
                 let children: Vec<SplitChildInfo<D>> = frags
                     .iter()
                     .map(|fr| SplitChildInfo {
-                        r: RemoteRef {
-                            meta: fr.meta,
-                            module: fr.master_module,
-                            prefix: fr.root_node().prefix,
-                            sc: fr.root_node().count,
-                        },
+                        r: fr.self_ref(),
                         live_nodes: fr.live_nodes() as u64,
                         grandchildren: fr.remote_children().iter().map(|r| r.meta).collect(),
                     })
@@ -940,10 +927,16 @@ mod tests {
         let f1_items = keyed(&[[0, 0, 0], [10, 10, 10]]);
         let leaf_pre = set_prefix(&f1_items);
         let root_pre = Prefix::new(leaf_pre.key, leaf_pre.key.common_prefix_len(r2.prefix.key));
-        let f1 = Fragment {
-            meta: 1,
-            master_module: 0,
-            nodes: vec![
+        let f1 = Fragment::from_parts(
+            1,
+            0,
+            0,
+            4,
+            0,
+            0,
+            Default::default(),
+            vec![],
+            vec![
                 BNode {
                     prefix: root_pre,
                     count: 4,
@@ -954,13 +947,8 @@ mod tests {
                 },
                 BNode { prefix: leaf_pre, count: 2, kind: BKind::Leaf { points: f1_items.into() } },
             ],
-            free: vec![],
-            root: 0,
-            leaf_cap: 4,
-            chunk_dir: Default::default(),
-            dir_bits: 0,
-            dense_min: 0,
-        };
+        )
+        .unwrap();
         st.masters.insert(1, Arc::new(f1));
         st.masters.insert(2, Arc::new(f2));
         st

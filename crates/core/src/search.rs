@@ -8,10 +8,12 @@
 //! searched on the CPU. Everything else is *pushed* to the PIM modules,
 //! which traverse their masters and caches locally.
 
-use crate::frag::{BKind, Fragment, HostSink, MetaId, RemoteRef};
+use crate::frag::{HostSink, MetaId, RemoteRef, SearchEnd};
 use crate::host::PimZdTree;
 use crate::inline::InlineVec;
-use crate::module::{handle_search, AnchorInfo, SearchReply, SearchTask, SearchVerdict};
+use crate::module::{
+    handle_search, search_step, AnchorInfo, SearchReply, SearchTask, SearchVerdict,
+};
 use pim_geom::Point;
 use pim_zorder::ZKey;
 
@@ -147,23 +149,11 @@ impl<const D: usize> PimZdTree<D> {
                     ends[qid] = QueryEnd::L0Diverge;
                     continue;
                 }
-                if want_anchor > 0 {
-                    if let Some((prefix, loc)) =
-                        l0.lowest_on_path_with_count(key, want_anchor, &mut sink)
-                    {
-                        anchors[qid] = Some(AnchorInfo::at(l0, prefix, loc));
-                    }
-                }
-                match l0.search(key, &mut sink) {
-                    crate::frag::SearchEnd::Leaf(idx) => {
-                        let found = leaf_contains(l0, idx, key);
-                        ends[qid] = QueryEnd::L0Leaf { found };
-                    }
-                    crate::frag::SearchEnd::Stub(_) => unreachable!("L0 holds real leaves"),
-                    crate::frag::SearchEnd::Diverge { .. } => {
-                        ends[qid] = QueryEnd::L0Diverge;
-                    }
-                    crate::frag::SearchEnd::Remote(r) => {
+                match search_step(l0, key, want_anchor, &mut anchors[qid], &mut sink) {
+                    (SearchEnd::Leaf(_), found) => ends[qid] = QueryEnd::L0Leaf { found },
+                    (SearchEnd::Stub(_), _) => unreachable!("L0 holds real leaves"),
+                    (SearchEnd::Diverge { .. }, _) => ends[qid] = QueryEnd::L0Diverge,
+                    (SearchEnd::Remote(r), _) => {
                         hops[qid].push(r);
                         pending.push((qid as u32, r));
                     }
@@ -197,30 +187,21 @@ impl<const D: usize> PimZdTree<D> {
                             break;
                         };
                         let mut sink = HostSink { meter: &mut self.meter, base_addr: *addr };
-                        if want_anchor > 0 {
-                            if let Some((prefix, loc)) = frag.lowest_on_path_with_count(
-                                keys[qid as usize],
-                                want_anchor,
-                                &mut sink,
-                            ) {
-                                anchors[qid as usize] = Some(AnchorInfo::at(frag, prefix, loc));
-                            }
-                        }
-                        match frag.search(keys[qid as usize], &mut sink) {
-                            crate::frag::SearchEnd::Leaf(idx) => {
-                                let found = leaf_contains(frag, idx, keys[qid as usize]);
-                                ends[qid as usize] = QueryEnd::FragLeaf { meta: frag.meta, found };
+                        let (q, meta) = (qid as usize, frag.meta);
+                        match search_step(frag, keys[q], want_anchor, &mut anchors[q], &mut sink) {
+                            (SearchEnd::Leaf(_), found) => {
+                                ends[q] = QueryEnd::FragLeaf { meta, found };
                                 break;
                             }
-                            crate::frag::SearchEnd::Stub(_) => {
+                            (SearchEnd::Stub(_), _) => {
                                 unreachable!("pulled masters hold real leaves")
                             }
-                            crate::frag::SearchEnd::Diverge { .. } => {
-                                ends[qid as usize] = QueryEnd::FragDiverge { meta: frag.meta };
+                            (SearchEnd::Diverge { .. }, _) => {
+                                ends[q] = QueryEnd::FragDiverge { meta };
                                 break;
                             }
-                            crate::frag::SearchEnd::Remote(r2) => {
-                                hops[qid as usize].push(r2);
+                            (SearchEnd::Remote(r2), _) => {
+                                hops[q].push(r2);
                                 r = r2;
                             }
                         }
@@ -290,13 +271,6 @@ impl<const D: usize> PimZdTree<D> {
                 (out, n)
             })
         })
-    }
-}
-
-fn leaf_contains<const D: usize>(frag: &Fragment<D>, idx: u32, key: ZKey<D>) -> bool {
-    match &frag.node(idx).kind {
-        BKind::Leaf { points } => points.contains_key(key),
-        _ => false,
     }
 }
 

@@ -4,7 +4,8 @@
 
 use pim_geom::{Metric, Point};
 use pim_zd_tree::frag::{
-    knn_bound, push_candidate, BKind, BNode, Fragment, Keyed, NullSink, SearchEnd,
+    knn_bound, push_candidate, BKind, BNode, ChildRef, EditOutcome, Fragment, Keyed, MetaId,
+    NullSink, RefEdit, RemoteRef, SearchEnd,
 };
 use pim_zorder::prefix::Prefix;
 use pim_zorder::ZKey;
@@ -32,6 +33,20 @@ fn fragment_over(pts: &[Point<3>], cap: usize, dir_bits: u32) -> Fragment<3> {
     f.dense_min = 4;
     f.merge(&items[1..], &mut NullSink);
     f
+}
+
+/// The counter of the subtree at `idx`, every internal counter below it
+/// checked to be the sum of its children's (a ref counts its snapshot).
+fn checked_count(f: &Fragment<3>, idx: u32) -> u64 {
+    let node = f.node(idx);
+    if let BKind::Internal { left, right } = &node.kind {
+        let of = |c: &ChildRef<3>| match c {
+            ChildRef::Local(i) => checked_count(f, *i),
+            ChildRef::Remote(r) => r.sc,
+        };
+        assert_eq!(node.count, of(left) + of(right), "counter of node {idx}");
+    }
+    node.count
 }
 
 fn point3() -> impl Strategy<Value = Point<3>> {
@@ -175,6 +190,107 @@ proptest! {
             BKind::Internal { .. } => prop_assert!(frags.len() <= 2),
             BKind::Leaf { .. } => prop_assert_eq!(frags.len(), 1),
             BKind::LeafStub => prop_assert!(false, "master split can't stub"),
+        }
+    }
+
+    /// The one ref editor. A canonical fragment has some of its subtrees
+    /// cut out (`detach_children`), which leaves refs behind; then, after
+    /// every one of a sequence of sync / replace / splice / graft edits,
+    /// every internal counter is the sum of its children's, the edited ref
+    /// reads back, a spliced root has given way to its surviving child, and
+    /// the chunk directory is the one a rebuild from scratch gives.
+    #[test]
+    fn ref_edits_keep_counters_refs_and_directory(
+        pts in proptest::collection::vec(point3(), 40..200),
+        cut_below in 3u64..40,
+        dir_bits in 0u32..5,
+        edits in proptest::collection::vec((0u32..4, 0usize..64, 1u64..100), 1..12),
+    ) {
+        let mut f = fragment_over(&pts, 4, dir_bits);
+        let mut next_id: MetaId = 100;
+        let mut fresh_id = || {
+            next_id += 1;
+            (next_id, 0)
+        };
+        let mut cut: Vec<Fragment<3>> =
+            f.detach_children(|n| n.count < cut_below, &mut fresh_id);
+        prop_assert_eq!(checked_count(&f, f.root), pts.len() as u64);
+        // One ref per fragment cut, carrying the count of what it replaced.
+        let mut left_behind: Vec<(MetaId, u64)> =
+            f.remote_children().iter().map(|r| (r.meta, r.sc)).collect();
+        left_behind.sort_unstable();
+        let cut_out: Vec<(MetaId, u64)> =
+            cut.iter().map(|c| (c.meta, c.root_node().count)).collect();
+        prop_assert_eq!(left_behind, cut_out);
+
+        for (kind, pick, sc) in edits {
+            let before = f.remote_children();
+            let Some(&r) = before.get(pick % before.len().max(1)) else { return };
+            // The other child of the root, when the root holds the ref.
+            let root_sibling = match &f.root_node().kind {
+                BKind::Internal { left: ChildRef::Remote(x), right } if x.meta == r.meta => {
+                    Some(*right)
+                }
+                BKind::Internal { left, right: ChildRef::Remote(x) } if x.meta == r.meta => {
+                    Some(*left)
+                }
+                _ => None,
+            };
+            let live = f.live_nodes();
+            // A graft needs the fragment behind the ref; a ref that an
+            // earlier replace made up has none and gets a sync instead.
+            let behind = cut.iter().position(|c| kind == 3 && c.meta == r.meta);
+            // The outcome, and the ref the slot must now read as.
+            let (outcome, expect) = match (kind, behind) {
+                (1, _) => {
+                    let new = RemoteRef { meta: fresh_id().0, sc, ..r };
+                    (f.edit_ref(r.meta, RefEdit::Replace(Some(new))), Some(new))
+                }
+                (2, _) => (f.edit_ref(r.meta, RefEdit::Replace(None)), None),
+                (_, Some(i)) => {
+                    let ids = std::iter::from_fn(|| Some(fresh_id()));
+                    let (root, below) = cut.swap_remove(i).split_root(ids);
+                    cut.extend(below);
+                    // The host syncs a counter before it promotes.
+                    f.edit_ref(r.meta, RefEdit::Sync { sc: root.count, prefix: None });
+                    let own: Vec<RemoteRef<3>> = root.remote_refs().collect();
+                    let outcome = f.edit_ref(r.meta, RefEdit::Graft(root));
+                    prop_assert_eq!(f.live_nodes(), live + 1, "a graft adds one node");
+                    let now = f.remote_children();
+                    prop_assert!(own.iter().all(|o| now.contains(o)), "grafted refs read back");
+                    (outcome, None)
+                }
+                _ => {
+                    let edit = RefEdit::Sync { sc, prefix: Some(r.prefix) };
+                    (f.edit_ref(r.meta, edit), Some(RemoteRef { sc, ..r }))
+                }
+            };
+            match (kind, root_sibling) {
+                // The splice took the root, whose other child was a ref
+                // too: the fragment is that ref now, and is done for.
+                (2, Some(ChildRef::Remote(survivor))) => {
+                    let collapsed = matches!(
+                        outcome, EditOutcome::RootCollapsed(to) if to == survivor
+                    );
+                    prop_assert!(collapsed, "{outcome:?}");
+                    return;
+                }
+                (2, Some(ChildRef::Local(survivor))) => prop_assert_eq!(f.root, survivor),
+                _ => {}
+            }
+            prop_assert!(matches!(outcome, EditOutcome::Done), "edit {kind}: {outcome:?}");
+            let now = f.remote_children();
+            prop_assert!(expect.is_none_or(|e| now.contains(&e)), "edited ref reads back");
+            let stays = expect.is_some_and(|e| e.meta == r.meta);
+            prop_assert_eq!(now.iter().any(|x| x.meta == r.meta), stays);
+            if kind == 2 {
+                prop_assert_eq!(f.live_nodes(), live - 1, "a splice takes one node");
+            }
+            checked_count(&f, f.root);
+            let mut rebuilt = f.clone();
+            rebuilt.set_dir_policy(f.dir_bits, f.dense_min);
+            let dir = |f: &Fragment<3>| (f.chunk_dir().bits, f.chunk_dir().slots.clone());
+            prop_assert_eq!(dir(&f), dir(&rebuilt), "chunk directory after edit {kind}");
         }
     }
 
