@@ -6,7 +6,6 @@ use pim_geom::{Aabb, Metric, Point};
 use pim_memsim::CpuMeter;
 use std::collections::BinaryHeap;
 
-const NODE_VISIT: u64 = 20;
 const HEAP_OP: u64 = 30;
 const EMIT: u64 = 4;
 
@@ -180,8 +179,10 @@ impl<const D: usize> PkdTree<D> {
         }
     }
 
+    /// Emits every point of a fully-covered subtree, charged as
+    /// `ZdTree::emit_subtree` is: the caller has visited `id`; each child
+    /// costs one visit (cycles and the record read) before the descent.
     fn emit_subtree(&self, id: PkNodeId, out: &mut Vec<Point<D>>, meter: &mut CpuMeter) {
-        meter.work(NODE_VISIT);
         match &self.node(id).kind {
             PkNodeKind::Leaf { points } => {
                 self.charge_leaf_points(id, points.len(), meter);
@@ -189,8 +190,11 @@ impl<const D: usize> PkdTree<D> {
                 out.extend_from_slice(points);
             }
             PkNodeKind::Internal { left, right, .. } => {
-                self.emit_subtree(*left, out, meter);
-                self.emit_subtree(*right, out, meter);
+                let (l, r) = (*left, *right);
+                self.charge_visit(l, meter);
+                self.charge_visit(r, meter);
+                self.emit_subtree(l, out, meter);
+                self.emit_subtree(r, out, meter);
             }
         }
     }
