@@ -9,6 +9,7 @@ use pim_pkdtree::PkdTree;
 use pim_sim::{MachineConfig, SimStats};
 use pim_workloads as wl;
 use pim_zd_tree::{BatchIndex, BatchRead, OpStats, PimZdConfig, PimZdTree};
+use pim_zdtree_base::engine::MeteredTree;
 use pim_zdtree_base::ZdTree;
 use serde::Serialize;
 
@@ -311,51 +312,44 @@ impl CpuRunner<PkdTree<3>> {
     }
 }
 
-/// The batch surface for a baseline runner. The two trees share method
-/// names and signatures but no trait, hence a macro over the tree type.
-macro_rules! cpu_baseline {
-    ($tree:ident) => {
-        impl BatchRead<3> for CpuRunner<$tree<3>> {
-            fn batch_contains(&mut self, pts: &[Point<3>]) -> Vec<bool> {
-                // A membership probe is the count of a one-point box.
-                let boxes: Vec<Aabb<3>> = pts.iter().map(|p| Aabb::point(*p)).collect();
-                self.batch_box_count(&boxes).into_iter().map(|c| c > 0).collect()
-            }
-            fn batch_knn(
-                &mut self,
-                queries: &[Point<3>],
-                k: usize,
-                metric: Metric,
-            ) -> Vec<Vec<(u64, Point<3>)>> {
-                self.measured_rows(queries.len(), |t, m| t.batch_knn(queries, k, metric, m))
-            }
-            fn batch_box_count(&mut self, queries: &[Aabb<3>]) -> Vec<u64> {
-                self.measured(queries.len(), |t, m| t.batch_box_count(queries, m))
-            }
-            fn batch_box_fetch(&mut self, queries: &[Aabb<3>]) -> Vec<Vec<Point<3>>> {
-                self.measured_rows(queries.len(), |t, m| t.batch_box_fetch(queries, m))
-            }
-            fn last_op_stats(&self) -> &OpStats {
-                &self.last
-            }
-            fn len(&self) -> usize {
-                self.index.len()
-            }
-        }
-
-        impl BatchIndex<3> for CpuRunner<$tree<3>> {
-            fn batch_insert(&mut self, points: &[Point<3>]) {
-                self.measured(points.len(), |t, m| t.batch_insert(points, m))
-            }
-            fn batch_delete(&mut self, points: &[Point<3>]) -> usize {
-                self.measured(points.len(), |t, m| t.batch_delete(points, m))
-            }
-        }
-    };
+/// The batch surface for a baseline runner, once for every tree built on
+/// the shared engine.
+impl<T: MeteredTree<3>> BatchRead<3> for CpuRunner<T> {
+    fn batch_contains(&mut self, pts: &[Point<3>]) -> Vec<bool> {
+        // A membership probe is the count of a one-point box.
+        let boxes: Vec<Aabb<3>> = pts.iter().map(|p| Aabb::point(*p)).collect();
+        self.batch_box_count(&boxes).into_iter().map(|c| c > 0).collect()
+    }
+    fn batch_knn(
+        &mut self,
+        queries: &[Point<3>],
+        k: usize,
+        metric: Metric,
+    ) -> Vec<Vec<(u64, Point<3>)>> {
+        self.measured_rows(queries.len(), |t, m| t.engine().batch_knn(queries, k, metric, m))
+    }
+    fn batch_box_count(&mut self, queries: &[Aabb<3>]) -> Vec<u64> {
+        self.measured(queries.len(), |t, m| t.engine().batch_box_count(queries, m))
+    }
+    fn batch_box_fetch(&mut self, queries: &[Aabb<3>]) -> Vec<Vec<Point<3>>> {
+        self.measured_rows(queries.len(), |t, m| t.engine().batch_box_fetch(queries, m))
+    }
+    fn last_op_stats(&self) -> &OpStats {
+        &self.last
+    }
+    fn len(&self) -> usize {
+        self.index.engine().n_points
+    }
 }
 
-cpu_baseline!(ZdTree);
-cpu_baseline!(PkdTree);
+impl<T: MeteredTree<3>> BatchIndex<3> for CpuRunner<T> {
+    fn batch_insert(&mut self, points: &[Point<3>]) {
+        self.measured(points.len(), |t, m| t.batch_insert(points, m))
+    }
+    fn batch_delete(&mut self, points: &[Point<3>]) -> usize {
+        self.measured(points.len(), |t, m| t.batch_delete(points, m))
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -75,6 +75,7 @@ enum Node {
 #[derive(Clone, Debug)]
 pub struct PlacementTable<const D: usize> {
     seed: u64,
+    /// Member ranks (`0..n_ranks` today): what `rendezvous` hashes over.
     members: Vec<u32>,
     nodes: Vec<Node>,
     overrides: u64,
@@ -104,17 +105,6 @@ impl<const D: usize> PlacementTable<D> {
         }
         t.overrides = 0; // construction-time splits are not migrations
         t
-    }
-
-    /// The placement seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Member ranks (always `0..n_ranks` today; kept explicit so the table
-    /// carries the membership it hashes over).
-    pub fn members(&self) -> &[u32] {
-        &self.members
     }
 
     /// Number of recorded overrides (ownership moves + refinement splits)

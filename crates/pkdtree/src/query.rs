@@ -1,238 +1,26 @@
-//! kd-tree queries: kNN and orthogonal range, instrumented like the zd-tree
-//! baseline so Fig. 5 compares like for like.
-
-use crate::tree::{PkNodeId, PkNodeKind, PkdTree};
-use pim_geom::{Aabb, Metric, Point};
-use pim_memsim::CpuMeter;
-use std::collections::BinaryHeap;
-
-const HEAP_OP: u64 = 30;
-const EMIT: u64 = 4;
-
-#[derive(PartialEq, Eq, Clone, Copy)]
-struct Cand<const D: usize> {
-    dist: u64,
-    coords: [u32; D],
-}
-
-impl<const D: usize> Ord for Cand<D> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.dist, self.coords).cmp(&(other.dist, other.coords))
-    }
-}
-
-impl<const D: usize> PartialOrd for Cand<D> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<const D: usize> PkdTree<D> {
-    /// The `k` nearest stored points under `metric`, sorted by
-    /// (distance, coordinates) — same contract as `ZdTree::knn`.
-    pub fn knn(
-        &self,
-        q: &Point<D>,
-        k: usize,
-        metric: Metric,
-        meter: &mut CpuMeter,
-    ) -> Vec<(u64, Point<D>)> {
-        let mut heap: BinaryHeap<Cand<D>> = BinaryHeap::with_capacity(k.min(self.len()) + 1);
-        if let Some(r) = self.root() {
-            if k > 0 {
-                self.knn_rec(r, q, k, metric, &mut heap, meter);
-            }
-        }
-        let mut out: Vec<(u64, Point<D>)> =
-            heap.into_iter().map(|c| (c.dist, Point::new(c.coords))).collect();
-        out.sort_unstable_by_key(|(d, p)| (*d, p.coords));
-        out
-    }
-
-    fn knn_rec(
-        &self,
-        id: PkNodeId,
-        q: &Point<D>,
-        k: usize,
-        metric: Metric,
-        heap: &mut BinaryHeap<Cand<D>>,
-        meter: &mut CpuMeter,
-    ) {
-        self.charge_visit(id, meter);
-        match &self.node(id).kind {
-            PkNodeKind::Leaf { points } => {
-                self.charge_leaf_points(id, points.len(), meter);
-                for p in points {
-                    meter.work(6 * D as u64);
-                    let cand = Cand { dist: metric.cmp_dist(q, p), coords: p.coords };
-                    if heap.len() < k {
-                        meter.work(HEAP_OP);
-                        heap.push(cand);
-                    } else if cand < *heap.peek().unwrap() {
-                        meter.work(HEAP_OP);
-                        heap.pop();
-                        heap.push(cand);
-                    }
-                }
-            }
-            PkNodeKind::Internal { left, right, .. } => {
-                meter.work(16 * D as u64);
-                let ld = self.node(*left).bbox.min_dist(q, metric);
-                let rd = self.node(*right).bbox.min_dist(q, metric);
-                let order = if ld <= rd {
-                    [(ld, *left), (rd, *right)]
-                } else {
-                    [(rd, *right), (ld, *left)]
-                };
-                for (d, child) in order {
-                    if !(heap.len() == k && d > heap.peek().unwrap().dist) {
-                        self.knn_rec(child, q, k, metric, heap, meter);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Batch kNN.
-    pub fn batch_knn(
-        &self,
-        queries: &[Point<D>],
-        k: usize,
-        metric: Metric,
-        meter: &mut CpuMeter,
-    ) -> Vec<Vec<(u64, Point<D>)>> {
-        self.charge_batch_state(queries.len(), meter);
-        queries.iter().map(|q| self.knn(q, k, metric, meter)).collect()
-    }
-
-    /// BoxCount.
-    pub fn box_count(&self, query: &Aabb<D>, meter: &mut CpuMeter) -> u64 {
-        match self.root() {
-            Some(r) => self.box_count_rec(r, query, meter),
-            None => 0,
-        }
-    }
-
-    fn box_count_rec(&self, id: PkNodeId, query: &Aabb<D>, meter: &mut CpuMeter) -> u64 {
-        self.charge_visit(id, meter);
-        meter.work(8 * D as u64);
-        let node = self.node(id);
-        if !query.intersects(&node.bbox) {
-            return 0;
-        }
-        if query.contains_box(&node.bbox) {
-            return node.count as u64;
-        }
-        match &node.kind {
-            PkNodeKind::Leaf { points } => {
-                self.charge_leaf_points(id, points.len(), meter);
-                meter.work(points.len() as u64 * 8 * D as u64);
-                points.iter().filter(|p| query.contains(p)).count() as u64
-            }
-            PkNodeKind::Internal { left, right, .. } => {
-                self.box_count_rec(*left, query, meter) + self.box_count_rec(*right, query, meter)
-            }
-        }
-    }
-
-    /// BoxFetch.
-    pub fn box_fetch(&self, query: &Aabb<D>, meter: &mut CpuMeter) -> Vec<Point<D>> {
-        let mut out = Vec::new();
-        if let Some(r) = self.root() {
-            self.box_fetch_rec(r, query, &mut out, meter);
-        }
-        out
-    }
-
-    fn box_fetch_rec(
-        &self,
-        id: PkNodeId,
-        query: &Aabb<D>,
-        out: &mut Vec<Point<D>>,
-        meter: &mut CpuMeter,
-    ) {
-        self.charge_visit(id, meter);
-        meter.work(8 * D as u64);
-        let node = self.node(id);
-        if !query.intersects(&node.bbox) {
-            return;
-        }
-        if query.contains_box(&node.bbox) {
-            self.emit_subtree(id, out, meter);
-            return;
-        }
-        match &node.kind {
-            PkNodeKind::Leaf { points } => {
-                self.charge_leaf_points(id, points.len(), meter);
-                for p in points {
-                    meter.work(8 * D as u64);
-                    if query.contains(p) {
-                        meter.work(EMIT);
-                        out.push(*p);
-                    }
-                }
-            }
-            PkNodeKind::Internal { left, right, .. } => {
-                self.box_fetch_rec(*left, query, out, meter);
-                self.box_fetch_rec(*right, query, out, meter);
-            }
-        }
-    }
-
-    /// Emits every point of a fully-covered subtree, charged as
-    /// `ZdTree::emit_subtree` is: the caller has visited `id`; each child
-    /// costs one visit (cycles and the record read) before the descent.
-    fn emit_subtree(&self, id: PkNodeId, out: &mut Vec<Point<D>>, meter: &mut CpuMeter) {
-        match &self.node(id).kind {
-            PkNodeKind::Leaf { points } => {
-                self.charge_leaf_points(id, points.len(), meter);
-                meter.work(points.len() as u64 * EMIT);
-                out.extend_from_slice(points);
-            }
-            PkNodeKind::Internal { left, right, .. } => {
-                let (l, r) = (*left, *right);
-                self.charge_visit(l, meter);
-                self.charge_visit(r, meter);
-                self.emit_subtree(l, out, meter);
-                self.emit_subtree(r, out, meter);
-            }
-        }
-    }
-
-    /// Batch BoxCount.
-    pub fn batch_box_count(&self, queries: &[Aabb<D>], meter: &mut CpuMeter) -> Vec<u64> {
-        self.charge_batch_state(queries.len(), meter);
-        queries.iter().map(|b| self.box_count(b, meter)).collect()
-    }
-
-    /// Batch BoxFetch.
-    pub fn batch_box_fetch(&self, queries: &[Aabb<D>], meter: &mut CpuMeter) -> Vec<Vec<Point<D>>> {
-        self.charge_batch_state(queries.len(), meter);
-        queries.iter().map(|b| self.box_fetch(b, meter)).collect()
-    }
-}
+//! kNN and orthogonal range on the kd-tree are the shared engine's
+//! (`pim_zdtree_base::engine`, reached through `PkdTree`'s inherent
+//! forwards): what this tree supplies to it is its tight boxes and its
+//! unordered leaf buckets. This module holds the checks of those queries
+//! against the brute-force oracle.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use pim_memsim::CpuConfig;
+    use crate::PkdTree;
+    use pim_geom::{Aabb, Metric, Point};
+    use pim_memsim::{CpuConfig, CpuMeter};
     use pim_workloads::{osm_like, uniform};
+    use pim_zdtree_base::query::{oracle, sort_points};
 
     fn meter() -> CpuMeter {
         CpuMeter::new(CpuConfig::xeon())
     }
 
-    fn brute_knn(
-        data: &[Point<3>],
-        q: &Point<3>,
-        k: usize,
-        metric: Metric,
-    ) -> Vec<(u64, Point<3>)> {
-        let mut all: Vec<(u64, Point<3>)> =
-            data.iter().map(|p| (metric.cmp_dist(q, p), *p)).collect();
-        all.sort_unstable_by_key(|(d, p)| (*d, p.coords));
-        all.truncate(k);
-        all
+    /// An 8×8×8 grid of sites, every site stacked four deep.
+    fn stacked_cube() -> Vec<Point<3>> {
+        let site =
+            |i: u32| Point::new([1_000 + 64 * (i % 8), 2_000 + 64 * (i / 8 % 8), 64 * (i / 64)]);
+        (0..512u32).flat_map(|i| [site(i); 4]).collect()
     }
 
     #[test]
@@ -240,9 +28,30 @@ mod tests {
         let pts = uniform::<3>(3_000, 1);
         let t = PkdTree::<3>::build(&pts, 16);
         let mut m = meter();
-        for q in uniform::<3>(30, 2) {
-            for k in [1usize, 7, 25] {
-                assert_eq!(t.knn(&q, k, Metric::L2, &mut m), brute_knn(&pts, &q, k, Metric::L2));
+        // Free-standing queries and one on a stored point.
+        for q in uniform::<3>(30, 2).into_iter().chain([pts[7]]) {
+            for metric in [Metric::L2, Metric::L1, Metric::Linf] {
+                for k in [1usize, 7, 25] {
+                    assert_eq!(t.knn(&q, k, metric, &mut m), oracle::knn(&pts, &q, k, metric));
+                }
+            }
+        }
+        assert_eq!(t.knn(&pts[7], 1, Metric::L2, &mut m)[0].0, 0);
+
+        // k > n returns everything, nearest first.
+        let few = &pts[..10];
+        let small = PkdTree::<3>::build(few, 4);
+        assert_eq!(
+            small.knn(&few[0], 100, Metric::L1, &mut m),
+            oracle::knn(few, &few[0], 100, Metric::L1)
+        );
+
+        // Duplicate-heavy: ties at every distance, leaves of one repeated point.
+        let cube = stacked_cube();
+        let t = PkdTree::<3>::build(&cube, 8);
+        for q in [cube[0], cube[2_047], Point::new([1_100, 2_100, 100])] {
+            for metric in [Metric::L2, Metric::L1, Metric::Linf] {
+                assert_eq!(t.knn(&q, 9, metric, &mut m), oracle::knn(&cube, &q, 9, metric));
             }
         }
     }
@@ -253,7 +62,7 @@ mod tests {
         let t = PkdTree::<3>::build(&pts, 16);
         let mut m = meter();
         let q = pts[500];
-        assert_eq!(t.knn(&q, 10, Metric::L2, &mut m), brute_knn(&pts, &q, 10, Metric::L2));
+        assert_eq!(t.knn(&q, 10, Metric::L2, &mut m), oracle::knn(&pts, &q, 10, Metric::L2));
     }
 
     #[test]
@@ -268,9 +77,20 @@ mod tests {
                 (x as u64 + side as u64 / 2).min(pim_geom::max_coord_for_dim(3) as u64) as u32
             }));
             let b = Aabb::new(lo, hi);
-            let want = pts.iter().filter(|p| b.contains(p)).count() as u64;
-            assert_eq!(t.box_count(&b, &mut m), want);
-            assert_eq!(t.box_fetch(&b, &mut m).len() as u64, want);
+            assert_eq!(t.box_count(&b, &mut m), oracle::box_count(&pts, &b));
+            let got = sort_points(t.box_fetch(&b, &mut m));
+            assert_eq!(got, sort_points(oracle::box_fetch(&pts, &b)));
+        }
+
+        // Duplicate-heavy: a box cutting the stacked cube, one stack alone,
+        // and the universe (every subtree fully covered).
+        let cube = stacked_cube();
+        let t = PkdTree::<3>::build(&cube, 8);
+        let cut = Aabb::new(Point::new([1_000, 2_000, 0]), Point::new([1_200, 2_130, 448]));
+        for b in [cut, Aabb::point(cube[100]), Aabb::universe()] {
+            assert_eq!(t.box_count(&b, &mut m), oracle::box_count(&cube, &b));
+            let got = sort_points(t.box_fetch(&b, &mut m));
+            assert_eq!(got, sort_points(oracle::box_fetch(&cube, &b)));
         }
     }
 
@@ -285,7 +105,7 @@ mod tests {
         let mut data: Vec<Point<3>> = pts[1_000..].to_vec();
         data.extend_from_slice(&extra);
         let q = extra[0];
-        assert_eq!(t.knn(&q, 12, Metric::L2, &mut m), brute_knn(&data, &q, 12, Metric::L2));
+        assert_eq!(t.knn(&q, 12, Metric::L2, &mut m), oracle::knn(&data, &q, 12, Metric::L2));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Structure and construction of the object-median kd-tree.
 
 use pim_geom::{Aabb, Point};
-use pim_memsim::CpuMeter;
+use pim_zdtree_base::engine::{BinTree, Kind, TreeNode};
 
 /// Handle into the node arena.
-pub type PkNodeId = u32;
+pub use pim_zdtree_base::engine::NodeId as PkNodeId;
 
 /// Weight-balance factor: a child may hold at most this fraction of its
 /// parent's points (plus slack) before the subtree is rebuilt. Pkd-tree
@@ -47,36 +47,49 @@ pub struct PkNode<const D: usize> {
     pub kind: PkNodeKind<D>,
 }
 
-/// Virtual address region for the cache model (disjoint from the zd-tree's).
-pub mod addr {
-    /// Base of the node-record region.
-    pub const NODE_REGION: u64 = 1 << 42;
-    /// Base of the leaf point-storage region.
-    pub const POINTS_REGION: u64 = 1 << 43;
-    /// Bytes per node record.
-    pub const NODE_BYTES: u64 = 56;
+/// What the Pkd-tree supplies to the engine: its stored tight box and bare
+/// points as leaf entries.
+impl<const D: usize> TreeNode<D> for PkNode<D> {
+    type Item = Point<D>;
 
-    /// Address of a node record.
+    // Regions disjoint from the zd-tree's.
+    const NODE_REGION: u64 = 1 << 42;
+    const POINTS_REGION: u64 = 1 << 43;
+    const NODE_BYTES: u64 = 56;
+    const POINT_BYTES: u64 = Point::<D>::wire_bytes();
+
     #[inline]
-    pub fn node(idx: super::PkNodeId) -> u64 {
-        NODE_REGION + idx as u64 * NODE_BYTES
+    fn bbox(&self) -> Aabb<D> {
+        self.bbox
     }
 
-    /// Address of a leaf's point slot.
     #[inline]
-    pub fn leaf_points(idx: super::PkNodeId, slot_bytes: u64) -> u64 {
-        POINTS_REGION + idx as u64 * slot_bytes
+    fn count(&self) -> u32 {
+        self.count
+    }
+
+    #[inline]
+    fn kind(&self) -> Kind<'_, Point<D>> {
+        match &self.kind {
+            PkNodeKind::Leaf { points } => Kind::Leaf(points),
+            PkNodeKind::Internal { left, right, .. } => Kind::Internal(*left, *right),
+        }
+    }
+
+    #[inline]
+    fn point(item: &Point<D>) -> &Point<D> {
+        item
     }
 }
 
 /// The parallel batch-dynamic kd-tree.
 pub struct PkdTree<const D: usize> {
-    pub(crate) nodes: Vec<PkNode<D>>,
-    pub(crate) free: Vec<PkNodeId>,
-    pub(crate) root: Option<PkNodeId>,
-    pub(crate) leaf_cap: usize,
-    pub(crate) n_points: usize,
+    /// Arena, root, leaf capacity and point count; kNN and the range
+    /// queries run here, instrumented exactly as the zd-tree's are.
+    pub(crate) core: BinTree<PkNode<D>, D>,
 }
+
+pim_zdtree_base::baseline_surface!(PkdTree, PkNode);
 
 /// Tight bounding box of a point set (assumed non-empty).
 pub(crate) fn tight_box<const D: usize>(pts: &[Point<D>]) -> Aabb<D> {
@@ -167,125 +180,26 @@ impl<const D: usize> PkdTree<D> {
     /// Default leaf capacity (Pkd-tree favours larger buckets than zd-tree).
     pub const DEFAULT_LEAF_CAP: usize = 32;
 
-    /// Creates an empty tree.
-    pub fn new(leaf_cap: usize) -> Self {
-        assert!(leaf_cap >= 1);
-        Self { nodes: Vec::new(), free: Vec::new(), root: None, leaf_cap, n_points: 0 }
-    }
-
     /// Parallel bulk build.
     pub fn build(points: &[Point<D>], leaf_cap: usize) -> Self {
-        let mut t = Self::new(leaf_cap);
         if points.is_empty() {
-            return t;
+            return Self::new(leaf_cap);
         }
         let mut pts = points.to_vec();
         let n_nodes = count_nodes(pts.len(), leaf_cap);
-        let mut arena: Vec<Option<PkNode<D>>> = vec![None; n_nodes];
-        fill(&mut arena, &mut pts, 0, leaf_cap);
-        t.nodes = arena.into_iter().map(|n| n.expect("fill covers arena")).collect();
-        t.root = Some(0);
-        t.n_points = points.len();
-        t
-    }
-
-    /// Number of stored points.
-    pub fn len(&self) -> usize {
-        self.n_points
-    }
-
-    /// Whether the tree is empty.
-    pub fn is_empty(&self) -> bool {
-        self.n_points == 0
-    }
-
-    /// Leaf capacity.
-    pub fn leaf_cap(&self) -> usize {
-        self.leaf_cap
-    }
-
-    /// Immutable node access.
-    #[inline]
-    pub fn node(&self, id: PkNodeId) -> &PkNode<D> {
-        &self.nodes[id as usize]
-    }
-
-    /// Root id, if any.
-    pub fn root(&self) -> Option<PkNodeId> {
-        self.root
-    }
-
-    /// Live node count.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len() - self.free.len()
-    }
-
-    pub(crate) fn alloc(&mut self, node: PkNode<D>) -> PkNodeId {
-        if let Some(id) = self.free.pop() {
-            self.nodes[id as usize] = node;
-            id
-        } else {
-            self.nodes.push(node);
-            (self.nodes.len() - 1) as PkNodeId
-        }
-    }
-
-    pub(crate) fn release(&mut self, id: PkNodeId) {
-        self.free.push(id);
-    }
-
-    /// Charges one node visit.
-    #[inline]
-    pub(crate) fn charge_visit(&self, id: PkNodeId, meter: &mut CpuMeter) {
-        meter.work(20);
-        meter.touch(addr::node(id), addr::NODE_BYTES, false);
-    }
-
-    /// Charges the per-item batch bookkeeping every batched operation
-    /// streams through memory (mirrors the PIM host's query-state charges).
-    pub(crate) fn charge_batch_state(&self, n: usize, meter: &mut CpuMeter) {
-        const BATCH_REGION: u64 = 1 << 47;
-        const SLOT: u64 = 24;
-        for i in 0..n {
-            meter.touch(BATCH_REGION + i as u64 * SLOT, SLOT, true);
-        }
-    }
-
-    /// Charges a leaf point-payload read.
-    #[inline]
-    pub(crate) fn charge_leaf_points(&self, id: PkNodeId, n: usize, meter: &mut CpuMeter) {
-        let slot = (self.leaf_cap as u64).max(n as u64) * Point::<D>::wire_bytes();
-        meter.touch(addr::leaf_points(id, slot), n as u64 * Point::<D>::wire_bytes(), false);
-    }
-
-    /// Collects the subtree's points.
-    pub(crate) fn collect_points(&self, id: PkNodeId, out: &mut Vec<Point<D>>) {
-        match &self.node(id).kind {
-            PkNodeKind::Leaf { points } => out.extend_from_slice(points),
-            PkNodeKind::Internal { left, right, .. } => {
-                self.collect_points(*left, out);
-                self.collect_points(*right, out);
-            }
-        }
-    }
-
-    /// All stored points (arbitrary order).
-    pub fn all_points(&self) -> Vec<Point<D>> {
-        let mut out = Vec::with_capacity(self.n_points);
-        if let Some(r) = self.root {
-            self.collect_points(r, &mut out);
-        }
-        out
+        let core =
+            BinTree::bulk(leaf_cap, pts.len(), n_nodes, |arena| fill(arena, &mut pts, 0, leaf_cap));
+        Self { core }
     }
 
     /// Structural invariants; panics on violation (tests only — O(n log n)).
     pub fn check_invariants(&self) {
-        let Some(root) = self.root else {
-            assert_eq!(self.n_points, 0);
+        let Some(root) = self.core.root else {
+            assert_eq!(self.len(), 0);
             return;
         };
         let total = self.check_node(root);
-        assert_eq!(total as usize, self.n_points, "n_points mismatch");
+        assert_eq!(total as usize, self.len(), "n_points mismatch");
     }
 
     fn check_node(&self, id: PkNodeId) -> u32 {

@@ -8,9 +8,11 @@
 //! PIM-zd-tree paper's §2.2 criticizes in PIM contexts — we faithfully keep
 //! it, it is a *shared-memory* baseline).
 
-use crate::tree::{addr, dim_key, tight_box, PkNode, PkNodeId, PkNodeKind, PkdTree, BALANCE_ALPHA};
+use crate::tree::{dim_key, tight_box, PkNode, PkNodeId, PkNodeKind, PkdTree, BALANCE_ALPHA};
 use pim_geom::Point;
 use pim_memsim::CpuMeter;
+use pim_zdtree_base::costs;
+use pim_zdtree_base::engine::charge_batch_state;
 
 impl<const D: usize> PkdTree<D> {
     /// Inserts a batch (multiset semantics).
@@ -18,57 +20,37 @@ impl<const D: usize> PkdTree<D> {
         if points.is_empty() {
             return;
         }
-        meter.work(points.len() as u64 * 30); // batch staging / routing prep
-        self.charge_batch_state(points.len(), meter);
+        meter.work(points.len() as u64 * costs::STAGE_PER_POINT);
+        charge_batch_state(points.len(), meter);
         let mut pts = points.to_vec();
-        self.root = Some(match self.root {
+        self.core.root = Some(match self.core.root {
             None => self.build_subtree(&mut pts, meter),
             Some(r) => self.insert_rec(r, &mut pts, meter),
         });
-        self.n_points += points.len();
+        self.core.n_points += points.len();
     }
 
     /// Deletes a batch; each element removes at most one stored instance.
     /// Returns the number removed.
     pub fn batch_delete(&mut self, points: &[Point<D>], meter: &mut CpuMeter) -> usize {
-        if points.is_empty() || self.root.is_none() {
+        if points.is_empty() || self.core.root.is_none() {
             return 0;
         }
-        meter.work(points.len() as u64 * 30);
-        self.charge_batch_state(points.len(), meter);
+        meter.work(points.len() as u64 * costs::STAGE_PER_POINT);
+        charge_batch_state(points.len(), meter);
         let mut pts = points.to_vec();
         let mut removed = 0usize;
-        self.root = self.remove_rec(self.root.unwrap(), &mut pts, &mut removed, meter);
-        self.n_points -= removed;
+        self.core.root = self.remove_rec(self.core.root.unwrap(), &mut pts, &mut removed, meter);
+        self.core.n_points -= removed;
         removed
-    }
-
-    /// Allocates a node, charging the write.
-    fn alloc_charged(&mut self, node: PkNode<D>, meter: &mut CpuMeter) -> PkNodeId {
-        let leaf_pts = match &node.kind {
-            PkNodeKind::Leaf { points } => points.len(),
-            _ => 0,
-        };
-        let id = self.alloc(node);
-        meter.work(20);
-        meter.touch(addr::node(id), addr::NODE_BYTES, true);
-        if leaf_pts > 0 {
-            let slot = (self.leaf_cap as u64).max(leaf_pts as u64) * Point::<D>::wire_bytes();
-            meter.touch(
-                addr::leaf_points(id, slot),
-                leaf_pts as u64 * Point::<D>::wire_bytes(),
-                true,
-            );
-        }
-        id
     }
 
     /// Sequential charged object-median build (fresh subtrees in updates).
     pub(crate) fn build_subtree(&mut self, pts: &mut [Point<D>], meter: &mut CpuMeter) -> PkNodeId {
         debug_assert!(!pts.is_empty());
-        meter.work(pts.len() as u64 * 8); // partitioning work at this level
-        if pts.len() <= self.leaf_cap {
-            return self.alloc_charged(
+        meter.work(pts.len() as u64 * costs::PARTITION_PER_POINT);
+        if pts.len() <= self.core.leaf_cap {
+            return self.core.alloc_charged(
                 PkNode {
                     bbox: tight_box(pts),
                     count: pts.len() as u32,
@@ -86,32 +68,18 @@ impl<const D: usize> PkdTree<D> {
         let (lp, rp) = pts.split_at_mut(m);
         let left = self.build_subtree(lp, meter);
         let right = self.build_subtree(rp, meter);
-        self.alloc_charged(
+        self.core.alloc_charged(
             PkNode { bbox, count, kind: PkNodeKind::Internal { dim, split, left, right } },
             meter,
         )
     }
 
-    fn release_subtree(&mut self, id: PkNodeId) {
-        if let PkNodeKind::Internal { left, right, .. } = self.node(id).kind {
-            self.release_subtree(left);
-            self.release_subtree(right);
-        }
-        self.release(id);
-    }
-
     /// Collects a subtree's points and rebuilds it balanced.
-    fn rebuild(
-        &mut self,
-        id: PkNodeId,
-        extra: &mut Vec<Point<D>>,
-        meter: &mut CpuMeter,
-    ) -> PkNodeId {
-        let mut all = Vec::with_capacity(self.node(id).count as usize + extra.len());
-        self.collect_points(id, &mut all);
-        meter.work(all.len() as u64 * 10); // gather cost
-        all.append(extra);
-        self.release_subtree(id);
+    fn rebuild(&mut self, id: PkNodeId, meter: &mut CpuMeter) -> PkNodeId {
+        let mut all = Vec::with_capacity(self.node(id).count as usize);
+        self.core.collect_points(id, &mut all);
+        meter.work(all.len() as u64 * costs::GATHER_PER_POINT);
+        self.core.release_subtree(id);
         self.build_subtree(&mut all, meter)
     }
 
@@ -131,42 +99,39 @@ impl<const D: usize> PkdTree<D> {
         if pts.is_empty() {
             return id;
         }
-        self.charge_visit(id, meter);
+        self.core.charge_visit(id, meter);
         match &self.node(id).kind {
             PkNodeKind::Leaf { points } => {
                 let mut merged = points.clone();
-                self.charge_leaf_points(id, merged.len(), meter);
+                self.core.charge_leaf_points(id, merged.len(), meter);
                 merged.append(pts);
-                if merged.len() <= self.leaf_cap {
+                if merged.len() <= self.core.leaf_cap {
                     let bbox = tight_box(&merged);
-                    let n = &mut self.nodes[id as usize];
+                    let n = self.core.rewrite(id, meter);
                     n.bbox = bbox;
                     n.count = merged.len() as u32;
                     n.kind = PkNodeKind::Leaf { points: merged };
-                    meter.touch(addr::node(id), addr::NODE_BYTES, true);
                     id
                 } else {
-                    self.release(id);
+                    self.core.release(id);
                     self.build_subtree(&mut merged, meter)
                 }
             }
             PkNodeKind::Internal { dim, split, left, right } => {
                 let (dim, split, left, right) = (*dim, *split, *left, *right);
-                meter.work(pts.len() as u64 * 6);
+                meter.work(pts.len() as u64 * costs::ROUTE_PER_POINT);
                 let (mut lp, mut rp): (Vec<Point<D>>, Vec<Point<D>>) =
                     pts.drain(..).partition(|p| dim_key(p, dim) < split);
                 let new_left = self.insert_rec(left, &mut lp, meter);
                 let new_right = self.insert_rec(right, &mut rp, meter);
                 let (lc, rc) = (self.node(new_left).count, self.node(new_right).count);
                 let bbox = self.node(new_left).bbox.union(&self.node(new_right).bbox);
-                let n = &mut self.nodes[id as usize];
+                let n = self.core.rewrite(id, meter);
                 n.count = lc + rc;
                 n.bbox = bbox;
                 n.kind = PkNodeKind::Internal { dim, split, left: new_left, right: new_right };
-                meter.touch(addr::node(id), addr::NODE_BYTES, true);
                 if Self::unbalanced(lc, rc) {
-                    let mut none = Vec::new();
-                    self.rebuild(id, &mut none, meter)
+                    self.rebuild(id, meter)
                 } else {
                     id
                 }
@@ -184,11 +149,11 @@ impl<const D: usize> PkdTree<D> {
         if pts.is_empty() {
             return Some(id);
         }
-        self.charge_visit(id, meter);
+        self.core.charge_visit(id, meter);
         match &self.node(id).kind {
             PkNodeKind::Leaf { points } => {
-                self.charge_leaf_points(id, points.len(), meter);
-                meter.work((points.len() * 2) as u64);
+                self.core.charge_leaf_points(id, points.len(), meter);
+                meter.work(points.len() as u64 * costs::LEAF_SCAN_PER_POINT);
                 let mut kept = points.clone();
                 // Each requested point removes at most one instance.
                 pts.retain(|target| {
@@ -201,49 +166,39 @@ impl<const D: usize> PkdTree<D> {
                     }
                 });
                 if kept.is_empty() {
-                    self.release(id);
+                    self.core.release(id);
                     None
                 } else {
                     let bbox = tight_box(&kept);
-                    let n = &mut self.nodes[id as usize];
+                    let n = self.core.rewrite(id, meter);
                     n.bbox = bbox;
                     n.count = kept.len() as u32;
                     n.kind = PkNodeKind::Leaf { points: kept };
-                    meter.touch(addr::node(id), addr::NODE_BYTES, true);
                     Some(id)
                 }
             }
             PkNodeKind::Internal { dim, split, left, right } => {
                 let (dim, split, left, right) = (*dim, *split, *left, *right);
-                meter.work(pts.len() as u64 * 6);
+                meter.work(pts.len() as u64 * costs::ROUTE_PER_POINT);
                 let (mut lp, mut rp): (Vec<Point<D>>, Vec<Point<D>>) =
                     pts.drain(..).partition(|p| dim_key(p, dim) < split);
                 let nl = self.remove_rec(left, &mut lp, removed, meter);
                 let nr = self.remove_rec(right, &mut rp, removed, meter);
-                match (nl, nr) {
-                    (None, None) => {
-                        self.release(id);
-                        None
-                    }
-                    (Some(c), None) | (None, Some(c)) => {
-                        self.release(id);
-                        Some(c)
-                    }
-                    (Some(l), Some(r)) => {
-                        let (lc, rc) = (self.node(l).count, self.node(r).count);
-                        let bbox = self.node(l).bbox.union(&self.node(r).bbox);
-                        let n = &mut self.nodes[id as usize];
-                        n.count = lc + rc;
-                        n.bbox = bbox;
-                        n.kind = PkNodeKind::Internal { dim, split, left: l, right: r };
-                        meter.touch(addr::node(id), addr::NODE_BYTES, true);
-                        if (n.count as usize) <= self.leaf_cap || Self::unbalanced(lc, rc) {
-                            let mut none = Vec::new();
-                            Some(self.rebuild(id, &mut none, meter))
-                        } else {
-                            Some(id)
-                        }
-                    }
+                let (Some(l), Some(r)) = (nl, nr) else {
+                    // An emptied child takes this node with it.
+                    self.core.release(id);
+                    return nl.or(nr);
+                };
+                let (lc, rc) = (self.node(l).count, self.node(r).count);
+                let bbox = self.node(l).bbox.union(&self.node(r).bbox);
+                let n = self.core.rewrite(id, meter);
+                n.count = lc + rc;
+                n.bbox = bbox;
+                n.kind = PkNodeKind::Internal { dim, split, left: l, right: r };
+                if (n.count as usize) <= self.core.leaf_cap || Self::unbalanced(lc, rc) {
+                    Some(self.rebuild(id, meter))
+                } else {
+                    Some(id)
                 }
             }
         }

@@ -44,9 +44,6 @@ pub struct BatchPolicy {
     pub min_batch: usize,
     /// Upper clamp of the adaptive target (and hard cap on any batch).
     pub max_batch: usize,
-    /// When false, the target is pinned at `max_batch` (budget-only
-    /// batching — the ablation baseline).
-    pub adaptive: bool,
     /// Amortization slack ε: a batch saturates a round once the per-request
     /// share of the round setup cost drops below ε × the marginal
     /// per-request cost.
@@ -55,7 +52,7 @@ pub struct BatchPolicy {
 
 impl Default for BatchPolicy {
     fn default() -> Self {
-        Self { budget_us: 1_000, min_batch: 16, max_batch: 4_096, adaptive: true, slack: 0.1 }
+        Self { budget_us: 1_000, min_batch: 16, max_batch: 4_096, slack: 0.1 }
     }
 }
 
@@ -65,9 +62,6 @@ impl BatchPolicy {
     /// while the estimator has too little history (the budget still bounds
     /// latency in that regime).
     pub fn target(&self, est: &ThroughputEstimator) -> usize {
-        if !self.adaptive {
-            return self.max_batch;
-        }
         match est.saturation_size(self.slack) {
             Some(n) => n.clamp(self.min_batch, self.max_batch),
             None => self.max_batch,
@@ -172,15 +166,5 @@ mod tests {
         }
         let (a, _) = est.fit().unwrap();
         assert!(a < 100.0, "stale regime must age out, fitted setup {a}");
-    }
-
-    #[test]
-    fn non_adaptive_policy_pins_max() {
-        let mut est = ThroughputEstimator::default();
-        for n in [10u64, 1000] {
-            est.observe(n as usize, 10.0 + 0.1 * n as f64);
-        }
-        let policy = BatchPolicy { adaptive: false, ..BatchPolicy::default() };
-        assert_eq!(policy.target(&est), policy.max_batch);
     }
 }

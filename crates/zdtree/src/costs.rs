@@ -1,9 +1,10 @@
-//! CPU cycle-cost constants for instrumented traversals.
+//! CPU cycle-cost constants for instrumented traversals: the one table
+//! both shared-memory baselines charge from (the engine's walks, the
+//! zd-tree's merge and the Pkd-tree's reconstruction alike).
 //!
-//! These are coarse per-step instruction estimates used by both baselines
-//! (and by the host side of the PIM index); only their relative magnitudes
-//! matter for the shape of the results. They follow the obvious instruction
-//! counts of each step on a superscalar x86 core.
+//! These are coarse per-step instruction estimates; only their relative
+//! magnitudes matter for the shape of the results. They follow the obvious
+//! instruction counts of each step on a superscalar x86 core.
 
 /// Pointer-chase + compare + branch of one internal-node traversal step.
 pub const NODE_VISIT: u64 = 20;
@@ -27,13 +28,6 @@ pub const fn zorder_fast_cycles(d: usize) -> u64 {
     12 * d as u64
 }
 
-/// Naive bit-by-bit Morton encoding: ~4 ops per output bit (the Table 3
-/// ablation charges this instead of [`zorder_fast_cycles`]).
-#[inline]
-pub const fn zorder_naive_cycles(d: usize, coord_bits: u32) -> u64 {
-    4 * d as u64 * coord_bits as u64
-}
-
 /// Heap push/pop pair in a k-bounded priority queue.
 pub const HEAP_OP: u64 = 30;
 
@@ -43,12 +37,20 @@ pub const EMIT: u64 = 4;
 /// Per-key cost of the batch preprocessing sort, amortized (radix-ish).
 pub const SORT_PER_KEY: u64 = 25;
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// Per-key cost of one step of a two-run merge or multiset difference.
+pub const MERGE_PER_KEY: u64 = 4;
 
-    #[test]
-    fn naive_encoding_is_much_slower() {
-        assert!(zorder_naive_cycles(3, 21) > 5 * zorder_fast_cycles(3));
-    }
-}
+/// Per-point equality scan of a leaf bucket.
+pub const LEAF_SCAN_PER_POINT: u64 = 2;
+
+/// Per-point staging of an unsorted update batch (copy + routing prep).
+pub const STAGE_PER_POINT: u64 = 30;
+
+/// Per-point compare-and-move routing a batch across one split.
+pub const ROUTE_PER_POINT: u64 = 6;
+
+/// Per-point, per-level selection work of an object-median partition.
+pub const PARTITION_PER_POINT: u64 = 8;
+
+/// Per-point cost of gathering a subtree's points for reconstruction.
+pub const GATHER_PER_POINT: u64 = 10;

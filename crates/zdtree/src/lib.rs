@@ -15,8 +15,13 @@
 //! [`pim_memsim::CpuMeter`] so every node visit charges cycles and memory
 //! touches — that is how this baseline's Fig. 5 throughput and traffic
 //! numbers are produced.
+//!
+//! The instrumentation itself — arena, charges, kNN and range walks, batch
+//! wrappers ([`engine`]) and the cycle table they charge from ([`costs`]) —
+//! is shared with the Pkd-tree baseline, which builds on this crate.
 
 pub mod costs;
+pub mod engine;
 pub mod node;
 pub mod query;
 pub mod tree;

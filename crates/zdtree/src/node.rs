@@ -1,11 +1,11 @@
 //! Arena nodes of the compressed z-order radix tree.
 
+use crate::engine::{Kind, TreeNode};
 use pim_geom::{Aabb, Point};
 use pim_zorder::prefix::Prefix;
 use pim_zorder::ZKey;
 
-/// Handle into the node arena.
-pub type NodeId = u32;
+pub use crate::engine::NodeId;
 
 /// A point paired with its Morton key (keys are computed once on entry and
 /// carried alongside; recomputation is a measured cost, not a hidden one).
@@ -40,41 +40,39 @@ pub struct Node<const D: usize> {
     pub kind: NodeKind<D>,
 }
 
-impl<const D: usize> Node<D> {
-    /// The node's bounding box (the exact box of its prefix, §2.3 stores
-    /// bounding boxes on all nodes).
+/// What the zd-tree supplies to the engine: the exact box of the prefix
+/// (§2.3 stores bounding boxes on all nodes) and keyed leaf entries.
+impl<const D: usize> TreeNode<D> for Node<D> {
+    type Item = Keyed<D>;
+
+    const NODE_REGION: u64 = 1 << 40;
+    const POINTS_REGION: u64 = 1 << 41;
+    /// Prefix + count + links, padded.
+    const NODE_BYTES: u64 = 48;
+    /// The 8 B key and the coordinates.
+    const POINT_BYTES: u64 = 8 + Point::<D>::wire_bytes();
+
     #[inline]
-    pub fn bbox(&self) -> Aabb<D> {
+    fn bbox(&self) -> Aabb<D> {
         self.prefix.to_box()
     }
 
-    /// Whether this node is a leaf.
     #[inline]
-    pub fn is_leaf(&self) -> bool {
-        matches!(self.kind, NodeKind::Leaf { .. })
-    }
-}
-
-/// Virtual address regions for the cache model: node records and leaf point
-/// storage live in disjoint regions so their cache behaviour is independent.
-pub mod addr {
-    /// Base of the node-record region.
-    pub const NODE_REGION: u64 = 1 << 40;
-    /// Base of the leaf point-storage region.
-    pub const POINTS_REGION: u64 = 1 << 41;
-    /// Bytes charged per node record (prefix + count + links, padded).
-    pub const NODE_BYTES: u64 = 48;
-
-    /// Address of a node record.
-    #[inline]
-    pub fn node(idx: super::NodeId) -> u64 {
-        NODE_REGION + idx as u64 * NODE_BYTES
+    fn count(&self) -> u32 {
+        self.count
     }
 
-    /// Address of a leaf's point storage (slot-per-node layout).
     #[inline]
-    pub fn leaf_points(idx: super::NodeId, slot_bytes: u64) -> u64 {
-        POINTS_REGION + idx as u64 * slot_bytes
+    fn kind(&self) -> Kind<'_, Keyed<D>> {
+        match &self.kind {
+            NodeKind::Leaf { points } => Kind::Leaf(points),
+            NodeKind::Internal { left, right } => Kind::Internal(*left, *right),
+        }
+    }
+
+    #[inline]
+    fn point(item: &Keyed<D>) -> &Point<D> {
+        &item.1
     }
 }
 
@@ -105,6 +103,7 @@ mod tests {
     #[test]
     fn address_regions_are_disjoint() {
         // A billion nodes still keeps the regions apart.
-        assert!(addr::node(1 << 30) < addr::POINTS_REGION);
+        const LAST: u64 = Node::<3>::NODE_REGION + (1 << 30) * Node::<3>::NODE_BYTES;
+        const { assert!(LAST < Node::<3>::POINTS_REGION) };
     }
 }

@@ -1,58 +1,35 @@
-//! Queries: point membership, k-nearest-neighbor, and orthogonal range
-//! (BoxCount / BoxFetch).
-//!
-//! kNN uses bounded best-first branch-and-bound with exact integer metric
-//! comparisons and a deterministic `(distance, coordinates)` tie rule, so
-//! results are reproducible and comparable bit-for-bit against the
-//! brute-force oracle in tests.
+//! Point membership along the key path, the brute-force oracles, and the
+//! parallel unmetered batch queries. kNN and the orthogonal range queries
+//! (BoxCount / BoxFetch) are the engine's ([`crate::engine`]), reached
+//! through the tree's inherent forwards.
 
 use crate::costs;
-use crate::node::{NodeId, NodeKind};
+use crate::engine::charge_batch_state;
+use crate::node::NodeKind;
 use crate::tree::ZdTree;
 use pim_geom::{Aabb, Metric, Point};
 use pim_memsim::CpuMeter;
 use pim_zorder::ZKey;
-use std::collections::BinaryHeap;
-
-/// A kNN candidate ordered by (distance, coordinates) — `BinaryHeap` keeps
-/// the *worst* candidate on top.
-#[derive(PartialEq, Eq, Debug, Clone, Copy)]
-struct Cand<const D: usize> {
-    dist: u64,
-    coords: [u32; D],
-}
-
-impl<const D: usize> Ord for Cand<D> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.dist, self.coords).cmp(&(other.dist, other.coords))
-    }
-}
-
-impl<const D: usize> PartialOrd for Cand<D> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 impl<const D: usize> ZdTree<D> {
     /// Whether the exact point is stored (point lookup along the key path).
     pub fn contains(&self, p: &Point<D>, meter: &mut CpuMeter) -> bool {
         meter.work(costs::zorder_fast_cycles(D));
         let key = ZKey::<D>::encode(p);
-        let mut cur = match self.root {
+        let mut cur = match self.core.root {
             Some(r) => r,
             None => return false,
         };
         loop {
-            self.charge_visit(cur, meter);
+            self.core.charge_visit(cur, meter);
             let node = self.node(cur);
             if !node.prefix.covers(key) {
                 return false;
             }
             match &node.kind {
                 NodeKind::Leaf { points } => {
-                    self.charge_leaf_points(cur, points.len(), meter);
-                    meter.work(points.len() as u64 * 2);
+                    self.core.charge_leaf_points(cur, points.len(), meter);
+                    meter.work(points.len() as u64 * costs::LEAF_SCAN_PER_POINT);
                     return points.iter().any(|(k, q)| *k == key && q == p);
                 }
                 NodeKind::Internal { left, right } => {
@@ -64,197 +41,8 @@ impl<const D: usize> ZdTree<D> {
 
     /// Batch point-membership queries.
     pub fn batch_contains(&self, queries: &[Point<D>], meter: &mut CpuMeter) -> Vec<bool> {
-        self.charge_batch_state(queries.len(), meter);
+        charge_batch_state(queries.len(), meter);
         queries.iter().map(|q| self.contains(q, meter)).collect()
-    }
-
-    /// The `k` nearest stored points to `q` under `metric`, sorted by
-    /// (distance, coordinates). Returns fewer when the tree is smaller.
-    pub fn knn(
-        &self,
-        q: &Point<D>,
-        k: usize,
-        metric: Metric,
-        meter: &mut CpuMeter,
-    ) -> Vec<(u64, Point<D>)> {
-        let mut heap: BinaryHeap<Cand<D>> = BinaryHeap::with_capacity(k.min(self.len()) + 1);
-        if let Some(r) = self.root {
-            if k > 0 {
-                self.knn_rec(r, q, k, metric, &mut heap, meter);
-            }
-        }
-        let mut out: Vec<(u64, Point<D>)> =
-            heap.into_iter().map(|c| (c.dist, Point::new(c.coords))).collect();
-        out.sort_unstable_by_key(|(d, p)| (*d, p.coords));
-        out
-    }
-
-    fn knn_rec(
-        &self,
-        id: NodeId,
-        q: &Point<D>,
-        k: usize,
-        metric: Metric,
-        heap: &mut BinaryHeap<Cand<D>>,
-        meter: &mut CpuMeter,
-    ) {
-        self.charge_visit(id, meter);
-        let node = self.node(id);
-        match &node.kind {
-            NodeKind::Leaf { points } => {
-                self.charge_leaf_points(id, points.len(), meter);
-                for (_, p) in points {
-                    meter.work(costs::dist_cycles(D));
-                    let cand = Cand { dist: metric.cmp_dist(q, p), coords: p.coords };
-                    if heap.len() < k {
-                        meter.work(costs::HEAP_OP);
-                        heap.push(cand);
-                    } else if cand < *heap.peek().unwrap() {
-                        meter.work(costs::HEAP_OP);
-                        heap.pop();
-                        heap.push(cand);
-                    }
-                }
-            }
-            NodeKind::Internal { left, right } => {
-                // Visit the child nearer to q first; prune on the bound.
-                meter.work(2 * costs::box_test_cycles(D));
-                let lb = self.node(*left).bbox();
-                let rb = self.node(*right).bbox();
-                let ld = lb.min_dist(q, metric);
-                let rd = rb.min_dist(q, metric);
-                let order = if ld <= rd {
-                    [(ld, *left), (rd, *right)]
-                } else {
-                    [(rd, *right), (ld, *left)]
-                };
-                for (d, child) in order {
-                    let prune = heap.len() == k && d > heap.peek().unwrap().dist;
-                    if !prune {
-                        self.knn_rec(child, q, k, metric, heap, meter);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Batch kNN.
-    pub fn batch_knn(
-        &self,
-        queries: &[Point<D>],
-        k: usize,
-        metric: Metric,
-        meter: &mut CpuMeter,
-    ) -> Vec<Vec<(u64, Point<D>)>> {
-        self.charge_batch_state(queries.len(), meter);
-        queries.iter().map(|q| self.knn(q, k, metric, meter)).collect()
-    }
-
-    /// Number of stored points inside the box (BoxCount).
-    pub fn box_count(&self, query: &Aabb<D>, meter: &mut CpuMeter) -> u64 {
-        match self.root {
-            Some(r) => self.box_count_rec(r, query, meter),
-            None => 0,
-        }
-    }
-
-    fn box_count_rec(&self, id: NodeId, query: &Aabb<D>, meter: &mut CpuMeter) -> u64 {
-        self.charge_visit(id, meter);
-        meter.work(costs::box_test_cycles(D));
-        let node = self.node(id);
-        let nb = node.bbox();
-        if !query.intersects(&nb) {
-            return 0;
-        }
-        if query.contains_box(&nb) {
-            // Whole subtree inside: the count answers without descent.
-            return node.count as u64;
-        }
-        match &node.kind {
-            NodeKind::Leaf { points } => {
-                self.charge_leaf_points(id, points.len(), meter);
-                meter.work(points.len() as u64 * costs::box_test_cycles(D));
-                points.iter().filter(|(_, p)| query.contains(p)).count() as u64
-            }
-            NodeKind::Internal { left, right } => {
-                self.box_count_rec(*left, query, meter) + self.box_count_rec(*right, query, meter)
-            }
-        }
-    }
-
-    /// All stored points inside the box (BoxFetch), sorted by key order.
-    pub fn box_fetch(&self, query: &Aabb<D>, meter: &mut CpuMeter) -> Vec<Point<D>> {
-        let mut out = Vec::new();
-        if let Some(r) = self.root {
-            self.box_fetch_rec(r, query, &mut out, meter);
-        }
-        out
-    }
-
-    fn box_fetch_rec(
-        &self,
-        id: NodeId,
-        query: &Aabb<D>,
-        out: &mut Vec<Point<D>>,
-        meter: &mut CpuMeter,
-    ) {
-        self.charge_visit(id, meter);
-        meter.work(costs::box_test_cycles(D));
-        let node = self.node(id);
-        let nb = node.bbox();
-        if !query.intersects(&nb) {
-            return;
-        }
-        if query.contains_box(&nb) {
-            self.emit_subtree(id, out, meter);
-            return;
-        }
-        match &node.kind {
-            NodeKind::Leaf { points } => {
-                self.charge_leaf_points(id, points.len(), meter);
-                for (_, p) in points {
-                    meter.work(costs::box_test_cycles(D));
-                    if query.contains(p) {
-                        meter.work(costs::EMIT);
-                        out.push(*p);
-                    }
-                }
-            }
-            NodeKind::Internal { left, right } => {
-                self.box_fetch_rec(*left, query, out, meter);
-                self.box_fetch_rec(*right, query, out, meter);
-            }
-        }
-    }
-
-    /// Emits every point of a fully-covered subtree.
-    fn emit_subtree(&self, id: NodeId, out: &mut Vec<Point<D>>, meter: &mut CpuMeter) {
-        match &self.node(id).kind {
-            NodeKind::Leaf { points } => {
-                self.charge_leaf_points(id, points.len(), meter);
-                meter.work(points.len() as u64 * costs::EMIT);
-                out.extend(points.iter().map(|(_, p)| *p));
-            }
-            NodeKind::Internal { left, right } => {
-                let (l, r) = (*left, *right);
-                self.charge_visit(l, meter);
-                self.charge_visit(r, meter);
-                self.emit_subtree(l, out, meter);
-                self.emit_subtree(r, out, meter);
-            }
-        }
-    }
-
-    /// Batch box counts.
-    pub fn batch_box_count(&self, queries: &[Aabb<D>], meter: &mut CpuMeter) -> Vec<u64> {
-        self.charge_batch_state(queries.len(), meter);
-        queries.iter().map(|b| self.box_count(b, meter)).collect()
-    }
-
-    /// Batch box fetches.
-    pub fn batch_box_fetch(&self, queries: &[Aabb<D>], meter: &mut CpuMeter) -> Vec<Vec<Point<D>>> {
-        self.charge_batch_state(queries.len(), meter);
-        queries.iter().map(|b| self.box_fetch(b, meter)).collect()
     }
 }
 

@@ -1,9 +1,8 @@
 //! The tree structure: construction, accessors, and invariants.
 
-use crate::costs;
-use crate::node::{addr, Keyed, Node, NodeId, NodeKind};
+use crate::engine::{BinTree, TreeNode};
+use crate::node::{Keyed, Node, NodeId, NodeKind};
 use pim_geom::Point;
-use pim_memsim::CpuMeter;
 use pim_zorder::prefix::Prefix;
 use pim_zorder::ZKey;
 use rayon::prelude::*;
@@ -26,17 +25,12 @@ const PAR_CUTOFF: usize = 4096;
 /// assert_eq!(nn.len(), 3);
 /// ```
 pub struct ZdTree<const D: usize> {
-    /// Node arena. Slots on the free list are garbage.
-    pub(crate) nodes: Vec<Node<D>>,
-    /// Free arena slots available for reuse.
-    pub(crate) free: Vec<NodeId>,
-    /// Root node, `None` when empty.
-    pub(crate) root: Option<NodeId>,
-    /// Maximum points per leaf (exceeded only by duplicate keys).
-    pub(crate) leaf_cap: usize,
-    /// Total points stored.
-    pub(crate) n_points: usize,
+    /// Arena, root, leaf capacity (exceeded only by duplicate keys) and
+    /// point count; the metered queries run here.
+    pub(crate) core: BinTree<Node<D>, D>,
 }
+
+crate::baseline_surface!(ZdTree, Node);
 
 /// Encodes and sorts a batch: the standard preprocessing of every operation.
 /// Sorting is by (key, point) so duplicate keys have a canonical order —
@@ -126,149 +120,41 @@ impl<const D: usize> ZdTree<D> {
     /// Default leaf capacity used throughout the evaluation.
     pub const DEFAULT_LEAF_CAP: usize = 16;
 
-    /// Creates an empty tree.
-    pub fn new(leaf_cap: usize) -> Self {
-        assert!(leaf_cap >= 1);
-        Self { nodes: Vec::new(), free: Vec::new(), root: None, leaf_cap, n_points: 0 }
-    }
-
     /// Builds the canonical tree over `points` in parallel (O(n) work after
     /// the sort, O(polylog) span — Lemma 2.1 (ii)).
     pub fn build(points: &[Point<D>], leaf_cap: usize) -> Self {
-        let mut t = Self::new(leaf_cap);
         if points.is_empty() {
-            return t;
+            return Self::new(leaf_cap);
         }
         let items = keyed_sorted(points);
         let n_nodes = count_nodes(&items, leaf_cap);
-        let mut arena: Vec<Option<Node<D>>> = vec![None; n_nodes];
-        fill(&mut arena, &items, 0, leaf_cap);
-        t.nodes = arena.into_iter().map(|n| n.expect("fill covers arena")).collect();
-        t.root = Some(0);
-        t.n_points = items.len();
-        t
-    }
-
-    /// Number of stored points.
-    pub fn len(&self) -> usize {
-        self.n_points
-    }
-
-    /// Whether the tree is empty.
-    pub fn is_empty(&self) -> bool {
-        self.n_points == 0
-    }
-
-    /// Leaf capacity.
-    pub fn leaf_cap(&self) -> usize {
-        self.leaf_cap
-    }
-
-    /// Root id, if any.
-    pub fn root(&self) -> Option<NodeId> {
-        self.root
-    }
-
-    /// Immutable node access.
-    #[inline]
-    pub fn node(&self, id: NodeId) -> &Node<D> {
-        &self.nodes[id as usize]
-    }
-
-    /// Number of live arena nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len() - self.free.len()
+        let core =
+            BinTree::bulk(leaf_cap, items.len(), n_nodes, |arena| fill(arena, &items, 0, leaf_cap));
+        Self { core }
     }
 
     /// Resident bytes of the structure (arena + leaf points), for space
     /// accounting (Theorem 5.1 comparisons).
     pub fn resident_bytes(&self) -> u64 {
         let mut bytes = 0u64;
-        for n in &self.nodes {
-            bytes += addr::NODE_BYTES;
+        for n in self.core.nodes() {
+            bytes += Node::<D>::NODE_BYTES;
             if let NodeKind::Leaf { points } = &n.kind {
-                bytes += points.len() as u64 * (8 + Point::<D>::wire_bytes());
+                bytes += points.len() as u64 * Node::<D>::POINT_BYTES;
             }
         }
         bytes
     }
 
-    /// Allocates an arena slot.
-    pub(crate) fn alloc(&mut self, node: Node<D>) -> NodeId {
-        if let Some(id) = self.free.pop() {
-            self.nodes[id as usize] = node;
-            id
-        } else {
-            self.nodes.push(node);
-            (self.nodes.len() - 1) as NodeId
-        }
-    }
-
-    /// Releases an arena slot.
-    pub(crate) fn release(&mut self, id: NodeId) {
-        self.free.push(id);
-    }
-
-    /// Charges one node visit to the meter (record read + traversal step).
-    #[inline]
-    pub(crate) fn charge_visit(&self, id: NodeId, meter: &mut CpuMeter) {
-        meter.work(costs::NODE_VISIT);
-        meter.touch(addr::node(id), addr::NODE_BYTES, false);
-    }
-
-    /// Charges the per-item batch bookkeeping (input read + routing/output
-    /// slot) that every batched operation streams through memory. Mirrors
-    /// the PIM index's host-side query-state accounting so baseline
-    /// comparisons are symmetric.
-    pub(crate) fn charge_batch_state(&self, n: usize, meter: &mut CpuMeter) {
-        const BATCH_REGION: u64 = 1 << 47;
-        const SLOT: u64 = 24;
-        for i in 0..n {
-            meter.touch(BATCH_REGION + i as u64 * SLOT, SLOT, true);
-        }
-    }
-
-    /// Charges reading a leaf's point payload.
-    #[inline]
-    pub(crate) fn charge_leaf_points(&self, id: NodeId, n_points: usize, meter: &mut CpuMeter) {
-        let slot = (self.leaf_cap as u64).max(n_points as u64) * (8 + Point::<D>::wire_bytes());
-        meter.touch(
-            addr::leaf_points(id, slot),
-            n_points as u64 * (8 + Point::<D>::wire_bytes()),
-            false,
-        );
-    }
-
-    /// Collects every point of a subtree (test/oracle helper; also used by
-    /// subtree rebuilds in updates).
-    pub(crate) fn collect_points(&self, id: NodeId, out: &mut Vec<Keyed<D>>) {
-        match &self.node(id).kind {
-            NodeKind::Leaf { points } => out.extend_from_slice(points),
-            NodeKind::Internal { left, right } => {
-                self.collect_points(*left, out);
-                self.collect_points(*right, out);
-            }
-        }
-    }
-
-    /// All points, sorted by key (oracle helper).
-    pub fn all_points(&self) -> Vec<Keyed<D>> {
-        let mut out = Vec::with_capacity(self.n_points);
-        if let Some(r) = self.root {
-            self.collect_points(r, &mut out);
-        }
-        out
-    }
-
     /// Exhaustively checks the canonical-structure invariants; panics with a
     /// description on violation. Test-only by convention (O(n log n)).
     pub fn check_invariants(&self) {
-        let Some(root) = self.root else {
-            assert_eq!(self.n_points, 0, "empty root but n_points > 0");
+        let Some(root) = self.core.root else {
+            assert_eq!(self.len(), 0, "empty root but n_points > 0");
             return;
         };
         let total = self.check_node(root, None);
-        assert_eq!(total as usize, self.n_points, "n_points mismatch");
+        assert_eq!(total as usize, self.len(), "n_points mismatch");
     }
 
     fn check_node(&self, id: NodeId, parent_region: Option<(Prefix<D>, u8)>) -> u32 {
@@ -282,7 +168,7 @@ impl<const D: usize> ZdTree<D> {
             NodeKind::Leaf { points } => {
                 assert!(!points.is_empty(), "empty leaf must be omitted");
                 assert!(
-                    points.len() <= self.leaf_cap || points.windows(2).all(|w| w[0].0 == w[1].0),
+                    points.len() <= self.leaf_cap() || points.windows(2).all(|w| w[0].0 == w[1].0),
                     "oversized leaf without duplicate keys"
                 );
                 assert!(points.windows(2).all(|w| w[0].0 <= w[1].0), "leaf points unsorted");

@@ -8,7 +8,8 @@
 //! splices emptied nodes and collapses small subtrees back into leaves.
 
 use crate::costs;
-use crate::node::{addr, Keyed, Node, NodeId, NodeKind};
+use crate::engine::charge_batch_state;
+use crate::node::{Keyed, Node, NodeId, NodeKind};
 use crate::tree::{is_leaf_set, keyed_sorted, set_prefix, ZdTree};
 use pim_geom::Point;
 use pim_memsim::CpuMeter;
@@ -22,57 +23,37 @@ impl<const D: usize> ZdTree<D> {
         }
         // Batch preprocessing: key computation + sort.
         meter.work(points.len() as u64 * (costs::zorder_fast_cycles(D) + costs::SORT_PER_KEY));
-        self.charge_batch_state(points.len(), meter);
+        charge_batch_state(points.len(), meter);
         let items = keyed_sorted(points);
-        self.root = Some(match self.root {
+        self.core.root = Some(match self.core.root {
             None => self.build_subtree(&items, meter),
             Some(r) => self.merge(r, &items, meter),
         });
-        self.n_points += points.len();
+        self.core.n_points += points.len();
     }
 
     /// Deletes a batch of points. Each batch element removes at most one
     /// stored instance of that exact point; absent points are ignored.
     /// Returns the number of points actually removed.
     pub fn batch_delete(&mut self, points: &[Point<D>], meter: &mut CpuMeter) -> usize {
-        if points.is_empty() || self.root.is_none() {
+        if points.is_empty() || self.core.root.is_none() {
             return 0;
         }
         meter.work(points.len() as u64 * (costs::zorder_fast_cycles(D) + costs::SORT_PER_KEY));
-        self.charge_batch_state(points.len(), meter);
+        charge_batch_state(points.len(), meter);
         let items = keyed_sorted(points);
         let mut removed = 0usize;
-        self.root = self.remove(self.root.unwrap(), &items, &mut removed, meter);
-        self.n_points -= removed;
+        self.core.root = self.remove(self.core.root.unwrap(), &items, &mut removed, meter);
+        self.core.n_points -= removed;
         removed
-    }
-
-    /// Allocates a node, charging the meter for the record write.
-    fn alloc_charged(&mut self, node: Node<D>, meter: &mut CpuMeter) -> NodeId {
-        let leaf_pts = match &node.kind {
-            NodeKind::Leaf { points } => points.len(),
-            NodeKind::Internal { .. } => 0,
-        };
-        let id = self.alloc(node);
-        meter.work(costs::NODE_VISIT);
-        meter.touch(addr::node(id), addr::NODE_BYTES, true);
-        if leaf_pts > 0 {
-            let slot = (self.leaf_cap as u64).max(leaf_pts as u64) * (8 + Point::<D>::wire_bytes());
-            meter.touch(
-                addr::leaf_points(id, slot),
-                leaf_pts as u64 * (8 + Point::<D>::wire_bytes()),
-                true,
-            );
-        }
-        id
     }
 
     /// Builds the canonical subtree over sorted `items` with arena
     /// allocation (used for fresh subtrees hanging off a merge).
     pub(crate) fn build_subtree(&mut self, items: &[Keyed<D>], meter: &mut CpuMeter) -> NodeId {
         debug_assert!(!items.is_empty());
-        if is_leaf_set(items, self.leaf_cap) {
-            return self.alloc_charged(
+        if is_leaf_set(items, self.core.leaf_cap) {
+            return self.core.alloc_charged(
                 Node {
                     prefix: set_prefix(items),
                     count: items.len() as u32,
@@ -85,7 +66,7 @@ impl<const D: usize> ZdTree<D> {
         let split = items.partition_point(|(k, _)| k.bit(pre.len) == 0);
         let left = self.build_subtree(&items[..split], meter);
         let right = self.build_subtree(&items[split..], meter);
-        self.alloc_charged(
+        self.core.alloc_charged(
             Node {
                 prefix: pre,
                 count: items.len() as u32,
@@ -95,22 +76,13 @@ impl<const D: usize> ZdTree<D> {
         )
     }
 
-    /// Releases an entire subtree's arena slots.
-    fn release_subtree(&mut self, id: NodeId) {
-        if let NodeKind::Internal { left, right } = self.node(id).kind {
-            self.release_subtree(left);
-            self.release_subtree(right);
-        }
-        self.release(id);
-    }
-
     /// Merges sorted `items` into the subtree at `id`, returning the new
     /// subtree root (ids may change as nodes split or collapse).
     fn merge(&mut self, id: NodeId, items: &[Keyed<D>], meter: &mut CpuMeter) -> NodeId {
         if items.is_empty() {
             return id;
         }
-        self.charge_visit(id, meter);
+        self.core.charge_visit(id, meter);
         let np = self.node(id).prefix;
         let ncount = self.node(id).count as usize;
         let total = ncount + items.len();
@@ -125,12 +97,12 @@ impl<const D: usize> ZdTree<D> {
         if b < np.len {
             // The batch escapes this node's prefix: a new canonical node
             // appears at depth b (the LCP of the union set).
-            if total <= self.leaf_cap {
+            if total <= self.core.leaf_cap {
                 // Small union: collapse everything into one leaf.
                 let mut all = Vec::with_capacity(total);
-                self.collect_points(id, &mut all);
-                self.charge_leaf_points(id, ncount, meter);
-                self.release_subtree(id);
+                self.core.collect_points(id, &mut all);
+                self.core.charge_leaf_points(id, ncount, meter);
+                self.core.release_subtree(id);
                 all.extend_from_slice(items);
                 all.sort_unstable_by_key(|(k, p)| (*k, p.coords));
                 meter.work(total as u64 * costs::SORT_PER_KEY);
@@ -150,7 +122,7 @@ impl<const D: usize> ZdTree<D> {
             } else {
                 (built_other, merged_same)
             };
-            return self.alloc_charged(
+            return self.core.alloc_charged(
                 Node {
                     prefix: new_pre,
                     count: total as u32,
@@ -167,8 +139,8 @@ impl<const D: usize> ZdTree<D> {
                 let mut merged = Vec::with_capacity(total);
                 let (mut i, mut j) = (0, 0);
                 let old = points.clone();
-                self.charge_leaf_points(id, old.len(), meter);
-                meter.work(total as u64 * 4);
+                self.core.charge_leaf_points(id, old.len(), meter);
+                meter.work(total as u64 * costs::MERGE_PER_KEY);
                 while i < old.len() && j < items.len() {
                     if (old[i].0, old[i].1.coords) <= (items[j].0, items[j].1.coords) {
                         merged.push(old[i]);
@@ -181,17 +153,16 @@ impl<const D: usize> ZdTree<D> {
                 merged.extend_from_slice(&old[i..]);
                 merged.extend_from_slice(&items[j..]);
 
-                if is_leaf_set(&merged, self.leaf_cap) {
+                if is_leaf_set(&merged, self.core.leaf_cap) {
                     let pre = set_prefix(&merged);
-                    let n = &mut self.nodes[id as usize];
+                    let n = self.core.rewrite(id, meter);
                     n.prefix = pre;
                     n.count = merged.len() as u32;
                     n.kind = NodeKind::Leaf { points: merged };
-                    meter.touch(addr::node(id), addr::NODE_BYTES, true);
                     id
                 } else {
                     // Leaf overflows: rebuild this subtree canonically.
-                    self.release(id);
+                    self.core.release(id);
                     self.build_subtree(&merged, meter)
                 }
             }
@@ -201,10 +172,9 @@ impl<const D: usize> ZdTree<D> {
                 let (li, ri) = items.split_at(split);
                 let new_left = self.merge(left, li, meter);
                 let new_right = self.merge(right, ri, meter);
-                let n = &mut self.nodes[id as usize];
+                let n = self.core.rewrite(id, meter);
                 n.count = total as u32;
                 n.kind = NodeKind::Internal { left: new_left, right: new_right };
-                meter.touch(addr::node(id), addr::NODE_BYTES, true);
                 id
             }
         }
@@ -222,7 +192,7 @@ impl<const D: usize> ZdTree<D> {
         if items.is_empty() {
             return Some(id);
         }
-        self.charge_visit(id, meter);
+        self.core.charge_visit(id, meter);
         let np = self.node(id).prefix;
         // Restrict the batch to the keys this node can contain.
         let (lo, hi) = np.key_range();
@@ -236,8 +206,8 @@ impl<const D: usize> ZdTree<D> {
         match &self.node(id).kind {
             NodeKind::Leaf { points } => {
                 let old = points.clone();
-                self.charge_leaf_points(id, old.len(), meter);
-                meter.work((old.len() + items.len()) as u64 * 4);
+                self.core.charge_leaf_points(id, old.len(), meter);
+                meter.work((old.len() + items.len()) as u64 * costs::MERGE_PER_KEY);
                 // Two-pointer multiset difference: each batch element removes
                 // at most one matching stored instance.
                 let mut kept: Vec<Keyed<D>> = Vec::with_capacity(old.len());
@@ -267,15 +237,14 @@ impl<const D: usize> ZdTree<D> {
                     }
                 }
                 if kept.is_empty() {
-                    self.release(id);
+                    self.core.release(id);
                     None
                 } else {
                     let pre = set_prefix(&kept);
-                    let n = &mut self.nodes[id as usize];
+                    let n = self.core.rewrite(id, meter);
                     n.prefix = pre;
                     n.count = kept.len() as u32;
                     n.kind = NodeKind::Leaf { points: kept };
-                    meter.touch(addr::node(id), addr::NODE_BYTES, true);
                     Some(id)
                 }
             }
@@ -285,41 +254,31 @@ impl<const D: usize> ZdTree<D> {
                 let (li, ri) = items.split_at(split);
                 let nl = self.remove(left, li, removed, meter);
                 let nr = self.remove(right, ri, removed, meter);
-                match (nl, nr) {
-                    (None, None) => {
-                        self.release(id);
-                        None
-                    }
-                    (Some(c), None) | (None, Some(c)) => {
-                        // Splice: compression forbids single-child nodes.
-                        self.release(id);
-                        Some(c)
-                    }
-                    (Some(l), Some(r)) => {
-                        let count = self.node(l).count + self.node(r).count;
-                        if (count as usize) <= self.leaf_cap {
-                            // Collapse the small subtree back into one leaf.
-                            let mut all = Vec::with_capacity(count as usize);
-                            self.collect_points(l, &mut all);
-                            self.collect_points(r, &mut all);
-                            all.sort_unstable_by_key(|(k, p)| (*k, p.coords));
-                            self.release_subtree(l);
-                            self.release_subtree(r);
-                            let pre = set_prefix(&all);
-                            let n = &mut self.nodes[id as usize];
-                            n.prefix = pre;
-                            n.count = count;
-                            n.kind = NodeKind::Leaf { points: all };
-                            meter.touch(addr::node(id), addr::NODE_BYTES, true);
-                        } else {
-                            let n = &mut self.nodes[id as usize];
-                            n.count = count;
-                            n.kind = NodeKind::Internal { left: l, right: r };
-                            meter.touch(addr::node(id), addr::NODE_BYTES, true);
-                        }
-                        Some(id)
-                    }
+                let (Some(l), Some(r)) = (nl, nr) else {
+                    // Splice: compression forbids single-child nodes.
+                    self.core.release(id);
+                    return nl.or(nr);
+                };
+                let count = self.node(l).count + self.node(r).count;
+                if (count as usize) <= self.core.leaf_cap {
+                    // Collapse the small subtree back into one leaf.
+                    let mut all = Vec::with_capacity(count as usize);
+                    self.core.collect_points(l, &mut all);
+                    self.core.collect_points(r, &mut all);
+                    all.sort_unstable_by_key(|(k, p)| (*k, p.coords));
+                    self.core.release_subtree(l);
+                    self.core.release_subtree(r);
+                    let pre = set_prefix(&all);
+                    let n = self.core.rewrite(id, meter);
+                    n.prefix = pre;
+                    n.count = count;
+                    n.kind = NodeKind::Leaf { points: all };
+                } else {
+                    let n = self.core.rewrite(id, meter);
+                    n.count = count;
+                    n.kind = NodeKind::Internal { left: l, right: r };
                 }
+                Some(id)
             }
         }
     }
