@@ -8,9 +8,10 @@
 //! invariants with partial reconstruction of violating subtrees — rather
 //! than by rotations.
 //!
-//! The tree is arena-allocated and instrumented through a
-//! [`pim_memsim::CpuMeter`] exactly like the zd-tree baseline, so the two
-//! baselines' Fig. 5 series come from the same cost model.
+//! The arena, the [`pim_memsim::CpuMeter`] charges and the kNN / range
+//! queries are not this crate's: they are the engine the zd-tree baseline
+//! runs on too (`pim_zdtree_base::engine`), so the two baselines' Fig. 5
+//! series come from the same cost model by construction.
 
 pub mod query;
 pub mod tree;
