@@ -18,10 +18,12 @@
 //!
 //! * **Conformance** — every answer equals a brute-force scan, hence the
 //!   regimes, presets, fault plans and thread counts all agree.
-//! * **Golden** — an FNV-1a digest per cell over the `OpStats` and raw
+//! * **Golden** — two FNV-1a digests per cell, one over the kNN half of the
+//!   schedule and one over the box half, each over the `OpStats` and raw
 //!   result of every op (BoxFetch in the order returned) and the journal
-//!   JSONL. A digest may only move together with a CHANGES.md entry saying
-//!   which artifact moved and why; a refactor of the traversal moves none.
+//!   JSONL of a tree that ran only that half. A digest may only move together
+//!   with a CHANGES.md entry saying which artifact moved and why; a refactor
+//!   of the traversal moves none, and a change to kNN moves no box half.
 
 use pim_zd_tree_repro::sim::trace::JournalSink;
 use pim_zd_tree_repro::{
@@ -139,32 +141,57 @@ fn fnv1a(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
 }
 
-/// Runs the schedule on a fresh tree, holding every answer to `s`. Returns
-/// the cell's digest and the channel bytes its queries moved (which tell the
-/// regimes apart).
-fn run_cell(s: &Schedule, skew: bool, regime: Regime, faulty: bool) -> (u64, u64) {
-    let tag = format!("skew={skew} {regime:?} faulty={faulty}");
+/// A tree with the schedule's insert and delete batch behind it, journaled,
+/// under the 5 % fault plan when `faulty`.
+fn fresh_tree(
+    s: &Schedule,
+    skew: bool,
+    regime: Regime,
+    faulty: bool,
+) -> (PimZdTree<3>, pim_zd_tree_repro::sim::trace::Journal) {
     let machine = MachineConfig::with_modules(MODULES);
     let mut t = PimZdTree::build(&s.built, config(skew, regime), machine);
     t.batch_insert(&s.inserted);
-    assert_eq!(t.batch_delete(&s.built[..s.deleted]), s.deleted, "{tag}");
-
+    assert_eq!(t.batch_delete(&s.built[..s.deleted]), s.deleted);
     let (sink, journal) = JournalSink::new();
     t.set_trace_sink(Box::new(sink));
     if faulty {
         t.set_fault_plan(Some(FaultPlan::new(FaultConfig::uniform(0.05, SEED))));
     }
-    let (mut out, mut channel_bytes) = (String::new(), 0);
-    let mut record = |t: &PimZdTree<3>, result: &dyn std::fmt::Debug| {
-        // `{:?}` of an f64 round-trips, so equal text means equal bits.
-        writeln!(out, "{:?} {result:?}", t.last_op_stats()).unwrap();
-        channel_bytes += t.last_op_stats().channel_bytes;
-    };
+    (t, journal)
+}
 
+/// One half of a cell's artifacts: the `OpStats` and raw result of every op,
+/// then the journal.
+#[derive(Default)]
+struct Artifacts {
+    text: String,
+    channel_bytes: u64,
+}
+
+impl Artifacts {
+    fn record(&mut self, t: &PimZdTree<3>, result: &dyn std::fmt::Debug) {
+        // `{:?}` of an f64 round-trips, so equal text means equal bits.
+        writeln!(self.text, "{:?} {result:?}", t.last_op_stats()).unwrap();
+        self.channel_bytes += t.last_op_stats().channel_bytes;
+    }
+
+    fn digest(mut self, journal: &pim_zd_tree_repro::sim::trace::Journal) -> (u64, u64) {
+        self.text.push_str(&journal.to_jsonl());
+        (fnv1a(&self.text), self.channel_bytes)
+    }
+}
+
+/// Runs the kNN half of the schedule on a fresh tree, holding every answer
+/// to `s`. Returns its digest and the channel bytes its queries moved.
+fn run_knn(s: &Schedule, skew: bool, regime: Regime, faulty: bool) -> (u64, u64) {
+    let tag = format!("skew={skew} {regime:?} faulty={faulty}");
+    let (mut t, journal) = fresh_tree(s, skew, regime, faulty);
+    let mut out = Artifacts::default();
     for (queries, k, metric, want) in &s.knn {
         let got = t.batch_knn(queries, *k, *metric);
         assert_eq!(&got, want, "{tag}: {metric:?} k={k}");
-        record(&t, &got);
+        out.record(&t, &got);
         if queries.len() == HOT && !faulty {
             // The copies share one covering ball: the batch's last round,
             // the end of its ball phase, is one run's worth of tasks.
@@ -172,6 +199,20 @@ fn run_cell(s: &Schedule, skew: bool, regime: Regime, faulty: bool) -> (u64, u64
             assert!((ball.tasks as usize) < HOT, "{tag}: {} ball tasks", ball.tasks);
         }
     }
+    if faulty {
+        assert!(t.fault_log().retries > 0, "{tag}: the plan must be biting kNN");
+    }
+    out.digest(&journal)
+}
+
+/// Runs the box half of the schedule on a fresh tree of its own — fault
+/// fates are a pure function of the machine's round id, so on one tree the
+/// box half would be dealt different faults whenever kNN's round count
+/// moved. Returns its digest and the channel bytes its queries moved.
+fn run_boxes(s: &Schedule, skew: bool, regime: Regime, faulty: bool) -> (u64, u64) {
+    let tag = format!("skew={skew} {regime:?} faulty={faulty}");
+    let (mut t, journal) = fresh_tree(s, skew, regime, faulty);
+    let mut out = Artifacts::default();
     if faulty {
         // On top of whatever the plan kills: the box queries run across a
         // recovery for certain.
@@ -181,39 +222,37 @@ fn run_cell(s: &Schedule, skew: bool, regime: Regime, faulty: bool) -> (u64, u64
         let counts = t.batch_box_count(boxes);
         let lens: Vec<u64> = want.iter().map(|w| w.len() as u64).collect();
         assert_eq!(counts, lens, "{tag}: box counts");
-        record(&t, &counts);
+        out.record(&t, &counts);
 
         let fetched = t.batch_box_fetch(boxes);
-        record(&t, &fetched);
+        out.record(&t, &fetched);
         for (i, (got, want)) in fetched.into_iter().zip(want).enumerate() {
             assert_eq!(&sorted(got), want, "{tag}: contents of box #{i}");
         }
     }
     if faulty {
-        assert!(t.fault_log().retries > 0, "{tag}: the plan must be biting");
+        assert!(t.fault_log().retries > 0, "{tag}: the plan must be biting the boxes");
         assert!(t.n_live_modules() < MODULES, "{tag}: the kill must have been detected");
     }
-    out.push_str(&journal.to_jsonl());
-    (fnv1a(&out), channel_bytes)
+    out.digest(&journal)
 }
 
-/// Recorded with the kNN ball phase running once per run of queries
-/// (CHANGES.md, PR 18: the kNN `OpStats` and journal rounds moved, no answer
-/// and no box artifact did); see the module docs for when a digest may
-/// change.
-const GOLDEN: [(&str, u64); 12] = [
-    ("throughput/PushOnly/clean", 0xdeb20c9aa275eed5),
-    ("throughput/PushOnly/faulty", 0xd70bf1601af2e4f1),
-    ("throughput/PullAlways/clean", 0x43c7302ffab0b6c8),
-    ("throughput/PullAlways/faulty", 0x340413523a658b6d),
-    ("throughput/Preset/clean", 0xdeb20c9aa275eed5),
-    ("throughput/Preset/faulty", 0xd70bf1601af2e4f1),
-    ("skew/PushOnly/clean", 0xe47919d028e3a1be),
-    ("skew/PushOnly/faulty", 0x2dde82ea19985cb5),
-    ("skew/PullAlways/clean", 0x97ad34da13d76903),
-    ("skew/PullAlways/faulty", 0xb2ec14d87bedf384),
-    ("skew/Preset/clean", 0x4969c1bc981b0cce),
-    ("skew/Preset/faulty", 0xd372aed38bb11518),
+/// `(cell, kNN digest, box digest)`. Recorded at `149c043`, the parent of the
+/// two-round kNN protocol, with each half on a tree of its own; see the module
+/// docs for when a digest may change.
+const GOLDEN: [(&str, u64, u64); 12] = [
+    ("throughput/PushOnly/clean", 0x0f8ea60c976ffa14, 0xd85f8e419630cfe6),
+    ("throughput/PushOnly/faulty", 0x690a286c6d169afc, 0x78e92d366a1a7486),
+    ("throughput/PullAlways/clean", 0x41aa0ebffc823fd1, 0x0c0ab1e9aa1f4a36),
+    ("throughput/PullAlways/faulty", 0x6bbbf462dc76b573, 0xe7cbae6e54acd732),
+    ("throughput/Preset/clean", 0x0f8ea60c976ffa14, 0xd85f8e419630cfe6),
+    ("throughput/Preset/faulty", 0x690a286c6d169afc, 0x78e92d366a1a7486),
+    ("skew/PushOnly/clean", 0x8e58542f63c5e831, 0x7899dea3d0f1c5f7),
+    ("skew/PushOnly/faulty", 0xe080f5a972bb19bb, 0xd22fffce3fcc84bd),
+    ("skew/PullAlways/clean", 0x0b82e7a95c9df1d0, 0xd1d4386b9d97a20f),
+    ("skew/PullAlways/faulty", 0xb5ab3d4133a9a965, 0x62c647ae7f9ab78b),
+    ("skew/Preset/clean", 0xdb5b1a173ba6efee, 0x67e96f06ee093987),
+    ("skew/Preset/faulty", 0xc6475fdb989f084f, 0x174f07625b98cc0d),
 ];
 
 #[test]
@@ -226,13 +265,17 @@ fn every_regime_answers_exactly_and_moves_no_byte() {
             for (faulty, plan) in [(false, "clean"), (true, "faulty")] {
                 let name = format!("{preset}/{regime:?}/{plan}");
                 let [one, four] = [1, 4].map(|threads| {
-                    rayon::ThreadPool::new(threads).install(|| run_cell(&s, skew, regime, faulty))
+                    rayon::ThreadPool::new(threads).install(|| {
+                        let (knn, knn_bytes) = run_knn(&s, skew, regime, faulty);
+                        let (boxes, box_bytes) = run_boxes(&s, skew, regime, faulty);
+                        (knn, boxes, knn_bytes + box_bytes)
+                    })
                 });
                 assert_eq!(one, four, "{name}: 1 vs 4 threads");
                 if !faulty {
-                    bytes.push(one.1);
+                    bytes.push(one.2);
                 }
-                computed.push((name, one.0));
+                computed.push((name, one.0, one.1));
             }
         }
         // The regimes are different executions of the same answers —
@@ -242,11 +285,14 @@ fn every_regime_answers_exactly_and_moves_no_byte() {
         assert_ne!(pull, preset, "skew={skew}: the preset must also push");
         assert_eq!(push != preset, skew, "skew={skew}: the hot batches make the preset pull");
     }
-    let table: String =
-        computed.iter().map(|(name, d)| format!("    (\"{name}\", {d:#018x}),\n")).collect();
-    for ((name, got), (want_name, want)) in computed.iter().zip(GOLDEN) {
+    let table: String = computed
+        .iter()
+        .map(|(name, knn, boxes)| format!("    (\"{name}\", {knn:#018x}, {boxes:#018x}),\n"))
+        .collect();
+    for ((name, knn, boxes), (want_name, want_knn, want_boxes)) in computed.iter().zip(GOLDEN) {
         assert_eq!(name, want_name);
-        assert_eq!(*got, want, "{name} moved; computed digests:\n{table}");
+        assert_eq!(*knn, want_knn, "{name}: kNN half moved; computed digests:\n{table}");
+        assert_eq!(*boxes, want_boxes, "{name}: box half moved; computed digests:\n{table}");
     }
 }
 
