@@ -1051,54 +1051,73 @@ impl<const D: usize> Fragment<D> {
     }
 
     /// Collects *all* points within comparable distance `radius` of `q`
-    /// below `start` (Alg. 3 step 4's sphere collection); remote children
-    /// whose boxes intersect the ball go to `frontier`.
+    /// below `start` (Alg. 3 step 4's sphere collection) that are also
+    /// within ℓ∞ distance `cube` of it (`u64::MAX` = no such bound); remote
+    /// children whose boxes meet both regions go to `frontier`.
+    ///
+    /// The cube is what §6's two-stage execution knows beyond the ℓ1 ball:
+    /// with r₂ the fine radius, every true neighbour has ℓ∞ ≤ ℓ2 ≤ r₂, while
+    /// the ℓ1 ball of radius √D·r₂ that must hold them all reaches √D·r₂
+    /// along each axis. ℓ∞ is a max over the per-axis differences ℓ1 sums —
+    /// comparisons only — charged `8·D` per internal node (both children)
+    /// and `2·D` per leaf point on top of the ℓ1 charges.
     #[allow(clippy::too_many_arguments)]
     pub fn local_ball(
         &self,
         start: u32,
         q: &Point<D>,
         radius: u64,
+        cube: u64,
         metric: Metric,
-        out: &mut Vec<(u64, Point<D>)>,
+        out: &mut Vec<Point<D>>,
         frontier: &mut Vec<Edge<D>>,
         sink: &mut impl CostSink,
     ) {
         sink.op(10);
         sink.mem(Self::off(start), BNODE_BYTES);
+        let cubed = cube != u64::MAX;
+        // A box's lower bound under `metric`, if the box meets the ball and
+        // the cube.
+        let reach = |pre: &Prefix<D>| {
+            let b = pre.to_box();
+            let d = b.min_dist(q, metric);
+            (d <= radius && b.min_linf(q) <= cube).then_some(d)
+        };
         let node = self.node(start);
         match &node.kind {
             BKind::LeafStub => {
-                let d = node.prefix.to_box().min_dist(q, metric);
-                if d <= radius {
+                if let Some(d) = reach(&node.prefix) {
                     frontier.push((self.stub_ref(node), d));
                 }
             }
             BKind::Leaf { points } => {
-                sink.mem(Self::off(start), points.len() as u64 * 12);
-                sink.dist_n(metric, D, points.len() as u64);
+                let n = points.len() as u64;
+                sink.mem(Self::off(start), n * 12);
+                sink.dist_n(metric, D, n);
+                if cubed {
+                    sink.op(2 * D as u64 * n);
+                }
                 let mut accepted = 0u64;
                 points.for_dist_chunks(q, metric, |base, dists| {
                     for (i, &dist) in dists.iter().enumerate() {
                         if dist <= radius {
-                            accepted += 1;
-                            out.push((dist, points.point(base + i)));
+                            let p = points.point(base + i);
+                            if p.linf(q) <= cube {
+                                accepted += 1;
+                                out.push(p);
+                            }
                         }
                     }
                 });
                 sink.op(4 * accepted);
             }
             BKind::Internal { left, right } => {
-                sink.op(8 * D as u64);
+                sink.op(8 * D as u64 * if cubed { 2 } else { 1 });
                 for child in [left, right] {
-                    let pre = self.child_prefix(child);
-                    let d = pre.to_box().min_dist(q, metric);
-                    if d > radius {
-                        continue;
-                    }
+                    let Some(d) = reach(&self.child_prefix(child)) else { continue };
                     match child {
                         ChildRef::Local(c) => {
-                            self.local_ball(*c, q, radius, metric, out, frontier, sink)
+                            self.local_ball(*c, q, radius, cube, metric, out, frontier, sink)
                         }
                         ChildRef::Remote(r) => frontier.push((*r, d)),
                     }

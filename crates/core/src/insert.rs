@@ -36,7 +36,7 @@ impl<const D: usize> PimZdTree<D> {
     }
 
     fn insert_inner(&mut self, points: &[Point<D>]) {
-        let s = self.batch_search_internal(points, 0);
+        let s = self.batch_search_internal(points, None);
 
         // Group items per target (semi-sort; Alg. 2 step 2d's dedup falls
         // out of grouping: conflicting creations land in one fragment's
@@ -179,7 +179,7 @@ impl<const D: usize> PimZdTree<D> {
     }
 
     fn delete_inner(&mut self, points: &[Point<D>]) -> usize {
-        let s = self.batch_search_internal(points, 0);
+        let s = self.batch_search_internal(points, None);
 
         let group_span = pim_obs::span("group_and_sort");
         self.meter.work(points.len() as u64 * 20);

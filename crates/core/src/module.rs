@@ -81,14 +81,62 @@ pub struct SearchTask<const D: usize> {
     pub key: ZKey<D>,
     /// Fragment to start in.
     pub meta: MetaId,
-    /// When nonzero, also report the lowest path node with counter ≥ this
-    /// (the kNN anchor of Alg. 3).
-    pub want_anchor: u64,
+    /// Set by kNN, with the query point: also find the anchor of Alg. 3 on
+    /// the key's path and, when the search ends on the module that holds it,
+    /// run the best-k step from it in the same round.
+    pub best_k: Option<(BestK, Point<D>)>,
+}
+
+impl<const D: usize> SearchTask<D> {
+    /// The counter the kNN anchor must reach (0 = no anchor wanted).
+    pub fn want_anchor(&self) -> u64 {
+        self.best_k.map_or(0, |(b, _)| b.want_anchor())
+    }
 }
 
 impl<const D: usize> Wire for SearchTask<D> {
     fn wire_bytes(&self) -> u64 {
-        20 + if self.want_anchor > 0 { 8 } else { 0 }
+        20 + self.best_k.map_or(0, |_| 5 + Point::<D>::wire_bytes())
+    }
+}
+
+/// What the best-k step of Alg. 3 needs besides its query point and where
+/// to start.
+#[derive(Clone, Copy, Debug)]
+pub struct BestK {
+    /// Number of neighbors.
+    pub k: u32,
+    /// Metric evaluated on the PIM side.
+    pub metric: Metric,
+}
+
+impl BestK {
+    /// The anchor is the lowest path node with a counter of at least 2k,
+    /// which by Lemma 3.1 holds at least k points.
+    pub fn want_anchor(&self) -> u64 {
+        2 * u64::from(self.k)
+    }
+
+    /// The best-k task of query `qid` at `q` entering fragment `meta` at
+    /// `node`.
+    pub fn task<const D: usize>(
+        &self,
+        qid: u32,
+        q: Point<D>,
+        meta: MetaId,
+        node: u32,
+    ) -> KnnTask<D> {
+        KnnTask {
+            qid,
+            meta,
+            node,
+            q,
+            k: self.k,
+            bound: u64::MAX,
+            cube: u64::MAX,
+            metric: self.metric,
+            ball: false,
+        }
     }
 }
 
@@ -117,6 +165,22 @@ impl<const D: usize> AnchorInfo<D> {
     }
 }
 
+/// What is known of a query's kNN anchor: a search's running answer on the
+/// host, and what a module's reply adds to it.
+#[derive(Clone, Debug, Default)]
+pub enum Anchor<const D: usize> {
+    /// None wanted, or none on the path so far.
+    #[default]
+    None,
+    /// The deepest one seen so far.
+    At(AnchorInfo<D>),
+    /// The search ended on the module whose master holds the anchor as a
+    /// local node, so the best-k step already ran from it: its reply (boxed:
+    /// a search reply stays the size it is for `contains`, insert and
+    /// delete, which never see one).
+    Explored(Box<KnnReply<D>>),
+}
+
 /// Module-side search outcome for one query.
 #[derive(Clone, Copy, Debug)]
 pub enum SearchVerdict<const D: usize> {
@@ -142,20 +206,26 @@ pub enum SearchVerdict<const D: usize> {
     },
 }
 
-/// Search reply: verdict plus (optionally) the deepest anchor seen locally.
-#[derive(Clone, Copy, Debug)]
+/// Search reply: verdict plus what the module learnt of the kNN anchor.
+#[derive(Clone, Debug)]
 pub struct SearchReply<const D: usize> {
     /// Query index.
     pub qid: u32,
     /// Outcome.
     pub verdict: SearchVerdict<D>,
-    /// Deepest path node with counter ≥ `want_anchor`, if requested/found.
-    pub anchor: Option<AnchorInfo<D>>,
+    /// Deepest path node with counter ≥ the task's `want_anchor` seen
+    /// locally — or, where the search ended beside it, what best-k found
+    /// below it.
+    pub anchor: Anchor<D>,
 }
 
 impl<const D: usize> Wire for SearchReply<D> {
     fn wire_bytes(&self) -> u64 {
-        16 + self.anchor.map_or(0, |_| 28)
+        16 + match &self.anchor {
+            Anchor::None => 0,
+            Anchor::At(_) => 28,
+            Anchor::Explored(best) => best.wire_bytes(),
+        }
     }
 }
 
@@ -262,6 +332,10 @@ pub struct KnnTask<const D: usize> {
     pub k: u32,
     /// Current global pruning bound (comparable distance).
     pub bound: u64,
+    /// A ball task under §6 two-stage filtering also holds every point to
+    /// ℓ∞ ≤ `cube` of `q`: the run's fine radius r₂, which every true
+    /// neighbour is within on every axis. `u64::MAX` = no such bound.
+    pub cube: u64,
     /// Metric evaluated on the PIM side (the coarse metric under §6
     /// two-stage filtering, the target metric otherwise).
     pub metric: Metric,
@@ -272,7 +346,7 @@ pub struct KnnTask<const D: usize> {
 
 impl<const D: usize> Wire for KnnTask<D> {
     fn wire_bytes(&self) -> u64 {
-        33 + Point::<D>::wire_bytes()
+        33 + Point::<D>::wire_bytes() + if self.cube == u64::MAX { 0 } else { 8 }
     }
 }
 
@@ -281,8 +355,12 @@ impl<const D: usize> Wire for KnnTask<D> {
 pub struct KnnReply<const D: usize> {
     /// Query index.
     pub qid: u32,
-    /// Up to k best local candidates (comparable distance, point).
+    /// Best-k: up to k best local candidates (comparable distance, point),
+    /// which the host merges on.
     pub cands: Vec<(u64, Point<D>)>,
+    /// Ball: every local point inside the ball. No distances — the fine
+    /// filter evaluates the target metric from the coordinates.
+    pub points: Vec<Point<D>>,
     /// Remote subtrees still worth exploring, with box lower bounds.
     pub frontier: InlineVec<(RemoteRef<D>, u64), REPLY_INLINE>,
     /// Master fragments whose payloads were fully covered locally (the host
@@ -294,6 +372,7 @@ pub struct KnnReply<const D: usize> {
 impl<const D: usize> Wire for KnnReply<D> {
     fn wire_bytes(&self) -> u64 {
         8 + self.cands.len() as u64 * (8 + Point::<D>::wire_bytes())
+            + self.points.len() as u64 * Point::<D>::wire_bytes()
             + self.frontier.len() as u64 * (REMOTE_REF_BYTES + 8)
             + self.covered.len() as u64 * 8
     }
@@ -504,13 +583,13 @@ pub(crate) fn search_step<const D: usize>(
     frag: &Fragment<D>,
     key: ZKey<D>,
     want_anchor: u64,
-    anchor: &mut Option<AnchorInfo<D>>,
+    anchor: &mut Anchor<D>,
     sink: &mut impl CostSink,
 ) -> (SearchEnd<D>, bool) {
     if want_anchor > 0 {
         let enough = |_: &Prefix<D>, count| count >= want_anchor;
         if let Some((prefix, loc)) = frag.lowest_on_path(key, 6, enough, sink) {
-            *anchor = Some(AnchorInfo::at(frag, prefix, loc));
+            *anchor = Anchor::At(AnchorInfo::at(frag, prefix, loc));
         }
     }
     let end = frag.search(key, sink);
@@ -519,6 +598,15 @@ pub(crate) fn search_step<const D: usize>(
 
 /// The module id is threaded in so handlers can chase refs that point back
 /// at this module's own masters without a round trip.
+///
+/// A kNN search (`best_k` set) that ends here with its anchor a local node
+/// of one of this module's masters goes straight on to the best-k step from
+/// that node — the task `chase` would be sent for it next round, run by
+/// the same code — and replies with what it found instead of where the
+/// anchor is. Whether it can is a property of the data: the anchor lies on
+/// the path the search just walked, so it is here unless it sits in L0, in
+/// a fragment pulled to the host, in an ancestor fragment mastered
+/// elsewhere, or behind a cached copy.
 pub fn handle_search<const D: usize>(
     module_id: usize,
     state: &mut ModuleState<D>,
@@ -526,9 +614,10 @@ pub fn handle_search<const D: usize>(
     tasks: Vec<SearchTask<D>>,
 ) -> Vec<SearchReply<D>> {
     let mut replies = Vec::with_capacity(tasks.len());
+    let mut scratch = ChaseScratch::<D, KnnTask<D>>::default();
     for t in tasks {
         let mut meta = t.meta;
-        let mut anchor: Option<AnchorInfo<D>> = None;
+        let mut anchor = Anchor::None;
         let verdict = loop {
             let Some((frag, is_master)) = state.lookup(meta) else {
                 // Shouldn't happen if host routing is correct; treat as a
@@ -537,7 +626,7 @@ pub fn handle_search<const D: usize>(
                     to: RemoteRef { meta, module: module_id as u32, prefix: Prefix::root(), sc: 0 },
                 };
             };
-            match search_step(frag, t.key, t.want_anchor, &mut anchor, ctx) {
+            match search_step(frag, t.key, t.want_anchor(), &mut anchor, ctx) {
                 (SearchEnd::Leaf(leaf), found) => {
                     debug_assert!(is_master, "payload leaves exist only at masters");
                     // The scan of the leaf for the key.
@@ -562,6 +651,18 @@ pub fn handle_search<const D: usize>(
                 }
             }
         };
+        if let (Anchor::At(a), Some((best_k, q))) = (&anchor, t.best_k) {
+            // A forwarded search may still find a deeper anchor; a remote
+            // anchor (`u32::MAX`) is some other fragment's root.
+            let over = !matches!(verdict, SearchVerdict::Forward { .. });
+            if over && a.node != u32::MAX && state.masters.contains_key(&a.meta) {
+                // The query's only task this round: nothing covered before
+                // it, nothing to meet while chasing.
+                let task = best_k.task(t.qid, q, a.meta, a.node);
+                let best = chase_task(state, ctx, &task, true, &[], &mut scratch);
+                anchor = Anchor::Explored(Box::new(best));
+            }
+        }
         replies.push(SearchReply { qid: t.qid, verdict, anchor });
     }
     replies
@@ -643,71 +744,102 @@ pub fn handle_delete<const D: usize>(
 /// can merge rows out of query order; such a call chases nothing, so each
 /// master is entered only by the task that names it, which the host sends
 /// once.
-///
-/// The scratch lists belong to the call, not the task: each grows to its
-/// high-water mark once per round instead of from empty per task, and a
-/// reply is cut from them with one exact-size allocation for its payload
-/// and none for the (short) `frontier`/`covered`.
 pub(crate) fn chase<const D: usize, K: Probe<D>>(
     state: &mut ModuleState<D>,
     ctx: &mut PimCtx,
     tasks: Vec<K>,
 ) -> Vec<K::Reply> {
     let mut replies = Vec::with_capacity(tasks.len());
-    let mut found = K::Found::default();
-    let mut frontier: Vec<Edge<D>> = Vec::new();
-    let mut work: Vec<(MetaId, u32, u64)> = Vec::new();
-    let mut visited: Vec<MetaId> = Vec::new();
-    let mut local_frontier: Vec<Edge<D>> = Vec::new();
+    let mut scratch = ChaseScratch::<D, K>::default();
     let may_chase = tasks.windows(2).all(|w| w[0].qid() <= w[1].qid());
     // The current query and the masters its earlier tasks covered.
     let mut qid = u32::MAX;
     let mut covered: Vec<MetaId> = Vec::new();
     for t in tasks {
-        frontier.clear();
-        visited.clear();
         if t.qid() != qid {
             qid = t.qid();
             covered.clear();
         }
-        let (meta, node) = t.target();
-        work.push((meta, node, 0));
-        while let Some((meta, node, lb)) = work.pop() {
-            if lb > t.bound(&found) || visited.contains(&meta) || covered.contains(&meta) {
-                continue;
-            }
-            visited.push(meta);
-            let Some((frag, _)) = state.lookup(meta) else {
-                continue;
-            };
-            let start = if node == u32::MAX { frag.root } else { node };
-            local_frontier.clear();
-            t.step(frag, start, &mut found, &mut local_frontier, ctx);
-            for &(r, d) in &local_frontier {
-                // Chase locally-present fragments, except a cached
-                // fragment's stub refs (r.meta == meta), whose payloads live
-                // only at the master.
-                if may_chase
-                    && r.meta != meta
-                    && !visited.contains(&r.meta)
-                    && state.lookup(r.meta).is_some()
-                {
-                    work.push((r.meta, u32::MAX, d));
-                } else {
-                    frontier.push((r, d));
-                }
-            }
-        }
-        // Trim frontier entries the final bound already excludes.
-        let bound = t.bound(&found);
-        frontier.retain(|(_, d)| *d <= bound);
-        frontier.sort_unstable_by_key(|(r, d)| (*d, r.meta));
-        frontier.dedup_by_key(|(r, _)| r.meta);
-        visited.retain(|m| state.masters.contains_key(m));
-        covered.extend_from_slice(&visited);
-        replies.push(t.reply(&mut found, &frontier, &visited));
+        replies.push(chase_task(state, ctx, &t, may_chase, &covered, &mut scratch));
+        covered.extend_from_slice(&scratch.visited);
     }
     replies
+}
+
+/// The lists one [`chase_task`] works in. They belong to the handler call,
+/// not the task: each grows to its high-water mark once per round instead of
+/// from empty per task, and a reply is cut from them with one exact-size
+/// allocation for its payload and none for the (short) `frontier`/`covered`.
+struct ChaseScratch<const D: usize, K: Probe<D>> {
+    found: K::Found,
+    frontier: Vec<Edge<D>>,
+    work: Vec<(MetaId, u32, u64)>,
+    /// After a task: the masters it covered.
+    visited: Vec<MetaId>,
+    local_frontier: Vec<Edge<D>>,
+}
+
+impl<const D: usize, K: Probe<D>> Default for ChaseScratch<D, K> {
+    fn default() -> Self {
+        ChaseScratch {
+            found: K::Found::default(),
+            frontier: Vec::new(),
+            work: Vec::new(),
+            visited: Vec::new(),
+            local_frontier: Vec::new(),
+        }
+    }
+}
+
+/// One task of [`chase`]: `covered` lists the masters this query's earlier
+/// tasks of the round already reported, and with `may_chase` unset the task
+/// stays inside the fragment it names.
+fn chase_task<const D: usize, K: Probe<D>>(
+    state: &ModuleState<D>,
+    ctx: &mut PimCtx,
+    t: &K,
+    may_chase: bool,
+    covered: &[MetaId],
+    scratch: &mut ChaseScratch<D, K>,
+) -> K::Reply {
+    let ChaseScratch { found, frontier, work, visited, local_frontier } = scratch;
+    frontier.clear();
+    visited.clear();
+    let (meta, node) = t.target();
+    work.push((meta, node, 0));
+    while let Some((meta, node, lb)) = work.pop() {
+        if lb > t.bound(found) || visited.contains(&meta) || covered.contains(&meta) {
+            continue;
+        }
+        visited.push(meta);
+        let Some((frag, _)) = state.lookup(meta) else {
+            continue;
+        };
+        let start = if node == u32::MAX { frag.root } else { node };
+        local_frontier.clear();
+        t.step(frag, start, found, local_frontier, ctx);
+        for &(r, d) in local_frontier.iter() {
+            // Chase locally-present fragments, except a cached
+            // fragment's stub refs (r.meta == meta), whose payloads live
+            // only at the master.
+            if may_chase
+                && r.meta != meta
+                && !visited.contains(&r.meta)
+                && state.lookup(r.meta).is_some()
+            {
+                work.push((r.meta, u32::MAX, d));
+            } else {
+                frontier.push((r, d));
+            }
+        }
+    }
+    // Trim frontier entries the final bound already excludes.
+    let bound = t.bound(found);
+    frontier.retain(|(_, d)| *d <= bound);
+    frontier.sort_unstable_by_key(|(r, d)| (*d, r.meta));
+    frontier.dedup_by_key(|(r, _)| r.meta);
+    visited.retain(|m| state.masters.contains_key(m));
+    t.reply(found, frontier, visited)
 }
 
 /// Management handler.
@@ -857,7 +989,7 @@ mod tests {
             0,
             &mut st,
             &mut ctx,
-            vec![SearchTask { qid: 7, key, meta: 9, want_anchor: 0 }],
+            vec![SearchTask { qid: 7, key, meta: 9, best_k: None }],
         );
         assert_eq!(r.len(), 1);
         match r[0].verdict {
@@ -870,23 +1002,100 @@ mod tests {
         assert!(ctx.cycles > 0, "search must charge PIM cycles");
     }
 
+    /// Five points whose 2-point anchor for a query at the origin is a local
+    /// node of the one fragment.
+    fn anchored() -> Fragment<3> {
+        frag_of(9, 0, &[[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3], [1 << 20, 0, 0]])
+    }
+
+    fn knn_search(st: &mut ModuleState<3>, ctx: &mut PimCtx) -> SearchReply<3> {
+        let q = Point::new([0, 0, 0]);
+        let best_k = Some((BestK { k: 1, metric: Metric::L1 }, q));
+        let task = SearchTask { qid: 0, key: ZKey::<3>::encode(&q), meta: 9, best_k };
+        handle_search(0, st, ctx, vec![task]).remove(0)
+    }
+
     #[test]
-    fn search_handler_reports_anchor() {
+    fn search_handler_runs_best_k_beside_the_anchor() {
         let mut st = ModuleState::<3>::default();
-        st.masters.insert(
-            9,
-            Arc::new(frag_of(9, 0, &[[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3], [1 << 20, 0, 0]])),
-        );
-        let key = ZKey::<3>::encode(&Point::new([0, 0, 0]));
+        st.masters.insert(9, Arc::new(anchored()));
         let mut ctx = PimCtx::new();
-        let r = handle_search(
-            0,
-            &mut st,
-            &mut ctx,
-            vec![SearchTask { qid: 0, key, meta: 9, want_anchor: 2 }],
-        );
-        let a = r[0].anchor.expect("anchor expected");
+        let reply = knn_search(&mut st, &mut ctx);
+        let SearchVerdict::Done { meta: 9, leaf, found: true } = reply.verdict else {
+            panic!("{:?}", reply.verdict)
+        };
+        let Anchor::Explored(best) = &reply.anchor else { panic!("{:?}", reply.anchor) };
+        assert_eq!(best.cands, [(0, Point::new([0, 0, 0]))]);
+        assert!(best.points.is_empty() && best.frontier.is_empty());
+        assert_eq!(&best.covered[..], [9]);
+        // The verdict plus a best-k reply, not the 28 B of an anchor.
+        assert_eq!(reply.wire_bytes(), 16 + (8 + 20 + 8));
+
+        // It is the reply the anchor's own task would have fetched a round
+        // later, and costs that task on top of the search.
+        let anchor = {
+            let mut found = Anchor::None;
+            let key = ZKey::<3>::encode(&Point::new([0, 0, 0]));
+            search_step(&anchored(), key, 2, &mut found, &mut NullSink);
+            let Anchor::At(a) = found else { panic!("{found:?}") };
+            a
+        };
+        assert!(anchor.sc >= 2 && anchor.node != u32::MAX);
+        let task =
+            BestK { k: 1, metric: Metric::L1 }.task(0, Point::new([0, 0, 0]), 9, anchor.node);
+        let mut later = PimCtx::new();
+        let unfused = chase(&mut st, &mut later, vec![task]).remove(0);
+        assert_eq!(unfused.cands, best.cands);
+        let mut search_only = PimCtx::new();
+        let mut cached = ModuleState::<3>::default();
+        cached.caches.insert(9, Arc::new(anchored().structure_clone()));
+        knn_search(&mut cached, &mut search_only);
+        // (The cached copy ends at a stub: no scan of the leaf for the key.)
+        let leaf_scan = anchored().node(leaf).count;
+        assert_eq!(ctx.cycles, search_only.cycles + leaf_scan + later.cycles);
+    }
+
+    #[test]
+    fn search_handler_reports_an_anchor_it_cannot_explore() {
+        // A cached copy holds the structure, not the points: the search goes
+        // on to the master, and so does the anchor.
+        let mut st = ModuleState::<3>::default();
+        st.caches.insert(9, Arc::new(anchored().structure_clone()));
+        let reply = knn_search(&mut st, &mut PimCtx::new());
+        assert!(matches!(reply.verdict, SearchVerdict::Forward { .. }));
+        let Anchor::At(a) = reply.anchor else { panic!("{:?}", reply.anchor) };
         assert!(a.sc >= 2);
+        assert_eq!(reply.wire_bytes(), 16 + 28);
+    }
+
+    /// The bytes each message is charged are the protocol: 12 B per point, 8
+    /// per distance or id, 24 per remote ref.
+    #[test]
+    fn wire_sizes_are_pinned() {
+        let p = Point::new([1, 2, 3]);
+        let task = |best_k| SearchTask { qid: 0, key: ZKey::<3>::encode(&p), meta: 9, best_k };
+        assert_eq!(task(None).wire_bytes(), 20);
+        assert_eq!(task(Some((BestK { k: 10, metric: Metric::L1 }, p))).wire_bytes(), 37);
+        let verdict = SearchVerdict::<3>::Diverge { meta: 9 };
+        assert_eq!(SearchReply { qid: 0, verdict, anchor: Anchor::None }.wire_bytes(), 16);
+
+        let r = RemoteRef { meta: 2, module: 0, prefix: Prefix::<3>::root(), sc: 2 };
+        let reply = |cands: usize, points: usize| KnnReply {
+            qid: 0,
+            cands: vec![(7, p); cands],
+            points: vec![p; points],
+            frontier: InlineVec::from_slice(&[(r, 5)]),
+            covered: InlineVec::from_slice(&[1, 2]),
+        };
+        assert_eq!(reply(0, 0).wire_bytes(), 8 + 32 + 16);
+        assert_eq!(reply(3, 0).wire_bytes(), 8 + 3 * 20 + 32 + 16, "best-k: distance and point");
+        assert_eq!(reply(0, 3).wire_bytes(), 8 + 3 * 12 + 32 + 16, "ball: the point alone");
+
+        let best_k = BestK { k: 10, metric: Metric::L1 }.task(0, p, 9, u32::MAX);
+        assert_eq!(best_k.wire_bytes(), 45);
+        let ball = KnnTask { ball: true, bound: 17, ..best_k };
+        assert_eq!(ball.wire_bytes(), 45, "no cube without the two-stage radius");
+        assert_eq!(KnnTask { cube: 10, ..ball }.wire_bytes(), 53);
     }
 
     #[test]
@@ -969,6 +1178,7 @@ mod tests {
                 q: Point::new([1_000_001, 1_000_001, 1_000_001]),
                 k: 1,
                 bound: u64::MAX,
+                cube: u64::MAX,
                 metric: Metric::L2,
                 ball: false,
             }],

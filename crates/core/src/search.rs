@@ -12,7 +12,7 @@ use crate::frag::{HostSink, MetaId, RemoteRef, SearchEnd};
 use crate::host::PimZdTree;
 use crate::inline::InlineVec;
 use crate::module::{
-    handle_search, search_step, AnchorInfo, SearchReply, SearchTask, SearchVerdict,
+    handle_search, search_step, Anchor, BestK, SearchReply, SearchTask, SearchVerdict,
 };
 use pim_geom::Point;
 use pim_zorder::ZKey;
@@ -64,8 +64,9 @@ pub struct BatchSearch<const D: usize> {
     pub keys: Vec<ZKey<D>>,
     /// Per-query end.
     pub ends: Vec<QueryEnd>,
-    /// Per-query deepest path node with counter ≥ the requested threshold.
-    pub anchors: Vec<Option<AnchorInfo<D>>>,
+    /// Per-query deepest path node with counter ≥ the requested threshold
+    /// — or what best-k found below it, where the SEARCH round ran that too.
+    pub anchors: Vec<Anchor<D>>,
     /// Per-query chain of meta hops taken below L0 (the search trace at
     /// meta granularity, which kNN step 3 walks). A chain is as deep as the
     /// layers below L0, so it lives in place.
@@ -111,17 +112,20 @@ impl<const D: usize> PimZdTree<D> {
         }
     }
 
-    /// Batched top-down search. `want_anchor > 0` also tracks, per query,
-    /// the deepest path node whose (lazy) counter is at least that value.
+    /// Batched top-down search. `best_k` (kNN) also tracks, per query, the
+    /// deepest path node whose (lazy) counter is at least 2k, and lets the
+    /// module a search ends on run the best-k step from it in the same round
+    /// ([`handle_search`]).
     pub(crate) fn batch_search_internal(
         &mut self,
         pts: &[Point<D>],
-        want_anchor: u64,
+        best_k: Option<BestK>,
     ) -> BatchSearch<D> {
+        let want_anchor = best_k.map_or(0, |b| b.want_anchor());
         let keys = self.encode_batch(pts);
         let n = keys.len();
         let mut ends: Vec<QueryEnd> = vec![QueryEnd::Empty; n];
-        let mut anchors: Vec<Option<AnchorInfo<D>>> = vec![None; n];
+        let mut anchors: Vec<Anchor<D>> = vec![Anchor::None; n];
         let mut hops = vec![InlineVec::new(); n];
 
         if self.l0.is_none() {
@@ -226,7 +230,7 @@ impl<const D: usize> PimZdTree<D> {
                     qid: *qid,
                     key: keys[*qid as usize],
                     meta: r.meta,
-                    want_anchor,
+                    best_k: best_k.map(|b| (b, pts[*qid as usize])),
                 });
             }
             let replies: Vec<Vec<SearchReply<D>>> = self.robust_round(tasks, handle_search);
@@ -236,8 +240,8 @@ impl<const D: usize> PimZdTree<D> {
             for reply in replies.into_iter().flatten() {
                 let qid = reply.qid as usize;
                 self.touch_query_state(qid, true);
-                if let Some(a) = reply.anchor {
-                    anchors[qid] = Some(a);
+                if !matches!(reply.anchor, Anchor::None) {
+                    anchors[qid] = reply.anchor;
                 }
                 match reply.verdict {
                     SearchVerdict::Done { meta, found, .. } => {
@@ -265,7 +269,7 @@ impl<const D: usize> PimZdTree<D> {
     pub fn batch_contains(&mut self, pts: &[Point<D>]) -> Vec<bool> {
         self.phased("search", |t| {
             t.measured(pts.len() as u64, |t| {
-                let s = t.batch_search_internal(pts, 0);
+                let s = t.batch_search_internal(pts, None);
                 let out: Vec<bool> = s.ends.iter().map(QueryEnd::found).collect();
                 let n = out.len() as u64;
                 (out, n)

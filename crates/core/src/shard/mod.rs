@@ -1083,8 +1083,8 @@ mod tests {
                 items.sort_unstable_by_key(|&(key, qid, ..)| (key, qid));
                 cut_runs(
                     items.iter(),
-                    |&&(.., q, r)| BallRun::start(metric, &q, r),
-                    |run, &&(.., q, r)| run.join(metric, &q, r),
+                    |&&(.., q, r)| BallRun::start(metric, &q, r, u64::MAX),
+                    |run, &&(.., q, r)| run.join(metric, &q, r, u64::MAX),
                 )
             };
             let mut items: Vec<(u64, usize, Point<3>, u64)> = input

@@ -98,11 +98,20 @@ pub(crate) struct Walk<const D: usize, K: Probe<D>> {
     /// Masters whose payloads were already covered (refs to them may still
     /// arrive via other paths).
     visited: InlineVec<MetaId, VISITED_INLINE>,
+    /// Whether the probe's target has been entered — by [`PimZdTree::traverse`]
+    /// seeding the walk, or before the walk existed ([`Self::resume`]).
+    entered: bool,
 }
 
 impl<const D: usize, K: Probe<D>> Walk<D, K> {
     pub fn new(probe: K) -> Self {
-        Walk { probe, found: K::Found::default(), frontier: Vec::new(), visited: InlineVec::new() }
+        Walk {
+            probe,
+            found: K::Found::default(),
+            frontier: Vec::new(),
+            visited: InlineVec::new(),
+            entered: false,
+        }
     }
 
     /// Re-arms a finished walk for another traversal, keeping its storage
@@ -112,6 +121,25 @@ impl<const D: usize, K: Probe<D>> Walk<D, K> {
         // Entries beyond the final bound may be left over.
         self.frontier.clear();
         self.visited.clear();
+        self.entered = false;
+    }
+
+    /// Picks a fresh walk up where a module left it: the probe's first task
+    /// already ran there (riding another round) and `reply` is its answer,
+    /// so [`PimZdTree::traverse`] has only the reply's frontier to visit.
+    pub fn resume(&mut self, reply: K::Reply, meter: &mut CpuMeter) {
+        self.entered = true;
+        self.absorb(reply, meter);
+    }
+
+    /// Folds one reply into the walk.
+    fn absorb(&mut self, reply: K::Reply, meter: &mut CpuMeter) {
+        let covered = self.probe.absorb(&mut self.found, reply, meter, &mut self.frontier);
+        for m in covered.iter() {
+            if !self.visited.contains(m) {
+                self.visited.push(*m);
+            }
+        }
     }
 
     fn bound(&self) -> u64 {
@@ -147,7 +175,8 @@ impl<const D: usize> PimZdTree<D> {
         let mut demand = self.bufs.take_demand();
 
         // Seed: a walk starts inside L0 (host) or at a fragment.
-        for w in walks.iter_mut() {
+        for w in walks.iter_mut().filter(|w| !w.entered) {
+            w.entered = true;
             match (w.probe.target(), self.l0.as_ref()) {
                 ((L0_META, node), Some(l0)) => {
                     w.step_on_host(l0, node, Self::l0_sink(&mut self.meter), &mut remote);
@@ -224,13 +253,7 @@ impl<const D: usize> PimZdTree<D> {
             }
             let replies = self.robust_round(tasks, |_, m, ctx, t| chase(m, ctx, t));
             for reply in replies.into_iter().flatten() {
-                let w = &mut walks[K::reply_qid(&reply) as usize];
-                let covered = w.probe.absorb(&mut w.found, reply, &mut self.meter, &mut w.frontier);
-                for m in covered.iter() {
-                    if !w.visited.contains(m) {
-                        w.visited.push(*m);
-                    }
-                }
+                walks[K::reply_qid(&reply) as usize].absorb(reply, &mut self.meter);
             }
         }
         self.bufs.put_vec(remote);

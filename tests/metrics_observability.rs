@@ -97,6 +97,8 @@ fn registry_agrees_with_sim_stats() {
             let ball = |name| m.counter(name, &[]).expect("kNN publishes its ball phase");
             assert_eq!(ball("host_knn_ball_queries_total"), 150);
             assert!((1..=150).contains(&ball("host_knn_ball_runs_total")));
+            assert!((1..=150).contains(&ball("host_knn_fused_total")));
+            assert!(ball("host_knn_ball_points_total") >= 150);
             // The fault-free workload must not invent fault metrics.
             assert_eq!(m.counter_sum("sim_faults_total"), 0);
             assert_eq!(m.counter_sum("sim_retries_total"), 0);

@@ -288,3 +288,107 @@ fn ball_phase_runs_match_brute_force() {
         assert!(runs < queries, "2d under {metric:?}: {runs} runs of {queries}");
     }
 }
+
+/// Stored points and queries that put the two-stage ball's cube against
+/// every edge it has: both ends of the grid (the cube's box saturates there,
+/// as the ball's does), copies of one point, queries on stored points (a
+/// cube of radius 0 for `k = 1`), and clusters of queries that share a run
+/// (in debug builds `batch_knn` asserts every member's cube lies inside its
+/// run's).
+fn cube_inputs<const D: usize>() -> (Vec<Point<D>>, Vec<Point<D>>) {
+    let m = pim_zd_tree_repro::geom::max_coord_for_dim(D);
+    let corners: Vec<Point<D>> = (0..1u32 << D)
+        .step_by(3)
+        .chain([(1 << D) - 1])
+        .map(|bits| Point::new(std::array::from_fn(|axis| m * (bits >> axis & 1))))
+        .collect();
+    let jitter = (m / 64).max(2);
+    let mut data = workloads::uniform::<D>(300, 21);
+    data.extend(&corners);
+    data.extend(workloads::point_queries(&corners, 120, jitter, 22));
+    data.extend(vec![data[5]; 40]);
+    data.extend(vec![corners[0]; 12]);
+
+    let mut queries = corners.clone();
+    queries.extend(&data[..12]);
+    queries.push(mid::<D>());
+    // Runs: tight clusters around a corner, a stored point and the middle.
+    queries.extend(workloads::point_queries(&[corners[0], data[5], mid::<D>()], 36, 2, 23));
+    queries.extend(workloads::uniform::<D>(8, 24));
+    (data, queries)
+}
+
+fn cube_cases<const D: usize>() {
+    use pim_zd_tree_repro::{FaultConfig, FaultPlan};
+    let (data, queries) = cube_inputs::<D>();
+    let n = data.len();
+    let machine = MachineConfig::with_modules(16);
+    let no_coarse_stage = {
+        let mut cfg = PimZdConfig::throughput_optimized(n as u64, 16);
+        cfg.toggles.coarse_fine_knn = false;
+        cfg
+    };
+    for (preset, cfg) in [
+        ("throughput", PimZdConfig::throughput_optimized(n as u64, 16)),
+        ("skew", PimZdConfig::skew_resistant(16)),
+        ("no cube", no_coarse_stage),
+    ] {
+        let case = format!("D={D} {preset}");
+        let mut index = PimZdTree::build(&data, cfg, machine);
+        // k = n and k > n: the universe ball, which has no cube.
+        for k in [1, 7, n, n + 5] {
+            ball_runs(&case, &mut index, &data, &queries, k, Metric::L2);
+        }
+        // A replayed or re-homed task of the fused SEARCH round answers the
+        // same.
+        index.set_fault_plan(Some(FaultPlan::new(FaultConfig::uniform(0.05, 25))));
+        let metrics = Metrics::enabled_new();
+        index.set_metrics(metrics.clone());
+        for k in [1, 7, 1, 7, 1, 7] {
+            let got = index.batch_knn(&queries, k, Metric::L2);
+            for (qid, (q, row)) in queries.iter().zip(&got).enumerate() {
+                assert_eq!(row, &brute_knn(&data, q, k, Metric::L2), "{case} faulty k={k} q#{qid}");
+            }
+        }
+        assert!(index.fault_log().retries > 0, "{case}: the plan must be biting");
+        let fused = metrics.with(|m| m.counter("host_knn_fused_total", &[])).flatten();
+        assert!(fused > Some(0), "{case}: no best-k rode a SEARCH round");
+    }
+}
+
+/// `batch_knn(ℓ2)` is exact where the ball test is ℓ1 ≤ √D·r₂ ∧ ℓ∞ ≤ r₂, in
+/// every dimension with its own coordinate width.
+#[test]
+fn two_stage_ball_with_its_cube_matches_brute_force() {
+    cube_cases::<2>();
+    cube_cases::<3>();
+    cube_cases::<4>();
+    cube_cases::<6>();
+}
+
+/// 10-NN is two rounds where SEARCH is one and ends beside every anchor (3
+/// when best-k had a round of its own): the best-k step rides the SEARCH
+/// round and only the ball phase is left. Under `skew_resistant` a search
+/// that goes on to an L2 fragment has its anchor above it, in an L1 fragment
+/// on another module: those queries (here 645 of 2 000) keep their best-k
+/// rounds, so the count stays 6 — SEARCH 2, best-k 2, ball 2 — with fewer
+/// tasks in each of the last four.
+#[test]
+fn ten_nn_round_counts() {
+    let data = workloads::uniform::<3>(40_000, 15);
+    let queries = workloads::uniform::<3>(2_000, 16);
+    let machine = MachineConfig::with_modules(64);
+    for (cfg, rounds) in
+        [(PimZdConfig::throughput_optimized(40_000, 64), 2), (PimZdConfig::skew_resistant(64), 6)]
+    {
+        let mut index = PimZdTree::build(&data, cfg, machine);
+        let metrics = Metrics::enabled_new();
+        index.set_metrics(metrics.clone());
+        index.batch_knn(&queries, 10, Metric::L2);
+        assert_eq!(index.last_op_stats().rounds, rounds);
+        let count = |name| metrics.with(|m| m.counter(name, &[])).flatten().unwrap_or(0);
+        let fused = if rounds == 2 { 2_000 } else { 2_000 - 645 };
+        assert_eq!(count("host_knn_fused_total"), fused);
+        assert!(count("host_knn_ball_points_total") >= 10 * 2_000);
+    }
+}

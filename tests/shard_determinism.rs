@@ -6,8 +6,9 @@
 //! 8-thread pools. Ranks execute concurrently on the pool, but every
 //! reduction is index-ordered and every rank journals into its own buffer,
 //! so the per-rank trace journals, the merged metrics snapshot (with the
-//! ranks' ball-phase counters `host_knn_ball_queries_total` and
-//! `host_knn_ball_runs_total` in it), per-op `ShardOpStats` (the
+//! ranks' kNN counters `host_knn_fused_total`, `host_knn_ball_queries_total`,
+//! `host_knn_ball_runs_total` and `host_knn_ball_points_total` in it), per-op
+//! `ShardOpStats` (the
 //! coalesced-widening counters `widen_requests` and `widen_fetches`
 //! included), and all query results must be **byte-identical** across the
 //! three schedules (ISSUE acceptance criterion; ARCHITECTURE.md §10
@@ -137,6 +138,11 @@ fn four_rank_run_is_byte_identical_at_1_2_8_threads() {
         (ball("host_knn_ball_queries_total"), ball("host_knn_ball_runs_total"));
     assert_eq!(ball_queries, 3 * 400, "every kNN query has one home ball phase");
     assert!(0 < ball_runs && ball_runs < ball_queries, "{ball_runs} runs for {ball_queries}");
+    // Where the work moved: best-k steps that rode their SEARCH round,
+    // points the ball replies carried.
+    let (fused, ball_points) = (ball("host_knn_fused_total"), ball("host_knn_ball_points_total"));
+    assert!(0 < fused && fused <= ball_queries, "{fused} fused best-k steps");
+    assert!(ball_runs <= ball_points, "{ball_points} points from {ball_runs} runs");
     for threads in [2usize, 8] {
         let pool = rayon::ThreadPool::new(threads);
         assert_eq!(pool.current_num_threads(), threads);
