@@ -9,7 +9,7 @@ use crate::config::{Layer, PimZdConfig};
 use crate::frag::{Fragment, Keyed, MetaId, NullSink, RemoteRef};
 use crate::host::{PimZdTree, L0_META};
 use crate::meta::{Directory, MetaInfo};
-use crate::module::MgmtTask;
+use crate::module::{MgmtReply, MgmtTask};
 use pim_geom::Point;
 use pim_sim::hash_place;
 use pim_zorder::ZKey;
@@ -117,10 +117,13 @@ impl<const D: usize> PimZdTree<D> {
         t.l0 = Some(l0);
         t.n_points = items.len();
 
-        // Install L1 caches (§3.1 partially-shared layer).
+        // Install L1 caches (§3.1 partially-shared layer): every L1 meta
+        // gains all of its targets.
+        t.dir.take_touched();
         let l1_metas: Vec<MetaId> =
             t.dir.metas.values().filter(|m| m.layer == Layer::L1).map(|m| m.id).collect();
-        t.install_caches(&l1_metas);
+        let round = t.task_matrix();
+        t.reconcile_caches(&l1_metas, round);
 
         t.update_l0_replication();
         t.sys.accounting = true;
@@ -129,72 +132,56 @@ impl<const D: usize> PimZdTree<D> {
         t
     }
 
-    /// Installs/updates structure caches for the given L1 metas on their
-    /// target modules (ancestor/descendant masters). Used at build and after
-    /// structural maintenance.
-    pub(crate) fn install_caches(&mut self, metas: &[MetaId]) {
-        if metas.is_empty() {
-            return;
+    /// Brings the structure copies of `metas` to their cache targets — the
+    /// masters' modules of their L1 ancestors and descendants (§3.1); none
+    /// for other layers — with the least traffic. A copy that is not dirty
+    /// is current (every counter sync and splice also reaches the copies
+    /// `cached_on` lists), so a meta is pulled only if it is dirty or gained
+    /// a target, and installed on every target if it is dirty, otherwise
+    /// only on the targets that lack a copy. Copies on modules that are no
+    /// longer targets are dropped.
+    ///
+    /// The pulls ride `round`, behind whatever it already holds for each
+    /// module; the installs and drops take the round after it.
+    pub(crate) fn reconcile_caches(&mut self, metas: &[MetaId], mut round: Vec<Vec<MgmtTask<D>>>) {
+        let mut installs = self.task_matrix::<MgmtTask<D>>();
+        let mut fresh: Vec<(MetaId, Vec<u32>)> = Vec::new();
+        for &m in metas {
+            let e = self.dir.get(m);
+            let targets = if e.layer == Layer::L1 { self.dir.cache_targets(m) } else { Vec::new() };
+            for &old in e.cached_on.iter().filter(|old| !targets.contains(old)) {
+                installs[old as usize].push(MgmtTask::DropCache(m));
+            }
+            let to: Vec<u32> =
+                targets.iter().copied().filter(|t| e.dirty || !e.cached_on.contains(t)).collect();
+            if !to.is_empty() {
+                round[e.module as usize].push(MgmtTask::PullStructure(m));
+                fresh.push((m, to));
+            }
+            let e = self.dir.get_mut(m);
+            e.cached_on = targets;
+            e.dirty = false;
         }
-        // Fetch current structures from masters (round 1)…
-        let live: Vec<MetaId> =
-            metas.iter().copied().filter(|m| self.dir.metas.contains_key(m)).collect();
-        let to_pull: Vec<MetaId> = live
-            .iter()
-            .copied()
-            .filter(|&m| {
-                self.dir.get(m).layer == Layer::L1 && !self.dir.cache_targets(m).is_empty()
+        // A reconcile sends `round` even with nothing in it: what an update
+        // batch costs on a tree with nothing to pull (`throughput_optimized`,
+        // whose chunks seldom nest) is pinned with this round in it, and
+        // dropping the round is a change of its own.
+        let mut pulled: rustc_hash::FxHashMap<MetaId, Fragment<D>> = self
+            .mgmt_round(round)
+            .into_iter()
+            .flatten()
+            .filter_map(|r| match r {
+                MgmtReply::Pulled(f) => Some((f.meta, f)),
+                _ => None,
             })
             .collect();
-        let pulled = self.pull_structures(&to_pull);
-        // …then install on each target and drop stale holders (round 2).
-        let mut tasks = self.task_matrix::<MgmtTask<D>>();
-        let mut any = false;
-        for &m in &live {
-            let targets = if self.dir.get(m).layer == Layer::L1 {
-                self.dir.cache_targets(m)
-            } else {
-                Vec::new()
-            };
-            for &old in &self.dir.get(m).cached_on.clone() {
-                if !targets.contains(&old) {
-                    tasks[old as usize].push(MgmtTask::DropCache(m));
-                    any = true;
-                }
-            }
-            if let Some(clone) = pulled.get(&m) {
-                for &module in &targets {
-                    tasks[module as usize].push(MgmtTask::InstallCache(clone.clone()));
-                    any = true;
-                }
-            }
-            self.dir.get_mut(m).cached_on = targets;
-            self.dir.get_mut(m).dirty = false;
-        }
-        if any {
-            self.mgmt_round(tasks);
-        }
-    }
-
-    /// Pulls structure-only clones of the given metas (round).
-    pub(crate) fn pull_structures(
-        &mut self,
-        metas: &[MetaId],
-    ) -> rustc_hash::FxHashMap<MetaId, Fragment<D>> {
-        let mut tasks = self.task_matrix::<MgmtTask<D>>();
-        for &m in metas {
-            tasks[self.dir.get(m).module as usize].push(MgmtTask::PullStructure(m));
-        }
-        let replies = self.mgmt_round(tasks);
-        let mut out = rustc_hash::FxHashMap::default();
-        for per_module in replies {
-            for r in per_module {
-                if let crate::module::MgmtReply::Pulled(f) = r {
-                    out.insert(f.meta, f);
-                }
+        for (m, to) in fresh {
+            let copy = pulled.remove(&m).expect("every structure pull is answered");
+            for &module in &to {
+                installs[module as usize].push(MgmtTask::InstallCache(copy.clone()));
             }
         }
-        out
+        self.mgmt_round_if_any(installs);
     }
 }
 
@@ -297,5 +284,57 @@ mod tests {
         }
         let nonempty = counts.iter().filter(|&&c| c > 0).count();
         assert!(nonempty > 16, "masters should spread over modules, got {nonempty}");
+    }
+
+    /// The reconcile sends what changed and nothing else: a current copy
+    /// stays; a meta that gained a target is pulled once and installed
+    /// there alone; a dirty meta is pulled once and installed on every
+    /// target; a module that stopped being a target loses its copy. (The
+    /// pull round goes out whenever a meta is visited.)
+    #[test]
+    fn reconcile_sends_only_what_changed() {
+        // A promotion leaves fragments hanging off L0 with L1 descendants
+        // on several modules (the bulk build's L1 chains are short).
+        let mut pts = pim_workloads::osm_like::<3>(4_000, 4_047);
+        let cfg = PimZdConfig::skew_resistant(64);
+        let mut t = PimZdTree::build(&pts, cfg, MachineConfig::with_modules(64));
+        let batch = pim_workloads::point_queries(&pts, 500, 4, 4_047 ^ 0x400);
+        t.batch_insert(&batch);
+        pts.extend_from_slice(&batch);
+        let metrics = pim_sim::Metrics::enabled_new();
+        t.set_metrics(metrics.clone());
+        let names =
+            ["host_cache_pulls_total", "host_cache_installs_total", "host_cache_drops_total"];
+        let mut seen = [0u64; 3];
+        let mut reconcile = |t: &mut PimZdTree<3>, m: MetaId| {
+            let rounds = t.sim_stats().rounds;
+            let round = t.task_matrix();
+            t.reconcile_caches(&[m], round);
+            let now = metrics.with(|r| names.map(|n| r.counter(n, &[]).unwrap_or(0))).unwrap();
+            let sent = [0, 1, 2].map(|i| now[i] - seen[i]);
+            seen = now;
+            (sent, t.sim_stats().rounds - rounds)
+        };
+        let m = t
+            .dir
+            .metas
+            .values()
+            .filter(|e| e.layer == Layer::L1 && e.cached_on.len() >= 2)
+            .map(|e| e.id)
+            .min()
+            .expect("an L1 meta cached on two modules");
+        let targets = t.dir.get(m).cached_on.clone();
+
+        assert_eq!(reconcile(&mut t, m), ([0, 0, 0], 1), "current copies: an empty pull round");
+        t.dir.get_mut(m).cached_on.remove(0);
+        assert_eq!(reconcile(&mut t, m), ([1, 1, 0], 2), "one target gained");
+        t.dir.get_mut(m).dirty = true;
+        let every = targets.len() as u64;
+        assert_eq!(reconcile(&mut t, m), ([1, every, 0], 2), "dirty: every target");
+        let stranger = (0..64).find(|x| !targets.contains(x) && *x != t.dir.get(m).module);
+        t.dir.get_mut(m).cached_on.push(stranger.unwrap());
+        assert_eq!(reconcile(&mut t, m), ([0, 0, 1], 2), "a target lost");
+        assert_eq!(t.dir.get(m).cached_on, targets);
+        t.check_invariants(&pts);
     }
 }

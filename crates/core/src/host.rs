@@ -389,9 +389,42 @@ impl<const D: usize> PimZdTree<D> {
     // Management rounds
     // -----------------------------------------------------------------
 
-    /// Executes one management round with per-module task lists.
+    /// Executes one management round with per-module task lists. With a
+    /// metrics registry attached, the structure-cache traffic it carries is
+    /// counted.
     pub(crate) fn mgmt_round(&mut self, tasks: Vec<Vec<MgmtTask<D>>>) -> Vec<Vec<MgmtReply<D>>> {
+        if self.sys.metrics().enabled() {
+            let mut counts = [0u64; 3];
+            for t in tasks.iter().flatten() {
+                match t {
+                    MgmtTask::PullStructure(_) => counts[0] += 1,
+                    MgmtTask::InstallCache(_) => counts[1] += 1,
+                    MgmtTask::DropCache(_) => counts[2] += 1,
+                    _ => {}
+                }
+            }
+            let names =
+                ["host_cache_pulls_total", "host_cache_installs_total", "host_cache_drops_total"];
+            self.sys.metrics().with(|m| {
+                for (name, n) in names.into_iter().zip(counts).filter(|(_, n)| *n > 0) {
+                    m.add(name, &[], n);
+                }
+            });
+        }
         self.robust_round(tasks, handle_mgmt)
+    }
+
+    /// [`Self::mgmt_round`], unless there is nothing to send: an empty
+    /// round still costs its fixed overhead.
+    pub(crate) fn mgmt_round_if_any(
+        &mut self,
+        tasks: Vec<Vec<MgmtTask<D>>>,
+    ) -> Vec<Vec<MgmtReply<D>>> {
+        if tasks.iter().all(Vec::is_empty) {
+            self.bufs.put_matrix(tasks);
+            return Vec::new();
+        }
+        self.mgmt_round(tasks)
     }
 
     // -----------------------------------------------------------------
@@ -574,7 +607,7 @@ impl<const D: usize> PimZdTree<D> {
             }
             let target = self.place_module(f.meta);
             f.master_module = target;
-            self.dir.get_mut(f.meta).module = target;
+            self.rehome(f.meta, target);
             installs[target as usize].push(MgmtTask::InstallMaster(f));
         }
         if self.sys.metrics().enabled() {
@@ -584,9 +617,7 @@ impl<const D: usize> PimZdTree<D> {
                 m.add("host_rehomed_fragments_total", &[], rehomed);
             });
         }
-        if !installs.iter().all(Vec::is_empty) {
-            self.robust_round(installs, handle_mgmt);
-        }
+        self.mgmt_round_if_any(installs);
     }
 
     /// Hash placement that skips fail-stopped modules. Identical to
@@ -594,6 +625,17 @@ impl<const D: usize> PimZdTree<D> {
     /// stays byte-compatible with earlier revisions.
     pub(crate) fn place_module(&self, id: MetaId) -> u32 {
         place_live(self.cfg.placement_seed, id, self.sys.dead_mask())
+    }
+
+    /// Records that `meta`'s master now lives on `module`. The cache
+    /// targets around it moved with it, so the meta and its L1 ancestors
+    /// and descendants are marked dirty: the next update batch's cache
+    /// reconcile resends them (a mark survives a checkpoint).
+    pub(crate) fn rehome(&mut self, meta: MetaId, module: u32) {
+        self.dir.get_mut(meta).module = module;
+        for id in self.dir.l1_neighbourhood(meta) {
+            self.dir.get_mut(id).dirty = true;
+        }
     }
 
     /// The module currently hosting `meta`'s master (directory-
@@ -787,7 +829,7 @@ impl<const D: usize> Reroutable<D> for MgmtTask<D> {
                 let target = tree.place_module(f.meta);
                 f.master_module = target;
                 if tree.dir.metas.contains_key(&f.meta) {
-                    tree.dir.get_mut(f.meta).module = target;
+                    tree.rehome(f.meta, target);
                 }
                 Route::To(target)
             }

@@ -1,11 +1,29 @@
 //! Dynamic updates (Alg. 2) and structural maintenance.
 //!
 //! `INSERT`/`DELETE` run as: batched SEARCH (traces) → one application round
-//! per affected fragment → maintenance. Maintenance implements the rest of
-//! Alg. 2 step 3: lazy-counter synchronization (§3.4, Table 1), shared-cache
-//! refresh (two rounds), promotion/demotion across layer boundaries, and
-//! re-chunking ("practical chunking", §6) that keeps fragments within their
-//! size budget.
+//! for every affected fragment → maintenance. Maintenance implements the
+//! rest of Alg. 2 step 3: demotion and promotion across the L0 boundary,
+//! lazy-counter synchronization (§3.4, Table 1), re-chunking ("practical
+//! chunking", §6) that keeps fragments within their size budget, and the
+//! refresh of the L1 structure caches (§3.1).
+//!
+//! The host plans all of it from the directory, so it costs the rounds its
+//! data dependencies need and no more (`PimZdTree::maintain`):
+//!
+//! * **M1** — demoted fragments' masters, the whole upward counter
+//!   propagation (every level in one round), the root splits of due
+//!   promotions or re-chunks, and, when nothing splits, the structure pulls
+//!   of the cache reconcile. Each module runs them in that order:
+//!   `InstallMaster` → `SyncChild` → `SplitRoot` → `PullStructure`.
+//! * **M2** — the copies' installs and drops. After a split, M2 holds the
+//!   split children's moved masters and the pulls instead, and M3 the
+//!   copies.
+//!
+//! One reconcile per batch covers every meta whose cache targets may have
+//! moved — the L1 neighbourhood of each meta the directory saw registered,
+//! re-parented, spliced or flipped — and every dirty L1 meta. It sends a
+//! meta only where a copy is stale or missing: a dirty meta to all of its
+//! targets, any other only to the targets that lack it.
 
 use crate::config::Layer;
 use crate::frag::{EditOutcome, Fragment, Keyed, MetaId, RefEdit, RemoteRef};
@@ -386,22 +404,19 @@ impl<const D: usize> PimZdTree<D> {
                     }
                 }
             }
-            if !tasks.iter().all(Vec::is_empty) {
-                let replies = self.mgmt_round(tasks);
-                for r in replies.into_iter().flatten() {
-                    let MgmtReply::ReplaceStatus { parent, collapsed, narrowed } = r else {
-                        continue;
-                    };
-                    let Some(e) = self.dir.metas.get_mut(&parent) else { continue };
-                    if let Some(rr) = collapsed {
-                        next.push((e.parent, parent, Some(rr)));
-                    } else if let Some(prefix) = narrowed {
-                        // The splice took the parent's root node: the ref
-                        // to the parent must hear its new prefix.
-                        e.prefix = prefix;
-                        if !urgent_syncs.contains(&parent) {
-                            urgent_syncs.push(parent);
-                        }
+            for r in self.mgmt_round_if_any(tasks).into_iter().flatten() {
+                let MgmtReply::ReplaceStatus { parent, collapsed, narrowed } = r else {
+                    continue;
+                };
+                let Some(e) = self.dir.metas.get_mut(&parent) else { continue };
+                if let Some(rr) = collapsed {
+                    next.push((e.parent, parent, Some(rr)));
+                } else if let Some(prefix) = narrowed {
+                    // The splice took the parent's root node: the ref to the
+                    // parent must hear its new prefix.
+                    e.prefix = prefix;
+                    if !urgent_syncs.contains(&parent) {
+                        urgent_syncs.push(parent);
                     }
                 }
             }
@@ -458,22 +473,51 @@ impl<const D: usize> PimZdTree<D> {
     // Maintenance (Alg. 2 steps 3c–3e)
     // -----------------------------------------------------------------
 
-    /// Runs the full maintenance pipeline after a batch of updates.
+    /// Runs the maintenance of an update batch. Everything is planned on the
+    /// host from the directory and sent in as few rounds as its data
+    /// dependencies allow (ARCHITECTURE §"An update batch, round by round").
+    ///
+    /// Round M1 carries the demoted fragments' masters, the whole counter
+    /// propagation and the root split of every due promotion — or, when
+    /// none is due, of every due re-chunk — and each module runs them in
+    /// that order. When nothing splits, the structure pulls of the cache
+    /// reconcile ride M1 too and M2 installs and drops the copies: two
+    /// rounds. A split's children are known only from its replies, so its
+    /// moved masters and the pulls take the round after it: three. Only a
+    /// cascade — a split child that must split again, or re-chunks after
+    /// promotions — adds rounds.
     pub(crate) fn maintain(&mut self) {
         self.phased("maintain", |t| {
-            t.demote_small_l0_children();
-            t.sync_lazy_counters();
-            t.promotions();
-            t.layer_transitions();
-            t.rechunk();
-            t.refresh_dirty_caches();
+            let mut round = t.task_matrix();
+            t.demote_small_l0_children(&mut round);
+            t.sync_lazy_counters(&mut round);
+            // Promotions until none is due, then re-chunks, so that new ids
+            // go out in that order; the layer flips in between see the
+            // promotions' children but not the re-chunks'.
+            for keep_root in [false, true] {
+                if keep_root {
+                    t.layer_transitions();
+                }
+                let mut guard = 0;
+                loop {
+                    let cands = t.split_candidates(keep_root);
+                    if cands.is_empty() {
+                        break;
+                    }
+                    guard += 1;
+                    assert!(guard < 64, "split cascade failed to converge");
+                    round = t.split_roots(&cands, keep_root, round);
+                }
+            }
+            t.refresh_caches(round);
             t.update_l0_replication();
         });
     }
 
     /// Extracts L0-resident subtrees that fell below θ_L0 into new
-    /// fragments (demotion; also how freshly-inserted structure leaves L0).
-    fn demote_small_l0_children(&mut self) {
+    /// fragments (demotion; also how freshly-inserted structure leaves L0),
+    /// their masters' installs added to `round`.
+    fn demote_small_l0_children(&mut self, round: &mut [Vec<MgmtTask<D>>]) {
         let Some(mut l0) = self.l0.take() else { return };
         let theta_l0 = self.cfg.theta_l0;
         // The topmost local children below the threshold.
@@ -485,10 +529,6 @@ impl<const D: usize> PimZdTree<D> {
             },
         );
         self.l0 = Some(l0);
-        if frags.is_empty() {
-            return;
-        }
-        let mut tasks: Vec<Vec<MgmtTask<D>>> = self.task_matrix();
         for mut frag in frags {
             // L0 carries no chunk directory; demoted fragments get one.
             frag.set_dir_policy(self.cfg.chunk_dir_bits(), self.cfg.chunk_dense_min());
@@ -499,20 +539,25 @@ impl<const D: usize> PimZdTree<D> {
             for g in frag.remote_children() {
                 self.dir.adopt(Some(r.meta), g.meta);
             }
-            tasks[r.module as usize].push(MgmtTask::InstallMaster(frag));
+            round[r.module as usize].push(MgmtTask::InstallMaster(frag));
         }
-        self.mgmt_round(tasks);
     }
 
-    /// Synchronizes lazy counters whose pending delta exceeds the Table 1
-    /// threshold (or all non-zero deltas when the ablation disables
-    /// laziness).
-    fn sync_lazy_counters(&mut self) {
+    /// Plans the synchronization of every lazy counter whose pending delta
+    /// exceeds the Table 1 threshold (or of every non-zero delta when the
+    /// ablation disables laziness) into `round`.
+    ///
+    /// Syncing a meta shifts its delta onto its parent (the paper's upward
+    /// propagation of counter changes, §3.4), which may make the parent due
+    /// in turn. Every value is the directory's, so the host plans the
+    /// propagation level by level and sends all of it at once: each module
+    /// runs its syncs in level order — the order a round per level would
+    /// apply them in — so the same messages leave the same state.
+    fn sync_lazy_counters(&mut self, round: &mut [Vec<MgmtTask<D>>]) {
         let lazy = self.cfg.toggles.lazy_counters;
         let delta_l1 = self.cfg.delta_l1;
-        // Syncing a meta shifts its delta onto its parent (the paper's
-        // upward propagation of counter changes, §3.4) — iterate until no
-        // counter is due; depth bounds the iteration count.
+        let mut l0_updates = 0;
+        // Depth bounds the number of levels.
         let mut guard = 0;
         loop {
             guard += 1;
@@ -536,19 +581,35 @@ impl<const D: usize> PimZdTree<D> {
                 .map(|e| e.id)
                 .collect();
             if due.is_empty() {
-                return;
+                break;
             }
-            self.sync_metas(&due, false);
+            l0_updates += self.plan_syncs(&due, false, round);
         }
+        self.replicate_l0_counts(l0_updates);
     }
 
     /// Pushes the current counts (and optionally prefixes) of `metas` to
-    /// their parents' masters and caches, plus L0 where the parent is L0.
+    /// their parents' masters and caches, plus L0 where the parent is L0,
+    /// in a round of their own.
     pub(crate) fn sync_metas(&mut self, metas: &[MetaId], with_prefix: bool) {
         if metas.is_empty() {
             return;
         }
-        let mut tasks: Vec<Vec<MgmtTask<D>>> = self.task_matrix();
+        let mut tasks = self.task_matrix();
+        let l0_updates = self.plan_syncs(metas, with_prefix, &mut tasks);
+        self.replicate_l0_counts(l0_updates);
+        self.mgmt_round_if_any(tasks);
+    }
+
+    /// Plans the syncs of [`Self::sync_metas`] into `tasks`: L0's refs are
+    /// edited on the spot, the directory moves each synced delta onto the
+    /// parent's. Returns the number of L0 counter updates.
+    fn plan_syncs(
+        &mut self,
+        metas: &[MetaId],
+        with_prefix: bool,
+        tasks: &mut [Vec<MgmtTask<D>>],
+    ) -> u64 {
         let mut l0_count_updates = 0u64;
         for &m in metas {
             if !self.dir.metas.contains_key(&m) {
@@ -582,22 +643,11 @@ impl<const D: usize> PimZdTree<D> {
                     }
                 }
                 Some(p) => {
-                    let pm = self.dir.get(p).module as usize;
-                    tasks[pm].push(MgmtTask::SyncChild {
-                        parent: p,
-                        child: m,
-                        sc: new_sc,
-                        prefix,
-                        repeat,
-                    });
-                    for &cm in &self.dir.get(p).cached_on.clone() {
-                        tasks[cm as usize].push(MgmtTask::SyncChild {
-                            parent: p,
-                            child: m,
-                            sc: new_sc,
-                            prefix,
-                            repeat,
-                        });
+                    let task =
+                        MgmtTask::SyncChild { parent: p, child: m, sc: new_sc, prefix, repeat };
+                    let pe = self.dir.get(p);
+                    for &module in std::iter::once(&pe.module).chain(&pe.cached_on) {
+                        tasks[module as usize].push(task.clone());
                     }
                 }
             }
@@ -613,49 +663,54 @@ impl<const D: usize> PimZdTree<D> {
                 }
             }
         }
-        if l0_count_updates > 0 && self.l0_replicated {
-            // Replicated L0 copies must hear about the counter updates.
-            self.sys.broadcast(crate::host::ReplBytes(l0_count_updates * 16), |_, _, ctx, b| {
+        l0_count_updates
+    }
+
+    /// Replicated L0 copies must hear about `updates` counter updates made
+    /// to the host's L0.
+    fn replicate_l0_counts(&mut self, updates: u64) {
+        if updates > 0 && self.l0_replicated {
+            self.sys.broadcast(crate::host::ReplBytes(updates * 16), |_, _, ctx, b| {
                 ctx.mem(b.0);
             });
         }
-        if !tasks.iter().all(Vec::is_empty) {
-            self.mgmt_round(tasks);
-        }
     }
 
-    /// Promotes fragments hanging off L0 whose counters reached θ_L0: the
-    /// fragment root moves into L0 and its children become fragments
-    /// (Alg. 2 step 3d's two-round promotion).
-    fn promotions(&mut self) {
-        let mut guard = 0;
-        loop {
-            guard += 1;
-            assert!(guard < 64, "promotion cascade failed to converge");
-            let cands: Vec<MetaId> = self
-                .dir
-                .metas
-                .values()
-                .filter(|e| e.parent.is_none() && e.estimated_count() >= self.cfg.theta_l0)
-                .map(|e| e.id)
-                .collect();
-            if cands.is_empty() {
-                return;
-            }
-            self.split_roots(&cands, false);
-        }
+    /// The fragments due a root split, in directory order: those hanging
+    /// off L0 whose counters reached θ_L0 (promotion, Alg. 2 step 3d) or,
+    /// with `keep_root`, those that outgrew the chunk budget (re-chunking:
+    /// §6 practical chunking keeps pulls O(B)-sized).
+    fn split_candidates(&self, keep_root: bool) -> Vec<MetaId> {
+        let (theta_l0, max_nodes) = (self.cfg.theta_l0, self.cfg.max_fragment_nodes as u64);
+        self.dir
+            .metas
+            .values()
+            .filter(|e| {
+                if keep_root {
+                    e.live_nodes > max_nodes
+                } else {
+                    e.parent.is_none() && e.estimated_count() >= theta_l0
+                }
+            })
+            .map(|e| e.id)
+            .collect()
     }
 
-    /// Splits the root off every fragment in `cands` (one round), registers
-    /// the extracted children and ships those placed on other modules (a
-    /// second round). With `keep_root` the fragment stays, holding just its
-    /// root, as the children's parent (re-chunking); without, the root is
-    /// spliced into L0 in place of the ref to the fragment, which dissolves
-    /// (promotion). A root that is a leaf — equal keys past `leaf_cap`, so
-    /// nothing below it to extract — comes back with no children and is
-    /// promoted as it is.
-    fn split_roots(&mut self, cands: &[MetaId], keep_root: bool) {
-        let mut tasks: Vec<Vec<MgmtTask<D>>> = self.task_matrix();
+    /// Adds a root split of every fragment in `cands` to `round` and sends
+    /// it, then registers the extracted children; returns the next round,
+    /// holding the masters of the children placed on other modules. With
+    /// `keep_root` the fragment stays, holding just its root, as the
+    /// children's parent (re-chunking); without, the root is spliced into
+    /// L0 in place of the ref to the fragment, which dissolves (promotion).
+    /// A root that is a leaf — equal keys past `leaf_cap`, so nothing below
+    /// it to extract — comes back with no children and is promoted as it
+    /// is.
+    fn split_roots(
+        &mut self,
+        cands: &[MetaId],
+        keep_root: bool,
+        mut round: Vec<Vec<MgmtTask<D>>>,
+    ) -> Vec<Vec<MgmtTask<D>>> {
         for &meta in cands {
             let new_ids = (0..2)
                 .map(|_| {
@@ -664,18 +719,18 @@ impl<const D: usize> PimZdTree<D> {
                 })
                 .collect();
             let e = self.dir.get(meta);
-            tasks[e.module as usize].push(MgmtTask::SplitRoot { meta, new_ids, keep_root });
+            round[e.module as usize].push(MgmtTask::SplitRoot { meta, new_ids, keep_root });
             if !keep_root {
                 // The fragment dissolves; so do the copies of its structure
                 // (in this round, so that they cost no round of their own).
                 for &m in &e.cached_on {
-                    tasks[m as usize].push(MgmtTask::DropCache(meta));
+                    round[m as usize].push(MgmtTask::DropCache(meta));
                 }
             }
         }
         // Replies come back flattened in (module, task) order — recover
         // which meta each split answers from the same traversal.
-        let dispatch_order: Vec<MetaId> = tasks
+        let dispatch_order: Vec<MetaId> = round
             .iter()
             .flatten()
             .filter_map(|t| match t {
@@ -683,8 +738,8 @@ impl<const D: usize> PimZdTree<D> {
                 _ => None,
             })
             .collect();
-        let replies = self.mgmt_round(tasks);
-        let mut installs: Vec<Vec<MgmtTask<D>>> = self.task_matrix();
+        let replies = self.mgmt_round(round);
+        let mut next: Vec<Vec<MgmtTask<D>>> = self.task_matrix();
         let mut promoted_bytes = 0u64;
         let splits = replies.into_iter().flatten().filter_map(|r| match r {
             MgmtReply::Split { root, children, moved } => Some((root, children, moved)),
@@ -718,15 +773,13 @@ impl<const D: usize> PimZdTree<D> {
                 self.dir.remove(meta);
             }
             for f in moved {
-                installs[f.master_module as usize].push(MgmtTask::InstallMaster(f));
+                next[f.master_module as usize].push(MgmtTask::InstallMaster(f));
             }
-        }
-        if !installs.iter().all(Vec::is_empty) {
-            self.mgmt_round(installs);
         }
         if self.l0_replicated && promoted_bytes > 0 {
             self.sys.broadcast(crate::host::ReplBytes(promoted_bytes), |_, _, ctx, b| ctx.mem(b.0));
         }
+        next
     }
 
     /// Registers the children of a root split in the directory.
@@ -745,80 +798,70 @@ impl<const D: usize> PimZdTree<D> {
         }
     }
 
-    /// Flips meta layers when counters cross θ_L1 and reconciles caching.
+    /// Flips meta layers where counters crossed θ_L1; the cache reconcile
+    /// moves the copies.
     fn layer_transitions(&mut self) {
+        let cfg = self.cfg;
         let mut changed: Vec<MetaId> = Vec::new();
-        let ids: Vec<MetaId> = self.dir.metas.keys().copied().collect();
-        for id in ids {
-            let e = self.dir.get(id);
-            let new_layer = match self.cfg.layer_of(e.estimated_count().max(1)) {
+        for e in self.dir.metas.values_mut() {
+            let new_layer = match cfg.layer_of(e.estimated_count().max(1)) {
                 Layer::L0 => Layer::L1, // promotion handles true L0 crossings
                 l => l,
             };
             if new_layer != e.layer {
-                self.dir.get_mut(id).layer = new_layer;
-                changed.push(id);
+                e.layer = new_layer;
+                changed.push(e.id);
             }
         }
-        if changed.is_empty() {
-            return;
+        for id in changed {
+            self.dir.touch(id);
         }
-        // Recompute caching for the changed metas and their L1 neighborhood.
-        let mut affected: Vec<MetaId> = Vec::new();
-        for &id in &changed {
-            affected.push(id);
-            affected.extend(self.dir.l1_ancestors(id));
-            affected.extend(self.dir.l1_descendants(id));
-        }
-        affected.sort_unstable();
-        affected.dedup();
-        // Only L1 metas carry caches; L1→L2 demotions get theirs dropped by
-        // install_caches' reconciliation.
-        self.install_caches(&affected);
     }
 
-    /// Splits fragments that outgrew the chunk budget (§6 practical
-    /// chunking keeps pulls O(B)-sized).
-    fn rechunk(&mut self) {
+    /// Sends `round` (what else is due to the modules next) with one cache
+    /// reconcile riding it: over the L1 neighbourhood of every meta whose
+    /// place in the meta-tree changed in this batch — splits, demotions,
+    /// splices, layer flips — and every dirty L1 meta. A module that
+    /// fail-stops meanwhile moves masters and marks their neighbourhoods
+    /// dirty, and those are reconciled again: the batch ends with every
+    /// copy where §3.1 puts it.
+    fn refresh_caches(&mut self, mut round: Vec<Vec<MgmtTask<D>>>) {
         let mut guard = 0;
         loop {
-            guard += 1;
-            assert!(guard < 64, "rechunk cascade failed to converge");
-            let cands: Vec<MetaId> = self
-                .dir
-                .metas
-                .values()
-                .filter(|e| e.live_nodes > self.cfg.max_fragment_nodes as u64)
-                .map(|e| e.id)
-                .collect();
-            if cands.is_empty() {
+            let metas = self.reconcile_set();
+            if metas.is_empty() && round.iter().all(Vec::is_empty) {
+                self.bufs.put_matrix(round);
                 return;
             }
-            self.split_roots(&cands, true);
+            guard += 1;
+            assert!(guard < 16, "cache reconcile failed to converge");
+            self.reconcile_caches(&metas, round);
+            round = self.task_matrix();
         }
     }
 
-    /// Refreshes structure caches of dirty L1 fragments (two rounds: pull
-    /// structures, install copies — Alg. 2 step 3c).
-    fn refresh_dirty_caches(&mut self) {
-        let dirty: Vec<MetaId> = self
-            .dir
-            .metas
-            .values()
-            .filter(|e| e.dirty && e.layer == Layer::L1)
-            .map(|e| e.id)
-            .collect();
-        // Clear dirt on non-L1s (nobody caches them).
-        let ids: Vec<MetaId> = self.dir.metas.keys().copied().collect();
-        for id in ids {
-            if self.dir.get(id).layer != Layer::L1 {
-                self.dir.get_mut(id).dirty = false;
+    /// The metas a reconcile visits, ascending: every meta the directory
+    /// saw move with its L1 ancestors and descendants, whose cache targets
+    /// the move may have changed, and every dirty L1 meta. Dirt on the
+    /// other layers is cleared: nobody caches them.
+    fn reconcile_set(&mut self) -> Vec<MetaId> {
+        let mut touched = self.dir.take_touched();
+        touched.sort_unstable();
+        touched.dedup();
+        let mut set: Vec<MetaId> =
+            touched.into_iter().flat_map(|id| self.dir.l1_neighbourhood(id)).collect();
+        for e in self.dir.metas.values_mut() {
+            if e.dirty {
+                if e.layer == Layer::L1 {
+                    set.push(e.id);
+                } else {
+                    e.dirty = false;
+                }
             }
         }
-        if dirty.is_empty() {
-            return;
-        }
-        self.install_caches(&dirty);
+        set.sort_unstable();
+        set.dedup();
+        set
     }
 }
 
@@ -828,7 +871,7 @@ mod tests {
     use crate::host::PimZdTree;
     use pim_geom::{Aabb, Metric, Point};
     use pim_sim::MachineConfig;
-    use pim_workloads::{osm_like, uniform};
+    use pim_workloads::{osm_like, point_queries, uniform};
 
     fn brute(data: &[Point<3>], q: &Point<3>, k: usize) -> Vec<(u64, Point<3>)> {
         let mut all: Vec<(u64, Point<3>)> =
@@ -1007,6 +1050,29 @@ mod tests {
         t.check_invariants(&left);
         assert_eq!(t.batch_delete(&left[..left.len() - 10]), left.len() - 10);
         t.check_invariants(&left[left.len() - 10..]);
+    }
+
+    /// A promotion dissolves a fragment whose L1 children then hang off the
+    /// split's new children, on other modules: their copies must move there
+    /// from the dissolved fragment's module, and the new children need
+    /// copies of their own. A jittered osm-like batch (`batch_churn` in
+    /// small) promotes two fragments here; before promotions joined the
+    /// cache reconcile, 32 L1 metas were left with copies on the wrong
+    /// modules.
+    #[test]
+    fn a_promotion_moves_the_copies_it_re_parents() {
+        let base = osm_like::<3>(4_000, 4_047);
+        let cfg = PimZdConfig::skew_resistant(64);
+        let mut t = PimZdTree::build(&base, cfg, MachineConfig::with_modules(64));
+        let off_l0: Vec<_> =
+            t.dir.metas.values().filter(|e| e.parent.is_none()).map(|e| e.id).collect();
+        let batch = point_queries(&base, 500, 4, 4_047 ^ 0x400);
+        t.batch_insert(&batch);
+        let promoted = off_l0.iter().filter(|id| !t.dir.metas.contains_key(id)).count();
+        assert!(promoted > 0, "the batch must promote");
+        let mut all = base;
+        all.extend_from_slice(&batch);
+        t.check_invariants(&all);
     }
 
     #[test]

@@ -74,12 +74,18 @@ pub struct Directory<const D: usize> {
     /// Entries by id.
     pub metas: FxHashMap<MetaId, MetaInfo<D>>,
     next_id: MetaId,
+    /// Metas whose place in the meta-tree changed since the last cache
+    /// reconcile — registered, re-parented, left with one child fewer, or
+    /// flipped layer — so that the cache targets around them may have
+    /// moved. Drained by every update batch's maintenance, so it is empty
+    /// between batches (and never checkpointed).
+    touched: Vec<MetaId>,
 }
 
 impl<const D: usize> Directory<D> {
     /// Creates an empty directory. Meta id 0 is reserved for L0.
     pub fn new() -> Self {
-        Self { metas: FxHashMap::default(), next_id: 1 }
+        Self { metas: FxHashMap::default(), next_id: 1, touched: Vec::new() }
     }
 
     /// Allocates a fresh meta id.
@@ -101,11 +107,12 @@ impl<const D: usize> Directory<D> {
     /// be reissued, or a replayed batch would mint a meta id that collides
     /// with one the pre-crash run already placed.
     pub(crate) fn from_parts(metas: FxHashMap<MetaId, MetaInfo<D>>, next_id: MetaId) -> Self {
-        Self { metas, next_id }
+        Self { metas, next_id, touched: Vec::new() }
     }
 
     /// Inserts an entry.
     pub fn insert(&mut self, info: MetaInfo<D>) {
+        self.touched.push(info.id);
         if let Some(p) = info.parent {
             if let Some(pe) = self.metas.get_mut(&p) {
                 if !pe.children.contains(&info.id) {
@@ -123,6 +130,7 @@ impl<const D: usize> Directory<D> {
     pub fn adopt(&mut self, parent: Option<MetaId>, child: MetaId) {
         let Some(c) = self.metas.get_mut(&child) else { return };
         c.parent = parent;
+        self.touched.push(child);
         if let Some(p) = parent {
             let siblings = &mut self.get_mut(p).children;
             if !siblings.contains(&child) {
@@ -148,38 +156,62 @@ impl<const D: usize> Directory<D> {
             if let Some(pe) = self.metas.get_mut(&p) {
                 pe.children.retain(|c| *c != id);
             }
+            self.touched.push(p);
         }
         Some(info)
     }
 
-    /// L1 ancestors of `id` (nearest first, excluding `id`).
+    /// Records that `id` moved in the meta-tree in a way the methods above
+    /// do not see (a layer flip).
+    pub(crate) fn touch(&mut self, id: MetaId) {
+        self.touched.push(id);
+    }
+
+    /// Hands over (and forgets) the metas recorded as moved.
+    pub(crate) fn take_touched(&mut self) -> Vec<MetaId> {
+        std::mem::take(&mut self.touched)
+    }
+
+    /// L1 ancestors of `id` (nearest first, excluding `id`). The walk ends
+    /// at the first parent that is not L1 — or not registered, as a parent
+    /// in the middle of a splice may not be.
     pub fn l1_ancestors(&self, id: MetaId) -> Vec<MetaId> {
         let mut out = Vec::new();
-        let mut cur = self.get(id).parent;
-        while let Some(p) = cur {
-            let e = self.get(p);
-            if e.layer == Layer::L1 {
-                out.push(p);
-            } else {
+        let mut cur = self.metas.get(&id).and_then(|e| e.parent);
+        while let Some(e) = cur.and_then(|p| self.metas.get(&p)) {
+            if e.layer != Layer::L1 {
                 break;
             }
+            out.push(e.id);
             cur = e.parent;
         }
         out
     }
 
     /// L1 descendants of `id` (BFS, excluding `id`), stopping at the L1/L2
-    /// border.
+    /// border (and skipping children no longer registered).
     pub fn l1_descendants(&self, id: MetaId) -> Vec<MetaId> {
         let mut out = Vec::new();
-        let mut queue: Vec<MetaId> = self.get(id).children.clone();
+        let mut queue: Vec<MetaId> = self.metas.get(&id).map_or(Vec::new(), |e| e.children.clone());
         while let Some(c) = queue.pop() {
-            let e = self.get(c);
+            let Some(e) = self.metas.get(&c) else { continue };
             if e.layer == Layer::L1 {
                 out.push(c);
                 queue.extend_from_slice(&e.children);
             }
         }
+        out
+    }
+
+    /// `id` — if registered — and its L1 ancestors and descendants: the
+    /// metas whose cache targets a change at `id` can move.
+    pub(crate) fn l1_neighbourhood(&self, id: MetaId) -> Vec<MetaId> {
+        if !self.metas.contains_key(&id) {
+            return Vec::new();
+        }
+        let mut out = vec![id];
+        out.extend(self.l1_ancestors(id));
+        out.extend(self.l1_descendants(id));
         out
     }
 

@@ -16,11 +16,12 @@ use pim_zd_tree_repro::{workloads, MachineConfig, Metric, PimZdConfig, PimZdTree
 
 const SEED: u64 = 2026;
 const N: usize = 6_000;
-const MODULES: usize = 16;
+const MODULES: usize = 64;
 
 /// Seeded mini workload covering every metered path: insert (splices via
-/// delete), delete, contains, kNN, box count/fetch. Returns the tree with
-/// its metrics handle still attached.
+/// delete), delete, contains, kNN, box count/fetch — on enough modules for
+/// L1 structure caches, so the updates' cache reconciles publish too.
+/// Returns the tree with its metrics handle still attached.
 fn run_workload() -> (PimZdTree<3>, Metrics) {
     let pts = workloads::uniform::<3>(N, SEED);
     let cfg = PimZdConfig::skew_resistant(MODULES);
@@ -99,6 +100,17 @@ fn registry_agrees_with_sim_stats() {
             assert!((1..=150).contains(&ball("host_knn_ball_runs_total")));
             assert!((1..=150).contains(&ball("host_knn_fused_total")));
             assert!(ball("host_knn_ball_points_total") >= 150);
+            // The cache reconcile of the two update batches: every pulled
+            // structure is installed somewhere, and the registry's counts
+            // are those of the management rounds' tasks.
+            let cache = |name| m.counter(name, &[]).expect("the updates reconcile caches");
+            let (pulls, installs, drops) = (
+                cache("host_cache_pulls_total"),
+                cache("host_cache_installs_total"),
+                cache("host_cache_drops_total"),
+            );
+            assert!(pulls > 0 && installs >= pulls, "{pulls} pulls, {installs} installs");
+            assert!(drops > 0, "some copy stops being on a cache target");
             // The fault-free workload must not invent fault metrics.
             assert_eq!(m.counter_sum("sim_faults_total"), 0);
             assert_eq!(m.counter_sum("sim_retries_total"), 0);

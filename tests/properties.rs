@@ -3,7 +3,8 @@
 use pim_geom::{max_coord_for_dim, Aabb, Metric, Point};
 use pim_memsim::{CpuConfig, CpuMeter};
 use pim_zd_tree_repro::{
-    workloads, BatchIndex, MachineConfig, PimZdConfig, PimZdTree, ShardConfig, ShardedZdTree,
+    workloads, BatchIndex, FaultConfig, FaultPlan, MachineConfig, PimZdConfig, PimZdTree,
+    ShardConfig, ShardedZdTree,
 };
 use pim_zdtree_base::ZdTree;
 use pim_zorder::prefix::Prefix;
@@ -335,6 +336,43 @@ fn pinned_duplicate_schedules_match_the_model() {
         58,
         &[(1, 1, 7, 14), (0, 1, 188, 6), (1, 2, 219, 13), (2, 0, 31, 1), (0, 0, 85, 14)],
     );
+}
+
+/// Update batches under a 5 % fault plan on a skew-resistant tree, with a
+/// module killed halfway. A batch's maintenance sends each module its
+/// masters, counter syncs, root splits and structure pulls in one round, in
+/// that order, and a replay after a fault or a death re-homes those tasks
+/// behind another module's own; a death also moves masters, and with them
+/// the cache targets around them. After every batch the invariants hold —
+/// every structure copy where the directory and §3.1 put it — and the tree
+/// answers as the model does.
+#[test]
+fn update_batches_under_a_fault_plan_keep_the_invariants() {
+    const P: usize = 32;
+    let seed = 2_605;
+    let base = workloads::osm_like::<3>(3_000, seed);
+    let mut t =
+        PimZdTree::build(&base, PimZdConfig::skew_resistant(P), MachineConfig::with_modules(P));
+    t.set_fault_plan(Some(FaultPlan::new(FaultConfig::uniform(0.05, seed))));
+    let probes = workloads::point_queries(&base, 40, 0, seed + 1);
+    let mut model = Model(base.clone());
+    for step in 0..8u64 {
+        if step == 4 {
+            t.kill_module(5);
+        }
+        let batch = workloads::point_queries(&base, 400, 4, seed ^ step);
+        if step % 2 == 0 {
+            t.batch_insert(&batch);
+            model.0.extend_from_slice(&batch);
+        } else {
+            let gone: Vec<Point<3>> = model.0.iter().step_by(5).copied().collect();
+            assert_eq!(t.batch_delete(&gone), model.delete(&gone), "step {step}");
+        }
+        t.check_invariants(&model.0);
+        model.check(&mut t, &probes, &format!("step {step}"));
+    }
+    let log = t.fault_log();
+    assert!(log.retries > 0 && log.salvages > 0, "the plan and the kill must bite: {log:?}");
 }
 
 proptest! {

@@ -237,25 +237,26 @@ fn run_boxes(s: &Schedule, skew: bool, regime: Regime, faulty: bool) -> (u64, u6
     out.digest(&journal)
 }
 
-/// `(cell, kNN digest, box digest)`, each half on a tree of its own. The box
-/// halves are the ones recorded at `149c043`, the parent of the two-round kNN
-/// protocol; the kNN halves were re-recorded with it (CHANGES.md, PR 23: the
-/// kNN `OpStats` and journal rounds moved — fewer rounds, fewer ball tasks,
-/// shorter ball replies — no answer did); see the module docs for when a
-/// digest may change.
+/// `(cell, kNN digest, box digest)`, each half on a tree of its own. All 24
+/// were last re-recorded when update maintenance went to two rounds: the
+/// insert and the delete batch behind every cell's tree take fewer rounds
+/// and reconcile the copies of what they re-parent, so every later round
+/// id, fault draw and cache-assisted step moved and no answer did
+/// (CHANGES.md has the entry); see the module docs for when a digest may
+/// change.
 const GOLDEN: [(&str, u64, u64); 12] = [
-    ("throughput/PushOnly/clean", 0xbb9ec1cbf683bf18, 0xd85f8e419630cfe6),
-    ("throughput/PushOnly/faulty", 0xd3e660f5b66a3956, 0x78e92d366a1a7486),
-    ("throughput/PullAlways/clean", 0xdad05eefd7ffee3d, 0x0c0ab1e9aa1f4a36),
-    ("throughput/PullAlways/faulty", 0x78f6955f69f58160, 0xe7cbae6e54acd732),
-    ("throughput/Preset/clean", 0xbb9ec1cbf683bf18, 0xd85f8e419630cfe6),
-    ("throughput/Preset/faulty", 0xd3e660f5b66a3956, 0x78e92d366a1a7486),
-    ("skew/PushOnly/clean", 0x72a27af30d1f75c0, 0x7899dea3d0f1c5f7),
-    ("skew/PushOnly/faulty", 0x98783dc0b7f20232, 0xd22fffce3fcc84bd),
-    ("skew/PullAlways/clean", 0xec559a0c5f100d44, 0xd1d4386b9d97a20f),
-    ("skew/PullAlways/faulty", 0x1ea727856f3d61a0, 0x62c647ae7f9ab78b),
-    ("skew/Preset/clean", 0x00ec52834df52b91, 0x67e96f06ee093987),
-    ("skew/Preset/faulty", 0x22ae8ec64c92c51d, 0x174f07625b98cc0d),
+    ("throughput/PushOnly/clean", 0x22b77b81062beb65, 0x1821004e9bb5c53a),
+    ("throughput/PushOnly/faulty", 0xa419e28ab76c3aff, 0xbcaa1bd0b88034e6),
+    ("throughput/PullAlways/clean", 0xbecaad2bca43375c, 0x788b7d476b7b4da8),
+    ("throughput/PullAlways/faulty", 0xde0a482193b0dcf2, 0x4ba04b69c1149e09),
+    ("throughput/Preset/clean", 0x22b77b81062beb65, 0x1821004e9bb5c53a),
+    ("throughput/Preset/faulty", 0xa419e28ab76c3aff, 0xbcaa1bd0b88034e6),
+    ("skew/PushOnly/clean", 0x979f64dba8f8fdab, 0x8b34dac1aa9430a2),
+    ("skew/PushOnly/faulty", 0xf831aa6a6ef3dfe5, 0x557e438e8e06dcf8),
+    ("skew/PullAlways/clean", 0x6b045bb907bd3aca, 0x774ce452084d7ebf),
+    ("skew/PullAlways/faulty", 0x18e21575c5cf89c0, 0x40f790be251ff823),
+    ("skew/Preset/clean", 0xf1e7f22f9c7565dc, 0x3b6957e298f9d98e),
+    ("skew/Preset/faulty", 0xdea9f5dd8d1c2dab, 0x996b4ea12195c9cd),
 ];
 
 #[test]
