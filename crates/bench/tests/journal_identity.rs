@@ -131,7 +131,7 @@ fn journal_is_byte_identical_across_thread_counts() {
     // The golden digests pin the journal against the *previous build*, not
     // just against another thread count of this one; they may only change
     // together with a CHANGES.md entry naming the artifact that moved.
-    for (rate, golden) in [(0.0, 0xa48f_b939_24db_afb1u64), (0.05, 0xcf6e_5e16_81de_40cb)] {
+    for (rate, golden) in [(0.0, 0x3fb2_e1e3_8ccf_198fu64), (0.05, 0x4cef_0575_59ab_edbe)] {
         let runs: Vec<String> = [1usize, 2, 8]
             .iter()
             .map(|&n| rayon::ThreadPool::new(n).install(|| run_pipeline(rate)))

@@ -160,6 +160,26 @@ impl<const D: usize> Wire for RemoteRef<D> {
     }
 }
 
+/// A node whose count a delete lowered without freeing any node (see
+/// [`Fragment::remove`]): what a structure copy of the fragment needs to stay
+/// at or below its master's counts with the master's prefixes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Lowered<const D: usize> {
+    /// The node's arena slot; a copy shares its master's arena layout.
+    pub slot: u32,
+    /// How far its count fell.
+    pub by: u64,
+    /// Its new prefix, where a leaf's narrowed.
+    pub prefix: Option<Prefix<D>>,
+}
+
+impl<const D: usize> Wire for Lowered<D> {
+    fn wire_bytes(&self) -> u64 {
+        // Slot and decrease four bytes each, and a prefix where there is one.
+        8 + self.prefix.map_or(0, |_| 12)
+    }
+}
+
 /// A child slot of an internal node.
 #[derive(Clone, Copy, Debug)]
 pub enum ChildRef<const D: usize> {
@@ -823,18 +843,21 @@ impl<const D: usize> Fragment<D> {
     // ------------------------------------------------------------------
 
     /// Removes sorted `items`; increments `removed` per removed instance.
-    /// Returns what the fragment root became.
+    /// Returns what the fragment root became. The nodes whose count fell
+    /// are appended to `lowered`: where the delete freed no node, that is
+    /// all it changed.
     pub fn remove(
         &mut self,
         items: &[Keyed<D>],
         removed: &mut usize,
+        lowered: &mut Vec<Lowered<D>>,
         sink: &mut impl CostSink,
     ) -> RootAfterRemove<D> {
         if items.is_empty() {
             return RootAfterRemove::Kept;
         }
         let root = self.root;
-        match self.remove_child(ChildRef::Local(root), items, removed, sink) {
+        match self.remove_child(ChildRef::Local(root), items, removed, lowered, sink) {
             None => RootAfterRemove::Empty,
             Some(ChildRef::Local(r)) => {
                 self.root = r;
@@ -850,6 +873,7 @@ impl<const D: usize> Fragment<D> {
         child: ChildRef<D>,
         items: &[Keyed<D>],
         removed: &mut usize,
+        lowered: &mut Vec<Lowered<D>>,
         sink: &mut impl CostSink,
     ) -> Option<ChildRef<D>> {
         let idx = match child {
@@ -894,6 +918,11 @@ impl<const D: usize> Fragment<D> {
                 } else {
                     let pre = set_prefix(&kept);
                     let n = &mut self.nodes[idx as usize];
+                    if kept.len() < old.len() {
+                        let by = (old.len() - kept.len()) as u64;
+                        let prefix = (pre != n.prefix).then_some(pre);
+                        lowered.push(Lowered { slot: idx, by, prefix });
+                    }
                     n.prefix = pre;
                     n.count = kept.len() as u64;
                     n.kind = BKind::Leaf { points: kept.into() };
@@ -902,11 +931,11 @@ impl<const D: usize> Fragment<D> {
             }
             BKind::Internal { left, right } => {
                 let (left, right) = (*left, *right);
-                let len = self.node(idx).prefix.len;
+                let (len, before) = (self.node(idx).prefix.len, self.node(idx).count);
                 let split = items.partition_point(|(k, _)| k.bit(len) == 0);
                 let (li, ri) = items.split_at(split);
-                let nl = self.remove_child(left, li, removed, sink);
-                let nr = self.remove_child(right, ri, removed, sink);
+                let nl = self.remove_child(left, li, removed, lowered, sink);
+                let nr = self.remove_child(right, ri, removed, lowered, sink);
                 match (nl, nr) {
                     (None, None) => {
                         self.release(idx);
@@ -934,6 +963,8 @@ impl<const D: usize> Fragment<D> {
                             n.prefix = pre;
                             n.count = a.len() as u64;
                             n.kind = BKind::Leaf { points: a.into() };
+                        } else if count < before {
+                            lowered.push(Lowered { slot: idx, by: before - count, prefix: None });
                         }
                         Some(ChildRef::Local(idx))
                     }
@@ -963,6 +994,24 @@ impl<const D: usize> Fragment<D> {
                 }
                 local
             }
+        }
+    }
+
+    /// Applies to a structure copy what [`Self::remove`] lowered at its
+    /// master. The decreases commute with every counter sync either side
+    /// gets, so a copy that counted no more than its master still does.
+    pub fn lower(&mut self, patch: &[Lowered<D>]) {
+        let mut narrowed = false;
+        for l in patch {
+            let n = &mut self.nodes[l.slot as usize];
+            n.count = n.count.saturating_sub(l.by);
+            if let Some(prefix) = l.prefix {
+                n.prefix = prefix;
+                narrowed = true;
+            }
+        }
+        if narrowed {
+            self.rebuild_chunk_dir();
         }
     }
 
@@ -1689,14 +1738,14 @@ mod tests {
         let mut f = leaf_fragment(&pts[..2], 2);
         f.merge(&keyed(&pts[2..]), &mut NullSink);
         let mut removed = 0;
-        match f.remove(&keyed(&pts[..4]), &mut removed, &mut NullSink) {
+        match f.remove(&keyed(&pts[..4]), &mut removed, &mut Vec::new(), &mut NullSink) {
             RootAfterRemove::Kept => {}
             other => panic!("{other:?}"),
         }
         assert_eq!(removed, 4);
         assert_eq!(f.root_node().count, 1);
         let mut removed2 = 0;
-        match f.remove(&keyed(&pts[4..]), &mut removed2, &mut NullSink) {
+        match f.remove(&keyed(&pts[4..]), &mut removed2, &mut Vec::new(), &mut NullSink) {
             RootAfterRemove::Empty => {}
             other => panic!("{other:?}"),
         }
@@ -1731,7 +1780,7 @@ mod tests {
             ],
         );
         let mut removed = 0;
-        match f.remove(&keyed(&[[0, 0, 0]]), &mut removed, &mut NullSink) {
+        match f.remove(&keyed(&[[0, 0, 0]]), &mut removed, &mut Vec::new(), &mut NullSink) {
             RootAfterRemove::CollapsedToRemote(r) => assert_eq!(r.meta, 42),
             other => panic!("{other:?}"),
         }

@@ -12,7 +12,7 @@
 use crate::config::{Layer, PimZdConfig};
 use crate::frag::{Fragment, HostSink, MetaId};
 use crate::meta::Directory;
-use crate::module::{handle_mgmt, MgmtReply, MgmtTask, ModuleState};
+use crate::module::{handle_mgmt, CopyUpdate, MgmtReply, MgmtTask, ModuleState};
 use crate::stats::OpStats;
 use pim_memsim::{CpuConfig, CpuMeter, CpuModel, CpuStats};
 use pim_sim::{hash_place, FaultLog, FaultPlan, MachineConfig, PimCtx, PimSystem, Wire};
@@ -151,6 +151,11 @@ pub struct PimZdTree<const D: usize> {
     /// so checkpoints can serialize them and restores can rebuild the
     /// meter with identical geometry.
     pub(crate) cpu_cfg: CpuConfig,
+    /// What the running update batch's cache reconcile has in hand for a
+    /// meta's structure copies — a copy or a delete's patch, from an apply
+    /// reply, a root split or a pull ahead of one — so that it pulls only
+    /// what nothing brought. Empty between batches.
+    pub(crate) in_hand: FxHashMap<MetaId, CopyUpdate<D>>,
 }
 
 impl<const D: usize> PimZdTree<D> {
@@ -204,6 +209,7 @@ impl<const D: usize> PimZdTree<D> {
             epoch: host.epoch,
             wal: None,
             cpu_cfg,
+            in_hand: FxHashMap::default(),
         }
     }
 
@@ -394,17 +400,22 @@ impl<const D: usize> PimZdTree<D> {
     /// counted.
     pub(crate) fn mgmt_round(&mut self, tasks: Vec<Vec<MgmtTask<D>>>) -> Vec<Vec<MgmtReply<D>>> {
         if self.sys.metrics().enabled() {
-            let mut counts = [0u64; 3];
+            let mut counts = [0u64; 4];
             for t in tasks.iter().flatten() {
                 match t {
                     MgmtTask::PullStructure(_) => counts[0] += 1,
                     MgmtTask::InstallCache(_) => counts[1] += 1,
                     MgmtTask::DropCache(_) => counts[2] += 1,
+                    MgmtTask::PatchCache { .. } => counts[3] += 1,
                     _ => {}
                 }
             }
-            let names =
-                ["host_cache_pulls_total", "host_cache_installs_total", "host_cache_drops_total"];
+            let names = [
+                "host_cache_pulls_total",
+                "host_cache_installs_total",
+                "host_cache_drops_total",
+                "host_cache_patches_total",
+            ];
             self.sys.metrics().with(|m| {
                 for (name, n) in names.into_iter().zip(counts).filter(|(_, n)| *n > 0) {
                     m.add(name, &[], n);
@@ -812,7 +823,7 @@ macro_rules! reroute_to_master {
 
 reroute_to_master! {
     SearchTask => crate::module::SearchReply<D>,
-    InsertTask => crate::module::InsertReply,
+    InsertTask => crate::module::InsertReply<D>,
     DeleteTask => crate::module::DeleteReply<D>,
     KnnTask => crate::module::KnnReply<D>,
     BoxTask => crate::module::BoxReply<D>,
@@ -837,9 +848,10 @@ impl<const D: usize> Reroutable<D> for MgmtTask<D> {
             // died with its host; the task is moot. (Recovery only re-homes
             // fragments the directory still routes to the dead module, so a
             // dropped-in-flight master is never resurrected.)
-            MgmtTask::InstallCache(_) | MgmtTask::DropCache(_) | MgmtTask::DropMaster(_) => {
-                Route::Void(MgmtReply::Ack)
-            }
+            MgmtTask::InstallCache(_)
+            | MgmtTask::DropCache(_)
+            | MgmtTask::PatchCache { .. }
+            | MgmtTask::DropMaster(_) => Route::Void(MgmtReply::Ack),
             MgmtTask::Pull(m) | MgmtTask::PullStructure(m) => Route::To(tree.master_module(*m)),
             // Counter syncs write absolute values, so reaching the re-homed
             // master — possibly in addition to a copy of this task that

@@ -283,7 +283,9 @@ impl<const D: usize> PimZdTree<D> {
     /// meter is charged `COALESCE_CYCLES` (32) per query for the grouping pass
     /// and the fine filter per (member, collected point) pair; a registry,
     /// when attached, gets `host_knn_fused_total` (queries whose best-k
-    /// step rode the SEARCH round), `host_knn_ball_queries_total`,
+    /// step rode the SEARCH round), `host_knn_unbounded_total` (queries
+    /// whose best-k step found fewer than k points, so that their ball is
+    /// the whole space), `host_knn_ball_queries_total`,
     /// `host_knn_ball_runs_total` and `host_knn_ball_points_total` (points
     /// the ball replies carried).
     pub fn batch_knn(
@@ -357,9 +359,11 @@ impl<const D: usize> PimZdTree<D> {
         // cube that goes with it.
         let mut fine: Vec<u64> = self.bufs.take_vec();
         let mut radii: Vec<(u64, u64)> = self.bufs.take_vec();
+        let mut unbounded = 0;
         for w in walks.iter_mut() {
             let best = &mut w.found.best;
             let x = if best.len() >= k { best[k - 1].0 } else { u64::MAX };
+            unbounded += u64::from(x == u64::MAX);
             // Radius under the coarse metric guaranteed to contain the true
             // k nearest under the target metric.
             radii.push(if x == u64::MAX {
@@ -434,6 +438,7 @@ impl<const D: usize> PimZdTree<D> {
         self.sys.metrics().with(|m| {
             let points: usize = walks[..runs.len()].iter().map(|w| w.found.ball.len()).sum();
             m.add("host_knn_fused_total", &[], fused);
+            m.add("host_knn_unbounded_total", &[], unbounded);
             m.add("host_knn_ball_queries_total", &[], n as u64);
             m.add("host_knn_ball_runs_total", &[], runs.len() as u64);
             m.add("host_knn_ball_points_total", &[], points as u64);

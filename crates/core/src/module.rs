@@ -23,8 +23,8 @@
 //! caching buys.
 
 use crate::frag::{
-    AnchorLoc, BNode, CostSink, Edge, EditOutcome, Fragment, Keyed, MetaId, RefEdit, RemoteRef,
-    RootAfterRemove, SearchEnd, BNODE_BYTES, REMOTE_REF_BYTES,
+    AnchorLoc, BNode, CostSink, Edge, EditOutcome, Fragment, Keyed, Lowered, MetaId, RefEdit,
+    RemoteRef, RootAfterRemove, SearchEnd, BNODE_BYTES, REMOTE_REF_BYTES,
 };
 use crate::inline::InlineVec;
 use crate::traverse::Probe;
@@ -236,17 +236,46 @@ pub struct InsertTask<const D: usize> {
     pub meta: MetaId,
     /// Sorted (key, point) pairs.
     pub items: Vec<Keyed<D>>,
+    /// The fragment has structure copies on other modules: a change of its
+    /// shape comes back with the reply (one byte).
+    pub copies: bool,
 }
 
 impl<const D: usize> Wire for InsertTask<D> {
     fn wire_bytes(&self) -> u64 {
-        12 + self.items.len() as u64 * (8 + Point::<D>::wire_bytes())
+        13 + self.items.len() as u64 * (8 + Point::<D>::wire_bytes())
+    }
+}
+
+/// What an update's apply reply brings back for the structure copies of a
+/// fragment its task said has some.
+#[derive(Clone, Debug, Default)]
+pub enum CopyUpdate<const D: usize> {
+    /// Nothing a copy must show changed: the copies may undercount, never
+    /// overcount, and an insert that adds no node only raises counts.
+    #[default]
+    None,
+    /// The fragment's shape changed: its structure copy, read and charged
+    /// as a `PullStructure` reads one.
+    Copy(Fragment<D>),
+    /// A delete lowered counts (and narrowed leaf prefixes) and freed no
+    /// node: what it lowered, for each copy to apply.
+    Patch(Vec<Lowered<D>>),
+}
+
+impl<const D: usize> Wire for CopyUpdate<D> {
+    fn wire_bytes(&self) -> u64 {
+        match self {
+            CopyUpdate::None => 0,
+            CopyUpdate::Copy(f) => f.bytes(),
+            CopyUpdate::Patch(p) => p.iter().map(Wire::wire_bytes).sum(),
+        }
     }
 }
 
 /// Insert outcome for one fragment.
-#[derive(Clone, Copy, Debug)]
-pub struct InsertReply {
+#[derive(Clone, Debug)]
+pub struct InsertReply<const D: usize> {
     /// Fragment.
     pub meta: MetaId,
     /// Points added.
@@ -257,11 +286,13 @@ pub struct InsertReply {
     pub root_count: u64,
     /// Live binary nodes in the fragment (re-chunk trigger).
     pub live_nodes: u64,
+    /// For the fragment's structure copies.
+    pub copies: CopyUpdate<D>,
 }
 
-impl Wire for InsertReply {
+impl<const D: usize> Wire for InsertReply<D> {
     fn wire_bytes(&self) -> u64 {
-        32
+        32 + self.copies.wire_bytes()
     }
 }
 
@@ -272,16 +303,19 @@ pub struct DeleteTask<const D: usize> {
     pub meta: MetaId,
     /// Sorted (key, point) pairs to remove.
     pub items: Vec<Keyed<D>>,
+    /// The fragment has structure copies on other modules: what they must
+    /// hear of the delete comes back with the reply (one byte).
+    pub copies: bool,
 }
 
 impl<const D: usize> Wire for DeleteTask<D> {
     fn wire_bytes(&self) -> u64 {
-        12 + self.items.len() as u64 * (8 + Point::<D>::wire_bytes())
+        13 + self.items.len() as u64 * (8 + Point::<D>::wire_bytes())
     }
 }
 
 /// Delete outcome for one fragment.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct DeleteReply<const D: usize> {
     /// Fragment.
     pub meta: MetaId,
@@ -293,6 +327,8 @@ pub struct DeleteReply<const D: usize> {
     pub root_count: u64,
     /// Root prefix after the delete (when kept).
     pub root_prefix: Prefix<D>,
+    /// For the fragment's structure copies (when kept).
+    pub copies: CopyUpdate<D>,
 }
 
 /// Root status after a fragment delete.
@@ -308,7 +344,7 @@ pub enum DeleteOutcome<const D: usize> {
 
 impl<const D: usize> Wire for DeleteReply<D> {
     fn wire_bytes(&self) -> u64 {
-        40
+        40 + self.copies.wire_bytes()
     }
 }
 
@@ -431,6 +467,13 @@ pub enum MgmtTask<const D: usize> {
     InstallCache(Fragment<D>),
     /// Drop a cache copy.
     DropCache(MetaId),
+    /// Apply to a cache copy what a delete lowered at its master.
+    PatchCache {
+        /// The copy's meta id.
+        meta: MetaId,
+        /// The lowered nodes.
+        patch: Vec<Lowered<D>>,
+    },
     /// Drop a master fragment.
     DropMaster(MetaId),
     /// Pull: send the full master fragment to the host.
@@ -483,6 +526,9 @@ impl<const D: usize> Wire for MgmtTask<D> {
             // Installing ships the fragment's bytes over the channel.
             MgmtTask::InstallMaster(f) => 8 + f.bytes(),
             MgmtTask::InstallCache(f) => 8 + f.structure_bytes(),
+            MgmtTask::PatchCache { patch, .. } => {
+                9 + patch.iter().map(Wire::wire_bytes).sum::<u64>()
+            }
             MgmtTask::DropCache(_)
             | MgmtTask::DropMaster(_)
             | MgmtTask::Pull(_)
@@ -668,12 +714,20 @@ pub fn handle_search<const D: usize>(
     replies
 }
 
-/// Applies insert merges to master fragments.
+/// A structure copy of `frag` for its copies elsewhere, read and charged as
+/// `PullStructure` reads one.
+fn copy_out<const D: usize>(frag: &Fragment<D>, ctx: &mut PimCtx) -> CopyUpdate<D> {
+    ctx.mem(frag.structure_bytes());
+    CopyUpdate::Copy(frag.structure_clone())
+}
+
+/// Applies insert merges to master fragments. A fragment with copies whose
+/// merge added nodes sends its structure back.
 pub fn handle_insert<const D: usize>(
     state: &mut ModuleState<D>,
     ctx: &mut PimCtx,
     tasks: Vec<InsertTask<D>>,
-) -> Vec<InsertReply> {
+) -> Vec<InsertReply<D>> {
     let mut replies = Vec::with_capacity(tasks.len());
     for t in tasks {
         let frag = Arc::make_mut(
@@ -681,18 +735,22 @@ pub fn handle_insert<const D: usize>(
         );
         let added = t.items.len() as u64;
         let new_nodes = frag.merge(&t.items, ctx) as u64;
+        let copies = if t.copies && new_nodes > 0 { copy_out(frag, ctx) } else { CopyUpdate::None };
         replies.push(InsertReply {
             meta: t.meta,
             added,
             new_nodes,
             root_count: frag.root_node().count,
             live_nodes: frag.live_nodes() as u64,
+            copies,
         });
     }
     replies
 }
 
-/// Applies delete removals to master fragments.
+/// Applies delete removals to master fragments. A kept fragment with copies
+/// sends its structure back if the delete freed a node, else what it
+/// lowered.
 pub fn handle_delete<const D: usize>(
     state: &mut ModuleState<D>,
     ctx: &mut PimCtx,
@@ -703,28 +761,37 @@ pub fn handle_delete<const D: usize>(
         let frag = Arc::make_mut(
             state.masters.get_mut(&t.meta).expect("delete targets a master fragment"),
         );
-        let mut removed = 0usize;
-        let outcome = match frag.remove(&t.items, &mut removed, ctx) {
+        let (live, mut removed, mut lowered) = (frag.live_nodes(), 0usize, Vec::new());
+        let outcome = match frag.remove(&t.items, &mut removed, &mut lowered, ctx) {
             RootAfterRemove::Kept => DeleteOutcome::Kept,
             RootAfterRemove::Empty => DeleteOutcome::Empty,
             RootAfterRemove::CollapsedToRemote(r) => DeleteOutcome::Collapsed(r),
         };
-        let (root_count, root_prefix) = match outcome {
-            DeleteOutcome::Kept => (frag.root_node().count, frag.root_node().prefix),
-            _ => (0, Prefix::root()),
-        };
-        match outcome {
+        let (root_count, root_prefix, copies) = match outcome {
+            DeleteOutcome::Kept => {
+                let copies = if !t.copies {
+                    CopyUpdate::None
+                } else if frag.live_nodes() < live {
+                    copy_out(frag, ctx)
+                } else if lowered.is_empty() {
+                    CopyUpdate::None
+                } else {
+                    CopyUpdate::Patch(lowered)
+                };
+                (frag.root_node().count, frag.root_node().prefix, copies)
+            }
             DeleteOutcome::Empty | DeleteOutcome::Collapsed(_) => {
                 state.masters.remove(&t.meta);
+                (0, Prefix::root(), CopyUpdate::None)
             }
-            DeleteOutcome::Kept => {}
-        }
+        };
         replies.push(DeleteReply {
             meta: t.meta,
             removed: removed as u64,
             outcome,
             root_count,
             root_prefix,
+            copies,
         });
     }
     replies
@@ -864,6 +931,14 @@ pub fn handle_mgmt<const D: usize>(
             }
             MgmtTask::DropCache(m) => {
                 state.caches.remove(&m);
+                MgmtReply::Ack
+            }
+            MgmtTask::PatchCache { meta, patch } => {
+                ctx.op(8 * patch.len() as u64);
+                ctx.mem(BNODE_BYTES * patch.len() as u64);
+                if let Some(f) = state.caches.get_mut(&meta) {
+                    Arc::make_mut(f).lower(&patch);
+                }
                 MgmtReply::Ack
             }
             MgmtTask::DropMaster(m) => {
@@ -1091,11 +1166,85 @@ mod tests {
         assert_eq!(reply(3, 0).wire_bytes(), 8 + 3 * 20 + 32 + 16, "best-k: distance and point");
         assert_eq!(reply(0, 3).wire_bytes(), 8 + 3 * 12 + 32 + 16, "ball: the point alone");
 
+        let items = vec![(ZKey::<3>::encode(&p), p); 2];
+        let insert = InsertTask { meta: 9, items: items.clone(), copies: true };
+        assert_eq!(insert.wire_bytes(), 13 + 2 * 20, "a flag byte beside the points");
+        assert_eq!(DeleteTask { meta: 9, items, copies: false }.wire_bytes(), 13 + 2 * 20);
+
         let best_k = BestK { k: 10, metric: Metric::L1 }.task(0, p, 9, u32::MAX);
         assert_eq!(best_k.wire_bytes(), 45);
         let ball = KnnTask { ball: true, bound: 17, ..best_k };
         assert_eq!(ball.wire_bytes(), 45, "no cube without the two-stage radius");
         assert_eq!(KnnTask { cube: 10, ..ball }.wire_bytes(), 53);
+    }
+
+    /// An apply reply carries, for a fragment with copies, its structure
+    /// when the update changed its shape and what a delete lowered when it
+    /// only thinned it — and nothing for a fragment without copies. The
+    /// structure is read and sized as `PullStructure` reads one; a patch is
+    /// 8 B per node and 12 more per narrowed prefix, once in the reply and
+    /// once in each `PatchCache`.
+    #[test]
+    fn apply_replies_carry_what_the_copies_need() {
+        // A root over a full leaf of four points and a leaf of two.
+        let pts = [[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3], [1 << 20, 0, 0], [1 << 20, 1, 1]];
+        let state = || {
+            let mut st = ModuleState::<3>::default();
+            st.masters.insert(9, Arc::new(frag_of(9, 0, &pts)));
+            st
+        };
+        let insert = |items: &[[u32; 3]], copies| {
+            let (mut st, mut ctx) = (state(), PimCtx::new());
+            let task = InsertTask { meta: 9, items: keyed(items), copies };
+            (handle_insert(&mut st, &mut ctx, vec![task]).remove(0), ctx.cycles)
+        };
+        let delete = |items: &[[u32; 3]], copies| {
+            let mut st = state();
+            let task = DeleteTask { meta: 9, items: keyed(items), copies };
+            handle_delete(&mut st, &mut PimCtx::new(), vec![task]).remove(0)
+        };
+
+        // The full leaf splits.
+        let (grew, cycles) = insert(&[[4, 4, 4]], true);
+        let CopyUpdate::Copy(copy) = &grew.copies else { panic!("{:?}", grew.copies) };
+        assert!(grew.new_nodes > 0);
+        assert_eq!(grew.wire_bytes(), 32 + copy.live_nodes() as u64 * BNODE_BYTES);
+        let (without, plain_cycles) = insert(&[[4, 4, 4]], false);
+        assert!(matches!(without.copies, CopyUpdate::None));
+        assert!(cycles > plain_cycles, "reading the structure out is charged");
+        assert!(matches!(insert(&[[1 << 20, 1, 0]], true).0.copies, CopyUpdate::None));
+
+        // The leaf of two loses one, which narrows its prefix; the root
+        // keeps five points, so nothing folds.
+        let thinned = delete(&[[1 << 20, 1, 1]], true);
+        let CopyUpdate::Patch(patch) = &thinned.copies else { panic!("{:?}", thinned.copies) };
+        assert_eq!(
+            patch.iter().map(|l| (l.by, l.prefix.is_some())).collect::<Vec<_>>(),
+            [(1, true), (1, false)]
+        );
+        assert_eq!(thinned.wire_bytes(), 40 + 20 + 8);
+        let task = MgmtTask::PatchCache { meta: 9, patch: patch.clone() };
+        assert_eq!(task.wire_bytes(), 9 + 20 + 8);
+        let mut copy = state().masters[&9].structure_clone();
+        let mut cache = ModuleState::<3>::default();
+        cache.caches.insert(9, Arc::new(copy.clone()));
+        handle_mgmt(1, &mut cache, &mut PimCtx::new(), vec![task]);
+        copy.lower(patch);
+        let mut after = state();
+        handle_delete(
+            &mut after,
+            &mut PimCtx::new(),
+            vec![DeleteTask { meta: 9, items: keyed(&[[1 << 20, 1, 1]]), copies: false }],
+        );
+        let want = format!("{:?}", after.masters[&9].structure_clone());
+        assert_eq!(format!("{copy:?}"), want);
+        assert_eq!(format!("{:?}", cache.caches[&9]), want);
+        assert!(matches!(delete(&[[1 << 20, 1, 1]], false).copies, CopyUpdate::None));
+
+        // Two of the four go: the root folds into one leaf.
+        let folded = delete(&[[0, 0, 0], [1, 1, 1]], true);
+        assert!(matches!(&folded.copies, CopyUpdate::Copy(c) if c.live_nodes() == 1));
+        assert_eq!(folded.wire_bytes(), 40 + BNODE_BYTES);
     }
 
     #[test]
@@ -1106,7 +1255,7 @@ mod tests {
         let r = handle_insert(
             &mut st,
             &mut ctx,
-            vec![InsertTask { meta: 3, items: keyed(&[[7, 7, 7], [9, 9, 9]]) }],
+            vec![InsertTask { meta: 3, items: keyed(&[[7, 7, 7], [9, 9, 9]]), copies: false }],
         );
         assert_eq!(r[0].added, 2);
         assert_eq!(r[0].root_count, 3);
@@ -1120,7 +1269,7 @@ mod tests {
         let r = handle_delete(
             &mut st,
             &mut ctx,
-            vec![DeleteTask { meta: 3, items: keyed(&[[0, 0, 0]]) }],
+            vec![DeleteTask { meta: 3, items: keyed(&[[0, 0, 0]]), copies: false }],
         );
         assert!(matches!(r[0].outcome, DeleteOutcome::Empty));
         assert!(!st.masters.contains_key(&3));

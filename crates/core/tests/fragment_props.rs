@@ -111,17 +111,27 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// remove() deletes exactly the requested instances.
+    /// remove() deletes exactly the requested instances. Where it frees no
+    /// node, what it reports lowered turns a structure copy taken before it
+    /// into the copy after it: counts, prefixes and chunk directory.
     #[test]
     fn fragment_remove_is_exact(
         pts in proptest::collection::vec(point3(), 3..120),
-        stride in 1usize..5,
+        stride in 1usize..40,
+        cap in 4usize..17,
+        dir_bits in 0u32..6,
     ) {
-        let mut f = fragment_over(&pts, 4, 4);
+        let mut f = fragment_over(&pts, cap, dir_bits);
+        let mut copy = f.structure_clone();
+        let live = f.live_nodes();
         let to_del: Vec<Point<3>> = pts.iter().step_by(stride).copied().collect();
-        let mut removed = 0;
-        let _ = f.remove(&keyed(&to_del), &mut removed, &mut NullSink);
+        let (mut removed, mut lowered) = (0, Vec::new());
+        let _ = f.remove(&keyed(&to_del), &mut removed, &mut lowered, &mut NullSink);
         prop_assert_eq!(removed, to_del.len());
+        if f.live_nodes() == live {
+            copy.lower(&lowered);
+            prop_assert_eq!(format!("{copy:?}"), format!("{:?}", f.structure_clone()));
+        }
     }
 
     /// The candidate-list helpers maintain a sorted k-bounded prefix.

@@ -100,17 +100,24 @@ fn registry_agrees_with_sim_stats() {
             assert!((1..=150).contains(&ball("host_knn_ball_runs_total")));
             assert!((1..=150).contains(&ball("host_knn_fused_total")));
             assert!(ball("host_knn_ball_points_total") >= 150);
-            // The cache reconcile of the two update batches: every pulled
-            // structure is installed somewhere, and the registry's counts
-            // are those of the management rounds' tasks.
+            // The cache reconcile of the two update batches, whose counts
+            // are those of the management rounds' tasks: copies installed,
+            // pulled only for metas that flipped into L1, dropped where a
+            // meta left L1, and patched where the delete only thinned.
             let cache = |name| m.counter(name, &[]).expect("the updates reconcile caches");
-            let (pulls, installs, drops) = (
-                cache("host_cache_pulls_total"),
-                cache("host_cache_installs_total"),
-                cache("host_cache_drops_total"),
-            );
-            assert!(pulls > 0 && installs >= pulls, "{pulls} pulls, {installs} installs");
-            assert!(drops > 0, "some copy stops being on a cache target");
+            let [pulls, installs, drops, patches, flips] = [
+                "host_cache_pulls_total",
+                "host_cache_installs_total",
+                "host_cache_drops_total",
+                "host_cache_patches_total",
+                "host_layer_flips_total",
+            ]
+            .map(cache);
+            assert!(installs >= pulls, "{pulls} pulls, {installs} installs");
+            assert!(pulls <= flips && flips > 0, "{pulls} pulls, {flips} flips");
+            assert!(drops > 0 && patches > 0, "{drops} drops, {patches} patches");
+            // kNN reports whether any query's best-k step came back short.
+            assert_eq!(m.counter("host_knn_unbounded_total", &[]), Some(0));
             // The fault-free workload must not invent fault metrics.
             assert_eq!(m.counter_sum("sim_faults_total"), 0);
             assert_eq!(m.counter_sum("sim_retries_total"), 0);

@@ -2,6 +2,7 @@
 
 use pim_geom::{max_coord_for_dim, Aabb, Metric, Point};
 use pim_memsim::{CpuConfig, CpuMeter};
+use pim_zd_tree_repro::sim::Metrics;
 use pim_zd_tree_repro::{
     workloads, BatchIndex, FaultConfig, FaultPlan, MachineConfig, PimZdConfig, PimZdTree,
     ShardConfig, ShardedZdTree,
@@ -373,6 +374,47 @@ fn update_batches_under_a_fault_plan_keep_the_invariants() {
     }
     let log = t.fault_log();
     assert!(log.retries > 0 && log.salvages > 0, "the plan and the kill must bite: {log:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A delete that only thins a fragment sends its structure copies a
+    /// patch of what it lowered, not a new copy. A copy may count fewer
+    /// points than its master, never more: a kNN anchor picked on a copy
+    /// that overcounts could promise 2k points over fewer than k, and the
+    /// query's best-k would come back short and fetch the whole space.
+    /// Skew trees on 64 modules with 24-node fragments, so that L1 metas
+    /// nest and carry copies, under a 5 % fault plan, lose original points
+    /// in thinning steps, which lowers counts and narrows leaf prefixes.
+    /// After every step the invariants hold (every copy at or below its
+    /// master), the tree answers as the model does, and no 5-NN query fell
+    /// back to the whole space.
+    #[test]
+    fn thinning_deletes_keep_every_copy_at_or_below_its_master(
+        seed in 0u64..1 << 16,
+        stride in 3usize..9,
+    ) {
+        const P: usize = 64;
+        let cfg = PimZdConfig { max_fragment_nodes: 24, ..PimZdConfig::skew_resistant(P) };
+        let base = workloads::osm_like::<3>(3_000, seed);
+        let mut t = PimZdTree::build(&base, cfg, MachineConfig::with_modules(P));
+        let metrics = Metrics::enabled_new();
+        t.set_metrics(metrics.clone());
+        t.set_fault_plan(Some(FaultPlan::new(FaultConfig::uniform(0.05, seed))));
+        let probes = workloads::point_queries(&base, 30, 0, seed + 1);
+        let mut model = Model(base);
+        let counter = |name| metrics.with(|m| m.counter(name, &[]).unwrap_or(0)).unwrap();
+        for step in 0..5 {
+            let gone: Vec<Point<3>> = model.0.iter().step_by(stride).copied().collect();
+            prop_assert_eq!(t.batch_delete(&gone), model.delete(&gone), "step {}", step);
+            t.check_invariants(&model.0);
+            model.check(&mut t, &probes, &format!("seed {seed} step {step}"));
+            prop_assert_eq!(counter("host_knn_unbounded_total"), 0, "step {}", step);
+        }
+        prop_assert!(model.0.len() > 300, "n stays well above k");
+        prop_assert!(counter("host_cache_patches_total") > 0, "the deletes must patch");
+    }
 }
 
 proptest! {

@@ -1,14 +1,18 @@
 //! An update batch's maintenance, round by round.
 //!
 //! After its SEARCH and apply rounds, an insert or delete batch maintains
-//! the tree in two rounds: M1 carries the demoted fragments' masters, the
-//! whole upward counter propagation, every due root split and — when no
-//! split is due — the structure pulls of the one cache reconcile; M2
-//! installs and drops the copies. A split's children are known only from
-//! its replies, so a batch that splits takes one round more: its moved
-//! masters and the pulls ride M2, and the copies M3. These tests read the
-//! rounds off the journal (phase `insert/maintain`, `delete/maintain`) and
-//! `last_op_stats().rounds`, and the cache traffic off the metrics registry.
+//! the tree. The apply round's replies bring back what the structure copies
+//! need — a copy of a fragment whose shape changed, the lowered counts of
+//! one a delete only thinned — so the first maintenance round, M1, carries
+//! the demoted fragments' masters, the whole upward counter propagation and
+//! every due root split, and, when nothing splits and nothing lacks a copy
+//! no reply brought, the copies' installs, patches and drops as well: one
+//! round. A flip into L1 needs a copy nothing brought, and a split's
+//! children are known only from its replies; either way M1 carries the
+//! structure pulls, and M2 the copies (after a split, beside the children's
+//! moved masters): two rounds. These tests read the rounds off the journal
+//! (phase `insert/maintain`, `delete/maintain`) and `last_op_stats().rounds`,
+//! and the cache traffic off the metrics registry.
 
 use pim_zd_tree_repro::sim::trace::{Journal, JournalSink};
 use pim_zd_tree_repro::sim::Metrics;
@@ -30,13 +34,24 @@ fn tree(n: usize, p: usize) -> (Vec<Point<3>>, PimZdTree<3>, Journal, Metrics) {
 }
 
 /// What one batch sent during maintenance.
+#[derive(Debug, PartialEq)]
 struct Maintenance {
     /// Tasks per maintenance round, in order.
     rounds: Vec<u64>,
-    /// Structure pulls, copy installs and copy drops.
+    /// Structure pulls, copy installs, copy drops, count patches, and the
+    /// metas that flipped layer.
     pulls: u64,
     installs: u64,
     drops: u64,
+    patches: u64,
+    flips: u64,
+}
+
+impl Maintenance {
+    /// The tasks that bring copies up to date.
+    fn copies(&self) -> u64 {
+        self.installs + self.drops + self.patches
+    }
 }
 
 /// Runs `batch` (an insert or a delete) and reads its maintenance off the
@@ -52,38 +67,58 @@ fn maintain(
     let counters = || {
         metrics
             .with(|m| {
-                ["host_cache_pulls_total", "host_cache_installs_total", "host_cache_drops_total"]
-                    .map(|name| m.counter(name, &[]).unwrap_or(0))
+                [
+                    "host_cache_pulls_total",
+                    "host_cache_installs_total",
+                    "host_cache_drops_total",
+                    "host_cache_patches_total",
+                    "host_layer_flips_total",
+                ]
+                .map(|name| m.counter(name, &[]).unwrap_or(0))
             })
             .expect("metrics are attached")
     };
     let (seen, before) = (journal.snapshot().len(), counters());
     batch(t);
-    let after = counters();
+    let sent = {
+        let after = counters();
+        [0, 1, 2, 3, 4].map(|i| after[i] - before[i])
+    };
     let records = journal.snapshot().split_off(seen);
     assert_eq!(t.last_op_stats().rounds, records.len() as u64, "{op}: rounds of the batch");
     let label = format!("{op}/maintain");
     Maintenance {
         rounds: records.iter().filter(|r| r.phase == label).map(|r| r.tasks).collect(),
-        pulls: after[0] - before[0],
-        installs: after[1] - before[1],
-        drops: after[2] - before[2],
+        pulls: sent[0],
+        installs: sent[1],
+        drops: sent[2],
+        patches: sent[3],
+        flips: sent[4],
     }
 }
 
-/// With no split due, maintenance is two rounds, and the first carries the
-/// whole counter propagation beside the structure pulls: the `SyncChild`
-/// messages a round per propagation level would send, all of them (541 +
-/// 30, 549 + 36 and 505 + 33 over two levels each). The second is the
-/// copies' installs and drops, nothing else.
+/// With no split due, a batch maintains in one round unless a flip into L1
+/// leaves a meta needing copies no reply brought. M1 carries the whole
+/// counter propagation either way (561, 585 and 536 messages here, none for
+/// the first insert), and the copies when nothing is pulled:
+///
+/// * a few points that flip nothing: one round, five copies of fragments
+///   that grew, all back with the apply round;
+/// * the deletes thin fragments, and most of what their copies hear is a
+///   patch of lowered counts; they flip metas out of L1, which costs drops,
+///   never pulls: one round;
+/// * the jittered insert flips 72 metas into L1: each is pulled in M1 and
+///   installed in M2, beside the copies of the fragments that grew: two.
 #[test]
-fn counter_propagation_and_cache_pulls_share_one_round() {
+fn a_batch_pulls_only_for_a_flip_into_l1() {
     let (base, mut t, journal, metrics) = tree(20_000, 256);
     let thinned: Vec<Point<3>> = base.iter().step_by(10).copied().collect();
     let jittered = workloads::point_queries(&base, 2_000, 4, SEED ^ 0x400);
-    let batches: [(&str, &[Point<3>], u64); 3] =
-        [("delete", &thinned, 571), ("insert", &jittered, 585), ("delete", &jittered, 538)];
-    for (op, batch, syncs) in batches {
+    let few = workloads::point_queries(&base, 50, 4, SEED ^ 0x50b);
+    let batches: [(&str, &[Point<3>]); 4] =
+        [("insert", &few), ("delete", &thinned), ("insert", &jittered), ("delete", &jittered)];
+    let mut seen = Vec::new();
+    for (op, batch) in batches {
         let m = maintain(&mut t, &journal, &metrics, op, |t| {
             if op == "insert" {
                 t.batch_insert(batch);
@@ -91,30 +126,49 @@ fn counter_propagation_and_cache_pulls_share_one_round() {
                 assert_eq!(t.batch_delete(batch), batch.len());
             }
         });
-        assert_eq!(m.rounds.len(), 2, "{op}: maintenance rounds {:?}", m.rounds);
-        assert_eq!(m.rounds[0] - m.pulls, syncs, "{op}: counter syncs in M1");
-        assert_eq!(m.rounds[1], m.installs + m.drops, "{op}: M2 is the copies");
-        assert!(m.pulls > 0 && m.installs >= m.pulls, "{op}: a reconcile ran");
+        // What M1 carries besides pulls and copies: syncs (and demoted
+        // masters, of which these batches have none).
+        let syncs = if m.pulls == 0 {
+            assert_eq!(m.rounds.len(), 1, "{op}: {m:?}");
+            m.rounds[0] - m.copies()
+        } else {
+            assert_eq!(m.rounds[1..], [m.copies()], "{op}: M2 is the copies, {m:?}");
+            m.rounds[0] - m.pulls
+        };
+        seen.push([m.rounds.len() as u64, syncs, m.pulls, m.installs, m.drops, m.patches]);
+        assert!(m.pulls <= m.flips, "{op}: pulls only for flips into L1, {m:?}");
     }
+    assert_eq!(
+        seen,
+        [
+            [1, 0, 0, 5, 0, 0],
+            [1, 561, 0, 35, 32, 538],
+            [2, 585, 72, 211, 0, 0],
+            [1, 536, 0, 104, 107, 481],
+        ],
+        "[rounds, syncs, pulls, installs, drops, patches] per batch"
+    );
 }
 
 /// A batch that promotes takes one round more. Its first maintenance round
-/// holds the counter syncs (117, all of one level) and the three
-/// promotions' root splits; the split children's masters and the pulls
-/// follow, then the copies — among them those of the fragments the
-/// promotions re-parented.
+/// holds the counter syncs (117, all of one level), the three promotions'
+/// root splits and the pulls of what will hang under the split children
+/// and of the metas that flip into L1; the second, the split children's
+/// masters and every copy. The delete after it splits nothing and pulls
+/// nothing: one round.
 #[test]
 fn a_split_adds_one_round() {
     let (base, mut t, journal, metrics) = tree(8_000, 64);
     let batch = workloads::point_queries(&base, 1_000, 4, SEED ^ 0x400);
     let m = maintain(&mut t, &journal, &metrics, "insert", |t| t.batch_insert(&batch));
-    assert_eq!(m.rounds.len(), 3, "maintenance rounds {:?}", m.rounds);
-    assert_eq!(m.rounds[0], 117 + 3, "M1: the syncs and the splits");
-    assert_eq!(m.rounds[2], m.installs + m.drops, "M3 is the copies");
-    assert!(m.rounds[1] > m.pulls, "M2: moved masters and pulls");
+    assert_eq!(m.rounds.len(), 2, "maintenance rounds {m:?}");
+    assert_eq!(m.rounds[0], 117 + 3 + m.pulls, "M1: the syncs, the splits and the pulls");
+    assert_eq!(m.rounds[1], 6 + m.copies(), "M2: three splits' two children each, and copies");
+    assert_eq!([m.pulls, m.installs, m.drops, m.patches, m.flips], [72, 75, 37, 0, 37]);
 
     let m = maintain(&mut t, &journal, &metrics, "delete", |t| {
         assert_eq!(t.batch_delete(&batch), batch.len());
     });
-    assert_eq!(m.rounds.len(), 2, "a delete splits nothing: {:?}", m.rounds);
+    assert_eq!(m.rounds, [256], "a delete splits nothing: {m:?}");
+    assert_eq!([m.pulls, m.installs, m.drops, m.patches, m.flips], [0, 4, 37, 114, 37]);
 }
