@@ -404,3 +404,99 @@ fn fragment_layout_digests_are_pinned() {
     assert_eq!(data, want_data, "data moved; the digests now are {data:#018x?}");
     assert_eq!(layout, want_layout, "layout moved; the digests now are {layout:#018x?}");
 }
+
+/// The images above are fault-free, run default toggles and the default
+/// transfer API and CPU, so a swap among fields that are zero or constant
+/// in all of them would leave their digests standing. This one sets every
+/// configuration field away from its preset and from its neighbours, runs a
+/// 5 % fault plan with a module killed mid-schedule (fault counters, dead
+/// mask, salvage, re-homing), pulls a hot fragment to the host (staging
+/// addresses), shrinks the LLC until L0 counts as replicated, and crashes
+/// and recovers once (`host_crashes`). The WAL that recorded the schedule
+/// is pinned beside the final image: nothing else pins log bytes.
+#[test]
+fn every_field_image_and_its_wal_are_pinned() {
+    use pim_zd_tree_repro::index::Toggles;
+    use pim_zd_tree_repro::memsim::{CacheConfig, CpuConfig};
+    use pim_zd_tree_repro::sim::config::TransferApi;
+    use pim_zd_tree_repro::{FaultConfig, FaultPlan};
+
+    let cfg = PimZdConfig {
+        theta_l0: 40,
+        theta_l1: 6,
+        chunk_b: 16,
+        leaf_cap: 12,
+        k_pull_l1: 9,
+        k_pull_l2: 5,
+        imbalance_factor: 2.5,
+        delta_l1: 3,
+        placement_seed: 0x005e_edf1_e1d5,
+        toggles: Toggles { lazy_counters: false, coarse_fine_knn: false, ..Toggles::default() },
+        max_fragment_nodes: 96,
+    };
+    let machine = MachineConfig {
+        n_modules: MODULES,
+        pim_freq_hz: 410e6,
+        pim_local_bw: 590e6,
+        channel_bw_per_module: 270e6,
+        channel_bw_aggregate: 33.1e9,
+        mux_switch_s: 65e-6,
+        api: TransferApi::Sdk,
+        host_threads: 28,
+        local_mem_bytes: 48 << 20,
+    };
+    let cpu = CpuConfig {
+        freq_hz: 3.1e9,
+        threads: 14,
+        parallel_efficiency: 0.63,
+        llc: CacheConfig { capacity_bytes: 3 << 10, line_bytes: 128, ways: 3 },
+        dram_bw_bytes_per_s: 19e9,
+    };
+    let all = batches();
+    let ckpt_path = tmp("every-field.ckpt");
+    let wal_path = tmp("every-field.wal");
+
+    let mut t = PimZdTree::build_with_cpu(&workloads::uniform::<3>(N, SEED), cfg, machine, cpu);
+    t.set_fault_plan(Some(FaultPlan::new(FaultConfig::uniform(0.05, SEED + 5))));
+    t.set_wal(Wal::create::<3>(&wal_path).expect("create wal"));
+    for (i, b) in all.iter().enumerate() {
+        if i == 2 {
+            t.kill_module(3);
+            t.batch_contains(&vec![b.1[7]; 400]);
+        }
+        if i == CRASH {
+            t.checkpoint_to(&ckpt_path).expect("checkpoint");
+        }
+        apply(&mut t, b);
+    }
+    drop(t);
+    let (t, replayed) = PimZdTree::<3>::recover(&ckpt_path, &wal_path).expect("recover");
+    assert_eq!(replayed, (all.len() - CRASH) as u64);
+
+    let log = t.fault_log();
+    for (name, n) in [
+        ("exec_faults", log.exec_faults),
+        ("reply_drops", log.reply_drops),
+        ("reply_corruptions", log.reply_corruptions),
+        ("stragglers", log.stragglers),
+        ("deaths", log.deaths),
+        ("retries", log.retries),
+        ("retransmitted_bytes", log.retransmitted_bytes),
+        ("salvages", log.salvages),
+        ("salvaged_bytes", log.salvaged_bytes),
+        ("host_crashes", log.host_crashes),
+    ] {
+        assert!(n > 0, "{name} is zero");
+    }
+    assert!(log.timeout_s > 0.0);
+    assert!(t.n_live_modules() < MODULES, "a module is dead");
+
+    let image = t.checkpoint_bytes();
+    let again = PimZdTree::<3>::restore_bytes(&image).expect("restore").checkpoint_bytes();
+    assert_eq!(again, image, "re-serialization must be byte-identical");
+    let got = [fnv1a(&image), fnv1a(&std::fs::read(&wal_path).expect("read wal"))];
+    let _ = std::fs::remove_file(&ckpt_path);
+    let _ = std::fs::remove_file(&wal_path);
+    let want = [0x86f95c60d374f86e, 0x3c53ba074c6bcaebu64];
+    assert_eq!(got, want, "[image, wal] moved; the digests now are {got:#018x?}");
+}
