@@ -8,6 +8,9 @@
 //! cargo run --release -p pim-bench --bin fig5_end_to_end -- osm
 //! cargo run --release -p pim-bench --bin fig5_end_to_end -- all
 //! ```
+//!
+//! `--trace PATH` writes PIM-zd-tree's round journal to `PATH` (with
+//! `all`, the last dataset's), for `trace_summary`.
 
 use pim_bench::harness::{make_queries, run_cell, CpuRunner, OpKind, PimRunner};
 use pim_bench::{report, BenchArgs, Dataset, PerfSink};
@@ -45,6 +48,7 @@ fn run_dataset(ds: Dataset, args: &BenchArgs, perf: &mut PerfSink) {
 
     let cfg = PimZdConfig::throughput_optimized(args.points as u64, args.modules);
     let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(args.modules));
+    pim.attach_trace_if_requested(args);
     pim.attach_fault_plan_if_requested(args);
     pim.attach_perf(perf);
     let mut pkd = CpuRunner::pkd(&warm);
@@ -85,4 +89,5 @@ fn run_dataset(ds: Dataset, args: &BenchArgs, perf: &mut PerfSink) {
         report::geomean(&traffic_zd)
     );
     println!("(paper, uniform: speedups up to 4.25x / 99x; traffic 3.5x / 18.8x average)\n");
+    pim.flush_trace();
 }

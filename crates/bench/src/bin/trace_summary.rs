@@ -21,7 +21,8 @@
 //! ranks interleaved in wall-clock. A single argument renders exactly the
 //! pre-sharding report.
 
-use pim_bench::trace_report::{merge_rank_rows, parse_jsonl, render, summarize};
+use pim_bench::trace_report::{merge_rank_rows, render, summarize};
+use pim_sim::trace::parse_jsonl;
 
 fn main() {
     // Accept any number of journal paths: every non-flag token, plus an

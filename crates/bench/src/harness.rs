@@ -400,8 +400,7 @@ mod tests {
             let m = run_cell(&mut pim.index, "PIM-zd-tree", op, &q);
             let recs = journal.snapshot().split_off(before);
             assert!(!recs.is_empty(), "{phase}: no rounds traced");
-            let rows: Vec<_> = recs.iter().map(crate::trace_report::TraceRow::from).collect();
-            let s = summarize(&rows);
+            let s = summarize(&recs);
             assert_eq!(s.len(), 1, "{phase}: one phase label expected, got {s:?}");
             assert_eq!(s[0].phase, phase);
             assert_eq!(s[0].rounds, m.rounds, "{phase}: round counts");

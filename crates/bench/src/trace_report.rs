@@ -8,118 +8,18 @@
 //! `insert/maintain`, `box_count`, …). Summaries group rounds by label and
 //! reproduce exactly the attribution the harness reports per operation:
 //! `pim_s` sums the per-round PIM time and `comm_s + overhead_s` sums to
-//! the harness's communication column.
+//! the harness's communication column. Journal files are read back by
+//! [`pim_sim::trace::parse_jsonl`], beside the writer.
 
-use pim_sim::{FaultKind, RoundRecord};
+use pim_sim::{FaultKind, RoundKind, RoundRecord};
 
-/// Index of a journal `kind` string in [`FaultKind::ALL`] order — the one
-/// ordering shared by `fault_counts` arrays, the rendered recovery table,
-/// and the simulator's own journal encoding.
-fn fault_kind_index(name: &str) -> Option<usize> {
-    FaultKind::ALL.iter().position(|k| k.name() == name)
-}
-
-/// The per-round fields the summary consumes (a journal line, parsed).
-#[derive(Clone, Debug, Default)]
-pub struct TraceRow {
-    /// Phase label ("" when the round ran outside any labelled phase).
-    pub phase: String,
-    /// True for `Salvage`-kind rounds (recovery DMA reads of dead modules).
-    pub is_salvage: bool,
-    /// Injected fault / recovery events this round, counted by kind in
-    /// [`FaultKind::ALL`] order:
-    /// `[exec, drop, corrupt, straggler, death, salvage]`.
-    pub fault_counts: [u64; FaultKind::COUNT],
-    /// Per-round PIM seconds (max-over-modules core time).
-    pub pim_s: f64,
-    /// Channel transfer seconds.
-    pub comm_s: f64,
-    /// Mux + call-overhead seconds.
-    pub overhead_s: f64,
-    /// Bytes CPU → PIM.
-    pub cpu_to_pim_bytes: u64,
-    /// Bytes PIM → CPU.
-    pub pim_to_cpu_bytes: u64,
-    /// Tasks shipped this round.
-    pub tasks: u64,
-    /// Replies returned this round.
-    pub replies: u64,
-    /// Slowest module's cycles.
-    pub max_cycles: u64,
-    /// Mean cycles over all modules (idle ones count as 0).
-    pub mean_cycles: f64,
-}
-
-impl From<&RoundRecord> for TraceRow {
-    fn from(r: &RoundRecord) -> Self {
-        let mut fault_counts = [0u64; FaultKind::COUNT];
-        for f in &r.faults {
-            if let Some(i) = fault_kind_index(f.kind.name()) {
-                fault_counts[i] += 1;
-            }
-        }
-        TraceRow {
-            phase: r.phase.clone(),
-            is_salvage: matches!(r.kind, pim_sim::RoundKind::Salvage),
-            fault_counts,
-            pim_s: r.breakdown.pim_s,
-            comm_s: r.breakdown.comm_s,
-            overhead_s: r.breakdown.overhead_s,
-            cpu_to_pim_bytes: r.cpu_to_pim_bytes,
-            pim_to_cpu_bytes: r.pim_to_cpu_bytes,
-            tasks: r.tasks,
-            replies: r.replies,
-            max_cycles: r.max_cycles,
-            mean_cycles: r.mean_cycles,
-        }
-    }
-}
-
-/// Parses a JSONL journal into rows. Fails on the first malformed line
-/// (journals are machine-written; silence would hide truncation).
-pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRow>, String> {
-    let mut rows = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = serde_json::from_str(line).map_err(|e| format!("line {}: {e:?}", i + 1))?;
-        let f = |key: &str| v.get("breakdown").and_then(|b| b.get(key)).and_then(|x| x.as_f64());
-        let u = |key: &str| v.get(key).and_then(|x| x.as_u64());
-        let mut fault_counts = [0u64; FaultKind::COUNT];
-        if let Some(faults) = v.get("faults").and_then(|x| x.as_array()) {
-            for ev in faults {
-                let kind = ev.get("kind").and_then(|k| k.as_str()).unwrap_or("");
-                if let Some(i) = fault_kind_index(kind) {
-                    fault_counts[i] += 1;
-                }
-            }
-        }
-        rows.push(TraceRow {
-            phase: v.get("phase").and_then(|p| p.as_str()).unwrap_or("").to_string(),
-            is_salvage: v.get("kind").and_then(|k| k.as_str()) == Some("Salvage"),
-            fault_counts,
-            pim_s: f("pim_s").ok_or_else(|| format!("line {}: missing breakdown.pim_s", i + 1))?,
-            comm_s: f("comm_s").unwrap_or(0.0),
-            overhead_s: f("overhead_s").unwrap_or(0.0),
-            cpu_to_pim_bytes: u("cpu_to_pim_bytes").unwrap_or(0),
-            pim_to_cpu_bytes: u("pim_to_cpu_bytes").unwrap_or(0),
-            tasks: u("tasks").unwrap_or(0),
-            replies: u("replies").unwrap_or(0),
-            max_cycles: u("max_cycles").unwrap_or(0),
-            mean_cycles: v.get("mean_cycles").and_then(|x| x.as_f64()).unwrap_or(0.0),
-        });
-    }
-    Ok(rows)
-}
-
-/// Merges per-rank journals into one row stream with stable rank-tagged
+/// Merges per-rank journals into one record stream with stable rank-tagged
 /// ordering: rows keep their within-rank order, ranks concatenate in index
 /// order, and every phase label gains a `rank{r}/` prefix so the summary
 /// keeps the ranks' attributions separate. A single journal passes through
 /// untagged, so single-rank reports stay byte-identical to the
 /// pre-sharding output.
-pub fn merge_rank_rows(per_rank: &[Vec<TraceRow>]) -> Vec<TraceRow> {
+pub fn merge_rank_rows(per_rank: &[Vec<RoundRecord>]) -> Vec<RoundRecord> {
     if per_rank.len() == 1 {
         return per_rank[0].clone();
     }
@@ -164,7 +64,7 @@ pub struct PhaseSummary {
     /// Cycle-weighted imbalance: Σ max-cycles over Σ mean-cycles, so tiny
     /// management rounds barely move it (mirrors `SimStats::agg_imbalance`).
     pub agg_imbalance: f64,
-    /// Injected fault / recovery events, by kind (see [`TraceRow::fault_counts`]).
+    /// Injected fault / recovery events, by kind in [`FaultKind::ALL`] order.
     pub fault_counts: [u64; FaultKind::COUNT],
     /// Rounds with at least one fault event attached.
     pub faulted_rounds: u64,
@@ -188,7 +88,7 @@ impl PhaseSummary {
 }
 
 /// Groups rows by phase label. Order: descending total time.
-pub fn summarize(rows: &[TraceRow]) -> Vec<PhaseSummary> {
+pub fn summarize(rows: &[RoundRecord]) -> Vec<PhaseSummary> {
     let mut by_phase: Vec<PhaseSummary> = Vec::new();
     let mut sums_max: Vec<u64> = Vec::new(); // Σ max_cycles per phase
     let mut sums_mean: Vec<f64> = Vec::new(); // Σ mean_cycles per phase
@@ -205,9 +105,9 @@ pub fn summarize(rows: &[TraceRow]) -> Vec<PhaseSummary> {
         };
         let s = &mut by_phase[idx];
         s.rounds += 1;
-        s.pim_s += row.pim_s;
-        s.comm_s += row.comm_s;
-        s.overhead_s += row.overhead_s;
+        s.pim_s += row.breakdown.pim_s;
+        s.comm_s += row.breakdown.comm_s;
+        s.overhead_s += row.breakdown.overhead_s;
         s.cpu_to_pim_bytes += row.cpu_to_pim_bytes;
         s.pim_to_cpu_bytes += row.pim_to_cpu_bytes;
         s.tasks += row.tasks;
@@ -215,13 +115,14 @@ pub fn summarize(rows: &[TraceRow]) -> Vec<PhaseSummary> {
         if row.mean_cycles > 0.0 {
             s.worst_imbalance = s.worst_imbalance.max(row.max_cycles as f64 / row.mean_cycles);
         }
-        for (k, n) in row.fault_counts.iter().enumerate() {
-            s.fault_counts[k] += n;
+        for f in &row.faults {
+            let k = FaultKind::ALL.iter().position(|&k| k == f.kind);
+            s.fault_counts[k.expect("ALL lists every kind")] += 1;
         }
-        if row.fault_counts.iter().any(|&n| n > 0) {
+        if !row.faults.is_empty() {
             s.faulted_rounds += 1;
         }
-        if row.is_salvage {
+        if row.kind == RoundKind::Salvage {
             s.salvage_rounds += 1;
             s.salvage_bytes += row.pim_to_cpu_bytes;
         }
@@ -378,21 +279,32 @@ pub fn render(summaries: &[PhaseSummary]) -> String {
 mod tests {
     use super::*;
 
-    fn row(phase: &str, pim: f64, comm: f64, ovhd: f64, maxc: u64, meanc: f64) -> TraceRow {
-        TraceRow {
+    use pim_sim::{FaultEvent, RoundBreakdown};
+
+    fn row(phase: &str, pim: f64, comm: f64, ovhd: f64, maxc: u64, meanc: f64) -> RoundRecord {
+        RoundRecord {
+            round: 0,
             phase: phase.into(),
-            pim_s: pim,
-            comm_s: comm,
-            overhead_s: ovhd,
+            kind: RoundKind::Execute,
+            breakdown: RoundBreakdown { pim_s: pim, comm_s: comm, overhead_s: ovhd },
             cpu_to_pim_bytes: 100,
             pim_to_cpu_bytes: 50,
             tasks: 4,
             replies: 4,
+            active_modules: 4,
             max_cycles: maxc,
             mean_cycles: meanc,
-            is_salvage: false,
-            fault_counts: [0; FaultKind::COUNT],
+            sum_cycles: 0,
+            cycle_hist: [0; pim_sim::trace::HIST_BUCKETS],
+            stragglers: vec![],
+            faults: vec![],
         }
+    }
+
+    /// `n[k]` events of kind `FaultKind::ALL[k]`.
+    fn events(n: [usize; FaultKind::COUNT]) -> Vec<FaultEvent> {
+        let kinds = FaultKind::ALL.iter().zip(n).flat_map(|(&kind, n)| vec![kind; n]);
+        kinds.map(|kind| FaultEvent { module: 2, attempt: 0, kind }).collect()
     }
 
     #[test]
@@ -444,42 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_jsonl_roundtrips_journal_records() {
-        use pim_sim::{JournalSink, RoundBreakdown, TraceSink};
-        let (mut sink, journal) = JournalSink::new();
-        sink.record(pim_sim::RoundRecord {
-            round: 0,
-            phase: "knn".into(),
-            kind: pim_sim::RoundKind::Execute,
-            breakdown: RoundBreakdown { pim_s: 0.25, comm_s: 0.5, overhead_s: 0.125 },
-            cpu_to_pim_bytes: 64,
-            pim_to_cpu_bytes: 32,
-            tasks: 3,
-            replies: 2,
-            active_modules: 2,
-            max_cycles: 9,
-            mean_cycles: 4.5,
-            sum_cycles: 9,
-            cycle_hist: [0; pim_sim::trace::HIST_BUCKETS],
-            stragglers: vec![1],
-            faults: vec![],
-        });
-        let rows = parse_jsonl(&journal.to_jsonl()).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].phase, "knn");
-        assert_eq!(rows[0].pim_s, 0.25);
-        assert_eq!(rows[0].cpu_to_pim_bytes, 64);
-        assert_eq!(rows[0].max_cycles, 9);
-        let rendered = render(&summarize(&rows));
-        assert!(rendered.contains("knn"));
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        assert!(parse_jsonl("not json\n").is_err());
-    }
-
-    #[test]
     fn fault_free_journals_render_no_recovery_table() {
         let rendered = render(&summarize(&[row("search", 1.0, 0.1, 0.1, 4, 2.0)]));
         assert!(!rendered.contains("Fault injection"), "no faults → no recovery table");
@@ -488,9 +364,9 @@ mod tests {
     #[test]
     fn fault_events_aggregate_into_the_recovery_table() {
         let mut faulted = row("insert", 1.0, 0.1, 0.1, 4, 2.0);
-        faulted.fault_counts = [2, 1, 0, 3, 1, 1, 0]; // exec, drop, -, strag, death, salvage, crash
+        faulted.faults = events([2, 1, 0, 3, 1, 1, 0]); // exec, drop, -, strag, death, salvage, crash
         let mut salvage = row("insert", 0.0, 0.2, 0.0, 0, 0.0);
-        salvage.is_salvage = true;
+        salvage.kind = RoundKind::Salvage;
         salvage.pim_to_cpu_bytes = 4096;
         let s = summarize(&[faulted, salvage, row("knn", 0.5, 0.1, 0.0, 2, 1.0)]);
         let ins = s.iter().find(|p| p.phase == "insert").unwrap();
@@ -504,35 +380,5 @@ mod tests {
         // The fault-free knn phase stays out of the recovery table body.
         let table = rendered.split("Fault injection").nth(1).unwrap();
         assert!(!table.contains("knn"));
-    }
-
-    #[test]
-    fn journal_fault_events_survive_the_jsonl_roundtrip() {
-        use pim_sim::{FaultEvent, FaultKind, JournalSink, RoundBreakdown, TraceSink};
-        let (mut sink, journal) = JournalSink::new();
-        sink.record(pim_sim::RoundRecord {
-            round: 3,
-            phase: "insert".into(),
-            kind: pim_sim::RoundKind::Execute,
-            breakdown: RoundBreakdown { pim_s: 0.1, comm_s: 0.1, overhead_s: 0.0 },
-            cpu_to_pim_bytes: 10,
-            pim_to_cpu_bytes: 10,
-            tasks: 1,
-            replies: 1,
-            active_modules: 1,
-            max_cycles: 1,
-            mean_cycles: 1.0,
-            sum_cycles: 1,
-            cycle_hist: [0; pim_sim::trace::HIST_BUCKETS],
-            stragglers: vec![],
-            faults: vec![
-                FaultEvent { module: 2, attempt: 0, kind: FaultKind::ExecFault },
-                FaultEvent { module: 2, attempt: 1, kind: FaultKind::Death },
-            ],
-        });
-        let rows = parse_jsonl(&journal.to_jsonl()).unwrap();
-        assert_eq!(rows[0].fault_counts, [1, 0, 0, 0, 1, 0, 0]);
-        let rendered = render(&summarize(&rows));
-        assert!(rendered.contains("Fault injection & recovery"));
     }
 }

@@ -41,6 +41,7 @@
 pub mod boxq;
 pub mod build;
 pub mod checkpoint;
+pub mod codec;
 pub mod config;
 pub mod frag;
 pub mod host;

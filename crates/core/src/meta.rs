@@ -105,8 +105,9 @@ impl<const D: usize> Directory<D> {
     /// Rebuilds a directory from checkpointed entries and the id cursor.
     /// Restoring `next_id` (not just the entries) matters: ids must never
     /// be reissued, or a replayed batch would mint a meta id that collides
-    /// with one the pre-crash run already placed.
-    pub(crate) fn from_parts(metas: FxHashMap<MetaId, MetaInfo<D>>, next_id: MetaId) -> Self {
+    /// with one the pre-crash run already placed. The parameters are in
+    /// checkpoint layout order.
+    pub(crate) fn from_parts(next_id: MetaId, metas: FxHashMap<MetaId, MetaInfo<D>>) -> Self {
         Self { metas, next_id, touched: Vec::new() }
     }
 

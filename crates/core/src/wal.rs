@@ -15,7 +15,9 @@
 //! payload: epoch u64 | op u8 | n u32 | n × D × coord u32
 //! ```
 //!
-//! All integers little-endian (the [`Enc`]/[`Dec`] codec). `crc` is
+//! The payload is one [`WalRecord`], whose field list (beside the
+//! checkpoint's, in the same [`crate::codec`] layer) is its layout; the
+//! header is the checkpoint's header, read by the same function. `crc` is
 //! [`checksum_bytes`] over the payload under a fixed WAL key; the checksum is
 //! length-seeded, so a record whose `len` field was damaged fails its crc
 //! too. `epoch` is the epoch the batch *produces* (the pre-batch epoch + 1),
@@ -33,8 +35,9 @@
 //! the torn tail.
 
 use crate::checkpoint::DurabilityError;
+use crate::codec::{self, decode_exact, record, tagged, Dec, Enc};
 use pim_geom::Point;
-use pim_sim::{checksum_bytes, Dec, Enc};
+use pim_sim::checksum_bytes;
 use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
 
@@ -44,8 +47,6 @@ pub const WAL_MAGIC: [u8; 8] = *b"PZDWAL01";
 pub const WAL_VERSION: u32 = 1;
 /// Keyed-checksum domain for WAL record crcs.
 const WAL_KEY: u64 = 0x5a44_5741_4c4b_3159; // "ZDWALK1Y"
-/// Bytes of the file header.
-const WAL_HEADER_BYTES: usize = 16;
 /// Bytes of a record frame before its payload (`len u32 | crc u64`).
 const WAL_FRAME_BYTES: usize = 12;
 /// Artifact tag used in [`DurabilityError`]s from this module.
@@ -60,23 +61,6 @@ pub enum WalOp {
     Delete,
 }
 
-impl WalOp {
-    fn code(self) -> u8 {
-        match self {
-            WalOp::Insert => 0,
-            WalOp::Delete => 1,
-        }
-    }
-
-    fn from_code(c: u8) -> Option<Self> {
-        match c {
-            0 => Some(WalOp::Insert),
-            1 => Some(WalOp::Delete),
-            _ => None,
-        }
-    }
-}
-
 /// One decoded WAL record: a mutation batch and the epoch it produced.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WalRecord<const D: usize> {
@@ -87,6 +71,9 @@ pub struct WalRecord<const D: usize> {
     /// The batch's points, in submission order.
     pub points: Vec<Point<D>>,
 }
+
+tagged! { [] WalOp { 0 => Insert, 1 => Delete } }
+record! { [const D: usize] WalRecord<D> { epoch: u64, op: WalOp, points: Vec<Point<D>> } }
 
 /// How strictly to treat an incomplete trailing record (see module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -119,10 +106,8 @@ impl Wal {
             .truncate(true)
             .open(&path)?;
         let mut e = Enc::new();
-        e.bytes(&WAL_MAGIC);
-        e.u32(WAL_VERSION);
-        e.u32(D as u32);
-        file.write_all(e.as_slice())?;
+        codec::write_header::<D>(&mut e, WAL_MAGIC, WAL_VERSION);
+        file.write_all(&e.into_bytes())?;
         file.sync_data()?;
         Ok(Self { file, path })
     }
@@ -136,10 +121,9 @@ impl Wal {
     ) -> Result<Self, DurabilityError> {
         let path = path.as_ref().to_path_buf();
         let mut file = std::fs::OpenOptions::new().read(true).write(true).open(&path)?;
-        let mut header = [0u8; WAL_HEADER_BYTES];
-        file.read_exact(&mut header)
-            .map_err(|_| DurabilityError::Truncated { artifact: ARTIFACT, offset: 0 })?;
-        validate_header::<D>(&header)?;
+        let mut header = Vec::with_capacity(codec::HEADER_BYTES);
+        (&file).take(codec::HEADER_BYTES as u64).read_to_end(&mut header)?;
+        read_header::<D>(&mut Dec::new(&header))?;
         file.seek(std::io::SeekFrom::End(0))?;
         Ok(Self { file, path })
     }
@@ -158,51 +142,19 @@ impl Wal {
         points: &[Point<D>],
     ) -> Result<(), DurabilityError> {
         let mut p = Enc::new();
-        p.u64(epoch);
-        p.u8(op.code());
-        p.u32(points.len() as u32);
-        for pt in points {
-            for &c in &pt.coords {
-                p.u32(c);
-            }
-        }
+        p.put(&WalRecord { epoch, op, points: points.to_vec() });
         let payload = p.into_bytes();
         let mut frame = Enc::new();
-        frame.u32(payload.len() as u32);
-        frame.u64(checksum_bytes(WAL_KEY, &payload));
+        frame.put(&(payload.len() as u32, checksum_bytes(WAL_KEY, &payload)));
         frame.bytes(&payload);
-        self.file.write_all(frame.as_slice())?;
+        self.file.write_all(&frame.into_bytes())?;
         self.file.sync_data()?;
         Ok(())
     }
 }
 
-fn validate_header<const D: usize>(header: &[u8]) -> Result<(), DurabilityError> {
-    let mut d = Dec::new(header);
-    let magic =
-        d.bytes(8).map_err(|_| DurabilityError::Truncated { artifact: ARTIFACT, offset: 0 })?;
-    if magic != WAL_MAGIC.as_slice() {
-        return Err(DurabilityError::BadMagic { artifact: ARTIFACT });
-    }
-    let version =
-        d.u32().map_err(|_| DurabilityError::Truncated { artifact: ARTIFACT, offset: 8 })?;
-    if version != WAL_VERSION {
-        return Err(DurabilityError::BadVersion {
-            artifact: ARTIFACT,
-            found: version,
-            supported: WAL_VERSION,
-        });
-    }
-    let dims =
-        d.u32().map_err(|_| DurabilityError::Truncated { artifact: ARTIFACT, offset: 12 })?;
-    if dims != D as u32 {
-        return Err(DurabilityError::DimMismatch {
-            artifact: ARTIFACT,
-            found: dims,
-            expected: D as u32,
-        });
-    }
-    Ok(())
+fn read_header<const D: usize>(d: &mut Dec<'_>) -> Result<(), DurabilityError> {
+    codec::read_header::<D>(d, ARTIFACT, WAL_MAGIC, WAL_VERSION)
 }
 
 /// Reads and decodes a WAL file. Returns the records and the *consistent
@@ -223,12 +175,10 @@ pub fn decode_wal<const D: usize>(
     bytes: &[u8],
     mode: WalReadMode,
 ) -> Result<(Vec<WalRecord<D>>, usize), DurabilityError> {
-    if bytes.len() < WAL_HEADER_BYTES {
-        return Err(DurabilityError::Truncated { artifact: ARTIFACT, offset: bytes.len() });
-    }
-    validate_header::<D>(&bytes[..WAL_HEADER_BYTES])?;
+    let mut d = Dec::new(bytes);
+    read_header::<D>(&mut d)?;
     let mut records = Vec::new();
-    let mut pos = WAL_HEADER_BYTES;
+    let mut pos = d.pos();
     loop {
         let remaining = bytes.len() - pos;
         if remaining == 0 {
@@ -242,9 +192,8 @@ pub fn decode_wal<const D: usize>(
                 }
             }
         }
-        let mut frame = Dec::new(&bytes[pos..pos + WAL_FRAME_BYTES]);
-        let len = frame.u32().expect("frame slice is 12 bytes") as usize;
-        let crc = frame.u64().expect("frame slice is 12 bytes");
+        let (len, crc) = Dec::new(&bytes[pos..]).get::<(u32, u64)>().expect("a whole frame");
+        let len = len as usize;
         if remaining - WAL_FRAME_BYTES < len {
             match mode {
                 WalReadMode::Recovery => break,
@@ -262,44 +211,13 @@ pub fn decode_wal<const D: usize>(
                 detail: format!("record at offset {pos} fails its checksum"),
             });
         }
-        records.push(decode_payload::<D>(payload, pos)?);
+        records.push(decode_exact(payload).map_err(|e| DurabilityError::Corrupt {
+            artifact: ARTIFACT,
+            detail: format!("record at offset {pos}: {e}"),
+        })?);
         pos += WAL_FRAME_BYTES + len;
     }
     Ok((records, pos))
-}
-
-fn decode_payload<const D: usize>(
-    payload: &[u8],
-    offset: usize,
-) -> Result<WalRecord<D>, DurabilityError> {
-    let corrupt = |detail: String| DurabilityError::Corrupt { artifact: ARTIFACT, detail };
-    let short = |e: pim_sim::ShortRead| DurabilityError::Corrupt {
-        artifact: ARTIFACT,
-        detail: format!("record at offset {offset}: payload short read ({e})"),
-    };
-    let mut d = Dec::new(payload);
-    let epoch = d.u64().map_err(short)?;
-    let op_code = d.u8().map_err(short)?;
-    let op = WalOp::from_code(op_code)
-        .ok_or_else(|| corrupt(format!("record at offset {offset}: unknown op code {op_code}")))?;
-    let n = d.u32().map_err(short)? as usize;
-    // The payload length is implied exactly by `n`; anything else means the
-    // record was damaged in a way the frame length hid.
-    if d.remaining() != n * 4 * D {
-        return Err(corrupt(format!(
-            "record at offset {offset}: {} payload bytes for {n} {D}-dim points",
-            d.remaining()
-        )));
-    }
-    let mut points = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut coords = [0u32; D];
-        for c in coords.iter_mut() {
-            *c = d.u32().map_err(short)?;
-        }
-        points.push(Point::new(coords));
-    }
-    Ok(WalRecord { epoch, op, points })
 }
 
 #[cfg(test)]

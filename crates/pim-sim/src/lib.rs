@@ -46,4 +46,4 @@ pub use placement::{hash_place, rendezvous_owner};
 pub use stats::{RoundBreakdown, SimStats};
 pub use system::{PimSystem, SimCounters};
 pub use trace::{Journal, JournalSink, NullSink, RoundKind, RoundRecord, TraceSink};
-pub use wire::{checksum_bytes, Dec, Enc, ShortRead, Wire};
+pub use wire::{checksum_bytes, Wire};

@@ -5,7 +5,7 @@ use crate::trace::RoundKind;
 use serde::Serialize;
 
 /// Per-round time decomposition, matching the paper's Fig. 6 categories.
-#[derive(Clone, Copy, Debug, Default, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
 pub struct RoundBreakdown {
     /// Max-over-modules core time for the round (the "PIM time").
     pub pim_s: f64,

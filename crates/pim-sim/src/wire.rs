@@ -82,203 +82,6 @@ pub fn checksum_bytes(key: u64, data: &[u8]) -> u64 {
     acc
 }
 
-/// Error from [`Dec`]: the buffer ended before the requested value.
-///
-/// Carries the offset and width of the failed read so durability errors can
-/// say *where* a checkpoint or WAL file went short.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShortRead {
-    /// Byte offset the read started at.
-    pub offset: usize,
-    /// Bytes the read needed.
-    pub wanted: usize,
-    /// Bytes the buffer had left.
-    pub available: usize,
-}
-
-impl std::fmt::Display for ShortRead {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "short read at offset {}: wanted {} bytes, {} available",
-            self.offset, self.wanted, self.available
-        )
-    }
-}
-
-/// Little-endian byte encoder for durable artifacts (checkpoint sections,
-/// WAL records). The simulator's [`Wire`] trait accounts transfer *sizes*;
-/// `Enc`/[`Dec`] are its byte-level counterpart for state that must survive
-/// a process restart, sharing the same fixed-width little-endian layout the
-/// wire sizes assume.
-#[derive(Default)]
-pub struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    /// An empty encoder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bytes encoded so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been encoded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Consumes the encoder, returning the bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// The bytes encoded so far, borrowed.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends `keys.len()` interleaved point records — a little-endian
-    /// `u64` key followed by one little-endian `u32` per lane — gathered
-    /// straight from structure-of-arrays lanes. This fuses the AoS
-    /// re-materialization a caller would otherwise do into the buffer
-    /// write itself (one reservation, no intermediate pairs); the byte
-    /// stream is identical to encoding each record field by field.
-    pub fn keyed_points(&mut self, keys: &[u64], lanes: &[&[u32]]) {
-        debug_assert!(lanes.iter().all(|l| l.len() == keys.len()));
-        self.buf.reserve(keys.len() * (8 + 4 * lanes.len()));
-        for (i, k) in keys.iter().enumerate() {
-            self.buf.extend_from_slice(&k.to_le_bytes());
-            for lane in lanes {
-                self.buf.extend_from_slice(&lane[i].to_le_bytes());
-            }
-        }
-    }
-
-    /// Appends a little-endian `i64`.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` as its IEEE-754 bit pattern — restores are
-    /// bit-exact, never round-tripped through decimal.
-    pub fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    /// Appends a `bool` as one byte.
-    pub fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
-    /// Appends raw bytes (length is NOT encoded; pair with
-    /// [`Self::u64`] when the decoder can't infer it).
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-}
-
-/// Little-endian byte decoder matching [`Enc`]. Every read is
-/// bounds-checked and returns [`ShortRead`] instead of panicking — a
-/// truncated checkpoint must surface as a typed error, never an abort.
-pub struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    /// Decodes from the start of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    /// Current read offset.
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
-    /// Bytes left to read.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ShortRead> {
-        if self.remaining() < n {
-            return Err(ShortRead { offset: self.pos, wanted: n, available: self.remaining() });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, ShortRead> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, ShortRead> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("take(4) returned 4 bytes")))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, ShortRead> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("take(8) returned 8 bytes")))
-    }
-
-    /// Reads a little-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64, ShortRead> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("take(8) returned 8 bytes")))
-    }
-
-    /// Reads an `f64` from its bit pattern.
-    pub fn f64(&mut self) -> Result<f64, ShortRead> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a `bool` (any nonzero byte is `true`).
-    pub fn bool(&mut self) -> Result<bool, ShortRead> {
-        Ok(self.u8()? != 0)
-    }
-
-    /// Reads `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], ShortRead> {
-        self.take(n)
-    }
-
-    /// Reads a `u32` count of elements that each occupy at least
-    /// `min_element_bytes`, and refuses one the rest of the buffer cannot
-    /// hold — so a decoder may size an allocation by the result without a
-    /// crafted or damaged count turning four bytes into a 32 GiB request.
-    pub fn count(&mut self, min_element_bytes: usize) -> Result<usize, ShortRead> {
-        let n = self.u32()? as usize;
-        let wanted = n.saturating_mul(min_element_bytes);
-        if wanted > self.remaining() {
-            return Err(ShortRead { offset: self.pos, wanted, available: self.remaining() });
-        }
-        Ok(n)
-    }
-}
-
 impl Wire for () {
     const FIXED: Option<u64> = Some(0);
 
@@ -395,53 +198,6 @@ mod tests {
         // Nested: the outer Vec's elements are variable-size, so it sums.
         let nested: Vec<Vec<u32>> = vec![vec![1], vec![2, 3]];
         assert_eq!(nested.wire_bytes(), 12);
-    }
-
-    #[test]
-    fn enc_dec_roundtrip_every_width() {
-        let mut e = Enc::new();
-        e.u8(7);
-        e.u32(0xdead_beef);
-        e.u64(u64::MAX - 3);
-        e.i64(-42);
-        e.f64(-0.0); // signed zero must survive bit-exactly
-        e.bool(true);
-        e.bytes(b"tail");
-        let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes);
-        assert_eq!(d.u8().unwrap(), 7);
-        assert_eq!(d.u32().unwrap(), 0xdead_beef);
-        assert_eq!(d.u64().unwrap(), u64::MAX - 3);
-        assert_eq!(d.i64().unwrap(), -42);
-        assert_eq!(d.f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert!(d.bool().unwrap());
-        assert_eq!(d.bytes(4).unwrap(), b"tail");
-        assert_eq!(d.remaining(), 0);
-    }
-
-    #[test]
-    fn dec_reports_short_reads_with_position() {
-        let mut d = Dec::new(&[1, 2, 3]);
-        assert_eq!(d.u8().unwrap(), 1);
-        let err = d.u64().unwrap_err();
-        assert_eq!(err, ShortRead { offset: 1, wanted: 8, available: 2 });
-        // A failed read consumes nothing.
-        assert_eq!(d.u8().unwrap(), 2);
-    }
-
-    #[test]
-    fn count_is_bounded_by_what_the_buffer_can_hold() {
-        let mut e = Enc::new();
-        e.u32(2);
-        e.u64(10);
-        e.u64(11);
-        e.u32(u32::MAX);
-        let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes);
-        assert_eq!(d.count(8).unwrap(), 2, "two u64s follow and fit");
-        d.bytes(16).unwrap();
-        let err = d.count(8).unwrap_err();
-        assert_eq!(err, ShortRead { offset: 24, wanted: u32::MAX as usize * 8, available: 0 });
     }
 
     #[test]
