@@ -179,9 +179,10 @@ fn main() {
         let rate = (capacity * ratio).max(1.0);
         let trace = open_loop_trace(&data, requests, rate, &mix, args.seed);
         let mut server = fresh_server(&image, cfg, &sink);
-        // Trace the at-capacity point. Tracing only reads round ids and
-        // buffers spans, so the sweep numbers (and the stdout table) are
-        // byte-identical with and without the flags.
+        // Trace the at-capacity point. Tracing only keeps the span view
+        // derived from the run's replies and batch journal after the run,
+        // so the sweep numbers (and the stdout table) are byte-identical
+        // with and without the flags.
         let traced = trace_point && ratio == 1.0;
         let journal = traced.then(|| {
             let (js, journal) = JournalSink::new();

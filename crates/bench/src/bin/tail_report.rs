@@ -23,7 +23,9 @@
 //! success, 1 on malformed input or an exactness violation, 2 on usage
 //! errors.
 
-use pim_bench::tail::{parse_spans_jsonl, summarize, SpanRow};
+use pim_bench::tail::summarize;
+use pim_serve::trace::parse_spans_jsonl;
+use pim_serve::RequestTrace;
 use std::path::Path;
 
 /// Expands one CLI argument into span-file paths: a directory yields every
@@ -56,7 +58,7 @@ fn main() {
         std::process::exit(2);
     }
     let run = || -> Result<String, String> {
-        let mut rows: Vec<SpanRow> = Vec::new();
+        let mut rows: Vec<RequestTrace> = Vec::new();
         for arg in &args {
             for path in expand(arg)? {
                 let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;

@@ -1,12 +1,13 @@
 //! Tail-latency attribution over per-request span records.
 //!
 //! Input is the serving tracer's `spans.jsonl` (one
-//! [`RequestTrace`](pim_serve::RequestTrace) line per request, see
-//! `fig_serving --journal`); output is the `tail_report` binary's text: the
-//! p50/p99/p999 replies decomposed into their exact per-phase
-//! contributions, plus a log₂ latency-bucket table with mean phase shares
-//! and the smallest exemplar `TraceId`s per bucket — the ids to look up in
-//! `batches.jsonl`/`rounds.jsonl` when a bucket needs explaining.
+//! [`RequestTrace`] line per request, see `fig_serving --journal`), read by
+//! [`pim_serve::trace::parse_spans_jsonl`] beside its writer; output is the
+//! `tail_report` binary's text: the p50/p99/p999 replies decomposed into
+//! their exact per-phase contributions, plus a log₂ latency-bucket table with
+//! mean phase shares and the smallest exemplar `TraceId`s per bucket — the
+//! ids to look up in `batches.jsonl`/`rounds.jsonl` when a bucket needs
+//! explaining.
 //!
 //! The tracer's exactness invariant (`queue + wait + cpu + pim + comm ==
 //! latency` for every completed request) is *enforced* here, not assumed:
@@ -14,8 +15,8 @@
 //! silently misattribute time. Everything is integer virtual µs in, fixed
 //! formatting out — byte-identical output for byte-identical input.
 
+use pim_serve::RequestTrace;
 use pim_sim::metrics::log2_bucket;
-use serde_json::Value;
 
 /// Exemplar ids retained per latency bucket.
 pub const BUCKET_EXEMPLARS: usize = 4;
@@ -23,93 +24,6 @@ pub const BUCKET_EXEMPLARS: usize = 4;
 /// Latency buckets in the report (log₂; 2^40 µs ≈ 13 days of virtual time
 /// dwarfs any run this harness produces).
 pub const BUCKETS: usize = 41;
-
-/// One parsed `spans.jsonl` row.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanRow {
-    /// Trace id (= reply id).
-    pub id: u64,
-    /// Request class label.
-    pub op: String,
-    /// Serving batch sequence number (`None` when rejected).
-    pub batch: Option<u64>,
-    /// Virtual arrival time.
-    pub arrival_us: u64,
-    /// Queued-before-seal span.
-    pub queue_us: u64,
-    /// Sealed-waiting-for-lane span.
-    pub wait_us: u64,
-    /// Host-CPU service share.
-    pub cpu_us: u64,
-    /// PIM service share.
-    pub pim_us: u64,
-    /// Channel service share.
-    pub comm_us: u64,
-    /// Reply latency.
-    pub latency_us: u64,
-    /// Whether admission control rejected the request.
-    pub rejected: bool,
-}
-
-impl SpanRow {
-    /// The five phase spans in report order.
-    pub fn phases(&self) -> [u64; 5] {
-        [self.queue_us, self.wait_us, self.cpu_us, self.pim_us, self.comm_us]
-    }
-}
-
-fn get_u64(v: &Value, key: &str, line: usize) -> Result<u64, String> {
-    v.get(key).and_then(Value::as_u64).ok_or_else(|| format!("line {line}: missing \"{key}\""))
-}
-
-/// Parses a `spans.jsonl` document (blank lines ignored).
-pub fn parse_spans_jsonl(text: &str) -> Result<Vec<SpanRow>, String> {
-    let mut rows = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let n = i + 1;
-        let v: Value = serde_json::from_str(line).map_err(|e| format!("line {n}: {e}"))?;
-        let id = get_u64(&v, "id", n)?;
-        let op = v
-            .get("op")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {n}: missing \"op\""))?
-            .to_string();
-        let rejected = matches!(v.get("rejected"), Some(Value::Bool(true)));
-        if rejected {
-            rows.push(SpanRow {
-                id,
-                op,
-                batch: None,
-                arrival_us: get_u64(&v, "arrival_us", n)?,
-                queue_us: 0,
-                wait_us: 0,
-                cpu_us: 0,
-                pim_us: 0,
-                comm_us: 0,
-                latency_us: 0,
-                rejected: true,
-            });
-            continue;
-        }
-        rows.push(SpanRow {
-            id,
-            op,
-            batch: Some(get_u64(&v, "batch", n)?),
-            arrival_us: get_u64(&v, "arrival_us", n)?,
-            queue_us: get_u64(&v, "queue_us", n)?,
-            wait_us: get_u64(&v, "wait_us", n)?,
-            cpu_us: get_u64(&v, "cpu_us", n)?,
-            pim_us: get_u64(&v, "pim_us", n)?,
-            comm_us: get_u64(&v, "comm_us", n)?,
-            latency_us: get_u64(&v, "latency_us", n)?,
-            rejected: false,
-        });
-    }
-    Ok(rows)
-}
 
 /// One log₂ latency bucket's aggregates.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -130,7 +44,7 @@ pub struct TailReport {
     /// Rejected requests.
     pub rejected: u64,
     /// `(label, row)` for each reported percentile, in ascending order.
-    pub percentiles: Vec<(&'static str, SpanRow)>,
+    pub percentiles: Vec<(&'static str, RequestTrace)>,
     /// Non-empty latency buckets as `(bucket_index, aggregates)`.
     pub buckets: Vec<(usize, Bucket)>,
 }
@@ -138,20 +52,21 @@ pub struct TailReport {
 /// Builds the report. Errors when any completed row's spans do not sum to
 /// its latency — the tracer's exactness invariant, enforced so the report
 /// cannot silently misattribute time — or when there are no completed rows.
-pub fn summarize(rows: &[SpanRow]) -> Result<TailReport, String> {
-    let mut completed: Vec<&SpanRow> = Vec::new();
+pub fn summarize(rows: &[RequestTrace]) -> Result<TailReport, String> {
+    let mut completed: Vec<&RequestTrace> = Vec::new();
     let mut rejected = 0u64;
     for r in rows {
         if r.rejected {
             rejected += 1;
             continue;
         }
-        let sum: u64 = r.phases().iter().sum();
-        if sum != r.latency_us {
+        let sum = r.span_sum_us();
+        if sum != r.latency_us() {
             return Err(format!(
                 "trace id {}: phase spans sum to {sum} µs but latency is {} µs — \
                  refusing to report inexact attribution",
-                r.id, r.latency_us
+                r.id,
+                r.latency_us()
             ));
         }
         completed.push(r);
@@ -160,22 +75,22 @@ pub fn summarize(rows: &[SpanRow]) -> Result<TailReport, String> {
         return Err("no completed requests in the span record".into());
     }
     // Ascending (latency, id): the id tie-break pins percentile exemplars.
-    completed.sort_by_key(|r| (r.latency_us, r.id));
+    completed.sort_by_key(|r| (r.latency_us(), r.id));
     let pick = |q: f64| completed[((completed.len() - 1) as f64 * q) as usize].clone();
     let percentiles = vec![("p50", pick(0.50)), ("p99", pick(0.99)), ("p999", pick(0.999))];
 
     let mut table: Vec<Bucket> = vec![Bucket::default(); BUCKETS];
     for r in &completed {
-        let b = &mut table[log2_bucket(r.latency_us, BUCKETS)];
+        let b = &mut table[log2_bucket(r.latency_us(), BUCKETS)];
         b.count += 1;
         for (s, p) in b.phase_sums.iter_mut().zip(r.phases()) {
             *s += p;
         }
-        match b.exemplars.binary_search(&r.id) {
+        match b.exemplars.binary_search(&r.id.0) {
             Ok(_) => {}
             Err(pos) => {
                 if pos < BUCKET_EXEMPLARS {
-                    b.exemplars.insert(pos, r.id);
+                    b.exemplars.insert(pos, r.id.0);
                     b.exemplars.truncate(BUCKET_EXEMPLARS);
                 }
             }
@@ -220,8 +135,8 @@ impl TailReport {
         for (label, r) in &self.percentiles {
             out.push_str(&format!(
                 "{label:>5}  {:>9}  {:>8}  {:>9}  {:>8}  {:>8}  {:>8}  {:>8}  {:>8}  {:>6}\n",
-                r.latency_us,
-                r.id,
+                r.latency_us(),
+                r.id.0,
                 r.op,
                 r.queue_us,
                 r.wait_us,
@@ -257,6 +172,7 @@ impl TailReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_serve::trace::parse_spans_jsonl;
 
     fn row(id: u64, phases: [u64; 5]) -> String {
         let latency: u64 = phases.iter().sum();
@@ -283,8 +199,8 @@ mod tests {
         assert_eq!(rep.rejected, 1);
         assert_eq!(rep.percentiles[0].0, "p50");
         // Exemplar index is floor((n-1)*q): 19*0.999 -> 18.
-        assert_eq!(rep.percentiles[2].1.id, 18);
-        assert!(rep.percentiles[0].1.latency_us <= rep.percentiles[2].1.latency_us);
+        assert_eq!(rep.percentiles[2].1.id.0, 18);
+        assert!(rep.percentiles[0].1.latency_us() <= rep.percentiles[2].1.latency_us());
         let total: u64 = rep.buckets.iter().map(|(_, b)| b.count).sum();
         assert_eq!(total, 20);
         for (_, b) in &rep.buckets {
@@ -297,8 +213,9 @@ mod tests {
 
     #[test]
     fn rejects_inexact_span_sums() {
-        let mut bad = row(0, [1, 1, 1, 1, 1]);
-        bad = bad.replace("\"latency_us\":5", "\"latency_us\":6");
+        let bad = row(0, [1, 1, 1, 1, 1])
+            .replace("\"complete_us\":5", "\"complete_us\":6")
+            .replace("\"latency_us\":5", "\"latency_us\":6");
         let rows = parse_spans_jsonl(&bad).unwrap();
         let err = summarize(&rows).unwrap_err();
         assert!(err.contains("refusing"), "{err}");

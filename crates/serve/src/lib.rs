@@ -8,7 +8,7 @@
 //! pipelines batch formation against the in-flight BSP round, and serves
 //! reads from epoch-pinned snapshots while a write batch is in flight.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`BatchPolicy`] / [`ThroughputEstimator`] — when to seal a batch: on
 //!   latency-budget expiry, or when the batch reaches the size a recent
@@ -16,12 +16,15 @@
 //! * [`PimServer`] — the virtual-time event loop: admission control with
 //!   bounded-queue backpressure, one write lane + one read lane, snapshot
 //!   reads ([`pim_zd_tree::TreeSnapshot`]) for read/write pipelining.
-//! * [`ServeReport`] — canonical run artifacts (per-request replies, batch
-//!   journal, latency samples, simulated-cost totals), all byte-comparable.
-//! * [`trace`] — opt-in causal request tracing ([`PimServer::set_tracing`]):
+//! * [`ServeReport`] — canonical run artifacts, all byte-comparable: one
+//!   [`Reply`] per request and one [`BatchTrace`] per executed batch (the
+//!   batch journal) — the run's only records — plus latency samples and
+//!   simulated-cost totals.
+//! * [`trace`] — causal request tracing, a view of those records
+//!   ([`ServeTrace::of`], kept per run after [`PimServer::set_tracing`]):
 //!   per-request phase spans that sum exactly to the reply latency, batch →
-//!   BSP-round links, and a Perfetto-loadable trace-event export. See
-//!   ARCHITECTURE.md §9.
+//!   BSP-round links, a Perfetto-loadable trace-event export, and the
+//!   `spans.jsonl` reader. See ARCHITECTURE.md §9.
 //!
 //! # Determinism
 //!

@@ -1,13 +1,18 @@
 //! Artifacts of a serving run: per-request replies, the batch journal, and
 //! the aggregate report.
 //!
-//! Everything here is a pure function of the run, rendered in canonical
-//! forms (JSONL with fixed key order, FNV-1a digests) so two runs can be
-//! compared byte for byte — the serving layer's determinism contract
+//! A run records each request once, as a [`Reply`], and each executed batch
+//! once, as a [`BatchTrace`] in [`ServeReport::journal`]; every other view —
+//! the counts here, the span record of [`crate::trace`] — is derived from
+//! those two lists. Everything is rendered in canonical forms (JSONL with
+//! fixed key order, FNV-1a digests) so two runs can be compared byte for
+//! byte — the serving layer's determinism contract
 //! (`tests/serving_determinism.rs`) is stated directly over these artifacts.
 
 use pim_sim::Samples;
 use pim_zd_tree::OpStats;
+
+use crate::trace::BatchTrace;
 
 /// FNV-1a offset basis; result fingerprints start here.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -17,12 +22,40 @@ pub fn fnv_fold(fp: u64, v: u64) -> u64 {
     (fp ^ v).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
+/// Appends one canonical JSON object to a `String`: the keys in the order
+/// listed, no whitespace, each value through its `serde::Serialize`. Every
+/// line of every serving JSONL file is one.
+macro_rules! json_object {
+    ($out:expr, { $k0:literal: $v0:expr $(, $k:literal: $v:expr)* $(,)? }) => {{
+        let out: &mut String = $out;
+        out.push_str(concat!("{\"", $k0, "\":"));
+        serde::Serialize::json_write(&$v0, out);
+        $(
+            out.push_str(concat!(",\"", $k, "\":"));
+            serde::Serialize::json_write(&$v, out);
+        )*
+        out.push('}');
+    }};
+}
+pub(crate) use json_object;
+
+/// Renders one JSONL line per item with `write`.
+pub(crate) fn jsonl<T>(items: &[T], write: impl Fn(&T, &mut String)) -> String {
+    let mut out = String::new();
+    for item in items {
+        write(item, &mut out);
+        out.push('\n');
+    }
+    out
+}
+
 /// The fate of one request.
 ///
 /// Every admitted request gets exactly one reply when its batch's virtual
 /// BSP round completes; a request rejected by admission control gets an
 /// immediate reply with [`Reply::rejected`] set (its `dispatch_us` and
-/// `complete_us` equal the arrival time and its fingerprint is 0).
+/// `complete_us` equal the arrival time, its fingerprint is 0 and it names
+/// no batch).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Reply {
     /// Request id: the 0-based admission order (trace order for replays).
@@ -30,6 +63,9 @@ pub struct Reply {
     /// Stable class label (`insert`, `delete`, `contains`, `knn`,
     /// `box_count`, `box_fetch`).
     pub op: &'static str,
+    /// Sequence number of the batch that served the request, its entry in
+    /// [`ServeReport::journal`] (`None` when rejected).
+    pub batch: Option<u64>,
     /// Virtual arrival time in µs.
     pub arrival_us: u64,
     /// Virtual time the request's batch was dispatched.
@@ -56,25 +92,14 @@ impl Reply {
     }
 
     fn write_jsonl(&self, out: &mut String) {
-        out.push_str("{\"id\":");
-        out.push_str(&self.id.to_string());
-        out.push_str(",\"op\":\"");
-        out.push_str(self.op);
-        out.push_str("\",\"arrival_us\":");
-        out.push_str(&self.arrival_us.to_string());
         if self.rejected {
-            out.push_str(",\"rejected\":true}");
-            return;
+            json_object!(out, { "id": self.id, "op": self.op, "arrival_us": self.arrival_us,
+                "rejected": true });
+        } else {
+            json_object!(out, { "id": self.id, "op": self.op, "arrival_us": self.arrival_us,
+                "dispatch_us": self.dispatch_us, "complete_us": self.complete_us,
+                "epoch": self.epoch, "fp": self.fingerprint });
         }
-        out.push_str(",\"dispatch_us\":");
-        out.push_str(&self.dispatch_us.to_string());
-        out.push_str(",\"complete_us\":");
-        out.push_str(&self.complete_us.to_string());
-        out.push_str(",\"epoch\":");
-        out.push_str(&self.epoch.to_string());
-        out.push_str(",\"fp\":");
-        out.push_str(&self.fingerprint.to_string());
-        out.push('}');
     }
 }
 
@@ -132,7 +157,7 @@ impl Totals {
 pub struct ServeReport {
     /// One reply per request, sorted by request id.
     pub replies: Vec<Reply>,
-    /// Number of executed batches.
+    /// Number of executed batches (the journal's length).
     pub batches: u64,
     /// Of those, how many read batches ran against an epoch snapshot.
     pub snapshot_batches: u64,
@@ -140,38 +165,29 @@ pub struct ServeReport {
     pub rejected: u64,
     /// Virtual time of the last event in the run.
     pub makespan_us: u64,
-    /// One JSONL line per executed batch (seal/dispatch/complete times,
-    /// epoch, snapshot flag, seal reason, service time).
-    pub journal: Vec<String>,
+    /// One record per executed batch, in completion order.
+    pub journal: Vec<BatchTrace>,
     /// Aggregate simulated cost of every executed batch.
     pub totals: Totals,
 }
 
 impl ServeReport {
-    /// The batch journal as one JSONL string.
+    /// The batch journal as JSONL, one line per batch in completion order
+    /// (seal/dispatch/complete times, epoch, snapshot flag, seal reason,
+    /// service time; `batches.jsonl` carries the full record).
     pub fn journal_jsonl(&self) -> String {
-        let mut out = String::new();
-        for line in &self.journal {
-            out.push_str(line);
-            out.push('\n');
-        }
-        out
+        jsonl(&self.journal, BatchTrace::write_journal)
     }
 
     /// All replies in canonical JSONL (one line per request, id order).
     pub fn results_jsonl(&self) -> String {
-        let mut out = String::new();
-        for r in &self.replies {
-            r.write_jsonl(&mut out);
-            out.push('\n');
-        }
-        out
+        jsonl(&self.replies, Reply::write_jsonl)
     }
 
     /// FNV-1a digest over [`Self::results_jsonl`] — a one-number summary of
     /// every result, reply time, and epoch in the run.
     pub fn results_digest(&self) -> u64 {
-        self.results_jsonl().bytes().fold_digest()
+        self.results_jsonl().bytes().fold(FNV_OFFSET, |fp, b| fnv_fold(fp, b as u64))
     }
 
     /// Number of requests that completed (admitted and replied).
@@ -201,16 +217,6 @@ impl ServeReport {
     }
 }
 
-trait FoldDigest {
-    fn fold_digest(self) -> u64;
-}
-
-impl<I: Iterator<Item = u8>> FoldDigest for I {
-    fn fold_digest(self) -> u64 {
-        self.fold(FNV_OFFSET, |fp, b| fnv_fold(fp, b as u64))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,6 +225,7 @@ mod tests {
         Reply {
             id,
             op: "contains",
+            batch: (!rejected).then_some(0),
             arrival_us: arrival,
             dispatch_us: arrival + 1,
             complete_us: complete,

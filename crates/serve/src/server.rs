@@ -10,6 +10,14 @@
 //! artifact — replies, journal, latency percentiles, metrics — a pure
 //! function of `(tree, config, trace)`.
 //!
+//! # Records
+//!
+//! A run records each executed batch once, as the [`BatchTrace`] that
+//! `execute` builds and the batch's flight carries to its completion, and
+//! each request once, as its [`Reply`], which names its batch. The report's
+//! counts, its JSONL renderings and the span view of [`crate::trace`] are
+//! all derived from those two lists.
+//!
 //! # Event loop
 //!
 //! Events are processed in nondecreasing virtual time; at one timestamp the
@@ -17,8 +25,8 @@
 //!
 //! 1. **Completions** (by batch sequence number): the finished batch's
 //!    service time feeds its class's [`ThroughputEstimator`], replies are
-//!    emitted, the lane frees, and closed-loop clients schedule their next
-//!    request.
+//!    emitted, the batch's record joins the journal, the lane frees, and
+//!    closed-loop clients schedule their next request.
 //! 2. **Arrivals** (trace order): admission control rejects when
 //!    `pending + sealed` requests already fill the bounded queue
 //!    ([`ServeConfig::queue_cap`]); admitted requests join their class
@@ -47,59 +55,29 @@ use std::collections::{BTreeMap, VecDeque};
 
 use pim_geom::{Aabb, Metric, Point};
 use pim_sim::Metrics;
-use pim_workloads::{Arrival, ArrivalTrace, ReqOp, RequestMix, RequestSampler};
+use pim_workloads::{Arrival, ArrivalTrace, ReqClass, ReqOp, RequestMix, RequestSampler};
 use pim_zd_tree::{BatchRead, PimZdTree, TreeSnapshot};
 
 use crate::policy::{BatchPolicy, ThroughputEstimator};
 use crate::report::{fnv_fold, Reply, SealReason, ServeReport, Totals, FNV_OFFSET};
-use crate::trace::{split_service_us, BatchTrace, RequestTrace, ServeTrace, TraceId};
+use crate::trace::{split_service_us, BatchTrace, ServeTrace};
 
-/// Batch-compatibility class of a request: requests batch together exactly
-/// when their keys are equal (kNN batches share one `k`).
+/// Batch-compatibility key of a request: requests batch together exactly
+/// when their keys are equal (kNN batches share one `k`). Keys order by
+/// class, then `k`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ClassKey {
-    /// Point inserts.
-    Insert,
-    /// Point deletes.
-    Delete,
-    /// Membership probes.
-    Contains,
-    /// kNN queries with this `k`.
-    Knn(usize),
-    /// Range counts.
-    BoxCount,
-    /// Range fetches.
-    BoxFetch,
+pub struct ClassKey {
+    /// The request class.
+    pub class: ReqClass,
+    /// The `k` of a kNN class (0 for every other class).
+    pub k: usize,
 }
 
 impl ClassKey {
-    /// The class of a request.
+    /// The key of a request.
     pub fn of<const D: usize>(op: &ReqOp<D>) -> Self {
-        match op {
-            ReqOp::Insert(_) => ClassKey::Insert,
-            ReqOp::Delete(_) => ClassKey::Delete,
-            ReqOp::Contains(_) => ClassKey::Contains,
-            ReqOp::Knn(_, k) => ClassKey::Knn(*k),
-            ReqOp::BoxCount(_) => ClassKey::BoxCount,
-            ReqOp::BoxFetch(_) => ClassKey::BoxFetch,
-        }
-    }
-
-    /// Whether batches of this class mutate the index.
-    pub fn is_write(&self) -> bool {
-        matches!(self, ClassKey::Insert | ClassKey::Delete)
-    }
-
-    /// Stable label (matches [`ReqOp::label`]).
-    pub fn label(&self) -> &'static str {
-        match self {
-            ClassKey::Insert => "insert",
-            ClassKey::Delete => "delete",
-            ClassKey::Contains => "contains",
-            ClassKey::Knn(_) => "knn",
-            ClassKey::BoxCount => "box_count",
-            ClassKey::BoxFetch => "box_fetch",
-        }
+        let k = if let ReqOp::Knn(_, k) = op { *k } else { 0 };
+        Self { class: op.class(), k }
     }
 }
 
@@ -150,7 +128,7 @@ struct Queued<const D: usize> {
 /// A sealed batch waiting for (or occupying) a lane.
 struct Sealed<const D: usize> {
     seq: u64,
-    class: ClassKey,
+    key: ClassKey,
     reqs: Vec<Queued<D>>,
     sealed_us: u64,
     reason: SealReason,
@@ -159,33 +137,16 @@ struct Sealed<const D: usize> {
 /// An executing batch: results are already computed (execution happens at
 /// dispatch), the reply is withheld until the simulated round completes.
 struct Flight<const D: usize> {
-    batch: Sealed<D>,
-    dispatch_us: u64,
-    complete_us: u64,
-    service_us: u64,
-    epoch: u64,
-    snapshot: bool,
+    key: ClassKey,
+    reqs: Vec<Queued<D>>,
     fingerprints: Vec<u64>,
-    /// Cross-layer link captured at execution time; present exactly when
-    /// tracing is on.
-    link: Option<FlightLink>,
-}
-
-/// What the tracer captures around a batch's execution: the round-id range
-/// the batch produced on its executing machine and the exact integer split
-/// of its service time (see `trace::split_service_us`).
-struct FlightLink {
-    round_lo: u64,
-    round_hi: u64,
-    cpu_us: u64,
-    pim_us: u64,
-    comm_us: u64,
-    /// Whether this dispatch was the first read served by its epoch's
-    /// snapshot.
-    materialized: bool,
+    /// The batch's record, complete at dispatch; it joins the journal when
+    /// the batch completes.
+    record: BatchTrace,
 }
 
 /// Per-run mutable state of the event loop.
+#[derive(Default)]
 struct RunState<const D: usize> {
     /// Future arrivals keyed by `(t_us, seq)`; the value carries the client
     /// index for closed-loop runs (`u32::MAX` in trace replays).
@@ -206,37 +167,9 @@ struct RunState<const D: usize> {
     snapshot: Option<(TreeSnapshot<D>, bool)>,
     batch_seq: u64,
     replies: Vec<Reply>,
-    journal: Vec<String>,
+    journal: Vec<BatchTrace>,
     totals: Totals,
-    rejected: u64,
-    batches: u64,
-    snapshot_batches: u64,
     now: u64,
-}
-
-impl<const D: usize> RunState<D> {
-    fn new() -> Self {
-        Self {
-            arrivals: BTreeMap::new(),
-            next_id: 0,
-            pending: BTreeMap::new(),
-            sealed_writes: VecDeque::new(),
-            sealed_reads: VecDeque::new(),
-            queued: 0,
-            write_flight: None,
-            read_flight: None,
-            estimators: BTreeMap::new(),
-            snapshot: None,
-            batch_seq: 0,
-            replies: Vec::new(),
-            journal: Vec::new(),
-            totals: Totals::default(),
-            rejected: 0,
-            batches: 0,
-            snapshot_batches: 0,
-            now: 0,
-        }
-    }
 }
 
 /// Closed-loop driver state threaded through the event loop.
@@ -257,9 +190,7 @@ pub struct PimServer<const D: usize> {
     tree: PimZdTree<D>,
     cfg: ServeConfig,
     metrics: Metrics,
-    /// Per-run span buffers; `Some` exactly while request tracing is on
-    /// (one branch per feeding site when off — the zero-cost-off bar the
-    /// metrics and round-trace layers meet).
+    /// The last run's span view; `Some` exactly while request tracing is on.
     tracer: Option<ServeTrace>,
 }
 
@@ -269,28 +200,21 @@ impl<const D: usize> PimServer<D> {
         Self { tree, cfg, metrics: Metrics::disabled(), tracer: None }
     }
 
-    /// Turns causal request tracing on or off (off by default). While on,
-    /// every run records a [`RequestTrace`] per request and a
-    /// [`BatchTrace`] per executed batch — see [`crate::trace`]. Tracing
-    /// never perturbs virtual time, so a traced run's replies and journal
-    /// are byte-identical to an untraced one's.
+    /// Turns causal request tracing on or off (off by default). Every run
+    /// records its batches and replies the same way either way; while on,
+    /// each run also keeps the span view derived from them
+    /// ([`ServeTrace::of`], see [`crate::trace`]) for [`Self::take_trace`].
+    /// Tracing never perturbs virtual time, so a traced run's replies and
+    /// journal are byte-identical to an untraced one's.
     pub fn set_tracing(&mut self, on: bool) {
         self.tracer = on.then(ServeTrace::default);
     }
 
-    /// Whether request tracing is on.
-    pub fn tracing_enabled(&self) -> bool {
-        self.tracer.is_some()
-    }
-
-    /// Takes the span record of the last traced run (`None` when tracing
-    /// is off), leaving an empty buffer for the next run. Requests are
-    /// sorted by id, batches by sequence number.
+    /// Takes the span record of the last run (`None` when tracing is off),
+    /// leaving an empty one behind. Requests are sorted by id, batches by
+    /// sequence number.
     pub fn take_trace(&mut self) -> Option<ServeTrace> {
-        let mut trace = self.tracer.as_mut().map(std::mem::take)?;
-        trace.requests.sort_by_key(|r| r.id);
-        trace.batches.sort_by_key(|b| b.seq);
-        Some(trace)
+        self.tracer.as_mut().map(std::mem::take)
     }
 
     /// Attaches a round-trace sink to the underlying tree (see
@@ -322,15 +246,12 @@ impl<const D: usize> PimServer<D> {
     /// run's artifacts. Deterministic: same tree + config + trace → byte
     /// identical report, at any host thread count.
     pub fn run_trace(&mut self, trace: &ArrivalTrace<D>) -> ServeReport {
-        if let Some(tr) = self.tracer.as_mut() {
-            *tr = ServeTrace::default();
-        }
-        let mut st = RunState::new();
+        let mut st = RunState::default();
         for (i, a) in trace.arrivals.iter().enumerate() {
             st.arrivals.insert((a.t_us, i as u64), (a.op, u32::MAX));
         }
         self.drive(&mut st, None);
-        finish(st)
+        self.finish(st)
     }
 
     /// Runs a closed-loop load until every client exhausts its request
@@ -344,9 +265,6 @@ impl<const D: usize> PimServer<D> {
         data: &[Point<D>],
     ) -> (ServeReport, ArrivalTrace<D>) {
         assert!(load.clients > 0, "closed loop needs at least one client");
-        if let Some(tr) = self.tracer.as_mut() {
-            *tr = ServeTrace::default();
-        }
         let mut closed = ClosedState {
             sampler: RequestSampler::new(data, load.mix, load.seed),
             think_us: load.think_us,
@@ -356,7 +274,7 @@ impl<const D: usize> PimServer<D> {
             recorded: Vec::new(),
             seq: 0,
         };
-        let mut st = RunState::new();
+        let mut st = RunState::default();
         for c in 0..load.clients {
             if load.requests_per_client == 0 {
                 break;
@@ -368,7 +286,30 @@ impl<const D: usize> PimServer<D> {
         }
         self.drive(&mut st, Some(&mut closed));
         let trace = ArrivalTrace { arrivals: closed.recorded };
-        (finish(st), trace)
+        (self.finish(st), trace)
+    }
+
+    /// Freezes a drained run into its report — replies sorted by id, the
+    /// counts read off the replies and the journal — and, while tracing is
+    /// on, keeps the span view of it.
+    fn finish(&mut self, st: RunState<D>) -> ServeReport {
+        debug_assert!(st.pending.is_empty(), "drained loop left pending requests");
+        debug_assert!(st.write_flight.is_none() && st.read_flight.is_none());
+        let mut replies = st.replies;
+        replies.sort_by_key(|r| r.id);
+        let report = ServeReport {
+            rejected: replies.iter().filter(|r| r.rejected).count() as u64,
+            batches: st.journal.len() as u64,
+            snapshot_batches: st.journal.iter().filter(|b| b.snapshot).count() as u64,
+            replies,
+            makespan_us: st.now,
+            journal: st.journal,
+            totals: st.totals,
+        };
+        if let Some(trace) = self.tracer.as_mut() {
+            *trace = ServeTrace::of(&report);
+        }
+        report
     }
 
     // -----------------------------------------------------------------
@@ -394,7 +335,7 @@ impl<const D: usize> PimServer<D> {
             consider(*at);
         }
         for f in [&st.write_flight, &st.read_flight].into_iter().flatten() {
-            consider(f.complete_us);
+            consider(f.record.complete_us);
         }
         for q in st.pending.values() {
             if let Some(front) = q.front() {
@@ -412,81 +353,27 @@ impl<const D: usize> PimServer<D> {
         mut closed: Option<&mut ClosedState<'_, D>>,
     ) {
         let mut done: Vec<Flight<D>> = Vec::new();
-        if st.write_flight.as_ref().is_some_and(|f| f.complete_us == t) {
+        if st.write_flight.as_ref().is_some_and(|f| f.record.complete_us == t) {
             done.push(st.write_flight.take().unwrap());
             st.snapshot = None;
         }
-        if st.read_flight.as_ref().is_some_and(|f| f.complete_us == t) {
+        if st.read_flight.as_ref().is_some_and(|f| f.record.complete_us == t) {
             done.push(st.read_flight.take().unwrap());
         }
-        done.sort_by_key(|f| f.batch.seq);
+        done.sort_by_key(|f| f.record.seq);
         for f in done {
-            let label = f.batch.class.label();
-            st.estimators
-                .entry(f.batch.class)
-                .or_default()
-                .observe(f.batch.reqs.len(), f.service_us as f64);
-            if let Some(tr) = self.tracer.as_mut() {
-                let link = f.link.as_ref().expect("tracing on implies a captured link");
-                tr.batches.push(BatchTrace {
-                    seq: f.batch.seq,
-                    class: label,
-                    n: f.batch.reqs.len() as u64,
-                    sealed_us: f.batch.sealed_us,
-                    dispatch_us: f.dispatch_us,
-                    complete_us: f.complete_us,
-                    service_us: f.service_us,
-                    cpu_us: link.cpu_us,
-                    pim_us: link.pim_us,
-                    comm_us: link.comm_us,
-                    epoch: f.epoch,
-                    snapshot: f.snapshot,
-                    materialized: link.materialized,
-                    seal: f.batch.reason.as_str(),
-                    round_lo: link.round_lo,
-                    round_hi: link.round_hi,
-                });
-                for q in &f.batch.reqs {
-                    tr.requests.push(RequestTrace {
-                        id: TraceId(q.id),
-                        op: label,
-                        batch: Some(f.batch.seq),
-                        arrival_us: q.arrival_us,
-                        sealed_us: f.batch.sealed_us,
-                        dispatch_us: f.dispatch_us,
-                        complete_us: f.complete_us,
-                        queue_us: f.batch.sealed_us - q.arrival_us,
-                        wait_us: f.dispatch_us - f.batch.sealed_us,
-                        cpu_us: link.cpu_us,
-                        pim_us: link.pim_us,
-                        comm_us: link.comm_us,
-                        rejected: false,
-                    });
-                }
-            }
-            st.journal.push(format!(
-                "{{\"batch\":{},\"class\":\"{}\",\"n\":{},\"sealed_us\":{},\"dispatch_us\":{},\
-                 \"complete_us\":{},\"epoch\":{},\"snapshot\":{},\"seal\":\"{}\",\"service_us\":{}}}",
-                f.batch.seq,
-                label,
-                f.batch.reqs.len(),
-                f.batch.sealed_us,
-                f.dispatch_us,
-                f.complete_us,
-                f.epoch,
-                f.snapshot,
-                f.batch.reason.as_str(),
-                f.service_us,
-            ));
-            for (i, q) in f.batch.reqs.iter().enumerate() {
+            let b = f.record;
+            st.estimators.entry(f.key).or_default().observe(f.reqs.len(), b.service_us as f64);
+            for (q, fingerprint) in f.reqs.iter().zip(f.fingerprints) {
                 st.replies.push(Reply {
                     id: q.id,
-                    op: label,
+                    op: b.class,
+                    batch: Some(b.seq),
                     arrival_us: q.arrival_us,
-                    dispatch_us: f.dispatch_us,
-                    complete_us: f.complete_us,
-                    epoch: f.epoch,
-                    fingerprint: f.fingerprints[i],
+                    dispatch_us: b.dispatch_us,
+                    complete_us: b.complete_us,
+                    epoch: b.epoch,
+                    fingerprint,
                     rejected: false,
                 });
                 self.metrics.with(|m| {
@@ -495,15 +382,16 @@ impl<const D: usize> PimServer<D> {
                     // can name requests to look up in a span trace.
                     m.observe_exemplar(
                         "serve_latency_us",
-                        &[("op", label)],
-                        f.complete_us - q.arrival_us,
+                        &[("op", b.class)],
+                        b.complete_us - q.arrival_us,
                         q.id,
                     )
                 });
                 if let Some(c) = closed.as_mut() {
-                    schedule_next(c, st, q.id, f.complete_us);
+                    schedule_next(c, st, q.id, b.complete_us);
                 }
             }
+            st.journal.push(b);
         }
     }
 
@@ -530,10 +418,10 @@ impl<const D: usize> PimServer<D> {
             }
             self.metrics.with(|m| m.add("serve_requests_total", &[("op", label)], 1));
             if st.queued >= self.cfg.queue_cap {
-                st.rejected += 1;
                 st.replies.push(Reply {
                     id,
                     op: label,
+                    batch: None,
                     arrival_us: t,
                     dispatch_us: t,
                     complete_us: t,
@@ -542,23 +430,6 @@ impl<const D: usize> PimServer<D> {
                     rejected: true,
                 });
                 self.metrics.with(|m| m.add("serve_rejected_total", &[("op", label)], 1));
-                if let Some(tr) = self.tracer.as_mut() {
-                    tr.requests.push(RequestTrace {
-                        id: TraceId(id),
-                        op: label,
-                        batch: None,
-                        arrival_us: t,
-                        sealed_us: t,
-                        dispatch_us: t,
-                        complete_us: t,
-                        queue_us: 0,
-                        wait_us: 0,
-                        cpu_us: 0,
-                        pim_us: 0,
-                        comm_us: 0,
-                        rejected: true,
-                    });
-                }
                 if let Some(c) = closed.as_mut() {
                     // A rejection is an immediate (failed) reply: the client
                     // thinks, then retries-or-moves-on with its next request.
@@ -566,16 +437,16 @@ impl<const D: usize> PimServer<D> {
                 }
                 continue;
             }
-            let class = ClassKey::of(&op);
-            st.pending.entry(class).or_default().push_back(Queued { id, arrival_us: t, op });
+            let key = ClassKey::of(&op);
+            st.pending.entry(key).or_default().push_back(Queued { id, arrival_us: t, op });
             st.queued += 1;
             let target = self
                 .cfg
                 .policy
-                .target(st.estimators.entry(class).or_default())
+                .target(st.estimators.entry(key).or_default())
                 .min(self.cfg.policy.max_batch);
-            if st.pending[&class].len() >= target {
-                self.seal(st, class, t, SealReason::Size);
+            if st.pending[&key].len() >= target {
+                self.seal(st, key, t, SealReason::Size);
             }
         }
     }
@@ -584,31 +455,30 @@ impl<const D: usize> PimServer<D> {
     /// latency budget (repeatedly, in case a backlog spans several
     /// max-size batches).
     fn seal_expired(&mut self, st: &mut RunState<D>, t: u64) {
-        let classes: Vec<ClassKey> = st.pending.keys().copied().collect();
-        for class in classes {
+        let keys: Vec<ClassKey> = st.pending.keys().copied().collect();
+        for key in keys {
             while st
                 .pending
-                .get(&class)
+                .get(&key)
                 .and_then(|q| q.front())
                 .is_some_and(|front| front.arrival_us + self.cfg.policy.budget_us <= t)
             {
-                self.seal(st, class, t, SealReason::Budget);
+                self.seal(st, key, t, SealReason::Budget);
             }
         }
     }
 
-    /// Seals up to `max_batch` requests of `class` into one batch.
-    fn seal(&mut self, st: &mut RunState<D>, class: ClassKey, t: u64, reason: SealReason) {
-        let q = st.pending.get_mut(&class).expect("seal of an empty class");
+    /// Seals up to `max_batch` requests of class `key` into one batch.
+    fn seal(&mut self, st: &mut RunState<D>, key: ClassKey, t: u64, reason: SealReason) {
+        let q = st.pending.get_mut(&key).expect("seal of an empty class");
         let n = q.len().min(self.cfg.policy.max_batch);
         let reqs: Vec<Queued<D>> = q.drain(..n).collect();
         if q.is_empty() {
-            st.pending.remove(&class);
+            st.pending.remove(&key);
         }
-        let batch = Sealed { seq: st.batch_seq, class, reqs, sealed_us: t, reason };
+        let batch = Sealed { seq: st.batch_seq, key, reqs, sealed_us: t, reason };
         st.batch_seq += 1;
-        st.batches += 1;
-        let label = class.label();
+        let label = key.class.label();
         self.metrics.with(|m| {
             m.add("serve_batches_total", &[("op", label)], 1);
             m.observe("serve_batch_size", &[], batch.reqs.len() as u64);
@@ -617,7 +487,7 @@ impl<const D: usize> PimServer<D> {
                 SealReason::Size => m.add("serve_seal_size_total", &[], 1),
             }
         });
-        if class.is_write() {
+        if key.class.is_write() {
             st.sealed_writes.push_back(batch);
         } else {
             st.sealed_reads.push_back(batch);
@@ -656,15 +526,15 @@ impl<const D: usize> PimServer<D> {
     ) -> Flight<D> {
         st.queued -= batch.reqs.len();
         let mut materialized = false;
-        let (round_lo, fingerprints, round_hi, epoch, stats) = if batch.class.is_write() {
+        let (round_lo, fingerprints, round_hi, epoch, stats) = if batch.key.class.is_write() {
             let tree = &mut self.tree;
             let lo = tree.next_round_id();
             if self.cfg.snapshot_reads {
                 st.snapshot = Some((tree.snapshot(), false));
             }
             let pts: Vec<Point<D>> = batch.reqs.iter().map(|q| point_of(&q.op)).collect();
-            let fps = match batch.class {
-                ClassKey::Insert => {
+            let fps = match batch.key.class {
+                ReqClass::Insert => {
                     tree.batch_insert(&pts);
                     vec![1; pts.len()]
                 }
@@ -672,7 +542,6 @@ impl<const D: usize> PimServer<D> {
             };
             (lo, fps, tree.next_round_id(), tree.epoch(), tree.last_op_stats())
         } else if use_snapshot {
-            st.snapshot_batches += 1;
             self.metrics.with(|m| m.add("serve_snapshot_reads_total", &[], 1));
             let (snap, used) =
                 st.snapshot.as_mut().expect("the write in flight forked its pre-write tree");
@@ -693,35 +562,41 @@ impl<const D: usize> PimServer<D> {
         // dispatch instant.
         let service_us = ((stats.breakdown.total_s() * 1e6).round() as u64).max(1);
         st.totals.add(stats);
-        let link = self.tracer.is_some().then(|| {
-            let (cpu_us, pim_us, comm_us) = split_service_us(service_us, &stats.breakdown);
-            FlightLink { round_lo, round_hi, cpu_us, pim_us, comm_us, materialized }
-        });
-        Flight {
+        let (cpu_us, pim_us, comm_us) = split_service_us(service_us, &stats.breakdown);
+        let record = BatchTrace {
+            seq: batch.seq,
+            class: batch.key.class.label(),
+            n: batch.reqs.len() as u64,
+            sealed_us: batch.sealed_us,
             dispatch_us: t,
             complete_us: t + service_us,
             service_us,
+            cpu_us,
+            pim_us,
+            comm_us,
             epoch,
             snapshot: use_snapshot,
-            fingerprints,
-            batch,
-            link,
-        }
+            materialized,
+            seal: batch.reason.as_str(),
+            round_lo,
+            round_hi,
+        };
+        Flight { key: batch.key, reqs: batch.reqs, fingerprints, record }
     }
 }
 
 /// Executes one read batch against `target`, returning per-request result
 /// fingerprints (see the module docs for the folding per class).
 fn run_read<const D: usize>(target: &mut impl BatchRead<D>, batch: &Sealed<D>) -> Vec<u64> {
-    match batch.class {
-        ClassKey::Contains => {
+    match batch.key.class {
+        ReqClass::Contains => {
             let pts: Vec<Point<D>> = batch.reqs.iter().map(|q| point_of(&q.op)).collect();
             target.batch_contains(&pts).into_iter().map(|b| b as u64).collect()
         }
-        ClassKey::Knn(k) => {
+        ReqClass::Knn => {
             let pts: Vec<Point<D>> = batch.reqs.iter().map(|q| point_of(&q.op)).collect();
             target
-                .batch_knn(&pts, k, Metric::L2)
+                .batch_knn(&pts, batch.key.k, Metric::L2)
                 .into_iter()
                 .map(|nbrs| {
                     nbrs.iter().fold(FNV_OFFSET, |fp, (id, p)| {
@@ -730,11 +605,11 @@ fn run_read<const D: usize>(target: &mut impl BatchRead<D>, batch: &Sealed<D>) -
                 })
                 .collect()
         }
-        ClassKey::BoxCount => {
+        ReqClass::BoxCount => {
             let boxes: Vec<Aabb<D>> = batch.reqs.iter().map(|q| box_of(&q.op)).collect();
             target.batch_box_count(&boxes)
         }
-        ClassKey::BoxFetch => {
+        ReqClass::BoxFetch => {
             let boxes: Vec<Aabb<D>> = batch.reqs.iter().map(|q| box_of(&q.op)).collect();
             target
                 .batch_box_fetch(&boxes)
@@ -779,22 +654,6 @@ fn schedule_next<const D: usize>(
         st.arrivals.insert((t + c.think_us, c.seq), (op, client as u32));
         c.seq += 1;
         c.issued[client] += 1;
-    }
-}
-
-/// Orders replies by id and freezes the run state into a report.
-fn finish<const D: usize>(mut st: RunState<D>) -> ServeReport {
-    debug_assert!(st.pending.is_empty(), "drained loop left pending requests");
-    debug_assert!(st.write_flight.is_none() && st.read_flight.is_none());
-    st.replies.sort_by_key(|r| r.id);
-    ServeReport {
-        replies: st.replies,
-        batches: st.batches,
-        snapshot_batches: st.snapshot_batches,
-        rejected: st.rejected,
-        makespan_us: st.now,
-        journal: st.journal,
-        totals: st.totals,
     }
 }
 

@@ -40,21 +40,81 @@ pub enum ReqOp<const D: usize> {
 }
 
 impl<const D: usize> ReqOp<D> {
+    /// The request's class, without its payload.
+    pub fn class(&self) -> ReqClass {
+        match self {
+            ReqOp::Insert(_) => ReqClass::Insert,
+            ReqOp::Delete(_) => ReqClass::Delete,
+            ReqOp::Contains(_) => ReqClass::Contains,
+            ReqOp::Knn(..) => ReqClass::Knn,
+            ReqOp::BoxCount(_) => ReqClass::BoxCount,
+            ReqOp::BoxFetch(_) => ReqClass::BoxFetch,
+        }
+    }
+
     /// Whether the request mutates the index.
     pub fn is_write(&self) -> bool {
-        matches!(self, ReqOp::Insert(_) | ReqOp::Delete(_))
+        self.class().is_write()
     }
 
     /// Stable label used in journals and metrics (`insert`, `knn`, …).
     pub fn label(&self) -> &'static str {
+        self.class().label()
+    }
+}
+
+/// The class of a request, without its payload. [`ReqClass::label`] is the
+/// one table of class labels: arrival traces, serving journals, span files,
+/// metrics and trace-event tracks all write it, and their readers map a
+/// label back through [`ReqClass::from_label`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum ReqClass {
+    /// [`ReqOp::Insert`].
+    Insert,
+    /// [`ReqOp::Delete`].
+    Delete,
+    /// [`ReqOp::Contains`].
+    Contains,
+    /// [`ReqOp::Knn`], any `k`.
+    Knn,
+    /// [`ReqOp::BoxCount`].
+    BoxCount,
+    /// [`ReqOp::BoxFetch`].
+    BoxFetch,
+}
+
+impl ReqClass {
+    /// Every class, in declaration order (the trace-event track order).
+    pub const ALL: [ReqClass; 6] = [
+        ReqClass::Insert,
+        ReqClass::Delete,
+        ReqClass::Contains,
+        ReqClass::Knn,
+        ReqClass::BoxCount,
+        ReqClass::BoxFetch,
+    ];
+
+    /// Stable label (`insert`, `delete`, `contains`, `knn`, `box_count`,
+    /// `box_fetch`).
+    pub fn label(self) -> &'static str {
         match self {
-            ReqOp::Insert(_) => "insert",
-            ReqOp::Delete(_) => "delete",
-            ReqOp::Contains(_) => "contains",
-            ReqOp::Knn(..) => "knn",
-            ReqOp::BoxCount(_) => "box_count",
-            ReqOp::BoxFetch(_) => "box_fetch",
+            ReqClass::Insert => "insert",
+            ReqClass::Delete => "delete",
+            ReqClass::Contains => "contains",
+            ReqClass::Knn => "knn",
+            ReqClass::BoxCount => "box_count",
+            ReqClass::BoxFetch => "box_fetch",
         }
+    }
+
+    /// The class a label names (`None` for an unknown label).
+    pub fn from_label(label: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|c| c.label() == label)
+    }
+
+    /// Whether requests of this class mutate the index.
+    pub fn is_write(self) -> bool {
+        matches!(self, ReqClass::Insert | ReqClass::Delete)
     }
 }
 
@@ -205,17 +265,16 @@ fn parse_arrival<const D: usize>(line: &str) -> Result<Arrival<D>, String> {
         let hi = parse_point::<D>(v.get("hi").ok_or("missing \"hi\"")?)?;
         Ok(Aabb::new(lo, hi))
     };
-    let op = match op {
-        "insert" => ReqOp::Insert(p()?),
-        "delete" => ReqOp::Delete(p()?),
-        "contains" => ReqOp::Contains(p()?),
-        "knn" => {
+    let op = match ReqClass::from_label(op).ok_or_else(|| format!("unknown op {op:?}"))? {
+        ReqClass::Insert => ReqOp::Insert(p()?),
+        ReqClass::Delete => ReqOp::Delete(p()?),
+        ReqClass::Contains => ReqOp::Contains(p()?),
+        ReqClass::Knn => {
             let k = v.get("k").and_then(serde_json::Value::as_u64).ok_or("missing \"k\"")?;
             ReqOp::Knn(p()?, k as usize)
         }
-        "box_count" => ReqOp::BoxCount(bx()?),
-        "box_fetch" => ReqOp::BoxFetch(bx()?),
-        other => return Err(format!("unknown op {other:?}")),
+        ReqClass::BoxCount => ReqOp::BoxCount(bx()?),
+        ReqClass::BoxFetch => ReqOp::BoxFetch(bx()?),
     };
     Ok(Arrival { t_us, op })
 }
@@ -444,6 +503,18 @@ mod tests {
         assert!(err.contains("t_us"), "{err}");
         let wrong_dim = "{\"t_us\":1,\"op\":\"contains\",\"p\":[1,2]}";
         assert!(ArrivalTrace::<3>::from_jsonl(wrong_dim).is_err());
+    }
+
+    #[test]
+    fn class_labels_are_one_table() {
+        for (i, c) in ReqClass::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "ALL lists the classes in declaration order");
+            assert_eq!(ReqClass::from_label(c.label()), Some(c));
+        }
+        assert_eq!(ReqClass::from_label("scan"), None);
+        let unknown = "{\"t_us\":1,\"op\":\"scan\",\"p\":[1,2,3]}";
+        let err = ArrivalTrace::<3>::from_jsonl(unknown).unwrap_err();
+        assert!(err.contains("unknown op \"scan\""), "{err}");
     }
 
     #[test]
