@@ -10,12 +10,12 @@
 //! flight observes exactly the pre-batch epoch, and none of the batch's
 //! points.
 
-use pim_zd_tree_repro::serve::{BatchPolicy, PimServer, ServeConfig};
+use pim_zd_tree_repro::serve::{fnv_fold, BatchPolicy, PimServer, ServeConfig, FNV_OFFSET};
 use pim_zd_tree_repro::sim::Metrics;
 use pim_zd_tree_repro::workloads::{
     open_loop_trace, Arrival, ArrivalTrace, ReqOp, RequestMix, RequestSampler,
 };
-use pim_zd_tree_repro::{workloads, MachineConfig, PimZdConfig, PimZdTree, Point};
+use pim_zd_tree_repro::{workloads, Aabb, MachineConfig, PimZdConfig, PimZdTree, Point};
 
 const SEED: u64 = 2026;
 const N: usize = 5_000;
@@ -233,4 +233,29 @@ fn closed_loop_replay_matches_at_different_thread_counts() {
     for _ in 0..32 {
         assert_eq!(s1.next_op(), s2.next_op());
     }
+}
+
+/// A trace with one arrival of every class, in `D` dimensions, with
+/// coordinates up to `u32::MAX` and a time past 2^32.
+fn every_class<const D: usize>() -> ArrivalTrace<D> {
+    let p = |s: u32| Point::new(std::array::from_fn(|i| s.wrapping_mul(2_654_435_761) >> i));
+    let ops = [
+        ReqOp::Insert(p(1)),
+        ReqOp::Delete(p(2)),
+        ReqOp::Contains(p(3)),
+        ReqOp::Knn(p(4), 10),
+        ReqOp::BoxCount(Aabb::new(p(5), p(6))),
+        ReqOp::BoxFetch(Aabb::new(Point::new([0; D]), Point::new([u32::MAX; D]))),
+    ];
+    let at = |i: usize| if i == 5 { 1 << 40 } else { 17 * i as u64 };
+    ArrivalTrace {
+        arrivals: ops.into_iter().enumerate().map(|(i, op)| Arrival { t_us: at(i), op }).collect(),
+    }
+}
+
+#[test]
+fn arrival_jsonl_bytes_are_pinned() {
+    let digest = |text: String| text.bytes().fold(FNV_OFFSET, |fp, b| fnv_fold(fp, b as u64));
+    assert_eq!(digest(every_class::<2>().to_jsonl()), 0x1d526822506d6305);
+    assert_eq!(digest(every_class::<3>().to_jsonl()), 0xe5263a75b13cd470);
 }
