@@ -63,7 +63,7 @@ fn main() {
         let mut failed = false;
         for path in &args[1..] {
             match load(path).and_then(|v| validate_schema(&v).map_err(|e| format!("{path}: {e}"))) {
-                Ok(()) => println!("{path}: ok"),
+                Ok(_) => println!("{path}: ok"),
                 Err(e) => {
                     eprintln!("{e}");
                     failed = true;

@@ -11,7 +11,6 @@ use pim_workloads as wl;
 use pim_zd_tree::{BatchIndex, BatchRead, OpStats, PimZdConfig, PimZdTree};
 use pim_zdtree_base::engine::MeteredTree;
 use pim_zdtree_base::ZdTree;
-use serde::Serialize;
 
 /// Host CPU model with the LLC scaled to the dataset: the paper's server
 /// pairs a 22 MB LLC with 300 M-point datasets (cache ≈ 0.07 bytes/point);
@@ -79,7 +78,7 @@ impl OpKind {
 }
 
 /// One measured (index, operation) cell.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Measurement {
     /// Index name.
     pub index: String,

@@ -27,9 +27,7 @@ pub struct TraceEventStats {
 }
 
 fn field_u64(ev: &Value, key: &str, i: usize) -> Result<u64, String> {
-    ev.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("event {i}: missing or non-integer \"{key}\""))
+    pim_sim::json::read(ev, key).map_err(|e| format!("event {i}: {e}"))
 }
 
 /// Validates one parsed trace-event document. Returns summary counters, or

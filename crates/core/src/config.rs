@@ -13,10 +13,8 @@
 
 #![allow(clippy::unusual_byte_groupings)] // seeds are mnemonic, not numeric
 
-use serde::{Deserialize, Serialize};
-
 /// Which implementation techniques are enabled — each is a Table 3 ablation.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Toggles {
     /// Fast gap-interleave z-order computation (§6). Off = naive bitwise.
     pub fast_zorder: bool,
@@ -44,7 +42,7 @@ impl Default for Toggles {
 }
 
 /// Full configuration of a PIM-zd-tree instance.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PimZdConfig {
     /// Subtree-size threshold for L0 (globally shared) membership:
     /// `T(N) ≥ theta_l0` ⇒ L0.
@@ -157,7 +155,7 @@ impl PimZdConfig {
 }
 
 /// The three layers of §3.1.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Layer {
     /// Globally shared (host-resident, replicated when it outgrows cache).
     L0,

@@ -3,10 +3,9 @@
 
 use pim_memsim::{CpuModel, CpuStats};
 use pim_sim::SimStats;
-use serde::Serialize;
 
 /// Time decomposition of one batched operation (the Fig. 6 categories).
-#[derive(Clone, Copy, Debug, Default, Serialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct OpBreakdown {
     /// Host CPU time (batch preprocessing, pulls, L0 traversal, filtering).
     pub cpu_s: f64,
@@ -24,7 +23,7 @@ impl OpBreakdown {
 }
 
 /// Full measurement of one batched operation.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct OpStats {
     /// Time breakdown.
     pub breakdown: OpBreakdown,

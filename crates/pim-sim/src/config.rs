@@ -1,9 +1,7 @@
 //! Machine parameters for the simulated PIM system.
 
-use serde::{Deserialize, Serialize};
-
 /// Which host⇄PIM transfer interface is in use (§6 "Improved Direct API").
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TransferApi {
     /// The stock UPMEM SDK path: each per-module transfer call traverses the
     /// SDK layers (≈ 2 µs of host work per call).
@@ -15,7 +13,7 @@ pub enum TransferApi {
 
 /// Parameters of the simulated machine. Defaults follow the evaluation
 /// server of §7.1 and UPMEM's published microarchitectural numbers \[37\].
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MachineConfig {
     /// Number of PIM modules `P` (2048 on the paper's server).
     pub n_modules: usize,

@@ -12,10 +12,8 @@
 //! which inherit from measured traffic and cycles — are the meaningful
 //! output, exactly as with the traffic metric itself.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-event energy costs in picojoules.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct EnergyModel {
     /// Host CPU core energy per cycle (big OoO core, amortized).
     pub cpu_pj_per_cycle: f64,
@@ -42,7 +40,7 @@ impl Default for EnergyModel {
 }
 
 /// An energy estimate decomposed by component, in joules.
-#[derive(Clone, Copy, Debug, Default, Serialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct EnergyEstimate {
     /// Host core energy.
     pub cpu_j: f64,

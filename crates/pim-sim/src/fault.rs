@@ -27,7 +27,6 @@
 //! counts draw identical faults.
 
 use crate::placement::mix64;
-use serde::Serialize;
 use std::borrow::Cow;
 
 /// Probability knobs of the injection plane. All probabilities are per
@@ -277,7 +276,7 @@ impl FaultPlan {
 }
 
 /// Category of a [`FaultEvent`], for journals and the recovery table.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// Transient execution failure (one attempt).
     ExecFault,
@@ -316,27 +315,22 @@ impl FaultKind {
         FaultKind::Salvage,
         FaultKind::HostCrash,
     ];
+}
 
+crate::json::labels! {
     /// The kind's stable wire name — exactly the string the journal's
     /// `kind` field carries. The match is exhaustive, so adding a variant
-    /// without extending [`Self::ALL`] fails the `all_is_exhaustive` test
-    /// and consumers never see an unnamed kind.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::ExecFault => "ExecFault",
-            FaultKind::ReplyDrop => "ReplyDrop",
-            FaultKind::ReplyCorrupt => "ReplyCorrupt",
-            FaultKind::Straggler => "Straggler",
-            FaultKind::Death => "Death",
-            FaultKind::Salvage => "Salvage",
-            FaultKind::HostCrash => "HostCrash",
-        }
+    /// without extending [`FaultKind::ALL`] fails the `all_is_exhaustive`
+    /// test and consumers never see an unnamed kind.
+    FaultKind::name {
+        ExecFault => "ExecFault", ReplyDrop => "ReplyDrop", ReplyCorrupt => "ReplyCorrupt",
+        Straggler => "Straggler", Death => "Death", Salvage => "Salvage", HostCrash => "HostCrash",
     }
 }
 
 /// One injected fault or recovery action, as recorded in a
 /// [`RoundRecord`](crate::trace::RoundRecord)'s `faults` list.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Module the event happened on.
     pub module: u32,
@@ -345,6 +339,8 @@ pub struct FaultEvent {
     /// What happened.
     pub kind: FaultKind,
 }
+
+crate::json::record! { FaultEvent { "module": module, "attempt": attempt, "kind": kind } }
 
 /// Lifetime fault/recovery counters of a [`PimSystem`](crate::PimSystem).
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -401,6 +397,7 @@ impl FaultLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Serialize;
 
     fn active_plan() -> FaultPlan {
         FaultPlan::new(FaultConfig::uniform(0.05, 42))

@@ -30,6 +30,7 @@ pub mod config;
 pub mod ctx;
 pub mod energy;
 pub mod fault;
+pub mod json;
 pub mod metrics;
 pub mod placement;
 pub mod stats;

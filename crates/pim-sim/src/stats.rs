@@ -2,10 +2,9 @@
 
 use crate::fault::FaultEvent;
 use crate::trace::RoundKind;
-use serde::Serialize;
 
 /// Per-round time decomposition, matching the paper's Fig. 6 categories.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RoundBreakdown {
     /// Max-over-modules core time for the round (the "PIM time").
     pub pim_s: f64,
@@ -13,6 +12,10 @@ pub struct RoundBreakdown {
     pub comm_s: f64,
     /// Fixed overheads: mux switch + transfer-call overhead.
     pub overhead_s: f64,
+}
+
+crate::json::record! {
+    RoundBreakdown { "pim_s": pim_s, "comm_s": comm_s, "overhead_s": overhead_s }
 }
 
 impl RoundBreakdown {
@@ -73,7 +76,7 @@ impl RoundAccount {
 
 /// Lifetime counters of a [`crate::PimSystem`]. Reset between warmup and
 /// measurement phases.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SimStats {
     /// Number of BSP rounds executed.
     pub rounds: u64,
@@ -100,7 +103,6 @@ pub struct SimStats {
     /// PIM work, mirroring how such rounds never move `worst_imbalance`).
     /// Lets [`Self::since`] report the *window's* worst imbalance instead of
     /// the lifetime one.
-    #[serde(skip)]
     pub imbalance_history: Vec<f64>,
 }
 

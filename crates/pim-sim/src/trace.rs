@@ -18,10 +18,8 @@
 //! `/`, so a maintenance round inside a delete batch is labeled
 //! `delete/maintain`.
 
-use crate::fault::{FaultEvent, FaultKind};
+use crate::fault::FaultEvent;
 use crate::stats::RoundBreakdown;
-use serde::Serialize;
-use serde_json::Value;
 use std::sync::{Arc, Mutex};
 
 /// Number of log₂ buckets in the per-round cycle histogram.
@@ -31,7 +29,7 @@ pub const HIST_BUCKETS: usize = 16;
 pub const TOP_STRAGGLERS: usize = 4;
 
 /// Which executor entry point produced a round.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RoundKind {
     /// `execute_round`: scatter to non-idle modules, gather replies.
     #[default]
@@ -40,6 +38,11 @@ pub enum RoundKind {
     Broadcast,
     /// `salvage`: one DMA read of a dead module's memory during recovery.
     Salvage,
+}
+
+crate::json::labels! {
+    /// The kind's label in the journal.
+    RoundKind::label { Execute => "Execute", Broadcast => "Broadcast", Salvage => "Salvage" }
 }
 
 /// One BSP round, as seen by the accountant.
@@ -89,45 +92,13 @@ pub struct RoundRecord {
     pub faults: Vec<FaultEvent>,
 }
 
-// Hand-written (instead of derived) so the `faults` key only appears when
-// the round actually had fault events; every other field matches the
-// derive's output byte for byte.
-impl Serialize for RoundRecord {
-    fn json_write(&self, out: &mut String) {
-        out.push('{');
-        out.push_str("\"round\":");
-        self.round.json_write(out);
-        out.push_str(",\"phase\":");
-        self.phase.json_write(out);
-        out.push_str(",\"kind\":");
-        self.kind.json_write(out);
-        out.push_str(",\"breakdown\":");
-        self.breakdown.json_write(out);
-        out.push_str(",\"cpu_to_pim_bytes\":");
-        self.cpu_to_pim_bytes.json_write(out);
-        out.push_str(",\"pim_to_cpu_bytes\":");
-        self.pim_to_cpu_bytes.json_write(out);
-        out.push_str(",\"tasks\":");
-        self.tasks.json_write(out);
-        out.push_str(",\"replies\":");
-        self.replies.json_write(out);
-        out.push_str(",\"active_modules\":");
-        self.active_modules.json_write(out);
-        out.push_str(",\"max_cycles\":");
-        self.max_cycles.json_write(out);
-        out.push_str(",\"mean_cycles\":");
-        self.mean_cycles.json_write(out);
-        out.push_str(",\"sum_cycles\":");
-        self.sum_cycles.json_write(out);
-        out.push_str(",\"cycle_hist\":");
-        self.cycle_hist.json_write(out);
-        out.push_str(",\"stragglers\":");
-        self.stragglers.json_write(out);
-        if !self.faults.is_empty() {
-            out.push_str(",\"faults\":");
-            self.faults.json_write(out);
-        }
-        out.push('}');
+crate::json::record! {
+    RoundRecord {
+        "round": round, "phase": phase, "kind": kind, "breakdown": breakdown,
+        "cpu_to_pim_bytes": cpu_to_pim_bytes, "pim_to_cpu_bytes": pim_to_cpu_bytes,
+        "tasks": tasks, "replies": replies, "active_modules": active_modules,
+        "max_cycles": max_cycles, "mean_cycles": mean_cycles, "sum_cycles": sum_cycles,
+        "cycle_hist": cycle_hist, "stragglers": stragglers, "faults" ? faults
     }
 }
 
@@ -137,85 +108,7 @@ impl Serialize for RoundRecord {
 /// Blank lines are skipped. Fails on the first malformed line, naming it:
 /// journals are machine-written, and silence would hide truncation.
 pub fn parse_jsonl(text: &str) -> Result<Vec<RoundRecord>, String> {
-    let lines = text.lines().enumerate().filter(|(_, line)| !line.trim().is_empty());
-    lines.map(|(i, line)| parse_record(line).map_err(|e| format!("line {}: {e}", i + 1))).collect()
-}
-
-fn parse_record(line: &str) -> Result<RoundRecord, String> {
-    let v = serde_json::from_str(line).map_err(|e| format!("{e:?}"))?;
-    let b = field(&v, "breakdown")?;
-    let kind = match text(&v, "kind")? {
-        "Execute" => RoundKind::Execute,
-        "Broadcast" => RoundKind::Broadcast,
-        "Salvage" => RoundKind::Salvage,
-        other => return Err(format!("unknown round kind {other:?}")),
-    };
-    let cycle_hist = nums(&v, "cycle_hist")?
-        .try_into()
-        .map_err(|h: Vec<u32>| format!("cycle_hist has {} buckets, not {HIST_BUCKETS}", h.len()))?;
-    let faults = match v.get("faults") {
-        None => Vec::new(),
-        Some(_) => list(&v, "faults")?.iter().map(fault).collect::<Result<_, _>>()?,
-    };
-    Ok(RoundRecord {
-        round: int(&v, "round")?,
-        phase: text(&v, "phase")?.to_string(),
-        kind,
-        breakdown: RoundBreakdown {
-            pim_s: float(b, "pim_s")?,
-            comm_s: float(b, "comm_s")?,
-            overhead_s: float(b, "overhead_s")?,
-        },
-        cpu_to_pim_bytes: int(&v, "cpu_to_pim_bytes")?,
-        pim_to_cpu_bytes: int(&v, "pim_to_cpu_bytes")?,
-        tasks: int(&v, "tasks")?,
-        replies: int(&v, "replies")?,
-        active_modules: int(&v, "active_modules")?,
-        max_cycles: int(&v, "max_cycles")?,
-        mean_cycles: float(&v, "mean_cycles")?,
-        sum_cycles: int(&v, "sum_cycles")?,
-        cycle_hist,
-        stragglers: nums(&v, "stragglers")?,
-        faults,
-    })
-}
-
-fn fault(ev: &Value) -> Result<FaultEvent, String> {
-    let name = text(ev, "kind")?;
-    let kind = *FaultKind::ALL
-        .iter()
-        .find(|k| k.name() == name)
-        .ok_or_else(|| format!("unknown fault kind {name:?}"))?;
-    Ok(FaultEvent { module: int(ev, "module")?, attempt: int(ev, "attempt")?, kind })
-}
-
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("missing {key}"))
-}
-
-fn int<T: TryFrom<u64>>(v: &Value, key: &str) -> Result<T, String> {
-    num(field(v, key)?, key)
-}
-
-fn num<T: TryFrom<u64>>(n: &Value, what: &str) -> Result<T, String> {
-    let n = n.as_u64().and_then(|n| T::try_from(n).ok());
-    n.ok_or_else(|| format!("{what} is not an integer in range"))
-}
-
-fn float(v: &Value, key: &str) -> Result<f64, String> {
-    field(v, key)?.as_f64().ok_or_else(|| format!("{key} is not a number"))
-}
-
-fn text<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    field(v, key)?.as_str().ok_or_else(|| format!("{key} is not a string"))
-}
-
-fn list<'a>(v: &'a Value, key: &str) -> Result<&'a Vec<Value>, String> {
-    field(v, key)?.as_array().ok_or_else(|| format!("{key} is not an array"))
-}
-
-fn nums<T: TryFrom<u64>>(v: &Value, key: &str) -> Result<Vec<T>, String> {
-    list(v, key)?.iter().map(|n| num(n, key)).collect()
+    crate::json::read_jsonl(text)
 }
 
 impl RoundRecord {
@@ -334,12 +227,7 @@ impl Journal {
 
     /// Renders the journal as JSON Lines (one record per line).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for rec in self.buf.lock().unwrap().iter() {
-            out.push_str(&serde_json::to_string(rec).expect("record serializes"));
-            out.push('\n');
-        }
-        out
+        crate::json::write_jsonl(self.buf.lock().unwrap().iter())
     }
 
     /// Writes the journal as JSON Lines to `path`.
@@ -423,8 +311,40 @@ mod tests {
         });
         let line = journal.to_jsonl();
         let text = format!("\n{line}{}", line.replace("\"replies\":2,", ""));
-        assert_eq!(parse_jsonl(&text).unwrap_err(), "line 3: missing replies");
+        assert_eq!(parse_jsonl(&text).unwrap_err(), "line 3: missing \"replies\"");
         assert!(parse_jsonl("not json\n").unwrap_err().starts_with("line 1: "));
+    }
+
+    #[test]
+    fn integers_a_field_cannot_hold_exactly_are_errors() {
+        let (mut sink, journal) = JournalSink::new();
+        sink.record(RoundRecord {
+            round: 1,
+            phase: String::new(),
+            kind: RoundKind::Broadcast,
+            breakdown: RoundBreakdown::default(),
+            cpu_to_pim_bytes: 64,
+            pim_to_cpu_bytes: 0,
+            tasks: 1,
+            replies: 0,
+            active_modules: 0,
+            max_cycles: 0,
+            mean_cycles: 0.0,
+            sum_cycles: 0,
+            cycle_hist: [0; HIST_BUCKETS],
+            stragglers: vec![],
+            faults: vec![],
+        });
+        let line = journal.to_jsonl();
+        for (from, to) in [
+            ("\"round\":1,", "\"round\":1e30,"),
+            ("\"cpu_to_pim_bytes\":64", "\"cpu_to_pim_bytes\":9007199254740993"),
+            ("\"active_modules\":0", "\"active_modules\":4294967296"),
+        ] {
+            let err = parse_jsonl(&line.replace(from, to)).unwrap_err();
+            let key = &from[1..from.find(':').unwrap() - 1];
+            assert!(err.starts_with(&format!("line 1: {key} is not ")), "{err}");
+        }
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! byte — the serving layer's determinism contract
 //! (`tests/serving_determinism.rs`) is stated directly over these artifacts.
 
-use pim_sim::Samples;
+use pim_sim::{json, Samples};
 use pim_zd_tree::OpStats;
 
-use crate::trace::BatchTrace;
+use crate::trace::{BatchTrace, JournalLine};
 
 /// FNV-1a offset basis; result fingerprints start here.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -20,33 +20,6 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// Folds one value into an FNV-1a fingerprint.
 pub fn fnv_fold(fp: u64, v: u64) -> u64 {
     (fp ^ v).wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-/// Appends one canonical JSON object to a `String`: the keys in the order
-/// listed, no whitespace, each value through its `serde::Serialize`. Every
-/// line of every serving JSONL file is one.
-macro_rules! json_object {
-    ($out:expr, { $k0:literal: $v0:expr $(, $k:literal: $v:expr)* $(,)? }) => {{
-        let out: &mut String = $out;
-        out.push_str(concat!("{\"", $k0, "\":"));
-        serde::Serialize::json_write(&$v0, out);
-        $(
-            out.push_str(concat!(",\"", $k, "\":"));
-            serde::Serialize::json_write(&$v, out);
-        )*
-        out.push('}');
-    }};
-}
-pub(crate) use json_object;
-
-/// Renders one JSONL line per item with `write`.
-pub(crate) fn jsonl<T>(items: &[T], write: impl Fn(&T, &mut String)) -> String {
-    let mut out = String::new();
-    for item in items {
-        write(item, &mut out);
-        out.push('\n');
-    }
-    out
 }
 
 /// The fate of one request.
@@ -90,15 +63,15 @@ impl Reply {
     pub fn latency_us(&self) -> u64 {
         self.complete_us - self.arrival_us
     }
+}
 
-    fn write_jsonl(&self, out: &mut String) {
-        if self.rejected {
-            json_object!(out, { "id": self.id, "op": self.op, "arrival_us": self.arrival_us,
-                "rejected": true });
+pim_sim::json::record! {
+    write Reply {
+        if rejected {
+            "id": id, "op": op, "arrival_us": arrival_us
         } else {
-            json_object!(out, { "id": self.id, "op": self.op, "arrival_us": self.arrival_us,
-                "dispatch_us": self.dispatch_us, "complete_us": self.complete_us,
-                "epoch": self.epoch, "fp": self.fingerprint });
+            "id": id, "op": op, "arrival_us": arrival_us, "dispatch_us": dispatch_us,
+            "complete_us": complete_us, "epoch": epoch, "fp": fingerprint
         }
     }
 }
@@ -176,12 +149,12 @@ impl ServeReport {
     /// (seal/dispatch/complete times, epoch, snapshot flag, seal reason,
     /// service time; `batches.jsonl` carries the full record).
     pub fn journal_jsonl(&self) -> String {
-        jsonl(&self.journal, BatchTrace::write_journal)
+        json::write_jsonl(self.journal.iter().map(JournalLine))
     }
 
     /// All replies in canonical JSONL (one line per request, id order).
     pub fn results_jsonl(&self) -> String {
-        jsonl(&self.replies, Reply::write_jsonl)
+        json::write_jsonl(&self.replies)
     }
 
     /// FNV-1a digest over [`Self::results_jsonl`] — a one-number summary of

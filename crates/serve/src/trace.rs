@@ -44,19 +44,30 @@
 //!   are byte-identical at any host thread count
 //!   (`tests/request_tracing.rs`).
 
+use pim_sim::json::{self, FromJson, Object, Serialize, Value};
 use pim_sim::RoundRecord;
 use pim_workloads::ReqClass;
 use pim_zd_tree::OpBreakdown;
-use serde::Serialize;
-use serde_json::Value;
 
-use crate::report::{json_object, jsonl, Reply, ServeReport};
+use crate::report::{Reply, ServeReport};
 
 /// Deterministic identity of one request: its 0-based admission index,
 /// assigned at arrival (trace order for replays). Equal to the `id` of the
 /// request's [`Reply`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TraceId(pub u64);
+
+impl Serialize for TraceId {
+    fn json_write(&self, out: &mut String) {
+        self.0.json_write(out)
+    }
+}
+
+impl FromJson for TraceId {
+    fn from_json(v: &Value, key: &str) -> Result<Self, String> {
+        u64::from_json(v, key).map(TraceId)
+    }
+}
 
 impl std::fmt::Display for TraceId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -135,17 +146,24 @@ impl RequestTrace {
         self.phases().iter().sum()
     }
 
-    fn write_jsonl(&self, out: &mut String) {
-        if self.rejected {
-            return json_object!(out, { "id": self.id.0, "op": self.op,
-                "arrival_us": self.arrival_us, "rejected": true });
+    /// The latency a completed request's spans line carries (`None` when
+    /// `complete_us < arrival_us`, which no run records).
+    fn checked_latency_us(&self) -> Option<u64> {
+        self.complete_us.checked_sub(self.arrival_us)
+    }
+}
+
+json::record! {
+    RequestTrace {
+        if rejected {
+            "id": id, "op": op as ReqClass, "arrival_us": arrival_us;
+            ..RequestTrace::refused(id, op, arrival_us)
+        } else {
+            "id": id, "op": op as ReqClass, "batch": batch as u64, "arrival_us": arrival_us,
+            "sealed_us": sealed_us, "dispatch_us": dispatch_us, "complete_us": complete_us,
+            "queue_us": queue_us, "wait_us": wait_us, "cpu_us": cpu_us, "pim_us": pim_us,
+            "comm_us": comm_us; "latency_us" == checked_latency_us
         }
-        let batch = self.batch.expect("completed request has a batch");
-        json_object!(out, { "id": self.id.0, "op": self.op, "batch": batch,
-            "arrival_us": self.arrival_us, "sealed_us": self.sealed_us,
-            "dispatch_us": self.dispatch_us, "complete_us": self.complete_us,
-            "queue_us": self.queue_us, "wait_us": self.wait_us, "cpu_us": self.cpu_us,
-            "pim_us": self.pim_us, "comm_us": self.comm_us, "latency_us": self.latency_us() });
     }
 }
 
@@ -156,43 +174,7 @@ impl RequestTrace {
 /// lines are skipped. Whether the spans sum to the latency is left to the
 /// consumer (`pim_bench::tail::summarize` refuses rows that do not).
 pub fn parse_spans_jsonl(text: &str) -> Result<Vec<RequestTrace>, String> {
-    let lines = text.lines().enumerate().filter(|(_, line)| !line.trim().is_empty());
-    lines.map(|(i, line)| parse_span(line).map_err(|e| format!("line {}: {e}", i + 1))).collect()
-}
-
-fn parse_span(line: &str) -> Result<RequestTrace, String> {
-    let v: Value = serde_json::from_str(line).map_err(|e| format!("{e:?}"))?;
-    let int =
-        |key: &str| v.get(key).and_then(Value::as_u64).ok_or_else(|| format!("missing \"{key}\""));
-    let label = v.get("op").and_then(Value::as_str).ok_or("missing \"op\"")?;
-    let op = ReqClass::from_label(label).ok_or_else(|| format!("unknown op {label:?}"))?.label();
-    let (id, arrival_us) = (TraceId(int("id")?), int("arrival_us")?);
-    if matches!(v.get("rejected"), Some(Value::Bool(true))) {
-        return Ok(RequestTrace::refused(id, op, arrival_us));
-    }
-    let r = RequestTrace {
-        id,
-        op,
-        batch: Some(int("batch")?),
-        arrival_us,
-        sealed_us: int("sealed_us")?,
-        dispatch_us: int("dispatch_us")?,
-        complete_us: int("complete_us")?,
-        queue_us: int("queue_us")?,
-        wait_us: int("wait_us")?,
-        cpu_us: int("cpu_us")?,
-        pim_us: int("pim_us")?,
-        comm_us: int("comm_us")?,
-        rejected: false,
-    };
-    let latency_us = int("latency_us")?;
-    if r.complete_us.checked_sub(arrival_us) != Some(latency_us) {
-        return Err(format!(
-            "latency_us {latency_us} is not complete_us {} - arrival_us {arrival_us}",
-            r.complete_us
-        ));
-    }
-    Ok(r)
+    json::read_jsonl(text)
 }
 
 /// The recorded life of one executed batch, with its round-id link. The
@@ -244,23 +226,34 @@ impl BatchTrace {
     pub fn owns_round(&self, round: u64) -> bool {
         !self.snapshot && round >= self.round_lo && round < self.round_hi
     }
+}
 
-    /// The full record (`batches.jsonl`).
-    fn write_jsonl(&self, out: &mut String) {
-        json_object!(out, { "batch": self.seq, "class": self.class, "n": self.n,
-            "sealed_us": self.sealed_us, "dispatch_us": self.dispatch_us,
-            "complete_us": self.complete_us, "service_us": self.service_us,
-            "cpu_us": self.cpu_us, "pim_us": self.pim_us, "comm_us": self.comm_us,
-            "epoch": self.epoch, "snapshot": self.snapshot, "materialized": self.materialized,
-            "seal": self.seal, "round_lo": self.round_lo, "round_hi": self.round_hi });
+json::record! {
+    write BatchTrace {
+        "batch": seq, "class": class, "n": n, "sealed_us": sealed_us, "dispatch_us": dispatch_us,
+        "complete_us": complete_us, "service_us": service_us, "cpu_us": cpu_us, "pim_us": pim_us,
+        "comm_us": comm_us, "epoch": epoch, "snapshot": snapshot, "materialized": materialized,
+        "seal": seal, "round_lo": round_lo, "round_hi": round_hi
     }
+}
 
-    /// The serving-journal line (`serving.jsonl`): ten of the record's keys.
-    pub(crate) fn write_journal(&self, out: &mut String) {
-        json_object!(out, { "batch": self.seq, "class": self.class, "n": self.n,
-            "sealed_us": self.sealed_us, "dispatch_us": self.dispatch_us,
-            "complete_us": self.complete_us, "epoch": self.epoch, "snapshot": self.snapshot,
-            "seal": self.seal, "service_us": self.service_us });
+/// A batch's serving-journal line (`serving.jsonl`): ten of its record's
+/// keys.
+pub(crate) struct JournalLine<'a>(pub(crate) &'a BatchTrace);
+
+impl std::ops::Deref for JournalLine<'_> {
+    type Target = BatchTrace;
+
+    fn deref(&self) -> &BatchTrace {
+        self.0
+    }
+}
+
+json::record! {
+    write JournalLine<'_> {
+        "batch": seq, "class": class, "n": n, "sealed_us": sealed_us, "dispatch_us": dispatch_us,
+        "complete_us": complete_us, "epoch": epoch, "snapshot": snapshot, "seal": seal,
+        "service_us": service_us
     }
 }
 
@@ -379,12 +372,12 @@ impl ServeTrace {
     /// order). This is `tail_report`'s input (`spans.jsonl`); read it back
     /// with [`parse_spans_jsonl`].
     pub fn spans_jsonl(&self) -> String {
-        jsonl(&self.requests, RequestTrace::write_jsonl)
+        json::write_jsonl(&self.requests)
     }
 
     /// Per-batch link records as canonical JSONL (`batches.jsonl`).
     pub fn batches_jsonl(&self) -> String {
-        jsonl(&self.batches, BatchTrace::write_jsonl)
+        json::write_jsonl(&self.batches)
     }
 
     /// The batch trace with sequence number `seq`, if any.
@@ -420,7 +413,7 @@ impl ServeTrace {
             }
             let track = (1, class_of(r.op) as u64);
             let mut args = String::new();
-            json_object!(&mut args, { "trace_id": r.id.0, "batch": r.batch.expect("completed") });
+            Object::new(&mut args).key("trace_id", &r.id).key("batch", &r.batch).end();
             let spans = [
                 ("queue", r.arrival_us, r.queue_us),
                 ("wait", r.sealed_us, r.wait_us),
@@ -448,9 +441,15 @@ impl ServeTrace {
             let track = (2, u64::from(!class_of(b.class).is_write()));
             let name = format!("{}#{}", b.class, b.seq);
             let mut args = String::new();
-            json_object!(&mut args, { "batch": b.seq, "n": b.n, "epoch": b.epoch,
-                "snapshot": b.snapshot, "seal": b.seal, "round_lo": b.round_lo,
-                "round_hi": b.round_hi });
+            Object::new(&mut args)
+                .key("batch", &b.seq)
+                .key("n", &b.n)
+                .key("epoch", &b.epoch)
+                .key("snapshot", &b.snapshot)
+                .key("seal", b.seal)
+                .key("round_lo", &b.round_lo)
+                .key("round_hi", &b.round_hi)
+                .end();
             push_ev(&mut evs, &name, "B", track, b.dispatch_us, &format!(",\"args\":{args}"));
             push_ev(&mut evs, &name, "E", track, b.complete_us, "");
         }
@@ -477,8 +476,12 @@ impl ServeTrace {
                     }
                     let name = if r.phase.is_empty() { "round" } else { r.phase.as_str() };
                     let mut args = String::new();
-                    json_object!(&mut args, { "round": r.round, "batch": b.seq, "tasks": r.tasks,
-                        "max_cycles": r.max_cycles });
+                    Object::new(&mut args)
+                        .key("round", &r.round)
+                        .key("batch", &b.seq)
+                        .key("tasks", &r.tasks)
+                        .key("max_cycles", &r.max_cycles)
+                        .end();
                     let rest = format!(",\"dur\":{dur},\"args\":{args}");
                     push_ev(&mut evs, name, "X", (3, tid), b.dispatch_us + offset, &rest);
                 }
@@ -570,7 +573,7 @@ mod tests {
         assert_eq!(r.latency_us(), 90);
         assert_eq!(r.span_sum_us(), 90);
         let mut line = String::new();
-        r.write_jsonl(&mut line);
+        r.json_write(&mut line);
         assert!(line.contains("\"latency_us\":90"), "{line}");
         assert!(line.contains("\"batch\":3"), "{line}");
     }
@@ -592,6 +595,19 @@ mod tests {
         ] {
             let err = parse_spans_jsonl(&format!("{refused}\n{bad}\n")).unwrap_err();
             assert!(err.starts_with("line 2: ") && err.contains(what), "{err}");
+        }
+    }
+
+    #[test]
+    fn span_reader_refuses_times_a_u64_cannot_hold() {
+        for line in [
+            "{\"id\":1,\"op\":\"insert\",\"arrival_us\":1e300,\"rejected\":true}",
+            "{\"id\":0,\"op\":\"knn\",\"batch\":2,\"arrival_us\":1e300,\"sealed_us\":25,\
+             \"dispatch_us\":30,\"complete_us\":100,\"queue_us\":15,\"wait_us\":5,\
+             \"cpu_us\":20,\"pim_us\":40,\"comm_us\":10,\"latency_us\":90}",
+        ] {
+            let err = parse_spans_jsonl(line).unwrap_err();
+            assert!(err.starts_with("line 1: arrival_us is not a u64"), "{err}");
         }
     }
 
