@@ -1,4 +1,14 @@
-//! Minimal command-line handling shared by every figure binary.
+//! Minimal command-line handling shared by every figure binary: one scan
+//! of `std::env::args`, into the shared flags plus the `--name value` pairs
+//! of binary-specific flags ([`BenchArgs::extra`]).
+//!
+//! The shared flags reach a tree under test through one door,
+//! [`crate::PerfSink::attach`]. A binary that measures something `attach`
+//! cannot take (sharded ranks, servers over restored images, durability
+//! steps) wires the flags it can apply itself and [`refuses`](BenchArgs::refuse)
+//! the rest, so no report carries a flag its run ignored.
+
+use std::collections::BTreeMap;
 
 /// Common scale knobs. Defaults keep each binary within a few minutes of
 /// simulation; pass larger values to stress the machine.
@@ -35,6 +45,9 @@ pub struct BenchArgs {
     /// Uniform fault rate (see `pim_sim::FaultConfig::uniform`); 0 keeps
     /// the fault plane entirely off the hot path.
     pub fault_rate: f64,
+    /// Binary-specific `--name value` pairs, keyed by `--name` (read with
+    /// [`Self::extra`]).
+    pub extra: BTreeMap<String, String>,
 }
 
 impl Default for BenchArgs {
@@ -52,6 +65,7 @@ impl Default for BenchArgs {
             threads: None,
             fault_seed: None,
             fault_rate: 0.0,
+            extra: BTreeMap::new(),
         }
     }
 }
@@ -59,16 +73,10 @@ impl Default for BenchArgs {
 impl BenchArgs {
     /// Parses `--points N --batch N --modules N --seed N --trace PATH
     /// --json PATH --profile PATH --metrics PATH --threads N
-    /// --fault-seed N --fault-rate R [positional]`, then pins the global
-    /// thread pool to `--threads` when given.
+    /// --fault-seed N --fault-rate R [positional]` and any other
+    /// `--name value` pairs, then pins the global thread pool to
+    /// `--threads` when given.
     pub fn parse() -> Self {
-        let out = Self::parse_without_pool_init();
-        out.init_thread_pool();
-        out
-    }
-
-    /// [`parse`](Self::parse) minus the global-pool side effect, for tests.
-    pub fn parse_without_pool_init() -> Self {
         let mut out = Self::default();
         let mut args = std::env::args().skip(1).peekable();
         while let Some(a) = args.next() {
@@ -126,32 +134,44 @@ impl BenchArgs {
                     }
                 },
                 other if !other.starts_with("--") => out.positional = Some(other.to_string()),
-                // An unknown flag consumes its value token (if any), so a
-                // binary-specific flag like `--rate 5000` never leaks its
-                // value into `positional` (which is serialized into perf
-                // reports and compared by the diff gate).
-                _ => {
-                    if args.peek().is_some_and(|v| !v.starts_with("--")) {
-                        args.next();
+                // An unknown flag consumes its value token (if any) into
+                // `extra`, so a binary-specific flag like `--requests 600`
+                // never leaks its value into `positional` (which is
+                // serialized into perf reports and compared by the diff gate).
+                flag => {
+                    if let Some(v) = args.next_if(|v| !v.starts_with("--")) {
+                        out.extra.insert(flag.to_string(), v);
                     }
                 }
             }
         }
+        out.init_thread_pool();
         out
     }
 
-    /// The value of a binary-specific flag (`--name VALUE`) from the raw
-    /// command line, for figure binaries with knobs beyond the shared set.
-    /// Flags consumed this way are also skipped (with their value) by
-    /// [`parse`](Self::parse), so they never pollute `positional`.
-    pub fn flag_value(name: &str) -> Option<String> {
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            if a == name {
-                return args.next();
+    /// The value of the binary-specific flag `name` (`--requests`, …), if
+    /// it was given and parses as a `T`.
+    pub fn extra<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.extra.get(name).and_then(|v| v.parse().ok())
+    }
+
+    /// Exits 2, as a malformed `--threads` does, when the run asked for one
+    /// of `flags` (`--fault-rate` at a nonzero rate, `--trace`): a binary
+    /// names the shared flags it cannot apply, so no report carries a
+    /// `fault_rate` its run did not inject and no run promises a journal
+    /// it does not write.
+    pub fn refuse(&self, flags: &[&str]) {
+        for &flag in flags {
+            let given = match flag {
+                "--fault-rate" => self.fault_rate != 0.0,
+                "--trace" => self.trace.is_some(),
+                other => panic!("{other} is not a refusable flag"),
+            };
+            if given {
+                eprintln!("error: {flag} is not supported by this binary");
+                std::process::exit(2);
             }
         }
-        None
     }
 
     /// The fault-injection plan these args describe: `None` at rate 0

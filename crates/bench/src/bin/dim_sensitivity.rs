@@ -8,28 +8,24 @@
 //! cargo run --release -p pim-bench --bin dim_sensitivity
 //! ```
 
-use pim_bench::harness::{measurement_from_stats, run_cell, OpKind, Queries};
+use pim_bench::harness::{pim_tree, run_cell, OpKind, Queries};
+use pim_bench::perf::PerfEntry;
 use pim_bench::{BenchArgs, PerfSink};
 use pim_sim::MachineConfig;
 use pim_workloads as wl;
-use pim_zd_tree::{PimZdConfig, PimZdTree};
+use pim_zd_tree::PimZdConfig;
 
 fn run<const D: usize>(args: &BenchArgs, perf: &mut PerfSink) -> Vec<(String, f64)> {
     let warm = wl::uniform::<D>(args.points, args.seed);
     let cfg = PimZdConfig::throughput_optimized(args.points as u64, args.modules);
-    let mut t = PimZdTree::build_with_cpu(
-        &warm,
-        cfg,
-        MachineConfig::with_modules(args.modules),
-        pim_bench::harness::scaled_cpu(args.points),
-    );
-    t.set_metrics(perf.metrics());
+    let mut t = pim_tree(&warm, cfg, MachineConfig::with_modules(args.modules));
+    perf.attach(&mut t);
     let dim = format!("{D}D");
     let mut out = Vec::new();
 
     let ins = wl::point_queries(&warm, args.batch, 4, args.seed ^ 1);
     t.batch_insert(&ins);
-    perf.push(&dim, &measurement_from_stats("PIM-zd-tree", "Insert", t.last_op_stats()));
+    perf.push(&dim, &PerfEntry::of("PIM-zd-tree", "Insert", t.last_op_stats()));
     out.push(("Insert".into(), t.last_op_stats().throughput()));
 
     let side = wl::box_side_for_expected::<D>(args.points, 10.0);

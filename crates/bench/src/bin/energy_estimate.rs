@@ -11,7 +11,7 @@
 //! cargo run --release -p pim-bench --bin energy_estimate
 //! ```
 
-use pim_bench::harness::{make_queries, run_cell, CpuRunner, OpKind, PimRunner};
+use pim_bench::harness::{make_queries, pim_tree, run_cell, CpuRunner, OpKind};
 use pim_bench::{BenchArgs, Dataset, PerfSink};
 use pim_sim::{EnergyModel, MachineConfig};
 use pim_zd_tree::PimZdConfig;
@@ -26,8 +26,8 @@ fn main() {
     );
     let (warm, test) = Dataset::Uniform.warmup_and_test(args.points, args.seed);
     let cfg = PimZdConfig::throughput_optimized(args.points as u64, args.modules);
-    let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(args.modules));
-    pim.attach_perf(&perf);
+    let mut pim = pim_tree(&warm, cfg, MachineConfig::with_modules(args.modules));
+    perf.attach(&mut pim);
     let mut pkd = CpuRunner::pkd(&warm);
     let mut zd = CpuRunner::zd(&warm);
 
@@ -39,9 +39,9 @@ fn main() {
     for op in [OpKind::Insert, OpKind::BoxCount(10.0), OpKind::Knn(10)] {
         let q = make_queries(op, &test, args.points, args.batch, args.seed ^ 0xE6);
 
-        let m = run_cell(&mut pim.index, "PIM-zd-tree", op, &q);
+        let m = run_cell(&mut pim, "PIM-zd-tree", op, &q);
         perf.push("uniform", &m);
-        let s = pim.index.last_op_stats().clone();
+        let s = pim.last_op_stats().clone();
         let e = s.energy(&model);
         let t = e.total_j().max(1e-18);
         println!(

@@ -12,7 +12,7 @@
 //! `--trace PATH` writes PIM-zd-tree's round journal to `PATH` (with
 //! `all`, the last dataset's), for `trace_summary`.
 
-use pim_bench::harness::{make_queries, run_cell, CpuRunner, OpKind, PimRunner};
+use pim_bench::harness::{make_queries, pim_tree, run_cell, CpuRunner, OpKind};
 use pim_bench::{report, BenchArgs, Dataset, PerfSink};
 use pim_sim::MachineConfig;
 use pim_zd_tree::PimZdConfig;
@@ -47,10 +47,8 @@ fn run_dataset(ds: Dataset, args: &BenchArgs, perf: &mut PerfSink) {
     let (warm, test) = ds.warmup_and_test(args.points, args.seed);
 
     let cfg = PimZdConfig::throughput_optimized(args.points as u64, args.modules);
-    let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(args.modules));
-    pim.attach_trace_if_requested(args);
-    pim.attach_fault_plan_if_requested(args);
-    pim.attach_perf(perf);
+    let mut pim = pim_tree(&warm, cfg, MachineConfig::with_modules(args.modules));
+    perf.attach(&mut pim);
     let mut pkd = CpuRunner::pkd(&warm);
     let mut zd = CpuRunner::zd(&warm);
 
@@ -62,7 +60,7 @@ fn run_dataset(ds: Dataset, args: &BenchArgs, perf: &mut PerfSink) {
 
     for op in OpKind::fig5_battery() {
         let q = make_queries(op, &test, args.points, args.batch, args.seed ^ 0xF15);
-        let m_pim = run_cell(&mut pim.index, "PIM-zd-tree", op, &q);
+        let m_pim = run_cell(&mut pim, "PIM-zd-tree", op, &q);
         let m_pkd = run_cell(&mut pkd, "Pkd-tree", op, &q);
         let m_zd = run_cell(&mut zd, "zd-tree", op, &q);
         for m in [&m_pim, &m_pkd, &m_zd] {
@@ -89,5 +87,4 @@ fn run_dataset(ds: Dataset, args: &BenchArgs, perf: &mut PerfSink) {
         report::geomean(&traffic_zd)
     );
     println!("(paper, uniform: speedups up to 4.25x / 99x; traffic 3.5x / 18.8x average)\n");
-    pim.flush_trace();
 }

@@ -10,7 +10,7 @@
 //! cargo run --release -p pim-bench --bin fig8_dataset_size
 //! ```
 
-use pim_bench::harness::{make_queries, run_cell, CpuRunner, OpKind, PimRunner};
+use pim_bench::harness::{make_queries, pim_tree, run_cell, CpuRunner, OpKind};
 use pim_bench::{BenchArgs, Dataset, PerfSink};
 use pim_sim::MachineConfig;
 use pim_zd_tree::PimZdConfig;
@@ -34,14 +34,14 @@ fn main() {
         }
         let (warm, test) = Dataset::Uniform.warmup_and_test(n, args.seed);
         let cfg = PimZdConfig::throughput_optimized(n as u64, args.modules);
-        let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(args.modules));
-        pim.attach_perf(&perf);
+        let mut pim = pim_tree(&warm, cfg, MachineConfig::with_modules(args.modules));
+        perf.attach(&mut pim);
         let mut pkd = CpuRunner::pkd(&warm);
         let mut zd = CpuRunner::zd(&warm);
 
         let op = OpKind::Knn(1);
         let q = make_queries(op, &test, n, args.batch.min(n / 4), args.seed ^ 0xF18);
-        let a = run_cell(&mut pim.index, "PIM-zd-tree", op, &q);
+        let a = run_cell(&mut pim, "PIM-zd-tree", op, &q);
         let b = run_cell(&mut pkd, "Pkd-tree", op, &q);
         let c = run_cell(&mut zd, "zd-tree", op, &q);
         for m in [&a, &b, &c] {

@@ -6,11 +6,11 @@
 //! cargo run --release -p pim-bench --bin fig9_skew
 //! ```
 
-use pim_bench::harness::{run_cell, OpKind, Queries};
+use pim_bench::harness::{pim_tree, run_cell, OpKind, Queries};
 use pim_bench::{BenchArgs, Dataset, PerfSink};
 use pim_sim::MachineConfig;
 use pim_workloads as wl;
-use pim_zd_tree::{PimZdConfig, PimZdTree};
+use pim_zd_tree::PimZdConfig;
 
 fn main() {
     let args = BenchArgs::parse();
@@ -25,20 +25,14 @@ fn main() {
     let varden = wl::varden::<3>(args.points / 10, args.seed ^ 0xF19);
 
     let machine = MachineConfig::with_modules(args.modules);
-    let mut thr = PimZdTree::build_with_cpu(
+    let mut thr = pim_tree(
         &warm,
         PimZdConfig::throughput_optimized(args.points as u64, args.modules),
         machine,
-        pim_bench::harness::scaled_cpu(args.points),
     );
-    let mut skw = PimZdTree::build_with_cpu(
-        &warm,
-        PimZdConfig::skew_resistant(args.modules),
-        machine,
-        pim_bench::harness::scaled_cpu(args.points),
-    );
-    thr.set_metrics(perf.metrics());
-    skw.set_metrics(perf.metrics());
+    let mut skw = pim_tree(&warm, PimZdConfig::skew_resistant(args.modules), machine);
+    perf.attach(&mut thr);
+    perf.attach(&mut skw);
 
     println!(
         "{:>10} | {:>14} {:>9} | {:>14} {:>9}",
@@ -60,9 +54,9 @@ fn main() {
             "{:>9.2}% | {:>14.2} {:>8.1}x | {:>14.2} {:>8.1}x",
             f * 100.0,
             a.throughput / 1e6,
-            a.imbalance,
+            thr.last_op_stats().worst_imbalance,
             b.throughput / 1e6,
-            b.imbalance
+            skw.last_op_stats().worst_imbalance
         );
     }
     println!("\n(paper: skew-resistant fluctuates ≤ 4.1%; throughput-optimized degrades");

@@ -11,8 +11,11 @@
 //! ```sh
 //! cargo run --release -p pim-bench --bin fig_durability
 //! ```
+//!
+//! The steps time a fault-free host and write no round journal:
+//! `--fault-rate` and `--trace` exit 2.
 
-use pim_bench::harness::Measurement;
+use pim_bench::perf::PerfEntry;
 use pim_bench::{BenchArgs, PerfSink};
 use pim_sim::MachineConfig;
 use pim_workloads::uniform;
@@ -24,20 +27,17 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("pzd-figdur-{}-{name}", std::process::id()))
 }
 
-/// Wraps one timed durability step as a perf-report measurement.
-fn measure(op: &str, seconds: f64, bytes: u64, points: usize) -> Measurement {
-    Measurement {
+/// Wraps one timed durability step as a perf-report row.
+fn measure(op: &str, seconds: f64, bytes: u64, points: usize) -> PerfEntry {
+    PerfEntry {
         index: "PIM-zd-tree".to_string(),
         op: op.to_string(),
         throughput: if seconds > 0.0 { points as f64 / seconds } else { 0.0 },
         traffic: bytes as f64 / points.max(1) as f64,
         cpu_s: seconds,
-        pim_s: 0.0,
-        comm_s: 0.0,
         total_s: seconds,
-        rounds: 0,
-        imbalance: 0.0,
         elements: points as u64,
+        ..PerfEntry::default()
     }
 }
 
@@ -52,6 +52,7 @@ fn probe_fingerprint(t: &mut PimZdTree<3>, seed: u64) -> u64 {
 
 fn main() {
     let args = BenchArgs::parse();
+    args.refuse(&["--fault-rate", "--trace"]);
     let n_batches = 4usize;
     let per_batch = args.batch.min(args.points / 4).max(1_000);
 

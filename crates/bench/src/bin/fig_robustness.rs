@@ -15,7 +15,7 @@
 //! results are *byte-identical* to the baseline — recovery is exact, so a
 //! nonzero rate costs time and traffic but never correctness.
 
-use pim_bench::harness::{make_queries, run_cell, OpKind, PimRunner};
+use pim_bench::harness::{make_queries, pim_tree, run_cell, OpKind};
 use pim_bench::{BenchArgs, Dataset, PerfSink};
 use pim_geom::Point;
 use pim_sim::{FaultConfig, FaultLog, FaultPlan, MachineConfig};
@@ -42,9 +42,9 @@ fn sweep_cell(
         .as_ref()
         .map_or((0.0, 1.0), |p| (p.config().p_exec_fault, p.config().straggler_factor));
     let cfg = PimZdConfig::throughput_optimized(args.points as u64, args.modules);
-    let mut pim = PimRunner::new(warm, cfg, MachineConfig::with_modules(args.modules));
-    pim.index.set_fault_plan(plan);
-    pim.attach_perf(perf);
+    let mut pim = pim_tree(warm, cfg, MachineConfig::with_modules(args.modules));
+    perf.attach(&mut pim);
+    pim.set_fault_plan(plan);
 
     let ops = [OpKind::Insert, OpKind::BoxCount(100.0), OpKind::Knn(10)];
     let mut total_s = 0.0;
@@ -52,22 +52,22 @@ fn sweep_cell(
     let cell_label = format!("rate={rate},strag={factor}");
     for op in ops {
         let q = make_queries(op, test, args.points, args.batch, args.seed ^ 0xF16);
-        let m = run_cell(&mut pim.index, "PIM-zd-tree", op, &q);
+        let m = run_cell(&mut pim, "PIM-zd-tree", op, &q);
         perf.push(&cell_label, &m);
         total_s += m.total_s;
     }
     // Result fingerprint over all query families (compared across cells).
     let probes: Vec<Point<3>> = test.iter().step_by(37).copied().collect();
-    fingerprint.extend(pim.index.batch_contains(&probes).iter().map(|&b| b as u64));
+    fingerprint.extend(pim.batch_contains(&probes).iter().map(|&b| b as u64));
     let side = pim_workloads::box_side_for_expected::<3>(args.points, 50.0);
     let boxes = pim_workloads::box_queries(test, 20, side, args.seed ^ 0xB0B);
-    fingerprint.extend(pim.index.batch_box_count(&boxes));
+    fingerprint.extend(pim.batch_box_count(&boxes));
     let knn = pim_workloads::knn_queries(test, 20, args.seed ^ 0x514);
-    for (d, p) in pim.index.batch_knn(&knn, 4, pim_geom::Metric::L2).iter().flatten() {
+    for (d, p) in pim.batch_knn(&knn, 4, pim_geom::Metric::L2).iter().flatten() {
         fingerprint.push(d ^ u64::from(p.coords[0]));
     }
 
-    Cell { rate, factor, total_s, fingerprint, log: pim.index.fault_log().clone() }
+    Cell { rate, factor, total_s, fingerprint, log: pim.fault_log().clone() }
 }
 
 fn main() {

@@ -28,7 +28,9 @@
 //!
 //! Extra flags beyond the shared set: `--requests N` (requests per sweep
 //! point), `--budget-us N` (batching latency budget), `--mix NAME`
-//! (`read_heavy` | `write_heavy` | `read_only`).
+//! (`read_heavy` | `write_heavy` | `read_only`). The servers run over
+//! fault-free restored images and journal through the flags below, so
+//! `--fault-rate` and `--trace` exit 2.
 //!
 //! Two tracing flags turn on causal request tracing for the 1.0x sweep
 //! point only (the at-capacity point, where tail structure is most
@@ -95,7 +97,6 @@ fn record(label: &str, rep: &ServeReport, trace: &ArrivalTrace<3>) -> (PerfEntry
     };
     let completed = rep.completed() as u64;
     let entry = PerfEntry {
-        dataset: label.to_string(),
         index: "PIM-zd-tree".to_string(),
         op: "serve".to_string(),
         throughput: rep.achieved_rate(),
@@ -106,12 +107,12 @@ fn record(label: &str, rep: &ServeReport, trace: &ArrivalTrace<3>) -> (PerfEntry
         total_s: rep.makespan_us as f64 / 1e6,
         rounds: rep.totals.rounds,
         elements: completed,
-        p50_s: None,
-        p99_s: None,
-        p999_s: None,
-        offered: None,
-    }
-    .with_latency(p50 / 1e6, p99 / 1e6, p999 / 1e6, trace.offered_rate());
+        p50_s: Some(p50 / 1e6),
+        p99_s: Some(p99 / 1e6),
+        p999_s: Some(p999 / 1e6),
+        offered: Some(trace.offered_rate()),
+        ..PerfEntry::default()
+    };
     let row = format!(
         "{label:>9}  {:>9.0}  {:>9.0}  {:>8.0}  {:>8.0}  {:>8.0}  {:>6}  {:>7}  {:>8}",
         trace.offered_rate(),
@@ -128,14 +129,13 @@ fn record(label: &str, rep: &ServeReport, trace: &ArrivalTrace<3>) -> (PerfEntry
 
 fn main() {
     let args = BenchArgs::parse();
-    let requests: usize =
-        BenchArgs::flag_value("--requests").and_then(|v| v.parse().ok()).unwrap_or(2_000);
-    let budget_us: u64 =
-        BenchArgs::flag_value("--budget-us").and_then(|v| v.parse().ok()).unwrap_or(1_000);
-    let mix_name = BenchArgs::flag_value("--mix").unwrap_or_else(|| "read_heavy".to_string());
+    args.refuse(&["--fault-rate", "--trace"]);
+    let requests: usize = args.extra("--requests").unwrap_or(2_000);
+    let budget_us: u64 = args.extra("--budget-us").unwrap_or(1_000);
+    let mix_name: String = args.extra("--mix").unwrap_or_else(|| "read_heavy".to_string());
     let mix = mix_by_name(&mix_name);
-    let trace_events_path = BenchArgs::flag_value("--trace-events");
-    let journal_dir = BenchArgs::flag_value("--journal");
+    let trace_events_path: Option<String> = args.extra("--trace-events");
+    let journal_dir: Option<String> = args.extra("--journal");
     let trace_point = trace_events_path.is_some() || journal_dir.is_some();
     let mut sink = PerfSink::new("fig_serving", &args);
 
@@ -160,7 +160,6 @@ fn main() {
         // absorb bursts at <=1x, shallow enough to fill under sustained
         // overload.
         queue_cap: (requests / 8).max(64),
-        snapshot_reads: true,
     };
 
     // Calibrate: flood with a short probe trace (everything arrives almost
@@ -203,7 +202,7 @@ fn main() {
             wall_s * 1e3,
             rep.achieved_rate(),
         );
-        sink.push_entry(entry);
+        sink.push(&label, &entry);
         if let Some(journal) = journal {
             let st = server.take_trace().expect("tracing was enabled for this point");
             let rounds = journal.snapshot();

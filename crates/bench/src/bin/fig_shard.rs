@@ -17,9 +17,10 @@
 //! of filament queries with one fetch (`coalesce` = widen requests per
 //! scattered box; 1.00 = every query fetched alone). `--trace PATH` writes one journal per
 //! rank (`PATH.r{ranks}.{workload}.rank{r}.jsonl`) for the largest sweep
-//! cell; feed them all to `trace_summary` for a rank-tagged merge.
+//! cell; feed them all to `trace_summary` for a rank-tagged merge. The
+//! ranks take no fault plan: `--fault-rate` exits 2.
 
-use pim_bench::harness::measurement_from_stats;
+use pim_bench::perf::PerfEntry;
 use pim_bench::{BenchArgs, PerfSink};
 use pim_geom::{Metric, Point};
 use pim_sim::MachineConfig;
@@ -104,6 +105,7 @@ fn run_cell(
 
 fn main() {
     let args = BenchArgs::parse();
+    args.refuse(&["--fault-rate"]);
     let mut perf = PerfSink::new("fig_shard", &args);
     let rank_counts = [1usize, 2, 4, 8];
 
@@ -136,12 +138,8 @@ fn main() {
         let u = run_cell(&warm, &varden, ranks, "uniform", &args, perf.metrics(), last);
         let v = run_cell(&warm, &varden, ranks, "varden", &args, perf.metrics(), last);
         let label = format!("ranks={ranks}");
-        let mut mu = measurement_from_stats("sharded-uniform", &format!("{K}-NN"), &u.stats);
-        mu.imbalance = u.imbalance;
-        let mut mv = measurement_from_stats("sharded-varden", &format!("{K}-NN"), &v.stats);
-        mv.imbalance = v.imbalance;
-        perf.push(&label, &mu);
-        perf.push(&label, &mv);
+        perf.push(&label, &PerfEntry::of("sharded-uniform", &format!("{K}-NN"), &u.stats));
+        perf.push(&label, &PerfEntry::of("sharded-varden", &format!("{K}-NN"), &v.stats));
         if ranks == 1 {
             base_thr = u.stats.throughput();
         }

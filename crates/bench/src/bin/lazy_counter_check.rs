@@ -8,7 +8,7 @@
 //! cargo run --release -p pim-bench --bin lazy_counter_check
 //! ```
 
-use pim_bench::harness::measurement_from_stats;
+use pim_bench::perf::PerfEntry;
 use pim_bench::{BenchArgs, PerfSink};
 use pim_sim::MachineConfig;
 use pim_workloads as wl;
@@ -23,7 +23,7 @@ fn main() {
     let base = wl::uniform::<3>(n, args.seed);
     let cfg = PimZdConfig::skew_resistant(args.modules.min(64));
     let mut t = PimZdTree::build(&base, cfg, MachineConfig::with_modules(args.modules.min(64)));
-    t.set_metrics(perf.metrics());
+    perf.attach(&mut t);
     let mut live = base.clone();
 
     for round in 0..6 {
@@ -31,17 +31,11 @@ fn main() {
         t.batch_insert(&ins);
         live.extend_from_slice(&ins);
         let round_label = format!("round={round}");
-        perf.push(
-            &round_label,
-            &measurement_from_stats("PIM-zd-tree", "Insert", t.last_op_stats()),
-        );
+        perf.push(&round_label, &PerfEntry::of("PIM-zd-tree", "Insert", t.last_op_stats()));
 
         let del: Vec<_> = live.iter().step_by(7).copied().collect();
         let removed = t.batch_delete(&del);
-        perf.push(
-            &round_label,
-            &measurement_from_stats("PIM-zd-tree", "Delete", t.last_op_stats()),
-        );
+        perf.push(&round_label, &PerfEntry::of("PIM-zd-tree", "Delete", t.last_op_stats()));
         // Reconstruct the expected multiset.
         let mut budget: std::collections::HashMap<[u32; 3], usize> = Default::default();
         for p in &del {

@@ -5,7 +5,8 @@
 //! cargo run --release -p pim-bench --bin table2_configs
 //! ```
 
-use pim_bench::harness::{measurement_from_stats, run_cell, OpKind, Queries};
+use pim_bench::harness::{run_cell, OpKind, Queries};
+use pim_bench::perf::PerfEntry;
 use pim_bench::{BenchArgs, Dataset, PerfSink};
 use pim_geom::Point;
 use pim_sim::MachineConfig;
@@ -33,7 +34,7 @@ fn main() {
             PimZdConfig::skew_resistant(args.modules)
         };
         let mut t = PimZdTree::build(&warm, cfg, MachineConfig::with_modules(args.modules));
-        t.set_metrics(perf.metrics());
+        perf.attach(&mut t);
         let preset_name = if preset == 0 { "thr-opt" } else { "skew-res" };
         rows[0].push(format!("{}", cfg.theta_l0));
         rows[1].push(format!("{}", cfg.theta_l1));
@@ -42,7 +43,7 @@ fn main() {
         // Communication per op, in bytes.
         let q: Vec<Point<3>> = wl::knn_queries(&warm, args.batch, args.seed ^ 2);
         let _ = t.batch_contains(&q);
-        perf.push("uniform", &measurement_from_stats(preset_name, "SEARCH", t.last_op_stats()));
+        perf.push("uniform", &PerfEntry::of(preset_name, "SEARCH", t.last_op_stats()));
         rows[3].push(format!(
             "{:.1} B ({} rnds)",
             t.last_op_stats().channel_bytes as f64 / args.batch as f64,
@@ -51,7 +52,7 @@ fn main() {
 
         let ins = wl::point_queries(&warm, args.batch, 4, args.seed ^ 3);
         t.batch_insert(&ins);
-        perf.push("uniform", &measurement_from_stats(preset_name, "Insert", t.last_op_stats()));
+        perf.push("uniform", &PerfEntry::of(preset_name, "Insert", t.last_op_stats()));
         rows[4].push(format!(
             "{:.1} B ({} rnds)",
             t.last_op_stats().channel_bytes as f64 / args.batch as f64,

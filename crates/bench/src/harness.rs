@@ -2,7 +2,11 @@
 //! over the batch surface (`pim_zd_tree::BatchIndex`), so every index —
 //! PIM-zd-tree, a sharded tree, the zd-tree and Pkd-tree baselines — is
 //! measured by the same code and every comparison is apples-to-apples.
+//! A cell's row is its index's last [`OpStats`], cut by
+//! [`PerfEntry::of`]; a PIM-zd-tree built by [`pim_tree`] goes under the
+//! run's flags through [`crate::PerfSink::attach`].
 
+use crate::perf::PerfEntry;
 use pim_geom::{Aabb, Metric, Point};
 use pim_memsim::{CpuConfig, CpuMeter, CpuModel};
 use pim_pkdtree::PkdTree;
@@ -23,6 +27,15 @@ pub fn scaled_cpu(n_points: usize) -> CpuConfig {
         llc: pim_memsim::CacheConfig { capacity_bytes: capacity, line_bytes: 64, ways: 16 },
         ..CpuConfig::xeon()
     }
+}
+
+/// Builds the PIM index over the warmup set with the LLC scaled to it.
+pub fn pim_tree<const D: usize>(
+    warmup: &[Point<D>],
+    cfg: PimZdConfig,
+    machine: MachineConfig,
+) -> PimZdTree<D> {
+    PimZdTree::build_with_cpu(warmup, cfg, machine, scaled_cpu(warmup.len()))
 }
 
 /// The ten operations of Fig. 5.
@@ -77,33 +90,6 @@ impl OpKind {
     }
 }
 
-/// One measured (index, operation) cell.
-#[derive(Clone, Debug)]
-pub struct Measurement {
-    /// Index name.
-    pub index: String,
-    /// Operation label.
-    pub op: String,
-    /// Returned elements per simulated second.
-    pub throughput: f64,
-    /// Memory-bus bytes per returned element (CPU-DRAM + CPU-PIM).
-    pub traffic: f64,
-    /// Host CPU seconds.
-    pub cpu_s: f64,
-    /// PIM execution seconds.
-    pub pim_s: f64,
-    /// Communication + overhead seconds.
-    pub comm_s: f64,
-    /// Batch latency in seconds.
-    pub total_s: f64,
-    /// BSP rounds (PIM indexes only).
-    pub rounds: u64,
-    /// Worst per-round load imbalance.
-    pub imbalance: f64,
-    /// Elements returned.
-    pub elements: u64,
-}
-
 /// Pre-generated queries for one operation, shared across indexes.
 pub enum Queries<const D: usize = 3> {
     /// Insert batch.
@@ -138,7 +124,7 @@ pub fn make_queries(
 }
 
 /// Runs one (index, operation) cell on anything with the batch surface and
-/// reads the measurement off its stats. An insert set is split in two: the
+/// returns the row of its stats. An insert set is split in two: the
 /// first half is an unmeasured steady-state pre-batch, the second half is
 /// measured (the tree grows, exactly as in the paper's protocol).
 pub fn run_cell<const D: usize>(
@@ -146,7 +132,7 @@ pub fn run_cell<const D: usize>(
     name: &str,
     op: OpKind,
     q: &Queries<D>,
-) -> Measurement {
+) -> PerfEntry {
     match (op, q) {
         (OpKind::Insert, Queries::Points(pts)) => {
             let (pre, measured) = pts.split_at(pts.len() / 2);
@@ -158,92 +144,7 @@ pub fn run_cell<const D: usize>(
         (OpKind::Knn(_), Queries::Knn(pts, k)) => drop(index.batch_knn(pts, *k, Metric::L2)),
         _ => panic!("query set does not belong to {}", op.label()),
     }
-    measurement_from_stats(name, &op.label(), index.last_op_stats())
-}
-
-/// Builds a measurement row from the stats of an index's last operation —
-/// the one place a [`Measurement`] is made. [`run_cell`] is its usual
-/// caller; binaries that measure something other than a Fig. 5 cell (a
-/// whole-batch insert, a delete, several batches summed) call it directly.
-pub fn measurement_from_stats(index: &str, op: &str, s: &OpStats) -> Measurement {
-    Measurement {
-        index: index.to_string(),
-        op: op.to_string(),
-        throughput: s.throughput(),
-        traffic: s.traffic_per_element(),
-        cpu_s: s.breakdown.cpu_s,
-        pim_s: s.breakdown.pim_s,
-        comm_s: s.breakdown.comm_s,
-        total_s: s.breakdown.total_s(),
-        rounds: s.rounds,
-        imbalance: s.worst_imbalance,
-        elements: s.elements,
-    }
-}
-
-// ---------------------------------------------------------------------
-// PIM-zd-tree runner
-// ---------------------------------------------------------------------
-
-/// Owns a built PIM index and what a figure binary attaches to it.
-pub struct PimRunner {
-    /// The index under test.
-    pub index: PimZdTree<3>,
-    journal: Option<(pim_sim::Journal, String)>,
-}
-
-impl PimRunner {
-    /// Builds the index over the warmup set (LLC scaled to the dataset).
-    pub fn new(warmup: &[Point<3>], cfg: PimZdConfig, machine: MachineConfig) -> Self {
-        Self {
-            index: PimZdTree::build_with_cpu(warmup, cfg, machine, scaled_cpu(warmup.len())),
-            journal: None,
-        }
-    }
-
-    /// Attaches a round-trace journal when the benchmark was invoked with
-    /// `--trace`: every subsequent accounted BSP round is recorded, and
-    /// written as JSONL to that path by [`Self::flush_trace`].
-    pub fn attach_trace_if_requested(&mut self, args: &crate::BenchArgs) {
-        if let Some(path) = &args.trace {
-            let (sink, journal) = pim_sim::JournalSink::new();
-            self.index.set_trace_sink(Box::new(sink));
-            self.journal = Some((journal, path.clone()));
-        }
-    }
-
-    /// Attaches the perf sink's metrics registry (a no-op handle when the
-    /// run requested no observability output).
-    pub fn attach_perf(&mut self, sink: &crate::PerfSink) {
-        self.index.set_metrics(sink.metrics());
-    }
-
-    /// Attaches the fault-injection plan described by `--fault-rate` /
-    /// `--fault-seed` (a no-op at the default rate 0). Runs *after* the
-    /// build so construction is always fault-free; measured operations then
-    /// retry, salvage, and re-home as needed — results are unchanged, only
-    /// time and traffic grow.
-    pub fn attach_fault_plan_if_requested(&mut self, args: &crate::BenchArgs) {
-        if let Some(plan) = args.fault_plan() {
-            eprintln!(
-                "fault plane: rate {} seed {}",
-                args.fault_rate,
-                args.fault_seed.unwrap_or(args.seed)
-            );
-            self.index.set_fault_plan(Some(plan));
-        }
-    }
-
-    /// Writes the journal (if attached) to its path. Prints a one-line
-    /// confirmation so figure binaries stay self-describing.
-    pub fn flush_trace(&self) {
-        if let Some((journal, path)) = &self.journal {
-            match journal.write_jsonl(path) {
-                Ok(()) => eprintln!("trace: wrote {} round records to {path}", journal.len()),
-                Err(e) => eprintln!("trace: failed to write {path}: {e}"),
-            }
-        }
-    }
+    PerfEntry::of(name, &op.label(), index.last_op_stats())
 }
 
 // ---------------------------------------------------------------------
@@ -364,12 +265,12 @@ mod tests {
     fn runners_produce_consistent_measurements() {
         let (warm, test) = Dataset::Uniform.warmup_and_test(20_000, 1);
         let cfg = PimZdConfig::throughput_optimized(20_000, 32);
-        let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(32));
+        let mut pim = pim_tree(&warm, cfg, MachineConfig::with_modules(32));
         let mut zd = CpuRunner::zd(&warm);
 
         let op = OpKind::Knn(10);
         let q = make_queries(op, &test, 20_000, 2_000, 9);
-        let a = run_cell(&mut pim.index, "PIM-zd-tree", op, &q);
+        let a = run_cell(&mut pim, "PIM-zd-tree", op, &q);
         let b = run_cell(&mut zd, "zd-tree", op, &q);
         assert_eq!(a.elements, b.elements, "same queries, same output size");
         assert!(a.throughput > 0.0 && b.throughput > 0.0);
@@ -382,9 +283,9 @@ mod tests {
 
         let (warm, test) = Dataset::Uniform.warmup_and_test(20_000, 7);
         let cfg = PimZdConfig::throughput_optimized(20_000, 32);
-        let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(32));
+        let mut pim = pim_tree(&warm, cfg, MachineConfig::with_modules(32));
         let (sink, journal) = pim_sim::JournalSink::new();
-        pim.index.set_trace_sink(Box::new(sink));
+        pim.set_trace_sink(Box::new(sink));
         assert!(journal.is_empty(), "build/warmup rounds are unaccounted, hence untraced");
 
         // Ops without an unmeasured pre-batch, so every journaled round of
@@ -396,7 +297,7 @@ mod tests {
         ] {
             let q = make_queries(op, &test, 20_000, 2_000, 11);
             let before = journal.len();
-            let m = run_cell(&mut pim.index, "PIM-zd-tree", op, &q);
+            let m = run_cell(&mut pim, "PIM-zd-tree", op, &q);
             let recs = journal.snapshot().split_off(before);
             assert!(!recs.is_empty(), "{phase}: no rounds traced");
             let s = summarize(&recs);
@@ -422,11 +323,11 @@ mod tests {
     fn insert_measurement_uses_steady_state_prebatch() {
         let (warm, test) = Dataset::Uniform.warmup_and_test(10_000, 2);
         let cfg = PimZdConfig::throughput_optimized(10_000, 16);
-        let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(16));
-        let before = pim.index.len();
+        let mut pim = pim_tree(&warm, cfg, MachineConfig::with_modules(16));
+        let before = pim.len();
         let q = make_queries(OpKind::Insert, &test, 10_000, 1_000, 3);
-        let m = run_cell(&mut pim.index, "PIM-zd-tree", OpKind::Insert, &q);
+        let m = run_cell(&mut pim, "PIM-zd-tree", OpKind::Insert, &q);
         assert_eq!(m.elements, 1_000, "only the second half is measured");
-        assert_eq!(pim.index.len(), before + 2_000, "both halves are inserted");
+        assert_eq!(pim.len(), before + 2_000, "both halves are inserted");
     }
 }

@@ -3,8 +3,9 @@
 //!
 //! Each figure/table has a binary in `src/bin/` (see DESIGN.md §2 for the
 //! index). This library holds what they share: dataset construction with
-//! the paper's warmup/test protocol, one measurement runner per index and
-//! operation, and table-formatted reporting.
+//! the paper's warmup/test protocol, one path from a built index to a
+//! report row (`harness::run_cell`, `PerfSink::attach`, `PerfSink::push`),
+//! and table-formatted reporting.
 //!
 //! Scales are reduced from the paper's 300 M-point warmups to simulator-
 //! friendly sizes (see DESIGN.md substitution 3); every binary accepts
@@ -21,5 +22,5 @@ pub mod trace_report;
 
 pub use args::BenchArgs;
 pub use datasets::Dataset;
-pub use harness::{Measurement, OpKind};
+pub use harness::OpKind;
 pub use perf::PerfSink;

@@ -1,10 +1,15 @@
 //! Machine-readable perf baselines and the regression diff gate.
 //!
-//! Every figure/table binary accepts `--json PATH` (write a versioned perf
-//! report), `--metrics PATH` (dump the Prometheus-style metrics snapshot),
-//! and `--profile PATH` (enable the host wall-clock profiler and write a
-//! collapsed-stack file). With none of the flags given, the binaries'
-//! stdout is byte-identical to a build without this module.
+//! [`PerfSink`] is the one path from a built tree to a row in a report.
+//! [`PerfSink::attach`] puts a `PimZdTree` under every flag of the run —
+//! the metrics registry behind `--json PATH` (a versioned perf report) and
+//! `--metrics PATH` (the Prometheus-style snapshot), the `--fault-rate` /
+//! `--fault-seed` plan and the `--trace PATH` round journal — and
+//! `--profile PATH` turns on the host wall-clock profiler for the whole
+//! run. Every row is cut from one [`OpStats`] by [`PerfEntry::of`] (the
+//! harness's `run_cell` returns it) and filed under its dataset by
+//! [`PerfSink::push`]. With none of the flags given, the binaries' stdout
+//! is byte-identical to a build without this module.
 //!
 //! Reports follow schema [`SCHEMA`] and are compared by the `perf_diff`
 //! binary: simulated quantities (throughput, traffic, latency, rounds) are
@@ -12,9 +17,9 @@
 //! real change in the modelled system, not measurement jitter. Wall-clock
 //! time is recorded (`wall_s`) but never compared.
 
-use crate::harness::Measurement;
 use crate::BenchArgs;
 use pim_sim::json::{self, FromJson, Serialize, Value};
+use pim_zd_tree::{OpStats, PimZdTree};
 use std::collections::BTreeMap;
 
 /// Report schema identifier; bump when the shape changes incompatibly.
@@ -24,7 +29,7 @@ pub const SCHEMA: &str = "pim-zd-bench/1";
 pub const DEFAULT_THRESHOLD: f64 = 0.10;
 
 /// One measured (dataset, index, op) cell of a perf report.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PerfEntry {
     /// Dataset label (binaries without a dataset axis use their sweep key).
     pub dataset: String,
@@ -157,35 +162,22 @@ json::record! {
 }
 
 impl PerfEntry {
-    /// Wraps a harness measurement under a dataset label.
-    pub fn new(dataset: &str, m: &Measurement) -> Self {
+    /// The row of one operation's stats, under no dataset yet
+    /// ([`PerfSink::push`] files it under one).
+    pub fn of(index: &str, op: &str, s: &OpStats) -> Self {
         Self {
-            dataset: dataset.to_string(),
-            index: m.index.clone(),
-            op: m.op.clone(),
-            throughput: m.throughput,
-            traffic: m.traffic,
-            cpu_s: m.cpu_s,
-            pim_s: m.pim_s,
-            comm_s: m.comm_s,
-            total_s: m.total_s,
-            rounds: m.rounds,
-            elements: m.elements,
-            p50_s: None,
-            p99_s: None,
-            p999_s: None,
-            offered: None,
+            index: index.to_string(),
+            op: op.to_string(),
+            throughput: s.throughput(),
+            traffic: s.traffic_per_element(),
+            cpu_s: s.breakdown.cpu_s,
+            pim_s: s.breakdown.pim_s,
+            comm_s: s.breakdown.comm_s,
+            total_s: s.breakdown.total_s(),
+            rounds: s.rounds,
+            elements: s.elements,
+            ..Self::default()
         }
-    }
-
-    /// Attaches serving-latency percentiles and the offered load (seconds
-    /// of virtual time / requests per virtual second).
-    pub fn with_latency(mut self, p50_s: f64, p99_s: f64, p999_s: f64, offered: f64) -> Self {
-        self.p50_s = Some(p50_s);
-        self.p99_s = Some(p99_s);
-        self.p999_s = Some(p999_s);
-        self.offered = Some(offered);
-        self
     }
 }
 
@@ -199,6 +191,8 @@ pub struct PerfSink {
     metrics: pim_sim::Metrics,
     entries: Vec<PerfEntry>,
     started: std::time::Instant,
+    /// The round journal of the last tree attached under `--trace`.
+    journal: Option<pim_sim::Journal>,
 }
 
 impl PerfSink {
@@ -220,35 +214,55 @@ impl PerfSink {
             metrics,
             entries: Vec::new(),
             started: std::time::Instant::now(),
+            journal: None,
         }
     }
 
-    /// The shared metrics handle (disabled when no output was requested).
-    /// Attach it to every PIM index under test.
+    /// The shared metrics handle (disabled when no output was requested),
+    /// for what [`Self::attach`] cannot take: sharded ranks and servers.
     pub fn metrics(&self) -> pim_sim::Metrics {
         self.metrics.clone()
     }
 
-    /// Records one measurement under a dataset (or sweep-point) label.
-    pub fn push(&mut self, dataset: &str, m: &Measurement) {
-        if self.args.json.is_some() {
-            self.entries.push(PerfEntry::new(dataset, m));
+    /// Puts a built tree under the run's flags: the metrics handle; the
+    /// `--fault-rate` / `--fault-seed` plan (a no-op at rate 0; attached
+    /// after the build, so construction is always fault-free, and measured
+    /// operations then retry, salvage and re-home — results are unchanged,
+    /// only time and traffic grow); and under `--trace` a fresh round
+    /// journal, which replaces that of any tree attached before and which
+    /// [`Self::finish`] writes.
+    pub fn attach<const D: usize>(&mut self, tree: &mut PimZdTree<D>) {
+        tree.set_metrics(self.metrics());
+        if let Some(plan) = self.args.fault_plan() {
+            let seed = self.args.fault_seed.unwrap_or(self.args.seed);
+            eprintln!("fault plane: rate {} seed {seed}", self.args.fault_rate);
+            tree.set_fault_plan(Some(plan));
+        }
+        if self.args.trace.is_some() {
+            let (sink, journal) = pim_sim::JournalSink::new();
+            tree.set_trace_sink(Box::new(sink));
+            self.journal = Some(journal);
         }
     }
 
-    /// Records a pre-built entry (serving benches attach latency
-    /// percentiles via [`PerfEntry::with_latency`] before pushing).
-    pub fn push_entry(&mut self, entry: PerfEntry) {
+    /// Records one row under a dataset (or sweep-point) label.
+    pub fn push(&mut self, dataset: &str, entry: &PerfEntry) {
         if self.args.json.is_some() {
-            self.entries.push(entry);
+            self.entries.push(PerfEntry { dataset: dataset.to_string(), ..entry.clone() });
         }
     }
 
-    /// Writes every requested artifact: the JSON report, the metrics
-    /// snapshot, and the profiler table + collapsed stacks. Errors are
-    /// reported on stderr but never fatal (a failed report write must not
-    /// turn a completed benchmark into a failure).
+    /// Writes every requested artifact: the round journal, the JSON report,
+    /// the metrics snapshot, and the profiler table + collapsed stacks.
+    /// Errors are reported on stderr but never fatal (a failed report write
+    /// must not turn a completed benchmark into a failure).
     pub fn finish(&self) {
+        if let (Some(journal), Some(path)) = (&self.journal, &self.args.trace) {
+            match journal.write_jsonl(path) {
+                Ok(()) => eprintln!("trace: wrote {} round records to {path}", journal.len()),
+                Err(e) => eprintln!("trace: failed to write {path}: {e}"),
+            }
+        }
         if let Some(path) = &self.args.json {
             let report = self.render_report();
             match std::fs::write(path, report) {
@@ -558,7 +572,7 @@ mod tests {
             ..Default::default()
         };
         let mut sink = PerfSink::new("unit_test", &args);
-        let m = Measurement {
+        let m = PerfEntry {
             index: "PIM-zd-tree".into(),
             op: "Insert".into(),
             throughput: 13994034.236514311,
@@ -568,11 +582,18 @@ mod tests {
             comm_s: 1e-7,
             total_s: 0.000357295109865718,
             rounds: 2,
-            imbalance: 1.5,
             elements: 5000,
+            ..PerfEntry::default()
         };
         sink.push("uniform", &m);
-        sink.push_entry(PerfEntry::new("load-0.1x", &m).with_latency(7.11e-4, 1.24e-3, 0.0, 3.3e4));
+        let served = PerfEntry {
+            p50_s: Some(7.11e-4),
+            p99_s: Some(1.24e-3),
+            p999_s: Some(0.0),
+            offered: Some(3.3e4),
+            ..m
+        };
+        sink.push("load-0.1x", &served);
         sink.metrics().with(|r| {
             r.add("sim_rounds_total", &[("kind", "execute")], 12);
             r.observe("sim_round_cycles", &[], 300);
@@ -584,9 +605,7 @@ mod tests {
             format!("{}{}", &text[..at], &text[to..])
         };
         let text = blank(&blank(&sink.render_report(), "\"git_rev\":\"", '"'), "\"wall_s\":", ',');
-        let digest =
-            text.bytes().fold(pim_serve::FNV_OFFSET, |fp, b| pim_serve::fnv_fold(fp, b as u64));
-        assert_eq!(digest, 0x127cfad5599c2e93, "{text}");
+        assert_eq!(pim_sim::wire::fnv1a(text.as_bytes()), 0x127cfad5599c2e93, "{text}");
     }
 
     #[test]
@@ -595,7 +614,7 @@ mod tests {
         let mut sink = PerfSink::new("unit_test", &args);
         sink.push(
             "uniform",
-            &Measurement {
+            &PerfEntry {
                 index: "PIM-zd-tree".into(),
                 op: "Insert".into(),
                 throughput: 1.25e6,
@@ -605,8 +624,8 @@ mod tests {
                 comm_s: 0.3,
                 total_s: 0.6,
                 rounds: 40,
-                imbalance: 1.5,
                 elements: 5000,
+                ..PerfEntry::default()
             },
         );
         let doc = serde_json::from_str(&sink.render_report()).unwrap();

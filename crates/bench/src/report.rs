@@ -1,6 +1,6 @@
 //! Table-formatted reporting for the figure binaries.
 
-use crate::harness::Measurement;
+use crate::perf::PerfEntry;
 
 /// Prints the header of a Fig. 5-style comparison table.
 pub fn fig5_header() {
@@ -11,8 +11,8 @@ pub fn fig5_header() {
     println!("{}", "-".repeat(72));
 }
 
-/// Prints one measurement row.
-pub fn row(m: &Measurement) {
+/// Prints one measured row.
+pub fn row(m: &PerfEntry) {
     println!(
         "{:<10} {:<14} {:>12.3e} {:>12.1} {:>9.2}ms {:>8}",
         m.op,

@@ -11,6 +11,7 @@
 use pim_bench::harness::{make_queries, scaled_cpu, CpuRunner, OpKind, Queries};
 use pim_bench::Dataset;
 use pim_geom::{Metric, Point};
+use pim_sim::wire::{fnv1a, fnv_fold, FNV_OFFSET};
 use pim_sim::{FaultConfig, FaultPlan, JournalSink, MachineConfig};
 use pim_zd_tree::{BatchIndex, PimZdConfig, PimZdTree};
 
@@ -53,22 +54,13 @@ fn run_pipeline(fault_rate: f64) -> String {
     journal.to_jsonl()
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv_bytes(h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
-}
-
-fn fnv1a(text: &str) -> u64 {
-    fnv_bytes(FNV_OFFSET, text.bytes())
-}
-
 /// Folds the last op into `h`: the bit patterns of what it cost on the
 /// metered CPU model, then a digest of what it returned.
 fn absorb(h: &mut u64, index: &impl BatchIndex<3>, result: impl IntoIterator<Item = u64>) {
     let s = index.last_op_stats();
     let cost = [s.breakdown.cpu_s.to_bits(), s.cpu_dram_bytes, s.cpu_cycles, s.elements];
-    *h = fnv_bytes(*h, cost.into_iter().chain(result).flat_map(u64::to_le_bytes));
+    let bytes = cost.into_iter().chain(result).flat_map(u64::to_le_bytes);
+    *h = bytes.fold(*h, |h, b| fnv_fold(h, u64::from(b)));
 }
 
 fn words(p: &Point<3>) -> impl Iterator<Item = u64> {
@@ -143,7 +135,7 @@ fn journal_is_byte_identical_across_thread_counts() {
                 "journal diverged between 1 and {n} threads at fault rate {rate}"
             );
         }
-        let digest = fnv1a(&runs[0]);
+        let digest = fnv1a(runs[0].as_bytes());
         assert_eq!(digest, golden, "journal digest moved at fault rate {rate}: {digest:#018x}");
     }
 }

@@ -28,6 +28,7 @@ use crate::config::Layer;
 use crate::frag::{BKind, ChildRef, Fragment, Keyed, MetaId};
 use crate::host::PimZdTree;
 use pim_geom::{Aabb, Point};
+use pim_sim::wire::{fnv_fold, FNV_OFFSET};
 use pim_zorder::prefix::Prefix;
 use rustc_hash::FxHashMap;
 
@@ -268,7 +269,7 @@ impl<const D: usize> PimZdTree<D> {
     /// left out, so two trees that differ only in cache traffic digest
     /// alike.
     pub fn data_digest(&self) -> u64 {
-        let mut h = Fnv::default();
+        let mut h = Fnv(FNV_OFFSET);
         h.word(self.n_points as u64);
         if let Some(l0) = &self.l0 {
             h.subtree(l0, l0.root);
@@ -319,17 +320,9 @@ impl<const D: usize> PimZdTree<D> {
 /// FNV-1a over little-endian 64-bit words.
 struct Fnv(u64);
 
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
 impl Fnv {
     fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
+        self.0 = w.to_le_bytes().iter().fold(self.0, |fp, &b| fnv_fold(fp, u64::from(b)));
     }
 
     fn prefix<const D: usize>(&mut self, p: &Prefix<D>) {

@@ -82,6 +82,28 @@ pub fn checksum_bytes(key: u64, data: &[u8]) -> u64 {
     acc
 }
 
+/// FNV-1a offset basis: every fingerprint starts here.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds one value into an FNV-1a fingerprint. This is the one unkeyed
+/// hash fold of the repository: serving result fingerprints,
+/// `PimZdTree::data_digest` and every pinned digest of a rendered
+/// artifact are made of it (a byte string folds byte by byte, [`fnv1a`]).
+pub fn fnv_fold(fp: u64, v: u64) -> u64 {
+    (fp ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// FNV-1a over a byte string.
+///
+/// ```
+/// use pim_sim::wire::{fnv1a, FNV_OFFSET};
+/// assert_eq!(fnv1a(b""), FNV_OFFSET);
+/// assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+/// ```
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(FNV_OFFSET, |fp, &b| fnv_fold(fp, u64::from(b)))
+}
+
 impl Wire for () {
     const FIXED: Option<u64> = Some(0);
 

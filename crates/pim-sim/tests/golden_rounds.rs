@@ -11,15 +11,12 @@
 //! kill. A digest may only change together with an entry in CHANGES.md
 //! saying which artifact moved and why.
 
+use pim_sim::wire::fnv1a;
 use pim_sim::{FaultConfig, FaultPlan, JournalSink, MachineConfig, Metrics, PimSystem};
 use std::fmt::Write;
 
 const MODULES: usize = 16;
 const STEPS: u32 = 24;
-
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
-}
 
 /// Runs the fixed round mix under `plan` (an active plan also gets one
 /// scripted kill) and renders every published artifact as text.
@@ -113,7 +110,8 @@ fn pinned(plan: Option<FaultConfig>, digest: u64) {
     let runs: Vec<String> =
         [1usize, 4].iter().map(|&n| rayon::ThreadPool::new(n).install(|| run(plan))).collect();
     assert_eq!(runs[0], runs[1], "artifacts diverged between 1 and 4 worker threads");
-    assert_eq!(fnv1a(&runs[0]), digest, "golden digest moved: {:#018x}", fnv1a(&runs[0]));
+    let got = fnv1a(runs[0].as_bytes());
+    assert_eq!(got, digest, "golden digest moved: {got:#018x}");
 }
 
 /// A zero-rate plan must publish exactly what no plan does, so the two

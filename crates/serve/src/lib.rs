@@ -62,7 +62,8 @@ pub mod report;
 pub mod server;
 pub mod trace;
 
+pub use pim_sim::wire::{fnv_fold, FNV_OFFSET};
 pub use policy::{BatchPolicy, ThroughputEstimator};
-pub use report::{fnv_fold, Reply, SealReason, ServeReport, Totals, FNV_OFFSET};
+pub use report::{Reply, SealReason, ServeReport, Totals};
 pub use server::{ClassKey, ClosedLoop, PimServer, ServeConfig};
 pub use trace::{split_service_us, BatchTrace, RequestTrace, ServeTrace, TraceId};

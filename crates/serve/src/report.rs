@@ -9,18 +9,11 @@
 //! byte — the serving layer's determinism contract
 //! (`tests/serving_determinism.rs`) is stated directly over these artifacts.
 
+use pim_sim::wire::fnv1a;
 use pim_sim::{json, Samples};
 use pim_zd_tree::OpStats;
 
 use crate::trace::{BatchTrace, JournalLine};
-
-/// FNV-1a offset basis; result fingerprints start here.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds one value into an FNV-1a fingerprint.
-pub fn fnv_fold(fp: u64, v: u64) -> u64 {
-    (fp ^ v).wrapping_mul(0x0000_0100_0000_01b3)
-}
 
 /// The fate of one request.
 ///
@@ -160,7 +153,7 @@ impl ServeReport {
     /// FNV-1a digest over [`Self::results_jsonl`] — a one-number summary of
     /// every result, reply time, and epoch in the run.
     pub fn results_digest(&self) -> u64 {
-        self.results_jsonl().bytes().fold(FNV_OFFSET, |fp, b| fnv_fold(fp, b as u64))
+        fnv1a(self.results_jsonl().as_bytes())
     }
 
     /// Number of requests that completed (admitted and replied).

@@ -35,12 +35,10 @@
 //! 3. **Budget seals** (class order): any class whose oldest queued request
 //!    has aged past [`BatchPolicy::budget_us`] seals, regardless of size.
 //! 4. **Dispatch**: at most one write batch and one read batch are in
-//!    flight. Writes dispatch in seal order. Reads dispatch concurrently
-//!    with an in-flight write **only** when [`ServeConfig::snapshot_reads`]
-//!    is on — the read then runs against the [`TreeSnapshot`] forked from
-//!    the pre-write tree and observes exactly the pre-batch epoch; with
-//!    snapshots off, reads wait for the write lane to drain (no read ever
-//!    observes a half-applied batch either way).
+//!    flight. Writes dispatch in seal order. A read dispatched while a
+//!    write is in flight runs against the [`TreeSnapshot`] forked from the
+//!    pre-write tree and observes exactly the pre-batch epoch, so no read
+//!    ever observes a half-applied batch.
 //!
 //! # Result fingerprints
 //!
@@ -54,12 +52,13 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use pim_geom::{Aabb, Metric, Point};
+use pim_sim::wire::{fnv_fold, FNV_OFFSET};
 use pim_sim::Metrics;
 use pim_workloads::{Arrival, ArrivalTrace, ReqClass, ReqOp, RequestMix, RequestSampler};
 use pim_zd_tree::{BatchRead, PimZdTree, TreeSnapshot};
 
 use crate::policy::{BatchPolicy, ThroughputEstimator};
-use crate::report::{fnv_fold, Reply, SealReason, ServeReport, Totals, FNV_OFFSET};
+use crate::report::{Reply, SealReason, ServeReport, Totals};
 use crate::trace::{split_service_us, BatchTrace, ServeTrace};
 
 /// Batch-compatibility key of a request: requests batch together exactly
@@ -89,14 +88,11 @@ pub struct ServeConfig {
     /// Bounded-queue capacity: admission control rejects a new arrival when
     /// this many requests are already pending or sealed (backpressure).
     pub queue_cap: usize,
-    /// Serve reads from an epoch snapshot while a write batch is in flight
-    /// (off = reads wait for the write lane; the ablation baseline).
-    pub snapshot_reads: bool,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self { policy: BatchPolicy::default(), queue_cap: 8_192, snapshot_reads: true }
+        Self { policy: BatchPolicy::default(), queue_cap: 8_192 }
     }
 }
 
@@ -160,10 +156,10 @@ struct RunState<const D: usize> {
     write_flight: Option<Flight<D>>,
     read_flight: Option<Flight<D>>,
     estimators: BTreeMap<ClassKey, ThroughputEstimator>,
-    /// The pre-write tree, forked at each write dispatch while snapshot
-    /// reads are enabled and dropped when that write completes (nothing can
-    /// read it after that, and while it lives the live tree copies what it
-    /// writes), with whether a read has used it yet.
+    /// The pre-write tree, forked at each write dispatch and dropped when
+    /// that write completes (nothing can read it after that, and while it
+    /// lives the live tree copies what it writes), with whether a read has
+    /// used it yet.
     snapshot: Option<(TreeSnapshot<D>, bool)>,
     batch_seq: u64,
     replies: Vec<Reply>,
@@ -501,10 +497,9 @@ impl<const D: usize> PimServer<D> {
                 st.write_flight = Some(self.execute(st, batch, t, false));
             }
         }
-        if st.read_flight.is_none() && !st.sealed_reads.is_empty() {
-            let use_snapshot = st.write_flight.is_some();
-            if !use_snapshot || self.cfg.snapshot_reads {
-                let batch = st.sealed_reads.pop_front().unwrap();
+        if st.read_flight.is_none() {
+            if let Some(batch) = st.sealed_reads.pop_front() {
+                let use_snapshot = st.write_flight.is_some();
                 st.read_flight = Some(self.execute(st, batch, t, use_snapshot));
             }
         }
@@ -529,9 +524,7 @@ impl<const D: usize> PimServer<D> {
         let (round_lo, fingerprints, round_hi, epoch, stats) = if batch.key.class.is_write() {
             let tree = &mut self.tree;
             let lo = tree.next_round_id();
-            if self.cfg.snapshot_reads {
-                st.snapshot = Some((tree.snapshot(), false));
-            }
+            st.snapshot = Some((tree.snapshot(), false));
             let pts: Vec<Point<D>> = batch.reqs.iter().map(|q| point_of(&q.op)).collect();
             let fps = match batch.key.class {
                 ReqClass::Insert => {
@@ -745,13 +738,6 @@ mod tests {
                 assert!(r.epoch <= last_write_epoch.max(epoch0) + 1);
             }
         }
-        // With snapshots disabled, the same trace serves strictly
-        // sequentially: no snapshot batches, same reply count.
-        let cfg = ServeConfig { snapshot_reads: false, ..ServeConfig::default() };
-        let (mut s2, _) = server(4_000, 4, cfg);
-        let rep2 = s2.run_trace(&trace);
-        assert_eq!(rep2.snapshot_batches, 0);
-        assert_eq!(rep2.replies.len(), rep.replies.len());
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! journals, metrics, and `total_faults()`.
 
 use pim_zd_tree_repro::sim::trace::JournalSink;
+use pim_zd_tree_repro::sim::wire::fnv1a;
 use pim_zd_tree_repro::sim::Metrics;
 use pim_zd_tree_repro::{
     workloads, MachineConfig, Metric, PimZdConfig, PimZdTree, Point, Wal, WalReadMode,
@@ -267,10 +268,6 @@ fn checkpoint_restore_checkpoint_is_byte_identical_with_soa_leaves() {
         a.batch_knn(&probes[..50], 5, Metric::L2),
         b.batch_knn(&probes[..50], 5, Metric::L2)
     );
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ *b as u64).wrapping_mul(0x100_0000_01b3))
 }
 
 /// [`PimZdTree::data_digest`] after every batch of a schedule, folded into

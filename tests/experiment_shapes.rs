@@ -3,7 +3,7 @@
 //! stays flat, which direction an ablation moves) so refactors of the cost
 //! model or the index can't silently break the reproduction.
 
-use pim_bench::harness::{make_queries, run_cell, scaled_cpu, CpuRunner, OpKind, PimRunner};
+use pim_bench::harness::{make_queries, pim_tree, run_cell, CpuRunner, OpKind};
 use pim_bench::Dataset;
 use pim_geom::Metric;
 use pim_sim::MachineConfig;
@@ -22,13 +22,13 @@ fn setup() -> (Vec<pim_geom::Point<3>>, Vec<pim_geom::Point<3>>) {
 fn fig5_shape_pim_wins_box_count() {
     let (warm, test) = setup();
     let cfg = PimZdConfig::throughput_optimized(N as u64, MODULES);
-    let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(MODULES));
+    let mut pim = pim_tree(&warm, cfg, MachineConfig::with_modules(MODULES));
     let mut pkd = CpuRunner::pkd(&warm);
     let op = OpKind::BoxCount(10.0);
     // Larger batch so the per-round mux overhead is amortized (the regime
     // the paper measures; Fig. 7's low-batch penalty is tested separately).
     let q = make_queries(op, &test, N, BATCH * 4, 1);
-    let a = run_cell(&mut pim.index, "PIM-zd-tree", op, &q);
+    let a = run_cell(&mut pim, "PIM-zd-tree", op, &q);
     let b = run_cell(&mut pkd, "Pkd-tree", op, &q);
     assert!(
         a.throughput > 1.2 * b.throughput,
@@ -43,13 +43,13 @@ fn fig5_shape_pim_wins_box_count() {
 fn fig5_shape_large_knn_is_pims_weak_spot() {
     let (warm, test) = setup();
     let cfg = PimZdConfig::throughput_optimized(N as u64, MODULES);
-    let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(MODULES));
+    let mut pim = pim_tree(&warm, cfg, MachineConfig::with_modules(MODULES));
     let mut pkd = CpuRunner::pkd(&warm);
     let small = make_queries(OpKind::Knn(1), &test, N, BATCH, 2);
     let large = make_queries(OpKind::Knn(100), &test, N, BATCH, 2);
-    let r1 = run_cell(&mut pim.index, "PIM-zd-tree", OpKind::Knn(1), &small).throughput
+    let r1 = run_cell(&mut pim, "PIM-zd-tree", OpKind::Knn(1), &small).throughput
         / run_cell(&mut pkd, "Pkd-tree", OpKind::Knn(1), &small).throughput;
-    let r100 = run_cell(&mut pim.index, "PIM-zd-tree", OpKind::Knn(100), &large).throughput
+    let r100 = run_cell(&mut pim, "PIM-zd-tree", OpKind::Knn(100), &large).throughput
         / run_cell(&mut pkd, "Pkd-tree", OpKind::Knn(100), &large).throughput;
     assert!(r1 > 1.0, "PIM must win 1-NN (got {r1:.2}x)");
     assert!(
@@ -63,12 +63,12 @@ fn fig8_shape_pim_flat_baseline_degrades() {
     let run = |n: usize| {
         let (warm, test) = Dataset::Uniform.warmup_and_test(n, 5);
         let cfg = PimZdConfig::throughput_optimized(n as u64, MODULES);
-        let mut pim = PimRunner::new(&warm, cfg, MachineConfig::with_modules(MODULES));
+        let mut pim = pim_tree(&warm, cfg, MachineConfig::with_modules(MODULES));
         let mut zd = CpuRunner::zd(&warm);
         let op = OpKind::Knn(1);
         let q = make_queries(op, &test, n, BATCH, 6);
         (
-            run_cell(&mut pim.index, "PIM-zd-tree", op, &q).throughput,
+            run_cell(&mut pim, "PIM-zd-tree", op, &q).throughput,
             run_cell(&mut zd, "zd-tree", op, &q).throughput,
         )
     };
@@ -88,18 +88,8 @@ fn fig9_shape_skew_resistance() {
     let warm = wl::uniform::<3>(N, 7);
     let varden = wl::varden::<3>(N / 10, 8);
     let machine = MachineConfig::with_modules(MODULES);
-    let mut thr = PimZdTree::build_with_cpu(
-        &warm,
-        PimZdConfig::throughput_optimized(N as u64, MODULES),
-        machine,
-        scaled_cpu(N),
-    );
-    let mut skw = PimZdTree::build_with_cpu(
-        &warm,
-        PimZdConfig::skew_resistant(MODULES),
-        machine,
-        scaled_cpu(N),
-    );
+    let mut thr = pim_tree(&warm, PimZdConfig::throughput_optimized(N as u64, MODULES), machine);
+    let mut skw = pim_tree(&warm, PimZdConfig::skew_resistant(MODULES), machine);
     let measure = |t: &mut PimZdTree<3>, frac: f64| {
         let q = wl::mixed_queries(&warm, &varden, BATCH, frac, 9);
         let _ = t.batch_knn(&q, 1, Metric::L2);
@@ -121,12 +111,12 @@ fn table3_shape_coarse_fine_helps_knn() {
     let mut off_cfg = on_cfg;
     off_cfg.toggles.coarse_fine_knn = false;
     let _ = &mut on_cfg;
-    let mut on = PimRunner::new(&warm, on_cfg, machine);
-    let mut off = PimRunner::new(&warm, off_cfg, machine);
+    let mut on = pim_tree(&warm, on_cfg, machine);
+    let mut off = pim_tree(&warm, off_cfg, machine);
     let op = OpKind::Knn(10);
     let q = make_queries(op, &test, N, BATCH, 10);
-    let t_on = run_cell(&mut on.index, "PIM-zd-tree", op, &q).throughput;
-    let t_off = run_cell(&mut off.index, "PIM-zd-tree", op, &q).throughput;
+    let t_on = run_cell(&mut on, "PIM-zd-tree", op, &q).throughput;
+    let t_off = run_cell(&mut off, "PIM-zd-tree", op, &q).throughput;
     assert!(t_on > t_off, "ℓ1-anchored filtering must beat ℓ2-on-PIM: {t_on:.2e} !> {t_off:.2e}");
 }
 

@@ -26,6 +26,7 @@
 //!   of the traversal moves none, and a change to kNN moves no box half.
 
 use pim_zd_tree_repro::sim::trace::JournalSink;
+use pim_zd_tree_repro::sim::wire::fnv1a;
 use pim_zd_tree_repro::{
     workloads, Aabb, FaultConfig, FaultPlan, MachineConfig, Metric, PimZdConfig, PimZdTree, Point,
 };
@@ -137,10 +138,6 @@ impl Schedule {
     }
 }
 
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
-}
-
 /// A tree with the schedule's insert and delete batch behind it, journaled,
 /// under the 5 % fault plan when `faulty`.
 fn fresh_tree(
@@ -178,7 +175,7 @@ impl Artifacts {
 
     fn digest(mut self, journal: &pim_zd_tree_repro::sim::trace::Journal) -> (u64, u64) {
         self.text.push_str(&journal.to_jsonl());
-        (fnv1a(&self.text), self.channel_bytes)
+        (fnv1a(self.text.as_bytes()), self.channel_bytes)
     }
 }
 

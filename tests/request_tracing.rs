@@ -52,7 +52,6 @@ fn server() -> (PimServer<3>, Vec<Point<3>>) {
         // Small enough that the trace still overflows it now that a kNN
         // batch takes two rounds (96 no longer rejects anything).
         queue_cap: 80,
-        snapshot_reads: true,
     };
     (PimServer::new(tree, cfg), data)
 }

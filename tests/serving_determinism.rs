@@ -55,7 +55,6 @@ fn run_serving() -> RunArtifacts {
     let cfg = ServeConfig {
         policy: BatchPolicy { budget_us: 500, ..BatchPolicy::default() },
         queue_cap: 96,
-        snapshot_reads: true,
     };
     let mut server = PimServer::new(tree, cfg);
     let metrics = Metrics::enabled_new();
