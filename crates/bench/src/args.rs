@@ -47,7 +47,7 @@ pub struct BenchArgs {
     pub fault_rate: f64,
     /// Binary-specific `--name value` pairs, keyed by `--name` (read with
     /// [`Self::extra`]).
-    pub extra: BTreeMap<String, String>,
+    pub(crate) extra: BTreeMap<String, String>,
 }
 
 impl Default for BenchArgs {
