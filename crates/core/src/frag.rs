@@ -24,7 +24,8 @@
 //!   items) and `Fragment::build_cut` (the same, cut into fragments by a
 //!   rule as it is built: bulk build), [`Fragment::singleton`], [`Fragment::structure_clone`] (a
 //!   cache copy), [`Fragment::from_parts`] (the codec's checked way in);
-//! * **route** — [`Fragment::search`], [`Fragment::lowest_on_path`],
+//! * **route** — [`Fragment::search`] / [`Fragment::search_from`] (one
+//!   descent, resumable through a [`Cursor`]), [`Fragment::lowest_on_path`],
 //!   `Fragment::leaf_contains`;
 //! * **update points** — [`Fragment::merge`], [`Fragment::remove`];
 //! * **traverse** — [`Fragment::local_knn`], [`Fragment::local_ball`],
@@ -265,6 +266,29 @@ pub enum SearchEnd<const D: usize> {
     },
     /// The key continues in a remote fragment.
     Remote(RemoteRef<D>),
+}
+
+/// The longest node path in a fragment: prefixes lengthen strictly from a
+/// node to its children, and a key has at most 64 bits.
+const PATH_CAP: usize = 65;
+
+/// Where the last walk through one fragment went: the fragment, the key it
+/// routed and the nodes it entered, root side first
+/// ([`Fragment::search_from`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Cursor<const D: usize> {
+    meta: MetaId,
+    key: ZKey<D>,
+    len: usize,
+    path: [u32; PATH_CAP],
+    /// Nodes entered by every walk through this cursor.
+    pub(crate) entered: u64,
+}
+
+impl<const D: usize> Default for Cursor<D> {
+    fn default() -> Self {
+        Cursor { meta: 0, key: ZKey(0), len: 0, path: [0; PATH_CAP], entered: 0 }
+    }
 }
 
 /// A meta-node's storage.
@@ -572,25 +596,56 @@ impl<const D: usize> Fragment<D> {
     /// the root's prefix covers `key` (cross-fragment routing checks the
     /// boundary prefix before forwarding).
     pub fn search(&self, key: ZKey<D>, sink: &mut impl CostSink) -> SearchEnd<D> {
+        self.search_from(&mut Cursor::default(), key, sink)
+    }
+
+    /// Routes `key` to its local end from where `cursor`'s last walk in
+    /// this fragment left off: it pops that walk's path back to the deepest
+    /// node that also covers `key` and descends from there. Every node that
+    /// covers `key` lies on its root walk, so the end is the one
+    /// [`Self::search`] reaches, in any key order; in Morton order each key
+    /// re-reads only the nodes below its common prefix with the previous
+    /// one. A cursor last used in another fragment starts from the root.
+    pub fn search_from(
+        &self,
+        cursor: &mut Cursor<D>,
+        key: ZKey<D>,
+        sink: &mut impl CostSink,
+    ) -> SearchEnd<D> {
         debug_assert!(self.root_node().prefix.covers(key), "mis-routed key");
-        let mut cur = self.root;
-        // Dense-mode fast path (§6): one table lookup replaces up to `bits`
-        // sequential node reads. The slot target's prefix consists only of
-        // bits the key shares, so jumping is coverage-safe.
-        if self.chunk_dir.bits > 0 {
-            let bits = self.chunk_dir.bits;
-            let root_len = self.root_node().prefix.len;
-            debug_assert!(root_len + bits <= ZKey::<D>::BITS);
-            let shift = ZKey::<D>::BITS - root_len - bits;
-            let pattern = ((key.0 >> shift) & ((1u64 << bits) - 1)) as usize;
-            sink.op(4);
-            sink.mem(Self::off(self.root) + 40, 4); // table slot read
-            cur = self.chunk_dir.slots[pattern];
-            debug_assert!(self.node(cur).prefix.covers(key));
+        if cursor.meta != self.meta {
+            (cursor.meta, cursor.len) = (self.meta, 0);
         }
+        if cursor.len > 0 {
+            // The common-prefix length with the previous key (XOR, leading
+            // zeros), then one compare per path node that falls short of it.
+            sink.op(2);
+            let lcp = key.common_prefix_len(cursor.key);
+            let kept = cursor.path[..cursor.len]
+                .iter()
+                .rposition(|&i| self.node(i).prefix.len <= lcp)
+                .map_or(0, |i| i + 1);
+            sink.op((cursor.len - kept) as u64);
+            cursor.len = kept;
+        }
+        cursor.key = key;
+        let mut cur = if cursor.len > 1 || (cursor.len == 1 && cursor.path[0] != self.root) {
+            // Resume at the deepest covering node, entering it again.
+            cursor.len -= 1;
+            cursor.path[cursor.len]
+        } else {
+            cursor.len = 0;
+            self.walk_start(key, sink)
+        };
         loop {
             sink.op(10);
             sink.mem(Self::off(cur), BNODE_BYTES);
+            cursor.entered += 1;
+            // A path is at most `PATH_CAP` long (prefixes lengthen down
+            // it); past that the cursor would just resume higher up.
+            if let Some(slot) = cursor.path.get_mut(cursor.len) {
+                (*slot, cursor.len) = (cur, cursor.len + 1);
+            }
             let node = self.node(cur);
             match &node.kind {
                 BKind::Leaf { .. } => return SearchEnd::Leaf(cur),
@@ -618,6 +673,27 @@ impl<const D: usize> Fragment<D> {
                 }
             }
         }
+    }
+
+    /// The first node a walk from the root enters: the root, or in dense
+    /// mode (§6) the chunk-directory slot for `key` — one table lookup in
+    /// place of up to `bits` sequential node reads. The slot target's
+    /// prefix consists only of bits the key shares, so jumping is
+    /// coverage-safe.
+    fn walk_start(&self, key: ZKey<D>, sink: &mut impl CostSink) -> u32 {
+        if self.chunk_dir.bits == 0 {
+            return self.root;
+        }
+        let bits = self.chunk_dir.bits;
+        let root_len = self.root_node().prefix.len;
+        debug_assert!(root_len + bits <= ZKey::<D>::BITS);
+        let shift = ZKey::<D>::BITS - root_len - bits;
+        let pattern = ((key.0 >> shift) & ((1u64 << bits) - 1)) as usize;
+        sink.op(4);
+        sink.mem(Self::off(self.root) + 40, 4); // table slot read
+        let cur = self.chunk_dir.slots[pattern];
+        debug_assert!(self.node(cur).prefix.covers(key));
+        cur
     }
 
     /// Finds, along the root→`key` path, the deepest node — local, or the

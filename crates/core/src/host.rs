@@ -156,6 +156,9 @@ pub struct PimZdTree<const D: usize> {
     /// reply, a root split or a pull ahead of one — so that it pulls only
     /// what nothing brought. Empty between batches.
     pub(crate) in_hand: FxHashMap<MetaId, CopyUpdate<D>>,
+    /// Nodes the running measured batch's searches entered on the host (L0
+    /// and pulled fragments), published as `host_search_nodes_total`.
+    pub(crate) search_nodes: u64,
 }
 
 impl<const D: usize> PimZdTree<D> {
@@ -210,6 +213,7 @@ impl<const D: usize> PimZdTree<D> {
             wal: None,
             cpu_cfg,
             in_hand: FxHashMap::default(),
+            search_nodes: 0,
         }
     }
 
@@ -292,6 +296,7 @@ impl<const D: usize> PimZdTree<D> {
         f: impl FnOnce(&mut Self) -> (R, u64),
     ) -> R {
         self.meter.start_measurement();
+        self.search_nodes = 0;
         let sim_before = self.sys.stats().mark();
         let (result, elements) = f(self);
         let host: CpuStats = self.meter.stats();
@@ -308,6 +313,7 @@ impl<const D: usize> PimZdTree<D> {
                 m.observe("host_batch_ops", ol, batch_ops);
                 m.add("host_elements_returned_total", ol, elements);
                 m.add("host_work_cycles_total", ol, host.work_cycles);
+                m.add("host_search_nodes_total", ol, self.search_nodes);
                 m.add("host_span_cycles_total", ol, host.span_cycles);
                 m.add("host_llc_hits_total", ol, host.llc_hits);
                 m.add("host_llc_misses_total", ol, host.llc_misses);

@@ -7,8 +7,15 @@
 //! are *pulled* — their master storage is fetched (caches excluded) and
 //! searched on the CPU. Everything else is *pushed* to the PIM modules,
 //! which traverse their masters and caches locally.
+//!
+//! The batch is walked in Morton order (Alg. 1 step 1). Every descent —
+//! through L0, a pulled fragment or a module's row — resumes where the
+//! previous key's walk in the same fragment left off
+//! ([`Fragment::search_from`](crate::frag::Fragment::search_from)), so a
+//! key re-reads only the nodes below its common prefix with its
+//! predecessor. Every result stays indexed by query.
 
-use crate::frag::{HostSink, MetaId, RemoteRef, SearchEnd};
+use crate::frag::{Cursor, HostSink, MetaId, RemoteRef, SearchEnd};
 use crate::host::PimZdTree;
 use crate::inline::InlineVec;
 use crate::module::{
@@ -132,10 +139,20 @@ impl<const D: usize> PimZdTree<D> {
             return BatchSearch { keys, ends, anchors, hops };
         }
 
-        // Per-key batch preprocessing (semi-sort grouping, Alg. 1 step 1).
-        self.meter.work(n as u64 * 12);
+        // Alg. 1 step 1: the queries in (key, qid) order, charged at the
+        // rate of insert's grouping sort. Stable, so the order is the same
+        // at any thread count.
+        let mut order: Vec<u32> = self.bufs.take_vec();
+        {
+            let _span = pim_obs::span("sort_batch");
+            self.meter.work(n as u64 * 20);
+            order.extend(0..n as u32);
+            pim_zorder::sort::par_radix_sort_stable_by_u64(&mut order, |&q| keys[q as usize].0);
+        }
 
         // ---- L0 traversal on the host ----
+        // `pending` stays in key order from here on: the pull loop keeps
+        // it, and each round's forwards are sorted back into it.
         let mut pending: Vec<(u32, RemoteRef<D>)> = self.bufs.take_vec();
         // The other half of the double buffer `pending` is refilled into.
         let mut next: Vec<(u32, RemoteRef<D>)> = self.bufs.take_vec();
@@ -148,24 +165,31 @@ impl<const D: usize> PimZdTree<D> {
                 return BatchSearch { keys, ends, anchors, hops };
             };
             let mut sink = Self::l0_sink(&mut self.meter);
-            for (qid, &key) in keys.iter().enumerate() {
+            let mut cursor = Cursor::default();
+            for &q in &order {
+                let (qid, key) = (q as usize, keys[q as usize]);
                 if !l0.root_node().prefix.covers(key) {
                     ends[qid] = QueryEnd::L0Diverge;
                     continue;
                 }
-                match search_step(l0, key, want_anchor, &mut anchors[qid], &mut sink) {
+                match search_step(l0, key, want_anchor, &mut anchors[qid], &mut cursor, &mut sink) {
                     (SearchEnd::Leaf(_), found) => ends[qid] = QueryEnd::L0Leaf { found },
                     (SearchEnd::Stub(_), _) => unreachable!("L0 holds real leaves"),
                     (SearchEnd::Diverge { .. }, _) => ends[qid] = QueryEnd::L0Diverge,
                     (SearchEnd::Remote(r), _) => {
                         hops[qid].push(r);
-                        pending.push((qid as u32, r));
+                        pending.push((q, r));
                     }
                 }
             }
+            self.search_nodes += cursor.entered;
         }
+        self.bufs.put_vec(order);
 
         // ---- Meta-tree descent: pull then push, per round ----
+        // The pull loop's cursors, one per hop depth below where a query
+        // enters the pulled set.
+        let mut cursors: Vec<Cursor<D>> = self.bufs.take_vec();
         let mut rounds = 0usize;
         while !pending.is_empty() {
             rounds += 1;
@@ -185,14 +209,18 @@ impl<const D: usize> PimZdTree<D> {
                 for (qid, mut r) in pending.drain(..) {
                     // Chase through pulled fragments host-side until the
                     // query leaves the pulled set.
-                    loop {
+                    for depth in 0.. {
                         let Some((frag, addr)) = pulled.get(&r.meta) else {
                             next.push((qid, r));
                             break;
                         };
+                        if cursors.len() == depth {
+                            cursors.push(Cursor::default());
+                        }
                         let mut sink = HostSink { meter: &mut self.meter, base_addr: *addr };
-                        let (q, meta) = (qid as usize, frag.meta);
-                        match search_step(frag, keys[q], want_anchor, &mut anchors[q], &mut sink) {
+                        let (q, meta, cursor) = (qid as usize, frag.meta, &mut cursors[depth]);
+                        let anchor = &mut anchors[q];
+                        match search_step(frag, keys[q], want_anchor, anchor, cursor, &mut sink) {
                             (SearchEnd::Leaf(_), found) => {
                                 ends[q] = QueryEnd::FragLeaf { meta, found };
                                 break;
@@ -211,6 +239,8 @@ impl<const D: usize> PimZdTree<D> {
                         }
                     }
                 }
+                self.search_nodes += cursors.iter().map(|c| c.entered).sum::<u64>();
+                cursors.clear();
                 std::mem::swap(&mut pending, &mut next);
                 if pending.is_empty() {
                     break;
@@ -256,9 +286,13 @@ impl<const D: usize> PimZdTree<D> {
                     }
                 }
             }
+            // Back into (key, qid) order, so the next round's rows are sorted.
+            let key_of = |&(q, _): &(u32, RemoteRef<D>)| keys[q as usize].0;
+            pim_zorder::sort::par_radix_sort_keyed(&mut pending, key_of, |a, b| a.0.cmp(&b.0));
         }
         self.bufs.put_vec(pending);
         self.bufs.put_vec(next);
+        self.bufs.put_vec(cursors);
         self.bufs.put_demand(demand);
 
         BatchSearch { keys, ends, anchors, hops }

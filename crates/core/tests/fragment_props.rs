@@ -3,9 +3,10 @@
 //! surface).
 
 use pim_geom::{Metric, Point};
+use pim_sim::PimCtx;
 use pim_zd_tree::frag::{
-    knn_bound, push_candidate, BKind, BNode, ChildRef, EditOutcome, Fragment, Keyed, MetaId,
-    NullSink, RefEdit, RemoteRef, SearchEnd,
+    knn_bound, push_candidate, BKind, BNode, ChildRef, Cursor, EditOutcome, Fragment, Keyed,
+    MetaId, NullSink, RefEdit, RemoteRef, SearchEnd,
 };
 use pim_zorder::prefix::Prefix;
 use pim_zorder::ZKey;
@@ -321,5 +322,70 @@ proptest! {
         prop_assert!(frontier.is_empty());
         let want = pts.iter().filter(|p| bx.contains(p)).count() as u64;
         prop_assert_eq!(got, want);
+    }
+}
+
+/// The keys a cursor walk is checked on, in one of four orders: sorted,
+/// reversed, as drawn (random) or each key twice in a row.
+fn ordered(mut keys: Vec<ZKey<3>>, order: u8) -> Vec<ZKey<3>> {
+    match order {
+        0 => keys.sort_unstable(),
+        1 => keys.sort_unstable_by(|a, b| b.cmp(a)),
+        2 => {}
+        _ => keys = keys.iter().flat_map(|&k| [k, k]).collect(),
+    }
+    keys
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A walk resumed from the previous key's path ends where a walk from
+    /// the root ends, in any key order, on sparse and dense-mode masters
+    /// and on their structure copies. Points are drawn from a small pool,
+    /// so leaves hold runs of equal keys.
+    #[test]
+    fn cursor_walk_ends_where_the_root_walk_ends(
+        pool in proptest::collection::vec(point3(), 1..40),
+        picks in proptest::collection::vec(0usize..1000, 2..160),
+        probes in proptest::collection::vec(point3(), 0..40),
+        cap in 2usize..9,
+        dir_bits in 0u32..6,
+        order in 0u8..4,
+    ) {
+        let pts: Vec<Point<3>> = picks.iter().map(|&i| pool[i % pool.len()]).collect();
+        let f = fragment_over(&pts, cap, dir_bits);
+        let copy = f.structure_clone();
+        let root = f.root_node().prefix;
+        let keys: Vec<ZKey<3>> =
+            pts.iter().chain(&probes).map(ZKey::encode).filter(|&k| root.covers(k)).collect();
+        let keys = ordered(keys, order);
+        for frag in [&f, &copy] {
+            let mut cursor = Cursor::default();
+            for &k in &keys {
+                let resumed = frag.search_from(&mut cursor, k, &mut NullSink);
+                let fresh = frag.search(k, &mut NullSink);
+                prop_assert_eq!(format!("{resumed:?}"), format!("{fresh:?}"));
+            }
+        }
+    }
+
+    /// On a sorted run of keys the cursor walk charges fewer cycles than
+    /// walks from the root: a key re-reads only the nodes below its common
+    /// prefix with the previous key.
+    #[test]
+    fn sorted_cursor_walk_charges_less(
+        pts in proptest::collection::vec(point3(), 64..200),
+        dir_bits in 0u32..6,
+    ) {
+        let f = fragment_over(&pts, 4, dir_bits);
+        let mut keys: Vec<ZKey<3>> = pts.iter().map(ZKey::encode).collect();
+        keys.sort_unstable();
+        let (mut resumed, mut fresh, mut cursor) = (PimCtx::new(), PimCtx::new(), Cursor::default());
+        for &k in &keys {
+            f.search_from(&mut cursor, k, &mut resumed);
+            f.search(k, &mut fresh);
+        }
+        prop_assert!(resumed.cycles < fresh.cycles, "{} !< {}", resumed.cycles, fresh.cycles);
     }
 }

@@ -323,14 +323,17 @@ fn fragment_layout_digests_are_pinned() {
     // three were recorded at commit 0d5d309; the others moved with the child
     // lists (the image holds them). The churned ones moved again when the
     // apply round began to carry the copies back: the images count fewer
-    // rounds and hold copies that may count less than their masters.
+    // rounds and hold copies that may count less than their masters. They
+    // moved once more when SEARCH began to walk its batch in key order with
+    // resumable descents: an image holds the host's cache state and the
+    // machine's cycle counters, and the searches read fewer nodes.
     let want_layout = [
-        [0xef95536b0d347948, 0x7cf71d913a6b51ad],
-        [0xad1f5685267f50a8, 0x48fce469335910e5],
-        [0xcea8f69be64d6da3, 0xba935e22e13e759c],
-        [0xd63476e4cd41f7d4, 0xed31f7f2981dbcd9],
-        [0x5a7b2d424493f113, 0xca1e45985b8cd72e],
-        [0x1549fb18510eb72f, 0x68e3849dbe23adf8u64],
+        [0xef95536b0d347948, 0x0cc08f9849556d6a],
+        [0xad1f5685267f50a8, 0xa2e56aff17f8b25b],
+        [0xcea8f69be64d6da3, 0x007061a87ecdb8da],
+        [0xd63476e4cd41f7d4, 0x8c9827190ab1d1fa],
+        [0x5a7b2d424493f113, 0x86bba54cc1067435],
+        [0x1549fb18510eb72f, 0xb6b519ceea558274u64],
     ];
 
     // One `[built, trail]` pair per case, recorded at commit c72b0f7 and
@@ -494,6 +497,8 @@ fn every_field_image_and_its_wal_are_pinned() {
     let got = [fnv1a(&image), fnv1a(&std::fs::read(&wal_path).expect("read wal"))];
     let _ = std::fs::remove_file(&ckpt_path);
     let _ = std::fs::remove_file(&wal_path);
-    let want = [0x86f95c60d374f86e, 0x3c53ba074c6bcaebu64];
+    // The image moved when SEARCH began to walk its batch in key order (its
+    // cache state and cycle counters); the WAL did not.
+    let want = [0xe1ee16213c616d7d, 0x3c53ba074c6bcaebu64];
     assert_eq!(got, want, "[image, wal] moved; the digests now are {got:#018x?}");
 }

@@ -93,6 +93,14 @@ fn registry_agrees_with_sim_stats() {
                     "missing host batch counter for {op}"
                 );
             }
+            // The searches count the nodes they enter on the host, at least
+            // one per query; the box queries run none.
+            let nodes = |op| m.counter("host_search_nodes_total", &[("op", op)]);
+            for (op, queries) in [("insert", 800), ("delete", 400), ("search", 300), ("knn", 150)] {
+                let n = nodes(op).expect("every measured batch publishes its search nodes");
+                assert!(n >= queries, "{op}: {n} search nodes for {queries} queries");
+            }
+            assert_eq!((nodes("box_count"), nodes("box_fetch")), (Some(0), Some(0)));
             // The kNN ball phase: every query counted, in no more runs than
             // queries.
             let ball = |name| m.counter(name, &[]).expect("kNN publishes its ball phase");
