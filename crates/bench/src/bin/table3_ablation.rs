@@ -114,6 +114,11 @@ fn main() {
     println!("\n(paper: lazy counter 1.49x on Insert; fast z-order 1.31–1.99x across ops;");
     println!(" fast l2 1.58x on kNN; Direct API 1.06–1.09x at large batches.");
     println!(" Dense chunking is this reproduction's extra row: the §6 practical-");
-    println!(" chunking jump table, not separately ablated in the paper's Table 3)");
+    println!(" chunking jump table, not separately ablated in the paper's Table 3.");
+    println!(" It reads 1.00x here because a throughput-optimized fragment holds");
+    println!(" about theta_L0/8 nodes, under dense mode's B/4 = theta_L0/4. Under");
+    println!(" skew-resistant (B = 16; 200 k uniform points, P = 512, one 20 k");
+    println!(" contains batch) it cuts PIM time 20.7 -> 14.3 us and the batch");
+    println!(" 351.7 -> 344.0 us; EXPERIMENTS.md E8)");
     perf.finish();
 }

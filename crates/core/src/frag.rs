@@ -61,6 +61,12 @@ pub fn sort_keyed<const D: usize>(items: &mut [Keyed<D>]) {
     pim_zorder::sort::par_radix_sort_keyed(items, |e| e.0 .0, |a, b| a.1.coords.cmp(&b.1.coords));
 }
 
+/// Whether `items` are in [`sort_keyed`]'s `(key, coords)` order — the
+/// order every merge, removal and build takes its items in.
+pub(crate) fn is_sorted_keyed<const D: usize>(items: &[Keyed<D>]) -> bool {
+    items.windows(2).all(|w| (w[0].0, w[0].1.coords) <= (w[1].0, w[1].1.coords))
+}
+
 /// Bytes of one binary-node record in PIM local memory / on the wire.
 pub const BNODE_BYTES: u64 = 40;
 /// Bytes of a remote reference.
@@ -749,6 +755,7 @@ impl<const D: usize> Fragment<D> {
     /// escaping keys to the parent). Returns the number of new nodes created
     /// (the structural-change signal for cache refresh).
     pub fn merge(&mut self, items: &[Keyed<D>], sink: &mut impl CostSink) -> usize {
+        debug_assert!(is_sorted_keyed(items), "merge takes sorted items");
         if items.is_empty() {
             return 0;
         }
@@ -888,6 +895,7 @@ impl<const D: usize> Fragment<D> {
         cut: &mut impl FnMut(&[Keyed<D>], usize) -> Option<RemoteRef<D>>,
     ) -> u32 {
         debug_assert!(!items.is_empty());
+        debug_assert!(is_sorted_keyed(items), "a build takes sorted items");
         sink.op(8 + items.len() as u64);
         if is_leaf_set(items, self.leaf_cap) {
             let idx = self.alloc(BNode {
@@ -929,6 +937,7 @@ impl<const D: usize> Fragment<D> {
         lowered: &mut Vec<Lowered<D>>,
         sink: &mut impl CostSink,
     ) -> RootAfterRemove<D> {
+        debug_assert!(is_sorted_keyed(items), "remove takes sorted items");
         if items.is_empty() {
             return RootAfterRemove::Kept;
         }
@@ -1026,12 +1035,13 @@ impl<const D: usize> Fragment<D> {
                         let n = &mut self.nodes[idx as usize];
                         n.count = count;
                         n.kind = BKind::Internal { left: l, right: r };
-                        // Collapse small fully-local subtrees back into a leaf.
+                        // Collapse small fully-local subtrees back into a
+                        // leaf (the fold yields sorted leaves in key order).
                         let mut a = Vec::new();
                         if count <= self.leaf_cap as u64
                             && self.fold_leaves(idx, true, &mut |points| points.append_to(&mut a))
                         {
-                            sort_keyed(&mut a);
+                            debug_assert!(is_sorted_keyed(&a), "a leaf fold yields sorted points");
                             self.release_child(&l);
                             self.release_child(&r);
                             let pre = set_prefix(&a);

@@ -63,33 +63,36 @@ impl<const D: usize> PimZdTree<D> {
 
         // Group items per target (semi-sort; Alg. 2 step 2d's dedup falls
         // out of grouping: conflicting creations land in one fragment's
-        // merge, which builds each new node once). Routing is flat: items
-        // land in pooled scratch tagged with their target meta; grouping
-        // happens by sort + run detection below, with no per-meta hash map
-        // or per-meta `Vec` allocations.
+        // merge, which builds each new node once). Routing is flat and in
+        // SEARCH's order, so L0's items arrive sorted and so does every
+        // fragment's run after the stable scatter by meta below, with no
+        // per-meta hash map or per-meta `Vec` allocations.
         let group_span = pim_obs::span("group_and_sort");
         self.meter.work(points.len() as u64 * 20);
         let mut l0_items: Vec<Keyed<D>> = self.bufs.take_vec();
         let mut frag_items: Vec<(MetaId, Keyed<D>)> = self.bufs.take_vec();
-        for (qid, end) in s.ends.iter().enumerate() {
+        // The host reads the per-query state front to back.
+        for qid in 0..points.len() {
             self.touch_query_state(qid, false);
+        }
+        for &q in &s.order {
+            let qid = q as usize;
             let item = (s.keys[qid], points[qid]);
-            match end {
+            match s.ends[qid] {
                 QueryEnd::Empty | QueryEnd::L0Leaf { .. } | QueryEnd::L0Diverge => {
                     l0_items.push(item)
                 }
                 QueryEnd::FragLeaf { meta, .. } | QueryEnd::FragDiverge { meta } => {
-                    frag_items.push((*meta, item))
+                    frag_items.push((meta, item))
                 }
             }
         }
         drop(group_span);
+        self.bufs.put_vec(s.order);
 
         // Apply to L0 host-side.
         if !l0_items.is_empty() {
             let _span = pim_obs::span("l0_merge");
-            crate::frag::sort_keyed(&mut l0_items);
-            self.meter.work(l0_items.len() as u64 * 25);
             if let Some(l0) = self.l0.as_mut() {
                 let mut sink = Self::l0_sink(&mut self.meter);
                 l0.merge(&l0_items, &mut sink);
@@ -133,14 +136,12 @@ impl<const D: usize> PimZdTree<D> {
         self.maintain();
     }
 
-    /// Groups `(target meta, item)` pairs into one z-ordered run per target
-    /// and hands each `(meta, master module, whether it has structure
-    /// copies, run)` to `emit`, metas ascending. A counting sort on the meta
-    /// id (dense directory index): one histogram pass, one stable scatter;
-    /// each run is then z-ordered
-    /// on its own — runs average a few dozen items, where the small-slice
-    /// path of `sort_keyed` beats any global pass over the batch. Charges
-    /// the sorts; allocates nothing per meta.
+    /// Groups `(target meta, item)` pairs into one run per target and hands
+    /// each `(meta, master module, whether it has structure copies, run)` to
+    /// `emit`, metas ascending. A counting sort on the meta id (dense
+    /// directory index): one histogram pass, one stable scatter. The pairs
+    /// come in SEARCH's `(key, qid)` order and the scatter keeps it, so each
+    /// run arrives z-ordered. Allocates nothing per meta.
     fn for_each_meta_run(
         &mut self,
         frag_items: &[(MetaId, Keyed<D>)],
@@ -174,9 +175,7 @@ impl<const D: usize> PimZdTree<D> {
         for (m, end) in cursor.iter().enumerate() {
             let end = *end as usize;
             if end > prev {
-                let run = &mut grouped[prev..end];
-                crate::frag::sort_keyed(run);
-                self.meter.work(run.len() as u64 * 25);
+                let run = &grouped[prev..end];
                 let meta = m as MetaId;
                 let e = self.dir.get(meta);
                 emit(meta, e.module as usize, !e.cached_on.is_empty(), run);
@@ -212,27 +211,28 @@ impl<const D: usize> PimZdTree<D> {
 
         let mut l0_items: Vec<Keyed<D>> = Vec::new();
         let mut frag_items: Vec<(MetaId, Keyed<D>)> = self.bufs.take_vec();
-        for (qid, end) in s.ends.iter().enumerate() {
+        for &q in &s.order {
+            let qid = q as usize;
             let item = (s.keys[qid], points[qid]);
-            match end {
+            match s.ends[qid] {
                 QueryEnd::L0Leaf { found: true } => l0_items.push(item),
-                QueryEnd::FragLeaf { meta, found: true } => frag_items.push((*meta, item)),
+                QueryEnd::FragLeaf { meta, found: true } => frag_items.push((meta, item)),
                 // Not present: nothing to delete.
                 _ => {}
             }
         }
         drop(group_span);
+        self.bufs.put_vec(s.order);
 
         let mut removed = 0usize;
 
         // L0 first, host-side. A removal that leaves L0 a bare ref to its
         // last fragment makes that fragment the new L0 — and whatever this
-        // batch holds for it is then L0's to remove as well, before any
-        // task is built for a meta the directory no longer has.
+        // batch holds for it (in key order, as `frag_items` is) is then L0's
+        // to remove as well, before any task is built for a meta the
+        // directory no longer has.
         while !l0_items.is_empty() {
             let _span = pim_obs::span("l0_merge");
-            crate::frag::sort_keyed(&mut l0_items);
-            self.meter.work(l0_items.len() as u64 * 25);
             let l0 = self.l0.as_mut().unwrap();
             let mut sink = Self::l0_sink(&mut self.meter);
             l0_items = match l0.remove(&l0_items, &mut removed, &mut Vec::new(), &mut sink) {

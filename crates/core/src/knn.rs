@@ -388,11 +388,9 @@ impl<const D: usize> PimZdTree<D> {
         }
         self.bufs.put_vec(fine);
 
-        // The queries in `(Morton key, qid)` order, cut into runs that share
-        // one covering ball (module docs).
-        let mut order: Vec<u32> = self.bufs.take_vec();
-        order.extend(0..n as u32);
-        order.sort_unstable_by_key(|&qid| (s.keys[qid as usize], qid));
+        // SEARCH's `(Morton key, qid)` order, cut into runs that share one
+        // covering ball (module docs).
+        let order = s.order;
         self.meter.work(n as u64 * COALESCE_CYCLES);
         let member = |&qid: &u32| (&queries[qid as usize], radii[qid as usize]);
         let runs = cut_runs(

@@ -78,6 +78,10 @@ pub struct BatchSearch<const D: usize> {
     /// meta granularity, which kNN step 3 walks). A chain is as deep as the
     /// layers below L0, so it lives in place.
     pub hops: Vec<InlineVec<RemoteRef<D>, 2>>,
+    /// The qids in `(key, qid)` order, the batch's one sort (Alg. 1 step 1)
+    /// and, keys being injective, its points' `(key, coords)` order. Pooled:
+    /// the op that consumes it hands it back to `RoundBuffers`.
+    pub order: Vec<u32>,
 }
 
 /// Safety valve: a correct meta-tree descent can never need this many
@@ -135,13 +139,10 @@ impl<const D: usize> PimZdTree<D> {
         let mut anchors: Vec<Anchor<D>> = vec![Anchor::None; n];
         let mut hops = vec![InlineVec::new(); n];
 
-        if self.l0.is_none() {
-            return BatchSearch { keys, ends, anchors, hops };
-        }
-
         // Alg. 1 step 1: the queries in (key, qid) order, charged at the
         // rate of insert's grouping sort. Stable, so the order is the same
-        // at any thread count.
+        // at any thread count. An empty tree sorts too: insert bootstraps
+        // L0 from this order.
         let mut order: Vec<u32> = self.bufs.take_vec();
         {
             let _span = pim_obs::span("sort_batch");
@@ -149,6 +150,10 @@ impl<const D: usize> PimZdTree<D> {
             order.extend(0..n as u32);
             pim_zorder::sort::par_radix_sort_stable_by_u64(&mut order, |&q| keys[q as usize].0);
         }
+        // An empty tree answers every query with `QueryEnd::Empty`.
+        let Some(l0) = self.l0.as_ref() else {
+            return BatchSearch { keys, ends, anchors, hops, order };
+        };
 
         // ---- L0 traversal on the host ----
         // `pending` stays in key order from here on: the pull loop keeps
@@ -159,11 +164,6 @@ impl<const D: usize> PimZdTree<D> {
         let mut demand = self.bufs.take_demand();
         {
             let _span = pim_obs::span("l0_traverse");
-            // Structurally panic-free duplicate of the guard above: an
-            // empty tree answers every query with `QueryEnd::Empty`.
-            let Some(l0) = self.l0.as_ref() else {
-                return BatchSearch { keys, ends, anchors, hops };
-            };
             let mut sink = Self::l0_sink(&mut self.meter);
             let mut cursor = Cursor::default();
             for &q in &order {
@@ -184,7 +184,6 @@ impl<const D: usize> PimZdTree<D> {
             }
             self.search_nodes += cursor.entered;
         }
-        self.bufs.put_vec(order);
 
         // ---- Meta-tree descent: pull then push, per round ----
         // The pull loop's cursors, one per hop depth below where a query
@@ -295,7 +294,7 @@ impl<const D: usize> PimZdTree<D> {
         self.bufs.put_vec(cursors);
         self.bufs.put_demand(demand);
 
-        BatchSearch { keys, ends, anchors, hops }
+        BatchSearch { keys, ends, anchors, hops, order }
     }
 
     /// Public batched point-membership query (the SEARCH of Alg. 1 used as
@@ -304,6 +303,7 @@ impl<const D: usize> PimZdTree<D> {
         self.phased("search", |t| {
             t.measured(pts.len() as u64, |t| {
                 let s = t.batch_search_internal(pts, None);
+                t.bufs.put_vec(s.order);
                 let out: Vec<bool> = s.ends.iter().map(QueryEnd::found).collect();
                 let n = out.len() as u64;
                 (out, n)
@@ -359,6 +359,39 @@ mod tests {
         let mut t = PimZdTree::<3>::new(cfg, MachineConfig::with_modules(4));
         let q = uniform::<3>(5, 4);
         assert_eq!(t.batch_contains(&q), vec![false; 5]);
+    }
+
+    /// SEARCH's order is a permutation of the batch in `(key, qid)` order,
+    /// on an empty tree (which insert bootstraps L0 from) as on a built one.
+    #[test]
+    fn order_is_the_batch_in_key_then_qid_order() {
+        let built = uniform::<3>(3_000, 5);
+        let mut shuffled = uniform::<3>(400, 6);
+        shuffled.extend_from_within(..100);
+        let mut reversed = shuffled.clone();
+        reversed.sort_by_key(pim_zorder::ZKey::<3>::encode);
+        reversed.reverse();
+        let batches = [
+            shuffled.clone(),
+            reversed,
+            vec![built[7]; 50],
+            [&built[..200], &built[..200], &shuffled[..50]].concat(),
+        ];
+        let cfg = PimZdConfig::throughput_optimized(3_000, 8);
+        let machine = MachineConfig::with_modules(8);
+        let mut trees = [PimZdTree::new(cfg, machine), PimZdTree::build(&built, cfg, machine)];
+        for t in &mut trees {
+            for batch in &batches {
+                let s = t.batch_search_internal(batch, None);
+                let mut seen = vec![false; batch.len()];
+                for &q in &s.order {
+                    assert!(!std::mem::replace(&mut seen[q as usize], true), "qid {q} twice");
+                }
+                assert!(seen.iter().all(|&b| b), "order misses a qid");
+                let key = |q: u32| (s.keys[q as usize], q);
+                assert!(s.order.windows(2).all(|w| key(w[0]) < key(w[1])));
+            }
+        }
     }
 
     /// The batch encode must resolve its codec exactly once per batch —

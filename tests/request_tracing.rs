@@ -206,16 +206,18 @@ fn traced_run_artifacts_are_pinned() {
         digest(&trace.trace_events(&rounds)),
         digest(&metrics_json),
     ];
-    // The metrics digest last moved when SEARCH began to walk its batch in
-    // key order: the host's search cycles moved and the registry gained
-    // `host_search_nodes_total`. The other five held.
+    // The metrics digest last moved when insert and delete began to take
+    // SEARCH's order instead of sorting their items again: the host's
+    // update cycles fell. Before that it moved when SEARCH began to walk
+    // its batch in key order (the host's search cycles, and the registry
+    // gained `host_search_nodes_total`). The other five held both times.
     let pinned = [
         0xf65a_bf3d_6997_24ad,
         0xe37b_62cb_ca52_6ab4,
         0x3b0a_ffd9_df41_125e,
         0x281b_d857_54ea_4929,
         0x0b95_9a6e_3f73_b666,
-        0xdc22_a087_2194_9324,
+        0x80de_ed34_cf2d_5f8f,
     ];
     assert_eq!(got, pinned, "results, journal, spans, batches, trace events, metrics");
 }

@@ -26,9 +26,7 @@ fn serving_baseline_journal_and_spans_re_render_byte_for_byte() {
 
 #[test]
 fn committed_perf_reports_re_render_their_config_and_results() {
-    for name in
-        ["BENCH_BASELINE.json", "BENCH_fig5.json", "BENCH_fig_serving.json", "BENCH_fig_shard.json"]
-    {
+    for name in ["BENCH_fig5.json", "BENCH_fig_serving.json", "BENCH_fig_shard.json"] {
         let text = committed(name);
         let doc = serde_json::from_str(&text).expect("the report parses");
         let report = validate_schema(&doc).unwrap_or_else(|e| panic!("{name}: {e}"));
