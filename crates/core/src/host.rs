@@ -159,6 +159,11 @@ pub struct PimZdTree<const D: usize> {
     /// Nodes the running measured batch's searches entered on the host (L0
     /// and pulled fragments), published as `host_search_nodes_total`.
     pub(crate) search_nodes: u64,
+    /// Every master the host pulled since the last round that could write
+    /// one, with the staging address it landed at: push-pull reads them in
+    /// place instead of pulling them again. [`Self::robust_round`] empties
+    /// it before any round that is not all reads.
+    pub(crate) held: FxHashMap<MetaId, (Fragment<D>, u64)>,
 }
 
 impl<const D: usize> PimZdTree<D> {
@@ -184,9 +189,9 @@ impl<const D: usize> PimZdTree<D> {
     }
 
     /// The tree over the given resident state — how an empty tree, a fork
-    /// and a restored image are all put together. Per-op scratch starts
-    /// fresh and the WAL comes back detached; what is attached to `sys`
-    /// (sinks, plan) is the caller's business.
+    /// and a restored image are all put together. Per-op scratch and the
+    /// held pulls start empty and the WAL comes back detached; what is
+    /// attached to `sys` (sinks, plan) is the caller's business.
     pub(crate) fn assemble(
         cfg: PimZdConfig,
         cpu_cfg: CpuConfig,
@@ -214,6 +219,7 @@ impl<const D: usize> PimZdTree<D> {
             cpu_cfg,
             in_hand: FxHashMap::default(),
             search_nodes: 0,
+            held: FxHashMap::default(),
         }
     }
 
@@ -477,6 +483,11 @@ impl<const D: usize> PimZdTree<D> {
     where
         T: Reroutable<D> + Wire + Send + Clone + 'static,
     {
+        // A held pull is its master's exact copy only until a master is
+        // written, and any round but a read may write one.
+        if T::may_write(&tasks) {
+            self.held.clear();
+        }
         if !self.sys.fault_plane_active() {
             let out = self.sys.execute_round_in(&mut tasks, handler);
             self.bufs.put_matrix(tasks);
@@ -673,33 +684,33 @@ impl<const D: usize> PimZdTree<D> {
         self.bufs.take_matrix(p)
     }
 
-    /// Pulls the master fragments of `metas` to the host in one round,
-    /// returning them keyed by id. This is the "pull" of push-pull search:
-    /// only master storage is fetched (caches excluded, §3.3) and the bytes
-    /// are charged as PIM→CPU traffic.
-    pub(crate) fn pull_fragments(
-        &mut self,
-        metas: &[MetaId],
-    ) -> FxHashMap<MetaId, (Fragment<D>, u64)> {
-        if metas.is_empty() {
-            return FxHashMap::default();
-        }
+    /// Makes the host hold the master fragment of each of `metas`, pulling
+    /// in one round those it does not hold yet (none: no round). This is the
+    /// "pull" of push-pull search: only master storage is fetched (caches
+    /// excluded, §3.3) and the bytes are charged as PIM→CPU traffic. Read
+    /// them from [`Self::held`], each at its staging address. A recovery
+    /// inside the round empties the set, so a meta held before the call
+    /// may be missing after it; callers push what they do not find.
+    pub(crate) fn pull_fragments(&mut self, metas: &[MetaId]) {
         let mut tasks = self.task_matrix::<MgmtTask<D>>();
-        for &m in metas {
+        let mut sent = 0u64;
+        for &m in metas.iter().filter(|m| !self.held.contains_key(m)) {
             let module = self.dir.get(m).module as usize;
             tasks[module].push(MgmtTask::Pull(m));
+            sent += 1;
         }
-        let replies = self.mgmt_round(tasks);
-        let mut out = FxHashMap::default();
-        for per_module in replies {
+        let reused = metas.len() as u64 - sent;
+        if reused > 0 {
+            self.sys.metrics().with(|m| m.add("host_pulls_reused_total", &[], reused));
+        }
+        for per_module in self.mgmt_round_if_any(tasks) {
             for r in per_module {
                 if let MgmtReply::Pulled(f) = r {
                     let addr = self.stage_addr(f.bytes());
-                    out.insert(f.meta, (f, addr));
+                    self.held.insert(f.meta, (f, addr));
                 }
             }
         }
-        out
     }
 
     /// Decides which meta-nodes to pull given per-meta demand (Alg. 1 step
@@ -780,6 +791,19 @@ impl<const D: usize> PimZdTree<D> {
     }
 }
 
+/// The held copy of `meta` and its staging address, if `meta` is one of
+/// `step` — the metas one pull step chose (sorted, as
+/// [`PimZdTree::pull_candidates`] returns them), which that step walks on
+/// the host, whatever else the host holds. A free function so that a
+/// caller can charge the tree's meter while it reads the copy.
+pub(crate) fn held_in<'a, const D: usize>(
+    held: &'a FxHashMap<MetaId, (Fragment<D>, u64)>,
+    step: &[MetaId],
+    meta: MetaId,
+) -> Option<&'a (Fragment<D>, u64)> {
+    step.binary_search(&meta).ok().and_then(|_| held.get(&meta))
+}
+
 /// Hash placement probing past fail-stopped modules (a free function so
 /// call sites holding partial borrows of the tree can still place). With
 /// no dead modules this is exactly [`hash_place`].
@@ -813,30 +837,40 @@ pub(crate) trait Reroutable<const D: usize>: Sized {
     type Reply: Wire + Send + 'static;
     /// Picks a new destination after recovery repaired the directory.
     fn reroute(&mut self, tree: &mut PimZdTree<D>) -> Route<Self::Reply>;
+    /// Whether a round of these tasks may write a master. Decided by the
+    /// task type; only management rounds, a few tasks each, are looked at.
+    fn may_write(rows: &[Vec<Self>]) -> bool;
 }
 
 /// Tasks that run at the master of the fragment they name follow it.
 macro_rules! reroute_to_master {
-    ($($task:ident => $reply:ty),* $(,)?) => {$(
+    ($($task:ident => $reply:ty, writes: $writes:literal),* $(,)?) => {$(
         impl<const D: usize> Reroutable<D> for crate::module::$task<D> {
             type Reply = $reply;
             fn reroute(&mut self, tree: &mut PimZdTree<D>) -> Route<Self::Reply> {
                 Route::To(tree.master_module(self.meta))
+            }
+            fn may_write(_: &[Vec<Self>]) -> bool {
+                $writes
             }
         }
     )*};
 }
 
 reroute_to_master! {
-    SearchTask => crate::module::SearchReply<D>,
-    InsertTask => crate::module::InsertReply<D>,
-    DeleteTask => crate::module::DeleteReply<D>,
-    KnnTask => crate::module::KnnReply<D>,
-    BoxTask => crate::module::BoxReply<D>,
+    SearchTask => crate::module::SearchReply<D>, writes: false,
+    InsertTask => crate::module::InsertReply<D>, writes: true,
+    DeleteTask => crate::module::DeleteReply<D>, writes: true,
+    KnnTask => crate::module::KnnReply<D>, writes: false,
+    BoxTask => crate::module::BoxReply<D>, writes: false,
 }
 
 impl<const D: usize> Reroutable<D> for MgmtTask<D> {
     type Reply = MgmtReply<D>;
+    fn may_write(rows: &[Vec<Self>]) -> bool {
+        let read = |t: &Self| matches!(t, MgmtTask::Pull(_) | MgmtTask::PullStructure(_));
+        !rows.iter().flatten().all(read)
+    }
     fn reroute(&mut self, tree: &mut PimZdTree<D>) -> Route<Self::Reply> {
         match self {
             MgmtTask::InstallMaster(f) => {

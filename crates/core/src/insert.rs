@@ -458,8 +458,8 @@ impl<const D: usize> PimZdTree<D> {
     /// Pulls a whole fragment into L0 (the tree shrank so far that the host
     /// must re-own the top).
     fn absorb_fragment_into_l0(&mut self, r: RemoteRef<D>) {
-        let pulled = self.pull_fragments(&[r.meta]);
-        let (mut f, _) = pulled.into_iter().next().map(|(_, v)| v).expect("fragment exists");
+        self.pull_fragments(&[r.meta]);
+        let (mut f, _) = self.held.remove(&r.meta).expect("fragment exists");
         let mut tasks: Vec<Vec<MgmtTask<D>>> = self.task_matrix();
         tasks[self.dir.get(r.meta).module as usize].push(MgmtTask::DropMaster(r.meta));
         // Drop any caches of it as well.

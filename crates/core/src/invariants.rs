@@ -14,7 +14,7 @@
 //!    listed among that parent's children and nowhere else; every reference
 //!    resolves to an installed master on the recorded module; every cache
 //!    copy has its master's arena, topology and prefixes, and no count
-//!    above its master's.
+//!    above its master's; every pull the host holds is its master, exactly.
 //! 6. **Cache placement** — an L1 meta's structure copies sit exactly on
 //!    its cache targets (the masters' modules of its L1 ancestors, §3.1),
 //!    `cached_on` lists exactly those, and no other meta has a copy
@@ -39,6 +39,7 @@ impl<const D: usize> PimZdTree<D> {
         let Some(l0) = self.l0.as_ref() else {
             assert!(expected.is_empty(), "index empty but {} points expected", expected.len());
             assert_eq!(self.n_points, 0);
+            assert!(self.held.is_empty(), "the host holds pulls of an empty index");
             return;
         };
         assert_eq!(self.n_points, expected.len(), "n_points out of date");
@@ -103,6 +104,12 @@ impl<const D: usize> PimZdTree<D> {
                 };
                 check_copy(&format!("copy of meta {id} on module {i}"), master, cache);
             }
+        }
+        for (id, (held, _)) in &self.held {
+            let Some((master, _)) = masters.get(id) else {
+                panic!("the host holds a pull of unknown meta {id}")
+            };
+            check_held(&format!("held pull of meta {id}"), master, held);
         }
 
         // Copies sit where the directory says, and that is where §3.1 puts
@@ -393,6 +400,38 @@ fn check_copy<const D: usize>(at: &str, master: &Fragment<D>, copy: &Fragment<D>
                     (ChildRef::Remote(a), ChildRef::Remote(b)) => {
                         (a.meta, a.prefix) == (b.meta, b.prefix) && b.sc <= a.sc
                     }
+                    _ => false,
+                })
+            }
+            _ => false,
+        };
+        assert!(same, "{at}: node {idx} differs from the master's");
+    }
+}
+
+/// Holds a pull the host kept to its master, exactly: the same id, module,
+/// leaf capacity, arena (stale slots too), root, free list in release
+/// order, chunk directory and policy, and every node's prefix, count and
+/// payload — leaf points, local children, refs with their counters. A held
+/// pull is read in place of its master, so it may differ in nothing.
+fn check_held<const D: usize>(at: &str, master: &Fragment<D>, held: &Fragment<D>) {
+    let shape = |f: &Fragment<D>| {
+        (f.meta, f.master_module, f.leaf_cap, f.root, f.nodes().len(), f.free().to_vec())
+    };
+    assert_eq!(shape(held), shape(master), "{at}: the arena is not the master's");
+    let dir = |f: &Fragment<D>| {
+        (f.dir_bits, f.dense_min, f.chunk_dir().bits, f.chunk_dir().slots.clone())
+    };
+    assert_eq!(dir(held), dir(master), "{at}: the chunk directory is not the master's");
+    for (idx, (m, h)) in master.nodes().iter().zip(held.nodes()).enumerate() {
+        assert_eq!((h.prefix, h.count), (m.prefix, m.count), "{at}: node {idx}");
+        let same = match (&m.kind, &h.kind) {
+            (BKind::Leaf { points: a }, BKind::Leaf { points: b }) => a == b,
+            (BKind::LeafStub, BKind::LeafStub) => true,
+            (BKind::Internal { left: ml, right: mr }, BKind::Internal { left: hl, right: hr }) => {
+                [(ml, hl), (mr, hr)].into_iter().all(|pair| match pair {
+                    (ChildRef::Local(a), ChildRef::Local(b)) => a == b,
+                    (ChildRef::Remote(a), ChildRef::Remote(b)) => a == b,
                     _ => false,
                 })
             }

@@ -16,7 +16,7 @@
 //! predecessor. Every result stays indexed by query.
 
 use crate::frag::{Cursor, HostSink, MetaId, RemoteRef, SearchEnd};
-use crate::host::PimZdTree;
+use crate::host::{held_in, PimZdTree};
 use crate::inline::InlineVec;
 use crate::module::{
     handle_search, search_step, Anchor, BestK, SearchReply, SearchTask, SearchVerdict,
@@ -204,12 +204,12 @@ impl<const D: usize> PimZdTree<D> {
                 if to_pull.is_empty() {
                     break;
                 }
-                let pulled = self.pull_fragments(&to_pull);
+                self.pull_fragments(&to_pull);
                 for (qid, mut r) in pending.drain(..) {
-                    // Chase through pulled fragments host-side until the
-                    // query leaves the pulled set.
+                    // Chase through the fragments this step pulled, host-
+                    // side, until the query leaves them.
                     for depth in 0.. {
-                        let Some((frag, addr)) = pulled.get(&r.meta) else {
+                        let Some((frag, addr)) = held_in(&self.held, &to_pull, r.meta) else {
                             next.push((qid, r));
                             break;
                         };

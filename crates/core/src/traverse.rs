@@ -23,7 +23,7 @@
 //! on.
 
 use crate::frag::{CostSink, Edge, Fragment, HostSink, MetaId};
-use crate::host::{PimZdTree, Reroutable, L0_META};
+use crate::host::{held_in, PimZdTree, Reroutable, L0_META};
 use crate::inline::InlineVec;
 use crate::module::{chase, REPLY_INLINE};
 use pim_memsim::CpuMeter;
@@ -215,13 +215,13 @@ impl<const D: usize> PimZdTree<D> {
             // Pull phase.
             let to_pull = self.pull_candidates(&demand);
             if !to_pull.is_empty() {
-                let pulled = self.pull_fragments(&to_pull);
+                self.pull_fragments(&to_pull);
                 for w in walks.iter_mut().filter(|w| !w.frontier.is_empty()) {
                     // The walk's entries move to `rest`; what survives goes
                     // back, into the (empty) buffer it got in exchange.
                     std::mem::swap(&mut w.frontier, &mut rest);
                     for &(meta, node, lb) in &rest {
-                        let Some((frag, addr)) = pulled.get(&meta) else {
+                        let Some((frag, addr)) = held_in(&self.held, &to_pull, meta) else {
                             w.frontier.push((meta, node, lb));
                             continue;
                         };

@@ -442,3 +442,87 @@ proptest! {
         }
     }
 }
+
+/// `cfg` with every batch pulling every fragment it demands, as the
+/// pull-always regime of `tests/query_regimes.rs` sets it: every read runs
+/// on the host, from pulls the host keeps.
+fn pull_always(cfg: PimZdConfig) -> PimZdConfig {
+    PimZdConfig { imbalance_factor: 0.0, k_pull_l1: 0, k_pull_l2: 0, ..cfg }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The host keeps every master it pulled until a round that may write
+    /// one. Under pull-always, the reads of a step (contains, box count,
+    /// 5-NN) reuse one another's pulls and the write of the next step must
+    /// void them all. Writes and reads interleave on osm-like trees of both
+    /// presets; after every write and every read the invariants hold —
+    /// every kept pull its master's exact copy — and the tree answers as
+    /// the model does.
+    #[test]
+    fn kept_pulls_stay_their_masters_across_reads_and_writes(
+        seed in 0u64..1 << 16,
+        skew in proptest::bool::ANY,
+        writes in proptest::collection::vec(proptest::bool::ANY, 3..7),
+    ) {
+        const P: usize = 16;
+        let base = workloads::osm_like::<3>(2_000, seed);
+        let cfg = if skew {
+            PimZdConfig::skew_resistant(P)
+        } else {
+            PimZdConfig::throughput_optimized(base.len() as u64, P)
+        };
+        let mut t = PimZdTree::build(&base, pull_always(cfg), MachineConfig::with_modules(P));
+        let metrics = Metrics::enabled_new();
+        t.set_metrics(metrics.clone());
+        let probes = workloads::point_queries(&base, 30, 0, seed + 1);
+        let mut model = Model(base.clone());
+        for (step, insert) in writes.into_iter().enumerate() {
+            if insert {
+                let batch = workloads::point_queries(&base, 200, 4, seed ^ step as u64);
+                t.batch_insert(&batch);
+                model.0.extend_from_slice(&batch);
+            } else {
+                let gone: Vec<Point<3>> = model.0.iter().step_by(7).copied().collect();
+                prop_assert_eq!(t.batch_delete(&gone), model.delete(&gone), "step {}", step);
+            }
+            t.check_invariants(&model.0);
+            model.check(&mut t, &probes, &format!("seed {seed} step {step}"));
+            t.check_invariants(&model.0);
+        }
+        let reused = metrics.with(|m| m.counter("host_pulls_reused_total", &[])).unwrap();
+        prop_assert!(reused.unwrap_or(0) > 0, "the reads must reuse pulls");
+    }
+}
+
+/// A module fail-stops while the host holds pulls. Under pull-always every
+/// round a read sends is a pull, so the read after the kill detects it in
+/// one: recovery's re-install round, inside that pull round, voids every
+/// kept pull, and the read pulls again what it then misses. It must not
+/// panic, and it must read no copy of a master that recovery moved.
+#[test]
+fn a_module_killed_inside_a_pull_round_voids_the_kept_pulls() {
+    const P: usize = 16;
+    let seed = 3_331;
+    let base = workloads::osm_like::<3>(3_000, seed);
+    let cfg = pull_always(PimZdConfig::skew_resistant(P));
+    let mut t = PimZdTree::build(&base, cfg, MachineConfig::with_modules(P));
+    let metrics = Metrics::enabled_new();
+    t.set_metrics(metrics.clone());
+    let counter = |name| metrics.with(|m| m.counter(name, &[]).unwrap_or(0)).unwrap();
+    let model = Model(base.clone());
+    let (near, far) = (&base[..10], &base[base.len() - 10..]);
+    // Some pulls held, not all: the next read has something to pull.
+    assert!(t.batch_contains(near).iter().all(|&f| f));
+    t.check_invariants(&model.0);
+    t.kill_module(3);
+    let (recoveries, reused) =
+        (counter("host_recoveries_total"), counter("host_pulls_reused_total"));
+    model.check(&mut t, far, "after the kill");
+    assert_eq!(counter("host_recoveries_total"), recoveries + 1, "the read detects the kill");
+    assert!(counter("host_pulls_reused_total") > reused, "the read meets kept pulls");
+    t.check_invariants(&model.0);
+    model.check(&mut t, near, "after the recovery");
+    t.check_invariants(&model.0);
+}

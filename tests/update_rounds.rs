@@ -172,3 +172,36 @@ fn a_split_adds_one_round() {
     assert_eq!(m.rounds, [256], "a delete splits nothing: {m:?}");
     assert_eq!([m.pulls, m.installs, m.drops, m.patches, m.flips], [0, 4, 37, 114, 37]);
 }
+
+/// The host keeps what it pulled until a round that may write a master, so
+/// a lookup leaves the hot fragments of a skew-resistant tree on the host
+/// and the delete after it reuses them: its SEARCH sends no pull round, and
+/// every other round carries the same tasks. The same delete right after
+/// the insert pulls the 25 fragments again, since the insert's apply round
+/// may have written any of them. Both trees answer alike and end with the
+/// same data.
+#[test]
+fn a_delete_after_a_lookup_reuses_its_pulls() {
+    let [(deleted, digest, tasks, reused), (deleted_b, digest_b, tasks_b, reused_b)] =
+        [true, false].map(|lookup| {
+            let (base, mut t, journal, metrics) = tree(20_000, 256);
+            let batch = workloads::point_queries(&base, 2_000, 4, SEED ^ 0x400);
+            let reused = || {
+                metrics.with(|m| m.counter("host_pulls_reused_total", &[]).unwrap_or(0)).unwrap()
+            };
+            t.batch_insert(&batch);
+            if lookup {
+                assert!(t.batch_contains(&batch).iter().all(|&f| f), "the lookup finds them all");
+            }
+            let (seen, before) = (journal.snapshot().len(), reused());
+            let deleted = t.batch_delete(&batch);
+            let tasks: Vec<u64> = journal.snapshot()[seen..].iter().map(|r| r.tasks).collect();
+            assert_eq!(t.last_op_stats().rounds, tasks.len() as u64, "lookup={lookup}");
+            (deleted, t.data_digest(), tasks, reused() - before)
+        });
+    assert_eq!(deleted, deleted_b, "the deletes remove alike");
+    assert_eq!(digest, digest_b, "the trees hold the same data");
+    assert_eq!((reused, reused_b), (25, 0), "fragments the delete found held");
+    assert_eq!(tasks_b[0], reused, "without the lookup, the delete's first round pulls them");
+    assert_eq!(tasks, tasks_b[1..], "after it, the delete sends the rest and no more");
+}
