@@ -90,12 +90,8 @@ fn bench_round_dispatch(c: &mut Criterion) {
     g.sample_size(samples());
     for rate in [0.0, 0.05] {
         let cfg = PimZdConfig::throughput_optimized(50_000, 64);
-        let mut index = PimZdTree::build_with_cpu(
-            &warm,
-            cfg,
-            MachineConfig::with_modules(64),
-            scaled_cpu(50_000),
-        );
+        let machine = MachineConfig { cpu: scaled_cpu(50_000), ..MachineConfig::with_modules(64) };
+        let mut index = PimZdTree::build(&warm, cfg, machine);
         if rate > 0.0 {
             index.set_fault_plan(Some(FaultPlan::new(FaultConfig::uniform(rate, 2026))));
         }

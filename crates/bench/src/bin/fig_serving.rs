@@ -47,7 +47,7 @@
 use pim_bench::perf::PerfEntry;
 use pim_bench::{BenchArgs, PerfSink};
 use pim_serve::{BatchPolicy, PimServer, ServeConfig, ServeReport};
-use pim_sim::{JournalSink, MachineConfig};
+use pim_sim::{Journal, MachineConfig};
 use pim_workloads::{open_loop_trace, uniform, ArrivalTrace, RequestMix};
 use pim_zd_tree::{PimZdConfig, PimZdTree};
 use std::path::Path;
@@ -183,12 +183,9 @@ fn main() {
         // so the sweep numbers (and the stdout table) are byte-identical
         // with and without the flags.
         let traced = trace_point && ratio == 1.0;
-        let journal = traced.then(|| {
-            let (js, journal) = JournalSink::new();
-            server.set_trace_sink(Box::new(js));
-            server.set_tracing(true);
-            journal
-        });
+        let journal = traced.then(Journal::new);
+        server.set_journal(journal.clone());
+        server.set_tracing(traced);
         let started = Instant::now();
         let rep = server.run_trace(&trace);
         let wall_s = started.elapsed().as_secs_f64();

@@ -48,16 +48,12 @@ fn run_cell(
     metrics: pim_sim::Metrics,
     trace: bool,
 ) -> Cell {
-    let machine = MachineConfig::with_modules(args.modules);
+    let machine = MachineConfig {
+        cpu: pim_bench::harness::scaled_cpu(args.points),
+        ..MachineConfig::with_modules(args.modules)
+    };
     let zcfg = PimZdConfig::throughput_optimized(args.points as u64, args.modules);
-    let scfg = ShardConfig::new(ranks);
-    let mut tree = ShardedZdTree::build_with_cpu(
-        warm,
-        scfg,
-        zcfg,
-        machine,
-        pim_bench::harness::scaled_cpu(args.points),
-    );
+    let mut tree = ShardedZdTree::build(warm, ShardConfig::new(ranks), zcfg, machine);
     tree.set_metrics(metrics);
     let journals = if trace && args.trace.is_some() { tree.attach_journals() } else { Vec::new() };
 

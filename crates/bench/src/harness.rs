@@ -35,7 +35,7 @@ pub fn pim_tree<const D: usize>(
     cfg: PimZdConfig,
     machine: MachineConfig,
 ) -> PimZdTree<D> {
-    PimZdTree::build_with_cpu(warmup, cfg, machine, scaled_cpu(warmup.len()))
+    PimZdTree::build(warmup, cfg, MachineConfig { cpu: scaled_cpu(warmup.len()), ..machine })
 }
 
 /// The ten operations of Fig. 5.
@@ -284,8 +284,8 @@ mod tests {
         let (warm, test) = Dataset::Uniform.warmup_and_test(20_000, 7);
         let cfg = PimZdConfig::throughput_optimized(20_000, 32);
         let mut pim = pim_tree(&warm, cfg, MachineConfig::with_modules(32));
-        let (sink, journal) = pim_sim::JournalSink::new();
-        pim.set_trace_sink(Box::new(sink));
+        let journal = pim_sim::Journal::new();
+        pim.set_journal(Some(journal.clone()));
         assert!(journal.is_empty(), "build/warmup rounds are unaccounted, hence untraced");
 
         // Ops without an unmeasured pre-batch, so every journaled round of

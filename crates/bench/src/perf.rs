@@ -239,9 +239,8 @@ impl PerfSink {
             tree.set_fault_plan(Some(plan));
         }
         if self.args.trace.is_some() {
-            let (sink, journal) = pim_sim::JournalSink::new();
-            tree.set_trace_sink(Box::new(sink));
-            self.journal = Some(journal);
+            self.journal = Some(pim_sim::Journal::new());
+            tree.set_journal(self.journal.clone());
         }
     }
 

@@ -2,7 +2,7 @@
 //! binary's engine, shared with the harness tests so the rendered numbers
 //! are the tested numbers).
 //!
-//! A journal is the JSONL stream a [`pim_sim::JournalSink`] writes: one
+//! A journal is the JSONL stream a [`pim_sim::Journal`] writes: one
 //! [`pim_sim::RoundRecord`] per accounted BSP round, labelled with the
 //! phase stack the core pushed around the operation (`insert`,
 //! `insert/maintain`, `box_count`, …). Summaries group rounds by label and

@@ -12,7 +12,7 @@ use pim_bench::harness::{make_queries, scaled_cpu, CpuRunner, OpKind, Queries};
 use pim_bench::Dataset;
 use pim_geom::{Metric, Point};
 use pim_sim::wire::{fnv1a, fnv_fold, FNV_OFFSET};
-use pim_sim::{FaultConfig, FaultPlan, JournalSink, MachineConfig};
+use pim_sim::{FaultConfig, FaultPlan, Journal, MachineConfig};
 use pim_zd_tree::{BatchIndex, PimZdConfig, PimZdTree};
 
 const POINTS: usize = 20_000;
@@ -25,14 +25,11 @@ const SEED: u64 = 2026;
 fn run_pipeline(fault_rate: f64) -> String {
     let (warm, test) = Dataset::Uniform.warmup_and_test(POINTS, SEED);
     let cfg = PimZdConfig::throughput_optimized(POINTS as u64, MODULES);
-    let mut index = PimZdTree::build_with_cpu(
-        &warm,
-        cfg,
-        MachineConfig::with_modules(MODULES),
-        scaled_cpu(warm.len()),
-    );
-    let (sink, journal) = JournalSink::new();
-    index.set_trace_sink(Box::new(sink));
+    let machine =
+        MachineConfig { cpu: scaled_cpu(warm.len()), ..MachineConfig::with_modules(MODULES) };
+    let mut index = PimZdTree::build(&warm, cfg, machine);
+    let journal = Journal::new();
+    index.set_journal(Some(journal.clone()));
     if fault_rate > 0.0 {
         index.set_fault_plan(Some(FaultPlan::new(FaultConfig::uniform(fault_rate, SEED))));
     }

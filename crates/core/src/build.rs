@@ -65,17 +65,7 @@ impl<const D: usize> PimZdTree<D> {
     /// Builds the index over `points` (the warmup phase: untimed, but the
     /// resulting layout is exactly what the measured phases operate on).
     pub fn build(points: &[Point<D>], cfg: PimZdConfig, machine: pim_sim::MachineConfig) -> Self {
-        Self::build_with_cpu(points, cfg, machine, pim_memsim::CpuConfig::xeon())
-    }
-
-    /// [`Self::build`] with an explicit host CPU model.
-    pub fn build_with_cpu(
-        points: &[Point<D>],
-        cfg: PimZdConfig,
-        machine: pim_sim::MachineConfig,
-        cpu: pim_memsim::CpuConfig,
-    ) -> Self {
-        let mut t = Self::new_with_cpu(cfg, machine, cpu);
+        let mut t = Self::new(cfg, machine);
         if points.is_empty() {
             return t;
         }
@@ -343,8 +333,8 @@ mod tests {
         let batch = pim_workloads::point_queries(&pts, 500, 4, 4_047 ^ 0x400);
         t.batch_insert(&batch);
         pts.extend_from_slice(&batch);
-        let (sink, journal) = pim_sim::trace::JournalSink::new();
-        t.set_trace_sink(Box::new(sink));
+        let journal = pim_sim::trace::Journal::new();
+        t.set_journal(Some(journal.clone()));
         let metrics = pim_sim::Metrics::enabled_new();
         t.set_metrics(metrics.clone());
         (t, pts, journal, metrics)

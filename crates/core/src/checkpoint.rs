@@ -3,12 +3,12 @@
 //! A checkpoint is a consistent frozen view of the index at one **epoch**
 //! (= number of applied mutation batches; see the `epoch` field on
 //! [`PimZdTree`]). It captures everything a fresh process needs to continue
-//! a run byte-identically: the configuration triple (index, machine, host
-//! CPU), the host fragment and directory, every module's master and cached
-//! fragments, the simulator's counters (round ids drive fault draws and
-//! journal records), and the host meter including the *warm LLC contents*
-//! (restoring the cache cold would shift every post-restore hit/miss count
-//! and break metric byte-identity).
+//! a run byte-identically: the configuration pair (index, and machine with
+//! its host CPU), the host fragment and directory, every module's master
+//! and cached fragments, the simulator's counters (round ids drive fault
+//! draws and journal records), and the host meter including the *warm LLC
+//! contents* (restoring the cache cold would shift every post-restore
+//! hit/miss count and break metric byte-identity).
 //!
 //! Paired with the write-ahead log ([`crate::wal`]), this gives
 //! crash-restart recovery: restore the newest checkpoint, then replay every
@@ -60,8 +60,10 @@ use std::sync::Arc;
 
 /// Checkpoint file magic.
 pub const CKPT_MAGIC: [u8; 8] = *b"PZDCKPT1";
-/// Current (only) checkpoint format version.
-pub const CKPT_VERSION: u32 = 1;
+/// Current (only) checkpoint format version. Version 1 also carried the
+/// simulator's per-round imbalance history and the machine's `accounting`
+/// flag; this build refuses it.
+pub const CKPT_VERSION: u32 = 2;
 /// Keyed-checksum domain for section crcs (xor'd with the section id).
 const CKPT_KEY: u64 = 0x5a44_434b_5054_3159; // "ZDCKPT1Y"
 /// Artifact tag used in [`DurabilityError`]s from this module.
@@ -165,7 +167,7 @@ fn corrupt(detail: impl Into<String>) -> DurabilityError {
 // ---------------------------------------------------------------------
 
 record! {
-    // Config section: (PimZdConfig, MachineConfig, CpuConfig).
+    // Config section: (PimZdConfig, MachineConfig).
     [] PimZdConfig {
         theta_l0: u64, theta_l1: u64, chunk_b: u64, leaf_cap: usize, k_pull_l1: u64,
         k_pull_l2: u64, imbalance_factor: f64, delta_l1: u64, placement_seed: u64,
@@ -177,7 +179,7 @@ record! {
     [] MachineConfig {
         n_modules: usize, pim_freq_hz: f64, pim_local_bw: f64, channel_bw_per_module: f64,
         channel_bw_aggregate: f64, mux_switch_s: f64, api: TransferApi, host_threads: usize,
-        local_mem_bytes: u64,
+        local_mem_bytes: u64, cpu: CpuConfig,
     }
     [] CpuConfig {
         freq_hz: f64, threads: usize, parallel_efficiency: f64, llc: CacheConfig,
@@ -185,7 +187,7 @@ record! {
     }
     [] CacheConfig { capacity_bytes: u64, line_bytes: u64, ways: usize }
 
-    // Host section: (HostState, the machine's `accounting` flag).
+    // Host section.
     [] HostState { epoch: u64, n_points: usize, staging_next: u64, l0_replicated: bool }
 
     // Directory section: the `Directory` below, whose entries are these.
@@ -209,8 +211,7 @@ record! {
     [] SimCounters { stats: SimStats, trace_round: u64, fault_log: FaultLog, dead: Vec<bool> }
     [] SimStats {
         rounds: u64, cpu_to_pim_bytes: u64, pim_to_cpu_bytes: u64, pim_s: f64, comm_s: f64,
-        overhead_s: f64, worst_imbalance: f64, total_pim_cycles: u64, sum_max_cycles: u64,
-        n_modules: usize, imbalance_history: Vec<f64>,
+        overhead_s: f64, total_pim_cycles: u64, sum_max_cycles: u64, n_modules: usize,
     }
     [] FaultLog {
         exec_faults: u64, reply_drops: u64, reply_corruptions: u64, stragglers: u64,
@@ -428,8 +429,8 @@ impl<const D: usize> PimZdTree<D> {
             l0_replicated: self.l0_replicated,
         };
         let sys = &self.sys;
-        section(&mut out, SEC_CONFIG, |e| e.put(&(self.cfg, *sys.config(), self.cpu_cfg)));
-        section(&mut out, SEC_HOST, |e| e.put(&(host, sys.accounting)));
+        section(&mut out, SEC_CONFIG, |e| e.put(&(self.cfg, *sys.config())));
+        section(&mut out, SEC_HOST, |e| e.put(&host));
         section(&mut out, SEC_L0, |e| e.put(&self.l0));
         section(&mut out, SEC_DIR, |e| e.put(&self.dir));
         section(&mut out, SEC_MODULES, |e| e.seq((0..sys.n_modules()).map(|i| sys.peek(i))));
@@ -457,14 +458,13 @@ impl<const D: usize> PimZdTree<D> {
     /// Rebuilds a tree from a checkpoint image. The result is
     /// operation-for-operation byte-identical to the tree that was
     /// checkpointed: same structure, same simulator counters, same warm
-    /// LLC. Trace sinks, metrics handles, fault plans, and the WAL are
+    /// LLC. Round journals, metrics handles, fault plans, and the WAL are
     /// process-local attachments and come back *detached* — re-attach them
     /// before continuing a measured run.
     pub fn restore_bytes(bytes: &[u8]) -> Result<Self, DurabilityError> {
         let sections = split_sections::<D>(bytes)?;
-        let (cfg, machine, cpu_cfg): (PimZdConfig, MachineConfig, CpuConfig) =
-            read_section(&sections, SEC_CONFIG)?;
-        let (host, accounting): (HostState, bool) = read_section(&sections, SEC_HOST)?;
+        let (cfg, machine): (PimZdConfig, MachineConfig) = read_section(&sections, SEC_CONFIG)?;
+        let host: HostState = read_section(&sections, SEC_HOST)?;
         let l0: Option<Fragment<D>> = read_section(&sections, SEC_L0)?;
         let dir: Directory<D> = read_section(&sections, SEC_DIR)?;
         let states: Vec<ModuleState<D>> = read_section(&sections, SEC_MODULES)?;
@@ -485,16 +485,15 @@ impl<const D: usize> PimZdTree<D> {
                 machine.n_modules
             )));
         }
-        let meter = CpuMeter::from_snapshot(cpu_cfg, &meter_snap)
+        let meter = CpuMeter::from_snapshot(machine.cpu, &meter_snap)
             .ok_or_else(|| corrupt("cpu section LLC geometry disagrees with config section"))?;
 
         let mut states: Vec<Option<ModuleState<D>>> = states.into_iter().map(Some).collect();
         let mut sys =
             PimSystem::new(machine, |i| states[i].take().expect("one serialized state per module"));
         sys.import_counters(counters);
-        sys.accounting = accounting;
 
-        Ok(Self::assemble(cfg, cpu_cfg, sys, l0, dir, meter, host))
+        Ok(Self::assemble(cfg, sys, l0, dir, meter, host))
     }
 
     /// Reads and restores a checkpoint file (see [`Self::restore_bytes`]).
@@ -678,6 +677,30 @@ mod tests {
                 supported: CKPT_VERSION
             })
         ));
+
+        // Version 1 carried the imbalance history and the accounting flag.
+        let mut v1 = img.clone();
+        v1[8] = 1;
+        assert!(matches!(
+            PimZdTree::<3>::restore_bytes(&v1),
+            Err(DurabilityError::BadVersion {
+                artifact: "checkpoint",
+                found: 1,
+                supported: CKPT_VERSION
+            })
+        ));
+    }
+
+    #[test]
+    fn an_image_does_not_grow_with_the_trees_age() {
+        let mut t = small_tree();
+        let young = t.checkpoint_bytes().len();
+        let probes = pts(40, 3);
+        for _ in 0..50 {
+            t.batch_contains(&probes);
+        }
+        assert!(t.sim_stats().rounds >= 50, "every read batch runs a round");
+        assert_eq!(t.checkpoint_bytes().len(), young, "50 read batches later");
     }
 
     /// Rewrites the bytes at `offset` of section `id`'s payload to `with` and
@@ -736,10 +759,11 @@ mod tests {
         let img = t.checkpoint_bytes();
         assert_eq!(rewritten(&img, 0, 0, &[]), img, "the rewriter itself is faithful");
         let count = &u32::MAX.to_le_bytes()[..];
-        // `n_hist` follows the ten 8-byte stats fields of the sim section;
+        // The dead mask's length follows the nine 8-byte stats fields, the
+        // round id and the eleven 8-byte fault-log fields of the sim section;
         // the module count opens the modules section; L0's root index
         // follows the section's tag byte, the meta id and the module.
-        let mut hostile = vec![(SEC_SIM, 80, count), (SEC_MODULES, 0, count), (SEC_L0, 13, count)];
+        let mut hostile = vec![(SEC_SIM, 168, count), (SEC_MODULES, 0, count), (SEC_L0, 13, count)];
         // Tag and `bool` bytes that name no value: L0's presence tag, the
         // transfer API (after 132 bytes of config), `l0_replicated` (after
         // three u64s of host) and the first meta's layer (after the id

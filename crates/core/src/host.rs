@@ -14,7 +14,7 @@ use crate::frag::{Fragment, HostSink, MetaId};
 use crate::meta::Directory;
 use crate::module::{handle_mgmt, CopyUpdate, MgmtReply, MgmtTask, ModuleState};
 use crate::stats::OpStats;
-use pim_memsim::{CpuConfig, CpuMeter, CpuModel, CpuStats};
+use pim_memsim::{CpuMeter, CpuModel, CpuStats};
 use pim_sim::{hash_place, FaultLog, FaultPlan, MachineConfig, PimCtx, PimSystem, Wire};
 use rustc_hash::FxHashMap;
 
@@ -147,10 +147,6 @@ pub struct PimZdTree<const D: usize> {
     /// Write-ahead log of applied batches; `None` = durability off (the
     /// default — query-only workloads and most tests never pay for it).
     pub(crate) wal: Option<crate::wal::Wal>,
-    /// The host CPU parameters the meter/model were built from, retained
-    /// so checkpoints can serialize them and restores can rebuild the
-    /// meter with identical geometry.
-    pub(crate) cpu_cfg: CpuConfig,
     /// What the running update batch's cache reconcile has in hand for a
     /// meta's structure copies — a copy or a delete's patch, from an apply
     /// reply, a root split or a pull ahead of one — so that it pulls only
@@ -167,23 +163,15 @@ pub struct PimZdTree<const D: usize> {
 }
 
 impl<const D: usize> PimZdTree<D> {
-    /// Creates an empty index over a fresh simulated machine with the
-    /// default host CPU model.
+    /// Creates an empty index over a fresh simulated machine, whose host
+    /// CPU model is `machine.cpu`.
     pub fn new(cfg: PimZdConfig, machine: MachineConfig) -> Self {
-        Self::new_with_cpu(cfg, machine, CpuConfig::xeon())
-    }
-
-    /// Creates an empty index with an explicit host CPU model (benches use
-    /// this to scale the LLC with the dataset, keeping the paper's
-    /// cache-to-data ratio at reduced scales).
-    pub fn new_with_cpu(cfg: PimZdConfig, machine: MachineConfig, cpu_cfg: CpuConfig) -> Self {
         Self::assemble(
             cfg,
-            cpu_cfg,
             PimSystem::new(machine, |_| ModuleState::default()),
             None,
             Directory::new(),
-            CpuMeter::new(cpu_cfg),
+            CpuMeter::new(machine.cpu),
             HostState { epoch: 0, n_points: 0, staging_next: STAGING_REGION, l0_replicated: false },
         )
     }
@@ -191,10 +179,10 @@ impl<const D: usize> PimZdTree<D> {
     /// The tree over the given resident state — how an empty tree, a fork
     /// and a restored image are all put together. Per-op scratch and the
     /// held pulls start empty and the WAL comes back detached; what is
-    /// attached to `sys` (sinks, plan) is the caller's business.
+    /// attached to `sys` (journal, plan) is the caller's business. The host
+    /// CPU model is the machine's.
     pub(crate) fn assemble(
         cfg: PimZdConfig,
-        cpu_cfg: CpuConfig,
         sys: PimSystem<ModuleState<D>>,
         l0: Option<Fragment<D>>,
         dir: Directory<D>,
@@ -203,11 +191,11 @@ impl<const D: usize> PimZdTree<D> {
     ) -> Self {
         Self {
             cfg,
+            cpu_model: CpuModel::new(sys.config().cpu),
             sys,
             l0,
             dir,
             meter,
-            cpu_model: CpuModel::new(cpu_cfg),
             n_points: host.n_points,
             // The next measured batch overwrites it.
             last_stats: OpStats::default(),
@@ -216,7 +204,6 @@ impl<const D: usize> PimZdTree<D> {
             bufs: RoundBuffers::default(),
             epoch: host.epoch,
             wal: None,
-            cpu_cfg,
             in_hand: FxHashMap::default(),
             search_nodes: 0,
             held: FxHashMap::default(),
@@ -303,7 +290,7 @@ impl<const D: usize> PimZdTree<D> {
     ) -> R {
         self.meter.start_measurement();
         self.search_nodes = 0;
-        let sim_before = self.sys.stats().mark();
+        let sim_before = *self.sys.stats();
         let (result, elements) = f(self);
         let host: CpuStats = self.meter.stats();
         let sim = self.sys.stats().since(&sim_before);
@@ -345,10 +332,10 @@ impl<const D: usize> PimZdTree<D> {
         out
     }
 
-    /// Attaches a trace sink to the simulated machine (see
-    /// [`pim_sim::trace`]); pass `Box::new(pim_sim::NullSink)` to detach.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn pim_sim::TraceSink>) {
-        self.sys.set_trace_sink(sink);
+    /// Attaches (or with `None` detaches) a round journal on the simulated
+    /// machine (see [`pim_sim::trace`]).
+    pub fn set_journal(&mut self, journal: Option<pim_sim::Journal>) {
+        self.sys.set_journal(journal);
     }
 
     /// The id the machine's next accounted BSP round will carry (the

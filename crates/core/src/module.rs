@@ -652,7 +652,7 @@ pub(crate) const TASKLETS: usize = 16;
 
 /// The module id is threaded in so handlers can chase refs that point back
 /// at this module's own masters without a round trip. The row is walked in
-/// [`TASKLETS`] slices; the order tasks are met in changes only the cycles.
+/// `TASKLETS` slices; the order tasks are met in changes only the cycles.
 ///
 /// A kNN search (`best_k` set) that ends here with its anchor a local node
 /// of one of this module's masters goes straight on to the best-k step from

@@ -44,7 +44,7 @@ use crate::host::PimZdTree;
 use crate::knn::{ball_box, cut_runs, COALESCE_CYCLES, COALESCE_VOLUME_FACTOR};
 use crate::stats::{OpBreakdown, OpStats};
 use pim_geom::{coord_bits_for_dim, Aabb, Metric, Point};
-use pim_memsim::{CpuConfig, CpuMeter, CpuModel};
+use pim_memsim::{CpuMeter, CpuModel};
 use pim_sim::{FaultPlan, MachineConfig, Metrics};
 use pim_zorder::ZKey;
 use rayon::prelude::*;
@@ -252,24 +252,13 @@ pub struct ShardedZdTree<const D: usize> {
 impl<const D: usize> ShardedZdTree<D> {
     /// Builds the sharded index over `points`: each rank is an independent
     /// machine of `machine`'s geometry, built (untimed, like the
-    /// single-rank warmup) over the points its cells own.
+    /// single-rank warmup) over the points its cells own; the router's own
+    /// meter runs on `machine.cpu` too.
     pub fn build(
         points: &[Point<D>],
         cfg: ShardConfig,
         zcfg: PimZdConfig,
         machine: MachineConfig,
-    ) -> Self {
-        Self::build_with_cpu(points, cfg, zcfg, machine, CpuConfig::xeon())
-    }
-
-    /// [`Self::build`] with an explicit host CPU model (shared by the
-    /// router's own meter and every rank).
-    pub fn build_with_cpu(
-        points: &[Point<D>],
-        cfg: ShardConfig,
-        zcfg: PimZdConfig,
-        machine: MachineConfig,
-        cpu: CpuConfig,
     ) -> Self {
         assert!(cfg.n_ranks > 0, "a sharded tree needs at least one rank");
         let placement = PlacementTable::new(PLACEMENT_SEED, cfg.n_ranks, INITIAL_LEVELS);
@@ -278,7 +267,7 @@ impl<const D: usize> ShardedZdTree<D> {
             parts[placement.owner_of_point(p) as usize].push(*p);
         }
         let ranks: Vec<PimZdTree<D>> =
-            parts.iter().map(|part| PimZdTree::build_with_cpu(part, zcfg, machine, cpu)).collect();
+            parts.iter().map(|part| PimZdTree::build(part, zcfg, machine)).collect();
         let cycles_base = ranks.iter().map(|r| r.sim_stats().sum_max_cycles).collect();
         ShardedZdTree {
             cfg,
@@ -286,8 +275,8 @@ impl<const D: usize> ShardedZdTree<D> {
             ranks,
             heat: FxHashMap::default(),
             cycles_base,
-            meter: CpuMeter::new(cpu),
-            cpu_model: CpuModel::new(cpu),
+            meter: CpuMeter::new(machine.cpu),
+            cpu_model: CpuModel::new(machine.cpu),
             metrics: Metrics::disabled(),
             rank_metrics: vec![Metrics::disabled(); cfg.n_ranks],
             last_stats: ShardOpStats::default(),
@@ -353,8 +342,8 @@ impl<const D: usize> ShardedZdTree<D> {
         self.ranks
             .iter_mut()
             .map(|r| {
-                let (sink, journal) = pim_sim::JournalSink::new();
-                r.set_trace_sink(Box::new(sink));
+                let journal = pim_sim::Journal::new();
+                r.set_journal(Some(journal.clone()));
                 journal
             })
             .collect()

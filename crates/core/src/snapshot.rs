@@ -24,7 +24,7 @@
 //! * **Copied** — the host-resident L0 fragment, the meta-node directory,
 //!   and the simulator's counters, so the fork's rounds continue the
 //!   numbering from the capture point.
-//! * **Left behind** — the trace sink, metrics handle, fault plan, phase
+//! * **Left behind** — the round journal, metrics handle, fault plan, phase
 //!   stack and WAL are attachments of the live tree; the fork has none, so
 //!   its rounds are never journaled or published and using it never
 //!   perturbs the live tree's observability artifacts.
@@ -71,7 +71,6 @@ impl<const D: usize> PimZdTree<D> {
         TreeSnapshot {
             tree: PimZdTree::assemble(
                 self.cfg,
-                self.cpu_cfg,
                 self.sys.fork(),
                 self.l0.clone(),
                 self.dir.clone(),

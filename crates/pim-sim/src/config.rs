@@ -1,5 +1,7 @@
 //! Machine parameters for the simulated PIM system.
 
+use pim_memsim::CpuConfig;
+
 /// Which host⇄PIM transfer interface is in use (§6 "Improved Direct API").
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TransferApi {
@@ -11,8 +13,9 @@ pub enum TransferApi {
     Direct,
 }
 
-/// Parameters of the simulated machine. Defaults follow the evaluation
-/// server of §7.1 and UPMEM's published microarchitectural numbers \[37\].
+/// Parameters of the simulated machine: the host CPU and its `P` modules.
+/// Defaults follow the evaluation server of §7.1 and UPMEM's published
+/// microarchitectural numbers \[37\].
 #[derive(Clone, Copy, Debug)]
 pub struct MachineConfig {
     /// Number of PIM modules `P` (2048 on the paper's server).
@@ -35,10 +38,14 @@ pub struct MachineConfig {
     /// Per-module local memory capacity in bytes (Θ(N/P) in the model;
     /// 64 MB MRAM per DPU on UPMEM). Exceeding it is a simulation error.
     pub local_mem_bytes: u64,
+    /// The host CPU that runs the index's host half (benches scale its LLC
+    /// with the dataset, keeping the paper's cache-to-data ratio at reduced
+    /// scales).
+    pub cpu: CpuConfig,
 }
 
 impl MachineConfig {
-    /// The paper's server: 2048 modules, 350 MHz cores.
+    /// The paper's server: 2048 modules, 350 MHz cores, the Xeon host.
     pub fn upmem_2048() -> Self {
         Self::with_modules(2048)
     }
@@ -56,6 +63,7 @@ impl MachineConfig {
             api: TransferApi::Direct,
             host_threads: 32,
             local_mem_bytes: 64 << 20,
+            cpu: CpuConfig::xeon(),
         }
     }
 

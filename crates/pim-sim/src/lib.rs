@@ -46,5 +46,5 @@ pub use metrics::{log2_bucket, quantile_sorted, Histogram, Metrics, MetricsRegis
 pub use placement::{hash_place, rendezvous_owner};
 pub use stats::{RoundBreakdown, SimStats};
 pub use system::{PimSystem, SimCounters};
-pub use trace::{Journal, JournalSink, NullSink, RoundKind, RoundRecord, TraceSink};
+pub use trace::{Journal, RoundKind, RoundRecord};
 pub use wire::{checksum_bytes, Wire};

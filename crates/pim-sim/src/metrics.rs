@@ -585,7 +585,7 @@ impl MetricsRegistry {
 /// Defaults to **disabled** ([`Metrics::disabled`]): every feeding site
 /// checks [`Metrics::enabled`] (one branch) and skips all key formatting
 /// and locking when off, so the registry is zero-cost until attached —
-/// the same bar the trace sink meets.
+/// the same bar the round journal meets.
 ///
 /// The lock is coarse by design: feeders batch all of a round's updates
 /// under one [`Metrics::with`] call, and updates only happen from

@@ -6,10 +6,17 @@
 //! seeded SplitMix64 finalizer: statistically uniform, deterministic for a
 //! given seed, and cheap enough to recompute rather than store.
 
-/// SplitMix64 finalizer — a high-quality 64→64 bit mixer.
+/// One SplitMix64 step — a high-quality 64→64 bit mixer: the golden-ratio
+/// increment, then `finalize64`.
 #[inline]
-pub fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+pub fn mix64(z: u64) -> u64 {
+    finalize64(z.wrapping_add(0x9E37_79B9_7F4A_7C15))
+}
+
+/// The SplitMix64 finalizer (three xor-shift-multiply steps), shared by
+/// [`mix64`] and [`crate::wire::checksum64`].
+#[inline]
+pub(crate) fn finalize64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

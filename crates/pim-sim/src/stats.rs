@@ -76,7 +76,7 @@ impl RoundAccount {
 
 /// Lifetime counters of a [`crate::PimSystem`]. Reset between warmup and
 /// measurement phases.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SimStats {
     /// Number of BSP rounds executed.
     pub rounds: u64,
@@ -90,8 +90,6 @@ pub struct SimStats {
     pub comm_s: f64,
     /// Sum of fixed overheads (mux + call overhead).
     pub overhead_s: f64,
-    /// Worst max/mean cycle imbalance seen in any round with PIM work.
-    pub worst_imbalance: f64,
     /// Total PIM core cycles across all modules (for energy-style metrics).
     pub total_pim_cycles: u64,
     /// Sum over rounds of the per-round maximum module cycles (the
@@ -99,11 +97,6 @@ pub struct SimStats {
     pub sum_max_cycles: u64,
     /// Number of modules (for aggregate imbalance).
     pub n_modules: usize,
-    /// Per-round imbalance, indexed by round number (0.0 for rounds without
-    /// PIM work, mirroring how such rounds never move `worst_imbalance`).
-    /// Lets [`Self::since`] report the *window's* worst imbalance instead of
-    /// the lifetime one.
-    pub imbalance_history: Vec<f64>,
 }
 
 impl SimStats {
@@ -120,8 +113,9 @@ impl SimStats {
     }
 
     /// Cycle-weighted load imbalance: the straggler path (Σ per-round max
-    /// cycles) over the perfectly-balanced path (Σ cycles / P). Unlike
-    /// [`Self::worst_imbalance`], tiny management rounds barely move it.
+    /// cycles) over the perfectly-balanced path (Σ cycles / P), so tiny
+    /// management rounds barely move it. Per-round max/mean imbalance is
+    /// [`crate::RoundRecord::imbalance`].
     pub fn agg_imbalance(&self) -> f64 {
         if self.total_pim_cycles == 0 || self.n_modules == 0 {
             return 1.0;
@@ -140,34 +134,12 @@ impl SimStats {
         self.total_pim_cycles += a.sum_cycles;
         self.sum_max_cycles += a.max_cycles;
         self.n_modules = a.n_modules;
-        // Max/mean imbalance; rounds without PIM work record 0.0 and never
-        // move the worst case.
-        let im = if a.max_cycles > 0 { a.max_cycles as f64 / a.mean_cycles() } else { 0.0 };
-        self.worst_imbalance = self.worst_imbalance.max(im);
-        self.imbalance_history.push(im);
     }
 
-    /// The scalar counters at this instant, without the per-round history:
-    /// all [`Self::since`] needs of an earlier point, and O(1) to take
-    /// however many rounds the machine has run (a `clone` copies one `f64`
-    /// per lifetime round).
-    pub fn mark(&self) -> SimStats {
-        SimStats { imbalance_history: Vec::new(), ..*self }
-    }
-
-    /// Difference `self - earlier` for phase-relative measurements.
-    ///
-    /// `earlier` must be a [`Self::mark`] (or a clone) of this same stats
-    /// object taken at some earlier round (the only way the subtraction is
-    /// meaningful); the window is cut from `self`'s history by round index.
-    /// The result's `worst_imbalance` covers only the rounds of the window —
-    /// previously it leaked the lifetime value, so a balanced phase measured
-    /// after one imbalanced round reported the stale maximum forever.
+    /// Difference `self - earlier`, field by field, for phase-relative
+    /// measurements; `earlier` is a copy of these counters taken at some
+    /// earlier round.
     pub fn since(&self, earlier: &SimStats) -> SimStats {
-        let lo = (earlier.rounds as usize).min(self.imbalance_history.len());
-        let hi = (self.rounds as usize).min(self.imbalance_history.len());
-        let window = self.imbalance_history[lo..hi].to_vec();
-        let worst = window.iter().fold(0.0f64, |a, &b| a.max(b));
         SimStats {
             rounds: self.rounds - earlier.rounds,
             cpu_to_pim_bytes: self.cpu_to_pim_bytes - earlier.cpu_to_pim_bytes,
@@ -175,11 +147,9 @@ impl SimStats {
             pim_s: self.pim_s - earlier.pim_s,
             comm_s: self.comm_s - earlier.comm_s,
             overhead_s: self.overhead_s - earlier.overhead_s,
-            worst_imbalance: worst,
             total_pim_cycles: self.total_pim_cycles - earlier.total_pim_cycles,
             sum_max_cycles: self.sum_max_cycles - earlier.sum_max_cycles,
             n_modules: self.n_modules.max(earlier.n_modules),
-            imbalance_history: window,
         }
     }
 }
@@ -208,7 +178,7 @@ mod tests {
         assert_eq!(s.rounds, 1);
         assert_eq!(s.channel_bytes(), 300);
         assert!((s.round_time_s() - 3.5).abs() < 1e-12);
-        assert!((s.worst_imbalance - 2.0).abs() < 1e-12);
+        assert!((s.agg_imbalance() - 2.0).abs() < 1e-12);
         assert_eq!((s.total_pim_cycles, s.sum_max_cycles, s.n_modules), (20, 10, 4));
     }
 
@@ -216,47 +186,11 @@ mod tests {
     fn since_subtracts() {
         let mut a = SimStats::default();
         a.record(&round(1.0, 10, 20, 0, 0));
-        let snapshot = a.clone();
+        let snapshot = a;
         a.record(&round(2.0, 1, 2, 0, 0));
         let d = a.since(&snapshot);
         assert_eq!(d.rounds, 1);
         assert_eq!(d.cpu_to_pim_bytes, 1);
         assert!((d.pim_s - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn since_reports_window_imbalance_not_lifetime() {
-        let mut s = SimStats::default();
-        // Round 1: heavily imbalanced (max 40, mean 10 → 4.0).
-        s.record(&round(0.0, 0, 0, 40, 40));
-        let snapshot = s.mark();
-        // Round 2: perfectly balanced (max 100, mean 100 → 1.0).
-        s.record(&round(0.0, 0, 0, 100, 400));
-        assert!((s.worst_imbalance - 4.0).abs() < 1e-12, "lifetime keeps the max");
-        let w = s.since(&snapshot);
-        assert!(
-            (w.worst_imbalance - 1.0).abs() < 1e-12,
-            "window must see only its own rounds, got {}",
-            w.worst_imbalance
-        );
-        // Window with no PIM work reports the 0.0 default, like a fresh stats.
-        let empty = s.since(&s.clone());
-        assert_eq!(empty.worst_imbalance, 0.0);
-        assert_eq!(empty.rounds, 0);
-    }
-
-    #[test]
-    fn nested_since_windows_stay_consistent() {
-        let mut s = SimStats::default();
-        for max in [30u64, 20, 10] {
-            s.record(&round(0.0, 0, 0, max, 40));
-        }
-        let whole = s.since(&SimStats::default());
-        assert!((whole.worst_imbalance - 3.0).abs() < 1e-12);
-        // A window over the last two rounds sees 2.0, not 3.0.
-        let mut snap2 = SimStats::default();
-        snap2.record(&round(0.0, 0, 0, 30, 40));
-        let tail = s.since(&snap2);
-        assert!((tail.worst_imbalance - 2.0).abs() < 1e-12);
     }
 }

@@ -46,7 +46,7 @@ use crate::ctx::PimCtx;
 use crate::fault::{AttemptOutcome, FaultEvent, FaultKind, FaultLog, FaultPlan, ModuleFate};
 use crate::metrics::Metrics;
 use crate::stats::{RoundAccount, RoundBreakdown, SimStats};
-use crate::trace::{summarize_cycles, NullSink, RoundKind, RoundRecord, TraceSink};
+use crate::trace::{summarize_cycles, Journal, RoundKind, RoundRecord};
 use crate::wire::{checksum64, validate_checksum, Wire};
 use rayon::prelude::*;
 
@@ -71,8 +71,8 @@ pub struct PimSystem<M> {
     stats: SimStats,
     /// When false, rounds execute but are not charged (warmup phases).
     pub accounting: bool,
-    /// Trace receiver; [`NullSink`] (disabled) by default.
-    sink: Box<dyn TraceSink>,
+    /// Round journal; none (no records built) by default.
+    journal: Option<Journal>,
     /// Metrics registry handle; disabled (no registry) by default.
     metrics: Metrics,
     /// Monotonic id of the next accounted round (never reset).
@@ -97,8 +97,7 @@ pub struct PimSystem<M> {
 /// machine-side bookkeeping around them.
 #[derive(Clone, Debug)]
 pub struct SimCounters {
-    /// Lifetime stats, including the per-round imbalance history that
-    /// `SimStats::since` windows over.
+    /// Lifetime stats.
     pub stats: SimStats,
     /// Id of the next accounted round.
     pub trace_round: u64,
@@ -118,7 +117,7 @@ impl<M: Send> PimSystem<M> {
             modules,
             stats: SimStats::default(),
             accounting: true,
-            sink: Box::new(NullSink),
+            journal: None,
             metrics: Metrics::disabled(),
             trace_round: 0,
             phase_stack: Vec::new(),
@@ -129,16 +128,16 @@ impl<M: Send> PimSystem<M> {
         }
     }
 
-    /// Attaches a trace sink; every subsequent accounted round emits a
-    /// [`RoundRecord`] to it. Pass `Box::new(NullSink)` to detach.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = sink;
+    /// Attaches (or with `None` detaches) a round journal; every subsequent
+    /// accounted round appends a [`RoundRecord`] to it.
+    pub fn set_journal(&mut self, journal: Option<Journal>) {
+        self.journal = journal;
     }
 
     /// Attaches a metrics registry handle; every subsequent *accounted*
     /// round publishes counters into it (see ARCHITECTURE.md §2 for the
     /// exact hook points). Pass [`Metrics::disabled`] to detach. Like the
-    /// trace sink, a detached handle keeps the round hot path free of any
+    /// journal, a detached handle keeps the round hot path free of any
     /// metrics work beyond one branch.
     pub fn set_metrics(&mut self, metrics: Metrics) {
         self.metrics = metrics;
@@ -235,7 +234,7 @@ impl<M: Send> PimSystem<M> {
     /// stats drive `since`-window deltas).
     pub fn export_counters(&self) -> SimCounters {
         SimCounters {
-            stats: self.stats.clone(),
+            stats: self.stats,
             trace_round: self.trace_round,
             fault_log: self.fault_log.clone(),
             dead: self.dead.clone(),
@@ -265,7 +264,7 @@ impl<M: Send> PimSystem<M> {
     /// switch — what restoring a checkpoint of this machine would build,
     /// without the serialization. It costs whatever `M::clone` costs, so a
     /// module state that shares its bulk behind `Arc`s forks in O(entries).
-    /// The trace sink, metrics handle, fault plan and phase stack are
+    /// The journal, metrics handle, fault plan and phase stack are
     /// attachments of *this* machine and are not carried over (the fork has
     /// none), exactly as after [`Self::import_counters`] into a new machine.
     pub fn fork(&self) -> Self
@@ -684,20 +683,20 @@ impl<M: Send> PimSystem<M> {
 
     /// Commits one accounted round: the single place where the lifetime
     /// stats advance, the round id is consumed, and the metrics registry
-    /// and the trace sink are fed — all from the same [`RoundAccount`], so
+    /// and the journal are fed — all from the same [`RoundAccount`], so
     /// "Σ journal records = `SimStats`" and "metrics cover the rounds stats
     /// cover" hold by construction. Runs on the host thread after the
     /// parallel step, so feed order — and therefore every snapshot — is
-    /// independent of host thread count. With no registry or sink attached
+    /// independent of host thread count. With no registry or journal attached
     /// each costs one branch.
     fn commit(&mut self, a: RoundAccount) {
         self.stats.record(&a);
         let round = self.trace_round;
         self.trace_round += 1;
         self.meter_round(&a);
-        if self.sink.enabled() {
+        if let Some(journal) = &self.journal {
             let (cycle_hist, stragglers) = summarize_cycles(&a.module_cycles);
-            self.sink.record(RoundRecord {
+            journal.record(RoundRecord {
                 round,
                 phase: self.current_phase(),
                 kind: a.kind,
@@ -813,7 +812,7 @@ mod tests {
         });
         // 3500 cycles at 350 MHz = 10 µs.
         assert!((sys.stats().pim_s - 1e-5).abs() < 1e-9);
-        assert!(sys.stats().worst_imbalance > 3.0);
+        assert!(sys.stats().agg_imbalance() > 3.0);
     }
 
     #[test]
@@ -881,7 +880,9 @@ mod more_tests {
 
     #[test]
     fn aggregate_imbalance_dilutes_tiny_rounds() {
+        let journal = Journal::new();
         let mut sys = PimSystem::new(MachineConfig::with_modules(4), |_| 0u64);
+        sys.set_journal(Some(journal.clone()));
         // Round 1: heavily imbalanced but tiny (1 module, 40 cycles).
         let _ = sys.execute_round(vec![vec![1u32]], |_, _, ctx, _| {
             ctx.op(40);
@@ -894,16 +895,15 @@ mod more_tests {
             Vec::<u32>::new()
         });
         let s = sys.stats();
-        assert!(s.worst_imbalance >= 4.0, "per-round metric sees the tiny round");
+        assert!(journal.snapshot()[0].imbalance() >= 4.0, "per-round metric sees the tiny round");
         assert!(s.agg_imbalance() < 1.2, "aggregate metric must not: {:.3}", s.agg_imbalance());
     }
 
     #[test]
     fn summed_trace_records_reproduce_sim_stats_exactly() {
-        use crate::trace::JournalSink;
-        let (sink, journal) = JournalSink::new();
+        let journal = Journal::new();
         let mut sys = PimSystem::new(MachineConfig::with_modules(4), |_| 0u64);
-        sys.set_trace_sink(Box::new(sink));
+        sys.set_journal(Some(journal.clone()));
 
         // A mix of round shapes: skewed execute, short matrix, broadcast.
         sys.scoped_phase("search", |s| {
@@ -943,16 +943,13 @@ mod more_tests {
         assert!((sum(|r| r.breakdown.pim_s) - s.pim_s).abs() < 1e-15);
         assert!((sum(|r| r.breakdown.comm_s) - s.comm_s).abs() < 1e-15);
         assert!((sum(|r| r.breakdown.overhead_s) - s.overhead_s).abs() < 1e-15);
-        let worst = recs.iter().map(|r| r.imbalance()).fold(0.0f64, f64::max);
-        assert!((worst - s.worst_imbalance).abs() < 1e-12);
     }
 
     #[test]
     fn trace_round_ids_survive_stats_reset() {
-        use crate::trace::JournalSink;
-        let (sink, journal) = JournalSink::new();
+        let journal = Journal::new();
         let mut sys = PimSystem::new(MachineConfig::with_modules(2), |_| 0u64);
-        sys.set_trace_sink(Box::new(sink));
+        sys.set_journal(Some(journal.clone()));
         let _ = sys.execute_round(vec![vec![1u32]], |_, _, ctx, t| {
             ctx.op(1);
             t
@@ -970,10 +967,9 @@ mod more_tests {
 
     #[test]
     fn unaccounted_rounds_emit_no_records() {
-        use crate::trace::JournalSink;
-        let (sink, journal) = JournalSink::new();
+        let journal = Journal::new();
         let mut sys = PimSystem::new(MachineConfig::with_modules(2), |_| 0u64);
-        sys.set_trace_sink(Box::new(sink));
+        sys.set_journal(Some(journal.clone()));
         sys.accounting = false;
         let _ = sys.execute_round(vec![vec![1u32]], |_, _, ctx, t| {
             ctx.op(1);
@@ -1188,10 +1184,9 @@ mod fault_tests {
 
     #[test]
     fn salvage_charges_channel_traffic_and_journals() {
-        use crate::trace::JournalSink;
-        let (sink, journal) = JournalSink::new();
+        let journal = Journal::new();
         let mut sys = PimSystem::new(MachineConfig::with_modules(4), |i| i as u64);
-        sys.set_trace_sink(Box::new(sink));
+        sys.set_journal(Some(journal.clone()));
         sys.kill_module(3);
         let before = sys.stats().pim_to_cpu_bytes;
         let got = sys.salvage(3, |m| (*m, 4096));
@@ -1209,10 +1204,9 @@ mod fault_tests {
 
     #[test]
     fn fault_events_land_in_the_journal() {
-        use crate::trace::JournalSink;
-        let (sink, journal) = JournalSink::new();
+        let journal = Journal::new();
         let mut sys = PimSystem::new(MachineConfig::with_modules(8), |_| 0u64);
-        sys.set_trace_sink(Box::new(sink));
+        sys.set_journal(Some(journal.clone()));
         sys.set_fault_plan(Some(FaultPlan::new(FaultConfig {
             p_death: 0.0,
             ..FaultConfig::uniform(0.2, 8)

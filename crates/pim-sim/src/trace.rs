@@ -1,15 +1,16 @@
 //! Round-level trace journal.
 //!
-//! Every accounted BSP round (scatter/gather or broadcast) can emit one
-//! [`RoundRecord`] to a [`TraceSink`] attached to the
-//! [`PimSystem`](crate::PimSystem). The default sink is [`NullSink`], which
-//! reports itself disabled so the executor skips record construction
-//! entirely — tracing is zero-cost until a sink is attached.
+//! Every accounted BSP round (scatter/gather or broadcast) appends one
+//! [`RoundRecord`] to the [`Journal`] attached to the
+//! [`PimSystem`](crate::PimSystem), if one is. With none attached (the
+//! default) the executor builds no record — tracing is zero-cost until a
+//! journal is attached.
 //!
-//! [`JournalSink`] buffers records in memory; its paired [`Journal`] handle
-//! (kept by the caller while the system owns the sink) renders them to JSON
-//! Lines for offline analysis, e.g. by the `trace_summary` bench binary,
-//! which reassembles the paper's Fig. 6 CPU/PIM/Comm breakdown per phase.
+//! A [`Journal`] is a cloneable handle over one record buffer: the system
+//! appends through its copy while the caller keeps another and renders the
+//! records to JSON Lines for offline analysis, e.g. by the `trace_summary`
+//! bench binary, which reassembles the paper's Fig. 6 CPU/PIM/Comm breakdown
+//! per phase.
 //!
 //! [`parse_jsonl`] reads such a file back into the records that wrote it.
 //!
@@ -136,44 +137,16 @@ pub fn summarize_cycles(cycles: &[u64]) -> ([u32; HIST_BUCKETS], Vec<u32>) {
     (hist, busy.into_iter().map(|(_, i)| i).collect())
 }
 
-/// Receiver of round records.
-///
-/// `enabled` gates record *construction*: the executor consults it before
-/// building a [`RoundRecord`], so a disabled sink costs one virtual call per
-/// round and nothing else.
-pub trait TraceSink: Send {
-    /// Whether the executor should build and deliver records.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Delivers one round record.
-    fn record(&mut self, rec: RoundRecord);
-}
-
-/// The default sink: disabled, drops everything.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _rec: RoundRecord) {}
-}
-
-/// A sink buffering records in memory, shared with a [`Journal`] handle.
-///
-/// The system owns the sink; the caller keeps the handle:
+/// A buffer of round records behind a cloneable handle: attach one copy to
+/// a machine with [`PimSystem::set_journal`](crate::PimSystem::set_journal)
+/// and read the records through another.
 ///
 /// ```
-/// use pim_sim::{MachineConfig, PimSystem};
-/// use pim_sim::trace::JournalSink;
+/// use pim_sim::{Journal, MachineConfig, PimSystem};
 ///
-/// let (sink, journal) = JournalSink::new();
+/// let journal = Journal::new();
 /// let mut sys = PimSystem::new(MachineConfig::with_modules(2), |_| 0u64);
-/// sys.set_trace_sink(Box::new(sink));
+/// sys.set_journal(Some(journal.clone()));
 /// sys.scoped_phase("demo", |s| {
 ///     s.execute_round(vec![vec![1u32], vec![2u32]], |_, _, ctx, t| {
 ///         ctx.op(10);
@@ -184,32 +157,22 @@ impl TraceSink for NullSink {
 /// assert_eq!(recs.len(), 1);
 /// assert_eq!(recs[0].phase, "demo");
 /// ```
-#[derive(Debug)]
-pub struct JournalSink {
-    buf: Arc<Mutex<Vec<RoundRecord>>>,
-}
-
-impl JournalSink {
-    /// Creates the sink and its reader handle.
-    pub fn new() -> (JournalSink, Journal) {
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        (JournalSink { buf: buf.clone() }, Journal { buf })
-    }
-}
-
-impl TraceSink for JournalSink {
-    fn record(&mut self, rec: RoundRecord) {
-        self.buf.lock().unwrap().push(rec);
-    }
-}
-
-/// Reader handle over a [`JournalSink`]'s buffer.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Journal {
     buf: Arc<Mutex<Vec<RoundRecord>>>,
 }
 
 impl Journal {
+    /// An empty journal.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends one record.
+    pub(crate) fn record(&self, rec: RoundRecord) {
+        self.buf.lock().unwrap().push(rec);
+    }
+
     /// Number of buffered records.
     pub fn len(&self) -> usize {
         self.buf.lock().unwrap().len()
@@ -241,11 +204,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn null_sink_is_disabled() {
-        assert!(!NullSink.enabled());
-    }
-
-    #[test]
     fn histogram_buckets_are_log2() {
         let (hist, stragglers) = summarize_cycles(&[0, 1, 2, 3, 4, 1 << 40]);
         assert_eq!(hist[0], 1, "idle module");
@@ -265,8 +223,8 @@ mod tests {
 
     #[test]
     fn journal_roundtrips_to_jsonl() {
-        let (mut sink, journal) = JournalSink::new();
-        sink.record(RoundRecord {
+        let journal = Journal::new();
+        journal.record(RoundRecord {
             round: 3,
             phase: "insert/maintain".into(),
             kind: RoundKind::Execute,
@@ -291,8 +249,8 @@ mod tests {
 
     #[test]
     fn parse_is_strict_about_missing_keys_and_names_the_line() {
-        let (mut sink, journal) = JournalSink::new();
-        sink.record(RoundRecord {
+        let journal = Journal::new();
+        journal.record(RoundRecord {
             round: 1,
             phase: "knn".into(),
             kind: RoundKind::Salvage,
@@ -317,8 +275,8 @@ mod tests {
 
     #[test]
     fn integers_a_field_cannot_hold_exactly_are_errors() {
-        let (mut sink, journal) = JournalSink::new();
-        sink.record(RoundRecord {
+        let journal = Journal::new();
+        journal.record(RoundRecord {
             round: 1,
             phase: String::new(),
             kind: RoundKind::Broadcast,
@@ -350,8 +308,8 @@ mod tests {
     #[test]
     fn fault_events_serialize_when_present() {
         use crate::fault::{FaultEvent, FaultKind};
-        let (mut sink, journal) = JournalSink::new();
-        sink.record(RoundRecord {
+        let journal = Journal::new();
+        journal.record(RoundRecord {
             round: 0,
             phase: "search".into(),
             kind: RoundKind::Execute,

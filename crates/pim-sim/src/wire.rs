@@ -37,18 +37,14 @@ pub trait Wire {
 /// assert!(!validate_checksum(0xfeed, 7, 3, 4096, sum ^ 1));
 /// ```
 pub fn checksum64(key: u64, round: u64, module: u32, payload_bytes: u64) -> u64 {
-    let mut z = key
-        .wrapping_mul(0x9e3779b97f4a7c15)
-        .wrapping_add(round)
-        .wrapping_mul(0xbf58476d1ce4e5b9)
-        .wrapping_add(module as u64)
-        .wrapping_mul(0x94d049bb133111eb)
-        .wrapping_add(payload_bytes);
-    z ^= z >> 30;
-    z = z.wrapping_mul(0xbf58476d1ce4e5b9);
-    z ^= z >> 27;
-    z = z.wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
+    crate::placement::finalize64(
+        key.wrapping_mul(0x9e3779b97f4a7c15)
+            .wrapping_add(round)
+            .wrapping_mul(0xbf58476d1ce4e5b9)
+            .wrapping_add(module as u64)
+            .wrapping_mul(0x94d049bb133111eb)
+            .wrapping_add(payload_bytes),
+    )
 }
 
 /// Recomputes the checksum and compares it to the one that arrived.

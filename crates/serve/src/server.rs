@@ -213,11 +213,11 @@ impl<const D: usize> PimServer<D> {
         self.tracer.as_mut().map(std::mem::take)
     }
 
-    /// Attaches a round-trace sink to the underlying tree (see
-    /// [`pim_sim::trace`]); the round journal it collects is what the
-    /// per-batch round-id links of [`crate::trace`] resolve into.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn pim_sim::TraceSink>) {
-        self.tree.set_trace_sink(sink);
+    /// Attaches (or with `None` detaches) a round journal on the
+    /// underlying tree (see [`pim_sim::trace`]); the records it collects are
+    /// what the per-batch round-id links of [`crate::trace`] resolve into.
+    pub fn set_journal(&mut self, journal: Option<pim_sim::Journal>) {
+        self.tree.set_journal(journal);
     }
 
     /// Attaches a metrics registry to the server *and* the underlying tree.

@@ -47,7 +47,7 @@ fn main() {
     let s = sys.stats();
     println!(
         "\nround 2 (straggler): load imbalance = {:.1}x — the round takes as long as module 7",
-        s.worst_imbalance
+        s.agg_imbalance()
     );
 
     // Rounds 3+4: the Direct-API ablation — same transfer, different API.

@@ -7,6 +7,7 @@
 //! - truncation to any shorter length,
 //! - version-field bumps (forward-incompatible files).
 
+use pim_zd_tree_repro::index::checkpoint::CKPT_VERSION;
 use pim_zd_tree_repro::index::wal;
 use pim_zd_tree_repro::{
     workloads, DurabilityError, MachineConfig, PimZdConfig, PimZdTree, Wal, WalOp, WalReadMode,
@@ -109,12 +110,16 @@ proptest! {
     }
 
     #[test]
-    fn version_bumped_checkpoints_are_rejected(v in 2u32..=u32::MAX) {
+    fn version_bumped_checkpoints_are_rejected(v in CKPT_VERSION + 1..=u32::MAX) {
         let mut img = checkpoint_image().to_vec();
         img[8..12].copy_from_slice(&v.to_le_bytes());
         prop_assert_eq!(
             PimZdTree::<3>::restore_bytes(&img).err(),
-            Some(DurabilityError::BadVersion { artifact: "checkpoint", found: v, supported: 1 })
+            Some(DurabilityError::BadVersion {
+                artifact: "checkpoint",
+                found: v,
+                supported: CKPT_VERSION
+            })
         );
     }
 

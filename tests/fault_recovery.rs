@@ -14,7 +14,7 @@
 //!    journals and results at 1, 2, and 8 host threads — fault draws are
 //!    part of PR 2's thread-count-invariance contract.
 
-use pim_zd_tree_repro::sim::trace::JournalSink;
+use pim_zd_tree_repro::sim::trace::Journal;
 use pim_zd_tree_repro::{
     workloads, FaultConfig, FaultPlan, MachineConfig, Metric, PimZdConfig, PimZdTree,
 };
@@ -51,8 +51,8 @@ fn scripted_kills_preserve_oracle_results_and_journal_recovery() {
     let cfg_leaf_cap = t.cfg.leaf_cap;
     let mut meter = pim_memsim::CpuMeter::new(pim_memsim::CpuConfig::xeon());
 
-    let (sink, journal) = JournalSink::new();
-    t.set_trace_sink(Box::new(sink));
+    let journal = Journal::new();
+    t.set_journal(Some(journal.clone()));
 
     // Kill three modules; with thousands of points over 16 modules each
     // holds master fragments, so recovery must migrate data.
@@ -128,8 +128,8 @@ fn seeded_fault_plan_matches_fault_free_results() {
 fn fault_journal_is_byte_identical_across_thread_counts() {
     let run = || {
         let (pts, mut t) = build_index(4_000, 99);
-        let (sink, journal) = JournalSink::new();
-        t.set_trace_sink(Box::new(sink));
+        let journal = Journal::new();
+        t.set_journal(Some(journal.clone()));
         t.set_fault_plan(Some(FaultPlan::new(FaultConfig::uniform(0.12, 0xBEEF))));
         let extra = workloads::uniform::<3>(500, 100);
         t.batch_insert(&extra);
@@ -154,8 +154,8 @@ fn fault_journal_is_byte_identical_across_thread_counts() {
 fn zero_rate_plan_changes_nothing() {
     let run = |plan: Option<FaultPlan>| {
         let (pts, mut t) = build_index(3_000, 55);
-        let (sink, journal) = JournalSink::new();
-        t.set_trace_sink(Box::new(sink));
+        let journal = Journal::new();
+        t.set_journal(Some(journal.clone()));
         t.set_fault_plan(plan);
         let extra = workloads::uniform::<3>(300, 56);
         t.batch_insert(&extra);

@@ -17,10 +17,9 @@ fn l0_replicates_when_it_outgrows_the_cache() {
     // Low θ_L0 → large L0; tiny LLC → must replicate (§3.1).
     let mut cfg = PimZdConfig::skew_resistant(16);
     cfg.theta_l0 = 64;
-    let small =
-        PimZdTree::build_with_cpu(&pts, cfg, MachineConfig::with_modules(16), CpuConfig::xeon());
-    let replicated =
-        PimZdTree::build_with_cpu(&pts, cfg, MachineConfig::with_modules(16), tiny_cpu());
+    let machine = MachineConfig::with_modules(16);
+    let small = PimZdTree::build(&pts, cfg, machine);
+    let replicated = PimZdTree::build(&pts, cfg, MachineConfig { cpu: tiny_cpu(), ..machine });
     assert!(
         replicated.space_bytes() > small.space_bytes(),
         "replicated L0 must add space: {} !> {}",

@@ -67,7 +67,7 @@ fn metrics_snapshots_are_byte_identical_at_1_2_and_8_threads() {
 #[test]
 fn registry_agrees_with_sim_stats() {
     let (t, metrics) = run_workload();
-    let stats = t.sim_stats().clone();
+    let stats = *t.sim_stats();
 
     metrics
         .with(|m| {

@@ -3,6 +3,9 @@
 //! update schedules — and with a brute-force scan on the inputs that decide
 //! how the kNN ball phase cuts its queries into runs.
 
+mod common;
+
+use common::knn_distinct;
 use pim_memsim::{CpuConfig, CpuMeter};
 use pim_zd_tree_repro::sim::Metrics;
 use pim_zd_tree_repro::{workloads, Aabb, MachineConfig, Metric, PimZdConfig, PimZdTree, Point};
@@ -170,20 +173,6 @@ fn pkdtree_also_agrees_on_queries() {
     assert_eq!(got, want);
 }
 
-/// Brute-force kNN: distinct points, ties by (distance, coords).
-fn brute_knn<const D: usize>(
-    data: &[Point<D>],
-    q: &Point<D>,
-    k: usize,
-    metric: Metric,
-) -> Vec<(u64, Point<D>)> {
-    let mut all: Vec<(u64, Point<D>)> = data.iter().map(|p| (metric.cmp_dist(q, p), *p)).collect();
-    all.sort_unstable_by_key(|(d, p)| (*d, p.coords));
-    all.dedup();
-    all.truncate(k);
-    all
-}
-
 /// Runs one kNN batch, holds every answer to the brute-force scan of `data`,
 /// and returns the batch's ball-phase `(queries, runs)` as the registry
 /// counted them.
@@ -200,7 +189,7 @@ fn ball_runs<const D: usize>(
     let got = index.batch_knn(queries, k, metric);
     index.set_metrics(Metrics::disabled());
     for (qid, (q, row)) in queries.iter().zip(&got).enumerate() {
-        assert_eq!(row, &brute_knn(data, q, k, metric), "{case}: {metric:?} k={k} q#{qid}");
+        assert_eq!(row, &knn_distinct(data, q, k, metric), "{case}: {metric:?} k={k} q#{qid}");
     }
     let count = |name| metrics.with(|m| m.counter(name, &[])).flatten().unwrap_or(0);
     (count("host_knn_ball_queries_total"), count("host_knn_ball_runs_total"))
@@ -347,7 +336,11 @@ fn cube_cases<const D: usize>() {
         for k in [1, 7, 1, 7, 1, 7] {
             let got = index.batch_knn(&queries, k, Metric::L2);
             for (qid, (q, row)) in queries.iter().zip(&got).enumerate() {
-                assert_eq!(row, &brute_knn(&data, q, k, Metric::L2), "{case} faulty k={k} q#{qid}");
+                assert_eq!(
+                    row,
+                    &knn_distinct(&data, q, k, Metric::L2),
+                    "{case} faulty k={k} q#{qid}"
+                );
             }
         }
         assert!(index.fault_log().retries > 0, "{case}: the plan must be biting");

@@ -9,7 +9,7 @@
 //! breakdowns, and all query results must be **byte-identical** across the
 //! three schedules.
 
-use pim_zd_tree_repro::sim::trace::JournalSink;
+use pim_zd_tree_repro::sim::trace::Journal;
 use pim_zd_tree_repro::{workloads, MachineConfig, Metric, PimZdConfig, PimZdTree};
 
 const SEED: u64 = 2026;
@@ -19,7 +19,7 @@ const MODULES: usize = 16;
 /// Everything observable from one run, in byte-comparable form.
 #[derive(Debug, PartialEq, Eq)]
 struct RunArtifacts {
-    /// The full JSONL-serialized `JournalSink` output.
+    /// The full JSONL-serialized round journal.
     journal_jsonl: String,
     /// `Debug` rendering of each batched op's `OpStats`, in op order
     /// (covers simulated seconds, bytes, rounds, imbalance bit-for-bit).
@@ -39,8 +39,8 @@ fn run_workload() -> RunArtifacts {
     let cfg = PimZdConfig::skew_resistant(MODULES);
     let mut t = PimZdTree::build(&pts, cfg, MachineConfig::with_modules(MODULES));
 
-    let (sink, journal) = JournalSink::new();
-    t.set_trace_sink(Box::new(sink));
+    let journal = Journal::new();
+    t.set_journal(Some(journal.clone()));
 
     let mut op_stats = Vec::new();
     let mut results: Vec<u64> = Vec::new();

@@ -15,39 +15,19 @@
 //! The CI matrix runs this file under `RAYON_NUM_THREADS` 1 and 4, so the
 //! oracle equality is itself checked under two schedules.
 
-use pim_geom::{Aabb, Metric, Point};
+mod common;
+
+use common::{aabb_from, knn_copies, knn_distinct, tiny_point, tiny_points};
+use pim_geom::{Aabb, Metric};
 use pim_zd_tree_repro::{MachineConfig, PimZdConfig, PimZdTree};
 use pim_zdtree_base::ZdTree;
 use proptest::prelude::*;
 
 const METRICS: [Metric; 3] = [Metric::L1, Metric::L2, Metric::Linf];
 
-/// Points in a 8×8×8 cube: collisions (duplicates) arrive quickly.
-fn tiny_point() -> impl Strategy<Value = Point<3>> {
-    (0u32..8, 0u32..8, 0u32..8).prop_map(|(x, y, z)| Point::new([x, y, z]))
-}
-
-fn tiny_points(max: usize) -> impl Strategy<Value = Vec<Point<3>>> {
-    proptest::collection::vec(tiny_point(), 1..max)
-}
-
-/// Brute-force kNN over the stored multiset: every stored copy competes,
-/// ties resolved by (distance, coordinates) — the tree's documented rule.
-fn knn_oracle(data: &[Point<3>], q: &Point<3>, k: usize, metric: Metric) -> Vec<(u64, Point<3>)> {
-    let mut all: Vec<(u64, Point<3>)> = data.iter().map(|p| (metric.cmp_dist(q, p), *p)).collect();
-    all.sort_unstable_by_key(|(d, p)| (*d, p.coords));
-    all.truncate(k);
-    all
-}
-
-/// A box spanned by two random corners (normalized per dimension).
-fn aabb_from(a: Point<3>, b: Point<3>) -> Aabb<3> {
-    let lo =
-        [a.coords[0].min(b.coords[0]), a.coords[1].min(b.coords[1]), a.coords[2].min(b.coords[2])];
-    let hi =
-        [a.coords[0].max(b.coords[0]), a.coords[1].max(b.coords[1]), a.coords[2].max(b.coords[2])];
-    Aabb::new(Point::new(lo), Point::new(hi))
-}
+/// Side of the cube the inputs are drawn from: in 8×8×8, collisions
+/// (duplicates) arrive quickly.
+const CUBE: u32 = 8;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -55,8 +35,8 @@ proptest! {
     /// Parallel batch kNN ≡ brute force, all metrics, k from 0 past |tree|.
     #[test]
     fn par_batch_knn_matches_brute_force(
-        data in tiny_points(40),
-        queries in tiny_points(6),
+        data in tiny_points(CUBE, 40),
+        queries in tiny_points(CUBE, 6),
         k in 0usize..64,
         leaf_cap in 1usize..6,
     ) {
@@ -65,7 +45,7 @@ proptest! {
         for metric in METRICS {
             let got = tree.par_batch_knn(&queries, k, metric);
             for (q, res) in queries.iter().zip(&got) {
-                let want = knn_oracle(&data, q, k, metric);
+                let want = knn_copies(&data, q, k, metric);
                 prop_assert_eq!(res.len(), want.len().min(k));
                 prop_assert_eq!(res, &want, "kNN diverged under {:?}", metric);
             }
@@ -77,8 +57,8 @@ proptest! {
     /// presets, with the coarse ℓ1 stage and with squared-ℓ2 radii.
     #[test]
     fn pim_batch_knn_matches_brute_force(
-        data in tiny_points(60),
-        queries in tiny_points(24),
+        data in tiny_points(CUBE, 60),
+        queries in tiny_points(CUBE, 24),
         k in 0usize..64,
         skew in proptest::bool::ANY,
         coarse_fine in proptest::bool::ANY,
@@ -93,9 +73,7 @@ proptest! {
         for metric in METRICS {
             let got = tree.batch_knn(&queries, k, metric);
             for (q, res) in queries.iter().zip(&got) {
-                let mut want = knn_oracle(&data, q, usize::MAX, metric);
-                want.dedup();
-                want.truncate(k);
+                let want = knn_distinct(&data, q, k, metric);
                 prop_assert_eq!(res, &want, "kNN diverged under {:?}", metric);
             }
         }
@@ -105,8 +83,8 @@ proptest! {
     /// returns exactly the multiset the count claims.
     #[test]
     fn par_batch_box_queries_match_brute_force(
-        data in tiny_points(48),
-        corners in proptest::collection::vec((tiny_point(), tiny_point()), 1..8),
+        data in tiny_points(CUBE, 48),
+        corners in proptest::collection::vec((tiny_point(CUBE), tiny_point(CUBE)), 1..8),
         leaf_cap in 1usize..6,
     ) {
         let tree = ZdTree::build(&data, leaf_cap);
@@ -136,8 +114,8 @@ proptest! {
     /// points.
     #[test]
     fn par_batch_contains_matches_brute_force(
-        data in tiny_points(40),
-        probes in tiny_points(20),
+        data in tiny_points(CUBE, 40),
+        probes in tiny_points(CUBE, 20),
         leaf_cap in 1usize..6,
     ) {
         let tree = ZdTree::build(&data, leaf_cap);

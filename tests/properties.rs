@@ -1,5 +1,8 @@
 //! Property-based tests (proptest) over core data-structure invariants.
 
+mod common;
+
+use common::knn_distinct;
 use pim_geom::{max_coord_for_dim, Aabb, Metric, Point};
 use pim_memsim::{CpuConfig, CpuMeter};
 use pim_zd_tree_repro::sim::Metrics;
@@ -217,17 +220,8 @@ impl<const D: usize> Model<D> {
         let counts: Vec<u64> =
             boxes.iter().map(|b| self.0.iter().filter(|p| b.contains(p)).count() as u64).collect();
         assert_eq!(t.batch_box_count(&boxes), counts, "{what}: box count");
-        let knn: Vec<Vec<(u64, Point<D>)>> = probes
-            .iter()
-            .map(|q| {
-                let mut all: Vec<(u64, Point<D>)> =
-                    self.0.iter().map(|p| (Metric::L2.cmp_dist(q, p), *p)).collect();
-                all.sort_unstable_by_key(|(d, p)| (*d, p.coords));
-                all.dedup();
-                all.truncate(5);
-                all
-            })
-            .collect();
+        let knn: Vec<Vec<(u64, Point<D>)>> =
+            probes.iter().map(|q| knn_distinct(&self.0, q, 5, Metric::L2)).collect();
         assert_eq!(t.batch_knn(probes, 5, Metric::L2), knn, "{what}: 5-NN");
     }
 }

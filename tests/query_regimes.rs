@@ -25,7 +25,10 @@
 //!   with a CHANGES.md entry saying which artifact moved and why; a refactor
 //!   of the traversal moves none, and a change to kNN moves no box half.
 
-use pim_zd_tree_repro::sim::trace::JournalSink;
+mod common;
+
+use common::knn_distinct;
+use pim_zd_tree_repro::sim::trace::Journal;
 use pim_zd_tree_repro::sim::wire::fnv1a;
 use pim_zd_tree_repro::{
     workloads, Aabb, FaultConfig, FaultPlan, MachineConfig, Metric, PimZdConfig, PimZdTree, Point,
@@ -68,14 +71,6 @@ fn config(skew: bool, regime: Regime) -> PimZdConfig {
 
 type Neighbors = Vec<(u64, Point<3>)>;
 
-fn brute_knn(data: &[Point<3>], q: &Point<3>, k: usize, metric: Metric) -> Neighbors {
-    let mut all: Neighbors = data.iter().map(|p| (metric.cmp_dist(q, p), *p)).collect();
-    all.sort_unstable_by_key(|(d, p)| (*d, p.coords));
-    all.dedup();
-    all.truncate(k);
-    all
-}
-
 fn sorted(mut v: Vec<Point<3>>) -> Vec<Point<3>> {
     v.sort_unstable_by_key(|p| p.coords);
     v
@@ -111,7 +106,7 @@ impl Schedule {
         let knn = knn
             .into_iter()
             .map(|(qs, k, metric)| {
-                let want = qs.iter().map(|q| brute_knn(&stored, q, k, metric)).collect();
+                let want = qs.iter().map(|q| knn_distinct(&stored, q, k, metric)).collect();
                 (qs, k, metric, want)
             })
             .collect();
@@ -150,8 +145,8 @@ fn fresh_tree(
     let mut t = PimZdTree::build(&s.built, config(skew, regime), machine);
     t.batch_insert(&s.inserted);
     assert_eq!(t.batch_delete(&s.built[..s.deleted]), s.deleted);
-    let (sink, journal) = JournalSink::new();
-    t.set_trace_sink(Box::new(sink));
+    let journal = Journal::new();
+    t.set_journal(Some(journal.clone()));
     if faulty {
         t.set_fault_plan(Some(FaultPlan::new(FaultConfig::uniform(0.05, SEED))));
     }
@@ -328,7 +323,7 @@ fn knn_with_the_largest_k_returns_every_stored_point() {
 
     let data = workloads::osm_like::<3>(500, SEED);
     let q = [data[7], Point::new([9, 9, 9])];
-    let want: Vec<_> = q.iter().map(|q| brute_knn(&data, q, usize::MAX, Metric::L2)).collect();
+    let want: Vec<_> = q.iter().map(|q| knn_distinct(&data, q, usize::MAX, Metric::L2)).collect();
     assert_eq!(want[0].len(), data.len());
 
     let cfg = config(true, Regime::Preset);

@@ -23,7 +23,7 @@ use pim_zd_tree_repro::serve::{
     fnv_fold, trace::parse_spans_jsonl, BatchPolicy, ClosedLoop, PimServer, ServeConfig,
     ServeReport, ServeTrace, FNV_OFFSET,
 };
-use pim_zd_tree_repro::sim::{JournalSink, Metrics, RoundRecord};
+use pim_zd_tree_repro::sim::{Journal, Metrics, RoundRecord};
 use pim_zd_tree_repro::workloads::{open_loop_trace, ArrivalTrace, RequestMix};
 use pim_zd_tree_repro::{workloads, MachineConfig, PimZdConfig, PimZdTree, Point};
 
@@ -60,8 +60,8 @@ fn server() -> (PimServer<3>, Vec<Point<3>>) {
 /// simulator round journal, and the JSON metrics snapshot (with exemplars).
 fn traced_run(tracing: bool) -> (ServeReport, Option<ServeTrace>, Vec<RoundRecord>, String) {
     let (mut server, data) = server();
-    let (sink, journal) = JournalSink::new();
-    server.set_trace_sink(Box::new(sink));
+    let journal = Journal::new();
+    server.set_journal(Some(journal.clone()));
     let metrics = Metrics::enabled_new();
     server.set_metrics(metrics.clone());
     server.set_tracing(tracing);

@@ -17,6 +17,9 @@
 //! triggers on (a rank's straggler path) and stops at (a move that would
 //! not lower the hotter rank).
 
+mod common;
+
+use common::{aabb_from, knn_distinct, tiny_point, tiny_points};
 use pim_zd_tree_repro::workloads as wl;
 use pim_zd_tree_repro::{
     Aabb, FaultConfig, FaultPlan, MachineConfig, Metric, PimZdConfig, PimZdTree, Point,
@@ -38,26 +41,10 @@ fn build_pair<const D: usize>(ranks: usize, data: &[Point<D>]) -> (ShardedZdTree
     (sh, single)
 }
 
-/// Brute-force kNN, ties by (distance, coords). `batch_knn` returns
-/// *distinct* points (duplicate stored copies collapse — the single-rank
-/// step-5 sort/dedup/truncate contract), so the oracle dedups too.
-fn knn_oracle(data: &[Point<3>], q: &Point<3>, k: usize, metric: Metric) -> Vec<(u64, Point<3>)> {
-    let mut all: Vec<(u64, Point<3>)> = data.iter().map(|p| (metric.cmp_dist(q, p), *p)).collect();
-    all.sort_unstable_by_key(|(d, p)| (*d, p.coords));
-    all.dedup();
-    all.truncate(k);
-    all
-}
-
-/// Points in a 6×6×6 cube: duplicates arrive quickly, and with more than a
-/// handful of ranks almost every query's neighbourhood spans a boundary.
-fn tiny_point() -> impl Strategy<Value = Point<3>> {
-    (0u32..6, 0u32..6, 0u32..6).prop_map(|(x, y, z)| Point::new([x, y, z]))
-}
-
-fn tiny_points(max: usize) -> impl Strategy<Value = Vec<Point<3>>> {
-    proptest::collection::vec(tiny_point(), 1..max)
-}
+/// Side of the cube the inputs are drawn from: in 6×6×6, duplicates arrive
+/// quickly, and with more than a handful of ranks almost every query's
+/// neighbourhood spans a boundary.
+const CUBE: u32 = 6;
 
 /// Box-fetch result order is unspecified (the sharded router returns
 /// coords-sorted, the single rank in traversal order): canonicalize.
@@ -70,12 +57,6 @@ fn sorted(rows: Vec<Vec<Point<3>>>) -> Vec<Vec<Point<3>>> {
         .collect()
 }
 
-fn aabb_from(a: Point<3>, b: Point<3>) -> Aabb<3> {
-    let lo = std::array::from_fn(|i| a.coords[i].min(b.coords[i]));
-    let hi = std::array::from_fn(|i| a.coords[i].max(b.coords[i]));
-    Aabb::new(Point::new(lo), Point::new(hi))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -83,8 +64,8 @@ proptest! {
     /// every metric, k from 0 past the tree size.
     #[test]
     fn sharded_knn_matches_single_rank_and_brute_force(
-        data in tiny_points(48),
-        queries in tiny_points(5),
+        data in tiny_points(CUBE, 48),
+        queries in tiny_points(CUBE, 5),
         k in 0usize..64,
         ranks in 2usize..6,
     ) {
@@ -94,7 +75,7 @@ proptest! {
             let want = single.batch_knn(&queries, k, metric);
             prop_assert_eq!(&got, &want);
             for (q, row) in queries.iter().zip(&got) {
-                prop_assert_eq!(row, &knn_oracle(&data, q, k, metric));
+                prop_assert_eq!(row, &knn_distinct(&data, q, k, metric));
             }
         }
     }
@@ -102,8 +83,8 @@ proptest! {
     /// N-shard BoxCount / BoxFetch / Contains ≡ single rank ≡ brute force.
     #[test]
     fn sharded_box_ops_match_single_rank_and_brute_force(
-        data in tiny_points(48),
-        corners in proptest::collection::vec((tiny_point(), tiny_point()), 1..5),
+        data in tiny_points(CUBE, 48),
+        corners in proptest::collection::vec((tiny_point(CUBE), tiny_point(CUBE)), 1..5),
         ranks in 2usize..6,
     ) {
         let (mut sh, mut single) = build_pair(ranks, &data);
@@ -130,8 +111,8 @@ proptest! {
     /// the stored multiset size.
     #[test]
     fn rebalance_under_churn_preserves_equivalence(
-        data in tiny_points(40),
-        extra in tiny_points(24),
+        data in tiny_points(CUBE, 40),
+        extra in tiny_points(CUBE, 24),
         ranks in 2usize..5,
         seed in 0u64..1024,
     ) {

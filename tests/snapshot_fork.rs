@@ -14,7 +14,7 @@
 //! module stores and is pinned next to them, in `core/src/snapshot.rs`.)
 
 use pim_zd_tree_repro::index::{BatchRead, OpStats, TreeSnapshot};
-use pim_zd_tree_repro::sim::trace::JournalSink;
+use pim_zd_tree_repro::sim::trace::Journal;
 use pim_zd_tree_repro::sim::Metrics;
 use pim_zd_tree_repro::{
     workloads, Aabb, FaultConfig, FaultPlan, MachineConfig, Metric, PimZdConfig, PimZdTree, Point,
@@ -123,7 +123,7 @@ fn fork_matches_restore<const D: usize>(preset: Preset, variant: Variant) {
     let (data, mut live) = live_tree::<D>(preset);
     let schedule = Schedule::new(&data);
 
-    let (sink, journal) = JournalSink::new();
+    let journal = Journal::new();
     let metrics = Metrics::enabled_new();
     match variant {
         Variant::Plain => {}
@@ -141,7 +141,7 @@ fn fork_matches_restore<const D: usize>(preset: Preset, variant: Variant) {
                 p_death: 0.0,
                 ..FaultConfig::uniform(0.3, SEED)
             })));
-            live.set_trace_sink(Box::new(sink));
+            live.set_journal(Some(journal.clone()));
             live.set_metrics(metrics.clone());
             live.batch_knn(&schedule.queries, 4, Metric::L2);
             assert!(live.fault_log().retries > 0, "{tag}: the plan must be biting");

@@ -14,7 +14,7 @@
 //! (phase `insert/maintain`, `delete/maintain`) and `last_op_stats().rounds`,
 //! and the cache traffic off the metrics registry.
 
-use pim_zd_tree_repro::sim::trace::{Journal, JournalSink};
+use pim_zd_tree_repro::sim::trace::Journal;
 use pim_zd_tree_repro::sim::Metrics;
 use pim_zd_tree_repro::{workloads, MachineConfig, PimZdConfig, PimZdTree, Point};
 
@@ -26,8 +26,8 @@ fn tree(n: usize, p: usize) -> (Vec<Point<3>>, PimZdTree<3>, Journal, Metrics) {
     let base = workloads::osm_like::<3>(n, SEED);
     let mut t =
         PimZdTree::build(&base, PimZdConfig::skew_resistant(p), MachineConfig::with_modules(p));
-    let (sink, journal) = JournalSink::new();
-    t.set_trace_sink(Box::new(sink));
+    let journal = Journal::new();
+    t.set_journal(Some(journal.clone()));
     let metrics = Metrics::enabled_new();
     t.set_metrics(metrics.clone());
     (base, t, journal, metrics)
