@@ -23,6 +23,8 @@
 //!    `RemoteRef`'s, which item 2 pins to its target root's) contains every
 //!    point beneath it: the one property the kNN, ball and box kernels prune
 //!    on, checked against the boxes `Prefix::to_box` hands them.
+//! 7. **Local memory** — no module holds more resident bytes (masters plus
+//!    structure copies) than `MachineConfig::local_mem_bytes`.
 
 use crate::config::Layer;
 use crate::frag::{BKind, ChildRef, Fragment, Keyed, MetaId};
@@ -36,6 +38,11 @@ impl<const D: usize> PimZdTree<D> {
     /// Panics (with a description) if any invariant fails. `expected` is the
     /// point multiset the index should currently store.
     pub fn check_invariants(&self, expected: &[Point<D>]) {
+        let cap = self.sys.config().local_mem_bytes;
+        for i in 0..self.sys.n_modules() {
+            let resident = self.sys.peek(i).resident_bytes();
+            assert!(resident <= cap, "module {i} holds {resident} B, over its {cap} B of memory");
+        }
         let Some(l0) = self.l0.as_ref() else {
             assert!(expected.is_empty(), "index empty but {} points expected", expected.len());
             assert_eq!(self.n_points, 0);
@@ -471,6 +478,24 @@ mod tests {
         let cfg = PimZdConfig::skew_resistant(16);
         let t = PimZdTree::build(&pts, cfg, MachineConfig::with_modules(16));
         t.check_invariants(&pts);
+    }
+
+    #[test]
+    fn a_module_over_its_local_memory_fails() {
+        let pts = uniform::<3>(8_000, 4);
+        let cfg = PimZdConfig::throughput_optimized(8_000, 16);
+        let t = PimZdTree::build(&pts, cfg, MachineConfig::with_modules(16));
+        let fullest = (0..16).map(|i| t.sys.peek(i).resident_bytes()).max().unwrap();
+        let at = |local_mem_bytes| {
+            let machine = MachineConfig { local_mem_bytes, ..MachineConfig::with_modules(16) };
+            let t = PimZdTree::build(&pts, cfg, machine);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.check_invariants(&pts)))
+        };
+        assert!(at(fullest).is_ok(), "a module may fill its local memory exactly");
+        assert!(at(1 << 10).is_err(), "1 KiB of module memory holds no fragment");
+        let err = at(fullest - 1).expect_err("one byte over the cap is an error");
+        let msg = err.downcast_ref::<String>().unwrap();
+        assert!(msg.contains("B of memory"), "{msg}");
     }
 
     #[test]

@@ -36,7 +36,8 @@ pub struct MachineConfig {
     /// Host threads available to issue transfer calls (overlaps calls).
     pub host_threads: usize,
     /// Per-module local memory capacity in bytes (Θ(N/P) in the model;
-    /// 64 MB MRAM per DPU on UPMEM). Exceeding it is a simulation error.
+    /// 64 MB MRAM per DPU on UPMEM). Exceeding it is a simulation error:
+    /// the index's invariant check fails.
     pub local_mem_bytes: u64,
     /// The host CPU that runs the index's host half (benches scale its LLC
     /// with the dataset, keeping the paper's cache-to-data ratio at reduced

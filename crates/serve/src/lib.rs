@@ -29,12 +29,12 @@
 //! # Determinism
 //!
 //! Everything is simulated in **virtual time**; wall clock and host thread
-//! count never enter the model. Given a recorded
-//! [`ArrivalTrace`](pim_workloads::ArrivalTrace) and a seed, results,
-//! journals, and metrics snapshots are byte-reproducible at any thread
-//! count (`tests/serving_determinism.rs`). Closed-loop runs *record* the
-//! trace they induced, so any interactive experiment can be replayed
-//! exactly. ARCHITECTURE.md §8 documents the design.
+//! count never enter the model. The server has one load shape: it replays a
+//! recorded [`ArrivalTrace`](pim_workloads::ArrivalTrace)
+//! ([`PimServer::run_trace`]), which is the determinism boundary. Given the
+//! trace and a seed, results, journals, and metrics snapshots are
+//! byte-reproducible at any thread count (`tests/serving_determinism.rs`).
+//! ARCHITECTURE.md §8 documents the design.
 //!
 //! ```
 //! use pim_serve::{PimServer, ServeConfig};
@@ -65,5 +65,5 @@ pub mod trace;
 pub use pim_sim::wire::{fnv_fold, FNV_OFFSET};
 pub use policy::{BatchPolicy, ThroughputEstimator};
 pub use report::{Reply, SealReason, ServeReport, Totals};
-pub use server::{ClassKey, ClosedLoop, PimServer, ServeConfig};
+pub use server::{ClassKey, PimServer, ServeConfig};
 pub use trace::{split_service_us, BatchTrace, RequestTrace, ServeTrace, TraceId};

@@ -9,9 +9,14 @@
 //! buy throughput with p99. The [`ThroughputEstimator`] fits the round cost
 //! model `service ≈ a + b·n` from recently completed batches and derives the
 //! **saturation size** — the batch size past which the per-request share of
-//! the setup cost `a` has fallen below a slack fraction of the marginal
+//! the setup cost `a` has fallen below a slack fraction (10%) of the marginal
 //! per-request cost `b`, i.e. where growing the batch further no longer
 //! meaningfully amortizes anything.
+
+/// Amortization slack ε: a batch saturates a round once the per-request
+/// share of the round setup cost drops below ε × the marginal per-request
+/// cost.
+const SLACK: f64 = 0.1;
 
 /// Batch formation policy for one server.
 ///
@@ -44,25 +49,21 @@ pub struct BatchPolicy {
     pub min_batch: usize,
     /// Upper clamp of the adaptive target (and hard cap on any batch).
     pub max_batch: usize,
-    /// Amortization slack ε: a batch saturates a round once the per-request
-    /// share of the round setup cost drops below ε × the marginal
-    /// per-request cost.
-    pub slack: f64,
 }
 
 impl Default for BatchPolicy {
     fn default() -> Self {
-        Self { budget_us: 1_000, min_batch: 16, max_batch: 4_096, slack: 0.1 }
+        Self { budget_us: 1_000, min_batch: 16, max_batch: 4_096 }
     }
 }
 
 impl BatchPolicy {
     /// The current size target for sealing a batch: the estimator's
-    /// saturation size clamped to `[min_batch, max_batch]`, or `max_batch`
-    /// while the estimator has too little history (the budget still bounds
-    /// latency in that regime).
+    /// saturation size at 10% slack clamped to `[min_batch, max_batch]`, or
+    /// `max_batch` while the estimator has too little history (the budget
+    /// still bounds latency in that regime).
     pub fn target(&self, est: &ThroughputEstimator) -> usize {
-        match est.saturation_size(self.slack) {
+        match est.saturation_size(SLACK) {
             Some(n) => n.clamp(self.min_batch, self.max_batch),
             None => self.max_batch,
         }

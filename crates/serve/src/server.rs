@@ -3,8 +3,9 @@
 //!
 //! # Model
 //!
-//! [`PimServer`] replays a request stream in **virtual microseconds**. All
-//! timing comes from the simulator: a dispatched batch occupies its lane for
+//! [`PimServer`] replays a recorded arrival trace ([`PimServer::run_trace`],
+//! its one entry point) in **virtual microseconds**. All timing comes from
+//! the simulator: a dispatched batch occupies its lane for
 //! `OpStats::breakdown.total_s()` of simulated time, and nothing in the loop
 //! reads a wall clock or depends on host thread count. That makes every
 //! artifact — replies, journal, latency percentiles, metrics — a pure
@@ -25,8 +26,7 @@
 //!
 //! 1. **Completions** (by batch sequence number): the finished batch's
 //!    service time feeds its class's [`ThroughputEstimator`], replies are
-//!    emitted, the batch's record joins the journal, the lane frees, and
-//!    closed-loop clients schedule their next request.
+//!    emitted, the batch's record joins the journal, and the lane frees.
 //! 2. **Arrivals** (trace order): admission control rejects when
 //!    `pending + sealed` requests already fill the bounded queue
 //!    ([`ServeConfig::queue_cap`]); admitted requests join their class
@@ -54,7 +54,7 @@ use std::collections::{BTreeMap, VecDeque};
 use pim_geom::{Aabb, Metric, Point};
 use pim_sim::wire::{fnv_fold, FNV_OFFSET};
 use pim_sim::Metrics;
-use pim_workloads::{Arrival, ArrivalTrace, ReqClass, ReqOp, RequestMix, RequestSampler};
+use pim_workloads::{Arrival, ArrivalTrace, ReqClass, ReqOp};
 use pim_zd_tree::{BatchRead, PimZdTree, TreeSnapshot};
 
 use crate::policy::{BatchPolicy, ThroughputEstimator};
@@ -96,24 +96,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// A closed-loop load description: `clients` independent clients that each
-/// issue a request, wait for its reply, think for `think_us`, and repeat,
-/// `requests_per_client` times. Payloads come from a seeded
-/// [`RequestSampler`] over the data distribution.
-#[derive(Clone, Copy, Debug)]
-pub struct ClosedLoop {
-    /// Number of concurrent clients.
-    pub clients: usize,
-    /// Requests each client issues before stopping.
-    pub requests_per_client: usize,
-    /// Think time between a reply and the client's next request (µs).
-    pub think_us: u64,
-    /// Request mix to draw payloads from.
-    pub mix: RequestMix,
-    /// Payload sampler seed.
-    pub seed: u64,
-}
-
 /// One admitted, not-yet-dispatched request.
 struct Queued<const D: usize> {
     id: u64,
@@ -144,10 +126,11 @@ struct Flight<const D: usize> {
 /// Per-run mutable state of the event loop.
 #[derive(Default)]
 struct RunState<const D: usize> {
-    /// Future arrivals keyed by `(t_us, seq)`; the value carries the client
-    /// index for closed-loop runs (`u32::MAX` in trace replays).
-    arrivals: BTreeMap<(u64, u64), (ReqOp<D>, u32)>,
-    next_id: u64,
+    /// The trace's arrivals, stably sorted by time. Those before
+    /// `next_arrival` have been admitted or rejected, and each one's index
+    /// here is its request id.
+    arrivals: Vec<Arrival<D>>,
+    next_arrival: usize,
     pending: BTreeMap<ClassKey, VecDeque<Queued<D>>>,
     sealed_writes: VecDeque<Sealed<D>>,
     sealed_reads: VecDeque<Sealed<D>>,
@@ -168,20 +151,8 @@ struct RunState<const D: usize> {
     now: u64,
 }
 
-/// Closed-loop driver state threaded through the event loop.
-struct ClosedState<'a, const D: usize> {
-    sampler: RequestSampler<'a, D>,
-    think_us: u64,
-    per_client: usize,
-    issued: Vec<usize>,
-    /// `owner[id]` = client that issued request `id`.
-    owner: Vec<u32>,
-    recorded: Vec<Arrival<D>>,
-    seq: u64,
-}
-
-/// The serving front-end: owns the tree and replays request streams against
-/// it under a [`ServeConfig`]. See the module docs for the full model.
+/// The serving front-end: owns the tree and replays recorded arrival traces
+/// against it under a [`ServeConfig`]. See the module docs for the full model.
 pub struct PimServer<const D: usize> {
     tree: PimZdTree<D>,
     cfg: ServeConfig,
@@ -238,51 +209,17 @@ impl<const D: usize> PimServer<D> {
         self.tree
     }
 
-    /// Replays a recorded open-loop trace to completion and returns the
-    /// run's artifacts. Deterministic: same tree + config + trace → byte
-    /// identical report, at any host thread count.
+    /// Replays a recorded arrival trace to completion and returns the run's
+    /// artifacts. Arrivals are taken in time order, ties in trace order, and
+    /// a request's id is its place in that order, so an unsorted trace runs
+    /// as its stable sort by time does. Deterministic: same tree + config +
+    /// trace → byte identical report, at any host thread count.
     pub fn run_trace(&mut self, trace: &ArrivalTrace<D>) -> ServeReport {
-        let mut st = RunState::default();
-        for (i, a) in trace.arrivals.iter().enumerate() {
-            st.arrivals.insert((a.t_us, i as u64), (a.op, u32::MAX));
-        }
-        self.drive(&mut st, None);
+        let mut arrivals = trace.arrivals.clone();
+        arrivals.sort_by_key(|a| a.t_us);
+        let mut st = RunState { arrivals, ..RunState::default() };
+        self.drive(&mut st);
         self.finish(st)
-    }
-
-    /// Runs a closed-loop load until every client exhausts its request
-    /// budget. Returns the artifacts **and** the recorded arrival trace;
-    /// replaying that trace through [`Self::run_trace`] on an identical
-    /// server reproduces the exact same artifacts (tested), which is how
-    /// closed-loop experiments become shareable, deterministic traces.
-    pub fn run_closed_loop(
-        &mut self,
-        load: &ClosedLoop,
-        data: &[Point<D>],
-    ) -> (ServeReport, ArrivalTrace<D>) {
-        assert!(load.clients > 0, "closed loop needs at least one client");
-        let mut closed = ClosedState {
-            sampler: RequestSampler::new(data, load.mix, load.seed),
-            think_us: load.think_us,
-            per_client: load.requests_per_client,
-            issued: vec![0; load.clients],
-            owner: Vec::new(),
-            recorded: Vec::new(),
-            seq: 0,
-        };
-        let mut st = RunState::default();
-        for c in 0..load.clients {
-            if load.requests_per_client == 0 {
-                break;
-            }
-            let op = closed.sampler.next_op();
-            st.arrivals.insert((0, closed.seq), (op, c as u32));
-            closed.seq += 1;
-            closed.issued[c] = 1;
-        }
-        self.drive(&mut st, Some(&mut closed));
-        let trace = ArrivalTrace { arrivals: closed.recorded };
-        (self.finish(st), trace)
     }
 
     /// Freezes a drained run into its report — replies sorted by id, the
@@ -312,12 +249,12 @@ impl<const D: usize> PimServer<D> {
     // Event loop
     // -----------------------------------------------------------------
 
-    fn drive(&mut self, st: &mut RunState<D>, mut closed: Option<&mut ClosedState<'_, D>>) {
+    fn drive(&mut self, st: &mut RunState<D>) {
         while let Some(t) = self.next_event(st) {
             debug_assert!(t >= st.now, "virtual time must not run backwards");
             st.now = t;
-            self.complete_at(st, t, closed.as_deref_mut());
-            self.ingest_at(st, t, closed.as_deref_mut());
+            self.complete_at(st, t);
+            self.ingest_at(st, t);
             self.seal_expired(st, t);
             self.dispatch_ready(st, t);
         }
@@ -327,8 +264,8 @@ impl<const D: usize> PimServer<D> {
     fn next_event(&self, st: &RunState<D>) -> Option<u64> {
         let mut t = None;
         let mut consider = |c: u64| t = Some(t.map_or(c, |x: u64| x.min(c)));
-        if let Some(((at, _), _)) = st.arrivals.iter().next() {
-            consider(*at);
+        if let Some(a) = st.arrivals.get(st.next_arrival) {
+            consider(a.t_us);
         }
         for f in [&st.write_flight, &st.read_flight].into_iter().flatten() {
             consider(f.record.complete_us);
@@ -342,12 +279,7 @@ impl<const D: usize> PimServer<D> {
     }
 
     /// Phase 1: finish flights whose round completes at `t`.
-    fn complete_at(
-        &mut self,
-        st: &mut RunState<D>,
-        t: u64,
-        mut closed: Option<&mut ClosedState<'_, D>>,
-    ) {
+    fn complete_at(&mut self, st: &mut RunState<D>, t: u64) {
         let mut done: Vec<Flight<D>> = Vec::new();
         if st.write_flight.as_ref().is_some_and(|f| f.record.complete_us == t) {
             done.push(st.write_flight.take().unwrap());
@@ -383,9 +315,6 @@ impl<const D: usize> PimServer<D> {
                         q.id,
                     )
                 });
-                if let Some(c) = closed.as_mut() {
-                    schedule_next(c, st, q.id, b.complete_us);
-                }
             }
             st.journal.push(b);
         }
@@ -393,25 +322,14 @@ impl<const D: usize> PimServer<D> {
 
     /// Phase 2: admit (or reject) every arrival stamped `t`, sealing any
     /// class that reaches its size target.
-    fn ingest_at(
-        &mut self,
-        st: &mut RunState<D>,
-        t: u64,
-        mut closed: Option<&mut ClosedState<'_, D>>,
-    ) {
-        while let Some((&(at, seq), _)) = st.arrivals.iter().next() {
-            if at != t {
+    fn ingest_at(&mut self, st: &mut RunState<D>, t: u64) {
+        while let Some(&Arrival { t_us, op }) = st.arrivals.get(st.next_arrival) {
+            if t_us != t {
                 break;
             }
-            let (op, client) = st.arrivals.remove(&(at, seq)).unwrap();
-            let id = st.next_id;
-            st.next_id += 1;
+            let id = st.next_arrival as u64;
+            st.next_arrival += 1;
             let label = op.label();
-            if let Some(c) = closed.as_mut() {
-                debug_assert_eq!(c.owner.len() as u64, id);
-                c.owner.push(client);
-                c.recorded.push(Arrival { t_us: t, op });
-            }
             self.metrics.with(|m| m.add("serve_requests_total", &[("op", label)], 1));
             if st.queued >= self.cfg.queue_cap {
                 st.replies.push(Reply {
@@ -426,11 +344,6 @@ impl<const D: usize> PimServer<D> {
                     rejected: true,
                 });
                 self.metrics.with(|m| m.add("serve_rejected_total", &[("op", label)], 1));
-                if let Some(c) = closed.as_mut() {
-                    // A rejection is an immediate (failed) reply: the client
-                    // thinks, then retries-or-moves-on with its next request.
-                    schedule_next(c, st, id, t);
-                }
                 continue;
             }
             let key = ClassKey::of(&op);
@@ -634,22 +547,6 @@ fn box_of<const D: usize>(op: &ReqOp<D>) -> Aabb<D> {
     }
 }
 
-/// Schedules the owning client's next request after a reply at `t`.
-fn schedule_next<const D: usize>(
-    c: &mut ClosedState<'_, D>,
-    st: &mut RunState<D>,
-    id: u64,
-    t: u64,
-) {
-    let client = c.owner[id as usize] as usize;
-    if c.issued[client] < c.per_client {
-        let op = c.sampler.next_op();
-        st.arrivals.insert((t + c.think_us, c.seq), (op, client as u32));
-        c.seq += 1;
-        c.issued[client] += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -681,6 +578,21 @@ mod tests {
         assert_eq!(rep.results_jsonl(), rep2.results_jsonl());
         assert_eq!(rep.journal_jsonl(), rep2.journal_jsonl());
         assert_eq!(rep.results_digest(), rep2.results_digest());
+
+        // An unsorted trace, ties included, runs as its stable sort by time.
+        let mut shuffled = trace.clone();
+        shuffled.arrivals.reverse();
+        for a in shuffled.arrivals.iter_mut().step_by(3) {
+            a.t_us -= a.t_us % 200;
+        }
+        let mut sorted = shuffled.clone();
+        sorted.arrivals.sort_by_key(|a| a.t_us);
+        assert!(sorted.arrivals.windows(2).any(|w| w[0].t_us == w[1].t_us), "ties occur");
+        let (mut s3, _) = server(3_000, 1, ServeConfig::default());
+        let (mut s4, _) = server(3_000, 1, ServeConfig::default());
+        let (rep3, rep4) = (s3.run_trace(&shuffled), s4.run_trace(&sorted));
+        assert_eq!(rep3.results_jsonl(), rep4.results_jsonl());
+        assert_eq!(rep3.journal_jsonl(), rep4.journal_jsonl());
     }
 
     #[test]
@@ -738,32 +650,6 @@ mod tests {
                 assert!(r.epoch <= last_write_epoch.max(epoch0) + 1);
             }
         }
-    }
-
-    #[test]
-    fn closed_loop_records_a_replayable_trace() {
-        let (mut s, data) = server(3_000, 6, ServeConfig::default());
-        let load = ClosedLoop {
-            clients: 8,
-            requests_per_client: 30,
-            think_us: 50,
-            mix: RequestMix::read_heavy(),
-            seed: 13,
-        };
-        let (rep, trace) = s.run_closed_loop(&load, &data);
-        assert_eq!(trace.len(), 8 * 30, "every issued request is recorded");
-        assert!(trace.arrivals.windows(2).all(|w| w[0].t_us <= w[1].t_us), "trace is sorted");
-
-        // Replaying the recorded trace on an identical server reproduces
-        // the run byte for byte.
-        let (mut s2, _) = server(3_000, 6, ServeConfig::default());
-        let rep2 = s2.run_trace(&trace);
-        assert_eq!(rep.results_jsonl(), rep2.results_jsonl());
-        assert_eq!(rep.journal_jsonl(), rep2.journal_jsonl());
-        // And the JSONL round-trip of the trace is exact, so it can be
-        // committed and replayed elsewhere.
-        let back = ArrivalTrace::<3>::from_jsonl(&trace.to_jsonl()).unwrap();
-        assert_eq!(back, trace);
     }
 
     #[test]

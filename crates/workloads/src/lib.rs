@@ -22,6 +22,4 @@ pub use queries::{
     box_queries, box_side_for_expected, hot_cell_queries, knn_queries, mixed_queries, point_queries,
 };
 pub use skew::{alpha_beta_skew, gini_coefficient, gini_over_bins, zipf_sample};
-pub use trace::{
-    open_loop_trace, Arrival, ArrivalTrace, ReqClass, ReqOp, RequestMix, RequestSampler,
-};
+pub use trace::{open_loop_trace, Arrival, ArrivalTrace, ReqClass, ReqOp, RequestMix};

@@ -6,9 +6,9 @@
 //! pure function of `(trace, policy, tree seed)`. Wall-clock time and host
 //! thread count never enter the model, which is how the repo's byte-identity
 //! contract (ARCHITECTURE.md §4) extends to online serving: all timing
-//! nondeterminism is quarantined *behind* the trace. Record once (from the
-//! seeded open-loop generator here, or from `pim-serve`'s closed-loop
-//! driver), then replay anywhere.
+//! nondeterminism is quarantined *behind* the trace. Generate once (with the
+//! seeded open-loop generator here) or read a committed JSONL file, then
+//! replay anywhere.
 //!
 //! Traces serialize as one JSON object per line (JSONL), the same style as
 //! the round journal, so they diff cleanly and commit well.
@@ -282,43 +282,6 @@ impl RequestMix {
     }
 }
 
-/// A seeded stream of request payloads drawn from a data distribution under
-/// a [`RequestMix`] — the payload half of the load generator, shared by the
-/// open-loop generator here and `pim-serve`'s closed-loop driver (which
-/// decides *when* to issue, then pulls *what* from this sampler).
-pub struct RequestSampler<'a, const D: usize> {
-    data: &'a [Point<D>],
-    mix: RequestMix,
-    side: u32,
-    rng: ChaCha8Rng,
-}
-
-impl<'a, const D: usize> RequestSampler<'a, D> {
-    /// A sampler over `data` under `mix`; pure function of `seed`.
-    pub fn new(data: &'a [Point<D>], mix: RequestMix, seed: u64) -> Self {
-        assert!(!data.is_empty(), "payloads are drawn from the data distribution");
-        assert!(mix.total_weight() > 0, "request mix must enable at least one class");
-        Self {
-            data,
-            mix,
-            side: crate::box_side_for_expected::<D>(data.len(), mix.box_expected),
-            rng: ChaCha8Rng::seed_from_u64(seed ^ 0x5E2E),
-        }
-    }
-
-    /// Draws the next request.
-    pub fn next_op(&mut self) -> ReqOp<D> {
-        sample_op(self.data, &self.mix, self.side, &mut self.rng)
-    }
-
-    /// Draws the next exponential inter-arrival gap in µs at `rate_per_s`.
-    pub fn next_gap_us(&mut self, rate_per_s: f64) -> f64 {
-        // `1.0 - r` keeps ln() finite.
-        let r: f64 = self.rng.random();
-        -(1.0 - r).ln() * 1e6 / rate_per_s
-    }
-}
-
 /// Generates `n` arrivals with exponential (Poisson-process) inter-arrival
 /// times at `rate_per_s` requests per virtual second, with request payloads
 /// drawn from the `data` distribution (queries follow the data, §7.1) under
@@ -332,12 +295,17 @@ pub fn open_loop_trace<const D: usize>(
     seed: u64,
 ) -> ArrivalTrace<D> {
     assert!(rate_per_s > 0.0, "offered rate must be positive");
-    let mut s = RequestSampler::new(data, *mix, seed);
+    assert!(!data.is_empty(), "payloads are drawn from the data distribution");
+    assert!(mix.total_weight() > 0, "request mix must enable at least one class");
+    let side = crate::box_side_for_expected::<D>(data.len(), mix.box_expected);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5E2E);
     let mut t = 0.0f64;
     let arrivals = (0..n)
         .map(|_| {
-            t += s.next_gap_us(rate_per_s);
-            Arrival { t_us: t as u64, op: s.next_op() }
+            // `1.0 - r` keeps ln() finite.
+            let r: f64 = rng.random();
+            t += -(1.0 - r).ln() * 1e6 / rate_per_s;
+            Arrival { t_us: t as u64, op: sample_op(data, mix, side, &mut rng) }
         })
         .collect();
     ArrivalTrace { arrivals }

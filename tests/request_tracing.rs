@@ -12,16 +12,15 @@
 //! 4. **One recording path** — the span record is derived from the
 //!    replies and the batch journal, so tracing on vs off changes no reply
 //!    and no journal byte; the six rendered artifacts are pinned by digest,
-//!    the span file reads back into the records that wrote it, and a traced
-//!    closed-loop run replays to the same span and batch files.
+//!    and the span file reads back into the records that wrote it.
 //!
 //! The trace-event export is additionally run through the same shape
 //! validator CI applies to generated files (`pim_bench::trace_events`).
 
 use pim_bench::trace_events::validate_trace_events;
 use pim_zd_tree_repro::serve::{
-    fnv_fold, trace::parse_spans_jsonl, BatchPolicy, ClosedLoop, PimServer, ServeConfig,
-    ServeReport, ServeTrace, FNV_OFFSET,
+    fnv_fold, trace::parse_spans_jsonl, BatchPolicy, PimServer, ServeConfig, ServeReport,
+    ServeTrace, FNV_OFFSET,
 };
 use pim_zd_tree_repro::sim::{Journal, Metrics, RoundRecord};
 use pim_zd_tree_repro::workloads::{open_loop_trace, ArrivalTrace, RequestMix};
@@ -228,36 +227,4 @@ fn spans_jsonl_reads_back_into_the_records_that_wrote_it() {
     let trace = trace.unwrap();
     let back = parse_spans_jsonl(&trace.spans_jsonl()).expect("the writer's output parses");
     assert_eq!(back, trace.requests);
-}
-
-/// Closed-loop runs are traced the same way: every completed request's spans
-/// sum to its latency, and replaying the arrival trace the run recorded
-/// gives the same span and batch records byte for byte.
-#[test]
-fn traced_closed_loop_replays_to_identical_spans() {
-    let load = ClosedLoop {
-        clients: 12,
-        requests_per_client: 40,
-        think_us: 50,
-        mix: RequestMix { insert: 25, delete: 10, ..RequestMix::read_heavy() },
-        seed: SEED ^ 0xC105,
-    };
-    let (mut closed, data) = server();
-    closed.set_tracing(true);
-    let (report, arrivals) = closed.run_closed_loop(&load, &data);
-    let trace = closed.take_trace().expect("tracing was on");
-    assert_eq!(trace.requests.len(), 12 * 40);
-    assert!(trace.batches.iter().any(|b| b.snapshot), "the loop exercises snapshot reads");
-    for (reply, rt) in report.replies.iter().zip(&trace.requests) {
-        if !rt.rejected {
-            assert_eq!(rt.span_sum_us(), reply.latency_us(), "request {}", reply.id);
-        }
-    }
-
-    let (mut replay, _) = server();
-    replay.set_tracing(true);
-    replay.run_trace(&arrivals);
-    let replayed = replay.take_trace().expect("tracing was on");
-    assert_eq!(replayed.spans_jsonl(), trace.spans_jsonl());
-    assert_eq!(replayed.batches_jsonl(), trace.batches_jsonl());
 }

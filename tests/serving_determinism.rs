@@ -12,9 +12,7 @@
 
 use pim_zd_tree_repro::serve::{fnv_fold, BatchPolicy, PimServer, ServeConfig, FNV_OFFSET};
 use pim_zd_tree_repro::sim::Metrics;
-use pim_zd_tree_repro::workloads::{
-    open_loop_trace, Arrival, ArrivalTrace, ReqOp, RequestMix, RequestSampler,
-};
+use pim_zd_tree_repro::workloads::{open_loop_trace, Arrival, ArrivalTrace, ReqOp, RequestMix};
 use pim_zd_tree_repro::{workloads, Aabb, MachineConfig, PimZdConfig, PimZdTree, Point};
 
 const SEED: u64 = 2026;
@@ -152,12 +150,7 @@ fn snapshot_reads_observe_exactly_the_pre_batch_epoch() {
         .extend(fresh[..199].iter().map(|p| Arrival { t_us: 1_000_000, op: ReqOp::Contains(*p) }));
 
     let cfg = ServeConfig {
-        policy: BatchPolicy {
-            budget_us: 1_000,
-            min_batch: 1,
-            max_batch: 200,
-            ..BatchPolicy::default()
-        },
+        policy: BatchPolicy { budget_us: 1_000, min_batch: 1, max_batch: 200 },
         ..ServeConfig::default()
     };
     let mut server = PimServer::new(tree, cfg);
@@ -193,44 +186,6 @@ fn snapshot_reads_observe_exactly_the_pre_batch_epoch() {
         assert!(r.dispatch_us >= ins.complete_us);
         assert_eq!(r.epoch, epoch0 + 1);
         assert_eq!(r.fingerprint, 1, "post-completion read must see the applied batch");
-    }
-}
-
-#[test]
-fn closed_loop_replay_matches_at_different_thread_counts() {
-    // Record a closed-loop run at 1 thread, replay the recorded trace at 8
-    // threads: byte-identical artifacts. This is the full determinism
-    // story in one test — record anywhere, replay anywhere.
-    let data = workloads::uniform::<3>(N, SEED);
-    let load = pim_zd_tree_repro::serve::ClosedLoop {
-        clients: 12,
-        requests_per_client: 25,
-        think_us: 80,
-        mix: RequestMix::read_heavy(),
-        seed: SEED ^ 0xC10,
-    };
-    let build = || {
-        PimServer::new(
-            PimZdTree::build(
-                &data,
-                PimZdConfig::throughput_optimized(N as u64, MODULES),
-                MachineConfig::with_modules(MODULES),
-            ),
-            ServeConfig::default(),
-        )
-    };
-
-    let (rep_rec, trace) =
-        rayon::ThreadPool::new(1).install(|| build().run_closed_loop(&load, &data));
-    let rep_play = rayon::ThreadPool::new(8).install(|| build().run_trace(&trace));
-    assert_eq!(rep_rec.results_jsonl(), rep_play.results_jsonl());
-    assert_eq!(rep_rec.journal_jsonl(), rep_play.journal_jsonl());
-
-    // The sampler drawing the payloads is itself seed-pure.
-    let mut s1 = RequestSampler::new(&data, load.mix, load.seed);
-    let mut s2 = RequestSampler::new(&data, load.mix, load.seed);
-    for _ in 0..32 {
-        assert_eq!(s1.next_op(), s2.next_op());
     }
 }
 
