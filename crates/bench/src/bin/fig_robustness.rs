@@ -18,17 +18,17 @@
 use pim_bench::harness::{make_queries, pim_tree, run_cell, OpKind};
 use pim_bench::{BenchArgs, Dataset, PerfSink};
 use pim_geom::Point;
-use pim_sim::{FaultConfig, FaultLog, FaultPlan, MachineConfig};
+use pim_sim::{FaultConfig, FaultKind, FaultPlan, MachineConfig, SimStats};
 use pim_zd_tree::PimZdConfig;
 
 /// One sweep cell: the battery's total simulated seconds, the query
-/// fingerprint it produced, and the fault log after the run.
+/// fingerprint it produced, and the machine's counters after the run.
 struct Cell {
     rate: f64,
     factor: f64,
     total_s: f64,
     fingerprint: Vec<u64>,
-    log: FaultLog,
+    stats: SimStats,
 }
 
 fn sweep_cell(
@@ -67,7 +67,7 @@ fn sweep_cell(
         fingerprint.push(d ^ u64::from(p.coords[0]));
     }
 
-    Cell { rate, factor, total_s, fingerprint, log: pim.fault_log().clone() }
+    Cell { rate, factor, total_s, fingerprint, stats: *pim.sim_stats() }
 }
 
 fn main() {
@@ -128,12 +128,12 @@ fn main() {
                 cell.factor,
                 cell.total_s * 1e3,
                 overhead,
-                cell.log.total_faults(),
-                cell.log.retries,
-                cell.log.deaths,
-                cell.log.salvages,
-                cell.log.stragglers,
-                cell.log.retransmitted_bytes as f64 / 1024.0,
+                cell.stats.total_faults(),
+                cell.stats.retries,
+                cell.stats.faults_of(FaultKind::Death),
+                cell.stats.faults_of(FaultKind::Salvage),
+                cell.stats.faults_of(FaultKind::Straggler),
+                cell.stats.retransmitted_bytes as f64 / 1024.0,
                 if ok { "identical" } else { "DIVERGED" }
             );
             assert!(ok, "rate {rate} × straggler {factor}: query results diverged from baseline");

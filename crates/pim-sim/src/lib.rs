@@ -41,7 +41,7 @@ pub mod wire;
 pub use config::MachineConfig;
 pub use ctx::PimCtx;
 pub use energy::{EnergyEstimate, EnergyModel};
-pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultLog, FaultPlan};
+pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultPlan};
 pub use metrics::{log2_bucket, quantile_sorted, Histogram, Metrics, MetricsRegistry, Samples};
 pub use placement::{hash_place, rendezvous_owner};
 pub use stats::{RoundBreakdown, SimStats};

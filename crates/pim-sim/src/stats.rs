@@ -1,6 +1,6 @@
-//! Simulation counters: time, traffic, rounds, and load balance.
+//! Simulation counters: time, traffic, rounds, load balance and faults.
 
-use crate::fault::FaultEvent;
+use crate::fault::{FaultEvent, FaultKind};
 use crate::trace::RoundKind;
 
 /// Per-round time decomposition, matching the paper's Fig. 6 categories.
@@ -60,6 +60,10 @@ pub(crate) struct RoundAccount {
     pub events: Vec<FaultEvent>,
     /// Delivery attempts beyond each module's first.
     pub retries: u64,
+    /// Scatter bytes those retries re-sent (part of `sent`).
+    pub retransmitted_bytes: u64,
+    /// Detection-timeout seconds (part of `breakdown.overhead_s`).
+    pub timeout_s: f64,
 }
 
 impl RoundAccount {
@@ -74,9 +78,10 @@ impl RoundAccount {
     }
 }
 
-/// Lifetime counters of a [`crate::PimSystem`]. Reset between warmup and
-/// measurement phases.
-#[derive(Clone, Copy, Debug, Default)]
+/// Lifetime counters of a [`crate::PimSystem`], each a sum over its
+/// accounted rounds (but for the two fault counts no round carries, see
+/// `PimSystem::kill_module`). A phase is a [`since`](SimStats::since) window.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SimStats {
     /// Number of BSP rounds executed.
     pub rounds: u64,
@@ -97,6 +102,16 @@ pub struct SimStats {
     pub sum_max_cycles: u64,
     /// Number of modules (for aggregate imbalance).
     pub n_modules: usize,
+    /// Fault and recovery events by kind, indexed like [`FaultKind::ALL`].
+    pub faults: [u64; FaultKind::COUNT],
+    /// Delivery attempts beyond the first (host-side retries).
+    pub retries: u64,
+    /// Scatter bytes re-sent by retries (wasted channel traffic).
+    pub retransmitted_bytes: u64,
+    /// Detection-timeout seconds charged to overhead.
+    pub timeout_s: f64,
+    /// Bytes DMA'd out of dead modules by salvage rounds.
+    pub salvaged_bytes: u64,
 }
 
 impl SimStats {
@@ -123,6 +138,18 @@ impl SimStats {
         self.sum_max_cycles as f64 / (self.total_pim_cycles as f64 / self.n_modules as f64)
     }
 
+    /// Events of one kind.
+    pub fn faults_of(&self, kind: FaultKind) -> u64 {
+        self.faults[kind as usize]
+    }
+
+    /// Injected module-side faults: every kind but `Salvage` and `HostCrash`.
+    /// Each is an event in the journal record of its round, except a
+    /// scripted `PimSystem::kill_module` death.
+    pub fn total_faults(&self) -> u64 {
+        self.faults[..FaultKind::Salvage as usize].iter().sum()
+    }
+
     /// Folds one round into the lifetime counters.
     pub(crate) fn record(&mut self, a: &RoundAccount) {
         self.rounds += 1;
@@ -134,6 +161,15 @@ impl SimStats {
         self.total_pim_cycles += a.sum_cycles;
         self.sum_max_cycles += a.max_cycles;
         self.n_modules = a.n_modules;
+        for e in &a.events {
+            self.faults[e.kind as usize] += 1;
+        }
+        self.retries += a.retries;
+        self.retransmitted_bytes += a.retransmitted_bytes;
+        self.timeout_s += a.timeout_s;
+        if a.kind == RoundKind::Salvage {
+            self.salvaged_bytes += a.recv;
+        }
     }
 
     /// Difference `self - earlier`, field by field, for phase-relative
@@ -150,6 +186,11 @@ impl SimStats {
             total_pim_cycles: self.total_pim_cycles - earlier.total_pim_cycles,
             sum_max_cycles: self.sum_max_cycles - earlier.sum_max_cycles,
             n_modules: self.n_modules.max(earlier.n_modules),
+            faults: std::array::from_fn(|k| self.faults[k] - earlier.faults[k]),
+            retries: self.retries - earlier.retries,
+            retransmitted_bytes: self.retransmitted_bytes - earlier.retransmitted_bytes,
+            timeout_s: self.timeout_s - earlier.timeout_s,
+            salvaged_bytes: self.salvaged_bytes - earlier.salvaged_bytes,
         }
     }
 }
@@ -180,6 +221,33 @@ mod tests {
         assert!((s.round_time_s() - 3.5).abs() < 1e-12);
         assert!((s.agg_imbalance() - 2.0).abs() < 1e-12);
         assert_eq!((s.total_pim_cycles, s.sum_max_cycles, s.n_modules), (20, 10, 4));
+    }
+
+    #[test]
+    fn record_counts_a_rounds_faults() {
+        let event = |kind| FaultEvent { module: 0, attempt: 0, kind };
+        let mut s = SimStats::default();
+        s.record(&RoundAccount {
+            events: vec![event(FaultKind::ExecFault), event(FaultKind::Death)],
+            retries: 1,
+            retransmitted_bytes: 100,
+            timeout_s: 0.25,
+            ..round(1.0, 200, 0, 0, 0)
+        });
+        let salvage = RoundAccount {
+            recv: 4096,
+            events: vec![event(FaultKind::Salvage)],
+            ..RoundAccount::empty(RoundKind::Salvage, 4)
+        };
+        s.record(&salvage);
+        assert_eq!(s.faults, [1, 0, 0, 0, 1, 1, 0]);
+        assert_eq!(s.total_faults(), 2, "a salvage is a recovery, not a fault");
+        assert_eq!((s.retries, s.retransmitted_bytes, s.timeout_s), (1, 100, 0.25));
+        assert_eq!(s.salvaged_bytes, 4096);
+        let before = s;
+        s.record(&salvage);
+        let d = s.since(&before);
+        assert_eq!((d.faults_of(FaultKind::Salvage), d.salvaged_bytes, d.retries), (1, 4096, 0));
     }
 
     #[test]

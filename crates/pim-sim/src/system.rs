@@ -31,19 +31,21 @@
 //! 3. `account`: the sequential wave/retry fold of fates, meters and
 //!    per-module byte vectors into one `RoundAccount`, priced by the PIM
 //!    Model formula in `price` (the only place it is written down);
-//! 4. `commit`: that one value advances [`SimStats`], consumes the round
-//!    id, feeds the metrics registry and becomes the journaled
-//!    [`RoundRecord`].
+//! 4. `commit`: that one value advances [`SimStats`] — its fault counters
+//!    included — feeds the metrics registry and becomes the journaled
+//!    [`RoundRecord`], whose id is the count of rounds committed before it
+//!    (`SimStats::rounds`).
 //!
 //! A fault-free round is not a separate fast path but the one-wave case of
 //! step 3, and [`PimSystem::salvage`] — a host DMA no module takes part in —
 //! skips to `price` and `commit`. So the journal, the stats and the metrics
 //! agree because they are the same number, not because a test compares
-//! them.
+//! them. The only counts that no round carries are a scripted
+//! [`PimSystem::kill_module`] death and [`PimSystem::record_host_crash`].
 
 use crate::config::MachineConfig;
 use crate::ctx::PimCtx;
-use crate::fault::{AttemptOutcome, FaultEvent, FaultKind, FaultLog, FaultPlan, ModuleFate};
+use crate::fault::{AttemptOutcome, FaultEvent, FaultKind, FaultPlan, ModuleFate};
 use crate::metrics::Metrics;
 use crate::stats::{RoundAccount, RoundBreakdown, SimStats};
 use crate::trace::{summarize_cycles, Journal, RoundKind, RoundRecord};
@@ -75,8 +77,6 @@ pub struct PimSystem<M> {
     journal: Option<Journal>,
     /// Metrics registry handle; disabled (no registry) by default.
     metrics: Metrics,
-    /// Monotonic id of the next accounted round (never reset).
-    trace_round: u64,
     /// Active phase labels, innermost last; records carry their `/`-join.
     phase_stack: Vec<String>,
     /// Fault-injection oracle; `None` keeps the fault plane entirely off
@@ -87,8 +87,6 @@ pub struct PimSystem<M> {
     dead: Vec<bool>,
     /// Modules declared dead since the last [`Self::take_newly_dead`].
     newly_dead: Vec<u32>,
-    /// Lifetime fault/recovery counters.
-    fault_log: FaultLog,
 }
 
 /// The simulator counters a checkpoint must carry (see
@@ -97,12 +95,8 @@ pub struct PimSystem<M> {
 /// machine-side bookkeeping around them.
 #[derive(Clone, Debug)]
 pub struct SimCounters {
-    /// Lifetime stats.
+    /// Lifetime stats, fault counters and round count included.
     pub stats: SimStats,
-    /// Id of the next accounted round.
-    pub trace_round: u64,
-    /// Lifetime fault/recovery counters.
-    pub fault_log: FaultLog,
     /// Per-module fail-stop markers.
     pub dead: Vec<bool>,
 }
@@ -119,12 +113,10 @@ impl<M: Send> PimSystem<M> {
             accounting: true,
             journal: None,
             metrics: Metrics::disabled(),
-            trace_round: 0,
             phase_stack: Vec::new(),
             plan: None,
             dead: vec![false; p],
             newly_dead: Vec::new(),
-            fault_log: FaultLog::default(),
         }
     }
 
@@ -202,47 +194,32 @@ impl<M: Send> PimSystem<M> {
         &self.modules[module]
     }
 
-    /// Lifetime statistics.
+    /// Lifetime statistics, fault and recovery counters included.
     pub fn stats(&self) -> &SimStats {
         &self.stats
     }
 
-    /// Resets statistics (e.g. after warmup).
-    pub fn reset_stats(&mut self) {
-        self.stats = SimStats::default();
-    }
-
-    /// Attaches (or with `None` detaches) a fault-injection plan. This
-    /// starts a fresh failure experiment: dead-module markers and the
-    /// fault log are cleared. Injection only applies to *accounted*
+    /// Attaches (or with `None` detaches) a fault-injection plan and clears
+    /// the dead-module markers, but no counter: an experiment attaches its
+    /// plan once, to a fresh machine. Injection only applies to *accounted*
     /// rounds — warmup/build phases run fault-free by construction.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.plan = plan;
         self.dead = vec![false; self.modules.len()];
         self.newly_dead.clear();
-        self.fault_log = FaultLog::default();
-    }
-
-    /// Lifetime fault/recovery counters.
-    pub fn fault_log(&self) -> &FaultLog {
-        &self.fault_log
     }
 
     /// Restorable simulator counters: everything a host-process restart
     /// must re-establish so post-restore rounds are byte-identical to the
-    /// uninterrupted run (round ids drive fault draws and journal records;
-    /// stats drive `since`-window deltas).
+    /// uninterrupted run (the round count is the next round's id, which
+    /// drives fault draws and journal records; stats drive `since`-window
+    /// deltas).
     pub fn export_counters(&self) -> SimCounters {
-        SimCounters {
-            stats: self.stats,
-            trace_round: self.trace_round,
-            fault_log: self.fault_log.clone(),
-            dead: self.dead.clone(),
-        }
+        SimCounters { stats: self.stats, dead: self.dead.clone() }
     }
 
     /// Reinstates counters exported by [`Self::export_counters`] — the one
-    /// sanctioned rewind of the otherwise-monotonic `trace_round`, sound
+    /// sanctioned rewind of the otherwise-monotonic round count, sound
     /// only because it runs in a *fresh process* restoring a checkpoint:
     /// the rounds past the snapshot never happened in this lifetime, and
     /// WAL replay is about to re-execute them under their original ids.
@@ -253,8 +230,6 @@ impl<M: Send> PimSystem<M> {
     pub fn import_counters(&mut self, c: SimCounters) {
         assert_eq!(c.dead.len(), self.modules.len(), "dead mask width must match the machine");
         self.stats = c.stats;
-        self.trace_round = c.trace_round;
-        self.fault_log = c.fault_log;
         self.dead = c.dead;
         self.newly_dead.clear();
     }
@@ -284,7 +259,7 @@ impl<M: Send> PimSystem<M> {
     /// contract requires the replayed rounds to reproduce the original
     /// journal exactly, with no extra records.
     pub fn record_host_crash(&mut self) {
-        self.fault_log.host_crashes += 1;
+        self.stats.faults[FaultKind::HostCrash as usize] += 1;
     }
 
     /// Whether `module` has fail-stopped.
@@ -313,13 +288,19 @@ impl<M: Send> PimSystem<M> {
     }
 
     /// Scripted fail-stop of one module (test/bench hook): the module is
-    /// marked dead exactly as if the fault plan had drawn its death.
+    /// marked dead exactly as if the fault plan had drawn its death. The
+    /// death is counted here, since no round's journal record carries it.
     pub fn kill_module(&mut self, module: usize) {
         if !self.dead[module] {
-            self.dead[module] = true;
-            self.newly_dead.push(module as u32);
-            self.fault_log.deaths += 1;
+            self.mark_dead(module);
+            self.stats.faults[FaultKind::Death as usize] += 1;
         }
+    }
+
+    /// Marks `module` fail-stopped, for [`Self::take_newly_dead`].
+    fn mark_dead(&mut self, module: usize) {
+        self.dead[module] = true;
+        self.newly_dead.push(module as u32);
     }
 
     /// One host-side DMA read of a (typically dead) module's memory.
@@ -332,8 +313,6 @@ impl<M: Send> PimSystem<M> {
     pub fn salvage<R>(&mut self, module: usize, f: impl FnOnce(&mut M) -> (R, u64)) -> R {
         let (out, bytes) = f(&mut self.modules[module]);
         if self.accounting {
-            self.fault_log.salvages += 1;
-            self.fault_log.salvaged_bytes += bytes;
             // No module runs: the DMA is one call issued before the host
             // knows the image size, so it is charged even for an empty one.
             self.commit(RoundAccount {
@@ -346,7 +325,6 @@ impl<M: Send> PimSystem<M> {
                 }],
                 ..RoundAccount::empty(RoundKind::Salvage, self.modules.len())
             });
-            self.metrics.with(|m| m.add("sim_salvaged_bytes_total", &[], bytes));
         }
         out
     }
@@ -445,7 +423,7 @@ impl<M: Send> PimSystem<M> {
     /// The id the **next** accounted round will carry — in its journal
     /// record, and as the round its fault fates are drawn with.
     pub fn next_round_id(&self) -> u64 {
-        self.trace_round
+        self.stats.rounds
     }
 
     /// Whether `module`, if it takes part in the next round, will fail it
@@ -468,7 +446,7 @@ impl<M: Send> PimSystem<M> {
         }
         match &self.plan {
             Some(pl) if self.accounting => {
-                pl.module_fate(self.trace_round, module as u32, participating)
+                pl.module_fate(self.stats.rounds, module as u32, participating)
             }
             _ if participating => ModuleFate::OK,
             _ => ModuleFate::IDLE,
@@ -476,14 +454,15 @@ impl<M: Send> PimSystem<M> {
     }
 
     /// Per-module fates for the next round, drawn sequentially (thread-count
-    /// independent); modules whose fate is death are marked dead.
+    /// independent); modules whose fate is death are marked dead, and
+    /// counted when the round commits its `Death` events.
     /// `participating(i)` is whether the host sends module `i` anything.
     fn draw_fates(&mut self, participating: impl Fn(usize) -> bool) -> Vec<ModuleFate> {
         let fates: Vec<ModuleFate> =
             (0..self.modules.len()).map(|i| self.fate(i, participating(i))).collect();
         for (i, f) in fates.iter().enumerate() {
             if f.died {
-                self.kill_module(i);
+                self.mark_dead(i);
             }
         }
         fates
@@ -556,7 +535,7 @@ impl<M: Send> PimSystem<M> {
     /// Accounts one executed round: folds the per-module fates, meters and
     /// byte vectors (`sent[i]`/`recv[i]` are what one delivery to / one
     /// fetch from module `i` moves) into the round's [`RoundAccount`],
-    /// completing `shape`, and tallies the fault log.
+    /// completing `shape`. It counts nothing: `commit` folds the result.
     ///
     /// The round proceeds in *waves*. In wave `a`, every module whose fate
     /// has an attempt `a` gets its buffer (re-)sent; attempts that fail
@@ -566,14 +545,14 @@ impl<M: Send> PimSystem<M> {
     /// one-wave case: the same float operations in the same order as a
     /// plain max over modules (`0.0 + max` and `… + 0 × timeout` are exact).
     fn account(
-        &mut self,
+        &self,
         shape: RoundAccount,
         fates: &[ModuleFate],
         ctxs: &[PimCtx],
         sent: &[u64],
         recv: &[u64],
     ) -> RoundAccount {
-        let round = self.trace_round;
+        let round = self.stats.rounds;
         let plan = self.plan.as_ref();
         let factor = plan.map_or(1.0, |pl| pl.config().straggler_factor.max(1.0));
         // What one attempt costs relative to one clean run of the handler;
@@ -583,7 +562,7 @@ impl<M: Send> PimSystem<M> {
             _ if o.executed() => 1.0,
             _ => 0.0,
         };
-        let retries_before = self.fault_log.retries;
+        let (mut retries, mut retransmitted_bytes) = (0u64, 0u64);
         let (mut total_sent, mut total_recv, mut max_module_bytes, mut calls) = (0u64, 0, 0, 0);
         let (mut max_cycles, mut sum_cycles) = (0u64, 0u64);
         let (mut n_waves, mut active_modules) = (0usize, 0u32);
@@ -609,7 +588,7 @@ impl<M: Send> PimSystem<M> {
                         ^ pl.corruption_mask(round, i as u32, a as u32);
                     debug_assert!(!validate_checksum(key, round, i as u32, recv[i], got));
                 }
-                if let Some(kind) = self.fault_log.count(o) {
+                if let Some(kind) = o.fault() {
                     events.push(FaultEvent { module: i as u32, attempt: a as u32, kind });
                 }
             }
@@ -637,8 +616,8 @@ impl<M: Send> PimSystem<M> {
             total_sent += m_sent;
             total_recv += m_recv;
             max_module_bytes = max_module_bytes.max(m_sent + m_recv);
-            self.fault_log.retries += n_att.saturating_sub(1);
-            self.fault_log.retransmitted_bytes += sent[i] * n_att.saturating_sub(1);
+            retries += n_att.saturating_sub(1);
+            retransmitted_bytes += sent[i] * n_att.saturating_sub(1);
         }
 
         // Wave fold; each wave containing a failure charges one host
@@ -658,8 +637,7 @@ impl<M: Send> PimSystem<M> {
             pim_s += wave_max;
             timeout_waves += wave_failed as u64;
         }
-        let timeouts_s = timeout_waves as f64 * plan.map_or(0.0, |pl| pl.config().timeout_s);
-        self.fault_log.timeout_s += timeouts_s;
+        let timeout_s = timeout_waves as f64 * plan.map_or(0.0, |pl| pl.config().timeout_s);
 
         RoundAccount {
             breakdown: self.price(
@@ -667,7 +645,7 @@ impl<M: Send> PimSystem<M> {
                 total_sent + total_recv,
                 max_module_bytes,
                 calls,
-                timeouts_s,
+                timeout_s,
             ),
             sent: total_sent,
             recv: total_recv,
@@ -676,23 +654,25 @@ impl<M: Send> PimSystem<M> {
             sum_cycles,
             module_cycles,
             events,
-            retries: self.fault_log.retries - retries_before,
+            retries,
+            retransmitted_bytes,
+            timeout_s,
             ..shape
         }
     }
 
     /// Commits one accounted round: the single place where the lifetime
-    /// stats advance, the round id is consumed, and the metrics registry
-    /// and the journal are fed — all from the same [`RoundAccount`], so
+    /// stats advance (the round count, which is the round's id, and the
+    /// fault counters with it), and the metrics registry and the journal
+    /// are fed — all from the same [`RoundAccount`], so
     /// "Σ journal records = `SimStats`" and "metrics cover the rounds stats
     /// cover" hold by construction. Runs on the host thread after the
     /// parallel step, so feed order — and therefore every snapshot — is
     /// independent of host thread count. With no registry or journal attached
     /// each costs one branch.
     fn commit(&mut self, a: RoundAccount) {
+        let round = self.stats.rounds;
         self.stats.record(&a);
-        let round = self.trace_round;
-        self.trace_round += 1;
         self.meter_round(&a);
         if let Some(journal) = &self.journal {
             let (cycle_hist, stragglers) = summarize_cycles(&a.module_cycles);
@@ -759,6 +739,9 @@ impl<M: Send> PimSystem<M> {
             }
             for e in &a.events {
                 m.add("sim_faults_total", &[("kind", e.kind.name())], 1);
+            }
+            if a.kind == RoundKind::Salvage {
+                m.add("sim_salvaged_bytes_total", &[], a.recv);
             }
         });
     }
@@ -946,26 +929,6 @@ mod more_tests {
     }
 
     #[test]
-    fn trace_round_ids_survive_stats_reset() {
-        let journal = Journal::new();
-        let mut sys = PimSystem::new(MachineConfig::with_modules(2), |_| 0u64);
-        sys.set_journal(Some(journal.clone()));
-        let _ = sys.execute_round(vec![vec![1u32]], |_, _, ctx, t| {
-            ctx.op(1);
-            t
-        });
-        sys.reset_stats();
-        let _ = sys.execute_round(vec![vec![2u32]], |_, _, ctx, t| {
-            ctx.op(1);
-            t
-        });
-        let recs = journal.snapshot();
-        assert_eq!(recs[0].round, 0);
-        assert_eq!(recs[1].round, 1, "round ids are monotonic across resets");
-        assert_eq!(sys.stats().rounds, 1, "stats themselves did reset");
-    }
-
-    #[test]
     fn unaccounted_rounds_emit_no_records() {
         let journal = Journal::new();
         let mut sys = PimSystem::new(MachineConfig::with_modules(2), |_| 0u64);
@@ -986,20 +949,6 @@ mod more_tests {
             sys.scoped_phase("insert", |s| s.scoped_phase("redistribute", |s| s.current_phase()));
         assert_eq!(label, "insert/redistribute");
         assert_eq!(sys.current_phase(), "", "labels unwind with their scopes");
-    }
-
-    #[test]
-    fn stats_reset_clears_everything() {
-        let mut sys = PimSystem::new(MachineConfig::with_modules(2), |_| 0u64);
-        let _ = sys.execute_round(vec![vec![1u32], vec![2u32]], |_, _, ctx, t| {
-            ctx.op(5);
-            t
-        });
-        assert!(sys.stats().rounds > 0);
-        sys.reset_stats();
-        assert_eq!(sys.stats().rounds, 0);
-        assert_eq!(sys.stats().channel_bytes(), 0);
-        assert_eq!(sys.stats().total_pim_cycles, 0);
     }
 }
 
@@ -1041,7 +990,7 @@ mod fault_tests {
         assert_eq!(a.pim_s.to_bits(), b.pim_s.to_bits(), "same float ops in the same order");
         assert_eq!(a.comm_s.to_bits(), b.comm_s.to_bits());
         assert_eq!(a.overhead_s.to_bits(), b.overhead_s.to_bits());
-        assert_eq!(planned.fault_log().total_faults(), 0);
+        assert_eq!(planned.stats().total_faults(), 0);
     }
 
     #[test]
@@ -1053,11 +1002,11 @@ mod fault_tests {
             sys
         };
         let (a, b) = (mk(), mk());
-        assert_eq!(a.fault_log(), b.fault_log());
+        assert_eq!(a.stats(), b.stats());
         assert_eq!(a.stats().pim_s.to_bits(), b.stats().pim_s.to_bits());
         assert_eq!(a.stats().overhead_s.to_bits(), b.stats().overhead_s.to_bits());
         assert_eq!(a.stats().cpu_to_pim_bytes, b.stats().cpu_to_pim_bytes);
-        assert!(a.fault_log().total_faults() > 0, "5% over 240 module-rounds must fire");
+        assert!(a.stats().total_faults() > 0, "5% over 240 module-rounds must fire");
     }
 
     #[test]
@@ -1072,7 +1021,7 @@ mod fault_tests {
         run_workload(&mut faulty, 20);
         assert!(faulty.stats().cpu_to_pim_bytes > plain.stats().cpu_to_pim_bytes, "retransmits");
         assert!(faulty.stats().overhead_s > plain.stats().overhead_s, "timeouts");
-        assert!(faulty.fault_log().retries > 0);
+        assert!(faulty.stats().retries > 0);
     }
 
     #[test]
@@ -1115,7 +1064,7 @@ mod fault_tests {
                 t
             });
         }
-        assert!(sys.fault_log().retries > 0, "30% fault mass must retry sometimes");
+        assert!(sys.stats().retries > 0, "30% fault mass must retry sometimes");
         for i in 0..8 {
             assert_eq!(*sys.peek(i), 50, "module {i} must commit each round exactly once");
         }
@@ -1143,11 +1092,11 @@ mod fault_tests {
                 }
             }
         }
-        assert!(sys.fault_log().deaths > 0, "5% death rate over 100 rounds");
+        assert!(sys.stats().faults_of(FaultKind::Death) > 0, "5% death rate over 100 rounds");
         assert!(saw_missing_reply, "a death mid-round must surface as a missing reply");
         assert_eq!(
             sys.take_newly_dead().len() as u64,
-            sys.fault_log().deaths,
+            sys.stats().faults_of(FaultKind::Death),
             "every death is reported exactly once"
         );
     }
@@ -1171,8 +1120,9 @@ mod fault_tests {
         let mut bcast = faulted();
         bcast.broadcast(payload, |_, _, _, _| {});
 
-        assert!(bcast.fault_log().retries > 0, "a 50% fault mass over 8 modules must retry");
-        assert_eq!(bcast.fault_log(), scatter.fault_log());
+        assert!(bcast.stats().retries > 0, "a 50% fault mass over 8 modules must retry");
+        let faults = |s: &SimStats| (s.faults, s.retries, s.retransmitted_bytes, s.timeout_s);
+        assert_eq!(faults(bcast.stats()), faults(scatter.stats()));
         assert_eq!(bcast.stats().cpu_to_pim_bytes, scatter.stats().cpu_to_pim_bytes);
         assert_eq!(bcast.stats().comm_s.to_bits(), scatter.stats().comm_s.to_bits());
         let cfg = MachineConfig::with_modules(8);
@@ -1192,8 +1142,8 @@ mod fault_tests {
         let got = sys.salvage(3, |m| (*m, 4096));
         assert_eq!(got, 3, "salvage reads the dead module's resident state");
         assert_eq!(sys.stats().pim_to_cpu_bytes - before, 4096);
-        assert_eq!(sys.fault_log().salvages, 1);
-        assert_eq!(sys.fault_log().salvaged_bytes, 4096);
+        assert_eq!(sys.stats().faults_of(FaultKind::Salvage), 1);
+        assert_eq!(sys.stats().salvaged_bytes, 4096);
         let recs = journal.snapshot();
         let rec = recs.last().unwrap();
         assert_eq!(rec.kind, RoundKind::Salvage);
@@ -1214,8 +1164,53 @@ mod fault_tests {
         run_workload(&mut sys, 10);
         let recs = journal.snapshot();
         let n_events: usize = recs.iter().map(|r| r.faults.len()).sum();
-        assert_eq!(n_events as u64, sys.fault_log().total_faults());
+        assert_eq!(n_events as u64, sys.stats().total_faults());
         assert!(n_events > 0);
+    }
+
+    #[test]
+    fn fault_counters_are_the_journal_events_by_kind() {
+        // A plan that draws deaths, a scripted kill, the salvage of every
+        // dead module and a host crash: every kind of count `SimStats`
+        // keeps. Only the scripted death and the crash are counted between
+        // rounds; every other count is an event of some round's record.
+        let journal = Journal::new();
+        let mut sys = PimSystem::new(MachineConfig::with_modules(8), |i| i as u64);
+        sys.set_journal(Some(journal.clone()));
+        sys.set_fault_plan(Some(FaultPlan::new(FaultConfig {
+            p_death: 0.02,
+            ..FaultConfig::uniform(0.1, 31)
+        })));
+        for step in 0..12 {
+            if step == 4 {
+                let live = (0..8).find(|&i| !sys.is_dead(i)).unwrap();
+                sys.kill_module(live);
+            }
+            run_workload(&mut sys, 1);
+            for d in sys.take_newly_dead() {
+                sys.salvage(d as usize, |m| (*m, 64 + *m));
+            }
+        }
+        sys.record_host_crash();
+
+        let recs = journal.snapshot();
+        let mut journaled = [0u64; FaultKind::COUNT];
+        for e in recs.iter().flat_map(|r| &r.faults) {
+            journaled[e.kind as usize] += 1;
+        }
+        let s = sys.stats();
+        for kind in FaultKind::ALL {
+            let between_rounds = matches!(kind, FaultKind::Death | FaultKind::HostCrash) as u64;
+            assert_eq!(s.faults_of(kind), journaled[kind as usize] + between_rounds, "{kind:?}");
+            if kind != FaultKind::HostCrash {
+                assert!(journaled[kind as usize] > 0, "no {kind:?} event was journaled");
+            }
+        }
+        let salvaged: u64 =
+            recs.iter().filter(|r| r.kind == RoundKind::Salvage).map(|r| r.pim_to_cpu_bytes).sum();
+        assert_eq!(s.salvaged_bytes, salvaged);
+        assert_eq!(s.rounds, recs.len() as u64);
+        assert_eq!(sys.next_round_id(), recs.last().unwrap().round + 1);
     }
 
     #[test]
@@ -1230,7 +1225,7 @@ mod fault_tests {
                 t
             });
         }
-        assert_eq!(sys.fault_log().total_faults(), 0, "build/warmup is fault-free");
+        assert_eq!(sys.stats().total_faults(), 0, "build/warmup is fault-free");
         for i in 0..4 {
             assert_eq!(*sys.peek(i), 20);
         }

@@ -55,7 +55,7 @@ crate::json::labels! {
 /// lifetime counters.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RoundRecord {
-    /// Monotonic round id (survives `reset_stats`).
+    /// Round id: the number of accounted rounds before this one.
     pub round: u64,
     /// Phase label at emission time (`""` when unlabeled); nested scopes
     /// join with `/`, e.g. `insert/maintain`.

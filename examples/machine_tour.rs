@@ -37,14 +37,14 @@ fn main() {
     );
 
     // Round 2: a straggler — module 7 gets 100x the work.
-    sys.reset_stats();
+    let before = *sys.stats();
     let tasks: Vec<Vec<u64>> =
         (0..16).map(|i| vec![0u64; if i == 7 { 6400 } else { 64 }]).collect();
     let _ = sys.execute_round(tasks, |_, _, ctx: &mut PimCtx, incoming| {
         ctx.op(incoming.len() as u64 * 50);
         Vec::<u64>::new()
     });
-    let s = sys.stats();
+    let s = sys.stats().since(&before);
     println!(
         "\nround 2 (straggler): load imbalance = {:.1}x — the round takes as long as module 7",
         s.agg_imbalance()
@@ -52,14 +52,14 @@ fn main() {
 
     // Rounds 3+4: the Direct-API ablation — same transfer, different API.
     for api in [TransferApi::Sdk, TransferApi::Direct] {
-        sys.reset_stats();
+        let before = *sys.stats();
         sys.config_mut().api = api;
         let tasks: Vec<Vec<u64>> = (0..16).map(|_| vec![1u64; 4]).collect();
         let _ = sys.execute_round(tasks, |_, _, _, t| t);
         println!(
             "small-batch transfer with {:?} API: overhead {:.2} µs/round",
             api,
-            sys.stats().overhead_s * 1e6
+            sys.stats().since(&before).overhead_s * 1e6
         );
     }
 

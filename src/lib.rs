@@ -15,7 +15,7 @@ pub use pim_zdtree_base as zdtree;
 pub use pim_zorder as zorder;
 
 pub use pim_geom::{Aabb, Metric, Point};
-pub use pim_sim::{FaultConfig, FaultLog, FaultPlan, MachineConfig};
+pub use pim_sim::{FaultConfig, FaultPlan, MachineConfig, SimStats};
 pub use pim_zd_tree::{BatchIndex, BatchRead};
 pub use pim_zd_tree::{DurabilityError, PimZdConfig, PimZdTree, Wal, WalOp, WalReadMode};
 pub use pim_zd_tree::{PlacementTable, ShardConfig, ShardedZdTree};

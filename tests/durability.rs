@@ -5,12 +5,12 @@
 //! replay must produce **byte-identical** query results, trace journals,
 //! and metrics snapshots to an uninterrupted oracle run — at 1, 2, and 8
 //! rayon threads. The only permitted divergence is the recovery marker
-//! itself: `FaultLog::host_crashes`, which is deliberately excluded from
-//! journals, metrics, and `total_faults()`.
+//! itself: the `HostCrash` count of `SimStats::faults`, which is
+//! deliberately excluded from journals, metrics, and `total_faults()`.
 
 use pim_zd_tree_repro::sim::trace::Journal;
 use pim_zd_tree_repro::sim::wire::fnv1a;
-use pim_zd_tree_repro::sim::Metrics;
+use pim_zd_tree_repro::sim::{FaultKind, Metrics};
 use pim_zd_tree_repro::{
     workloads, MachineConfig, Metric, PimZdConfig, PimZdTree, Point, Wal, WalReadMode,
 };
@@ -102,7 +102,7 @@ fn observe(mut t: PimZdTree<3>, tail: &[(bool, Vec<Point<3>>)]) -> (Artifacts, u
         epoch: t.epoch(),
         len: t.len(),
     };
-    (art, t.fault_log().host_crashes)
+    (art, t.sim_stats().faults_of(FaultKind::HostCrash))
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -148,7 +148,7 @@ fn run_scenario(tag: &str) -> Artifacts {
     let replayed = revived.replay_wal(&wal_path, WalReadMode::Recovery).expect("replay");
     assert_eq!(replayed, (CRASH - CKPT) as u64, "every logged batch replays");
     assert_eq!(revived.epoch(), CRASH as u64);
-    assert_eq!(revived.fault_log().host_crashes, 1, "recovery is recorded once");
+    assert_eq!(revived.sim_stats().faults_of(FaultKind::HostCrash), 1, "recovery is recorded once");
 
     // Continue the remaining schedule and queries on the same observers.
     let mut results: Vec<u64> = Vec::new();
@@ -228,7 +228,11 @@ fn recover_reattaches_the_wal_and_keeps_logging() {
     assert_eq!(replayed2, (all.len() - CKPT) as u64, "full log replays from the checkpoint");
     assert_eq!(again.epoch(), all.len() as u64);
     assert_eq!(again.len(), want_len);
-    assert_eq!(again.fault_log().host_crashes, 1, "one recovery event per restore");
+    assert_eq!(
+        again.sim_stats().faults_of(FaultKind::HostCrash),
+        1,
+        "one recovery event per restore"
+    );
 
     let _ = std::fs::remove_file(&ckpt_path);
     let _ = std::fs::remove_file(&wal_path);
@@ -336,14 +340,18 @@ fn fragment_layout_digests_are_pinned() {
     // checkpoint version 2, which no longer writes the simulator's per-round
     // imbalance history or the `accounting` flag: each version-1 image, with
     // those fields cut out and its header and two crcs rewritten, is the
-    // version-2 image of the same tree byte for byte.
+    // version-2 image of the same tree byte for byte. All twelve moved again
+    // with version 3, which writes no round id beside `SimStats::rounds` and
+    // keeps the fault counts in `SimStats`: each version-2 image, with the
+    // round id cut out, the fault-log fields in their new order and its
+    // header and crcs rewritten, is the version-3 image byte for byte.
     let want_layout = [
-        [0x5587056806ebd2ea, 0xb11ac5a40f41319a],
-        [0xdd0c47a610fb1aa2, 0x0ffbf0bcf1d0dcb3],
-        [0x9225704e8414f8e1, 0x271c3d91882333be],
-        [0xabb57bac9f1871fe, 0x1279089bb1ad4310],
-        [0xeba8a5ca1ae0def1, 0xf8c31c725d7e7463],
-        [0x88d41e35b4e1199f, 0xc312a3bf2a515415u64],
+        [0x92f0034b6e731d25, 0x01ae37fb9ed7334a],
+        [0xba6fa0bb0857fd5f, 0x4f1b18464b63ad43],
+        [0x3ff589621594b242, 0xa6d6e1602100ba4c],
+        [0xeb8fbf7a9e25f615, 0x46ece81b6324ceed],
+        [0x47ed0efe449d7087, 0xc2c3f260f9d8e3ea],
+        [0x538d64a2f5fc6dbb, 0x4cbe6f91403b1068u64],
     ];
 
     // One `[built, trail]` pair per case, recorded at commit c72b0f7 and
@@ -483,19 +491,13 @@ fn every_field_image_and_its_wal_are_pinned() {
     let (t, replayed) = PimZdTree::<3>::recover(&ckpt_path, &wal_path).expect("recover");
     assert_eq!(replayed, (all.len() - CRASH) as u64);
 
-    let log = t.fault_log();
-    for (name, n) in [
-        ("exec_faults", log.exec_faults),
-        ("reply_drops", log.reply_drops),
-        ("reply_corruptions", log.reply_corruptions),
-        ("stragglers", log.stragglers),
-        ("deaths", log.deaths),
+    let log = t.sim_stats();
+    let by_kind = FaultKind::ALL.map(|kind| (kind.name(), log.faults_of(kind)));
+    for (name, n) in by_kind.into_iter().chain([
         ("retries", log.retries),
         ("retransmitted_bytes", log.retransmitted_bytes),
-        ("salvages", log.salvages),
         ("salvaged_bytes", log.salvaged_bytes),
-        ("host_crashes", log.host_crashes),
-    ] {
+    ]) {
         assert!(n > 0, "{name} is zero");
     }
     assert!(log.timeout_s > 0.0);
@@ -511,7 +513,8 @@ fn every_field_image_and_its_wal_are_pinned() {
     // cache state and cycle counters), and again when insert and delete
     // stopped sorting SEARCH's order again (cycle counters only), and with
     // checkpoint version 2 (no imbalance history, no `accounting` flag;
-    // every other byte equal); the WAL did not.
-    let want = [0x2b1cd1265fa9e372, 0x3c53ba074c6bcaebu64];
+    // every other byte equal), and with version 3 (no round id, the fault
+    // counts in `SimStats`; every other byte equal); the WAL did not.
+    let want = [0x63535d4eb92f8491, 0x3c53ba074c6bcaebu64];
     assert_eq!(got, want, "[image, wal] moved; the digests now are {got:#018x?}");
 }

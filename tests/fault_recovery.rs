@@ -15,6 +15,7 @@
 //!    part of PR 2's thread-count-invariance contract.
 
 use pim_zd_tree_repro::sim::trace::Journal;
+use pim_zd_tree_repro::sim::FaultKind;
 use pim_zd_tree_repro::{
     workloads, FaultConfig, FaultPlan, MachineConfig, Metric, PimZdConfig, PimZdTree,
 };
@@ -91,9 +92,9 @@ fn scripted_kills_preserve_oracle_results_and_journal_recovery() {
 
     // Recovery observable: salvages happened, the dead modules are
     // evacuated, and the journal carries Salvage rounds + fault events.
-    let log = t.fault_log();
-    assert_eq!(log.deaths, 3);
-    assert!(log.salvages >= 3, "each dead module is salvaged once");
+    let log = t.sim_stats();
+    assert_eq!(log.faults_of(FaultKind::Death), 3);
+    assert!(log.faults_of(FaultKind::Salvage) >= 3, "each dead module is salvaged once");
     assert!(log.salvaged_bytes > 0);
     assert_eq!(t.n_live_modules(), MODULES - 3);
     let jsonl = journal.to_jsonl();
@@ -119,7 +120,7 @@ fn seeded_fault_plan_matches_fault_free_results() {
     let got = query_fingerprint(&mut t, &all);
 
     assert_eq!(got, want, "recoverable faults must not change any query result");
-    let log = t.fault_log();
+    let log = t.sim_stats();
     assert!(log.total_faults() > 0, "the plan must actually inject at this rate");
     assert!(log.retries > 0, "transient faults must force retries");
 }
@@ -137,7 +138,7 @@ fn fault_journal_is_byte_identical_across_thread_counts() {
         let mut all = pts;
         all.extend_from_slice(&extra);
         let fp = query_fingerprint(&mut t, &all);
-        let log = format!("{:?}", t.fault_log());
+        let log = format!("{:?}", t.sim_stats());
         (journal.to_jsonl(), fp, log)
     };
     let baseline = rayon::ThreadPool::new(1).install(run);

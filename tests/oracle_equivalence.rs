@@ -343,7 +343,7 @@ fn cube_cases<const D: usize>() {
                 );
             }
         }
-        assert!(index.fault_log().retries > 0, "{case}: the plan must be biting");
+        assert!(index.sim_stats().retries > 0, "{case}: the plan must be biting");
         let fused = metrics.with(|m| m.counter("host_knn_fused_total", &[])).flatten();
         assert!(fused > Some(0), "{case}: no best-k rode a SEARCH round");
     }

@@ -5,7 +5,7 @@ mod common;
 use common::knn_distinct;
 use pim_geom::{max_coord_for_dim, Aabb, Metric, Point};
 use pim_memsim::{CpuConfig, CpuMeter};
-use pim_zd_tree_repro::sim::Metrics;
+use pim_zd_tree_repro::sim::{FaultKind, Metrics};
 use pim_zd_tree_repro::{
     workloads, BatchIndex, FaultConfig, FaultPlan, MachineConfig, PimZdConfig, PimZdTree,
     ShardConfig, ShardedZdTree,
@@ -366,8 +366,9 @@ fn update_batches_under_a_fault_plan_keep_the_invariants() {
         t.check_invariants(&model.0);
         model.check(&mut t, &probes, &format!("step {step}"));
     }
-    let log = t.fault_log();
-    assert!(log.retries > 0 && log.salvages > 0, "the plan and the kill must bite: {log:?}");
+    let log = t.sim_stats();
+    let salvages = log.faults_of(FaultKind::Salvage);
+    assert!(log.retries > 0 && salvages > 0, "the plan and the kill must bite: {log:?}");
 }
 
 proptest! {

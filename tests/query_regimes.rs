@@ -192,7 +192,7 @@ fn run_knn(s: &Schedule, skew: bool, regime: Regime, faulty: bool) -> (u64, u64)
         }
     }
     if faulty {
-        assert!(t.fault_log().retries > 0, "{tag}: the plan must be biting kNN");
+        assert!(t.sim_stats().retries > 0, "{tag}: the plan must be biting kNN");
     }
     out.digest(&journal)
 }
@@ -223,7 +223,7 @@ fn run_boxes(s: &Schedule, skew: bool, regime: Regime, faulty: bool) -> (u64, u6
         }
     }
     if faulty {
-        assert!(t.fault_log().retries > 0, "{tag}: the plan must be biting the boxes");
+        assert!(t.sim_stats().retries > 0, "{tag}: the plan must be biting the boxes");
         assert!(t.n_live_modules() < MODULES, "{tag}: the kill must have been detected");
     }
     out.digest(&journal)

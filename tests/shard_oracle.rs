@@ -275,10 +275,10 @@ fn fault_plan_on_one_rank_preserves_results() {
     // The faulty rank really did fault (retry/salvage rounds happened),
     // and its fault plane stayed confined to rank 1.
     assert!(
-        sh.rank(1).fault_log().total_faults() > 0,
+        sh.rank(1).sim_stats().total_faults() > 0,
         "fault plan on rank 1 must actually inject faults"
     );
-    assert_eq!(sh.rank(0).fault_log().total_faults(), 0, "faults must not leak across ranks");
+    assert_eq!(sh.rank(0).sim_stats().total_faults(), 0, "faults must not leak across ranks");
 }
 
 /// A point mass of heat — one query repeated — cannot be balanced by moving

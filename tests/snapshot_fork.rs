@@ -15,7 +15,7 @@
 
 use pim_zd_tree_repro::index::{BatchRead, OpStats, TreeSnapshot};
 use pim_zd_tree_repro::sim::trace::Journal;
-use pim_zd_tree_repro::sim::Metrics;
+use pim_zd_tree_repro::sim::{FaultKind, Metrics};
 use pim_zd_tree_repro::{
     workloads, Aabb, FaultConfig, FaultPlan, MachineConfig, Metric, PimZdConfig, PimZdTree, Point,
 };
@@ -132,7 +132,10 @@ fn fork_matches_restore<const D: usize>(preset: Preset, variant: Variant) {
             // Detection and recovery run with the next round.
             live.batch_contains(&schedule.probes);
             assert_eq!(live.n_live_modules(), MODULES - 1, "{tag}");
-            assert!(live.fault_log().salvages > 0, "{tag}: recovery must have run");
+            assert!(
+                live.sim_stats().faults_of(FaultKind::Salvage) > 0,
+                "{tag}: recovery must have run"
+            );
         }
         Variant::Observed => {
             // A third of all deliveries fail transiently: a fork that kept
@@ -144,7 +147,7 @@ fn fork_matches_restore<const D: usize>(preset: Preset, variant: Variant) {
             live.set_journal(Some(journal.clone()));
             live.set_metrics(metrics.clone());
             live.batch_knn(&schedule.queries, 4, Metric::L2);
-            assert!(live.fault_log().retries > 0, "{tag}: the plan must be biting");
+            assert!(live.sim_stats().retries > 0, "{tag}: the plan must be biting");
         }
     }
     let journal_len = journal.snapshot().len();
