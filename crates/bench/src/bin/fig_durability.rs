@@ -5,8 +5,8 @@
 //! The recovered tree is validated against an uninterrupted oracle before
 //! any number is reported: identical epoch, cardinality, and a probe-query
 //! fingerprint. Wall-clock host seconds are reported as `cpu_s`/`total_s`
-//! and artifact bytes per indexed point as `traffic`, so the perf-diff
-//! gate can watch the durability path like any other benchmark.
+//! and artifact bytes per indexed point as `traffic`: the one `--json`
+//! report whose rows are host time, so none is committed or compared.
 //!
 //! ```sh
 //! cargo run --release -p pim-bench --bin fig_durability

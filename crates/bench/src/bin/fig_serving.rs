@@ -11,15 +11,14 @@
 //! show up in the curve.
 //!
 //! Determinism: all timing is virtual (see `pim-serve` docs) — the numbers
-//! in the report are byte-reproducible at any host thread count. Latency
-//! percentiles land in the perf report as advisory fields (`p50_s`, …)
-//! that `perf_diff` prints but never gates; the gated quantities are the
-//! usual deterministic throughput/traffic/rounds.
+//! in the report are byte-reproducible at any host thread count, latency
+//! percentiles (`p50_s`, …) included, so CI compares a fresh report with
+//! the committed `BENCH_fig_serving.json` byte for byte.
 //!
 //! Both clocks: next to each table row, **stderr** gets the point's real
 //! (host wall-clock) requests per second beside the virtual achieved rate.
-//! Stdout and the JSON report carry virtual time only (plus the report's
-//! one ungated `wall_s`), so they stay byte-stable across hosts.
+//! Stdout and the JSON report carry virtual time only, so they stay
+//! byte-stable across hosts.
 //!
 //! ```sh
 //! cargo run --release -p pim-bench --bin fig_serving -- \
@@ -38,13 +37,16 @@
 //! stdout table are byte-identical with and without these flags:
 //!
 //! * `--trace-events PATH` writes a Chrome trace-event JSON file
-//!   (Perfetto-loadable; request/lane/module tracks in virtual µs).
+//!   (Perfetto-loadable; request/lane/module tracks in virtual µs). The
+//!   export must pass `pim_bench::trace_events::validate_trace_events`
+//!   first; one that does not is not written, and the run exits 1.
 //! * `--journal DIR` writes the offline-analysis journal dir consumed by
 //!   `tail_report` and `trace_summary` (see ARCHITECTURE.md §9 for the
 //!   file layout: `replies.jsonl`, `serving.jsonl`, `spans.jsonl`,
 //!   `batches.jsonl`, `rounds.jsonl`).
 
 use pim_bench::perf::PerfEntry;
+use pim_bench::trace_events::validate_trace_events;
 use pim_bench::{BenchArgs, PerfSink};
 use pim_serve::{BatchPolicy, PimServer, ServeConfig, ServeReport};
 use pim_sim::{Journal, MachineConfig};
@@ -216,7 +218,15 @@ fn main() {
                 write_or_die(&dir.join("rounds.jsonl"), &journal.to_jsonl());
             }
             if let Some(path) = &trace_events_path {
-                write_or_die(Path::new(path), &st.trace_events(&rounds));
+                let events = st.trace_events(&rounds);
+                let checked = serde_json::from_str(&events)
+                    .map_err(|e| e.to_string())
+                    .and_then(|doc| validate_trace_events(&doc));
+                if let Err(e) = checked {
+                    eprintln!("fig_serving: error: invalid trace-event export: {e}");
+                    std::process::exit(1);
+                }
+                write_or_die(Path::new(path), &events);
             }
         }
     }

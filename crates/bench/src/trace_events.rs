@@ -1,8 +1,8 @@
 //! Shape validation of Chrome trace-event JSON exports.
 //!
 //! The serving tracer's Perfetto export (`fig_serving --trace-events`) has
-//! a deterministic, machine-checkable shape; this module is the gate CI
-//! runs over it (`perf_diff --check-trace-events`). It checks structure,
+//! a deterministic, machine-checkable shape; `fig_serving` checks every
+//! export against it before writing one and exits 1 on a failure. It checks structure,
 //! not values: well-formed JSON with a `traceEvents` array, known phase
 //! kinds, required fields per kind, `ts` monotone non-decreasing within
 //! every `(pid, tid)` track, and `B`/`E` duration pairs that balance like
@@ -13,7 +13,7 @@
 use serde_json::Value;
 use std::collections::BTreeMap;
 
-/// Counters of a successfully validated export (for smoke-test output).
+/// Counters of a successfully validated export.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceEventStats {
     /// Total events, metadata included.

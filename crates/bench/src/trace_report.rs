@@ -270,7 +270,7 @@ pub fn render(summaries: &[PhaseSummary]) -> String {
         .unwrap();
         writeln!(out, "\n(exec/drop/corrupt retry in place; death triggers salvage + re-homing")
             .unwrap();
-        writeln!(out, " onto survivors — see ARCHITECTURE.md §5 for the failure model)").unwrap();
+        writeln!(out, " onto survivors — see ARCHITECTURE.md §6 for the failure model)").unwrap();
     }
     out
 }

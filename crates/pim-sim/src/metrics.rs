@@ -24,7 +24,7 @@
 //! * [`MetricsRegistry::snapshot_json`] — one flat JSON object mapping the
 //!   same series keys to values (histograms become
 //!   `{"buckets":[...],"count":n,"sum":x}`), the form embedded in the
-//!   bench `--json` perf reports and consumed by `perf_diff`.
+//!   bench `--json` perf reports, which CI compares byte for byte.
 //!
 //! The module also hosts the shared percentile/histogram math: the exact
 //! sample quantile ([`quantile_sorted`], used by the `latency_p99` bench)

@@ -401,8 +401,8 @@ impl ServeTrace {
     ///   track, laid out sequentially from the batch's dispatch.
     ///
     /// Events are ordered so `ts` is monotone non-decreasing within every
-    /// `(pid, tid)` track — the shape `perf_diff --check-trace-events`
-    /// validates. Byte-identical output at any host thread count.
+    /// `(pid, tid)` track — the shape `fig_serving` validates before it
+    /// writes the export. Byte-identical output at any host thread count.
     pub fn trace_events(&self, rounds: &[RoundRecord]) -> String {
         let mut evs: Vec<Ev> = Vec::new();
 

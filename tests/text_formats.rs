@@ -1,8 +1,8 @@
 //! The text formats read back exactly what they wrote: the committed
 //! artifacts, read through their typed readers, re-render byte for byte —
 //! every line of the serving baseline's round journal and spans file, and
-//! the `config` object and every `results` entry of each committed perf
-//! report.
+//! each committed perf report up to its metrics snapshot (which reads back
+//! as a value).
 
 use pim_bench::perf::validate_schema;
 use pim_zd_tree_repro::serve::trace::parse_spans_jsonl;
@@ -30,11 +30,13 @@ fn committed_perf_reports_re_render_their_config_and_results() {
         let text = committed(name);
         let doc = serde_json::from_str(&text).expect("the report parses");
         let report = validate_schema(&doc).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let config = serde_json::to_string(&report.config).expect("records render");
-        let config = format!("\"config\":{config},\"wall_s\":");
-        assert!(text.contains(&config), "{name}: {config}");
-        let results = serde_json::to_string(&report.results).expect("records render");
-        let results = format!("\"results\":{results},\"metrics\":");
-        assert!(text.contains(&results), "{name}: the results re-render differently");
+        let rendered = write_jsonl([report]);
+        // Every byte before `metrics` re-renders exactly. `metrics` is the
+        // registry's snapshot carried whole: its reader keeps the parsed
+        // value, which cannot tell a counter's `9` from a gauge's `9.0`, so
+        // the whole document is compared as a value too.
+        let at = text.find("\"metrics\":").expect("the report ends with its metrics");
+        assert!(rendered[..at] == text[..at], "{name}: the report re-renders differently");
+        assert_eq!(serde_json::from_str(&rendered).unwrap(), doc, "{name}");
     }
 }
