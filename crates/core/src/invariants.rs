@@ -278,10 +278,10 @@ impl<const D: usize> PimZdTree<D> {
     /// and what it cost: the point count, L0 and every master fragment
     /// (walked from the root: node prefixes and counts, leaf points, remote
     /// refs with their counters), the id cursor, and each directory entry's
-    /// module, layer, parent, children, prefix and counters. Structure
-    /// caches, `cached_on`, `dirty`, arena order and simulator counters are
-    /// left out, so two trees that differ only in cache traffic digest
-    /// alike.
+    /// layer, parent, children, prefix and counters. Structure caches,
+    /// `cached_on`, `dirty`, arena order, simulator counters and the module
+    /// each master sits on are left out, so two trees that differ only in
+    /// cache traffic or master placement digest alike.
     pub fn data_digest(&self) -> u64 {
         let mut h = Fnv(FNV_OFFSET);
         h.word(self.n_points as u64);
@@ -304,7 +304,6 @@ impl<const D: usize> PimZdTree<D> {
             let mut children = e.children.clone();
             children.sort_unstable();
             h.word(id);
-            h.word(e.module as u64);
             h.word(e.layer as u64);
             h.word(e.parent.map_or(u64::MAX, |p| p));
             h.word(children.len() as u64);

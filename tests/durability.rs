@@ -308,8 +308,9 @@ impl DataTrail {
 ///
 /// Beside each layout pair sits a pair of data digests: of the built tree,
 /// and the trail of the data after every batch. They leave out caches,
-/// cache bookkeeping and costs, so a change to how maintenance is sent that
-/// moves the layout digests must still hold these.
+/// cache bookkeeping, costs and the module each master sits on, so a change
+/// to how maintenance is sent or where masters are placed that moves the
+/// layout digests must still hold these.
 #[test]
 fn fragment_layout_digests_are_pinned() {
     type Gen = fn(usize, u64) -> Vec<Point<3>>;
@@ -355,16 +356,18 @@ fn fragment_layout_digests_are_pinned() {
     ];
 
     // One `[built, trail]` pair per case, recorded at commit c72b0f7 and
-    // moved once since, where the bulk build began to list the chunks it
+    // moved twice since: where the bulk build began to list the chunks it
     // cuts among their parents' children (the digest hashes child lists;
-    // without them it is unchanged by that fix). Cases 1–3 nest no chunk.
+    // without them it is unchanged by that fix), and where the digest
+    // stopped hashing each directory entry's module, so that where a master
+    // sits is layout, not data.
     let want_data = [
-        [0x7b20bc6d1167a753, 0x10c7c47cecdad3be],
-        [0xdc3bfe1a75713061, 0x9f651fb845f0b498],
-        [0xff4cfe565fb47e65, 0x5fb385ca2393a8f3],
-        [0x6667efab3786fd0d, 0x83e2af75272ee3bf],
-        [0xdd65fb8c4a06ce60, 0x07d8d5962bb4adcb],
-        [0x25220c8458281a88, 0xbf849fa40d269b7du64],
+        [0x8cc8ab0a418f959e, 0x661237eaacc0ef8b],
+        [0x26fb65e87f2e90ba, 0x20fee207228a6125],
+        [0x5e482d13f36482d3, 0xb14d130d9d1c7cc4],
+        [0x296a837853c9c5db, 0x49f1439f45b2b045],
+        [0xe92c73dca39cf607, 0x09e2f9a90d3f9e26],
+        [0x0f0317dcdac0d73d, 0x4089fb521e8193d4u64],
     ];
     let near: Vec<Point<3>> = (0..10).map(|i| Point::new([5 + i, 5, 5])).collect();
     let far: Vec<Point<3>> = (0..20).map(|i| Point::new([2_000_000 + i, 7, 7])).collect();
