@@ -156,15 +156,16 @@ impl BenchArgs {
     }
 
     /// Exits 2, as a malformed `--threads` does, when the run asked for one
-    /// of `flags` (`--fault-rate` at a nonzero rate, `--trace`): a binary
-    /// names the shared flags it cannot apply, so no report carries a
-    /// `fault_rate` its run did not inject and no run promises a journal
-    /// it does not write.
+    /// of `flags` (`--fault-rate` at a nonzero rate, `--trace`, `--json`): a
+    /// binary names the shared flags it cannot apply, so no report carries
+    /// a `fault_rate` its run did not inject, no run promises a journal it
+    /// does not write, and no report holds host wall-clock rows.
     pub fn refuse(&self, flags: &[&str]) {
         for &flag in flags {
             let given = match flag {
                 "--fault-rate" => self.fault_rate != 0.0,
                 "--trace" => self.trace.is_some(),
+                "--json" => self.json.is_some(),
                 other => panic!("{other} is not a refusable flag"),
             };
             if given {

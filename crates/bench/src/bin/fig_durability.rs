@@ -4,18 +4,17 @@
 //!
 //! The recovered tree is validated against an uninterrupted oracle before
 //! any number is reported: identical epoch, cardinality, and a probe-query
-//! fingerprint. Wall-clock host seconds are reported as `cpu_s`/`total_s`
-//! and artifact bytes per indexed point as `traffic`: the one `--json`
-//! report whose rows are host time, so none is committed or compared.
+//! fingerprint. Each step is timed in host wall-clock seconds, printed
+//! beside its artifact bytes.
 //!
 //! ```sh
 //! cargo run --release -p pim-bench --bin fig_durability
 //! ```
 //!
-//! The steps time a fault-free host and write no round journal:
-//! `--fault-rate` and `--trace` exit 2.
+//! The steps time a fault-free host and write no round journal, and a perf
+//! report holds only simulated fields: `--fault-rate`, `--trace` and
+//! `--json` exit 2.
 
-use pim_bench::perf::PerfEntry;
 use pim_bench::{BenchArgs, PerfSink};
 use pim_sim::MachineConfig;
 use pim_workloads::uniform;
@@ -25,20 +24,6 @@ use std::time::Instant;
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("pzd-figdur-{}-{name}", std::process::id()))
-}
-
-/// Wraps one timed durability step as a perf-report row.
-fn measure(op: &str, seconds: f64, bytes: u64, points: usize) -> PerfEntry {
-    PerfEntry {
-        index: "PIM-zd-tree".to_string(),
-        op: op.to_string(),
-        throughput: if seconds > 0.0 { points as f64 / seconds } else { 0.0 },
-        traffic: bytes as f64 / points.max(1) as f64,
-        cpu_s: seconds,
-        total_s: seconds,
-        elements: points as u64,
-        ..PerfEntry::default()
-    }
 }
 
 fn probe_fingerprint(t: &mut PimZdTree<3>, seed: u64) -> u64 {
@@ -52,7 +37,7 @@ fn probe_fingerprint(t: &mut PimZdTree<3>, seed: u64) -> u64 {
 
 fn main() {
     let args = BenchArgs::parse();
-    args.refuse(&["--fault-rate", "--trace"]);
+    args.refuse(&["--fault-rate", "--trace", "--json"]);
     let n_batches = 4usize;
     let per_batch = args.batch.min(args.points / 4).max(1_000);
 
@@ -68,7 +53,7 @@ fn main() {
         (0..n_batches).map(|i| uniform::<3>(per_batch, args.seed + 100 + i as u64)).collect();
     let cfg = PimZdConfig::skew_resistant(args.modules);
 
-    let mut perf = PerfSink::new("fig_durability", &args);
+    let perf = PerfSink::new("fig_durability", &args);
     let mut rows: Vec<(String, f64, u64)> = Vec::new();
 
     // Oracle: the same schedule without any durability machinery.
@@ -88,7 +73,6 @@ fn main() {
     let ckpt_bytes = victim0.checkpoint_to(&ckpt_path).expect("checkpoint");
     let s = t0.elapsed().as_secs_f64();
     rows.push(("checkpoint-write".into(), s, ckpt_bytes));
-    perf.push("durability", &measure("CkptWrite", s, ckpt_bytes, args.points));
 
     // WAL-logged batches (every append is fsynced) vs the plain schedule.
     let mut victim = victim0;
@@ -100,7 +84,6 @@ fn main() {
     let logged_s = t0.elapsed().as_secs_f64();
     let wal_bytes = std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0);
     rows.push(("wal-logged-batches".into(), logged_s, wal_bytes));
-    perf.push("durability", &measure("WalAppend", logged_s, wal_bytes, n_batches * per_batch));
     drop(victim); // simulated host crash: volatile state is gone
 
     // Checkpoint restore alone.
@@ -108,7 +91,6 @@ fn main() {
     let restored = PimZdTree::<3>::restore_from(&ckpt_path).expect("restore");
     let s = t0.elapsed().as_secs_f64();
     rows.push(("checkpoint-restore".into(), s, ckpt_bytes));
-    perf.push("durability", &measure("CkptRestore", s, ckpt_bytes, args.points));
     drop(restored);
 
     // Full crash recovery: restore + replay every logged batch.
@@ -116,7 +98,6 @@ fn main() {
     let (mut revived, replayed) = PimZdTree::<3>::recover(&ckpt_path, &wal_path).expect("recover");
     let s = t0.elapsed().as_secs_f64();
     rows.push(("crash-recovery".into(), s, ckpt_bytes + wal_bytes));
-    perf.push("durability", &measure("Recover", s, ckpt_bytes + wal_bytes, args.points));
 
     assert_eq!(replayed, n_batches as u64, "every logged batch must replay");
     assert_eq!(revived.epoch(), want_epoch, "recovered epoch diverged from the oracle");

@@ -64,6 +64,10 @@ pub struct PhaseSummary {
     /// Cycle-weighted imbalance: Σ max-cycles over Σ mean-cycles, so tiny
     /// management rounds barely move it (mirrors `SimStats::agg_imbalance`).
     pub agg_imbalance: f64,
+    /// Mean share of modules idle per round (`cycle_hist[0]` over the
+    /// modules): every round waits on its busiest module, so the idle
+    /// modules of a busy round are capacity its placement left unused.
+    pub idle_share: f64,
     /// Injected fault / recovery events, by kind in [`FaultKind::ALL`] order.
     pub fault_counts: [u64; FaultKind::COUNT],
     /// Rounds with at least one fault event attached.
@@ -126,10 +130,15 @@ pub fn summarize(rows: &[RoundRecord]) -> Vec<PhaseSummary> {
             s.salvage_rounds += 1;
             s.salvage_bytes += row.pim_to_cpu_bytes;
         }
+        let modules: u32 = row.cycle_hist.iter().sum();
+        if modules > 0 {
+            s.idle_share += f64::from(row.cycle_hist[0]) / f64::from(modules);
+        }
         sums_max[idx] += row.max_cycles;
         sums_mean[idx] += row.mean_cycles;
     }
     for (i, s) in by_phase.iter_mut().enumerate() {
+        s.idle_share /= s.rounds as f64;
         s.agg_imbalance = if sums_mean[i] > 0.0 { sums_max[i] as f64 / sums_mean[i] } else { 1.0 };
         if s.worst_imbalance == 0.0 {
             s.worst_imbalance = 1.0;
@@ -191,15 +200,15 @@ pub fn render(summaries: &[PhaseSummary]) -> String {
     writeln!(out, "\n== Per-phase traffic and load balance ==\n").unwrap();
     writeln!(
         out,
-        "{:<22} {:>12} {:>12} {:>10} {:>10} {:>10} {:>10}",
-        "phase", "→PIM KiB", "→CPU KiB", "tasks", "replies", "worst imb", "agg imb"
+        "{:<22} {:>12} {:>12} {:>10} {:>10} {:>10} {:>10} {:>7}",
+        "phase", "→PIM KiB", "→CPU KiB", "tasks", "replies", "worst imb", "agg imb", "idle"
     )
     .unwrap();
-    writeln!(out, "{}", "-".repeat(92)).unwrap();
+    writeln!(out, "{}", "-".repeat(100)).unwrap();
     for s in summaries {
         writeln!(
             out,
-            "{:<22} {:>12.1} {:>12.1} {:>10} {:>10} {:>10.3} {:>10.3}",
+            "{:<22} {:>12.1} {:>12.1} {:>10} {:>10} {:>10.3} {:>10.3} {:>6.1}%",
             s.phase,
             s.cpu_to_pim_bytes as f64 / 1024.0,
             s.pim_to_cpu_bytes as f64 / 1024.0,
@@ -207,6 +216,7 @@ pub fn render(summaries: &[PhaseSummary]) -> String {
             s.replies,
             s.worst_imbalance,
             s.agg_imbalance,
+            100.0 * s.idle_share,
         )
         .unwrap();
     }
@@ -323,6 +333,25 @@ mod tests {
         assert!((s[1].worst_imbalance - 4.0).abs() < 1e-12, "40/10 round dominates");
         // Cycle-weighted: (40 + 30) / (10 + 30).
         assert!((s[1].agg_imbalance - 70.0 / 40.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn idle_share_is_the_mean_per_round_share_of_idle_modules() {
+        // 4 of 8 modules idle in one knn round, 1 of 4 in the other; the
+        // search round has an empty histogram (an unrecorded machine).
+        let mut a = row("knn", 1.0, 0.0, 0.0, 10, 5.0);
+        a.cycle_hist[0] = 4;
+        a.cycle_hist[3] = 4;
+        let mut b = row("knn", 1.0, 0.0, 0.0, 10, 5.0);
+        b.cycle_hist[0] = 1;
+        b.cycle_hist[5] = 3;
+        let s = summarize(&[a, b, row("search", 0.5, 0.0, 0.0, 10, 5.0)]);
+        assert!((s[0].idle_share - (0.5 + 0.25) / 2.0).abs() < 1e-12);
+        assert_eq!(s[1].idle_share, 0.0);
+        let text = render(&s);
+        let knn = text.lines().filter(|l| l.starts_with("knn")).nth(1).expect("balance row");
+        assert!(knn.ends_with(" 37.5%"), "{knn}");
+        assert!(text.contains(" agg imb    idle"), "{text}");
     }
 
     #[test]

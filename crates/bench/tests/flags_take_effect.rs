@@ -1,7 +1,8 @@
 //! The shared `--fault-rate` and `--trace` flags take effect in every
 //! figure binary that measures a `PimZdTree`, and the binaries that cannot
 //! apply them refuse them with exit 2: no report carries a `fault_rate`
-//! its run did not inject.
+//! its run did not inject. `fig_durability`, whose steps are host
+//! wall-clock, refuses `--json` too, so every perf report is simulated.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -74,14 +75,18 @@ fn table3_applies_fault_rate_and_trace() {
 #[test]
 fn binaries_that_cannot_apply_a_flag_refuse_it() {
     let trace = scratch("refused.jsonl");
+    let report = scratch("refused.json");
     for (bin, args) in [
         (env!("CARGO_BIN_EXE_fig_serving"), ["--fault-rate", "0.05"]),
         (env!("CARGO_BIN_EXE_fig_serving"), ["--trace", trace.as_str()]),
         (env!("CARGO_BIN_EXE_fig_durability"), ["--fault-rate", "0.05"]),
         (env!("CARGO_BIN_EXE_fig_durability"), ["--trace", trace.as_str()]),
+        (env!("CARGO_BIN_EXE_fig_durability"), ["--json", report.as_str()]),
         (env!("CARGO_BIN_EXE_fig_shard"), ["--fault-rate", "0.05"]),
     ] {
         assert_eq!(exit_code(bin, &args), Some(2), "{bin} {args:?}");
     }
-    assert!(!std::path::Path::new(&trace).exists(), "a refused run wrote nothing");
+    for path in [&trace, &report] {
+        assert!(!std::path::Path::new(path).exists(), "a refused run wrote {path}");
+    }
 }

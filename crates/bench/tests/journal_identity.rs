@@ -120,9 +120,9 @@ fn journal_is_byte_identical_across_thread_counts() {
     // The golden digests pin the journal against the *previous build*, not
     // just against another thread count of this one; they may only change
     // together with a CHANGES.md entry naming the artifact that moved. Last
-    // moved when SEARCH began to walk its batch in key order: the rounds'
-    // PIM cycles fell, their tasks and bytes held.
-    for (rate, golden) in [(0.0, 0x9c88_62a0_49f0_d885u64), (0.05, 0x0f02_db06_346c_ce5a)] {
+    // moved when masters began to go to the least-loaded of four hashed
+    // modules: the rounds' active modules, cycles and stragglers moved.
+    for (rate, golden) in [(0.0, 0xbca1_1d36_da7e_d5ceu64), (0.05, 0xb7b4_21f2_9cd2_5bc1)] {
         let runs: Vec<String> = [1usize, 2, 8]
             .iter()
             .map(|&n| rayon::ThreadPool::new(n).install(|| run_pipeline(rate)))

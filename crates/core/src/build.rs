@@ -2,24 +2,28 @@
 //!
 //! Build is the paper's warmup phase (untimed): the host constructs the
 //! canonical compressed zd-tree, carves it into L0 plus subtree-size chunks
-//! (§3.2), places each chunk's master on a hash-randomized module, and
-//! installs the L1 ancestor/descendant caches (§3.1).
+//! (§3.2), places each chunk's master on the least-loaded of its hashed
+//! candidate modules (`pim_sim::place_least_loaded`, §3's hash-randomized
+//! placement with d choices), and installs the L1 ancestor/descendant
+//! caches (§3.1).
 
 use crate::config::{Layer, PimZdConfig};
 use crate::frag::{Fragment, Keyed, MetaId, NullSink, RemoteRef};
-use crate::host::{PimZdTree, L0_META};
+use crate::host::{place, PimZdTree, L0_META};
 use crate::meta::{Directory, MetaInfo};
 use crate::module::{CopyUpdate, MgmtReply, MgmtTask};
 use pim_geom::Point;
-use pim_sim::hash_place;
 use pim_zorder::ZKey;
 use rayon::prelude::*;
 
 /// Cuts the canonical tree into meta-node chunks (§3.2) as it is built,
-/// registering each.
+/// registering each. `load` tallies the points of the masters placed so
+/// far, per module (what `PimZdTree::module_loads` would fold from the
+/// directory).
 struct Carver<'a, const D: usize> {
     cfg: PimZdConfig,
-    p: usize,
+    dead: &'a [bool],
+    load: Vec<u64>,
     dir: &'a mut Directory<D>,
     frags: Vec<Fragment<D>>,
 }
@@ -29,8 +33,8 @@ impl<const D: usize> Carver<'_, D> {
     /// chunk rule turns away below its root as chunks of their own.
     fn new_chunk(&mut self, items: &[Keyed<D>], parent: Option<MetaId>) -> RemoteRef<D> {
         let id = self.dir.next_id();
-        let module = hash_place(self.cfg.placement_seed, id, self.p) as u32;
         let root_count = items.len() as u64;
+        let module = place(self.cfg.placement_seed, id, root_count, &mut self.load, self.dead);
         let layer = self.cfg.layer_of(root_count);
         let leaf_cap = self.cfg.leaf_cap;
         let mut frag = Fragment::build_cut(
@@ -87,8 +91,9 @@ impl<const D: usize> PimZdTree<D> {
         // host must be able to route) and every subtree of at least θ_L0
         // points; the rest goes into chunks. L0 is host-resident and
         // LLC-warm, so it gets no jump table.
-        let p = t.sys.n_modules();
-        let mut carver = Carver { cfg, p, dir: &mut t.dir, frags: Vec::new() };
+        let dead = t.sys.dead_mask();
+        let load = vec![0; dead.len()];
+        let mut carver = Carver { cfg, dead, load, dir: &mut t.dir, frags: Vec::new() };
         let l0 = Fragment::build_cut(
             L0_META,
             u32::MAX,
@@ -223,6 +228,30 @@ mod tests {
             }
         }
         assert_eq!(total, 5_000);
+    }
+
+    /// Points held in masters on each module.
+    fn master_points(t: &PimZdTree<3>) -> Vec<u64> {
+        (0..t.n_modules())
+            .map(|i| t.sys.peek(i).masters.values().map(|f| f.local_points().len() as u64).sum())
+            .collect()
+    }
+
+    #[test]
+    fn throughput_build_leaves_no_module_idle() {
+        // θ_L0 = n/P hangs about 1.5 fragments on each module, where one
+        // hash per fragment leaves 14 of 64 modules empty and the busiest
+        // at 2.93× the mean; the least-loaded of four hashed choices leaves
+        // none empty, the busiest at 1.51×.
+        let pts = uniform::<3>(50_000, 1);
+        let cfg = PimZdConfig::throughput_optimized(50_000, 64);
+        let t = PimZdTree::build(&pts, cfg, MachineConfig::with_modules(64));
+        let load = master_points(&t);
+        let idle = load.iter().filter(|&&l| l == 0).count();
+        let mean = load.iter().sum::<u64>() as f64 / load.len() as f64;
+        let ratio = *load.iter().max().unwrap() as f64 / mean;
+        assert_eq!(idle, 0, "{idle} of 64 modules hold no master");
+        assert!(ratio <= 2.0, "busiest module holds {ratio:.2}× the mean");
     }
 
     #[test]

@@ -1440,8 +1440,9 @@ impl<const D: usize> Fragment<D> {
     /// Turns local subtrees into fragments of their own, leaving refs
     /// behind (demotion out of L0; the root split of promotion and
     /// re-chunking). Walks down from the root through local children: a
-    /// child `cut` takes is extracted whole under the next `(meta, module)`
-    /// of `ids` and its slot rewritten to the ref; any other child is
+    /// child `cut` takes is extracted whole under the `(meta, module)` that
+    /// `ids` gives for its count and its slot rewritten to the ref; any
+    /// other child is
     /// walked into. Counters stay as they are — a ref's snapshot is the
     /// count of the subtree it replaces; the chunk directory is rebuilt if
     /// anything was cut. Returns the new fragments in the order they were
@@ -1449,7 +1450,7 @@ impl<const D: usize> Fragment<D> {
     pub fn detach_children(
         &mut self,
         cut: impl Fn(&BNode<D>) -> bool,
-        mut ids: impl FnMut() -> (MetaId, u32),
+        mut ids: impl FnMut(u64) -> (MetaId, u32),
     ) -> Vec<Fragment<D>> {
         let mut frags = Vec::new();
         let mut stack = vec![self.root];
@@ -1459,7 +1460,7 @@ impl<const D: usize> Fragment<D> {
             for slot in &mut slots {
                 let ChildRef::Local(c) = *slot else { continue };
                 if cut(self.node(c)) {
-                    let (meta, module) = ids();
+                    let (meta, module) = ids(self.node(c).count);
                     let frag = self.extract_subtree(c, meta, module);
                     *slot = ChildRef::Remote(frag.self_ref());
                     frags.push(frag);
@@ -1486,7 +1487,7 @@ impl<const D: usize> Fragment<D> {
         mut new_ids: impl Iterator<Item = (MetaId, u32)>,
     ) -> (BNode<D>, Vec<Fragment<D>>) {
         let frags =
-            self.detach_children(|_| true, || new_ids.next().expect("id for child fragment"));
+            self.detach_children(|_| true, |_| new_ids.next().expect("id for child fragment"));
         (self.root_node().clone(), frags)
     }
 

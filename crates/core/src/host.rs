@@ -11,11 +11,11 @@
 
 use crate::config::{Layer, PimZdConfig};
 use crate::frag::{Fragment, HostSink, MetaId};
-use crate::meta::Directory;
+use crate::meta::{Directory, MetaInfo};
 use crate::module::{handle_mgmt, CopyUpdate, MgmtReply, MgmtTask, ModuleState};
 use crate::stats::OpStats;
 use pim_memsim::{CpuMeter, CpuModel, CpuStats};
-use pim_sim::{hash_place, FaultPlan, MachineConfig, PimCtx, PimSystem, Wire};
+use pim_sim::{place_least_loaded, FaultPlan, MachineConfig, PimCtx, PimSystem, Wire};
 use rustc_hash::FxHashMap;
 
 /// Recycled per-operation host buffers (clear-not-drop).
@@ -584,7 +584,9 @@ impl<const D: usize> PimZdTree<D> {
     /// Graceful degradation after fail-stop: salvages each dead module's
     /// resident master fragments over host DMA (the fail-stop axiom keeps
     /// MRAM readable, see `pim_sim::fault`), re-homes them on surviving
-    /// modules via [`Self::place_module`], repairs the directory, purges
+    /// modules via [`Self::place_module`] (a dead module is never a
+    /// candidate, so the masters of one spread over their other hashed
+    /// choices), repairs the directory, purges
     /// cache registrations lost with the module, and re-installs the moved
     /// fragments — itself a robust round, since recovery can be hit by
     /// further faults.
@@ -612,15 +614,20 @@ impl<const D: usize> PimZdTree<D> {
             e.cached_on.retain(|m| !dead.contains(m));
         }
         let mut installs = self.task_matrix::<MgmtTask<D>>();
+        let mut load = self.module_loads();
         for mut f in rescued {
             // Only re-home fragments the directory still routes to a dead
             // module; anything else is a stale copy pending a drop.
-            let authoritative =
-                self.dir.metas.get(&f.meta).is_some_and(|e| dead.contains(&e.module));
-            if !authoritative {
+            let Some(count) = self
+                .dir
+                .metas
+                .get(&f.meta)
+                .filter(|e| dead.contains(&e.module))
+                .map(MetaInfo::estimated_count)
+            else {
                 continue;
-            }
-            let target = self.place_module(f.meta);
+            };
+            let target = self.place_module(f.meta, count, &mut load);
             f.master_module = target;
             self.rehome(f.meta, target);
             installs[target as usize].push(MgmtTask::InstallMaster(f));
@@ -635,11 +642,24 @@ impl<const D: usize> PimZdTree<D> {
         self.mgmt_round_if_any(installs);
     }
 
-    /// Hash placement that skips fail-stopped modules. Identical to
-    /// [`hash_place`] while every module is alive, so fault-free placement
-    /// stays byte-compatible with earlier revisions.
-    pub(crate) fn place_module(&self, id: MetaId) -> u32 {
-        place_live(self.cfg.placement_seed, id, self.sys.dead_mask())
+    /// Each module's point load: the sum of the host-known counters
+    /// (`synced_sc + pending_delta`) of the masters it holds. Derived from
+    /// the directory, never stored, so a restored tree places exactly as
+    /// the live one would. A step that places several masters folds it
+    /// once and lets [`Self::place_module`] charge each placement to it.
+    pub(crate) fn module_loads(&self) -> Vec<u64> {
+        let mut load = vec![0u64; self.sys.n_modules()];
+        for e in self.dir.metas.values() {
+            load[e.module as usize] += e.estimated_count();
+        }
+        load
+    }
+
+    /// Places master `id` of about `count` points on the least-loaded live
+    /// one of its hashed choices under `load` ([`place_least_loaded`]), and
+    /// charges `count` to the module chosen.
+    pub(crate) fn place_module(&self, id: MetaId, count: u64, load: &mut [u64]) -> u32 {
+        place(self.cfg.placement_seed, id, count, load, self.sys.dead_mask())
     }
 
     /// Records that `meta`'s master now lives on `module`. The cache
@@ -786,18 +806,11 @@ pub(crate) fn held_in<'a, const D: usize>(
     step.binary_search(&meta).ok().and_then(|_| held.get(&meta))
 }
 
-/// Hash placement probing past fail-stopped modules (a free function so
-/// call sites holding partial borrows of the tree can still place). With
-/// no dead modules this is exactly [`hash_place`].
-pub(crate) fn place_live(seed: u64, id: MetaId, dead: &[bool]) -> u32 {
-    let p = dead.len();
-    let mut m = hash_place(seed, id, p);
-    let mut probes = 0;
-    while dead[m] {
-        m = (m + 1) % p;
-        probes += 1;
-        assert!(probes <= p, "all PIM modules have fail-stopped; index unrecoverable");
-    }
+/// [`PimZdTree::place_module`] as a free function, for call sites that
+/// hold partial borrows of the tree (the build's carver).
+pub(crate) fn place(seed: u64, id: MetaId, count: u64, load: &mut [u64], dead: &[bool]) -> u32 {
+    let m = place_least_loaded(seed, id, load, dead);
+    load[m] += count;
     m as u32
 }
 
@@ -858,8 +871,9 @@ impl<const D: usize> Reroutable<D> for MgmtTask<D> {
             MgmtTask::InstallMaster(f) => {
                 // The destination died before the install committed:
                 // re-place on a survivor and repoint the directory (the
-                // split flows register entries before installing).
-                let target = tree.place_module(f.meta);
+                // split flows register entries before installing). One
+                // placement: the tally is dropped, so nothing is charged.
+                let target = tree.place_module(f.meta, 0, &mut tree.module_loads());
                 f.master_module = target;
                 if tree.dir.metas.contains_key(&f.meta) {
                     tree.rehome(f.meta, target);
@@ -896,10 +910,12 @@ impl<const D: usize> Reroutable<D> for MgmtTask<D> {
             },
             MgmtTask::SplitRoot { meta, new_ids, .. } => {
                 // Re-place split children headed for modules that died
-                // after placement.
+                // after placement, each charged half the splitting meta.
+                let half = tree.dir.get(*meta).estimated_count() / 2;
+                let mut load = tree.module_loads();
                 for (id, module) in new_ids.iter_mut() {
                     if tree.sys.is_dead(*module as usize) {
-                        *module = tree.place_module(*id);
+                        *module = tree.place_module(*id, half, &mut load);
                     }
                 }
                 Route::To(tree.master_module(*meta))
@@ -916,5 +932,73 @@ pub(crate) struct ReplBytes(pub u64);
 impl pim_sim::Wire for ReplBytes {
     fn wire_bytes(&self) -> u64 {
         self.0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::PimZdConfig;
+    use pim_workloads::uniform;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// Each meta's master module, by meta id.
+    fn placement(t: &PimZdTree<3>) -> BTreeMap<MetaId, u32> {
+        t.dir.metas.values().map(|e| (e.id, e.module)).collect()
+    }
+
+    #[test]
+    fn a_dead_modules_masters_spread_over_the_survivors() {
+        let pts = uniform::<3>(20_000, 5);
+        let mut t = PimZdTree::build(
+            &pts,
+            PimZdConfig::skew_resistant(32),
+            MachineConfig::with_modules(32),
+        );
+        let before = placement(&t);
+        let mut held = vec![0usize; 32];
+        for &m in before.values() {
+            held[m as usize] += 1;
+        }
+        let victim = (0..32).max_by_key(|&m| held[m]).unwrap() as u32;
+        assert!(held[victim as usize] >= 3, "the busiest module holds {held:?}");
+        t.kill_module(victim as usize);
+        // Detection and recovery happen at the next round.
+        assert!(t.batch_contains(&pts[..100]).iter().all(|&hit| hit));
+        let after = placement(&t);
+        let survivors: BTreeSet<u32> =
+            before.iter().filter(|&(_, &m)| m == victim).map(|(id, _)| after[id]).collect();
+        assert!(!survivors.contains(&victim));
+        assert!(
+            survivors.len() >= 2,
+            "{} masters of module {victim} all moved to {survivors:?}",
+            held[victim as usize]
+        );
+    }
+
+    #[test]
+    fn a_restored_tree_places_new_fragments_as_the_live_one_does() {
+        let pts = uniform::<3>(20_000, 6);
+        let mut more = uniform::<3>(12_000, 7);
+        // The last batch crowds into a quarter of the space, so that its
+        // fragments grow past θ_L0 and split.
+        for p in &mut more[3_000..] {
+            p.coords[0] /= 4;
+        }
+        for cfg in [PimZdConfig::skew_resistant(16), PimZdConfig::throughput_optimized(20_000, 16)]
+        {
+            let mut live = PimZdTree::build(&pts, cfg, MachineConfig::with_modules(16));
+            // Counters the image must carry: pending deltas, a dead module.
+            live.batch_insert(&more[..2_000]);
+            live.kill_module(3);
+            live.batch_insert(&more[2_000..3_000]);
+            let mut restored = PimZdTree::<3>::restore_bytes(&live.checkpoint_bytes()).unwrap();
+            let before = live.dir.id_bound();
+            live.batch_insert(&more[3_000..]);
+            restored.batch_insert(&more[3_000..]);
+            let placed = placement(&live);
+            assert!(placed.keys().any(|&id| id >= before), "the batch placed no new fragment");
+            assert_eq!(placed, placement(&restored));
+        }
     }
 }

@@ -534,12 +534,16 @@ impl<const D: usize> PimZdTree<D> {
     fn demote_small_l0_children(&mut self, round: &mut [Vec<MgmtTask<D>>]) {
         let Some(mut l0) = self.l0.take() else { return };
         let theta_l0 = self.cfg.theta_l0;
+        // Folded at the first demotion: a batch that demotes nothing folds
+        // nothing.
+        let mut load: Option<Vec<u64>> = None;
         // The topmost local children below the threshold.
         let frags = l0.detach_children(
             |child| child.count < theta_l0,
-            || {
+            |count| {
                 let id = self.dir.next_id();
-                (id, self.place_module(id))
+                let load = load.get_or_insert_with(|| self.module_loads());
+                (id, self.place_module(id, count, load))
             },
         );
         self.l0 = Some(l0);
@@ -726,11 +730,15 @@ impl<const D: usize> PimZdTree<D> {
         keep_root: bool,
         mut round: Vec<Vec<MgmtTask<D>>>,
     ) -> Vec<Vec<MgmtTask<D>>> {
+        // The children's sizes are known only from the replies: each is
+        // charged half its splitting meta.
+        let mut load = self.module_loads();
         for &meta in cands {
+            let half = self.dir.get(meta).estimated_count() / 2;
             let new_ids = (0..2)
                 .map(|_| {
                     let id = self.dir.next_id();
-                    (id, self.place_module(id))
+                    (id, self.place_module(id, half, &mut load))
                 })
                 .collect();
             // What was in hand for its copies is stale once it splits.

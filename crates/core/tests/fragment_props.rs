@@ -219,7 +219,7 @@ proptest! {
     ) {
         let mut f = fragment_over(&pts, 4, dir_bits);
         let mut next_id: MetaId = 100;
-        let mut fresh_id = || {
+        let mut fresh_id = |_count: u64| {
             next_id += 1;
             (next_id, 0)
         };
@@ -254,12 +254,12 @@ proptest! {
             // The outcome, and the ref the slot must now read as.
             let (outcome, expect) = match (kind, behind) {
                 (1, _) => {
-                    let new = RemoteRef { meta: fresh_id().0, sc, ..r };
+                    let new = RemoteRef { meta: fresh_id(0).0, sc, ..r };
                     (f.edit_ref(r.meta, RefEdit::Replace(Some(new))), Some(new))
                 }
                 (2, _) => (f.edit_ref(r.meta, RefEdit::Replace(None)), None),
                 (_, Some(i)) => {
-                    let ids = std::iter::from_fn(|| Some(fresh_id()));
+                    let ids = std::iter::from_fn(|| Some(fresh_id(0)));
                     let (root, below) = cut.swap_remove(i).split_root(ids);
                     cut.extend(below);
                     // The host syncs a counter before it promotes.

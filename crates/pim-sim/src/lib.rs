@@ -43,7 +43,7 @@ pub use ctx::PimCtx;
 pub use energy::{EnergyEstimate, EnergyModel};
 pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultPlan};
 pub use metrics::{log2_bucket, quantile_sorted, Histogram, Metrics, MetricsRegistry, Samples};
-pub use placement::{hash_place, rendezvous_owner};
+pub use placement::{hash_place, place_least_loaded, rendezvous_owner};
 pub use stats::{RoundBreakdown, SimStats};
 pub use system::{PimSystem, SimCounters};
 pub use trace::{Journal, RoundKind, RoundRecord};

@@ -345,14 +345,17 @@ fn fragment_layout_digests_are_pinned() {
     // with version 3, which writes no round id beside `SimStats::rounds` and
     // keeps the fault counts in `SimStats`: each version-2 image, with the
     // round id cut out, the fault-log fields in their new order and its
-    // header and crcs rewritten, is the version-3 image byte for byte.
+    // header and crcs rewritten, is the version-3 image byte for byte. All
+    // twelve moved when masters began to go to the least-loaded of four
+    // hashed modules: an image holds each master's module and the machine's
+    // per-module counters; the data digests below held.
     let want_layout = [
-        [0x92f0034b6e731d25, 0x01ae37fb9ed7334a],
-        [0xba6fa0bb0857fd5f, 0x4f1b18464b63ad43],
-        [0x3ff589621594b242, 0xa6d6e1602100ba4c],
-        [0xeb8fbf7a9e25f615, 0x46ece81b6324ceed],
-        [0x47ed0efe449d7087, 0xc2c3f260f9d8e3ea],
-        [0x538d64a2f5fc6dbb, 0x4cbe6f91403b1068u64],
+        [0xc4fe33f97743536c, 0xc21dbbd5b2b91f25],
+        [0xece5b90fc7595748, 0xd26030f2a3959308],
+        [0xc035f7ef8c678099, 0x09c54a2b0fa32b51],
+        [0x3d6996e18afbf7f0, 0x5b5355fdddb5b184],
+        [0x54260d0c74fd7d3b, 0xb90b445bcd08aa91],
+        [0x40b2cf119eb6aef6, 0xa5393dcb13a0fdde],
     ];
 
     // One `[built, trail]` pair per case, recorded at commit c72b0f7 and
@@ -517,7 +520,10 @@ fn every_field_image_and_its_wal_are_pinned() {
     // stopped sorting SEARCH's order again (cycle counters only), and with
     // checkpoint version 2 (no imbalance history, no `accounting` flag;
     // every other byte equal), and with version 3 (no round id, the fault
-    // counts in `SimStats`; every other byte equal); the WAL did not.
-    let want = [0x63535d4eb92f8491, 0x3c53ba074c6bcaebu64];
+    // counts in `SimStats`; every other byte equal), and when masters began
+    // to go to the least-loaded of four hashed modules (each master's
+    // module, so the rounds' costs and what the killed module held); the
+    // WAL did not.
+    let want = [0xddd92d83be589460, 0x3c53ba074c6bcaebu64];
     assert_eq!(got, want, "[image, wal] moved; the digests now are {got:#018x?}");
 }

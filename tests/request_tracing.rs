@@ -205,18 +205,22 @@ fn traced_run_artifacts_are_pinned() {
         digest(&trace.trace_events(&rounds)),
         digest(&metrics_json),
     ];
-    // The metrics digest last moved when insert and delete began to take
-    // SEARCH's order instead of sorting their items again: the host's
-    // update cycles fell. Before that it moved when SEARCH began to walk
-    // its batch in key order (the host's search cycles, and the registry
-    // gained `host_search_nodes_total`). The other five held both times.
+    // All six moved when masters began to go to the least-loaded of four
+    // hashed modules: every batch's service time moved, and with it the
+    // arrival-to-batch grouping, the virtual timestamps and the replies'
+    // epochs (every reply still matches its epoch's oracle). Before that,
+    // the metrics digest moved when insert and delete began to take
+    // SEARCH's order instead of sorting their items again (the host's
+    // update cycles fell), and when SEARCH began to walk its batch in key
+    // order (the host's search cycles, and the registry gained
+    // `host_search_nodes_total`); the other five held both times.
     let pinned = [
-        0xf65a_bf3d_6997_24ad,
-        0xe37b_62cb_ca52_6ab4,
-        0x3b0a_ffd9_df41_125e,
-        0x281b_d857_54ea_4929,
-        0x0b95_9a6e_3f73_b666,
-        0x80de_ed34_cf2d_5f8f,
+        0x9d41_eeec_6494_5826,
+        0xe459_d1dc_b021_1751,
+        0xe324_0b5e_2a27_5008,
+        0xdb06_789e_6eca_90aa,
+        0x49e2_1998_f1cd_faca,
+        0x9c51_01b6_a416_e09d,
     ];
     assert_eq!(got, pinned, "results, journal, spans, batches, trace events, metrics");
 }
