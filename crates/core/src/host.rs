@@ -11,7 +11,7 @@
 
 use crate::config::{Layer, PimZdConfig};
 use crate::frag::{Fragment, HostSink, MetaId};
-use crate::meta::{Directory, MetaInfo};
+use crate::meta::Directory;
 use crate::module::{handle_mgmt, CopyUpdate, MgmtReply, MgmtTask, ModuleState};
 use crate::stats::OpStats;
 use pim_memsim::{CpuMeter, CpuModel, CpuStats};
@@ -618,16 +618,10 @@ impl<const D: usize> PimZdTree<D> {
         for mut f in rescued {
             // Only re-home fragments the directory still routes to a dead
             // module; anything else is a stale copy pending a drop.
-            let Some(count) = self
-                .dir
-                .metas
-                .get(&f.meta)
-                .filter(|e| dead.contains(&e.module))
-                .map(MetaInfo::estimated_count)
-            else {
+            let Some(e) = self.dir.metas.get(&f.meta).filter(|e| dead.contains(&e.module)) else {
                 continue;
             };
-            let target = self.place_module(f.meta, count, &mut load);
+            let target = self.place_module(f.meta, e.estimated_count(), &mut load);
             f.master_module = target;
             self.rehome(f.meta, target);
             installs[target as usize].push(MgmtTask::InstallMaster(f));
