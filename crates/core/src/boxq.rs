@@ -15,7 +15,7 @@ use crate::inline::InlineVec;
 use crate::module::{BoxReply, BoxTask, REPLY_INLINE};
 use crate::traverse::{Hop, Probe, Walk};
 use pim_geom::{Aabb, Point};
-use pim_memsim::CpuMeter;
+use pim_memsim::{costs, CpuMeter};
 
 /// What a box traversal gathers: the count (BoxCount) or the points
 /// (BoxFetch).
@@ -89,7 +89,7 @@ impl<const D: usize> Probe<D> for BoxTask<D> {
     ) -> InlineVec<MetaId, REPLY_INLINE> {
         frontier.extend(reply.frontier.iter().map(|r| (r.meta, u32::MAX, 0)));
         found.count += reply.count;
-        meter.work(reply.points.len() as u64 * 4);
+        meter.work(reply.points.len() as u64 * costs::EMIT);
         if found.points.is_empty() {
             // The reply's one allocation becomes the result's.
             found.points = reply.points;

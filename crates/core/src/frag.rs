@@ -38,8 +38,10 @@
 //! * **read** — [`Fragment::local_points`], [`Fragment::remote_children`],
 //!   [`Fragment::self_ref`], the byte counts.
 
+use crate::costs;
 use crate::soa::PointSet;
 use pim_geom::{Aabb, Metric, Point};
+use pim_memsim::costs as host_costs;
 use pim_sim::{PimCtx, Wire};
 use pim_zorder::prefix::Prefix;
 use pim_zorder::ZKey;
@@ -93,6 +95,17 @@ pub trait CostSink {
             self.dist(metric, d);
         }
     }
+    /// Enters the node whose record is at `off`.
+    fn enter(&mut self, off: u64) {
+        self.op(costs::NODE_ENTER);
+        self.mem(off, BNODE_BYTES);
+    }
+    /// Enters a BoxCount/BoxFetch node in `d` dimensions: its box test and
+    /// classification, and its record at `off`.
+    fn enter_box(&mut self, off: u64, d: usize) {
+        self.op(costs::box_test_cycles(d) + costs::BOX_CLASSIFY);
+        self.mem(off, BNODE_BYTES);
+    }
 }
 
 impl CostSink for PimCtx {
@@ -103,13 +116,12 @@ impl CostSink for PimCtx {
         PimCtx::mem(self, bytes);
     }
     fn dist(&mut self, metric: Metric, d: usize) {
-        // UPMEM cores: 32-cycle multiplies make ℓ2 expensive (§6).
-        PimCtx::op(self, metric.pim_cycles(d));
-        PimCtx::mem(self, (d * 4) as u64);
+        PimCtx::op(self, costs::pim_dist_cycles(metric, d));
+        PimCtx::mem(self, costs::point_bytes(d));
     }
     fn dist_n(&mut self, metric: Metric, d: usize, n: u64) {
-        PimCtx::op(self, metric.pim_cycles(d) * n);
-        PimCtx::mems(self, n, (d * 4) as u64);
+        PimCtx::op(self, costs::pim_dist_cycles(metric, d) * n);
+        PimCtx::mems(self, n, costs::point_bytes(d));
     }
 }
 
@@ -131,10 +143,10 @@ impl CostSink for HostSink<'_> {
     }
     fn dist(&mut self, _metric: Metric, d: usize) {
         // Multiplication is cheap on the host.
-        self.meter.work(6 * d as u64);
+        self.meter.work(host_costs::dist_cycles(d));
     }
     fn dist_n(&mut self, _metric: Metric, d: usize, n: u64) {
-        self.meter.work(6 * d as u64 * n);
+        self.meter.work(host_costs::dist_cycles(d) * n);
     }
 }
 
@@ -625,13 +637,13 @@ impl<const D: usize> Fragment<D> {
         if cursor.len > 0 {
             // The common-prefix length with the previous key (XOR, leading
             // zeros), then one compare per path node that falls short of it.
-            sink.op(2);
+            sink.op(costs::RESUME_LCP);
             let lcp = key.common_prefix_len(cursor.key);
             let kept = cursor.path[..cursor.len]
                 .iter()
                 .rposition(|&i| self.node(i).prefix.len <= lcp)
                 .map_or(0, |i| i + 1);
-            sink.op((cursor.len - kept) as u64);
+            sink.op(costs::RESUME_POP * (cursor.len - kept) as u64);
             cursor.len = kept;
         }
         cursor.key = key;
@@ -644,8 +656,7 @@ impl<const D: usize> Fragment<D> {
             self.walk_start(key, sink)
         };
         loop {
-            sink.op(10);
-            sink.mem(Self::off(cur), BNODE_BYTES);
+            sink.enter(Self::off(cur));
             cursor.entered += 1;
             // A path is at most `PATH_CAP` long (prefixes lengthen down
             // it); past that the cursor would just resume higher up.
@@ -668,7 +679,7 @@ impl<const D: usize> Fragment<D> {
                             }
                         }
                         ChildRef::Remote(r) => {
-                            sink.op(4);
+                            sink.op(costs::REF_CHECK);
                             if r.prefix.covers(key) {
                                 return SearchEnd::Remote(*r);
                             } else {
@@ -695,8 +706,8 @@ impl<const D: usize> Fragment<D> {
         debug_assert!(root_len + bits <= ZKey::<D>::BITS);
         let shift = ZKey::<D>::BITS - root_len - bits;
         let pattern = ((key.0 >> shift) & ((1u64 << bits) - 1)) as usize;
-        sink.op(4);
-        sink.mem(Self::off(self.root) + 40, 4); // table slot read
+        sink.op(costs::DENSE_SLOT);
+        sink.mem(Self::off(self.root) + BNODE_BYTES, costs::DENSE_SLOT_BYTES);
         let cur = self.chunk_dir.slots[pattern];
         debug_assert!(self.node(cur).prefix.covers(key));
         cur
@@ -793,7 +804,7 @@ impl<const D: usize> Fragment<D> {
         if items.is_empty() {
             return child;
         }
-        sink.op(12);
+        sink.op(costs::UPDATE_STEP);
         let cpre = self.child_prefix(&child);
         let ccount = self.child_count(&child);
         let total = ccount + items.len() as u64;
@@ -819,8 +830,7 @@ impl<const D: usize> Fragment<D> {
                 count: total,
                 kind: BKind::Internal { left: l, right: r },
             });
-            sink.op(10);
-            sink.mem(Self::off(idx), BNODE_BYTES);
+            sink.enter(Self::off(idx));
             return ChildRef::Local(idx);
         }
 
@@ -837,8 +847,9 @@ impl<const D: usize> Fragment<D> {
                     }
                     BKind::Leaf { points } => {
                         let old = points.to_vec();
-                        sink.op(4 * total);
-                        sink.mem(Self::off(idx), old.len() as u64 * (8 + Point::<D>::wire_bytes()));
+                        sink.op(costs::MERGE_PER_KEY * total);
+                        let keyed = costs::KEY_BYTES + costs::point_bytes(D);
+                        sink.mem(Self::off(idx), old.len() as u64 * keyed);
                         let mut merged = Vec::with_capacity(total as usize);
                         let (mut i, mut j) = (0, 0);
                         while i < old.len() && j < items.len() {
@@ -896,14 +907,14 @@ impl<const D: usize> Fragment<D> {
     ) -> u32 {
         debug_assert!(!items.is_empty());
         debug_assert!(is_sorted_keyed(items), "a build takes sorted items");
-        sink.op(8 + items.len() as u64);
+        sink.op(costs::BUILD_NODE + costs::BUILD_PER_ITEM * items.len() as u64);
         if is_leaf_set(items, self.leaf_cap) {
             let idx = self.alloc(BNode {
                 prefix: set_prefix(items),
                 count: items.len() as u64,
                 kind: BKind::Leaf { points: PointSet::from_slice(items) },
             });
-            sink.mem(Self::off(idx), BNODE_BYTES + items.len() as u64 * 12);
+            sink.mem(Self::off(idx), BNODE_BYTES + items.len() as u64 * costs::LEAF_POINT_BYTES);
             return idx;
         }
         let pre = set_prefix(items);
@@ -973,13 +984,13 @@ impl<const D: usize> Fragment<D> {
         if items.is_empty() {
             return Some(child);
         }
-        sink.op(12);
+        sink.op(costs::UPDATE_STEP);
         sink.mem(Self::off(idx), BNODE_BYTES);
         match &self.node(idx).kind {
             BKind::LeafStub => unreachable!("delete applies to master fragments only"),
             BKind::Leaf { points } => {
                 let old = points.to_vec();
-                sink.op(4 * (old.len() + items.len()) as u64);
+                sink.op(costs::MERGE_PER_KEY * (old.len() + items.len()) as u64);
                 let mut kept: Vec<Keyed<D>> = Vec::with_capacity(old.len());
                 let mut consumed = vec![false; items.len()];
                 for entry in &old {
@@ -1141,8 +1152,7 @@ impl<const D: usize> Fragment<D> {
         frontier: &mut Vec<Edge<D>>,
         sink: &mut impl CostSink,
     ) {
-        sink.op(10);
-        sink.mem(Self::off(start), BNODE_BYTES);
+        sink.enter(Self::off(start));
         let node = self.node(start);
         match &node.kind {
             BKind::LeafStub => {
@@ -1151,7 +1161,7 @@ impl<const D: usize> Fragment<D> {
                 frontier.push((self.stub_ref(node), d));
             }
             BKind::Leaf { points } => {
-                sink.mem(Self::off(start), points.len() as u64 * 12);
+                sink.mem(Self::off(start), points.len() as u64 * costs::LEAF_POINT_BYTES);
                 // Lane kernel: distances for the whole leaf run, charged as
                 // one aggregated total (identical counter sum).
                 sink.dist_n(metric, D, points.len() as u64);
@@ -1162,7 +1172,7 @@ impl<const D: usize> Fragment<D> {
                 });
             }
             BKind::Internal { left, right } => {
-                sink.op(8 * D as u64);
+                sink.op(costs::box_test_cycles(D));
                 let lp = self.child_prefix(left);
                 let rp = self.child_prefix(right);
                 let ld = lp.to_box().min_dist(q, metric);
@@ -1194,8 +1204,9 @@ impl<const D: usize> Fragment<D> {
     /// with r₂ the fine radius, every true neighbour has ℓ∞ ≤ ℓ2 ≤ r₂, while
     /// the ℓ1 ball of radius √D·r₂ that must hold them all reaches √D·r₂
     /// along each axis. ℓ∞ is a max over the per-axis differences ℓ1 sums —
-    /// comparisons only — charged `8·D` per internal node (both children)
-    /// and `2·D` per leaf point on top of the ℓ1 charges.
+    /// comparisons only — charged a second [`costs::box_test_cycles`] per
+    /// internal node and [`costs::cube_test_cycles`] per leaf point on top of
+    /// the ℓ1 charges.
     #[allow(clippy::too_many_arguments)]
     pub fn local_ball(
         &self,
@@ -1208,8 +1219,7 @@ impl<const D: usize> Fragment<D> {
         frontier: &mut Vec<Edge<D>>,
         sink: &mut impl CostSink,
     ) {
-        sink.op(10);
-        sink.mem(Self::off(start), BNODE_BYTES);
+        sink.enter(Self::off(start));
         let cubed = cube != u64::MAX;
         // A box's lower bound under `metric`, if the box meets the ball and
         // the cube.
@@ -1227,10 +1237,10 @@ impl<const D: usize> Fragment<D> {
             }
             BKind::Leaf { points } => {
                 let n = points.len() as u64;
-                sink.mem(Self::off(start), n * 12);
+                sink.mem(Self::off(start), n * costs::LEAF_POINT_BYTES);
                 sink.dist_n(metric, D, n);
                 if cubed {
-                    sink.op(2 * D as u64 * n);
+                    sink.op(costs::cube_test_cycles(D) * n);
                 }
                 let mut accepted = 0u64;
                 points.for_dist_chunks(q, metric, |base, dists| {
@@ -1244,10 +1254,11 @@ impl<const D: usize> Fragment<D> {
                         }
                     }
                 });
-                sink.op(4 * accepted);
+                sink.op(costs::EMIT_POINT * accepted);
             }
             BKind::Internal { left, right } => {
-                sink.op(8 * D as u64 * if cubed { 2 } else { 1 });
+                // The ball's test, and the cube's where there is one.
+                sink.op(costs::box_test_cycles(D) * (1 + u64::from(cubed)));
                 for child in [left, right] {
                     let Some(d) = reach(&self.child_prefix(child)) else { continue };
                     match child {
@@ -1272,8 +1283,7 @@ impl<const D: usize> Fragment<D> {
         frontier: &mut Vec<Edge<D>>,
         sink: &mut impl CostSink,
     ) -> u64 {
-        sink.op(8 * D as u64 + 6);
-        sink.mem(Self::off(start), BNODE_BYTES);
+        sink.enter_box(Self::off(start), D);
         let node = self.node(start);
         let nb = node.prefix.to_box();
         if !query.intersects(&nb) {
@@ -1289,8 +1299,8 @@ impl<const D: usize> Fragment<D> {
                 if fully {
                     return points.len() as u64;
                 }
-                sink.mem(Self::off(start), points.len() as u64 * 12);
-                sink.op(points.len() as u64 * 8 * D as u64);
+                sink.mem(Self::off(start), points.len() as u64 * costs::LEAF_POINT_BYTES);
+                sink.op(points.len() as u64 * costs::box_test_cycles(D));
                 points.count_in(query)
             }
             BKind::Internal { left, right } => {
@@ -1309,7 +1319,7 @@ impl<const D: usize> Fragment<D> {
                             total += self.local_box_count(*c, query, frontier, sink)
                         }
                         ChildRef::Remote(r) => {
-                            sink.op(8 * D as u64);
+                            sink.op(costs::box_test_cycles(D));
                             if query.intersects(&r.prefix.to_box()) {
                                 frontier.push((*r, 0));
                             }
@@ -1331,8 +1341,7 @@ impl<const D: usize> Fragment<D> {
         frontier: &mut Vec<Edge<D>>,
         sink: &mut impl CostSink,
     ) {
-        sink.op(8 * D as u64 + 6);
-        sink.mem(Self::off(start), BNODE_BYTES);
+        sink.enter_box(Self::off(start), D);
         let node = self.node(start);
         let nb = node.prefix.to_box();
         if !query.intersects(&nb) {
@@ -1341,15 +1350,15 @@ impl<const D: usize> Fragment<D> {
         match &node.kind {
             BKind::LeafStub => frontier.push((self.stub_ref(node), 0)),
             BKind::Leaf { points } => {
-                sink.mem(Self::off(start), points.len() as u64 * 12);
+                sink.mem(Self::off(start), points.len() as u64 * costs::LEAF_POINT_BYTES);
                 let fully = query.contains_box(&nb);
                 if fully {
-                    sink.op(4 * points.len() as u64);
+                    sink.op(costs::EMIT_POINT * points.len() as u64);
                     for i in 0..points.len() {
                         out.push(points.point(i));
                     }
                 } else {
-                    sink.op(points.len() as u64 * 8 * D as u64);
+                    sink.op(points.len() as u64 * costs::box_test_cycles(D));
                     let mut accepted = 0u64;
                     points.for_box_chunks(query, |base, mask| {
                         for (i, &m) in mask.iter().enumerate() {
@@ -1359,7 +1368,7 @@ impl<const D: usize> Fragment<D> {
                             }
                         }
                     });
-                    sink.op(4 * accepted);
+                    sink.op(costs::EMIT_POINT * accepted);
                 }
             }
             BKind::Internal { left, right } => {
@@ -1367,7 +1376,7 @@ impl<const D: usize> Fragment<D> {
                     match child {
                         ChildRef::Local(c) => self.local_box_fetch(*c, query, out, frontier, sink),
                         ChildRef::Remote(r) => {
-                            sink.op(8 * D as u64);
+                            sink.op(costs::box_test_cycles(D));
                             if query.intersects(&r.prefix.to_box()) {
                                 frontier.push((*r, 0));
                             }
@@ -1680,7 +1689,7 @@ pub fn push_candidate<const D: usize>(
     cand: (u64, Point<D>),
     sink: &mut impl CostSink,
 ) {
-    sink.op(12);
+    sink.op(costs::CAND_PUSH);
     let key = (cand.0, cand.1.coords);
     let pos = cands.partition_point(|(d, p)| (*d, p.coords) < key);
     if pos >= k || cands.get(pos).is_some_and(|c| *c == cand) {

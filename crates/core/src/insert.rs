@@ -31,6 +31,7 @@
 //! only what nothing brought.
 
 use crate::config::Layer;
+use crate::costs;
 use crate::frag::{EditOutcome, Fragment, Keyed, MetaId, RefEdit, RemoteRef};
 use crate::host::PimZdTree;
 use crate::meta::MetaInfo;
@@ -68,7 +69,7 @@ impl<const D: usize> PimZdTree<D> {
         // fragment's run after the stable scatter by meta below, with no
         // per-meta hash map or per-meta `Vec` allocations.
         let group_span = pim_obs::span("group_and_sort");
-        self.meter.work(points.len() as u64 * 20);
+        self.meter.work(points.len() as u64 * costs::BATCH_SORT_PER_KEY);
         let mut l0_items: Vec<Keyed<D>> = self.bufs.take_vec();
         let mut frag_items: Vec<(MetaId, Keyed<D>)> = self.bufs.take_vec();
         // The host reads the per-query state front to back.
@@ -207,7 +208,7 @@ impl<const D: usize> PimZdTree<D> {
         let s = self.batch_search_internal(points, None);
 
         let group_span = pim_obs::span("group_and_sort");
-        self.meter.work(points.len() as u64 * 20);
+        self.meter.work(points.len() as u64 * costs::BATCH_SORT_PER_KEY);
 
         let mut l0_items: Vec<Keyed<D>> = Vec::new();
         let mut frag_items: Vec<(MetaId, Keyed<D>)> = self.bufs.take_vec();
@@ -410,7 +411,12 @@ impl<const D: usize> PimZdTree<D> {
                                 replacement,
                             });
                         }
-                        self.edit_in_hand(p, child, RefEdit::Replace(replacement), 60);
+                        self.edit_in_hand(
+                            p,
+                            child,
+                            RefEdit::Replace(replacement),
+                            costs::HOST_REPLACE_REF,
+                        );
                     }
                 }
             }
@@ -438,7 +444,7 @@ impl<const D: usize> PimZdTree<D> {
             }
             for (child, replacement) in l0_patches {
                 let Some(l0) = self.l0.as_mut() else { continue };
-                self.meter.work(60);
+                self.meter.work(costs::HOST_REPLACE_REF);
                 if let EditOutcome::RootCollapsed(r) =
                     l0.edit_ref(child, RefEdit::Replace(replacement))
                 {
@@ -551,7 +557,7 @@ impl<const D: usize> PimZdTree<D> {
             // L0 carries no chunk directory; demoted fragments get one.
             frag.set_dir_policy(self.cfg.chunk_dir_bits(), self.cfg.chunk_dense_min());
             let r = frag.self_ref();
-            self.meter.work(40);
+            self.meter.work(costs::HOST_REGISTER);
             let layer = self.cfg.layer_of(r.sc);
             self.dir.insert(MetaInfo::new(&r, layer, None, frag.live_nodes() as u64));
             for g in frag.remote_children() {
@@ -655,7 +661,7 @@ impl<const D: usize> PimZdTree<D> {
             match parent {
                 None => {
                     if let Some(l0) = self.l0.as_mut() {
-                        self.meter.work(40 * repeat as u64);
+                        self.meter.work(costs::HOST_SYNC_REF * repeat as u64);
                         l0.edit_ref(m, RefEdit::Sync { sc: new_sc, prefix });
                         l0_count_updates += repeat as u64;
                     }
@@ -667,7 +673,12 @@ impl<const D: usize> PimZdTree<D> {
                     for &module in std::iter::once(&pe.module).chain(&pe.cached_on) {
                         tasks[module as usize].push(task.clone());
                     }
-                    self.edit_in_hand(p, m, RefEdit::Sync { sc: new_sc, prefix }, 40);
+                    self.edit_in_hand(
+                        p,
+                        m,
+                        RefEdit::Sync { sc: new_sc, prefix },
+                        costs::HOST_SYNC_REF,
+                    );
                 }
             }
             let e = self.dir.get_mut(m);
@@ -689,9 +700,12 @@ impl<const D: usize> PimZdTree<D> {
     /// to the host's L0.
     fn replicate_l0_counts(&mut self, updates: u64) {
         if updates > 0 && self.l0_replicated {
-            self.sys.broadcast(crate::host::ReplBytes(updates * 16), |_, _, ctx, b| {
-                ctx.mem(b.0);
-            });
+            self.sys.broadcast(
+                crate::host::ReplBytes(updates * costs::COUNT_UPDATE_BYTES),
+                |_, _, ctx, b| {
+                    ctx.mem(b.0);
+                },
+            );
         }
     }
 
@@ -805,7 +819,7 @@ impl<const D: usize> PimZdTree<D> {
                 }
                 // Splice the promoted node into L0.
                 let l0 = self.l0.as_mut().expect("promotion implies L0 exists");
-                self.meter.work(80);
+                self.meter.work(costs::HOST_GRAFT);
                 let grafted = l0.edit_ref(meta, RefEdit::Graft(root));
                 debug_assert!(
                     matches!(grafted, EditOutcome::Done),

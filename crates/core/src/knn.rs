@@ -5,7 +5,8 @@
 //! path node whose lazy counter guarantees ≥ k true points (we require
 //! SC ≥ 2k, which by Lemma 3.1 implies T ≥ k). (2) A best-k traversal of the
 //! anchor's subtree yields k candidates under the *coarse* metric (ℓ1 on the
-//! PIM side — additions only; UPMEM multiplies cost 32 cycles). Its first
+//! PIM side — additions only; UPMEM multiplies are dear,
+//! [`costs::pim_dist_cycles`]). Its first
 //! task **rides the SEARCH round**: a module whose search ends with the
 //! anchor a local node of one of its masters runs the step then and there
 //! (`module::handle_search`) and replies with the best-k reply instead of
@@ -59,6 +60,7 @@
 //! by the same module-side loop); this file says what the probe does inside
 //! a fragment and with a reply, and drives the five steps.
 
+use crate::costs;
 use crate::frag::{
     knn_bound, push_candidate, AnchorLoc, CostSink, Edge, Fragment, MetaId, RemoteRef,
 };
@@ -68,7 +70,7 @@ use crate::module::{Anchor, BestK, KnnReply, KnnTask, REPLY_INLINE};
 use crate::soa::{fine_select, CoordBlock};
 use crate::traverse::{Hop, Probe, Walk};
 use pim_geom::{isqrt_ceil, max_coord_for_dim, Aabb, Metric, Point};
-use pim_memsim::CpuMeter;
+use pim_memsim::{costs as host_costs, CpuMeter};
 use pim_zorder::prefix::Prefix;
 
 /// Cap on the up-front reservation of a query's best-k list (`k` is caller
@@ -79,9 +81,6 @@ const MAX_CANDS_RESERVE: usize = 1024;
 /// smallest member: the covering ball of a ball-phase run here, the union
 /// box of a widen-fetch run in the shard router.
 pub(crate) const COALESCE_VOLUME_FACTOR: u128 = 2;
-/// Host cycles charged per item ordered and cut into runs (a merge step
-/// plus a routing step, as the router prices them).
-pub(crate) const COALESCE_CYCLES: u64 = 32;
 
 /// Cuts `items`, in the order given, greedily into runs: an item joins the
 /// open run when `join` returns the run's grown accumulator, and otherwise
@@ -254,7 +253,7 @@ impl<const D: usize> Probe<D> for KnnTask<D> {
         frontier: &mut Vec<Hop>,
     ) -> InlineVec<MetaId, REPLY_INLINE> {
         frontier.extend(reply.frontier.iter().map(|(r, d)| (r.meta, u32::MAX, *d)));
-        meter.work(8 * reply.points.len() as u64);
+        meter.work(costs::BALL_POINT * reply.points.len() as u64);
         if found.ball.is_empty() {
             // The reply's one allocation becomes the walk's.
             found.ball = reply.points;
@@ -262,7 +261,7 @@ impl<const D: usize> Probe<D> for KnnTask<D> {
             found.ball.extend_from_slice(&reply.points);
         }
         for c in reply.cands {
-            meter.work(30);
+            meter.work(host_costs::HEAP_OP);
             let mut sink = PimZdTree::<D>::l0_sink(meter);
             push_candidate(&mut found.best, self.k as usize, c, &mut sink);
         }
@@ -280,7 +279,7 @@ impl<const D: usize> PimZdTree<D> {
     /// most twice (`COALESCE_VOLUME_FACTOR`) the smallest sphere's volume share
     /// one traversal, and each takes its k nearest from the shared set (see
     /// the module docs for the rule and why no answer changes). The host
-    /// meter is charged `COALESCE_CYCLES` (32) per query for the grouping pass
+    /// meter is charged [`costs::COALESCE_CYCLES`] per query for the grouping pass
     /// and the fine filter per (member, collected point) pair; a registry,
     /// when attached, gets `host_knn_fused_total` (queries whose best-k
     /// step rode the SEARCH round), `host_knn_unbounded_total` (queries
@@ -374,7 +373,7 @@ impl<const D: usize> PimZdTree<D> {
                 // fine distance r₂ upper-bounds the true k-th ℓ2 distance,
                 // so the true kNN all lie within ℓ1 ≤ √D·r₂ ≤ √D·x — and,
                 // since ℓ∞ ≤ ℓ2, within r₂ of the query on every axis.
-                self.meter.work(6 * D as u64 * best.len() as u64);
+                self.meter.work(host_costs::dist_cycles(D) * best.len() as u64);
                 fine.clear();
                 fine.extend(best.iter().map(|(_, p)| metric.cmp_dist(&w.probe.q, p)));
                 fine.sort_unstable();
@@ -391,7 +390,7 @@ impl<const D: usize> PimZdTree<D> {
         // SEARCH's `(Morton key, qid)` order, cut into runs that share one
         // covering ball (module docs).
         let order = s.order;
-        self.meter.work(n as u64 * COALESCE_CYCLES);
+        self.meter.work(n as u64 * costs::COALESCE_CYCLES);
         let member = |&qid: &u32| (&queries[qid as usize], radii[qid as usize]);
         let runs = cut_runs(
             order.iter().map(member),
@@ -414,7 +413,7 @@ impl<const D: usize> PimZdTree<D> {
         // the covering ball — or the cube, which lies inside the ball's box.
         let mut first = 0;
         for (j, (run, len)) in runs.iter().enumerate() {
-            self.meter.work(30);
+            self.meter.work(costs::BALL_RUN_START);
             let hops = &s.hops[order[first] as usize];
             let (meta, node) = self.lowest_trace_node_containing(hops, run, coarse);
             let w = &mut walks[j];
@@ -452,7 +451,7 @@ impl<const D: usize> PimZdTree<D> {
         let mut out = vec![Vec::new(); n];
         let mut members = order.iter();
         for (w, (_, len)) in walks.iter().zip(&runs) {
-            self.meter.work(6 * D as u64 * (w.found.ball.len() * len) as u64);
+            self.meter.work(host_costs::dist_cycles(D) * (w.found.ball.len() * len) as u64);
             block.refill(w.found.ball.iter());
             for &qid in members.by_ref().take(*len) {
                 out[qid as usize] = fine_select(&block, &queries[qid as usize], metric, k);
@@ -495,13 +494,13 @@ impl<const D: usize> PimZdTree<D> {
         let key = pim_zorder::ZKey::<D>::encode(q);
         let mut sink = Self::l0_sink(&mut self.meter);
         if let Some((_, AnchorLoc::Local(node))) =
-            l0.lowest_on_path(key, 12, |p, _| contains(p), &mut sink)
+            l0.lowest_on_path(key, costs::ANCHOR_STEP_HOST, |p, _| contains(p), &mut sink)
         {
             best = (L0_META, node);
         }
         // Then the hop chain (fragment roots).
         for r in hops {
-            self.meter.work(12);
+            self.meter.work(costs::ANCHOR_STEP_HOST);
             if contains(&r.prefix) {
                 best = (r.meta, u32::MAX);
             }

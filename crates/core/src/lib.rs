@@ -43,6 +43,7 @@ pub mod build;
 pub mod checkpoint;
 pub mod codec;
 pub mod config;
+pub mod costs;
 pub mod frag;
 pub mod host;
 pub mod index;

@@ -22,6 +22,7 @@
 //! the next BSP round. That locality rule is exactly what the paper's L1
 //! caching buys.
 
+use crate::costs;
 use crate::frag::{
     AnchorLoc, BNode, CostSink, Cursor, Edge, EditOutcome, Fragment, Keyed, Lowered, MetaId,
     RefEdit, RemoteRef, RootAfterRemove, SearchEnd, BNODE_BYTES, REMOTE_REF_BYTES,
@@ -636,7 +637,9 @@ pub(crate) fn search_step<const D: usize>(
 ) -> (SearchEnd<D>, bool) {
     if want_anchor > 0 {
         let enough = |_: &Prefix<D>, count| count >= want_anchor;
-        if let Some((prefix, loc)) = frag.lowest_on_path(key, 6, enough, sink) {
+        if let Some((prefix, loc)) =
+            frag.lowest_on_path(key, costs::ANCHOR_STEP_MODULE, enough, sink)
+        {
             *anchor = Anchor::At(AnchorInfo::at(frag, prefix, loc));
         }
     }
@@ -711,7 +714,7 @@ pub fn handle_search<const D: usize>(
                     if state.lookup(r.meta).is_some() {
                         meta = r.meta; // free local hop (cache or co-located master)
                         depth += 1;
-                        ctx.op(4);
+                        ctx.op(costs::LOCAL_HOP);
                         continue;
                     }
                     break SearchVerdict::Forward { to: r };
@@ -930,6 +933,12 @@ fn chase_task<const D: usize, K: Probe<D>>(
     t.reply(found, frontier, visited)
 }
 
+/// Charges `n` node edits of `cycles` each, each touching one node record.
+fn edit_nodes(ctx: &mut PimCtx, cycles: u64, n: u64) {
+    ctx.op(cycles * n);
+    ctx.mem(BNODE_BYTES * n);
+}
+
 /// Management handler.
 pub fn handle_mgmt<const D: usize>(
     module_id: usize,
@@ -955,8 +964,7 @@ pub fn handle_mgmt<const D: usize>(
                 MgmtReply::Ack
             }
             MgmtTask::PatchCache { meta, patch } => {
-                ctx.op(8 * patch.len() as u64);
-                ctx.mem(BNODE_BYTES * patch.len() as u64);
+                edit_nodes(ctx, costs::PATCH_NODE, patch.len() as u64);
                 if let Some(f) = state.caches.get_mut(&meta) {
                     Arc::make_mut(f).lower(&patch);
                 }
@@ -977,9 +985,7 @@ pub fn handle_mgmt<const D: usize>(
                 MgmtReply::Pulled(f.structure_clone())
             }
             MgmtTask::SyncChild { parent, child, sc, prefix, repeat } => {
-                let r = repeat.max(1) as u64;
-                ctx.op(20 * r);
-                ctx.mem(BNODE_BYTES * r);
+                edit_nodes(ctx, costs::SYNC_CHILD, repeat.max(1) as u64);
                 for store in [&mut state.masters, &mut state.caches] {
                     if let Some(f) = store.get_mut(&parent) {
                         Arc::make_mut(f).edit_ref(child, RefEdit::Sync { sc, prefix });
@@ -988,8 +994,7 @@ pub fn handle_mgmt<const D: usize>(
                 MgmtReply::Ack
             }
             MgmtTask::ReplaceChild { parent, child, replacement } => {
-                ctx.op(30);
-                ctx.mem(BNODE_BYTES);
+                edit_nodes(ctx, costs::REPLACE_CHILD, 1);
                 let (mut collapsed, mut narrowed) = (None, None);
                 if let Some(f) = state.masters.get_mut(&parent) {
                     let f = Arc::make_mut(f);

@@ -15,6 +15,7 @@
 //! key re-reads only the nodes below its common prefix with its
 //! predecessor. Every result stays indexed by query.
 
+use crate::costs;
 use crate::frag::{Cursor, HostSink, MetaId, RemoteRef, SearchEnd};
 use crate::host::{held_in, PimZdTree};
 use crate::inline::InlineVec;
@@ -22,6 +23,7 @@ use crate::module::{
     handle_search, search_step, Anchor, BestK, SearchReply, SearchTask, SearchVerdict,
 };
 use pim_geom::Point;
+use pim_memsim::costs as host_costs;
 use pim_zorder::ZKey;
 
 /// Where one query's search ended.
@@ -98,9 +100,9 @@ impl<const D: usize> PimZdTree<D> {
     pub(crate) fn encode_batch(&mut self, pts: &[Point<D>]) -> Vec<ZKey<D>> {
         let _span = pim_obs::span("encode_batch");
         let per_key = if self.cfg.toggles.fast_zorder {
-            12 * D as u64
+            host_costs::zorder_fast_cycles(D)
         } else {
-            4 * D as u64 * ZKey::<D>::COORD_BITS as u64
+            costs::zorder_naive_cycles(D)
         };
         self.meter.work(pts.len() as u64 * per_key);
         // Parallel encode: pure per-point, written at input indices, so the
@@ -146,7 +148,7 @@ impl<const D: usize> PimZdTree<D> {
         let mut order: Vec<u32> = self.bufs.take_vec();
         {
             let _span = pim_obs::span("sort_batch");
-            self.meter.work(n as u64 * 20);
+            self.meter.work(n as u64 * costs::BATCH_SORT_PER_KEY);
             order.extend(0..n as u32);
             pim_zorder::sort::par_radix_sort_stable_by_u64(&mut order, |&q| keys[q as usize].0);
         }

@@ -39,9 +39,10 @@ pub mod placement;
 pub use placement::{CellId, PlacementTable};
 
 use crate::config::PimZdConfig;
+use crate::costs::{self, COALESCE_CYCLES, MERGE_CYCLES, ROUTE_CYCLES};
 use crate::frag::{push_candidate, NullSink};
 use crate::host::PimZdTree;
-use crate::knn::{ball_box, cut_runs, COALESCE_CYCLES, COALESCE_VOLUME_FACTOR};
+use crate::knn::{ball_box, cut_runs, COALESCE_VOLUME_FACTOR};
 use crate::stats::{OpBreakdown, OpStats};
 use pim_geom::{coord_bits_for_dim, Aabb, Metric, Point};
 use pim_memsim::{CpuMeter, CpuModel};
@@ -50,11 +51,6 @@ use pim_zorder::ZKey;
 use rayon::prelude::*;
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
-
-/// Host cycles charged per routed item (key encode + trie walk).
-const ROUTE_CYCLES: u64 = 24;
-/// Host cycles charged per element merged/sorted at the gather stage.
-const MERGE_CYCLES: u64 = 8;
 
 /// Initial uniform refinement depth of the placement trie
 /// (`2^(D·INITIAL_LEVELS)` leaves: 512 in 3D — enough cells per rank that
@@ -554,7 +550,7 @@ impl<const D: usize> ShardedZdTree<D> {
                 touches += 1;
             }
         }
-        self.meter.work(queries.len() as u64 * ROUTE_CYCLES * 2);
+        self.meter.work(queries.len() as u64 * costs::ROUTE_BOX_CYCLES);
         (parts, pos, touches)
     }
 
@@ -725,7 +721,7 @@ impl<const D: usize> ShardedZdTree<D> {
                     }
                 }
             }
-            self.meter.work(considered * (Metric::L2.pim_cycles(D) / 8 + MERGE_CYCLES));
+            self.meter.work(considered * costs::widen_filter_cycles(D));
         }
         let elements = (queries.len() as u64).saturating_mul(k as u64);
         self.finish_op(acc, "knn", queries.len() as u64, elements);

@@ -14,7 +14,7 @@ pub enum Metric {
     /// Manhattan distance — cheap on PIM cores (additions only).
     L1,
     /// Euclidean distance (compared in squared form) — requires
-    /// multiplications, which cost 32 cycles on UPMEM PIM cores.
+    /// multiplications, which are slow on UPMEM PIM cores.
     L2,
     /// Chebyshev distance.
     Linf,
@@ -55,19 +55,6 @@ impl Metric {
             r += 1;
         }
         r
-    }
-
-    /// Approximate PIM-core cycle cost of one distance evaluation in `D`
-    /// dimensions, following UPMEM's published instruction costs
-    /// (add/sub/cmp = 1 cycle, mul = 32 cycles).
-    #[inline]
-    pub fn pim_cycles(self, d: usize) -> u64 {
-        let d = d as u64;
-        match self {
-            Metric::L1 => 3 * d,        // diff, abs, add per axis
-            Metric::L2 => d * (32 + 3), // diff, abs, mul(32), add per axis
-            Metric::Linf => 3 * d,
-        }
     }
 }
 
@@ -172,10 +159,5 @@ mod tests {
         assert!(Metric::L2.needs_multiplication());
         assert!(!Metric::L1.needs_multiplication());
         assert!(!Metric::Linf.needs_multiplication());
-    }
-
-    #[test]
-    fn pim_cycles_orders_metrics() {
-        assert!(Metric::L2.pim_cycles(3) > 10 * Metric::L1.pim_cycles(3) / 2);
     }
 }

@@ -1,6 +1,12 @@
 //! CPU cycle-cost constants for instrumented traversals: the one table
 //! both shared-memory baselines charge from (the engine's walks, the
-//! zd-tree's merge and the Pkd-tree's reconstruction alike).
+//! zd-tree's merge and the Pkd-tree's reconstruction alike), and that the
+//! PIM index's host steps charge from where they do the same work: the
+//! batch Morton encode ([`zorder_fast_cycles`]), a host distance
+//! ([`dist_cycles`]), a kNN candidate ([`HEAP_OP`]) and an emitted box point
+//! ([`EMIT`]). Fig. 5's speedups compare the two sides at these prices, so
+//! each is defined once. The index's own steps, and everything a PIM core
+//! runs, are priced in `pim_zd_tree::costs`.
 //!
 //! These are coarse per-step instruction estimates; only their relative
 //! magnitudes matter for the shape of the results. They follow the obvious

@@ -4,9 +4,9 @@
 //! local-memory costs here. Costs follow UPMEM's published numbers \[37\]:
 //! simple word operations (add, sub, compare, bitwise, branch) retire in one
 //! cycle; multiplication and division take up to 32 cycles — the asymmetry
-//! behind the paper's coarse/fine distance-metric split (§6). Distance
-//! evaluations are charged by the index code via
-//! `pim_geom::Metric::pim_cycles` through [`PimCtx::op`].
+//! behind the paper's coarse/fine distance-metric split (§6). The index's
+//! cost table (`pim_zd_tree::costs`) prices each step, distance evaluations
+//! on [`MUL_DIV_CYCLES`] included, and charges it through [`PimCtx::op`].
 
 /// Cycle cost of a multiply or divide on a BLIMP PIM core.
 pub const MUL_DIV_CYCLES: u64 = 32;
@@ -30,18 +30,6 @@ impl PimCtx {
     #[inline]
     pub fn op(&mut self, n: u64) {
         self.cycles += n;
-    }
-
-    /// Charges one multiplication/division.
-    #[inline]
-    pub fn mul(&mut self) {
-        self.cycles += MUL_DIV_CYCLES;
-    }
-
-    /// Charges `n` multiplications/divisions.
-    #[inline]
-    pub fn muls(&mut self, n: u64) {
-        self.cycles += MUL_DIV_CYCLES * n;
     }
 
     /// Charges a local-memory access of `bytes` bytes (plus the issuing
@@ -87,9 +75,8 @@ mod tests {
     fn op_costs_accumulate() {
         let mut c = PimCtx::new();
         c.op(10);
-        c.mul();
         c.mem(64);
-        assert_eq!(c.cycles, 10 + 32 + 1);
+        assert_eq!(c.cycles, 10 + 1);
         assert_eq!(c.local_bytes, 64);
     }
 
@@ -100,13 +87,6 @@ mod tests {
         c.local_bytes = 1256; // 2 µs at 628 MB/s — memory-bound
         let t = c.time_s(350e6, 628e6);
         assert!((t - 2e-6).abs() < 1e-12, "tasklets overlap DMA with compute");
-    }
-
-    #[test]
-    fn muls_charges_32_cycles_each() {
-        let mut c = PimCtx::new();
-        c.muls(4);
-        assert_eq!(c.cycles, 128);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 
 use crate::tree::{dim_key, tight_box, PkNode, PkNodeId, PkNodeKind, PkdTree, BALANCE_ALPHA};
 use pim_geom::Point;
+use pim_memsim::costs;
 use pim_memsim::CpuMeter;
-use pim_zdtree_base::costs;
 use pim_zdtree_base::engine::charge_batch_state;
 
 impl<const D: usize> PkdTree<D> {

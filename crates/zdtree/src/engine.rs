@@ -14,8 +14,8 @@
 //! results are reproducible and comparable bit-for-bit against the
 //! brute-force oracle in tests.
 
-use crate::costs;
 use pim_geom::{Aabb, Metric, Point};
+use pim_memsim::costs;
 use pim_memsim::CpuMeter;
 use std::collections::BinaryHeap;
 

@@ -17,10 +17,10 @@
 //! numbers are produced.
 //!
 //! The instrumentation itself — arena, charges, kNN and range walks, batch
-//! wrappers ([`engine`]) and the cycle table they charge from ([`costs`]) —
-//! is shared with the Pkd-tree baseline, which builds on this crate.
+//! wrappers ([`engine`]) — is shared with the Pkd-tree baseline, which builds
+//! on this crate. The cycle table both charge from is
+//! [`pim_memsim::costs`], which the PIM index's host steps read too.
 
-pub mod costs;
 pub mod engine;
 pub mod node;
 pub mod query;

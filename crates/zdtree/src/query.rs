@@ -3,11 +3,11 @@
 //! (BoxCount / BoxFetch) are the engine's ([`crate::engine`]), reached
 //! through the tree's inherent forwards.
 
-use crate::costs;
 use crate::engine::charge_batch_state;
 use crate::node::NodeKind;
 use crate::tree::ZdTree;
 use pim_geom::{Aabb, Metric, Point};
+use pim_memsim::costs;
 use pim_memsim::CpuMeter;
 use pim_zorder::ZKey;
 

@@ -7,11 +7,11 @@
 //! down the tree in O(k·log(1 + n/k)) work (Lemma 2.1 (iv)); deletion
 //! splices emptied nodes and collapses small subtrees back into leaves.
 
-use crate::costs;
 use crate::engine::charge_batch_state;
 use crate::node::{Keyed, Node, NodeId, NodeKind};
 use crate::tree::{is_leaf_set, keyed_sorted, set_prefix, ZdTree};
 use pim_geom::Point;
+use pim_memsim::costs;
 use pim_memsim::CpuMeter;
 use pim_zorder::prefix::Prefix;
 
