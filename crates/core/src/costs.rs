@@ -78,15 +78,12 @@ pub const fn pim_dist_cycles(metric: Metric, d: usize) -> u64 {
 }
 
 /// Bytes of one point's coordinates in `d` dimensions (`Point::wire_bytes`):
-/// what a PIM distance evaluation reads.
+/// what a PIM distance evaluation reads, what the query kernels read per
+/// leaf point and what a newly built leaf is written with per point.
 #[inline]
 pub const fn point_bytes(d: usize) -> u64 {
     (d * std::mem::size_of::<u32>()) as u64
 }
-
-/// Bytes read per leaf point by the query kernels and written per point of
-/// a newly built leaf — the size of a 3-D point, whatever `D` is.
-pub const LEAF_POINT_BYTES: u64 = 12;
 
 /// Bytes of the Morton key stored beside each leaf point.
 pub const KEY_BYTES: u64 = 8;
@@ -212,6 +209,5 @@ mod tests {
     #[test]
     fn naive_encoding_prices_every_bit() {
         assert_eq!(zorder_naive_cycles(3), 4 * 3 * 21);
-        assert_eq!(point_bytes(3), LEAF_POINT_BYTES);
     }
 }

@@ -914,7 +914,7 @@ impl<const D: usize> Fragment<D> {
                 count: items.len() as u64,
                 kind: BKind::Leaf { points: PointSet::from_slice(items) },
             });
-            sink.mem(Self::off(idx), BNODE_BYTES + items.len() as u64 * costs::LEAF_POINT_BYTES);
+            sink.mem(Self::off(idx), BNODE_BYTES + items.len() as u64 * costs::point_bytes(D));
             return idx;
         }
         let pre = set_prefix(items);
@@ -1161,7 +1161,7 @@ impl<const D: usize> Fragment<D> {
                 frontier.push((self.stub_ref(node), d));
             }
             BKind::Leaf { points } => {
-                sink.mem(Self::off(start), points.len() as u64 * costs::LEAF_POINT_BYTES);
+                sink.mem(Self::off(start), points.len() as u64 * costs::point_bytes(D));
                 // Lane kernel: distances for the whole leaf run, charged as
                 // one aggregated total (identical counter sum).
                 sink.dist_n(metric, D, points.len() as u64);
@@ -1237,7 +1237,7 @@ impl<const D: usize> Fragment<D> {
             }
             BKind::Leaf { points } => {
                 let n = points.len() as u64;
-                sink.mem(Self::off(start), n * costs::LEAF_POINT_BYTES);
+                sink.mem(Self::off(start), n * costs::point_bytes(D));
                 sink.dist_n(metric, D, n);
                 if cubed {
                     sink.op(costs::cube_test_cycles(D) * n);
@@ -1299,7 +1299,7 @@ impl<const D: usize> Fragment<D> {
                 if fully {
                     return points.len() as u64;
                 }
-                sink.mem(Self::off(start), points.len() as u64 * costs::LEAF_POINT_BYTES);
+                sink.mem(Self::off(start), points.len() as u64 * costs::point_bytes(D));
                 sink.op(points.len() as u64 * costs::box_test_cycles(D));
                 points.count_in(query)
             }
@@ -1350,7 +1350,7 @@ impl<const D: usize> Fragment<D> {
         match &node.kind {
             BKind::LeafStub => frontier.push((self.stub_ref(node), 0)),
             BKind::Leaf { points } => {
-                sink.mem(Self::off(start), points.len() as u64 * costs::LEAF_POINT_BYTES);
+                sink.mem(Self::off(start), points.len() as u64 * costs::point_bytes(D));
                 let fully = query.contains_box(&nb);
                 if fully {
                     sink.op(costs::EMIT_POINT * points.len() as u64);

@@ -201,20 +201,22 @@ fn toggle_rows<const D: usize>(rows: &mut Vec<(String, u64)>) {
     rows.push((format!("D{D}/shard4"), shard_row(&s)));
 }
 
-/// `(row, digest)`, recorded when the table was pinned. See the module docs
-/// for when a digest may change.
+/// `(row, digest)`, recorded when the table was pinned. The eleven D = 2
+/// rows moved when a leaf point began to be charged at its own size
+/// (4·D B), not a 3-D point's 12 B; the D = 3 rows did not move. See the
+/// module docs for when a digest may change.
 const GOLDEN: [(&str, u64); 24] = [
-    ("D2/throughput/all", 0x4c247e53decbe13e),
-    ("D2/throughput/-fast_zorder", 0x75c7de85e95cc60e),
-    ("D2/throughput/-lazy_counters", 0xe141101a3ec790e2),
-    ("D2/throughput/-coarse_fine_knn", 0xb50612c13eaa7aec),
-    ("D2/throughput/-practical_chunking", 0xe76c938999fddd97),
-    ("D2/skew/all", 0xa41d55f47e95156e),
-    ("D2/skew/-fast_zorder", 0xd2e68c6cb0b1fa53),
-    ("D2/skew/-lazy_counters", 0xbfb6006ceee84e71),
-    ("D2/skew/-coarse_fine_knn", 0x4f3f1deab8040910),
-    ("D2/skew/-practical_chunking", 0x9fda3ed2cd29a1d9),
-    ("D2/shard4", 0x5fa9339fbe6b7468),
+    ("D2/throughput/all", 0x6710a24f22610d4b),
+    ("D2/throughput/-fast_zorder", 0xf00789603adb1005),
+    ("D2/throughput/-lazy_counters", 0x52cfb51462796f67),
+    ("D2/throughput/-coarse_fine_knn", 0xf6d1f68cda93665c),
+    ("D2/throughput/-practical_chunking", 0x9bff1f43a76b976f),
+    ("D2/skew/all", 0x7b1d4969cf86e75b),
+    ("D2/skew/-fast_zorder", 0xcca5336f696f46e3),
+    ("D2/skew/-lazy_counters", 0x57b3e601451432b9),
+    ("D2/skew/-coarse_fine_knn", 0x0aceee774632fe3f),
+    ("D2/skew/-practical_chunking", 0x42626befcd5380c1),
+    ("D2/shard4", 0x0c8594231e76767e),
     ("D3/throughput/all", 0x6cac1c398565845c),
     ("D3/throughput/-fast_zorder", 0x68e68f3fa70a2016),
     ("D3/throughput/-lazy_counters", 0x0cf7ca1be21afc2c),
