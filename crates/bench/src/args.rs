@@ -80,59 +80,32 @@ impl BenchArgs {
         let mut out = Self::default();
         let mut args = std::env::args().skip(1).peekable();
         while let Some(a) = args.next() {
-            let mut grab = |out: &mut usize| {
-                if let Some(v) = args.next().and_then(|s| s.parse().ok()) {
-                    *out = v;
-                }
-            };
+            let mut count = |flag: &str| value(args.next(), flag, "a positive count", |&n| n > 0);
             match a.as_str() {
-                "--points" => grab(&mut out.points),
-                "--batch" => grab(&mut out.batch),
-                "--modules" => grab(&mut out.modules),
-                "--seed" => {
-                    if let Some(v) = args.next().and_then(|s| s.parse().ok()) {
-                        out.seed = v;
-                    }
-                }
+                "--points" => out.points = count("--points"),
+                "--batch" => out.batch = count("--batch"),
+                "--modules" => out.modules = count("--modules"),
+                "--seed" => out.seed = value(args.next(), "--seed", "an unsigned seed", |_| true),
                 "--trace" => out.trace = args.next(),
                 "--json" => out.json = args.next(),
                 "--profile" => out.profile = args.next(),
                 "--metrics" => out.metrics = args.next(),
                 "--fault-seed" => {
-                    if let Some(v) = args.next().and_then(|s| s.parse().ok()) {
-                        out.fault_seed = Some(v);
-                    }
+                    let seed = value(args.next(), "--fault-seed", "an unsigned seed", |_| true);
+                    out.fault_seed = Some(seed);
                 }
-                // Like --threads, a malformed rate is fatal: a silently
-                // dropped fault rate would report a fault-free run as a
-                // robustness result.
-                "--fault-rate" => match args.next().map(|v| (v.parse::<f64>(), v)) {
-                    Some((Ok(r), _)) if (0.0..=1.0).contains(&r) => out.fault_rate = r,
-                    Some((_, v)) => {
-                        eprintln!("error: --fault-rate expects a rate in [0, 1], got {v:?}");
-                        std::process::exit(2);
-                    }
-                    None => {
-                        eprintln!("error: --fault-rate requires a value");
-                        std::process::exit(2);
-                    }
-                },
+                // A silently dropped fault rate would report a fault-free
+                // run as a robustness result.
+                "--fault-rate" => {
+                    let in_range = |r: &f64| (0.0..=1.0).contains(r);
+                    out.fault_rate =
+                        value(args.next(), "--fault-rate", "a rate in [0, 1]", in_range);
+                }
                 // Silently falling back to the default pool size would let a
-                // run the user believes is pinned use every core, so a bad or
-                // missing value is fatal rather than ignored.
-                "--threads" => match args.next() {
-                    Some(v) => match v.parse() {
-                        Ok(n) => out.threads = Some(n),
-                        Err(_) => {
-                            eprintln!("error: --threads expects a thread count, got {v:?}");
-                            std::process::exit(2);
-                        }
-                    },
-                    None => {
-                        eprintln!("error: --threads requires a value");
-                        std::process::exit(2);
-                    }
-                },
+                // run the user believes is pinned use every core.
+                "--threads" => {
+                    out.threads = Some(value(args.next(), "--threads", "a thread count", |_| true));
+                }
                 other if !other.starts_with("--") => out.positional = Some(other.to_string()),
                 // An unknown flag consumes its value token (if any) into
                 // `extra`, so a binary-specific flag like `--requests 600`
@@ -196,6 +169,30 @@ impl BenchArgs {
                     "warning: --threads {n} ignored; the global thread pool was already built"
                 );
             }
+        }
+    }
+}
+
+/// `v`, the value given for `flag`, parsed as a `T` that `valid` accepts.
+/// A shared flag's value is never ignored: a missing, malformed or
+/// rejected one (`--modules 2O48`, `--modules 0`) exits 2 with a message
+/// naming the flag and what it expects, so no run goes on at a default the
+/// user did not ask for.
+fn value<T: std::str::FromStr>(
+    v: Option<String>,
+    flag: &str,
+    expects: &str,
+    valid: impl Fn(&T) -> bool,
+) -> T {
+    let Some(v) = v else {
+        eprintln!("error: {flag} requires a value");
+        std::process::exit(2);
+    };
+    match v.parse() {
+        Ok(x) if valid(&x) => x,
+        _ => {
+            eprintln!("error: {flag} expects {expects}, got {v:?}");
+            std::process::exit(2);
         }
     }
 }

@@ -3,6 +3,7 @@
 //! apply them refuse them with exit 2: no report carries a `fault_rate`
 //! its run did not inject. `fig_durability`, whose steps are host
 //! wall-clock, refuses `--json` too, so every perf report is simulated.
+//! A malformed, zero or missing count or seed exits 2 as well.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -89,4 +90,32 @@ fn binaries_that_cannot_apply_a_flag_refuse_it() {
     for path in [&trace, &report] {
         assert!(!std::path::Path::new(path).exists(), "a refused run wrote {path}");
     }
+}
+
+/// A shared count or seed flag whose value is malformed, zero where a count
+/// must be positive, or missing exits 2 and names the flag; none of them
+/// runs at a default the user did not ask for. Each case is followed by a
+/// small valid scale, so a binary that ignored the bad value would finish
+/// quickly with exit 0.
+#[test]
+fn malformed_counts_and_seeds_exit_2() {
+    let bin = env!("CARGO_BIN_EXE_fig6_breakdown");
+    let scale = ["--points", "2000", "--batch", "200", "--modules", "16"];
+    for bad in [
+        &["--modules", "2O48"][..],
+        &["--modules", "0"],
+        &["--points", "1e4"],
+        &["--points", "0"],
+        &["--batch", "ten"],
+        &["--batch", "0"],
+        &["--seed", "-1"],
+        &["--fault-seed", "x1"],
+    ] {
+        let out = Command::new(bin).args(bad).args(scale).output().expect("the binary starts");
+        assert_eq!(out.status.code(), Some(2), "{bad:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(bad[0]), "{bad:?}: the message names the flag: {stderr}");
+    }
+    let out = Command::new(bin).args(scale).arg("--seed").output().expect("the binary starts");
+    assert_eq!(out.status.code(), Some(2), "a missing --seed value");
 }
