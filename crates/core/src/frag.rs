@@ -84,17 +84,9 @@ pub trait CostSink {
     fn op(&mut self, n: u64);
     /// A memory access of `bytes` at fragment-relative offset `off`.
     fn mem(&mut self, off: u64, bytes: u64);
-    /// One distance evaluation in `d` dimensions under `metric`.
-    fn dist(&mut self, metric: Metric, d: usize);
-    /// `n` distance evaluations at once. All sinks charge pure counters, so
-    /// batched leaf kernels aggregate the per-point charges into one exact
-    /// integer total — byte-identical to `n` individual [`dist`](Self::dist)
-    /// calls, without `n` virtual-ish calls in the hot loop.
-    fn dist_n(&mut self, metric: Metric, d: usize, n: u64) {
-        for _ in 0..n {
-            self.dist(metric, d);
-        }
-    }
+    /// `n` distance evaluations in `d` dimensions under `metric`, charged
+    /// as one exact total (a leaf kernel's whole run at once).
+    fn dist_n(&mut self, metric: Metric, d: usize, n: u64);
     /// Enters the node whose record is at `off`.
     fn enter(&mut self, off: u64) {
         self.op(costs::NODE_ENTER);
@@ -114,10 +106,6 @@ impl CostSink for PimCtx {
     }
     fn mem(&mut self, _off: u64, bytes: u64) {
         PimCtx::mem(self, bytes);
-    }
-    fn dist(&mut self, metric: Metric, d: usize) {
-        PimCtx::op(self, costs::pim_dist_cycles(metric, d));
-        PimCtx::mem(self, costs::point_bytes(d));
     }
     fn dist_n(&mut self, metric: Metric, d: usize, n: u64) {
         PimCtx::op(self, costs::pim_dist_cycles(metric, d) * n);
@@ -141,10 +129,6 @@ impl CostSink for HostSink<'_> {
     fn mem(&mut self, off: u64, bytes: u64) {
         self.meter.touch(self.base_addr + off, bytes, false);
     }
-    fn dist(&mut self, _metric: Metric, d: usize) {
-        // Multiplication is cheap on the host.
-        self.meter.work(host_costs::dist_cycles(d));
-    }
     fn dist_n(&mut self, _metric: Metric, d: usize, n: u64) {
         self.meter.work(host_costs::dist_cycles(d) * n);
     }
@@ -156,7 +140,7 @@ pub struct NullSink;
 impl CostSink for NullSink {
     fn op(&mut self, _n: u64) {}
     fn mem(&mut self, _off: u64, _bytes: u64) {}
-    fn dist(&mut self, _metric: Metric, _d: usize) {}
+    fn dist_n(&mut self, _metric: Metric, _d: usize, _n: u64) {}
 }
 
 /// A cross-fragment edge: everything a fragment knows about a child

@@ -411,12 +411,7 @@ impl<const D: usize> PimZdTree<D> {
                                 replacement,
                             });
                         }
-                        self.edit_in_hand(
-                            p,
-                            child,
-                            RefEdit::Replace(replacement),
-                            costs::HOST_REPLACE_REF,
-                        );
+                        self.edit_in_hand(p, child, RefEdit::Replace(replacement));
                     }
                 }
             }
@@ -673,12 +668,7 @@ impl<const D: usize> PimZdTree<D> {
                     for &module in std::iter::once(&pe.module).chain(&pe.cached_on) {
                         tasks[module as usize].push(task.clone());
                     }
-                    self.edit_in_hand(
-                        p,
-                        m,
-                        RefEdit::Sync { sc: new_sc, prefix },
-                        costs::HOST_SYNC_REF,
-                    );
+                    self.edit_in_hand(p, m, RefEdit::Sync { sc: new_sc, prefix });
                 }
             }
             let e = self.dir.get_mut(m);
@@ -700,12 +690,8 @@ impl<const D: usize> PimZdTree<D> {
     /// to the host's L0.
     fn replicate_l0_counts(&mut self, updates: u64) {
         if updates > 0 && self.l0_replicated {
-            self.sys.broadcast(
-                crate::host::ReplBytes(updates * costs::COUNT_UPDATE_BYTES),
-                |_, _, ctx, b| {
-                    ctx.mem(b.0);
-                },
-            );
+            let bytes = crate::host::ReplBytes(updates * costs::COUNT_UPDATE_BYTES);
+            self.sys.broadcast(bytes, |_, _, ctx, b| ctx.mem(b.0));
         }
     }
 
@@ -891,10 +877,12 @@ impl<const D: usize> PimZdTree<D> {
     }
 
     /// Applies to the structure copy in hand for `parent`, if any, an edit
-    /// its master and copies are sent, charging the host `cycles`.
-    fn edit_in_hand(&mut self, parent: MetaId, child: MetaId, edit: RefEdit<D>, cycles: u64) {
+    /// its master and copies are sent, charging the host what the same edit
+    /// of L0 costs.
+    fn edit_in_hand(&mut self, parent: MetaId, child: MetaId, edit: RefEdit<D>) {
         if let Some(CopyUpdate::Copy(f)) = self.in_hand.get_mut(&parent) {
-            self.meter.work(cycles);
+            let sync = matches!(edit, RefEdit::Sync { .. });
+            self.meter.work(if sync { costs::HOST_SYNC_REF } else { costs::HOST_REPLACE_REF });
             f.edit_ref(child, edit);
         }
     }
