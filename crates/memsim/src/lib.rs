@@ -13,12 +13,7 @@
 //! through their traversals; every node visit charges cycles and touches the
 //! node's arena address, so cache locality differences between the indexes —
 //! the very thing the paper's Fig. 5/8 traffic series measure — fall out of
-//! the model instead of being assumed.
-//!
-//! [`costs`] is the one table of host-step cycle prices: both baselines
-//! charge from it, and so do the host steps of the PIM index that do the
-//! same work (a Morton encode, a host distance, a heap step, an emitted
-//! point).
+//! the model instead of being assumed, at the cycle prices of [`costs`].
 
 pub mod cache;
 pub mod costs;
