@@ -65,9 +65,9 @@ pub const CAND_PUSH: u64 = 12;
 pub const DIST_AXIS: u64 = 3;
 
 /// One distance evaluation in `d` dimensions on a PIM core: per axis
-/// [`DIST_AXIS`], and for ℓ2 one multiply at
-/// [`MUL_DIV_CYCLES`](pim_sim::ctx::MUL_DIV_CYCLES). That multiply is why
-/// §6 filters coarsely in ℓ1 on the modules and finely in ℓ2 on the host.
+/// [`DIST_AXIS`], and for ℓ2 one multiply at [`MUL_DIV_CYCLES`]. That
+/// multiply is why §6 filters coarsely in ℓ1 on the modules and finely in
+/// ℓ2 on the host.
 #[inline]
 pub const fn pim_dist_cycles(metric: Metric, d: usize) -> u64 {
     let per_axis = match metric {
