@@ -145,6 +145,53 @@ pub fn read_jsonl<T: FromJson>(text: &str) -> Result<Vec<T>, String> {
     lines.map(|(i, line)| read(line).map_err(|e| format!("line {}: {e}", i + 1))).collect()
 }
 
+/// The source text of member `key` of the JSON object `text`, as written:
+/// what a reader keeps when a [`Value`] would lose something (a number's
+/// form). `None` when the object has no such member. `text` must be a valid
+/// JSON object (parse it first); the scan only tracks nesting and strings.
+pub fn member_text<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+    let b = text.as_bytes();
+    let (mut depth, mut start, mut i) = (0usize, None, 0);
+    while i < b.len() {
+        match b[i] {
+            b'"' => {
+                let open = i;
+                i += 1;
+                while b[i] != b'"' {
+                    i += if b[i] == b'\\' { 2 } else { 1 };
+                }
+                // A member name of the outer object: its value follows the
+                // colon.
+                let rest = text[i + 1..].trim_start();
+                if depth == 1
+                    && start.is_none()
+                    && rest.starts_with(':')
+                    && &text[open + 1..i] == key
+                {
+                    start = Some(text.len() - rest.len() + 1);
+                }
+            }
+            b'{' | b'[' => depth += 1,
+            b'}' | b']' => {
+                depth -= 1;
+                match (start, depth) {
+                    (Some(s), 1) => return Some(text[s..=i].trim()),
+                    (Some(s), 0) => return Some(text[s..i].trim()),
+                    _ => {}
+                }
+            }
+            b',' if depth == 1 => {
+                if let Some(s) = start {
+                    return Some(text[s..i].trim());
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    None
+}
+
 /// Implements [`Serialize`] and [`FromJson`] for a struct from one ordered
 /// key list (`write Type { … }`: [`Serialize`] alone). `"key": field` is
 /// written from and read into `field`; `"key": field as Via` is read as a
@@ -279,6 +326,16 @@ mod tests {
              {\"n\":0,\"x\":0.0,\"hist\":[0,0],\"note\":null}\n"
         );
         assert_eq!(read_jsonl::<Rec>(&format!("\n{text}")).unwrap(), [rec, Rec::default()]);
+    }
+
+    #[test]
+    fn member_text_is_the_member_as_written() {
+        let text = r#"{"a":9.0, "s":"\"b\":", "b" : {"b":[1,{"x":"}"}],"n":9} ,"c":1e-7}"#;
+        assert_eq!(member_text(text, "a"), Some("9.0"));
+        assert_eq!(member_text(text, "b"), Some(r#"{"b":[1,{"x":"}"}],"n":9}"#));
+        assert_eq!(member_text(text, "c"), Some("1e-7"));
+        assert_eq!(member_text(text, "s"), Some(r#""\"b\":""#));
+        assert_eq!(member_text(text, "x"), None, "only the outer object's members");
     }
 
     #[test]
