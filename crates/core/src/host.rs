@@ -155,6 +155,10 @@ pub struct PimZdTree<const D: usize> {
     /// Nodes the running measured batch's searches entered on the host (L0
     /// and pulled fragments), published as `host_search_nodes_total`.
     pub(crate) search_nodes: u64,
+    /// Nodes the running measured batch's box, best-k and ball walks entered
+    /// on the host (L0 and pulled fragments, and the L0 descents that seed
+    /// them), published as `host_range_nodes_total`.
+    pub(crate) range_nodes: u64,
     /// Every master the host pulled since the last round that could write
     /// one, with the staging address it landed at: push-pull reads them in
     /// place instead of pulling them again. [`Self::robust_round`] empties
@@ -206,6 +210,7 @@ impl<const D: usize> PimZdTree<D> {
             wal: None,
             in_hand: FxHashMap::default(),
             search_nodes: 0,
+            range_nodes: 0,
             held: FxHashMap::default(),
         }
     }
@@ -289,7 +294,7 @@ impl<const D: usize> PimZdTree<D> {
         f: impl FnOnce(&mut Self) -> (R, u64),
     ) -> R {
         self.meter.start_measurement();
-        self.search_nodes = 0;
+        (self.search_nodes, self.range_nodes) = (0, 0);
         let sim_before = *self.sys.stats();
         let (result, elements) = f(self);
         let host: CpuStats = self.meter.stats();
@@ -307,6 +312,7 @@ impl<const D: usize> PimZdTree<D> {
                 m.add("host_elements_returned_total", ol, elements);
                 m.add("host_work_cycles_total", ol, host.work_cycles);
                 m.add("host_search_nodes_total", ol, self.search_nodes);
+                m.add("host_range_nodes_total", ol, self.range_nodes);
                 m.add("host_span_cycles_total", ol, host.span_cycles);
                 m.add("host_llc_hits_total", ol, host.llc_hits);
                 m.add("host_llc_misses_total", ol, host.llc_misses);

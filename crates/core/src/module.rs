@@ -637,9 +637,7 @@ pub(crate) fn search_step<const D: usize>(
 ) -> (SearchEnd<D>, bool) {
     if want_anchor > 0 {
         let enough = |_: &Prefix<D>, count| count >= want_anchor;
-        if let Some((prefix, loc)) =
-            frag.lowest_on_path(key, costs::ANCHOR_STEP_MODULE, enough, sink)
-        {
+        if let Some((prefix, loc)) = frag.lowest_on_path(key, enough, sink) {
             *anchor = Anchor::At(AnchorInfo::at(frag, prefix, loc));
         }
     }

@@ -95,16 +95,21 @@ const MAX_ROUNDS: usize = 1000;
 const ENCODE_CHUNK: usize = 4096;
 
 impl<const D: usize> PimZdTree<D> {
+    /// The host's price of one Morton encode under the `fast_zorder`
+    /// toggle (Table 3).
+    pub(crate) fn zorder_cycles(&self) -> u64 {
+        if self.cfg.toggles.fast_zorder {
+            host_costs::zorder_fast_cycles(D)
+        } else {
+            costs::zorder_naive_cycles(D)
+        }
+    }
+
     /// Charges and computes the batch's Morton keys (fast path or the
     /// Table 3 naive path).
     pub(crate) fn encode_batch(&mut self, pts: &[Point<D>]) -> Vec<ZKey<D>> {
         let _span = pim_obs::span("encode_batch");
-        let per_key = if self.cfg.toggles.fast_zorder {
-            host_costs::zorder_fast_cycles(D)
-        } else {
-            costs::zorder_naive_cycles(D)
-        };
-        self.meter.work(pts.len() as u64 * per_key);
+        self.meter.work(pts.len() as u64 * self.zorder_cycles());
         // Parallel encode: pure per-point, written at input indices, so the
         // key vector is identical at any thread count. The simulated cost
         // was charged above, independent of host parallelism.

@@ -2,8 +2,10 @@
 //!
 //! Every query that follows *all* subtrees meeting a region — the best-k and
 //! ball phases of kNN, BoxCount, BoxFetch — runs the same skeleton: seed on
-//! L0, dedup the frontier, count per-meta demand, **pull** hot fragments to
-//! the host or **push** tasks to their modules, fold the replies, repeat.
+//! L0 (at the node the caller's descent chose: a box's or a ball run's split
+//! node, `Fragment::split_from`), dedup the frontier, count per-meta demand,
+//! **pull** hot fragments to the host or **push** tasks to their modules,
+//! fold the replies, repeat.
 //! That skeleton lives here once, as a host loop ([`PimZdTree::traverse`])
 //! and, in [`crate::module::chase`], its module-side half.
 //!
@@ -26,6 +28,7 @@ use crate::frag::{CostSink, Edge, Fragment, HostSink, MetaId};
 use crate::host::{held_in, PimZdTree, Reroutable, L0_META};
 use crate::inline::InlineVec;
 use crate::module::{chase, REPLY_INLINE};
+use pim_geom::Metric;
 use pim_memsim::CpuMeter;
 use pim_sim::Wire;
 
@@ -147,18 +150,47 @@ impl<const D: usize, K: Probe<D>> Walk<D, K> {
     }
 
     /// Runs the probe's step on a host-resident fragment; what it could not
-    /// enter joins the frontier (`remote` is scratch).
+    /// enter joins the frontier (`remote` is scratch). Returns the nodes the
+    /// step entered.
     fn step_on_host(
         &mut self,
         frag: &Fragment<D>,
         node: u32,
-        mut sink: HostSink<'_>,
+        sink: HostSink<'_>,
         remote: &mut Vec<Edge<D>>,
-    ) {
+    ) -> u64 {
         let start = if node == u32::MAX { frag.root } else { node };
         remote.clear();
+        let mut sink = Counted { sink, nodes: 0 };
         self.probe.step(frag, start, &mut self.found, remote, &mut sink);
         self.frontier.extend(remote.iter().map(|(r, d)| (r.meta, u32::MAX, *d)));
+        sink.nodes
+    }
+}
+
+/// A host sink that counts the nodes a step enters.
+struct Counted<'a> {
+    sink: HostSink<'a>,
+    nodes: u64,
+}
+
+impl CostSink for Counted<'_> {
+    fn op(&mut self, n: u64) {
+        self.sink.op(n);
+    }
+    fn mem(&mut self, off: u64, bytes: u64) {
+        self.sink.mem(off, bytes);
+    }
+    fn dist_n(&mut self, metric: Metric, d: usize, n: u64) {
+        self.sink.dist_n(metric, d, n);
+    }
+    fn enter(&mut self, off: u64) {
+        self.nodes += 1;
+        self.sink.enter(off);
+    }
+    fn enter_box(&mut self, off: u64, d: usize) {
+        self.nodes += 1;
+        self.sink.enter_box(off, d);
     }
 }
 
@@ -179,7 +211,8 @@ impl<const D: usize> PimZdTree<D> {
             w.entered = true;
             match (w.probe.target(), self.l0.as_ref()) {
                 ((L0_META, node), Some(l0)) => {
-                    w.step_on_host(l0, node, Self::l0_sink(&mut self.meter), &mut remote);
+                    let sink = Self::l0_sink(&mut self.meter);
+                    self.range_nodes += w.step_on_host(l0, node, sink, &mut remote);
                 }
                 // No L0 (empty tree): nothing to visit.
                 ((L0_META, _), None) => {}
@@ -231,7 +264,7 @@ impl<const D: usize> PimZdTree<D> {
                         }
                         w.visited.push(meta);
                         let sink = HostSink { meter: &mut self.meter, base_addr: *addr };
-                        w.step_on_host(frag, node, sink, &mut remote);
+                        self.range_nodes += w.step_on_host(frag, node, sink, &mut remote);
                     }
                     rest.clear();
                 }

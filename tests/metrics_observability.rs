@@ -12,7 +12,7 @@
 //!    machine total, and the float second-sums must agree to rounding.
 
 use pim_zd_tree_repro::sim::Metrics;
-use pim_zd_tree_repro::{workloads, MachineConfig, Metric, PimZdConfig, PimZdTree};
+use pim_zd_tree_repro::{workloads, Aabb, MachineConfig, Metric, PimZdConfig, PimZdTree};
 
 const SEED: u64 = 2026;
 const N: usize = 6_000;
@@ -155,4 +155,45 @@ fn detached_run_records_nothing_and_changes_no_results() {
     assert!(!b.metrics().enabled());
     assert_eq!(format!("{:?}", a.sim_stats()), format!("{:?}", b.sim_stats()));
     assert!(metrics.with(|m| m.n_series()).unwrap() > 10, "metered run recorded families");
+}
+
+/// `host_range_nodes_total{op}` counts the nodes the host's box, best-k and
+/// ball walks enter: their L0 descents and their steps on L0 and pulled
+/// fragments. A box batch is sorted by lower corner and each box enters L0
+/// at its split node by SEARCH's resumed descent, so on a batch whose boxes
+/// share prefixes the count falls below that of the same boxes sent one per
+/// batch (each descending from the L0 root), and a batch of point boxes
+/// enters the nodes SEARCH enters for the points.
+#[test]
+fn range_walks_count_the_host_nodes_they_enter() {
+    let pts = workloads::uniform::<3>(N, SEED);
+    let cfg = PimZdConfig::skew_resistant(MODULES);
+    let mut t = PimZdTree::build(&pts, cfg, MachineConfig::with_modules(MODULES));
+    let metrics = Metrics::enabled_new();
+    t.set_metrics(metrics.clone());
+    let nodes = |name: &str, op: &str| {
+        metrics.with(|m| m.counter(name, &[("op", op)]).unwrap_or(0)).unwrap()
+    };
+
+    let side = workloads::box_side_for_expected::<3>(N, 4.0);
+    let boxes = workloads::box_queries(&pts, 200, side, SEED + 3);
+    let _ = t.batch_box_count(&boxes);
+    let batch = nodes("host_range_nodes_total", "box_count");
+    for b in &boxes {
+        let _ = t.batch_box_count(std::slice::from_ref(b));
+    }
+    let singles = nodes("host_range_nodes_total", "box_count") - batch;
+    println!("box_count: {batch} host nodes as one batch, {singles} one box per batch");
+    assert!(batch > 0 && batch < singles, "{batch} !< {singles}");
+
+    // A point box's descent is its point's SEARCH descent through L0, and
+    // its split node is the fragment below L0 that holds the point; at this
+    // size nothing is pulled, so the host enters nothing else.
+    let points: Vec<Aabb<3>> = pts[..200].iter().map(|&p| Aabb::point(p)).collect();
+    let _ = t.batch_box_fetch(&points);
+    let _ = t.batch_contains(&pts[..200]);
+    let range = nodes("host_range_nodes_total", "box_fetch");
+    let search = nodes("host_search_nodes_total", "search");
+    println!("point boxes: {range} host nodes; their SEARCH: {search}");
+    assert_eq!(range, search, "point boxes enter L0 as SEARCH does");
 }

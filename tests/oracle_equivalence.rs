@@ -359,6 +359,79 @@ fn two_stage_ball_with_its_cube_matches_brute_force() {
     cube_cases::<6>();
 }
 
+/// Boxes that put a box's split node at the top of the tree and at its
+/// edges: boxes and slabs centred on the grid midpoint, where the root's
+/// split planes cross (from a point to a box touching both grid edges), the
+/// whole grid, zero-volume boxes, and small boxes in the grid's corners.
+fn edge_boxes<const D: usize>(data: &[Point<D>]) -> Vec<Aabb<D>> {
+    let m = pim_zd_tree_repro::geom::max_coord_for_dim(D);
+    let c = mid::<D>();
+    let around = |p: Point<D>, r: u32| {
+        Aabb::new(
+            Point::new(p.coords.map(|x| x.saturating_sub(r))),
+            Point::new(p.coords.map(|x| x.saturating_add(r).min(m))),
+        )
+    };
+    let mut boxes = vec![Aabb::universe(), Aabb::point(c), Aabb::point(data[5])];
+    for shift in [0, 1, 4, 8, 12, 16] {
+        boxes.push(around(c, (m >> shift).max(1)));
+    }
+    for axis in 0..D {
+        // A slab across every split plane of one axis, both edges included,
+        // thin on the others; and the same slab flattened to zero volume.
+        let mut slab = around(c, (m >> 10).max(1));
+        (slab.lo.coords[axis], slab.hi.coords[axis]) = (0, m);
+        boxes.push(slab);
+        slab.lo.coords[(axis + 1) % D] = slab.hi.coords[(axis + 1) % D];
+        boxes.push(slab);
+    }
+    let corner = |bits: u32| Point::new(std::array::from_fn(|axis| m * (bits >> axis & 1)));
+    for bits in 0..1u32 << D {
+        boxes.push(around(corner(bits), (m >> 6).max(1)));
+        boxes.push(Aabb::point(corner(bits)));
+    }
+    boxes.extend(data.iter().step_by(23).map(|&p| around(p, (m >> 9).max(1))));
+    // Out of order, so the batch's own sort has work to do.
+    boxes.reverse();
+    boxes
+}
+
+fn edge_box_cases<const D: usize>() {
+    let (mut data, _) = cube_inputs::<D>();
+    data.extend(workloads::point_queries(&[mid::<D>()], 60, 3, 26));
+    let n = data.len();
+    let boxes = edge_boxes(&data);
+    let machine = MachineConfig::with_modules(16);
+    for (preset, cfg) in [
+        ("throughput", PimZdConfig::throughput_optimized(n as u64, 16)),
+        ("skew", PimZdConfig::skew_resistant(16)),
+    ] {
+        let mut index = PimZdTree::build(&data, cfg, machine);
+        let counts = index.batch_box_count(&boxes);
+        let fetched = index.batch_box_fetch(&boxes);
+        for (i, b) in boxes.iter().enumerate() {
+            let mut want: Vec<[u32; D]> =
+                data.iter().filter(|p| b.contains(p)).map(|p| p.coords).collect();
+            assert_eq!(counts[i], want.len() as u64, "D={D} {preset}: count of box#{i} {b:?}");
+            let mut got: Vec<[u32; D]> = fetched[i].iter().map(|p| p.coords).collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "D={D} {preset}: fetch of box#{i} {b:?}");
+        }
+    }
+}
+
+/// BoxCount and BoxFetch enter L0 at each box's split node; on boxes whose
+/// split node is the root or near it, or that touch the grid's edges, they
+/// still answer what a scan of the points answers.
+#[test]
+fn boxes_across_the_top_split_planes_match_brute_force() {
+    edge_box_cases::<2>();
+    edge_box_cases::<3>();
+    edge_box_cases::<4>();
+    edge_box_cases::<6>();
+}
+
 /// 10-NN is two rounds where SEARCH is one and ends beside every anchor (3
 /// when best-k had a round of its own): the best-k step rides the SEARCH
 /// round and only the ball phase is left. Under `skew_resistant` a search
