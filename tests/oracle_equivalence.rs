@@ -173,6 +173,35 @@ fn pkdtree_also_agrees_on_queries() {
     assert_eq!(got, want);
 }
 
+/// `k` is caller input: the largest one asks for everything, on every index
+/// behind the batch API.
+#[test]
+fn knn_with_the_largest_k_returns_every_stored_point() {
+    use pim_pkdtree::PkdTree;
+    use pim_zd_tree_repro::{ShardConfig, ShardedZdTree};
+
+    let data = workloads::osm_like::<3>(500, 1616);
+    let q = [data[7], Point::new([9, 9, 9])];
+    let want: Vec<_> = q.iter().map(|q| knn_distinct(&data, q, usize::MAX, Metric::L2)).collect();
+    assert_eq!(want[0].len(), data.len());
+
+    let cfg = PimZdConfig::skew_resistant(16);
+    let machine = MachineConfig::with_modules(16);
+    let mut single = PimZdTree::build(&data, cfg, machine);
+    assert_eq!(single.batch_knn(&q, usize::MAX, Metric::L2), want);
+    // The sharded `elements` stat is `queries × k`: half the range overflows
+    // it as surely as all of it.
+    let mut sharded = ShardedZdTree::build(&data, ShardConfig::new(2), cfg, machine);
+    for k in [usize::MAX / 2, usize::MAX] {
+        assert_eq!(sharded.batch_knn(&q, k, Metric::L2), want, "k={k}");
+    }
+    let mut m = meter();
+    let zd = ZdTree::build(&data, cfg.leaf_cap);
+    assert_eq!(zd.batch_knn(&q, usize::MAX, Metric::L2, &mut m), want);
+    let pkd = PkdTree::build(&data, cfg.leaf_cap);
+    assert_eq!(pkd.batch_knn(&q, usize::MAX, Metric::L2, &mut m), want);
+}
+
 /// Runs one kNN batch, holds every answer to the brute-force scan of `data`,
 /// and returns the batch's ball-phase `(queries, runs)` as the registry
 /// counted them.
