@@ -11,6 +11,9 @@
 //!    counters must agree exactly, per-module busy cycles must sum to the
 //!    machine total, and the float second-sums must agree to rounding.
 
+mod common;
+
+use common::HOST_CACHE_COUNTERS;
 use pim_zd_tree_repro::sim::Metrics;
 use pim_zd_tree_repro::{workloads, Aabb, MachineConfig, Metric, PimZdConfig, PimZdTree};
 
@@ -113,14 +116,7 @@ fn registry_agrees_with_sim_stats() {
             // pulled only for metas that flipped into L1, dropped where a
             // meta left L1, and patched where the delete only thinned.
             let cache = |name| m.counter(name, &[]).expect("the updates reconcile caches");
-            let [pulls, installs, drops, patches, flips] = [
-                "host_cache_pulls_total",
-                "host_cache_installs_total",
-                "host_cache_drops_total",
-                "host_cache_patches_total",
-                "host_layer_flips_total",
-            ]
-            .map(cache);
+            let [pulls, installs, drops, patches, flips] = HOST_CACHE_COUNTERS.map(cache);
             assert!(installs >= pulls, "{pulls} pulls, {installs} installs");
             assert!(pulls <= flips && flips > 0, "{pulls} pulls, {flips} flips");
             assert!(drops > 0 && patches > 0, "{drops} drops, {patches} patches");

@@ -439,7 +439,7 @@ proptest! {
 }
 
 /// `cfg` with every batch pulling every fragment it demands, as the
-/// pull-always regime of `tests/query_regimes.rs` sets it: every read runs
+/// pull-always regime of `tests/cost_pins.rs` sets it: every read runs
 /// on the host, from pulls the host keeps.
 fn pull_always(cfg: PimZdConfig) -> PimZdConfig {
     PimZdConfig { imbalance_factor: 0.0, k_pull_l1: 0, k_pull_l2: 0, ..cfg }

@@ -17,48 +17,23 @@
 //! The trace-event export is additionally run through the same shape
 //! validator CI applies to generated files (`pim_bench::trace_events`).
 
+mod common;
+
+use common::{fixed_trace, server};
 use pim_bench::trace_events::validate_trace_events;
 use pim_zd_tree_repro::serve::{
-    fnv_fold, trace::parse_spans_jsonl, BatchPolicy, PimServer, ServeConfig, ServeReport,
-    ServeTrace, FNV_OFFSET,
+    fnv_fold, trace::parse_spans_jsonl, ServeReport, ServeTrace, FNV_OFFSET,
 };
 use pim_zd_tree_repro::sim::{Journal, Metrics, RoundRecord};
-use pim_zd_tree_repro::workloads::{open_loop_trace, ArrivalTrace, RequestMix};
-use pim_zd_tree_repro::{workloads, MachineConfig, PimZdConfig, PimZdTree, Point};
 
-const SEED: u64 = 2026;
-const N: usize = 5_000;
-const MODULES: usize = 16;
-
-fn fixed_trace(data: &[Point<3>]) -> ArrivalTrace<3> {
-    // Same write-tinged read-heavy shape as tests/serving_determinism.rs:
-    // exercises budget seals, size seals, pipelined snapshot reads, and
-    // (with the small queue below) admission-control rejections.
-    let mix = RequestMix { insert: 25, delete: 10, ..RequestMix::read_heavy() };
-    open_loop_trace(data, 700, 150_000.0, &mix, SEED ^ 0x7ACE)
-}
-
-/// A server over the fixed data set, with the data it holds.
-fn server() -> (PimServer<3>, Vec<Point<3>>) {
-    let data = workloads::uniform::<3>(N, SEED);
-    let tree = PimZdTree::build(
-        &data,
-        PimZdConfig::throughput_optimized(N as u64, MODULES),
-        MachineConfig::with_modules(MODULES),
-    );
-    let cfg = ServeConfig {
-        policy: BatchPolicy { budget_us: 500, ..BatchPolicy::default() },
-        // Small enough that the trace still overflows it now that a kNN
-        // batch takes two rounds (96 no longer rejects anything).
-        queue_cap: 80,
-    };
-    (PimServer::new(tree, cfg), data)
-}
+/// Small enough that the fixed trace still overflows it now that a kNN
+/// batch takes two rounds (96 no longer rejects anything).
+const QUEUE_CAP: usize = 80;
 
 /// One traced serving run: the report, the span/batch record, the
 /// simulator round journal, and the JSON metrics snapshot (with exemplars).
 fn traced_run(tracing: bool) -> (ServeReport, Option<ServeTrace>, Vec<RoundRecord>, String) {
-    let (mut server, data) = server();
+    let (mut server, data) = server(QUEUE_CAP);
     let journal = Journal::new();
     server.set_journal(Some(journal.clone()));
     let metrics = Metrics::enabled_new();

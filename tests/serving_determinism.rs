@@ -10,14 +10,13 @@
 //! flight observes exactly the pre-batch epoch, and none of the batch's
 //! points.
 
+mod common;
+
+use common::{fixed_trace, served_data, served_tree, server};
 use pim_zd_tree_repro::serve::{fnv_fold, BatchPolicy, PimServer, ServeConfig, FNV_OFFSET};
 use pim_zd_tree_repro::sim::Metrics;
-use pim_zd_tree_repro::workloads::{open_loop_trace, Arrival, ArrivalTrace, ReqOp, RequestMix};
-use pim_zd_tree_repro::{workloads, Aabb, MachineConfig, PimZdConfig, PimZdTree, Point};
-
-const SEED: u64 = 2026;
-const N: usize = 5_000;
-const MODULES: usize = 16;
+use pim_zd_tree_repro::workloads::{Arrival, ArrivalTrace, ReqOp};
+use pim_zd_tree_repro::{Aabb, Point};
 
 /// Everything observable from one serving run, in byte-comparable form.
 #[derive(Debug, PartialEq, Eq)]
@@ -34,27 +33,9 @@ struct RunArtifacts {
     digest: u64,
 }
 
-fn fixed_trace(data: &[Point<3>]) -> ArrivalTrace<3> {
-    // Write-tinged read-heavy mix at a rate that keeps several batches in
-    // flight, so the run exercises budget seals, size seals, pipelined
-    // snapshot reads, and (with the small queue below) admission control.
-    let mix = RequestMix { insert: 25, delete: 10, ..RequestMix::read_heavy() };
-    open_loop_trace(data, 700, 150_000.0, &mix, SEED ^ 0x7ACE)
-}
-
 /// One full serving run; must be a pure function of its inputs.
 fn run_serving() -> RunArtifacts {
-    let data = workloads::uniform::<3>(N, SEED);
-    let tree = PimZdTree::build(
-        &data,
-        PimZdConfig::throughput_optimized(N as u64, MODULES),
-        MachineConfig::with_modules(MODULES),
-    );
-    let cfg = ServeConfig {
-        policy: BatchPolicy { budget_us: 500, ..BatchPolicy::default() },
-        queue_cap: 96,
-    };
-    let mut server = PimServer::new(tree, cfg);
+    let (mut server, data) = server(96);
     let metrics = Metrics::enabled_new();
     server.set_metrics(metrics.clone());
     let report = server.run_trace(&fixed_trace(&data));
@@ -101,21 +82,12 @@ fn serving_run_is_byte_identical_at_1_2_and_8_threads() {
 fn trace_jsonl_roundtrip_preserves_the_run() {
     // A trace written to JSONL and read back drives an identical run —
     // the on-disk form is the determinism boundary, not the in-memory one.
-    let data = workloads::uniform::<3>(N, SEED);
+    let data = served_data();
     let trace = fixed_trace(&data);
     let roundtripped = ArrivalTrace::<3>::from_jsonl(&trace.to_jsonl()).unwrap();
     assert_eq!(trace, roundtripped);
 
-    let build = || {
-        PimServer::new(
-            PimZdTree::build(
-                &data,
-                PimZdConfig::throughput_optimized(N as u64, MODULES),
-                MachineConfig::with_modules(MODULES),
-            ),
-            ServeConfig::default(),
-        )
-    };
+    let build = || PimServer::new(served_tree(&data), ServeConfig::default());
     let a = build().run_trace(&trace);
     let b = build().run_trace(&roundtripped);
     assert_eq!(a.results_jsonl(), b.results_jsonl());
@@ -133,12 +105,7 @@ fn snapshot_reads_observe_exactly_the_pre_batch_epoch() {
     //   * a late probe wave at t=1s runs after everything drained.
     // The mid-flight probes must run against the pre-batch snapshot:
     // pre-batch epoch in the reply, none of the in-flight points visible.
-    let data = workloads::uniform::<3>(N, SEED);
-    let tree = PimZdTree::build(
-        &data,
-        PimZdConfig::throughput_optimized(N as u64, MODULES),
-        MachineConfig::with_modules(MODULES),
-    );
+    let tree = served_tree(&served_data());
     let epoch0 = tree.epoch();
     let fresh: Vec<Point<3>> =
         (0..200u32).map(|i| Point::new([500_000 + i, 500_000, 500_000])).collect();

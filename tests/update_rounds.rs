@@ -14,6 +14,9 @@
 //! (phase `insert/maintain`, `delete/maintain`) and `last_op_stats().rounds`,
 //! and the cache traffic off the metrics registry.
 
+mod common;
+
+use common::HOST_CACHE_COUNTERS;
 use pim_zd_tree_repro::sim::trace::Journal;
 use pim_zd_tree_repro::sim::Metrics;
 use pim_zd_tree_repro::{workloads, MachineConfig, PimZdConfig, PimZdTree, Point};
@@ -66,16 +69,7 @@ fn maintain(
 ) -> Maintenance {
     let counters = || {
         metrics
-            .with(|m| {
-                [
-                    "host_cache_pulls_total",
-                    "host_cache_installs_total",
-                    "host_cache_drops_total",
-                    "host_cache_patches_total",
-                    "host_layer_flips_total",
-                ]
-                .map(|name| m.counter(name, &[]).unwrap_or(0))
-            })
+            .with(|m| HOST_CACHE_COUNTERS.map(|name| m.counter(name, &[]).unwrap_or(0)))
             .expect("metrics are attached")
     };
     let (seen, before) = (journal.snapshot().len(), counters());
