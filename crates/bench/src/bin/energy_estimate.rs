@@ -11,10 +11,10 @@
 //! cargo run --release -p pim-bench --bin energy_estimate
 //! ```
 
-use pim_bench::harness::{make_queries, pim_tree, run_cell, CpuRunner, OpKind};
+use pim_bench::harness::{make_queries, pim_tree, run_cell, CpuRunner, OpKind, Queries};
 use pim_bench::{BenchArgs, Dataset, PerfSink};
 use pim_sim::{EnergyModel, MachineConfig};
-use pim_zd_tree::PimZdConfig;
+use pim_zd_tree::{BatchIndex, PimZdConfig};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -38,44 +38,39 @@ fn main() {
     println!("{}", "-".repeat(82));
     for op in [OpKind::Insert, OpKind::BoxCount(10.0), OpKind::Knn(10)] {
         let q = make_queries(op, &test, args.points, args.batch, args.seed ^ 0xE6);
-
-        let m = run_cell(&mut pim, "PIM-zd-tree", op, &q);
-        perf.push("uniform", &m);
-        let s = pim.last_op_stats().clone();
-        let e = s.energy(&model);
-        let t = e.total_j().max(1e-18);
-        println!(
-            "{:<10} {:<14} {:>12.2} {:>9.1}% {:>9.1}% {:>9.1}% {:>9.1}%",
-            op.label(),
-            "PIM-zd-tree",
-            e.total_j() * 1e9 / m.elements.max(1) as f64,
-            100.0 * e.cpu_j / t,
-            100.0 * e.pim_j / t,
-            100.0 * e.dram_j / t,
-            100.0 * e.channel_j / t
-        );
-
-        for m in [run_cell(&mut pkd, "Pkd-tree", op, &q), run_cell(&mut zd, "zd-tree", op, &q)] {
-            perf.push("uniform", &m);
-            // Baselines: cycles and DRAM bytes only (no PIM, no channel).
-            let cycles = (m.cpu_s * 2.2e9 * 22.4) as u64; // eff-thread cycles
-            let dram = (m.traffic * m.elements as f64) as u64;
-            let e = model.estimate(cycles, dram, 0, 0);
-            let t = e.total_j().max(1e-18);
-            println!(
-                "{:<10} {:<14} {:>12.2} {:>9.1}% {:>9.1}% {:>9.1}% {:>9.1}%",
-                op.label(),
-                m.index,
-                e.total_j() * 1e9 / m.elements.max(1) as f64,
-                100.0 * e.cpu_j / t,
-                0.0,
-                100.0 * e.dram_j / t,
-                0.0
-            );
-        }
+        energy_row(&mut pim, "PIM-zd-tree", op, &q, &mut perf, &model);
+        energy_row(&mut pkd, "Pkd-tree", op, &q, &mut perf, &model);
+        energy_row(&mut zd, "zd-tree", op, &q, &mut perf, &model);
         println!();
     }
     println!("(wimpy PIM cores + on-bank access make the PIM index cheaper per");
     println!(" element wherever it also wins on traffic — the paper's energy claim)");
     perf.finish();
+}
+
+/// Runs one cell and prints its energy per returned element by component,
+/// priced from the cell's `OpStats` the same way for every index (a
+/// baseline has no PIM cycles and no channel bytes).
+fn energy_row(
+    index: &mut impl BatchIndex<3>,
+    name: &str,
+    op: OpKind,
+    q: &Queries,
+    perf: &mut PerfSink,
+    model: &EnergyModel,
+) {
+    perf.push("uniform", &run_cell(index, name, op, q));
+    let s = index.last_op_stats();
+    let e = s.energy(model);
+    let t = e.total_j().max(1e-18);
+    println!(
+        "{:<10} {:<14} {:>12.2} {:>9.1}% {:>9.1}% {:>9.1}% {:>9.1}%",
+        op.label(),
+        name,
+        e.total_j() * 1e9 / s.elements.max(1) as f64,
+        100.0 * e.cpu_j / t,
+        100.0 * e.pim_j / t,
+        100.0 * e.dram_j / t,
+        100.0 * e.channel_j / t
+    );
 }
