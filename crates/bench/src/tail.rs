@@ -16,7 +16,7 @@
 //! formatting out — byte-identical output for byte-identical input.
 
 use pim_serve::RequestTrace;
-use pim_sim::metrics::log2_bucket;
+use pim_sim::metrics::{keep_smallest, log2_bucket, quantile_rank};
 
 /// Exemplar ids retained per latency bucket.
 pub const BUCKET_EXEMPLARS: usize = 4;
@@ -76,7 +76,7 @@ pub fn summarize(rows: &[RequestTrace]) -> Result<TailReport, String> {
     }
     // Ascending (latency, id): the id tie-break pins percentile exemplars.
     completed.sort_by_key(|r| (r.latency_us(), r.id));
-    let pick = |q: f64| completed[((completed.len() - 1) as f64 * q) as usize].clone();
+    let pick = |q: f64| completed[quantile_rank(completed.len(), q)].clone();
     let percentiles = vec![("p50", pick(0.50)), ("p99", pick(0.99)), ("p999", pick(0.999))];
 
     let mut table: Vec<Bucket> = vec![Bucket::default(); BUCKETS];
@@ -86,15 +86,7 @@ pub fn summarize(rows: &[RequestTrace]) -> Result<TailReport, String> {
         for (s, p) in b.phase_sums.iter_mut().zip(r.phases()) {
             *s += p;
         }
-        match b.exemplars.binary_search(&r.id.0) {
-            Ok(_) => {}
-            Err(pos) => {
-                if pos < BUCKET_EXEMPLARS {
-                    b.exemplars.insert(pos, r.id.0);
-                    b.exemplars.truncate(BUCKET_EXEMPLARS);
-                }
-            }
-        }
+        keep_smallest(&mut b.exemplars, r.id.0, BUCKET_EXEMPLARS);
     }
     let buckets = table.into_iter().enumerate().filter(|(_, b)| b.count > 0).collect::<Vec<_>>();
     Ok(TailReport { completed: completed.len() as u64, rejected, percentiles, buckets })

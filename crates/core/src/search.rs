@@ -53,14 +53,6 @@ pub enum QueryEnd {
 }
 
 impl QueryEnd {
-    /// The fragment the end belongs to (`None` = L0 / empty).
-    pub fn meta(&self) -> Option<MetaId> {
-        match self {
-            QueryEnd::FragLeaf { meta, .. } | QueryEnd::FragDiverge { meta } => Some(*meta),
-            _ => None,
-        }
-    }
-
     /// Whether the searched key was found in a leaf.
     pub fn found(&self) -> bool {
         matches!(self, QueryEnd::L0Leaf { found: true } | QueryEnd::FragLeaf { found: true, .. })

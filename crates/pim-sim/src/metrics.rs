@@ -27,10 +27,11 @@
 //!   bench `--json` perf reports, which CI compares byte for byte.
 //!
 //! The module also hosts the shared percentile/histogram math: the exact
-//! sample quantile ([`quantile_sorted`], used by the `latency_p99` bench)
-//! and the log₂ bucketing ([`log2_bucket`], shared with the trace layer's
-//! cycle histograms) live here so there is exactly one implementation of
-//! each.
+//! sample quantile ([`quantile_sorted`] on [`quantile_rank`], used by the
+//! `latency_p99` bench and the serving tail report), the log₂ bucketing
+//! ([`log2_bucket`], shared with the trace layer's cycle histograms) and the
+//! bounded exemplar set ([`keep_smallest`]) live here so there is exactly
+//! one implementation of each.
 
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -52,14 +53,37 @@ pub fn log2_bucket(v: u64, n_buckets: usize) -> usize {
     }
 }
 
-/// Exact sample quantile over an ascending-sorted slice, using the
-/// nearest-rank-below rule `sorted[⌊(len−1)·q⌋]` (the formula the latency
-/// bench has always used; lifted here so there is one implementation).
+/// Inserts `id` into the ascending set `ids` if it is among the `cap`
+/// smallest ids offered so far, dropping the largest one past `cap`. An id
+/// offered twice stays one entry, so the kept set is a pure function of the
+/// offered set, whatever the order: the exemplar rule of [`Histogram`] and
+/// of the serving tail report.
+#[inline]
+pub fn keep_smallest(ids: &mut Vec<u64>, id: u64, cap: usize) {
+    if let Err(pos) = ids.binary_search(&id) {
+        if pos < cap {
+            ids.insert(pos, id);
+            ids.truncate(cap);
+        }
+    }
+}
+
+/// Index of the `q` quantile in an ascending-sorted sequence of `len`
+/// items, by the nearest-rank-below rule `⌊(len−1)·q⌋` (the formula the
+/// latency bench has always used; lifted here so there is one
+/// implementation). Panics when `len` is 0.
+#[inline]
+pub fn quantile_rank(len: usize, q: f64) -> usize {
+    ((len - 1) as f64 * q.clamp(0.0, 1.0)) as usize
+}
+
+/// Exact sample quantile over an ascending-sorted slice:
+/// `sorted[quantile_rank(len, q)]`.
 ///
 /// Panics on an empty slice — a quantile of nothing is a caller bug.
 #[inline]
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
-    sorted[((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)) as usize]
+    sorted[quantile_rank(sorted.len(), q)]
 }
 
 /// A growable set of f64 samples with exact quantiles (sorts lazily).
@@ -171,12 +195,7 @@ impl Histogram {
             let ex = self.exemplars.get_or_insert_with(Box::default);
             for (mine, theirs) in ex.iter_mut().zip(oex.iter()) {
                 for &id in theirs {
-                    if let Err(pos) = mine.binary_search(&id) {
-                        if pos < EXEMPLARS_PER_BUCKET {
-                            mine.insert(pos, id);
-                            mine.truncate(EXEMPLARS_PER_BUCKET);
-                        }
-                    }
+                    keep_smallest(mine, id, EXEMPLARS_PER_BUCKET);
                 }
             }
         }
@@ -195,16 +214,7 @@ impl Histogram {
     pub fn observe_with_exemplar(&mut self, v: u64, id: u64) {
         self.observe(v);
         let ex = self.exemplars.get_or_insert_with(Box::default);
-        let bucket = &mut ex[log2_bucket(v, HIST_BUCKETS)];
-        match bucket.binary_search(&id) {
-            Ok(_) => {} // an id observed twice stays a single exemplar
-            Err(pos) => {
-                if pos < EXEMPLARS_PER_BUCKET {
-                    bucket.insert(pos, id);
-                    bucket.truncate(EXEMPLARS_PER_BUCKET);
-                }
-            }
-        }
+        keep_smallest(&mut ex[log2_bucket(v, HIST_BUCKETS)], id, EXEMPLARS_PER_BUCKET);
     }
 
     /// Mean observed value (0 when empty).
